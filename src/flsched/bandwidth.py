@@ -6,6 +6,13 @@ floor. The non-smooth max is replaced by log-sum-exp (additive error at most
 ln(m)); the surrogate is convex, and an equality-constrained Newton barrier
 method solves it. A dense grid search over the simplex slice serves as the
 verification oracle for small instances.
+
+The Hessian of the smoothed objective is diagonal minus rank one (softmax
+curvature), H = diag(d) - a a^T, and the simplex equality borders it with a
+ones row. Each Newton step therefore solves its KKT system in O(m) by block
+elimination: Sherman-Morrison applies H^-1 to a vector, and the multiplier
+follows from the scalar equation 1^T step = 0 (Boyd & Vandenberghe, *Convex
+Optimization*, Sec. 10.4 and App. C.4). No m x m matrix is formed.
 """
 
 from __future__ import annotations
@@ -80,11 +87,40 @@ class BarrierParams:
     line_beta: float = 0.5
     newton_tol: float = 1e-10  # on half the squared Newton decrement
 
+    def __post_init__(self):
+        fields = (self.t0, self.mu_growth, self.tol, self.max_newton,
+                  self.line_alpha, self.line_beta, self.newton_tol)
+        if not all(math.isfinite(x) for x in fields):
+            raise ValueError("barrier parameters must be finite")
+        if not self.t0 > 0:
+            raise ValueError("barrier t0 must be positive")
+        if not self.mu_growth > 1:
+            raise ValueError("barrier mu_growth must exceed 1, or t never grows")
+        if not self.tol > 0:
+            raise ValueError("barrier tol must be positive")
+        if not self.max_newton >= 1:
+            raise ValueError("barrier max_newton must be at least 1")
+        if not 0 < self.line_alpha < 0.5:
+            raise ValueError("barrier line_alpha must lie in (0, 0.5)")
+        if not 0 < self.line_beta < 1:
+            raise ValueError("barrier line_beta must lie in (0, 1)")
+
 
 class SmoothedEval(NamedTuple):
     value: float
     gradient: np.ndarray
     hessian: np.ndarray
+
+
+class _Factors(NamedTuple):
+    """Smoothed objective with its Hessian kept as diag(diag) - outer(rank_one)."""
+
+    value: float
+    gradient: np.ndarray
+    diag: np.ndarray
+    rank_one: np.ndarray
+    weights: np.ndarray  # softmax weights of the latency terms
+    excess: np.ndarray  # diag minus the softmax part V*w*du^2; non-negative
 
 
 def lse_error_bound(selected_count: int) -> float:
@@ -98,30 +134,44 @@ def _latency_terms(ratios: np.ndarray, instance: AllocationInstance) -> np.ndarr
     return instance.comp_latency + instance.lat_coeff / ratios
 
 
-def smoothed_objective(ratios: np.ndarray, instance: AllocationInstance) -> SmoothedEval:
-    """Value, gradient, and Hessian of the smoothed objective at interior ratios.
+def _value_and_weights(b: np.ndarray, instance: AllocationInstance) -> tuple[float, np.ndarray]:
+    """Smoothed objective value and the softmax weights of the latency terms.
 
     Log-sum-exp is evaluated with the usual max shift so large latency terms
-    cannot overflow. The Hessian is positive semidefinite (softmax curvature
-    conjugated by a diagonal plus non-negative diagonal terms).
+    cannot overflow.
     """
-    b = np.asarray(ratios, dtype=float)
-    if np.any(b <= 0):
-        raise ValueError("ratios must be strictly positive")
-    v = instance.penalty_weight
     u = _latency_terms(b, instance)
     shift = u.max()
     ex = np.exp(u - shift)
     total = ex.sum()
-    w = ex / total  # softmax weights
-    value = v * (shift + math.log(total)) + float((instance.price_coeff / b).sum())
+    value = instance.penalty_weight * (shift + math.log(total)) + \
+        float((instance.price_coeff / b).sum())
+    return value, ex / total
+
+
+def _factors(b: np.ndarray, instance: AllocationInstance) -> _Factors:
+    v = instance.penalty_weight
+    value, w = _value_and_weights(b, instance)
     du = -instance.lat_coeff / b ** 2
     grad = v * w * du - instance.price_coeff / b ** 2
     wd = w * du
-    hess = v * (np.diag(w * du ** 2) - np.outer(wd, wd))
-    diag_extra = v * w * 2.0 * instance.lat_coeff / b ** 3 + 2.0 * instance.price_coeff / b ** 3
-    hess[np.diag_indices_from(hess)] += diag_extra
-    return SmoothedEval(value, grad, hess)
+    excess = v * w * 2.0 * instance.lat_coeff / b ** 3 + 2.0 * instance.price_coeff / b ** 3
+    return _Factors(value, grad, v * wd * du + excess, math.sqrt(v) * wd, w, excess)
+
+
+def smoothed_objective(ratios: np.ndarray, instance: AllocationInstance) -> SmoothedEval:
+    """Value, gradient, and Hessian of the smoothed objective at interior ratios.
+
+    The Hessian is positive semidefinite (softmax curvature conjugated by a
+    diagonal plus non-negative diagonal terms); it is densified here from the
+    diagonal-minus-rank-one factors the barrier solver works with.
+    """
+    b = np.asarray(ratios, dtype=float)
+    if np.any(b <= 0):
+        raise ValueError("ratios must be strictly positive")
+    ev = _factors(b, instance)
+    return SmoothedEval(ev.value, ev.gradient,
+                        np.diag(ev.diag) - np.outer(ev.rank_one, ev.rank_one))
 
 
 def exact_objective(ratios: np.ndarray, instance: AllocationInstance) -> float:
@@ -138,17 +188,46 @@ def smoothing_gap(ratios: np.ndarray, instance: AllocationInstance) -> float:
     return float(math.log(np.exp(u - shift).sum()))
 
 
-def _forced_allocation(instance: AllocationInstance) -> Allocation:
-    b = np.full(instance.size, instance.min_ratio)
-    return Allocation(b, smoothed_objective(b, instance).value, 0, 0.0,
+def _fixed_allocation(b: np.ndarray, instance: AllocationInstance) -> Allocation:
+    return Allocation(b, _value_and_weights(b, instance)[0], 0, 0.0,
                       exact_objective(b, instance))
+
+
+def _newton_step(ev: _Factors, slack: np.ndarray, t: float
+                 ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Gradient, Newton step and simplex multiplier of f - sum(log slack)/t.
+
+    Solves [H 1; 1^T 0] [step; nu] = [-grad; 0] with H = diag(d) - a a^T, where
+    d adds the barrier curvature to the factors' diagonal. Sherman-Morrison
+    gives H^-1 r = r/d + (a/d) (a^T (r/d)) / delta with delta = 1 - a^T D^-1 a,
+    computed as sum(w * e / d) (e = d - V*w*du^2 > 0, the weights sum to one)
+    so that it carries no cancellation.
+    """
+    barrier = 1.0 / (t * slack ** 2)
+    grad = ev.gradient - 1.0 / (t * slack)
+    d = ev.diag + barrier
+    delta = float((ev.weights * (ev.excess + barrier) / d).sum())
+    if not (delta > 0 and np.all(np.isfinite(d))):
+        raise NoConverge("singular KKT system")
+    a_over_d = ev.rank_one / d
+
+    def solve_h(r: np.ndarray) -> np.ndarray:
+        return r / d + a_over_d * (float(a_over_d @ r) / delta)
+
+    h_grad = solve_h(-grad)
+    h_ones = solve_h(np.ones_like(d))
+    nu = float(h_grad.sum()) / float(h_ones.sum())
+    step = h_grad - nu * h_ones
+    if not np.all(np.isfinite(step)):
+        raise NoConverge("singular KKT system")
+    return grad, step, nu
 
 
 def barrier_solve(instance: AllocationInstance, params: BarrierParams | None = None) -> Allocation:
     """Interior-point solve of the smoothed allocation problem.
 
-    Newton steps solve the KKT system of the barrier subproblem with the
-    simplex equality kept exactly; backtracking keeps iterates strictly above
+    Newton steps solve the KKT system of the barrier subproblem in O(m) with
+    the simplex equality kept exactly; backtracking keeps iterates strictly above
     the floor. Deterministic for fixed inputs. Raises Infeasible when the
     floor cannot be met and NoConverge when Newton stalls.
     """
@@ -158,55 +237,39 @@ def barrier_solve(instance: AllocationInstance, params: BarrierParams | None = N
     if m * b_min > 1 + FEAS_TOL:
         raise Infeasible("floor times client count exceeds the whole band")
     if abs(m * b_min - 1.0) <= FEAS_TOL:
-        return _forced_allocation(instance)
+        return _fixed_allocation(np.full(m, b_min), instance)
     if m == 1:
-        b = np.array([1.0])
-        return Allocation(b, smoothed_objective(b, instance).value, 0, 0.0,
-                          exact_objective(b, instance))
+        return _fixed_allocation(np.array([1.0]), instance)
 
     b = np.full(m, 1.0 / m)
     t = params.t0
-    ones = np.ones(m)
     total_newton = 0
 
     # centering objective f + phi/t keeps values O(f) however large t grows,
     # so line-search comparisons stay resolvable in double precision
-    def barrier_value(x: np.ndarray, t_now: float) -> float:
-        return smoothed_objective(x, instance).value - float(np.log(x - b_min).sum()) / t_now
+    def barrier_value(f_value: float, x: np.ndarray) -> float:
+        return f_value - float(np.log(x - b_min).sum()) / t
 
     while True:
         for _ in range(params.max_newton):
             total_newton += 1
-            ev = smoothed_objective(b, instance)
-            slack = b - b_min
-            grad = ev.gradient - 1.0 / (t * slack)
-            hess = ev.hessian
-            hess[np.diag_indices_from(hess)] += 1.0 / (t * slack ** 2)
-            kkt = np.zeros((m + 1, m + 1))
-            kkt[:m, :m] = hess
-            kkt[:m, m] = ones
-            kkt[m, :m] = ones
-            rhs = np.zeros(m + 1)
-            rhs[:m] = -grad
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise NoConverge("singular KKT system") from exc
-            step = sol[:m]
+            ev = _factors(b, instance)
+            grad, step, _ = _newton_step(ev, b - b_min, t)
             decrement_sq = float(-grad @ step)
             if decrement_sq <= 0 or decrement_sq / 2.0 <= params.newton_tol:
                 break
             if np.abs(step).max() <= 1e-14 * max(1.0, float(np.abs(b).max())):
                 break  # step at float-noise level: numerical optimum reached
             # backtracking line search on the barrier subproblem
-            base = barrier_value(b, t)
+            base = barrier_value(ev.value, b)
             slope = float(grad @ step)
             s = 1.0
             improved = False
             for _ in range(60):
                 trial = b + s * step
                 if np.all(trial > b_min) and \
-                        barrier_value(trial, t) <= base + params.line_alpha * s * slope:
+                        barrier_value(_value_and_weights(trial, instance)[0], trial) \
+                        <= base + params.line_alpha * s * slope:
                     improved = True
                     break
                 s *= params.line_beta
@@ -220,7 +283,7 @@ def barrier_solve(instance: AllocationInstance, params: BarrierParams | None = N
             break
         t *= params.mu_growth
 
-    value = smoothed_objective(b, instance).value
+    value = _value_and_weights(b, instance)[0]
     gap = smoothing_gap(b, instance)
     if not (-1e-12 <= gap <= lse_error_bound(m) + 1e-12):
         raise AssertionError("smoothing gap left [0, ln(m)]")

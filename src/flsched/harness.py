@@ -102,11 +102,13 @@ def parse_config(doc: Mapping[str, Any]) -> HarnessConfig:
             tol=float(barrier_raw.get("tol", 1e-8)),
             max_newton=int(barrier_raw.get("max_newton", 200)),
         )
-    except (ValueError, TypeError) as exc:
+        penalty = float(pedpc_raw.get("penalty", 1.0))
+        growth = float(pedpc_raw.get("penalty_growth", 1.0))
+        iters = int(pedpc_raw.get("iter_rounds", 3))
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    penalty = float(pedpc_raw.get("penalty", 1.0))
-    growth = float(pedpc_raw.get("penalty_growth", 1.0))
-    iters = int(pedpc_raw.get("iter_rounds", 3))
+    if not (math.isfinite(penalty) and math.isfinite(growth)):
+        raise ConfigError("pedpc penalty and growth must be finite")
     if penalty <= 0 or growth <= 0 or iters < 1:
         raise ConfigError("pedpc penalty and growth must be positive, iter_rounds >= 1")
     return HarnessConfig(

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from flsched import bandwidth as bw
 from flsched.bandwidth import (AllocationInstance, BarrierParams,
                                barrier_solve, exact_objective, grid_oracle,
                                lse_error_bound, simplex_grid, smoothed_objective,
                                smoothing_gap)
-from flsched.errors import Infeasible, TooLarge
+from flsched.errors import Infeasible, NoConverge, TooLarge
 
 
 def rand_instance(rng, m, b_min=0.01):
@@ -91,6 +92,105 @@ def test_hessian_psd_and_midpoint_convexity():
         mid = smoothed_objective((x + y) / 2, inst).value
         avg = (smoothed_objective(x, inst).value + smoothed_objective(y, inst).value) / 2
         assert mid <= avg + 1e-12
+
+
+def test_hessian_factors_match_dense_formula():
+    # H = diag(d) - a a^T must equal the softmax-curvature Hessian written out densely
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        m = int(rng.integers(1, 40))
+        inst = rand_instance(rng, m)
+        b = rng.uniform(0.01, 1.0, m)
+        ev = bw._factors(b, inst)
+        hess = smoothed_objective(b, inst).hessian
+        assert np.array_equal(np.diag(ev.diag) - np.outer(ev.rank_one, ev.rank_one), hess)
+        v, s, g = inst.penalty_weight, inst.lat_coeff, inst.price_coeff
+        u = inst.comp_latency + s / b
+        w = np.exp(u - u.max()) / np.exp(u - u.max()).sum()
+        du = -s / b ** 2
+        dense = v * (np.diag(w * du ** 2) - np.outer(w * du, w * du)) \
+            + np.diag(2 * v * w * s / b ** 3 + 2 * g / b ** 3)
+        assert np.abs(hess - dense).max() <= 1e-12 * np.abs(dense).max()
+        assert np.allclose(ev.excess, ev.diag - v * w * du ** 2, rtol=1e-9, atol=0)
+        assert np.all(ev.excess >= 0)
+
+
+def test_newton_step_matches_dense_kkt():
+    # the O(m) block-elimination step against a dense bordered-KKT solve; the
+    # reference applies symmetric diagonal scaling first, which keeps it
+    # accurate at t up to 1e10 where the raw KKT matrix has condition ~1e15
+    rng = np.random.default_rng(18)
+    zero_priced = 0
+    for trial in range(200):
+        m = 1 + trial % 100
+        b_min = rng.uniform(0.0, 0.5) / m
+        inst = rand_instance(rng, m, b_min=b_min)
+        zero_priced += int(np.any(inst.price_coeff == 0))
+        b = b_min + (1.0 - m * b_min) * rng.dirichlet(np.ones(m))
+        t = 10 ** rng.uniform(0, 10)
+        slack = b - b_min
+        grad, step, nu = bw._newton_step(bw._factors(b, inst), slack, t)
+
+        ev = smoothed_objective(b, inst)
+        kkt = np.zeros((m + 1, m + 1))
+        kkt[:m, :m] = ev.hessian + np.diag(1.0 / (t * slack ** 2))
+        kkt[:m, m] = 1.0
+        kkt[m, :m] = 1.0
+        rhs = np.append(-(ev.gradient - 1.0 / (t * slack)), 0.0)
+        scale = np.append(1.0 / np.sqrt(np.diag(kkt)[:m]), 1.0)
+        ref = scale * np.linalg.solve(kkt * np.outer(scale, scale), scale * rhs)
+
+        assert np.array_equal(grad, -rhs[:m])
+        assert abs(step.sum()) <= 1e-12
+        # step entries below 1e-15 are beneath the resolution of b itself
+        assert np.abs(step - ref[:m]).max() <= 1e-9 * np.abs(ref[:m]).max() + 1e-15
+        assert abs(nu - ref[m]) <= 1e-9 * abs(ref[m])
+    assert zero_priced >= 100
+
+
+def test_newton_step_rejects_singular_system():
+    inst = AllocationInstance(np.zeros(2), np.ones(2), np.zeros(2), 1.0, 0.1)
+    b = np.array([0.5, 0.5])
+    ev = bw._factors(b, inst)
+    with pytest.raises(NoConverge, match="singular KKT"):
+        bw._newton_step(ev._replace(diag=np.array([np.inf, 1.0])), b - 0.1, 1.0)
+    with pytest.raises(NoConverge, match="singular KKT"):
+        bw._newton_step(ev._replace(weights=np.zeros(2)), b - 0.1, 1.0)
+
+
+# (m, Newton iterations, objective) of barrier_solve on rand_instance draws from
+# default_rng(31) with min_ratio 0.005, recorded with the dense KKT solver the
+# O(m) step replaced
+BARRIER_PIN = (
+    (2, 18, 0.12198252090189805), (2, 15, 0.07510965503396133),
+    (2, 23, 4.4790340213517315), (2, 16, 14.364510466266863),
+    (10, 26, 22.413246036781853), (10, 46, 5.545327985213208),
+    (10, 45, 13.947165087432387), (10, 22, 27.05701342256369),
+    (30, 61, 129.79064444846696), (30, 45, 387.24359201313837),
+    (30, 29, 419.26174946871726), (30, 62, 100.98108480882829),
+    (60, 65, 498.68061994561725), (60, 55, 1076.8700305784887),
+    (60, 54, 4042.439980313229), (60, 51, 1064.5691216630648),
+    (100, 71, 1841.6868207284876), (100, 66, 2243.288170698517),
+    (100, 66, 5064.217036192596), (100, 63, 1763.995509947388),
+)
+
+
+def test_barrier_regression_pin():
+    rng = np.random.default_rng(31)
+    for m, iterations, objective in BARRIER_PIN:
+        got = barrier_solve(rand_instance(rng, m, b_min=0.005))
+        assert got.iterations == iterations
+        assert got.objective == pytest.approx(objective, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("t0", 0.0), ("t0", math.inf), ("mu_growth", 1.0), ("tol", 0.0),
+    ("tol", math.nan), ("max_newton", 0), ("line_alpha", 0.0), ("line_alpha", 0.5),
+    ("line_beta", 0.0), ("line_beta", 1.0), ("newton_tol", math.nan),
+])
+def test_barrier_params_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError):
+        BarrierParams(**{field: value})
 
 
 def test_smoothing_gap_in_range():

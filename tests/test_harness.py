@@ -43,6 +43,27 @@ def test_parse_config_rejects_unknown_keys():
         parse_config({"policy": {"kind": "Nonsense"}})
 
 
+@pytest.mark.parametrize("barrier", [
+    {"mu_growth": 1.0}, {"mu_growth": 0.5}, {"t0": -1}, {"t0": 0},
+    {"tol": float("nan")}, {"tol": 0}, {"t0": float("inf")},
+    {"max_newton": 0}, {"max_newton": float("inf")}, {"max_newton": "x"},
+])
+def test_parse_config_rejects_bad_barrier(barrier):
+    with pytest.raises(ConfigError):
+        parse_config({"barrier": barrier})
+
+
+@pytest.mark.parametrize("pedpc", [
+    {"penalty": "x"}, {"penalty": None}, {"penalty": float("nan")},
+    {"penalty": float("inf")}, {"penalty": -1.0}, {"penalty_growth": float("nan")},
+    {"penalty_growth": [1.0]}, {"iter_rounds": "x"}, {"iter_rounds": float("nan")},
+    {"iter_rounds": float("inf")}, {"iter_rounds": 0},
+])
+def test_parse_config_rejects_bad_pedpc(pedpc):
+    with pytest.raises(ConfigError):
+        parse_config({"pedpc": pedpc})
+
+
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -177,6 +198,16 @@ def test_cli_run_and_exit_codes(tmp_path):
     out = subprocess.run(env_cmd + ["run", "--config", str(infeasible)],
                          capture_output=True, text=True)
     assert out.returncode == 3
+
+    # mu_growth 1 never grows t, so an unvalidated barrier loops forever
+    stuck = tmp_path / "stuck.json"
+    doc = json.loads(path.read_text())
+    doc["barrier"] = {"mu_growth": 1.0}
+    stuck.write_text(json.dumps(doc))
+    out = subprocess.run(env_cmd + ["run", "--config", str(stuck)],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert "mu_growth" in out.stderr
 
 
 def test_cli_csv_determinism(tmp_path):
