@@ -149,13 +149,24 @@ def _value_and_weights(b: np.ndarray, instance: AllocationInstance) -> tuple[flo
     return value, ex / total
 
 
+def _value(b: np.ndarray, instance: AllocationInstance) -> float:
+    """Smoothed objective value alone, evaluated exactly as _value_and_weights."""
+    u = _latency_terms(b, instance)
+    shift = u.max()
+    return instance.penalty_weight * (shift + math.log(np.exp(u - shift).sum())) + \
+        float((instance.price_coeff / b).sum())
+
+
 def _factors(b: np.ndarray, instance: AllocationInstance) -> _Factors:
     v = instance.penalty_weight
     value, w = _value_and_weights(b, instance)
-    du = -instance.lat_coeff / b ** 2
-    grad = v * w * du - instance.price_coeff / b ** 2
+    b2 = b ** 2
+    b3 = b ** 3
+    vw = v * w
+    du = -instance.lat_coeff / b2
+    grad = vw * du - instance.price_coeff / b2
     wd = w * du
-    excess = v * w * 2.0 * instance.lat_coeff / b ** 3 + 2.0 * instance.price_coeff / b ** 3
+    excess = vw * 2.0 * instance.lat_coeff / b3 + 2.0 * instance.price_coeff / b3
     return _Factors(value, grad, v * wd * du + excess, math.sqrt(v) * wd, w, excess)
 
 
@@ -189,8 +200,7 @@ def smoothing_gap(ratios: np.ndarray, instance: AllocationInstance) -> float:
 
 
 def _fixed_allocation(b: np.ndarray, instance: AllocationInstance) -> Allocation:
-    return Allocation(b, _value_and_weights(b, instance)[0], 0, 0.0,
-                      exact_objective(b, instance))
+    return Allocation(b, _value(b, instance), 0, 0.0, exact_objective(b, instance))
 
 
 def _newton_step(ev: _Factors, slack: np.ndarray, t: float
@@ -207,7 +217,7 @@ def _newton_step(ev: _Factors, slack: np.ndarray, t: float
     grad = ev.gradient - 1.0 / (t * slack)
     d = ev.diag + barrier
     delta = float((ev.weights * (ev.excess + barrier) / d).sum())
-    if not (delta > 0 and np.all(np.isfinite(d))):
+    if not (delta > 0 and np.isfinite(d).all()):
         raise NoConverge("singular KKT system")
     a_over_d = ev.rank_one / d
 
@@ -218,7 +228,7 @@ def _newton_step(ev: _Factors, slack: np.ndarray, t: float
     h_ones = solve_h(np.ones_like(d))
     nu = float(h_grad.sum()) / float(h_ones.sum())
     step = h_grad - nu * h_ones
-    if not np.all(np.isfinite(step)):
+    if not np.isfinite(step).all():
         raise NoConverge("singular KKT system")
     return grad, step, nu
 
@@ -267,8 +277,8 @@ def barrier_solve(instance: AllocationInstance, params: BarrierParams | None = N
             improved = False
             for _ in range(60):
                 trial = b + s * step
-                if np.all(trial > b_min) and \
-                        barrier_value(_value_and_weights(trial, instance)[0], trial) \
+                if (trial > b_min).all() and \
+                        barrier_value(_value(trial, instance), trial) \
                         <= base + params.line_alpha * s * slope:
                     improved = True
                     break
@@ -283,7 +293,7 @@ def barrier_solve(instance: AllocationInstance, params: BarrierParams | None = N
             break
         t *= params.mu_growth
 
-    value = _value_and_weights(b, instance)[0]
+    value = _value(b, instance)
     gap = smoothing_gap(b, instance)
     if not (-1e-12 <= gap <= lse_error_bound(m) + 1e-12):
         raise AssertionError("smoothing gap left [0, ln(m)]")

@@ -13,7 +13,7 @@ import sys
 
 from . import harness
 from .errors import (ConfigError, Infeasible, InfeasibleBound, InfeasibleConfig,
-                     InfeasibleLink, TooLarge, Unreachable)
+                     InfeasibleLink, TooLarge, Unreachable, VerificationError)
 from .scheduler import POLICY_KINDS, PolicySpec
 
 EXIT_OK = 0
@@ -143,6 +143,9 @@ def main(argv: list[str] | None = None) -> int:
     except _INFEASIBLE_ERRORS as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -31,3 +31,7 @@ class ConfigError(ValueError):
 
 class Unreachable(RuntimeError):
     """Calibration target cannot be met within the parameter bracket."""
+
+
+class VerificationError(RuntimeError):
+    """A run broke one of the guarantees every run checks (drift or deficit bound)."""

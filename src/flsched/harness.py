@@ -19,7 +19,7 @@ import numpy as np
 from . import bandwidth as bw
 from . import lyapunov as lyap
 from .bandwidth import BarrierParams
-from .errors import ConfigError, TooLarge, Unreachable
+from .errors import ConfigError, TooLarge, Unreachable, VerificationError
 from .scheduler import (PedpcParams, PolicySpec, RoundContext, RunTrace,
                         pedpc_run, run_policy)
 from .simenv import IID, NONIID, Scenario, ScenarioSpec
@@ -36,6 +36,8 @@ _POLICY_KEYS = {"kind", "random_fraction", "latency_cap"}
 _PEDPC_KEYS = {"penalty", "penalty_growth", "iter_rounds"}
 _BARRIER_KEYS = {"t0", "mu_growth", "tol", "max_newton"}
 _OUTPUT_KEYS = {"dir"}
+_INTEGER_KEYS = {"num_clients", "num_rounds", "frame_len", "num_frames", "local_iters"}
+_RANGE_KEYS = {"cpu_freq", "cycles_per_bit", "tx_power", "gain_sq"}  # [low, high]
 _SECTION_KEYS = {
     "system": _SYSTEM_KEYS,
     "scenario": _SCENARIO_KEYS,
@@ -69,6 +71,39 @@ def _check_section(name: str, content: Any) -> dict:
     return content
 
 
+def _number(key: str, value: Any) -> float:
+    """A finite JSON number (booleans excluded) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{key} is out of range") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return x
+
+
+def _integer(key: str, value: Any) -> int:
+    """A finite JSON number with no fractional part (3 or 3.0) as an int."""
+    if not _number(key, value).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _override(key: str, value: Any) -> Any:
+    """A validated `system` or `scenario` value: integer, number, or list of numbers."""
+    if key in _INTEGER_KEYS:
+        return _integer(key, value)
+    if key in _RANGE_KEYS or key == "data_size_choices":
+        if not isinstance(value, list) or not value or \
+                (key in _RANGE_KEYS and len(value) != 2):
+            shape = "[low, high]" if key in _RANGE_KEYS else "a non-empty list"
+            raise ConfigError(f"{key} must be {shape}, got {value!r}")
+        return tuple(_number(key, v) for v in value)
+    return _number(key, value)
+
+
 def parse_config(doc: Mapping[str, Any]) -> HarnessConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
@@ -85,30 +120,24 @@ def parse_config(doc: Mapping[str, Any]) -> HarnessConfig:
     mode = scenario.get("mode", IID)
     if mode not in (IID, NONIID):
         raise ConfigError(f"scenario mode must be {IID!r} or {NONIID!r}")
-    overrides = dict(system)
-    for key, value in scenario.items():
-        if key == "mode":
-            continue
-        overrides[key] = tuple(value) if isinstance(value, list) else value
+    overrides = {key: _override(key, value)
+                 for key, value in {**system, **scenario}.items() if key != "mode"}
+    knobs = {key: _number(key, value) for key, value in policy_raw.items() if key != "kind"}
+    t0 = _number("t0", barrier_raw.get("t0", 1.0))
+    mu_growth = _number("mu_growth", barrier_raw.get("mu_growth", 20.0))
+    tol = _number("tol", barrier_raw.get("tol", 1e-8))
+    max_newton = _integer("max_newton", barrier_raw.get("max_newton", 200))
+    penalty = _number("penalty", pedpc_raw.get("penalty", 1.0))
+    growth = _number("penalty_growth", pedpc_raw.get("penalty_growth", 1.0))
+    iters = _integer("iter_rounds", pedpc_raw.get("iter_rounds", 3))
+    output_dir = output_raw.get("dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output dir must be a string, got {output_dir!r}")
     try:
-        policy = PolicySpec(
-            kind=policy_raw.get("kind", "PEDPC"),
-            random_fraction=policy_raw.get("random_fraction"),
-            latency_cap=policy_raw.get("latency_cap"),
-        )
-        barrier = BarrierParams(
-            t0=float(barrier_raw.get("t0", 1.0)),
-            mu_growth=float(barrier_raw.get("mu_growth", 20.0)),
-            tol=float(barrier_raw.get("tol", 1e-8)),
-            max_newton=int(barrier_raw.get("max_newton", 200)),
-        )
-        penalty = float(pedpc_raw.get("penalty", 1.0))
-        growth = float(pedpc_raw.get("penalty_growth", 1.0))
-        iters = int(pedpc_raw.get("iter_rounds", 3))
-    except (ValueError, TypeError, OverflowError) as exc:
+        policy = PolicySpec(kind=policy_raw.get("kind", "PEDPC"), **knobs)
+        barrier = BarrierParams(t0=t0, mu_growth=mu_growth, tol=tol, max_newton=max_newton)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not (math.isfinite(penalty) and math.isfinite(growth)):
-        raise ConfigError("pedpc penalty and growth must be finite")
     if penalty <= 0 or growth <= 0 or iters < 1:
         raise ConfigError("pedpc penalty and growth must be positive, iter_rounds >= 1")
     return HarnessConfig(
@@ -119,7 +148,7 @@ def parse_config(doc: Mapping[str, Any]) -> HarnessConfig:
         penalty_growth=growth,
         iter_rounds=iters,
         barrier=barrier,
-        output_dir=Path(output_raw.get("dir", "out")),
+        output_dir=Path(output_dir),
     )
 
 
@@ -225,9 +254,9 @@ def _run_trace(cfg: HarnessConfig, policy: PolicySpec, seed: int,
     trace = run_policy(scenario.population, scenario.config, policy, scenario.observe,
                        seed, pedpc=params, barrier_params=cfg.barrier, drift=drift)
     if trace.drift_violations:
-        raise AssertionError("one-step drift inequality violated during the run")
+        raise VerificationError("one-step drift inequality violated during the run")
     if not trace.lemma_deficit_ok:
-        raise AssertionError("queue-implied deficit lower bound violated")
+        raise VerificationError("queue-implied deficit lower bound violated")
     return trace, scenario
 
 
@@ -486,7 +515,7 @@ def verify_bounds(tiny: TinyCase, penalty_weight: float, grid_step: float) -> Bo
     params = PedpcParams.constant(penalty_weight, config.frame_len, config.num_frames)
     trace = pedpc_run(pop, config, params, scenario.observe, seed=tiny.seed, drift=drift)
     if trace.drift_violations:
-        raise AssertionError("one-step drift inequality violated during the run")
+        raise VerificationError("one-step drift inequality violated during the run")
     lhs = float(np.mean([rec.cost for rec in trace.records]))
     c_stars = [_frame_lookahead(scenario, f, grid_step) for f in range(config.num_frames)]
     lookahead = float(np.mean(c_stars))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -240,7 +240,3 @@ def selected_totals(population: Population, rate_coeff: np.ndarray, decision: De
     latency[sel] = population.comp_latency[sel] + t_com
     energy[sel] = population.comp_energy[sel] + population.tx_power[sel] * t_com
     return latency, energy
-
-
-def population_from(profiles: Iterable[ClientProfile]) -> Population:
-    return Population(list(profiles))

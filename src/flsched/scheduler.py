@@ -5,6 +5,10 @@ alternates exact client selection with barrier bandwidth allocation. Each
 half-step is accepted only if it does not increase the true per-round
 objective, so the objective trace is non-increasing by construction even
 though the bandwidth subproblem is solved through a smoothed surrogate.
+The barrier solves a bandwidth instance that depends only on the selected set,
+so it runs only when the selection half-step has just moved that set: the
+repeat on an unchanged set would return the same shares against the same
+value and change nothing.
 """
 
 from __future__ import annotations
@@ -143,15 +147,18 @@ def _solve_round_ctx(queue: QueueState, ctx: RoundContext, penalty_weight: float
         latencies = _predicted_latency(ctx, shares)
         proposal = itmcs(SelectionInstance(scores, latencies, penalty_weight,
                                            max_selected=cap)).selected
+        moved = False
         if not np.array_equal(proposal, x):
             m = int(proposal.sum())
             b_cand = np.where(proposal, 1.0 / m if m else 0.0, 0.0)
             cand_val = _p3_value(Decision(proposal, b_cand), queue, ctx, penalty_weight)
             if cand_val <= value:
                 x, b, value = proposal, b_cand, cand_val
+                moved = True
         halves.append(value)
-        # bandwidth half-step: barrier solve, kept only if the true value improves
-        if x.any():
+        # bandwidth half-step: barrier solve, kept only if the true value improves;
+        # an unmoved x was solved by the previous half-step, whose outcome stands
+        if moved and x.any():
             idx = np.flatnonzero(x)
             instance = bw.AllocationInstance(
                 comp_latency=pop.comp_latency[idx],

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flsched import harness
+from flsched import cli, harness
 from flsched.errors import ConfigError, TooLarge, Unreachable
 from flsched.harness import (TinyCase, calibrate, load_config, parse_config,
                              run_experiment, sweep_v, verify_bounds)
@@ -62,6 +64,124 @@ def test_parse_config_rejects_bad_barrier(barrier):
 def test_parse_config_rejects_bad_pedpc(pedpc):
     with pytest.raises(ConfigError):
         parse_config({"pedpc": pedpc})
+
+
+_BAD_NUMBERS = [float("nan"), float("inf"), float("-inf"), "x"]
+_LIST_KEYS = harness._RANGE_KEYS | {"data_size_choices"}
+
+
+def _bad_override_cases():
+    for section, keys in (("system", harness._SYSTEM_KEYS),
+                          ("scenario", harness._SCENARIO_KEYS - {"mode"})):
+        for key in sorted(keys):
+            for bad in _BAD_NUMBERS:
+                yield section, key, bad
+                if key in _LIST_KEYS:
+                    yield section, key, [bad, 1.0]
+                    yield section, key, [1.0, bad]
+    for key in sorted(_LIST_KEYS):
+        yield "scenario", key, 1.0  # a number where a list belongs
+        yield "scenario", key, []
+    for key in sorted(harness._RANGE_KEYS):
+        yield "scenario", key, [1.0]
+        yield "scenario", key, [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("section,key,value", list(_bad_override_cases()))
+def test_parse_config_rejects_bad_override(section, key, value):
+    with pytest.raises(ConfigError, match=key):
+        parse_config({section: {key: value}})
+
+
+@pytest.mark.parametrize("doc", [
+    {"barrier": {"max_newton": 1.7}}, {"barrier": {"max_newton": True}},
+    {"barrier": {"max_newton": "50"}}, {"pedpc": {"iter_rounds": True}},
+    {"pedpc": {"iter_rounds": 2.5}}, {"pedpc": {"iter_rounds": None}},
+    *({"system": {key: bad}} for key in ("num_clients", "num_rounds", "frame_len",
+                                         "num_frames")
+      for bad in (8.5, True, False, "8", None)),
+    {"scenario": {"local_iters": 4.5}},
+])
+def test_parse_config_rejects_non_integral_integers(doc):
+    with pytest.raises(ConfigError):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"policy": {"kind": "Random", "random_fraction": "0.4"}},
+    {"policy": {"kind": "Random", "random_fraction": float("nan")}},
+    {"policy": {"kind": "FedCS", "latency_cap": float("inf")}},
+    {"policy": {"kind": "FedCS", "latency_cap": True}},
+    {"barrier": {"tol": "1e-8"}}, {"pedpc": {"penalty": "1.0"}},
+    {"output": {"dir": 1}}, {"output": {"dir": None}},
+])
+def test_parse_config_rejects_bad_policy_solver_and_output(doc):
+    with pytest.raises(ConfigError):
+        parse_config(doc)
+
+
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+_JSON_VALUES = _JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=3)
+
+
+@settings(max_examples=300)
+@given(st.fixed_dictionaries({}, optional={
+    name: st.dictionaries(st.sampled_from(sorted(keys)), _JSON_VALUES, max_size=4)
+    for name, keys in harness._SECTION_KEYS.items()}))
+def test_parse_config_fuzz_parses_or_config_error(doc):
+    try:
+        parse_config(doc)
+    except ConfigError:
+        pass
+
+
+def test_parse_config_accepts_integral_floats():
+    cfg = parse_config({
+        "system": {"num_clients": 8.0, "num_rounds": 12.0, "frame_len": 4.0,
+                   "num_frames": 3.0, "min_ratio": 0.05},
+        "scenario": {"local_iters": 5.0},
+        "barrier": {"max_newton": 50.0},
+        "pedpc": {"iter_rounds": 3.0},
+    })
+    assert cfg.barrier.max_newton == 50 and type(cfg.barrier.max_newton) is int
+    assert cfg.iter_rounds == 3 and type(cfg.iter_rounds) is int
+    config = harness.build_scenario(cfg, seed=0).config
+    assert (config.num_clients, config.num_rounds, config.frame_len,
+            config.num_frames) == (8, 12, 4, 3)
+
+
+def test_cli_run_nan_bandwidth_is_config_error(tmp_path, capsys):
+    path = small_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["system"]["bandwidth"] = float("nan")
+    path.write_text(json.dumps(doc))  # written as the JSON extension NaN
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert "bandwidth" in capsys.readouterr().err
+
+
+def _with_trace_field(real, field, value):
+    def run(*args, **kwargs):
+        trace = real(*args, **kwargs)
+        setattr(trace, field, value)
+        return trace
+    return run
+
+
+@pytest.mark.parametrize("field,value", [("drift_violations", 1),
+                                         ("lemma_deficit_ok", False)])
+def test_cli_run_verification_failure_exits_4(tmp_path, monkeypatch, capsys,
+                                               field, value):
+    monkeypatch.setattr(harness, "run_policy",
+                        _with_trace_field(harness.run_policy, field, value))
+    assert cli.main(["run", "--config", str(small_config(tmp_path))]) == cli.EXIT_VERIFY
+    assert "verification failed" in capsys.readouterr().err
+
+
+def test_cli_verify_bounds_drift_violation_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "pedpc_run",
+                        _with_trace_field(harness.pedpc_run, "drift_violations", 1))
+    assert cli.main(["verify-bounds", "--v-grid", "1"]) == cli.EXIT_VERIFY
+    assert "drift inequality" in capsys.readouterr().err
 
 
 def test_load_config_bad_json(tmp_path):

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
+from flsched import bandwidth as bw
+from flsched import lyapunov as lyap
+from flsched import scheduler
 from flsched.errors import InfeasibleConfig
 from flsched.lyapunov import QueueState, drift_bound
 from flsched.model import Decision, Population, RoundObservation, SystemConfig
-from flsched.scheduler import (PedpcParams, PolicySpec, baseline_fedcs,
+from flsched.scheduler import (DESCENT_SLACK, PedpcParams, PolicySpec, SolveResult,
+                               _p3_value, _predicted_latency, baseline_fedcs,
                                baseline_greedy, baseline_random,
                                baseline_select_all, p3_objective, pedpc_run,
                                run_policy, solve_round)
+from flsched.selection import SelectionInstance, itmcs
 from flsched.simenv import Scenario, ScenarioSpec, policy_rng
 
 G_REF = 1e7 * np.log2(101.0)
@@ -270,3 +275,114 @@ def test_pedpc_never_selects_when_unprofitable():
     tr = pedpc_run(sc.population, sc.config, params, sc.observe, seed=0,
                    initial_queue=big)
     assert all(r.n_selected == 0 for r in tr.records)
+
+
+def _always_solve_oracle(queue, ctx, penalty_weight, iter_rounds, barrier_params):
+    """The alternation loop that calls the barrier after every selection half-step.
+
+    Kept verbatim from before the fixed-point skip, as the reference the
+    production loop must reproduce bit for bit.
+    """
+    pop, config = ctx.population, ctx.config
+    k = len(pop)
+    cap = config.max_selectable
+    hyp_share = 1.0 / k
+    x = np.zeros(k, dtype=bool)
+    b = np.zeros(k)
+    value = _p3_value(Decision(x, b), queue, ctx, penalty_weight)
+    halves = [value]
+    for _ in range(iter_rounds):
+        start_value = value
+        shares = np.where(x, b, hyp_share)
+        prices = lyap.energy_prices(queue.backlog, pop, ctx.rate_coeff, shares)
+        scores = prices - penalty_weight * ctx.log_utility
+        latencies = _predicted_latency(ctx, shares)
+        proposal = itmcs(SelectionInstance(scores, latencies, penalty_weight,
+                                           max_selected=cap)).selected
+        if not np.array_equal(proposal, x):
+            m = int(proposal.sum())
+            b_cand = np.where(proposal, 1.0 / m if m else 0.0, 0.0)
+            cand_val = _p3_value(Decision(proposal, b_cand), queue, ctx, penalty_weight)
+            if cand_val <= value:
+                x, b, value = proposal, b_cand, cand_val
+        halves.append(value)
+        if x.any():
+            idx = np.flatnonzero(x)
+            instance = bw.AllocationInstance(
+                comp_latency=pop.comp_latency[idx],
+                lat_coeff=pop.model_size[idx] / ctx.rate_coeff[idx],
+                price_coeff=(pop.tx_power[idx] * queue.backlog[idx] * pop.model_size[idx]
+                             / ctx.rate_coeff[idx]),
+                penalty_weight=penalty_weight,
+                min_ratio=config.min_ratio,
+            )
+            alloc = bw.barrier_solve(instance, barrier_params)
+            b_new = np.zeros(k)
+            b_new[idx] = alloc.ratios
+            new_val = _p3_value(Decision(x, b_new), queue, ctx, penalty_weight)
+            if new_val <= value:
+                b, value = b_new, new_val
+        halves.append(value)
+        if start_value - value < DESCENT_SLACK:
+            break
+    return SolveResult(Decision(x, b), value, tuple(halves))
+
+
+def _skip_sample():
+    """48 seeded rounds: random backlogs, V and round index, iter_rounds 1, 3 and 6.
+
+    30 clients against a 20-client cap, with backlogs spread over four decades,
+    so that some rounds move the selection after the first barrier solve.
+    """
+    for seed in range(16):
+        sc = small_scenario(seed=seed, k=30)
+        rng = np.random.default_rng(1000 + seed)
+        z = QueueState(10 ** rng.uniform(-4, 0, 30))
+        v = 10 ** rng.uniform(-2, 1)
+        ctx = scheduler.RoundContext(sc.population, sc.observe(int(rng.integers(20))),
+                                     sc.config)
+        for iter_rounds in (1, 3, 6):
+            yield z, ctx, v, iter_rounds
+
+
+def _barrier_inputs(solve, *args):
+    """Run one round solve and list the inputs of every barrier call it makes."""
+    real, log = bw.barrier_solve, []
+
+    def record(instance, params=None):
+        log.append(b"".join(a.tobytes() for a in (
+            instance.comp_latency, instance.lat_coeff, instance.price_coeff)))
+        return real(instance, params)
+
+    bw.barrier_solve = record
+    try:
+        solve(*args)
+    finally:
+        bw.barrier_solve = real
+    return log
+
+
+def test_solve_round_matches_always_solve_oracle_exactly():
+    for z, ctx, v, iter_rounds in _skip_sample():
+        got = scheduler._solve_round_ctx(z, ctx, v, iter_rounds, None)
+        want = _always_solve_oracle(z, ctx, v, iter_rounds, None)
+        assert np.array_equal(got.decision.selected, want.decision.selected)
+        assert np.array_equal(got.decision.bandwidth, want.decision.bandwidth)
+        assert got.objective == want.objective
+        assert got.half_step_values == want.half_step_values
+
+
+def test_solve_round_skips_only_repeated_barrier_calls():
+    # within a round the barrier's instance is a function of the selected set,
+    # so equal inputs on consecutive calls mean the same set was solved twice
+    oracle_repeats = resolved_rounds = 0
+    for args in _skip_sample():
+        calls = _barrier_inputs(scheduler._solve_round_ctx, *args, None)
+        oracle_calls = _barrier_inputs(_always_solve_oracle, *args, None)
+        assert all(a != b for a, b in zip(calls, calls[1:]))
+        deduped = [c for i, c in enumerate(oracle_calls) if i == 0 or c != oracle_calls[i - 1]]
+        assert calls == deduped
+        oracle_repeats += len(oracle_calls) - len(deduped)
+        resolved_rounds += len(calls) > 1
+    assert oracle_repeats > 0  # the sample exercises the skip
+    assert resolved_rounds > 0  # ... and the re-solve of a moved selection
