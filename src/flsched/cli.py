@@ -1,19 +1,22 @@
 """Command line entry point.
 
 Subcommands: run, sweep-v, compare, calibrate, verify-bounds.
-Exit codes: 0 success, 2 config error, 3 infeasible/unreachable,
-4 verification failure.
+Exit codes: 0 success, 2 config error (including a bad number on the command
+line: a --v-grid entry or --grid-step that is not finite and positive, or a
+non-finite --target-avg), 3 infeasible/unreachable or a bandwidth solve that
+did not converge, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import harness
 from .errors import (ConfigError, Infeasible, InfeasibleBound, InfeasibleConfig,
-                     InfeasibleLink, TooLarge, Unreachable, VerificationError)
+                     InfeasibleLink, NoConverge, TooLarge, Unreachable, VerificationError)
 from .scheduler import POLICY_KINDS, PolicySpec
 
 EXIT_OK = 0
@@ -25,6 +28,18 @@ _INFEASIBLE_ERRORS = (Infeasible, InfeasibleBound, InfeasibleConfig,
                       InfeasibleLink, Unreachable, TooLarge)
 
 
+def _finite(flag: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{flag} must be finite, got {value!r}")
+    return value
+
+
+def _positive(flag: str, value: float) -> float:
+    if not _finite(flag, value) > 0:
+        raise ConfigError(f"{flag} must be positive, got {value!r}")
+    return value
+
+
 def _parse_v_grid(text: str) -> list[float]:
     try:
         grid = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -32,7 +47,7 @@ def _parse_v_grid(text: str) -> list[float]:
         raise ConfigError(f"bad --v-grid value: {text!r}") from exc
     if not grid:
         raise ConfigError("--v-grid must list at least one value")
-    return grid
+    return [_positive("--v-grid", v) for v in grid]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,7 +90,11 @@ def _cmd_run(args) -> int:
     policy = None
     if args.policy:
         cfg = harness.load_config(args.config)
-        policy = PolicySpec(args.policy, cfg.policy.random_fraction, cfg.policy.latency_cap)
+        try:
+            policy = PolicySpec(args.policy, cfg.policy.random_fraction,
+                                cfg.policy.latency_cap)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     summary = harness.run_experiment(args.config, policy=policy, seed=args.seed,
                                      output_path=args.out)
     doc = summary.to_dict()
@@ -95,8 +114,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    rows = harness.compare_policies(args.config, seed=args.seed,
-                                    target_avg=args.target_avg)
+    target = _finite("--target-avg", args.target_avg)
+    rows = harness.compare_policies(args.config, seed=args.seed, target_avg=target)
     for row in rows:
         knob = "-" if row.knob is None else f"{row.knob:.6g}"
         print(f"{row.policy:<10} knob={knob:<12} avg_selected={row.avg_selected:7.2f} "
@@ -107,17 +126,19 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    knob = harness.calibrate(args.config, args.policy, args.target_avg, seed=args.seed)
+    target = _finite("--target-avg", args.target_avg)
+    knob = harness.calibrate(args.config, args.policy, target, seed=args.seed)
     print(f"{knob:.12g}")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     grid = _parse_v_grid(args.v_grid)
+    grid_step = _positive("--grid-step", args.grid_step)
     tiny = harness.TinyCase(seed=args.seed)
     ok = True
     for v in grid:
-        report = harness.verify_bounds(tiny, v, args.grid_step)
+        report = harness.verify_bounds(tiny, v, grid_step)
         status = "ok" if report.all_ok else "FAIL"
         print(f"V={v:g} lhs={report.lhs_cost:.6g} lookahead={report.lookahead_opt:.6g} "
               f"rhs={report.theorem2_rhs:.6g} cost_bound={report.theorem2_ok} "
@@ -142,6 +163,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except _INFEASIBLE_ERRORS as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except NoConverge as exc:
+        print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

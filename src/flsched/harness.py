@@ -18,14 +18,17 @@ import numpy as np
 
 from . import bandwidth as bw
 from . import lyapunov as lyap
+from . import model
 from .bandwidth import BarrierParams
 from .errors import ConfigError, TooLarge, Unreachable, VerificationError
-from .scheduler import (PedpcParams, PolicySpec, RoundContext, RunTrace,
-                        pedpc_run, run_policy)
+from .lyapunov import DriftBound
+from .scheduler import PedpcParams, PolicySpec, RoundContext, RunTrace, run_policy
 from .simenv import IID, NONIID, Scenario, ScenarioSpec
 
 CSV_HEADER = ("round,policy,seed,n_selected,latency_s,phi,cost,queue_l2,"
               "cum_latency_s,cum_cost,energy_overflow_j")
+SWEEP_HEADER = "v,avg_selected,total_latency_s,avg_cost,energy_overflow_j,total_phi"
+COMPARE_HEADER = "policy,knob,avg_selected,total_latency_s,energy_overflow_j,total_phi"
 
 _SYSTEM_KEYS = {"num_clients", "num_rounds", "frame_len", "num_frames",
                 "bandwidth", "min_ratio", "noise_power", "accuracy_coeff"}
@@ -245,19 +248,31 @@ def write_summary_json(path: Path, summary: ExperimentSummary) -> None:
                     encoding="utf-8")
 
 
-def _run_trace(cfg: HarnessConfig, policy: PolicySpec, seed: int,
-               penalty: float | None = None) -> tuple[RunTrace, Scenario]:
+def _prepare(cfg: HarnessConfig, seed: int) -> tuple[Scenario, DriftBound]:
+    """The scenario and its drift bound, built once and shared by every run on them."""
     scenario = build_scenario(cfg, seed)
     drift = lyap.drift_bound(scenario.population, scenario.config,
                              scenario.worst_case_energy())
+    return scenario, drift
+
+
+def _run_trace(cfg: HarnessConfig, scenario: Scenario, drift: DriftBound,
+               policy: PolicySpec, penalty: float | None = None) -> RunTrace:
     params = pedpc_params_for(cfg, scenario, penalty) if policy.kind == "PEDPC" else None
     trace = run_policy(scenario.population, scenario.config, policy, scenario.observe,
-                       seed, pedpc=params, barrier_params=cfg.barrier, drift=drift)
+                       scenario.spec.seed, pedpc=params, barrier_params=cfg.barrier,
+                       drift=drift)
     if trace.drift_violations:
         raise VerificationError("one-step drift inequality violated during the run")
     if not trace.lemma_deficit_ok:
         raise VerificationError("queue-implied deficit lower bound violated")
-    return trace, scenario
+    return trace
+
+
+def _summary(cfg: HarnessConfig, scenario: Scenario, drift: DriftBound,
+             policy: PolicySpec, penalty: float | None = None) -> ExperimentSummary:
+    trace = _run_trace(cfg, scenario, drift, policy, penalty)
+    return summarize(trace, scenario.population.energy_budget)
 
 
 def run_experiment(config_path: str | Path, policy: PolicySpec | None = None,
@@ -266,7 +281,8 @@ def run_experiment(config_path: str | Path, policy: PolicySpec | None = None,
     """Run one policy over the configured scenario; write CSV + summary JSON."""
     cfg = load_config(config_path)
     policy = policy if policy is not None else cfg.policy
-    trace, scenario = _run_trace(cfg, policy, seed)
+    scenario, drift = _prepare(cfg, seed)
+    trace = _run_trace(cfg, scenario, drift, policy)
     summary = summarize(trace, scenario.population.energy_budget)
     csv_path = Path(output_path) if output_path is not None else \
         cfg.output_dir / f"{policy.kind}_{seed}_{cfg.penalty:g}.csv"
@@ -280,18 +296,19 @@ def sweep_v(config_path: str | Path, v_grid: Sequence[float], seed: int = 0
     """One drift-plus-penalty run per penalty weight over an identical scenario."""
     if not len(v_grid):
         raise ValueError("empty penalty grid")
-    if any(v <= 0 for v in v_grid):
-        raise ValueError("penalty weights must be positive")
+    if not all(0 < v < math.inf for v in v_grid):
+        raise ValueError("penalty weights must be finite and positive")
     cfg = load_config(config_path)
+    scenario, drift = _prepare(cfg, seed)
     summaries = []
     for v in v_grid:
-        trace, scenario = _run_trace(cfg, PolicySpec("PEDPC"), seed, penalty=float(v))
+        trace = _run_trace(cfg, scenario, drift, PolicySpec("PEDPC"), penalty=float(v))
         summary = summarize(trace, scenario.population.energy_budget)
         csv_path = cfg.output_dir / f"PEDPC_{seed}_{float(v):g}.csv"
         write_rounds_csv(csv_path, trace)
         write_summary_json(csv_path.with_suffix(".summary.json"), summary)
         summaries.append(summary)
-    lines = ["v,avg_selected,total_latency_s,avg_cost,energy_overflow_j,total_phi"]
+    lines = [SWEEP_HEADER]
     for v, s in zip(v_grid, summaries):
         lines.append(",".join([_fmt(v), _fmt(s.avg_selected), _fmt(s.total_latency),
                                _fmt(s.avg_cost), _fmt(s.energy_overflow), _fmt(s.total_phi)]))
@@ -305,12 +322,6 @@ def sweep_v(config_path: str | Path, v_grid: Sequence[float], seed: int = 0
 # calibration
 
 
-def _avg_selected(cfg: HarnessConfig, policy: PolicySpec, seed: int,
-                  penalty: float | None = None) -> float:
-    trace, scenario = _run_trace(cfg, policy, seed, penalty=penalty)
-    return summarize(trace, scenario.population.energy_budget).avg_selected
-
-
 def calibrate(config_path: str | Path, policy_kind: str, target_avg_selected: float,
               seed: int = 0, tolerance: float = 2.0) -> float:
     """Bisect the policy's scalar knob until the average selected count is close.
@@ -319,10 +330,16 @@ def calibrate(config_path: str | Path, policy_kind: str, target_avg_selected: fl
     cap for FedCS. Raises Unreachable when the bracket cannot meet the target.
     """
     cfg = load_config(config_path)
+    scenario, drift = _prepare(cfg, seed)
+    return _calibrate(cfg, scenario, drift, policy_kind, target_avg_selected, tolerance)
+
+
+def _calibrate(cfg: HarnessConfig, scenario: Scenario, drift: DriftBound,
+               policy_kind: str, target_avg_selected: float,
+               tolerance: float = 2.0) -> float:
     if policy_kind == "Random":
         # exact by construction: floor(fraction * K) clients every round
-        from .simenv import DEFAULTS
-        k = int(cfg.overrides.get("num_clients", DEFAULTS["num_clients"]))
+        k = scenario.config.num_clients
         if not (1 <= target_avg_selected <= k):
             raise Unreachable("target outside [1, K]")
         return float(target_avg_selected) / k
@@ -331,12 +348,13 @@ def calibrate(config_path: str | Path, policy_kind: str, target_avg_selected: fl
         lo, hi = 1e-6, 1e4
 
         def probe(v: float) -> float:
-            return _avg_selected(cfg, PolicySpec("PEDPC"), seed, penalty=v)
+            return _summary(cfg, scenario, drift, PolicySpec("PEDPC"), v).avg_selected
     elif policy_kind == "FedCS":
         lo, hi = 1e-4, 1e3
 
         def probe(t_max: float) -> float:
-            return _avg_selected(cfg, PolicySpec("FedCS", latency_cap=t_max), seed)
+            policy = PolicySpec("FedCS", latency_cap=t_max)
+            return _summary(cfg, scenario, drift, policy).avg_selected
     else:
         raise ValueError(f"policy {policy_kind!r} has no calibration knob")
 
@@ -374,9 +392,10 @@ def compare_policies(config_path: str | Path, seed: int = 0,
                      target_avg: float = 40.0) -> list[ComparisonRow]:
     """Calibrate where applicable, run all five policies on identical scenarios."""
     cfg = load_config(config_path)
-    v_star = calibrate(config_path, "PEDPC", target_avg, seed)
-    fraction = calibrate(config_path, "Random", target_avg, seed)
-    t_max = calibrate(config_path, "FedCS", target_avg, seed)
+    scenario, drift = _prepare(cfg, seed)
+    v_star = _calibrate(cfg, scenario, drift, "PEDPC", target_avg)
+    fraction = _calibrate(cfg, scenario, drift, "Random", target_avg)
+    t_max = _calibrate(cfg, scenario, drift, "FedCS", target_avg)
     runs: list[tuple[PolicySpec, float | None, float | None]] = [
         (PolicySpec("PEDPC"), v_star, v_star),
         (PolicySpec("SelectAll"), None, None),
@@ -386,11 +405,10 @@ def compare_policies(config_path: str | Path, seed: int = 0,
     ]
     rows = []
     for policy, knob, penalty in runs:
-        trace, scenario = _run_trace(cfg, policy, seed, penalty=penalty)
-        s = summarize(trace, scenario.population.energy_budget)
+        s = _summary(cfg, scenario, drift, policy, penalty)
         rows.append(ComparisonRow(policy.kind, knob, s.avg_selected, s.total_latency,
                                   s.energy_overflow, s.total_phi))
-    lines = ["policy,knob,avg_selected,total_latency_s,energy_overflow_j,total_phi"]
+    lines = [COMPARE_HEADER]
     for row in rows:
         knob = "" if row.knob is None else _fmt(row.knob)
         lines.append(",".join([row.policy, knob, _fmt(row.avg_selected),
@@ -466,15 +484,14 @@ def _frame_lookahead(scenario: Scenario, frame_index: int, grid_step: float) -> 
             if np.any(ctx.rate_coeff[idx] <= 0):
                 continue
             grids = bw.simplex_grid(m, config.min_ratio, grid_step)
-            t_com = pop.model_size[idx] / (grids * ctx.rate_coeff[idx])
-            lat = (pop.comp_latency[idx] + t_com).max(axis=1)
-            energy = pop.comp_energy[idx] + pop.tx_power[idx] * t_com
+            shares = np.zeros((grids.shape[0], k))
+            shares[:, idx] = grids
+            lat, energy = model.client_round(pop, ctx.rate_coeff, shares)
+            lat = lat[:, idx].max(axis=1)
             phi = float(ctx.log_utility[idx].sum())
             for row in range(grids.shape[0]):
                 ys.append(float(lat[row]) - phi)
-                evec = np.zeros(k)
-                evec[idx] = energy[row]
-                es.append(evec)
+                es.append(np.where(shares[row] > 0, energy[row], 0.0))
         per_round.append((np.array(ys), np.vstack(es)))
     sizes = math.prod(len(ys) for ys, _ in per_round)
     if sizes > 5_000_000:
@@ -509,18 +526,15 @@ def verify_bounds(tiny: TinyCase, penalty_weight: float, grid_step: float) -> Bo
     overrides.update(num_clients=tiny.num_clients, num_rounds=tiny.num_rounds,
                      frame_len=tiny.frame_len, num_frames=tiny.num_frames,
                      min_ratio=tiny.min_ratio)
-    scenario = Scenario(ScenarioSpec(seed=tiny.seed, mode=tiny.mode, overrides=overrides))
+    cfg = HarnessConfig(mode=tiny.mode, overrides=overrides)
+    scenario, drift = _prepare(cfg, tiny.seed)
     config, pop = scenario.config, scenario.population
-    drift = lyap.drift_bound(pop, config, scenario.worst_case_energy())
-    params = PedpcParams.constant(penalty_weight, config.frame_len, config.num_frames)
-    trace = pedpc_run(pop, config, params, scenario.observe, seed=tiny.seed, drift=drift)
-    if trace.drift_violations:
-        raise VerificationError("one-step drift inequality violated during the run")
+    trace = _run_trace(cfg, scenario, drift, PolicySpec("PEDPC"), penalty_weight)
     lhs = float(np.mean([rec.cost for rec in trace.records]))
     c_stars = [_frame_lookahead(scenario, f, grid_step) for f in range(config.num_frames)]
     lookahead = float(np.mean(c_stars))
     rhs = lookahead + drift.constant * config.frame_len / penalty_weight
-    y0_min = -float(np.log1p(config.accuracy_coeff * pop.data_size).sum())
+    y0_min = -float(model.client_utility(pop, config).sum())
     slack = (2.0 * drift.constant * config.num_rounds * config.frame_len
              + 2.0 * penalty_weight * config.frame_len
              * float(np.sum(np.asarray(c_stars) - y0_min)))

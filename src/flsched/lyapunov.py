@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleBound, InfeasibleLink
-from .model import ClientProfile, Decision, Population, SystemConfig
+from .errors import InfeasibleBound
+from .model import Decision, Population, SystemConfig
 
 
 @dataclass(frozen=True)
@@ -96,32 +96,15 @@ def drift_gap(before: QueueState, after: QueueState, decision: Decision,
     return rhs - (lyapunov_value(after) - lyapunov_value(before))
 
 
-def energy_price(backlog: float, profile: ClientProfile, rate_coeff: float, ratio: float) -> float:
-    """Backlog-weighted round energy of one client at a candidate share.
+def energy_prices(backlog: np.ndarray, energy: np.ndarray) -> np.ndarray:
+    """Backlog-weighted per-client round energies (see `model.client_round`).
 
-    Raises InfeasibleLink when the share times rate is zero while the backlog
-    is positive (the price would be infinite); a zero backlog prices at zero.
+    A zero backlog prices at zero, even on a dead link (infinite energy); a
+    positive backlog on a dead link prices at +inf.
     """
-    if backlog == 0.0:
-        return 0.0
-    rate = ratio * rate_coeff
-    if rate <= 0:
-        raise InfeasibleLink("infinite energy price on a dead link")
-    e_cmp = (profile.local_iters * profile.capacitance * profile.cycles_per_bit
-             * profile.data_size * profile.cpu_freq ** 2)
-    return backlog * (e_cmp + profile.tx_power * profile.model_size / rate)
-
-
-def energy_prices(backlog: np.ndarray, population: Population, rate_coeff: np.ndarray,
-                  ratios: np.ndarray) -> np.ndarray:
-    """Vectorized energy_price; dead links with zero backlog price at zero,
-    dead links with positive backlog price at +inf."""
     backlog = np.asarray(backlog, dtype=float)
-    rate = np.asarray(ratios) * np.asarray(rate_coeff)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        comm = np.where(rate > 0, population.tx_power * population.model_size
-                        / np.where(rate > 0, rate, 1.0), np.inf)
-        raw = backlog * (population.comp_energy + comm)  # 0 * inf -> nan, masked below
+    with np.errstate(invalid="ignore"):
+        raw = backlog * energy  # 0 * inf -> nan, masked below
     return np.where(backlog > 0, raw, 0.0)
 
 

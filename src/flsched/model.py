@@ -1,16 +1,20 @@
 """Per-round physics of the federated system.
 
-Pure functions mapping client hardware profiles, channel draws, and a
-selection/bandwidth decision to rates, latencies, energies, the diminishing-
-returns accuracy proxy, and the round cost (latency minus accuracy utility).
-Rates use log2 (bits/s); the accuracy proxy uses the natural log.
+Each physical quantity is defined here once, vectorized over the client
+population: training energy and latency (`Population`), full-band Shannon
+rates (`rate_coefficients`, base-2 log, bits/s), per-client round latency
+and energy at a vector of band shares (`client_round`, and `selected_totals`
+for a decision), and the diminishing-returns accuracy utility
+(`client_utility`, natural log). `scheduler.RoundContext.outcome` assembles
+the round cost from them: the slowest selected client's latency minus the
+selected utility.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -144,81 +148,29 @@ class Decision:
             raise ValueError("selected shares must sum to one")
 
 
-class CompQuantities(NamedTuple):
-    comp_energy: float
-    comp_latency: float
-
-
-class CommQuantities(NamedTuple):
-    rate: float
-    comm_latency: float
-    comm_energy: float
-
-
-class RoundTotals(NamedTuple):
-    total_latency: float
-    total_energy: float
-
-
-def rate_coefficient(profile: ClientProfile, gain_sq: float, config: SystemConfig) -> float:
-    """Full-band Shannon rate (bits/s); the achieved rate is share * coefficient."""
-    if gain_sq < 0:
-        raise ValueError("gain_sq must be non-negative")
-    snr = profile.tx_power * gain_sq / config.noise_power
-    return config.bandwidth * math.log2(1.0 + snr)
-
-
 def rate_coefficients(population: Population, gain_sq: np.ndarray, config: SystemConfig) -> np.ndarray:
-    """Vectorized rate_coefficient across the population."""
+    """Full-band Shannon rates (bits/s); a client's achieved rate is share * coefficient."""
     snr = population.tx_power * np.asarray(gain_sq) / config.noise_power
     return config.bandwidth * np.log2(1.0 + snr)
 
 
-def comp_quantities(profile: ClientProfile) -> CompQuantities:
-    """Training energy (J) and latency (s) of one local round."""
-    e = (profile.local_iters * profile.capacitance * profile.cycles_per_bit
-         * profile.data_size * profile.cpu_freq ** 2)
-    t = profile.local_iters * profile.cycles_per_bit * profile.data_size / profile.cpu_freq
-    return CompQuantities(e, t)
+def client_utility(population: Population, config: SystemConfig) -> np.ndarray:
+    """Per-client accuracy utility log(1 + a * D_k); a selection's utility is their sum."""
+    return np.log1p(config.accuracy_coeff * population.data_size)
 
 
-def comm_quantities(profile: ClientProfile, rate_coeff: float, ratio: float) -> CommQuantities:
-    """Upload rate, latency, and energy at a given bandwidth share.
+def client_round(population: Population, rate_coeff: np.ndarray, shares: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-client (latency, energy) of training plus upload at the given band shares.
 
-    Raises InfeasibleLink when the achieved rate is zero (zero gain or zero
-    share), i.e. the client cannot transmit this round.
+    Both are +inf on a dead link, where share times rate coefficient is zero.
+    `shares` may carry leading axes, one share vector per row.
     """
-    rate = ratio * rate_coeff
-    if rate <= 0:
-        raise InfeasibleLink("zero transmission rate")
-    latency = profile.model_size / rate
-    return CommQuantities(rate, latency, profile.tx_power * latency)
-
-
-def client_round_totals(profile: ClientProfile, rate_coeff: float, ratio: float) -> RoundTotals:
-    """Combined training + upload latency and energy for one client-round."""
-    e_cmp, t_cmp = comp_quantities(profile)
-    _, t_com, e_com = comm_quantities(profile, rate_coeff, ratio)
-    return RoundTotals(t_cmp + t_com, e_cmp + e_com)
-
-
-def round_latency(decision: Decision, totals: np.ndarray) -> float:
-    """Round latency: the slowest selected client, 0 when nobody is selected."""
-    if not decision.selected.any():
-        return 0.0
-    return float(np.max(np.asarray(totals)[decision.selected]))
-
-
-def accuracy_utility(decision: Decision, population: Population, config: SystemConfig) -> float:
-    """Diminishing-returns utility of the selected data volumes (natural log)."""
-    v = config.accuracy_coeff * population.data_size
-    return float(np.log1p(v[decision.selected]).sum())
-
-
-def round_cost(decision: Decision, totals: np.ndarray, population: Population,
-               config: SystemConfig) -> float:
-    """Round cost: latency minus accuracy utility. Zero for the empty decision."""
-    return round_latency(decision, totals) - accuracy_utility(decision, population, config)
+    rate = np.asarray(shares) * rate_coeff
+    live = rate > 0
+    t_com = np.where(live, population.model_size / np.where(live, rate, 1.0), np.inf)
+    return (population.comp_latency + t_com,
+            population.comp_energy + population.tx_power * t_com)
 
 
 def selected_totals(population: Population, rate_coeff: np.ndarray, decision: Decision
@@ -227,16 +179,8 @@ def selected_totals(population: Population, rate_coeff: np.ndarray, decision: De
 
     Raises InfeasibleLink if a selected client has zero achieved rate.
     """
-    k = len(population)
-    latency = np.zeros(k)
-    energy = np.zeros(k)
     sel = decision.selected
-    if not sel.any():
-        return latency, energy
-    rate = decision.bandwidth[sel] * np.asarray(rate_coeff)[sel]
-    if np.any(rate <= 0):
+    latency, energy = client_round(population, rate_coeff, decision.bandwidth)
+    if np.isinf(latency[sel]).any():
         raise InfeasibleLink("selected client with zero transmission rate")
-    t_com = population.model_size[sel] / rate
-    latency[sel] = population.comp_latency[sel] + t_com
-    energy[sel] = population.comp_energy[sel] + population.tx_power[sel] * t_com
-    return latency, energy
+    return np.where(sel, latency, 0.0), np.where(sel, energy, 0.0)

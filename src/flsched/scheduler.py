@@ -89,28 +89,27 @@ class RoundContext:
         self.population = population
         self.config = config
         self.rate_coeff = model.rate_coefficients(population, observation.gain_sq, config)
-        self.log_utility = np.log1p(config.accuracy_coeff * population.data_size)
+        self.log_utility = model.client_utility(population, config)
 
-    def totals(self, decision: Decision) -> tuple[np.ndarray, np.ndarray]:
-        return model.selected_totals(self.population, self.rate_coeff, decision)
+    def outcome(self, decision: Decision) -> tuple[np.ndarray, float, float]:
+        """Per-client round energies, the round latency t0 and the accuracy utility phi.
+
+        t0 is the slowest selected client's latency, 0 when nobody is selected;
+        the round cost is t0 - phi.
+        """
+        latency, energy = model.selected_totals(self.population, self.rate_coeff, decision)
+        sel = decision.selected
+        t0 = float(latency[sel].max()) if sel.any() else 0.0
+        return energy, t0, float(self.log_utility[sel].sum())
 
 
 def _p3_value(decision: Decision, queue: QueueState, ctx: RoundContext,
               penalty_weight: float) -> float:
     """Backlog-priced energy drift plus weighted round cost (constant term dropped)."""
-    latency, energy = ctx.totals(decision)
+    energy, t0, phi = ctx.outcome(decision)
     credit = ctx.population.energy_budget / ctx.config.num_rounds
     drift_term = float(np.dot(queue.backlog, energy - credit))
-    t0 = float(latency[decision.selected].max()) if decision.selected.any() else 0.0
-    phi = float(ctx.log_utility[decision.selected].sum())
     return drift_term + penalty_weight * (t0 - phi)
-
-
-def p3_objective(decision: Decision, queue: QueueState, observation: RoundObservation,
-                 population: Population, config: SystemConfig, penalty_weight: float) -> float:
-    """Per-round scheduling objective at a decision, given current backlogs."""
-    ctx = RoundContext(population, observation, config)
-    return _p3_value(decision, queue, ctx, penalty_weight)
 
 
 @dataclass(frozen=True)
@@ -118,14 +117,6 @@ class SolveResult:
     decision: Decision
     objective: float
     half_step_values: tuple[float, ...]
-
-
-def _predicted_latency(ctx: RoundContext, shares: np.ndarray) -> np.ndarray:
-    rate = shares * ctx.rate_coeff
-    pop = ctx.population
-    with np.errstate(divide="ignore"):
-        t_com = np.where(rate > 0, pop.model_size / np.where(rate > 0, rate, 1.0), np.inf)
-    return pop.comp_latency + t_com
 
 
 def _solve_round_ctx(queue: QueueState, ctx: RoundContext, penalty_weight: float,
@@ -142,9 +133,8 @@ def _solve_round_ctx(queue: QueueState, ctx: RoundContext, penalty_weight: float
         start_value = value
         # selection half-step: rescore everyone, keep the change only if it helps
         shares = np.where(x, b, hyp_share)
-        prices = lyap.energy_prices(queue.backlog, pop, ctx.rate_coeff, shares)
-        scores = prices - penalty_weight * ctx.log_utility
-        latencies = _predicted_latency(ctx, shares)
+        latencies, energies = model.client_round(pop, ctx.rate_coeff, shares)
+        scores = lyap.energy_prices(queue.backlog, energies) - penalty_weight * ctx.log_utility
         proposal = itmcs(SelectionInstance(scores, latencies, penalty_weight,
                                            max_selected=cap)).selected
         moved = False
@@ -197,8 +187,7 @@ def solve_round(queue: QueueState, observation: RoundObservation, population: Po
 # baseline policies
 
 
-def baseline_select_all(observation: RoundObservation, population: Population,
-                        config: SystemConfig) -> Decision:
+def baseline_select_all(config: SystemConfig) -> Decision:
     """Everyone selected, equal shares."""
     k = config.num_clients
     if 1.0 / k < config.min_ratio - 1e-12:
@@ -206,8 +195,7 @@ def baseline_select_all(observation: RoundObservation, population: Population,
     return Decision(np.ones(k, dtype=bool), np.full(k, 1.0 / k))
 
 
-def baseline_random(observation: RoundObservation, population: Population,
-                    config: SystemConfig, fraction: float,
+def baseline_random(config: SystemConfig, fraction: float,
                     rng: np.random.Generator) -> Decision:
     """A fixed-size uniform sample of clients, equal shares."""
     k = config.num_clients
@@ -251,7 +239,7 @@ def _prefix_fill(shares: np.ndarray, eligible: np.ndarray) -> Decision:
     return Decision(selected, out)
 
 
-def baseline_greedy(observation: RoundObservation, population: Population,
+def baseline_greedy(rate_coeff: np.ndarray, population: Population,
                     config: SystemConfig) -> Decision:
     """As many clients as fit when each is given exactly its per-round energy budget.
 
@@ -259,7 +247,6 @@ def baseline_greedy(observation: RoundObservation, population: Population,
     (clamped up to the floor, which can only reduce energy); clients whose
     training alone busts the budget are excluded.
     """
-    rate_coeff = model.rate_coefficients(population, observation.gain_sq, config)
     credit = population.energy_budget / config.num_rounds
     headroom = credit - population.comp_energy
     eligible = (headroom > 0) & (rate_coeff > 0)
@@ -272,12 +259,11 @@ def baseline_greedy(observation: RoundObservation, population: Population,
     return _prefix_fill(shares, eligible)
 
 
-def baseline_fedcs(observation: RoundObservation, population: Population,
+def baseline_fedcs(rate_coeff: np.ndarray, population: Population,
                    config: SystemConfig, latency_cap: float) -> Decision:
     """As many clients as fit when each is given exactly its latency-cap share."""
     if not latency_cap > 0:
         raise ValueError("latency_cap must be positive")
-    rate_coeff = model.rate_coefficients(population, observation.gain_sq, config)
     slack = latency_cap - population.comp_latency
     eligible = (slack > 0) & (rate_coeff > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -328,20 +314,18 @@ class RunTrace:
         return self.energies.sum(axis=0)
 
 
-def _decide(kind: str, ctx: RoundContext, observation: RoundObservation,
-            policy: PolicySpec, seed: int, round_index: int) -> Decision:
+def _decide(ctx: RoundContext, policy: PolicySpec, seed: int, round_index: int) -> Decision:
     from .simenv import policy_rng  # local import to keep module deps one-way
 
-    if kind == "SelectAll":
-        return baseline_select_all(observation, ctx.population, ctx.config)
-    if kind == "Random":
-        return baseline_random(observation, ctx.population, ctx.config,
-                               policy.random_fraction, policy_rng(seed, round_index))
-    if kind == "Greedy":
-        return baseline_greedy(observation, ctx.population, ctx.config)
-    if kind == "FedCS":
-        return baseline_fedcs(observation, ctx.population, ctx.config, policy.latency_cap)
-    raise ValueError(f"unknown policy kind {kind!r}")
+    if policy.kind == "SelectAll":
+        return baseline_select_all(ctx.config)
+    if policy.kind == "Random":
+        return baseline_random(ctx.config, policy.random_fraction, policy_rng(seed, round_index))
+    if policy.kind == "Greedy":
+        return baseline_greedy(ctx.rate_coeff, ctx.population, ctx.config)
+    if policy.kind == "FedCS":
+        return baseline_fedcs(ctx.rate_coeff, ctx.population, ctx.config, policy.latency_cap)
+    raise ValueError(f"unknown policy kind {policy.kind!r}")
 
 
 def run_policy(population: Population, config: SystemConfig, policy: PolicySpec,
@@ -378,8 +362,7 @@ def run_policy(population: Population, config: SystemConfig, policy: PolicySpec,
     drift_violations = 0
     drift_min_slack = math.inf
     for r in range(r_total):
-        observation = observations(r)
-        ctx = RoundContext(population, observation, config)
+        ctx = RoundContext(population, observations(r), config)
         if policy.kind == "PEDPC":
             frame = r // pedpc.frame_len
             result = _solve_round_ctx(state, ctx, float(pedpc.penalty_schedule[frame]),
@@ -387,11 +370,9 @@ def run_policy(population: Population, config: SystemConfig, policy: PolicySpec,
             decision = result.decision
             halves.append(result.half_step_values)
         else:
-            decision = _decide(policy.kind, ctx, observation, policy, seed, r)
+            decision = _decide(ctx, policy, seed, r)
         decision.validate(config)
-        latency_vec, energy_vec = ctx.totals(decision)
-        t0 = float(latency_vec[decision.selected].max()) if decision.selected.any() else 0.0
-        phi = float(ctx.log_utility[decision.selected].sum())
+        energy_vec, t0, phi = ctx.outcome(decision)
         cost = t0 - phi
         new_state = lyap.update_queue(state, decision, energy_vec, population, config)
         if drift is not None:
@@ -434,13 +415,3 @@ def run_policy(population: Population, config: SystemConfig, policy: PolicySpec,
         lemma_deficit_ok=bool(deficit_ok.all()),
     )
 
-
-def pedpc_run(population: Population, config: SystemConfig, params: PedpcParams,
-              observations: Callable[[int], RoundObservation], seed: int = 0,
-              barrier_params: bw.BarrierParams | None = None,
-              initial_queue: QueueState | None = None,
-              drift: DriftBound | None = None) -> RunTrace:
-    """Full drift-plus-penalty run over the horizon (frame-wise penalty weights)."""
-    return run_policy(population, config, PolicySpec("PEDPC"), observations, seed,
-                      pedpc=params, barrier_params=barrier_params,
-                      initial_queue=initial_queue, drift=drift)

@@ -10,7 +10,6 @@ exact. A brute-force enumerator backs the solver in tests.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -50,11 +49,6 @@ class SelectionInstance:
 class SelectionResult:
     selected: np.ndarray  # bool per client
     objective: float
-
-
-def marginal_score(price: float, v: float, penalty_weight: float) -> float:
-    """q_k: backlog-weighted energy price minus the weighted utility gain."""
-    return price - penalty_weight * math.log1p(v)
 
 
 def selection_objective(subset: Iterable[int], instance: SelectionInstance) -> float:

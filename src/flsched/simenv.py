@@ -16,6 +16,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from . import model
 from .model import ClientProfile, Population, RoundObservation, SystemConfig
 
 IID = "IID"
@@ -156,8 +157,5 @@ class Scenario:
         below the configured range's lower edge.
         """
         lo, _ = self.spec.param("gain_sq")
-        pop = self.population
-        snr = pop.tx_power * lo / self.config.noise_power
-        g_min = self.config.bandwidth * np.log2(1.0 + snr)
-        comm = pop.tx_power * pop.model_size / (self.config.min_ratio * g_min)
-        return pop.comp_energy + comm
+        g_min = model.rate_coefficients(self.population, lo, self.config)
+        return model.client_round(self.population, g_min, self.config.min_ratio)[1]

@@ -65,8 +65,8 @@ def full_run():
     params = sched.PedpcParams.constant(1.0, scenario.config.frame_len,
                                         scenario.config.num_frames)
     start = time.perf_counter()
-    trace = sched.pedpc_run(scenario.population, scenario.config, params,
-                            scenario.observe, seed=SEED, drift=drift)
+    trace = sched.run_policy(scenario.population, scenario.config, sched.PolicySpec("PEDPC"),
+                             scenario.observe, SEED, pedpc=params, drift=drift)
     elapsed = time.perf_counter() - start
     return trace, elapsed
 
@@ -261,8 +261,8 @@ def test_criterion_11_long_horizon_stability():
     drift = lyap.drift_bound(scenario.population, scenario.config,
                              scenario.worst_case_energy())
     params = sched.PedpcParams.constant(1.0, 300, 10)
-    trace = sched.pedpc_run(scenario.population, scenario.config, params,
-                            scenario.observe, seed=SEED, drift=drift)
+    trace = sched.run_policy(scenario.population, scenario.config, sched.PolicySpec("PEDPC"),
+                             scenario.observe, SEED, pedpc=params, drift=drift)
     ratios, _ = lyap.stability_series(trace.backlog_trace)
     early = float(ratios[299].max())   # max_k Z_k(300)/300
     late = float(ratios[2999].max())   # max_k Z_k(3000)/3000

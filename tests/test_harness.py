@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flsched import cli, harness
+from flsched import lyapunov as lyap
 from flsched.errors import ConfigError, TooLarge, Unreachable
-from flsched.harness import (TinyCase, calibrate, load_config, parse_config,
-                             run_experiment, sweep_v, verify_bounds)
-from flsched.scheduler import PolicySpec
+from flsched.harness import (TinyCase, calibrate, compare_policies, load_config,
+                             parse_config, run_experiment, sweep_v, verify_bounds)
+from flsched.scheduler import PolicySpec, run_policy
 
 
 def small_config(tmp_path: Path, **policy) -> Path:
@@ -178,10 +179,90 @@ def test_cli_run_verification_failure_exits_4(tmp_path, monkeypatch, capsys,
 
 
 def test_cli_verify_bounds_drift_violation_exits_4(monkeypatch, capsys):
-    monkeypatch.setattr(harness, "pedpc_run",
-                        _with_trace_field(harness.pedpc_run, "drift_violations", 1))
+    monkeypatch.setattr(harness, "run_policy",
+                        _with_trace_field(harness.run_policy, "drift_violations", 1))
     assert cli.main(["verify-bounds", "--v-grid", "1"]) == cli.EXIT_VERIFY
     assert "drift inequality" in capsys.readouterr().err
+
+
+def test_cli_no_converge_exits_3(tmp_path, capsys):
+    path = small_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["barrier"] = {"max_newton": 1}
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("solver did not converge:") and err.count("\n") == 1
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("a run started despite a bad command-line number")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-v", "--v-grid", "0"], ["sweep-v", "--v-grid", "nan"],
+    ["sweep-v", "--v-grid", "inf"], ["sweep-v", "--v-grid", "1,-1"],
+    ["verify-bounds", "--v-grid", "0"], ["verify-bounds", "--v-grid", "nan"],
+    ["verify-bounds", "--grid-step", "0"], ["verify-bounds", "--grid-step", "nan"],
+    ["verify-bounds", "--grid-step", "-1"], ["verify-bounds", "--grid-step", "inf"],
+    ["compare", "--target-avg", "nan"], ["compare", "--target-avg", "inf"],
+    ["calibrate", "--policy", "PEDPC", "--target-avg", "nan"],
+    ["calibrate", "--policy", "FedCS", "--target-avg=-inf"],
+    ["run", "--policy", "Random"], ["run", "--policy", "FedCS"],
+], ids=" ".join)
+def test_cli_bad_numbers_exit_2(tmp_path, monkeypatch, capsys, argv):
+    # small_config sets neither random_fraction nor latency_cap
+    if argv[0] != "verify-bounds":
+        argv = argv + ["--config", str(small_config(tmp_path))]
+    monkeypatch.setattr(harness, "run_policy", _no_run)
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,written", [
+    (["sweep-v", "--v-grid", "0.1,1"], ("sweep_1.csv", harness.SWEEP_HEADER, 2)),
+    (["compare", "--target-avg", "4"], ("compare_1.csv", harness.COMPARE_HEADER, 5)),
+    (["calibrate", "--policy", "PEDPC", "--target-avg", "4"], None),
+    (["calibrate", "--policy", "Random", "--target-avg", "4"], None),
+    (["calibrate", "--policy", "FedCS", "--target-avg", "4"], None),
+    (["verify-bounds", "--v-grid", "1"], None),
+], ids=["sweep-v", "compare", "calibrate-PEDPC", "calibrate-Random", "calibrate-FedCS",
+        "verify-bounds"])
+def test_cli_commands(tmp_path, capsys, argv, written):
+    if argv[0] != "verify-bounds":
+        argv = argv + ["--config", str(small_config(tmp_path)), "--seed", "1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out
+    if written is not None:
+        name, header, rows = written
+        lines = (tmp_path / "out" / name).read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 1 + rows
+
+
+def _fresh_run_trace(cfg, scenario, drift, policy, penalty=None):
+    """A run on a Scenario and drift bound built for it alone, ignoring the shared ones."""
+    seed = scenario.spec.seed
+    scenario = harness.build_scenario(cfg, seed)
+    drift = lyap.drift_bound(scenario.population, scenario.config,
+                             scenario.worst_case_energy())
+    params = harness.pedpc_params_for(cfg, scenario, penalty) if policy.kind == "PEDPC" else None
+    return run_policy(scenario.population, scenario.config, policy, scenario.observe, seed,
+                      pedpc=params, barrier_params=cfg.barrier, drift=drift)
+
+
+def test_shared_scenario_matches_fresh_scenarios(tmp_path, monkeypatch):
+    path = small_config(tmp_path)
+
+    def results():
+        return (calibrate(path, "FedCS", 4, seed=1), calibrate(path, "PEDPC", 7, seed=1),
+                [s.to_dict() for s in sweep_v(path, [0.01, 1.0], seed=1)],
+                compare_policies(path, seed=1, target_avg=4))
+
+    shared = results()
+    monkeypatch.setattr(harness, "_run_trace", _fresh_run_trace)
+    assert results() == shared
 
 
 def test_load_config_bad_json(tmp_path):
@@ -248,8 +329,9 @@ def test_sweep_v_outputs(tmp_path):
     sweep_csv = tmp_path / "out" / "sweep_1.csv"
     assert sweep_csv.exists()
     assert len(sweep_csv.read_text().strip().split("\n")) == 3
-    with pytest.raises(ValueError):
-        sweep_v(path, [], seed=1)
+    for bad in ([], [0.0], [float("nan")], [1.0, float("inf")]):
+        with pytest.raises(ValueError):
+            sweep_v(path, bad, seed=1)
 
 
 def test_calibrate_random_exact(tmp_path):

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flsched.errors import InfeasibleBound, InfeasibleLink
-from flsched.lyapunov import (QueueState, drift_bound, drift_gap,
-                              energy_price, energy_prices, lyapunov_value,
-                              stability_series, update_queue)
-from flsched.model import Decision, Population, SystemConfig
+from flsched.errors import InfeasibleBound
+from flsched.lyapunov import (QueueState, drift_bound, drift_gap, energy_prices,
+                              lyapunov_value, stability_series, update_queue)
+from flsched.model import Decision, Population, SystemConfig, client_round
 
 
 def make_config(k):
@@ -100,24 +99,29 @@ def test_drift_bound_infinite(twin_population, example_config):
         drift_bound(twin_population, example_config, np.array([np.inf, 0.01]))
 
 
+def _prices(backlog, population, rate_coeff, ratios):
+    _, energy = client_round(population, np.asarray(rate_coeff), np.asarray(ratios))
+    return energy_prices(np.asarray(backlog), energy)
+
+
 def test_energy_price(example_profile):
     g_ref = 1e7 * np.log2(101.0)
-    assert energy_price(0.0, example_profile, 0.0, 0.0) == 0.0
-    got = energy_price(1.0, example_profile, g_ref, 0.1)
+    pop = Population([example_profile])
+    assert _prices([0.0], pop, [0.0], [0.0])[0] == 0.0
+    got = _prices([1.0], pop, [g_ref], [0.1])[0]
+    # Z * (E_cmp + p * S / (b * G)) written out for the example client
+    assert got == pytest.approx(1.0 * (6.0e-3 + 0.1 * 2.4e5 / (0.1 * g_ref)), rel=1e-12)
     assert got == pytest.approx(9.60457e-3, rel=1e-5)
-    assert energy_price(2.0, example_profile, g_ref, 0.1) == pytest.approx(2 * got, rel=1e-12)
-    with pytest.raises(InfeasibleLink):
-        energy_price(0.5, example_profile, 0.0, 0.1)
+    assert _prices([2.0], pop, [g_ref], [0.1])[0] == pytest.approx(2 * got, rel=1e-12)
+    assert np.isinf(_prices([0.5], pop, [0.0], [0.1])[0])  # positive backlog, dead link
 
 
 def test_energy_prices_vector(twin_population):
     g_ref = 1e7 * np.log2(101.0)
-    prices = energy_prices(np.array([1.0, 0.0]), twin_population,
-                           np.array([g_ref, 0.0]), np.array([0.1, 0.0]))
+    prices = _prices([1.0, 0.0], twin_population, [g_ref, 0.0], [0.1, 0.0])
     assert prices[0] == pytest.approx(9.60457e-3, rel=1e-5)
     assert prices[1] == 0.0  # zero backlog prices at zero even on a dead link
-    dead = energy_prices(np.array([1.0, 1.0]), twin_population,
-                         np.array([g_ref, 0.0]), np.array([0.1, 0.1]))
+    dead = _prices([1.0, 1.0], twin_population, [g_ref, 0.0], [0.1, 0.1])
     assert np.isinf(dead[1])
 
 

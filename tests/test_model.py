@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flsched.errors import InfeasibleLink
-from flsched.model import (ClientProfile, Decision,
-                           accuracy_utility, client_round_totals, comm_quantities,
-                           comp_quantities, rate_coefficient, rate_coefficients,
-                           round_cost, round_latency, selected_totals)
+from flsched.model import (ClientProfile, Decision, Population, RoundObservation,
+                           SystemConfig, client_round, client_utility,
+                           rate_coefficients, selected_totals)
+from flsched.scheduler import RoundContext
 
 # hand-checked reference values for the example client (1 GHz, 10 cycles/bit,
 # 0.1 W, 0.24 Mbit model, 1.2 Mbit data, 5 local passes) on a SNR=100 channel
@@ -21,23 +21,53 @@ T_COM_REF = 2.4e5 / (0.1 * G_REF)  # 0.0360457...
 E_COM_REF = 0.1 * T_COM_REF
 V_REF = 1.7e-8 * 1.2e6  # 0.0204
 PHI_REF = math.log1p(V_REF)  # 0.0201947...
+SNR100_GAIN = 1e-10  # 0.1 W * 1e-10 / 1e-13 W noise = SNR 100
+
+
+def rate_oracle(profile, gain_sq, config):
+    """Scalar full-band Shannon rate of one client, written out independently."""
+    return config.bandwidth * math.log2(1.0 + profile.tx_power * gain_sq / config.noise_power)
+
+
+def client_oracle(profile, rate_coeff, ratio):
+    """Scalar (latency, energy) of one client-round, written out independently."""
+    e_cmp = (profile.local_iters * profile.capacitance * profile.cycles_per_bit
+             * profile.data_size * profile.cpu_freq ** 2)
+    t_cmp = profile.local_iters * profile.cycles_per_bit * profile.data_size / profile.cpu_freq
+    t_com = profile.model_size / (ratio * rate_coeff)
+    return t_cmp + t_com, e_cmp + profile.tx_power * t_com
+
+
+def one_client_rate(profile, gain_sq, config):
+    return rate_coefficients(Population([profile]), np.array([gain_sq]), config)[0]
+
+
+def snr100_context(population, config):
+    return RoundContext(population, RoundObservation(np.full(len(population), SNR100_GAIN)),
+                        config)
+
+
+def upload(population, rate_coeff, shares):
+    """Per-client upload (latency, energy): client_round minus the training terms."""
+    latency, energy = client_round(population, rate_coeff, np.asarray(shares))
+    return latency - population.comp_latency, energy - population.comp_energy
 
 
 def test_rate_coefficient_snr100(example_profile, example_config):
-    g = rate_coefficient(example_profile, 1e-10, example_config)
+    g = one_client_rate(example_profile, SNR100_GAIN, example_config)
     assert g == pytest.approx(6.65821e7, rel=1e-5)
     assert g == pytest.approx(G_REF, rel=1e-12)
 
 
 def test_rate_coefficient_zero_gain(example_profile, example_config):
-    assert rate_coefficient(example_profile, 0.0, example_config) == 0.0
+    assert one_client_rate(example_profile, 0.0, example_config) == 0.0
 
 
 def test_rate_coefficient_snr_one(example_config):
     prof = ClientProfile(cpu_freq=1e9, cycles_per_bit=10.0, capacitance=1e-28,
                          tx_power=0.01, model_size=2.4e5, data_size=1.2e6,
                          energy_budget=1.5, local_iters=5)
-    assert rate_coefficient(prof, 1e-11, example_config) == pytest.approx(1.0e7, rel=1e-12)
+    assert one_client_rate(prof, 1e-11, example_config) == pytest.approx(1.0e7, rel=1e-12)
 
 
 def test_rate_coefficients_match_scalar(example_config, twin_population):
@@ -45,20 +75,21 @@ def test_rate_coefficients_match_scalar(example_config, twin_population):
     vec = rate_coefficients(twin_population, gains, example_config)
     for k in range(2):
         assert vec[k] == pytest.approx(
-            rate_coefficient(twin_population[k], gains[k], example_config), rel=1e-14)
+            rate_oracle(twin_population[k], gains[k], example_config), rel=1e-14)
 
 
 def test_comp_quantities_reference(example_profile):
-    e, t = comp_quantities(example_profile)
-    assert e == pytest.approx(E_CMP_REF, rel=1e-12)
-    assert t == pytest.approx(T_CMP_REF, rel=1e-12)
+    pop = Population([example_profile])
+    assert pop.comp_energy[0] == pytest.approx(E_CMP_REF, rel=1e-12)
+    assert pop.comp_latency[0] == pytest.approx(T_CMP_REF, rel=1e-12)
 
 
 def test_comp_quantities_frequency_scaling(example_profile):
     doubled = dataclasses.replace(example_profile, cpu_freq=2e9)
-    e, t = comp_quantities(doubled)
-    assert e == pytest.approx(4 * E_CMP_REF, rel=1e-12)  # quadratic in frequency
-    assert t == pytest.approx(T_CMP_REF / 2, rel=1e-12)
+    pop = Population([doubled])
+    # quadratic in frequency
+    assert pop.comp_energy[0] == pytest.approx(4 * E_CMP_REF, rel=1e-12)
+    assert pop.comp_latency[0] == pytest.approx(T_CMP_REF / 2, rel=1e-12)
 
 
 @given(st.floats(min_value=0.1, max_value=10.0))
@@ -67,10 +98,9 @@ def test_comp_quantities_linear_in_data(scale):
                          tx_power=0.1, model_size=2.4e5, data_size=1.2e6,
                          energy_budget=1.5, local_iters=5)
     grown = dataclasses.replace(base, data_size=base.data_size * scale)
-    e0, t0 = comp_quantities(base)
-    e1, t1 = comp_quantities(grown)
-    assert e1 == pytest.approx(scale * e0, rel=1e-12)
-    assert t1 == pytest.approx(scale * t0, rel=1e-12)
+    pop = Population([base, grown])
+    assert pop.comp_energy[1] == pytest.approx(scale * pop.comp_energy[0], rel=1e-12)
+    assert pop.comp_latency[1] == pytest.approx(scale * pop.comp_latency[0], rel=1e-12)
 
 
 def test_profile_rejects_nonpositive():
@@ -80,24 +110,29 @@ def test_profile_rejects_nonpositive():
                       energy_budget=1.5, local_iters=5)
 
 
-def test_comm_quantities_reference(example_profile):
-    rate, t_com, e_com = comm_quantities(example_profile, G_REF, 0.1)
-    assert rate == pytest.approx(0.1 * G_REF, rel=1e-12)
-    assert t_com == pytest.approx(0.0360457, rel=1e-5)
-    assert e_com == pytest.approx(3.60457e-3, rel=1e-5)
+def test_comm_quantities_reference(twin_population):
+    t_com, e_com = upload(twin_population, np.full(2, G_REF), [0.1, 0.1])
+    assert 2.4e5 / t_com[0] == pytest.approx(0.1 * G_REF, rel=1e-12)  # the achieved rate
+    assert t_com[0] == pytest.approx(0.0360457, rel=1e-5)
+    assert e_com[0] == pytest.approx(3.60457e-3, rel=1e-5)
 
 
-def test_comm_quantities_inverse_in_share(example_profile):
-    _, t_small, _ = comm_quantities(example_profile, G_REF, 0.1)
-    _, t_full, _ = comm_quantities(example_profile, G_REF, 1.0)
-    assert t_full == pytest.approx(t_small / 10, rel=1e-12)
+def test_comm_quantities_inverse_in_share(twin_population):
+    t_com, _ = upload(twin_population, np.full(2, G_REF), [0.1, 1.0])
+    assert t_com[1] == pytest.approx(t_com[0] / 10, rel=1e-12)
 
 
-def test_comm_quantities_dead_link(example_profile):
+def test_comm_quantities_dead_link(twin_population):
+    # zero gain on client 0, zero share on client 1: both links are dead
+    latency, energy = client_round(twin_population, np.array([0.0, G_REF]),
+                                   np.array([0.5, 0.0]))
+    assert np.isinf(latency).all() and np.isinf(energy).all()
     with pytest.raises(InfeasibleLink):
-        comm_quantities(example_profile, 0.0, 0.5)
+        selected_totals(twin_population, np.array([0.0, G_REF]),
+                        Decision(np.array([True, False]), np.array([1.0, 0.0])))
     with pytest.raises(InfeasibleLink):
-        comm_quantities(example_profile, G_REF, 0.0)
+        selected_totals(twin_population, np.full(2, G_REF),
+                        Decision(np.array([True, True]), np.array([1.0, 0.0])))
 
 
 @given(st.floats(min_value=0.01, max_value=0.99))
@@ -105,90 +140,114 @@ def test_comm_monotone_in_share(ratio):
     prof = ClientProfile(cpu_freq=1e9, cycles_per_bit=10.0, capacitance=1e-28,
                          tx_power=0.1, model_size=2.4e5, data_size=1.2e6,
                          energy_budget=1.5, local_iters=5)
-    _, t_lo, e_lo = comm_quantities(prof, G_REF, ratio)
-    _, t_hi, e_hi = comm_quantities(prof, G_REF, ratio * 1.01)
+    (t_lo, t_hi), (e_lo, e_hi) = upload(Population([prof, prof]), np.full(2, G_REF),
+                                        [ratio, ratio * 1.01])
     assert t_hi < t_lo and e_hi < e_lo
 
 
-def test_client_round_totals(example_profile):
-    t, e = client_round_totals(example_profile, G_REF, 0.1)
+def test_client_round_totals(twin_population):
+    (t, t1), (e, e1) = client_round(twin_population, np.full(2, G_REF), np.array([0.1, 1.0]))
     assert t == pytest.approx(T_CMP_REF + T_COM_REF, rel=1e-12)
     assert e == pytest.approx(E_CMP_REF + E_COM_REF, rel=1e-12)
     assert t == pytest.approx(0.0960457, rel=1e-5)
     assert e == pytest.approx(9.60457e-3, rel=1e-5)
-    t1, e1 = client_round_totals(example_profile, G_REF, 1.0)
     assert t1 == pytest.approx(0.0636, rel=1e-2)
     assert e1 == pytest.approx(6.3605e-3, rel=1e-4)
     # communication terms always add something on top of training
     assert t > T_CMP_REF and e > E_CMP_REF
 
 
-def test_round_latency_selected_max():
-    totals = np.array([0.1, 0.3, 0.9])
-    # selected = {1, 2} -> max of (0.3, 0.9)
-    dec = Decision(np.array([False, True, True]), np.array([0.0, 0.5, 0.5]))
-    assert round_latency(dec, totals) == pytest.approx(0.9)
-    dec2 = Decision(np.array([True, True, False]), np.array([0.5, 0.5, 0.0]))
-    assert round_latency(dec2, totals) == pytest.approx(0.3)
-    assert round_latency(Decision.empty(3), totals) == 0.0
-    dec3 = Decision(np.ones(3, bool), np.full(3, 1 / 3))
-    assert round_latency(dec3, totals) == pytest.approx(0.9)
+def _three_clients(example_profile):
+    """Three clients that differ only in CPU speed (1, 0.5 and 0.2 GHz)."""
+    return Population([dataclasses.replace(example_profile, cpu_freq=f)
+                       for f in (1e9, 5e8, 2e8)])
 
 
-@given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=8),
+def test_round_latency_selected_max(example_profile, example_config):
+    pop = _three_clients(example_profile)
+    ctx = snr100_context(pop, dataclasses.replace(example_config, num_clients=3))
+
+    def t0(selected, shares):
+        return ctx.outcome(Decision(np.array(selected), np.array(shares)))[1]
+
+    def slowest(members):
+        return max(client_oracle(pop[k], G_REF, share)[0] for k, share in members)
+
+    # selected = {1, 2} -> the slower of the two; client 2 trains 5x slower than 0
+    assert t0([False, True, True], [0.0, 0.5, 0.5]) == \
+        pytest.approx(slowest([(1, 0.5), (2, 0.5)]), rel=1e-12)
+    assert t0([True, True, False], [0.5, 0.5, 0.0]) == \
+        pytest.approx(slowest([(0, 0.5), (1, 0.5)]), rel=1e-12)
+    assert t0([False, False, False], [0.0, 0.0, 0.0]) == 0.0
+    assert t0([True, True, True], [1 / 3] * 3) == \
+        pytest.approx(slowest([(k, 1 / 3) for k in range(3)]), rel=1e-12)
+
+
+@given(st.lists(st.floats(min_value=1e7, max_value=1e9), min_size=1, max_size=8),
        st.integers(min_value=0))
-def test_round_latency_equals_indicator_max(totals, bits):
-    totals = np.array(totals)
-    sel = np.array([(bits >> i) & 1 == 1 for i in range(len(totals))])
-    shares = np.where(sel, 1.0 / max(sel.sum(), 1), 0.0)
-    dec = Decision(sel, shares)
-    expect = float(np.max(np.where(sel, totals, 0.0))) if sel.any() else 0.0
-    assert round_latency(dec, totals) == pytest.approx(max(expect, 0.0))
+def test_round_latency_equals_indicator_max(freqs, bits):
+    profiles = [ClientProfile(cpu_freq=f, cycles_per_bit=10.0, capacitance=1e-28,
+                              tx_power=0.1, model_size=2.4e5, data_size=1.2e6,
+                              energy_budget=1.5, local_iters=5) for f in freqs]
+    config = SystemConfig(num_clients=len(freqs), num_rounds=300, frame_len=30,
+                          num_frames=10, bandwidth=1e7, min_ratio=0.01, noise_power=1e-13,
+                          accuracy_coeff=1.7e-8)
+    ctx = snr100_context(Population(profiles), config)
+    sel = np.array([(bits >> i) & 1 == 1 for i in range(len(freqs))])
+    share = 1.0 / max(sel.sum(), 1)
+    dec = Decision(sel, np.where(sel, share, 0.0))
+    expect = max((client_oracle(profiles[k], ctx.rate_coeff[k], share)[0]
+                  for k in np.flatnonzero(sel)), default=0.0)
+    assert ctx.outcome(dec)[1] == pytest.approx(expect, rel=1e-12)
 
 
 def test_accuracy_utility_reference(twin_population, example_config):
+    assert client_utility(twin_population, example_config) == \
+        pytest.approx([PHI_REF, PHI_REF], rel=1e-12)
+    ctx = snr100_context(twin_population, example_config)
     one = Decision(np.array([True, False]), np.array([1.0, 0.0]))
-    assert accuracy_utility(one, twin_population, example_config) == \
-        pytest.approx(PHI_REF, rel=1e-12)
-    assert accuracy_utility(Decision.empty(2), twin_population, example_config) == 0.0
+    assert ctx.outcome(one)[2] == pytest.approx(PHI_REF, rel=1e-12)
+    assert ctx.outcome(Decision.empty(2))[2] == 0.0
     both = Decision(np.array([True, True]), np.array([0.5, 0.5]))
-    assert accuracy_utility(both, twin_population, example_config) == \
-        pytest.approx(2 * PHI_REF, rel=1e-12)
+    assert ctx.outcome(both)[2] == pytest.approx(2 * PHI_REF, rel=1e-12)
 
 
 def test_accuracy_utility_monotone_under_adding(twin_population, example_config):
+    ctx = snr100_context(twin_population, example_config)
     one = Decision(np.array([True, False]), np.array([1.0, 0.0]))
     both = Decision(np.array([True, True]), np.array([0.5, 0.5]))
-    assert accuracy_utility(both, twin_population, example_config) >= \
-        accuracy_utility(one, twin_population, example_config)
+    assert ctx.outcome(both)[2] >= ctx.outcome(one)[2]
 
 
-def test_round_cost(twin_population, example_config):
-    totals = np.array([0.3, 0.0])
+def round_cost(ctx, decision):
+    _, t0, phi = ctx.outcome(decision)
+    return t0 - phi
+
+
+def test_round_cost(twin_population, example_config, example_profile):
+    ctx = snr100_context(twin_population, example_config)
     dec = Decision(np.array([True, False]), np.array([1.0, 0.0]))
-    got = round_cost(dec, totals, twin_population, example_config)
-    assert got == pytest.approx(0.3 - PHI_REF, rel=1e-12)
-    assert round_cost(Decision.empty(2), totals, twin_population, example_config) == 0.0
+    t, _ = client_oracle(example_profile, G_REF, 1.0)
+    assert round_cost(ctx, dec) == pytest.approx(t - PHI_REF, rel=1e-12)
+    assert round_cost(ctx, Decision.empty(2)) == 0.0
 
 
-def test_round_cost_single_client_reference(twin_population, example_config,
-                                            example_profile):
-    t, _ = client_round_totals(example_profile, G_REF, 0.1)
-    dec = Decision(np.array([True, False]), np.array([1.0, 0.0]))
-    got = round_cost(dec, np.array([t, 0.0]), twin_population, example_config)
-    assert got == pytest.approx(0.0758509, rel=1e-5)
+def test_round_cost_single_client_reference(twin_population, example_config):
+    ctx = snr100_context(twin_population, example_config)
+    dec = Decision(np.array([True, False]), np.array([0.1, 0.0]))
+    assert round_cost(ctx, dec) == pytest.approx(0.0758509, rel=1e-5)
 
 
 def test_round_cost_lower_bound(twin_population, example_config):
     # cost is at least minus the full utility of everyone
-    floor = -float(np.log1p(example_config.accuracy_coeff
-                            * twin_population.data_size).sum())
+    floor = -sum(math.log1p(example_config.accuracy_coeff * p.data_size)
+                 for p in twin_population.profiles)
+    ctx = snr100_context(twin_population, example_config)
     for sel in ([True, True], [True, False], [False, False]):
         sel = np.array(sel)
         n = max(sel.sum(), 1)
         dec = Decision(sel, np.where(sel, 1.0 / n, 0.0))
-        totals = np.array([0.01, 0.02])
-        assert round_cost(dec, totals, twin_population, example_config) >= floor
+        assert round_cost(ctx, dec) >= floor
 
 
 def test_decision_validation(example_config):
@@ -209,8 +268,7 @@ def test_selected_totals_matches_scalar(twin_population, example_config):
     dec = Decision(np.array([True, True]), np.array([0.4, 0.6]))
     lat, en = selected_totals(twin_population, coeffs, dec)
     for k in range(2):
-        t_ref, e_ref = client_round_totals(twin_population[k], coeffs[k],
-                                           dec.bandwidth[k])
+        t_ref, e_ref = client_oracle(twin_population[k], coeffs[k], dec.bandwidth[k])
         assert lat[k] == pytest.approx(t_ref, rel=1e-14)
         assert en[k] == pytest.approx(e_ref, rel=1e-14)
     dead = Decision(np.array([True, False]), np.array([1.0, 0.0]))

@@ -3,15 +3,15 @@ import pytest
 
 from flsched import bandwidth as bw
 from flsched import lyapunov as lyap
-from flsched import scheduler
+from flsched import model, scheduler
 from flsched.errors import InfeasibleConfig
 from flsched.lyapunov import QueueState, drift_bound
-from flsched.model import Decision, Population, RoundObservation, SystemConfig
-from flsched.scheduler import (DESCENT_SLACK, PedpcParams, PolicySpec, SolveResult,
-                               _p3_value, _predicted_latency, baseline_fedcs,
-                               baseline_greedy, baseline_random,
-                               baseline_select_all, p3_objective, pedpc_run,
-                               run_policy, solve_round)
+from flsched.model import (Decision, Population, RoundObservation, SystemConfig,
+                           rate_coefficients, selected_totals)
+from flsched.scheduler import (DESCENT_SLACK, PedpcParams, PolicySpec, RoundContext,
+                               SolveResult, _p3_value, baseline_fedcs, baseline_greedy,
+                               baseline_random, baseline_select_all, run_policy,
+                               solve_round)
 from flsched.selection import SelectionInstance, itmcs
 from flsched.simenv import Scenario, ScenarioSpec, policy_rng
 
@@ -29,27 +29,29 @@ def uniform_gain(k, value=1e-10):
     return RoundObservation(np.full(k, value))
 
 
+def uniform_rate(population, config, value=1e-10):
+    return rate_coefficients(population, np.full(len(population), value), config)
+
+
 def test_p3_objective_empty_zero_queue(twin_population, example_config):
-    obs = uniform_gain(2)
-    got = p3_objective(Decision.empty(2), QueueState.zero(2), obs,
-                       twin_population, example_config, 1.0)
-    assert got == 0.0
+    ctx = RoundContext(twin_population, uniform_gain(2), example_config)
+    assert _p3_value(Decision.empty(2), QueueState.zero(2), ctx, 1.0) == 0.0
 
 
 def test_p3_objective_empty_with_backlog(twin_population, example_config):
-    obs = uniform_gain(2)
+    ctx = RoundContext(twin_population, uniform_gain(2), example_config)
     z = QueueState(np.array([0.01, 0.02]))
-    got = p3_objective(Decision.empty(2), z, obs, twin_population, example_config, 1.0)
+    got = _p3_value(Decision.empty(2), z, ctx, 1.0)
     assert got == pytest.approx(-(0.01 + 0.02) * 1.5 / 300, rel=1e-12)
     assert got < 0
 
 
 def test_p3_objective_single_client_reference(twin_population, example_config):
     # Z=1 on the selected client only: drift 0.0096... - 0.005 plus cost 0.0758...
-    obs = uniform_gain(2)
+    ctx = RoundContext(twin_population, uniform_gain(2), example_config)
     z = QueueState(np.array([1.0, 0.0]))
     dec = Decision(np.array([True, False]), np.array([0.1, 0.0]))
-    got = p3_objective(dec, z, obs, twin_population, example_config, 1.0)
+    got = _p3_value(dec, z, ctx, 1.0)
     # the unselected client has zero backlog so only the credit of client 0 counts
     assert got == pytest.approx(0.0804555, rel=1e-5)
 
@@ -92,37 +94,37 @@ def test_solve_round_respects_selection_cap():
     res.decision.validate(sc.config)
 
 
-def test_baseline_select_all(example_config, twin_population):
-    dec = baseline_select_all(uniform_gain(2), twin_population, example_config)
+def test_baseline_select_all(example_config):
+    dec = baseline_select_all(example_config)
     assert dec.selected.all()
     assert np.allclose(dec.bandwidth, 0.5)
     dec.validate(example_config)
 
 
-def test_baseline_select_all_infeasible(twin_population):
+def test_baseline_select_all_infeasible():
     cfg = SystemConfig(num_clients=2, num_rounds=300, frame_len=30, num_frames=10,
                        bandwidth=1e7, min_ratio=0.6, noise_power=1e-13,
                        accuracy_coeff=1.7e-8)
     with pytest.raises(InfeasibleConfig):
-        baseline_select_all(uniform_gain(2), twin_population, cfg)
+        baseline_select_all(cfg)
 
 
 def test_baseline_random_counts_and_determinism():
     sc = small_scenario(k=6)
-    dec1 = baseline_random(sc.observe(0), sc.population, sc.config, 0.5, policy_rng(7, 0))
-    dec2 = baseline_random(sc.observe(0), sc.population, sc.config, 0.5, policy_rng(7, 0))
+    dec1 = baseline_random(sc.config, 0.5, policy_rng(7, 0))
+    dec2 = baseline_random(sc.config, 0.5, policy_rng(7, 0))
     assert dec1.n_selected == 3
     assert np.array_equal(dec1.selected, dec2.selected)
     assert np.allclose(dec1.bandwidth[dec1.selected], 1 / 3)
     dec1.validate(sc.config)
-    full = baseline_random(sc.observe(0), sc.population, sc.config, 1.0, policy_rng(7, 0))
+    full = baseline_random(sc.config, 1.0, policy_rng(7, 0))
     assert full.selected.all()  # fraction one behaves like select-all
 
 
 def test_baseline_random_infeasible():
     sc = small_scenario(k=6, min_ratio=0.05)
     with pytest.raises(InfeasibleConfig):
-        baseline_random(sc.observe(0), sc.population, sc.config, 0.05, policy_rng(0, 0))
+        baseline_random(sc.config, 0.05, policy_rng(0, 0))
 
 
 def test_baseline_greedy_share_inversion(example_config):
@@ -132,7 +134,7 @@ def test_baseline_greedy_share_inversion(example_config):
                          tx_power=0.1, model_size=2.4e5, data_size=1.2e6,
                          energy_budget=1.5, local_iters=5)
     pop = Population([prof, prof])
-    dec = baseline_greedy(uniform_gain(2), pop, example_config)
+    dec = baseline_greedy(uniform_rate(pop, example_config), pop, example_config)
     e_cmp = pop.comp_energy[0]
     expect = 0.1 * 2.4e5 / (G_REF * (1.5 / 300 - e_cmp))
     assert dec.selected.all()
@@ -150,7 +152,7 @@ def test_baseline_greedy_excludes_budget_busters():
     cfg = SystemConfig(num_clients=2, num_rounds=300, frame_len=30, num_frames=10,
                        bandwidth=1e7, min_ratio=0.01, noise_power=1e-13,
                        accuracy_coeff=1.7e-8)
-    dec = baseline_greedy(uniform_gain(2), pop, cfg)
+    dec = baseline_greedy(uniform_rate(pop, cfg), pop, cfg)
     assert not dec.selected.any()
 
 
@@ -167,7 +169,7 @@ def test_baseline_greedy_prefix_and_topup():
     snr = 2 ** (g_needed / sc.config.bandwidth) - 1
     gains = snr * sc.config.noise_power / pop.tx_power
     assert np.all(credit - pop.comp_energy > 0)
-    dec = baseline_greedy(RoundObservation(gains), pop, sc.config)
+    dec = baseline_greedy(rate_coefficients(pop, gains, sc.config), pop, sc.config)
     assert dec.n_selected == 5
     shares = np.sort(dec.bandwidth[dec.selected])
     assert np.allclose(shares[:4], 0.18, atol=1e-9)
@@ -178,20 +180,19 @@ def test_baseline_greedy_energy_within_budget_share():
     # invariant: every selected client's round energy is at most its credit
     for seed in range(20):
         sc = small_scenario(seed=seed, k=6)
-        obs = sc.observe(0)
-        dec = baseline_greedy(obs, sc.population, sc.config)
+        coeffs = rate_coefficients(sc.population, sc.observe(0).gain_sq, sc.config)
+        dec = baseline_greedy(coeffs, sc.population, sc.config)
         if not dec.selected.any():
             continue
         dec.validate(sc.config)
-        from flsched.model import rate_coefficients, selected_totals
-        coeffs = rate_coefficients(sc.population, obs.gain_sq, sc.config)
         _, energy = selected_totals(sc.population, coeffs, dec)
         credit = sc.population.energy_budget / sc.config.num_rounds
         assert np.all(energy[dec.selected] <= credit[dec.selected] + 1e-12)
 
 
 def test_baseline_fedcs_share_inversion(example_config, twin_population):
-    dec = baseline_fedcs(uniform_gain(2), twin_population, example_config, 0.5)
+    dec = baseline_fedcs(uniform_rate(twin_population, example_config), twin_population,
+                         example_config, 0.5)
     expect = 2.4e5 / (G_REF * (0.5 - 0.06))
     assert expect == pytest.approx(0.0081922, rel=1e-4)
     got = np.sort(dec.bandwidth[dec.selected])
@@ -204,28 +205,27 @@ def test_baseline_fedcs_excludes_slow_training(example_config):
                          tx_power=0.1, model_size=2.4e5, data_size=1.2e6,
                          energy_budget=1.5, local_iters=5)  # t_cmp = 6 s
     pop = Population([slow, slow])
-    dec = baseline_fedcs(uniform_gain(2), pop, example_config, 0.5)
+    dec = baseline_fedcs(uniform_rate(pop, example_config), pop, example_config, 0.5)
     assert not dec.selected.any()
 
 
 def test_baseline_fedcs_latency_within_cap():
     for seed in range(20):
         sc = small_scenario(seed=seed, k=6)
-        obs = sc.observe(0)
+        coeffs = rate_coefficients(sc.population, sc.observe(0).gain_sq, sc.config)
         cap = 1.0
-        dec = baseline_fedcs(obs, sc.population, sc.config, cap)
+        dec = baseline_fedcs(coeffs, sc.population, sc.config, cap)
         if not dec.selected.any():
             continue
         dec.validate(sc.config)
-        from flsched.model import rate_coefficients, selected_totals
-        coeffs = rate_coefficients(sc.population, obs.gain_sq, sc.config)
         latency, _ = selected_totals(sc.population, coeffs, dec)
         assert np.all(latency[dec.selected] <= cap + 1e-12)
 
 
 def test_baseline_fedcs_huge_cap_selects_max():
     sc = small_scenario(k=6, min_ratio=0.2)  # at most 5 clients fit
-    dec = baseline_fedcs(sc.observe(0), sc.population, sc.config, 1e9)
+    coeffs = rate_coefficients(sc.population, sc.observe(0).gain_sq, sc.config)
+    dec = baseline_fedcs(coeffs, sc.population, sc.config, 1e9)
     assert dec.n_selected == 5
     assert np.allclose(np.sort(dec.bandwidth[dec.selected])[:4], 0.2)
 
@@ -234,7 +234,8 @@ def test_run_policy_trace_shape_and_invariants():
     sc = small_scenario(rounds=20)
     drift = drift_bound(sc.population, sc.config, sc.worst_case_energy())
     params = PedpcParams.constant(1.0, sc.config.frame_len, sc.config.num_frames)
-    tr = pedpc_run(sc.population, sc.config, params, sc.observe, seed=0, drift=drift)
+    tr = run_policy(sc.population, sc.config, PolicySpec("PEDPC"), sc.observe, seed=0,
+                    pedpc=params, drift=drift)
     assert len(tr.records) == 20
     assert tr.backlog_trace.shape == (21, 6)
     assert tr.drift_violations == 0
@@ -261,7 +262,8 @@ def test_run_policy_penalty_schedule_applies():
     sc = small_scenario(rounds=20)
     sched_geo = PedpcParams.geometric(0.01, 10.0, sc.config.frame_len,
                                       sc.config.num_frames)
-    tr = pedpc_run(sc.population, sc.config, sched_geo, sc.observe, seed=0)
+    tr = run_policy(sc.population, sc.config, PolicySpec("PEDPC"), sc.observe, seed=0,
+                    pedpc=sched_geo)
     assert len(tr.records) == 20  # runs through both frames
 
 
@@ -272,16 +274,17 @@ def test_pedpc_never_selects_when_unprofitable():
         "min_ratio": 0.05}))
     params = PedpcParams.constant(1e-9, 2, 2)
     big = QueueState(np.array([1e6]))
-    tr = pedpc_run(sc.population, sc.config, params, sc.observe, seed=0,
-                   initial_queue=big)
+    tr = run_policy(sc.population, sc.config, PolicySpec("PEDPC"), sc.observe, seed=0,
+                    pedpc=params, initial_queue=big)
     assert all(r.n_selected == 0 for r in tr.records)
 
 
 def _always_solve_oracle(queue, ctx, penalty_weight, iter_rounds, barrier_params):
     """The alternation loop that calls the barrier after every selection half-step.
 
-    Kept verbatim from before the fixed-point skip, as the reference the
-    production loop must reproduce bit for bit.
+    Kept as it was before the fixed-point skip, apart from calling the shared
+    per-client model, as the reference the production loop must reproduce bit
+    for bit.
     """
     pop, config = ctx.population, ctx.config
     k = len(pop)
@@ -294,9 +297,8 @@ def _always_solve_oracle(queue, ctx, penalty_weight, iter_rounds, barrier_params
     for _ in range(iter_rounds):
         start_value = value
         shares = np.where(x, b, hyp_share)
-        prices = lyap.energy_prices(queue.backlog, pop, ctx.rate_coeff, shares)
-        scores = prices - penalty_weight * ctx.log_utility
-        latencies = _predicted_latency(ctx, shares)
+        latencies, energies = model.client_round(pop, ctx.rate_coeff, shares)
+        scores = lyap.energy_prices(queue.backlog, energies) - penalty_weight * ctx.log_utility
         proposal = itmcs(SelectionInstance(scores, latencies, penalty_weight,
                                            max_selected=cap)).selected
         if not np.array_equal(proposal, x):
@@ -339,7 +341,7 @@ def _skip_sample():
         rng = np.random.default_rng(1000 + seed)
         z = QueueState(10 ** rng.uniform(-4, 0, 30))
         v = 10 ** rng.uniform(-2, 1)
-        ctx = scheduler.RoundContext(sc.population, sc.observe(int(rng.integers(20))),
+        ctx = RoundContext(sc.population, sc.observe(int(rng.integers(20))),
                                      sc.config)
         for iter_rounds in (1, 3, 6):
             yield z, ctx, v, iter_rounds

@@ -1,18 +1,52 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flsched import scheduler
 from flsched.errors import TooLarge
+from flsched.lyapunov import QueueState
+from flsched.model import RoundObservation
 from flsched.selection import (SelectionInstance, brute_force_selection, itmcs,
-                               marginal_score, selection_objective)
+                               selection_objective)
 
 
-def test_marginal_score():
-    assert marginal_score(0.01, 0.0204, 1.0) == pytest.approx(-0.0101948, rel=1e-5)
-    assert marginal_score(0.0, 0.0, 1.0) == 0.0
+def score_oracle(price, v, penalty_weight):
+    """q_k of one client: backlog-weighted energy price minus the weighted utility gain."""
+    return price - penalty_weight * math.log1p(v)
+
+
+def test_marginal_score(twin_population, example_config, monkeypatch):
+    # the scores the selection half-step hands to itmcs, for two example
+    # clients on an SNR-100 channel scored at the equal split 1/2; client 0's
+    # backlog makes its energy price exactly 0.01, client 1 has no backlog
+    g_ref = 1e7 * math.log2(101.0)
+    energy_at_half = 6.0e-3 + 0.1 * 2.4e5 / (0.5 * g_ref)
+    v = 1.7e-8 * 1.2e6  # 0.0204
+    seen = []
+
+    def spy(instance):
+        seen.append(instance.scores)
+        return itmcs(instance)
+
+    monkeypatch.setattr(scheduler, "itmcs", spy)
+
+    def scores(penalty_weight):
+        seen.clear()
+        scheduler.solve_round(QueueState(np.array([0.01 / energy_at_half, 0.0])),
+                              RoundObservation(np.full(2, 1e-10)), twin_population,
+                              example_config, penalty_weight, iter_rounds=1)
+        return seen[0]
+
+    q = scores(1.0)
+    assert q[0] == pytest.approx(-0.0101948, rel=1e-5)
+    assert q[0] == pytest.approx(score_oracle(0.01, v, 1.0), rel=1e-12)
+    assert q[1] == pytest.approx(score_oracle(0.0, v, 1.0), rel=1e-15)
+    assert score_oracle(0.0, 0.0, 1.0) == 0.0
     # a larger weight makes the score more negative
-    assert marginal_score(0.01, 0.0204, 2.0) < marginal_score(0.01, 0.0204, 1.0)
+    assert (scores(2.0) < q).all()
 
 
 def test_selection_objective():
