@@ -1,7 +1,7 @@
 """Online client selection and bandwidth allocation for wireless federated learning."""
 
-from .bandwidth import (Allocation, AllocationInstance, BarrierParams, barrier_solve,
-                        grid_oracle, lse_error_bound, smoothed_objective)
+from .bandwidth import (Allocation, AllocationInstance, barrier_solve, grid_oracle,
+                        lse_error_bound, smoothed_objective)
 from .lyapunov import DriftBound, QueueState, drift_bound, lyapunov_value, update_queue
 from .model import (ClientProfile, Decision, Population, RoundObservation,
                     SystemConfig)
@@ -11,7 +11,7 @@ from .selection import SelectionInstance, brute_force_selection, itmcs
 from .simenv import Scenario, ScenarioSpec, generate_population, sample_round
 
 __all__ = [
-    "Allocation", "AllocationInstance", "BarrierParams", "barrier_solve",
+    "Allocation", "AllocationInstance", "barrier_solve",
     "grid_oracle", "lse_error_bound", "smoothed_objective",
     "DriftBound", "QueueState", "drift_bound", "lyapunov_value", "update_queue",
     "ClientProfile", "Decision", "Population", "RoundObservation", "SystemConfig",

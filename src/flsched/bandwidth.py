@@ -27,6 +27,15 @@ from .errors import Infeasible, NoConverge, TooLarge
 
 FEAS_TOL = 1e-12
 
+# barrier method tuning: constants, not run parameters; read at call time
+T0 = 1.0  # initial barrier weight t
+MU_GROWTH = 20.0  # factor on t per outer step
+TOL = 1e-8  # stop once the duality gap m/t reaches this
+MAX_NEWTON = 200  # Newton steps allowed per centering
+LINE_ALPHA = 0.25  # backtracking sufficient-decrease fraction
+LINE_BETA = 0.5  # backtracking step shrink
+NEWTON_TOL = 1e-10  # on half the squared Newton decrement
+
 
 @dataclass(frozen=True)
 class AllocationInstance:
@@ -75,35 +84,6 @@ class Allocation:
     iterations: int
     duality_gap: float
     max_objective: float = float("nan")  # objective with the true (non-smoothed) max term
-
-
-@dataclass(frozen=True)
-class BarrierParams:
-    t0: float = 1.0
-    mu_growth: float = 20.0
-    tol: float = 1e-8
-    max_newton: int = 200
-    line_alpha: float = 0.25
-    line_beta: float = 0.5
-    newton_tol: float = 1e-10  # on half the squared Newton decrement
-
-    def __post_init__(self):
-        fields = (self.t0, self.mu_growth, self.tol, self.max_newton,
-                  self.line_alpha, self.line_beta, self.newton_tol)
-        if not all(math.isfinite(x) for x in fields):
-            raise ValueError("barrier parameters must be finite")
-        if not self.t0 > 0:
-            raise ValueError("barrier t0 must be positive")
-        if not self.mu_growth > 1:
-            raise ValueError("barrier mu_growth must exceed 1, or t never grows")
-        if not self.tol > 0:
-            raise ValueError("barrier tol must be positive")
-        if not self.max_newton >= 1:
-            raise ValueError("barrier max_newton must be at least 1")
-        if not 0 < self.line_alpha < 0.5:
-            raise ValueError("barrier line_alpha must lie in (0, 0.5)")
-        if not 0 < self.line_beta < 1:
-            raise ValueError("barrier line_beta must lie in (0, 1)")
 
 
 class SmoothedEval(NamedTuple):
@@ -233,15 +213,15 @@ def _newton_step(ev: _Factors, slack: np.ndarray, t: float
     return grad, step, nu
 
 
-def barrier_solve(instance: AllocationInstance, params: BarrierParams | None = None) -> Allocation:
+def barrier_solve(instance: AllocationInstance) -> Allocation:
     """Interior-point solve of the smoothed allocation problem.
 
     Newton steps solve the KKT system of the barrier subproblem in O(m) with
     the simplex equality kept exactly; backtracking keeps iterates strictly above
     the floor. Deterministic for fixed inputs. Raises Infeasible when the
-    floor cannot be met and NoConverge when Newton stalls.
+    floor cannot be met and NoConverge when a centering exhausts its
+    MAX_NEWTON steps or meets a singular system.
     """
-    params = params or BarrierParams()
     m = instance.size
     b_min = instance.min_ratio
     if m * b_min > 1 + FEAS_TOL:
@@ -252,7 +232,7 @@ def barrier_solve(instance: AllocationInstance, params: BarrierParams | None = N
         return _fixed_allocation(np.array([1.0]), instance)
 
     b = np.full(m, 1.0 / m)
-    t = params.t0
+    t = T0
     total_newton = 0
 
     # centering objective f + phi/t keeps values O(f) however large t grows,
@@ -261,12 +241,12 @@ def barrier_solve(instance: AllocationInstance, params: BarrierParams | None = N
         return f_value - float(np.log(x - b_min).sum()) / t
 
     while True:
-        for _ in range(params.max_newton):
+        for _ in range(MAX_NEWTON):
             total_newton += 1
             ev = _factors(b, instance)
             grad, step, _ = _newton_step(ev, b - b_min, t)
             decrement_sq = float(-grad @ step)
-            if decrement_sq <= 0 or decrement_sq / 2.0 <= params.newton_tol:
+            if decrement_sq <= 0 or decrement_sq / 2.0 <= NEWTON_TOL:
                 break
             if np.abs(step).max() <= 1e-14 * max(1.0, float(np.abs(b).max())):
                 break  # step at float-noise level: numerical optimum reached
@@ -279,19 +259,19 @@ def barrier_solve(instance: AllocationInstance, params: BarrierParams | None = N
                 trial = b + s * step
                 if (trial > b_min).all() and \
                         barrier_value(_value(trial, instance), trial) \
-                        <= base + params.line_alpha * s * slope:
+                        <= base + LINE_ALPHA * s * slope:
                     improved = True
                     break
-                s *= params.line_beta
+                s *= LINE_BETA
             if not improved:
                 # descent smaller than float precision on t*f: numerical floor
                 break
             b = b + s * step
         else:
             raise NoConverge("Newton iteration budget exhausted")
-        if m / t <= params.tol:
+        if m / t <= TOL:
             break
-        t *= params.mu_growth
+        t *= MU_GROWTH
 
     value = _value(b, instance)
     gap = smoothing_gap(b, instance)

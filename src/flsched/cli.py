@@ -2,9 +2,10 @@
 
 Subcommands: run, sweep-v, compare, calibrate, verify-bounds.
 Exit codes: 0 success, 2 config error (including a bad number on the command
-line: a --v-grid entry or --grid-step that is not finite and positive, or a
-non-finite --target-avg), 3 infeasible/unreachable or a bandwidth solve that
-did not converge, 4 verification failure.
+line: a --v-grid entry or --grid-step that is not finite and positive, a
+--grid-step that leaves a one-point share grid, or a non-finite --target-avg),
+3 infeasible/unreachable or a bandwidth solve that did not converge, 4
+verification failure.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ class NoConverge(RuntimeError):
 
 
 class InfeasibleConfig(ValueError):
-    """Policy parameters are incompatible with the bandwidth floor."""
+    """Policy parameters are incompatible with the system (bandwidth floor, frame count)."""
 
 
 class ConfigError(ValueError):

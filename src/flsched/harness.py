@@ -1,16 +1,16 @@
 """Experiment harness: config files, policy runs, sweeps, calibration, bounds.
 
-A single JSON document configures the system, scenario, policy, solver, and
-output location. Unknown keys anywhere are a hard ConfigError. All outputs
-(per-round CSV, summary JSON, sweep and comparison tables) are byte-identical
-across reruns with the same config and seed.
+A single JSON document configures the system, scenario, policy, PEDPC
+parameters and output location. Unknown keys anywhere are a hard ConfigError.
+All outputs (per-round CSV, summary JSON, sweep and comparison tables) are
+byte-identical across reruns with the same config and seed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -19,7 +19,6 @@ import numpy as np
 from . import bandwidth as bw
 from . import lyapunov as lyap
 from . import model
-from .bandwidth import BarrierParams
 from .errors import ConfigError, TooLarge, Unreachable, VerificationError
 from .lyapunov import DriftBound
 from .scheduler import PedpcParams, PolicySpec, RoundContext, RunTrace, run_policy
@@ -37,7 +36,6 @@ _SCENARIO_KEYS = {"mode", "cpu_freq", "cycles_per_bit", "tx_power", "capacitance
                   "data_size_choices", "gain_sq"}
 _POLICY_KEYS = {"kind", "random_fraction", "latency_cap"}
 _PEDPC_KEYS = {"penalty", "penalty_growth", "iter_rounds"}
-_BARRIER_KEYS = {"t0", "mu_growth", "tol", "max_newton"}
 _OUTPUT_KEYS = {"dir"}
 _INTEGER_KEYS = {"num_clients", "num_rounds", "frame_len", "num_frames", "local_iters"}
 _RANGE_KEYS = {"cpu_freq", "cycles_per_bit", "tx_power", "gain_sq"}  # [low, high]
@@ -46,7 +44,6 @@ _SECTION_KEYS = {
     "scenario": _SCENARIO_KEYS,
     "policy": _POLICY_KEYS,
     "pedpc": _PEDPC_KEYS,
-    "barrier": _BARRIER_KEYS,
     "output": _OUTPUT_KEYS,
 }
 
@@ -58,10 +55,7 @@ class HarnessConfig:
     mode: str = IID
     overrides: Mapping[str, Any] = field(default_factory=dict)
     policy: PolicySpec = PolicySpec("PEDPC")
-    penalty: float = 1.0
-    penalty_growth: float = 1.0
-    iter_rounds: int = 3
-    barrier: BarrierParams = BarrierParams()
+    pedpc: PedpcParams = PedpcParams()
     output_dir: Path = Path("out")
 
 
@@ -117,7 +111,6 @@ def parse_config(doc: Mapping[str, Any]) -> HarnessConfig:
     scenario = _check_section("scenario", doc.get("scenario", {}))
     policy_raw = _check_section("policy", doc.get("policy", {}))
     pedpc_raw = _check_section("pedpc", doc.get("pedpc", {}))
-    barrier_raw = _check_section("barrier", doc.get("barrier", {}))
     output_raw = _check_section("output", doc.get("output", {}))
 
     mode = scenario.get("mode", IID)
@@ -126,10 +119,6 @@ def parse_config(doc: Mapping[str, Any]) -> HarnessConfig:
     overrides = {key: _override(key, value)
                  for key, value in {**system, **scenario}.items() if key != "mode"}
     knobs = {key: _number(key, value) for key, value in policy_raw.items() if key != "kind"}
-    t0 = _number("t0", barrier_raw.get("t0", 1.0))
-    mu_growth = _number("mu_growth", barrier_raw.get("mu_growth", 20.0))
-    tol = _number("tol", barrier_raw.get("tol", 1e-8))
-    max_newton = _integer("max_newton", barrier_raw.get("max_newton", 200))
     penalty = _number("penalty", pedpc_raw.get("penalty", 1.0))
     growth = _number("penalty_growth", pedpc_raw.get("penalty_growth", 1.0))
     iters = _integer("iter_rounds", pedpc_raw.get("iter_rounds", 3))
@@ -138,19 +127,14 @@ def parse_config(doc: Mapping[str, Any]) -> HarnessConfig:
         raise ConfigError(f"output dir must be a string, got {output_dir!r}")
     try:
         policy = PolicySpec(kind=policy_raw.get("kind", "PEDPC"), **knobs)
-        barrier = BarrierParams(t0=t0, mu_growth=mu_growth, tol=tol, max_newton=max_newton)
+        pedpc = PedpcParams(penalty=penalty, penalty_growth=growth, iter_rounds=iters)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if penalty <= 0 or growth <= 0 or iters < 1:
-        raise ConfigError("pedpc penalty and growth must be positive, iter_rounds >= 1")
     return HarnessConfig(
         mode=mode,
         overrides=overrides,
         policy=policy,
-        penalty=penalty,
-        penalty_growth=growth,
-        iter_rounds=iters,
-        barrier=barrier,
+        pedpc=pedpc,
         output_dir=Path(output_dir),
     )
 
@@ -169,16 +153,6 @@ def build_scenario(cfg: HarnessConfig, seed: int) -> Scenario:
         return Scenario(ScenarioSpec(seed=seed, mode=cfg.mode, overrides=cfg.overrides))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def pedpc_params_for(cfg: HarnessConfig, scenario: Scenario,
-                     penalty: float | None = None) -> PedpcParams:
-    config = scenario.config
-    v0 = cfg.penalty if penalty is None else penalty
-    if cfg.penalty_growth == 1.0:
-        return PedpcParams.constant(v0, config.frame_len, config.num_frames, cfg.iter_rounds)
-    return PedpcParams.geometric(v0, cfg.penalty_growth, config.frame_len,
-                                 config.num_frames, cfg.iter_rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +232,9 @@ def _prepare(cfg: HarnessConfig, seed: int) -> tuple[Scenario, DriftBound]:
 
 def _run_trace(cfg: HarnessConfig, scenario: Scenario, drift: DriftBound,
                policy: PolicySpec, penalty: float | None = None) -> RunTrace:
-    params = pedpc_params_for(cfg, scenario, penalty) if policy.kind == "PEDPC" else None
+    pedpc = cfg.pedpc if penalty is None else replace(cfg.pedpc, penalty=penalty)
     trace = run_policy(scenario.population, scenario.config, policy, scenario.observe,
-                       scenario.spec.seed, pedpc=params, barrier_params=cfg.barrier,
-                       drift=drift)
+                       scenario.spec.seed, pedpc=pedpc, drift=drift)
     if trace.drift_violations:
         raise VerificationError("one-step drift inequality violated during the run")
     if not trace.lemma_deficit_ok:
@@ -285,7 +258,7 @@ def run_experiment(config_path: str | Path, policy: PolicySpec | None = None,
     trace = _run_trace(cfg, scenario, drift, policy)
     summary = summarize(trace, scenario.population.energy_budget)
     csv_path = Path(output_path) if output_path is not None else \
-        cfg.output_dir / f"{policy.kind}_{seed}_{cfg.penalty:g}.csv"
+        cfg.output_dir / f"{policy.kind}_{seed}_{cfg.pedpc.penalty:g}.csv"
     write_rounds_csv(csv_path, trace)
     write_summary_json(csv_path.with_suffix(".summary.json"), summary)
     return summary
@@ -331,47 +304,48 @@ def calibrate(config_path: str | Path, policy_kind: str, target_avg_selected: fl
     """
     cfg = load_config(config_path)
     scenario, drift = _prepare(cfg, seed)
-    return _calibrate(cfg, scenario, drift, policy_kind, target_avg_selected, tolerance)
+    return _calibrate(cfg, scenario, drift, policy_kind, target_avg_selected, tolerance)[0]
 
 
 def _calibrate(cfg: HarnessConfig, scenario: Scenario, drift: DriftBound,
-               policy_kind: str, target_avg_selected: float,
-               tolerance: float = 2.0) -> float:
+               policy_kind: str, target: float, tolerance: float = 2.0
+               ) -> tuple[float, ExperimentSummary | None]:
+    """The calibrated knob and the probe run's summary that met it (None for Random)."""
     if policy_kind == "Random":
         # exact by construction: floor(fraction * K) clients every round
         k = scenario.config.num_clients
-        if not (1 <= target_avg_selected <= k):
+        if not (1 <= target <= k):
             raise Unreachable("target outside [1, K]")
-        return float(target_avg_selected) / k
+        return float(target) / k, None
 
     if policy_kind == "PEDPC":
         lo, hi = 1e-6, 1e4
 
-        def probe(v: float) -> float:
-            return _summary(cfg, scenario, drift, PolicySpec("PEDPC"), v).avg_selected
+        def probe(v: float) -> ExperimentSummary:
+            return _summary(cfg, scenario, drift, PolicySpec("PEDPC"), v)
     elif policy_kind == "FedCS":
         lo, hi = 1e-4, 1e3
 
-        def probe(t_max: float) -> float:
+        def probe(t_max: float) -> ExperimentSummary:
             policy = PolicySpec("FedCS", latency_cap=t_max)
-            return _summary(cfg, scenario, drift, policy).avg_selected
+            return _summary(cfg, scenario, drift, policy)
     else:
         raise ValueError(f"policy {policy_kind!r} has no calibration knob")
 
-    f_lo = probe(lo) - target_avg_selected
-    if abs(f_lo) <= tolerance:
-        return lo
-    f_hi = probe(hi) - target_avg_selected
-    if abs(f_hi) <= tolerance:
-        return hi
-    if f_lo > 0 or f_hi < 0:
+    s_lo = probe(lo)
+    if abs(s_lo.avg_selected - target) <= tolerance:
+        return lo, s_lo
+    s_hi = probe(hi)
+    if abs(s_hi.avg_selected - target) <= tolerance:
+        return hi, s_hi
+    if s_lo.avg_selected > target or s_hi.avg_selected < target:
         raise Unreachable("target outside the achievable bracket")
     for _ in range(60):
         mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
-        f_mid = probe(mid) - target_avg_selected
-        if abs(f_mid) <= tolerance:
-            return mid
-        if f_mid < 0:
+        s_mid = probe(mid)
+        if abs(s_mid.avg_selected - target) <= tolerance:
+            return mid, s_mid
+        if s_mid.avg_selected < target:
             lo = mid
         else:
             hi = mid
@@ -390,24 +364,25 @@ class ComparisonRow:
 
 def compare_policies(config_path: str | Path, seed: int = 0,
                      target_avg: float = 40.0) -> list[ComparisonRow]:
-    """Calibrate where applicable, run all five policies on identical scenarios."""
+    """Calibrate where applicable, run all five policies on identical scenarios.
+
+    PEDPC and FedCS reuse their accepted calibration runs: no pair runs twice.
+    """
     cfg = load_config(config_path)
     scenario, drift = _prepare(cfg, seed)
-    v_star = _calibrate(cfg, scenario, drift, "PEDPC", target_avg)
-    fraction = _calibrate(cfg, scenario, drift, "Random", target_avg)
-    t_max = _calibrate(cfg, scenario, drift, "FedCS", target_avg)
-    runs: list[tuple[PolicySpec, float | None, float | None]] = [
-        (PolicySpec("PEDPC"), v_star, v_star),
-        (PolicySpec("SelectAll"), None, None),
-        (PolicySpec("Random", random_fraction=fraction), fraction, None),
-        (PolicySpec("Greedy"), None, None),
-        (PolicySpec("FedCS", latency_cap=t_max), t_max, None),
+    v_star, pedpc_run = _calibrate(cfg, scenario, drift, "PEDPC", target_avg)
+    fraction, _ = _calibrate(cfg, scenario, drift, "Random", target_avg)
+    t_max, fedcs_run = _calibrate(cfg, scenario, drift, "FedCS", target_avg)
+    runs: list[tuple[str, float | None, ExperimentSummary]] = [
+        ("PEDPC", v_star, pedpc_run),
+        ("SelectAll", None, _summary(cfg, scenario, drift, PolicySpec("SelectAll"))),
+        ("Random", fraction, _summary(cfg, scenario, drift,
+                                      PolicySpec("Random", random_fraction=fraction))),
+        ("Greedy", None, _summary(cfg, scenario, drift, PolicySpec("Greedy"))),
+        ("FedCS", t_max, fedcs_run),
     ]
-    rows = []
-    for policy, knob, penalty in runs:
-        s = _summary(cfg, scenario, drift, policy, penalty)
-        rows.append(ComparisonRow(policy.kind, knob, s.avg_selected, s.total_latency,
-                                  s.energy_overflow, s.total_phi))
+    rows = [ComparisonRow(kind, knob, s.avg_selected, s.total_latency, s.energy_overflow,
+                          s.total_phi) for kind, knob, s in runs]
     lines = [COMPARE_HEADER]
     for row in rows:
         knob = "" if row.knob is None else _fmt(row.knob)
@@ -521,7 +496,13 @@ def verify_bounds(tiny: TinyCase, penalty_weight: float, grid_step: float) -> Bo
     Runs the online policy on a realization, computes the frame-wise offline
     optimum on the same realization by exhaustive search, and evaluates both
     inequalities with the drift constant from the environment's worst case.
+    Raises ConfigError for a grid step that leaves the grid of some client count
+    a single corner point, where the lookahead would have no bandwidth choice.
     """
+    for m in range(2, tiny.num_clients + 1):
+        if m * tiny.min_ratio < 1 - bw.FEAS_TOL and \
+                len(bw.simplex_grid(m, tiny.min_ratio, grid_step)) == 1:
+            raise ConfigError(f"--grid-step {grid_step:g} leaves one grid point for {m} clients")
     overrides = dict(tiny.overrides)
     overrides.update(num_clients=tiny.num_clients, num_rounds=tiny.num_rounds,
                      frame_len=tiny.frame_len, num_frames=tiny.num_frames,

@@ -21,7 +21,6 @@ class QueueState:
     """Non-negative per-client energy-deficit backlogs at one round."""
 
     backlog: np.ndarray
-    round_index: int = 0
 
     def __post_init__(self):
         z = np.asarray(self.backlog, dtype=float)
@@ -31,7 +30,7 @@ class QueueState:
 
     @classmethod
     def zero(cls, num_clients: int) -> "QueueState":
-        return cls(np.zeros(num_clients), 0)
+        return cls(np.zeros(num_clients))
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ def update_queue(state: QueueState, decision: Decision, energies: np.ndarray,
     """Advance backlogs one round: add spent energy, credit the budget share, clamp at 0."""
     spent = np.where(decision.selected, np.asarray(energies, dtype=float), 0.0)
     credit = population.energy_budget / config.num_rounds
-    return QueueState(np.maximum(state.backlog + spent - credit, 0.0), state.round_index + 1)
+    return QueueState(np.maximum(state.backlog + spent - credit, 0.0))
 
 
 def lyapunov_value(state: QueueState) -> float:

@@ -33,33 +33,28 @@ DESCENT_SLACK = 1e-9  # minimal per-iteration improvement to keep alternating
 
 @dataclass(frozen=True)
 class PedpcParams:
-    """Per-frame penalty weights and the alternation depth."""
+    """PEDPC's run parameters: the penalty weight V, its per-frame growth, the alternation depth.
 
-    penalty_schedule: np.ndarray  # one positive weight per frame
-    frame_len: int
-    num_frames: int
+    Frame f runs at V * penalty_growth**f; the frames themselves belong to SystemConfig.
+    """
+
+    penalty: float = 1.0
+    penalty_growth: float = 1.0
     iter_rounds: int = 3
 
     def __post_init__(self):
-        sched = np.asarray(self.penalty_schedule, dtype=float)
-        object.__setattr__(self, "penalty_schedule", sched)
-        if sched.ndim != 1 or sched.size != self.num_frames:
-            raise ValueError("need one penalty weight per frame")
-        if np.any(sched <= 0):
-            raise ValueError("penalty weights must be positive")
+        if not (self.penalty > 0 and self.penalty_growth > 0):
+            raise ValueError("pedpc penalty and penalty_growth must be positive")
         if self.iter_rounds < 1:
-            raise ValueError("iter_rounds must be at least 1")
+            raise ValueError("pedpc iter_rounds must be at least 1")
 
-    @classmethod
-    def constant(cls, penalty: float, frame_len: int, num_frames: int,
-                 iter_rounds: int = 3) -> "PedpcParams":
-        return cls(np.full(num_frames, float(penalty)), frame_len, num_frames, iter_rounds)
-
-    @classmethod
-    def geometric(cls, penalty: float, growth: float, frame_len: int, num_frames: int,
-                  iter_rounds: int = 3) -> "PedpcParams":
-        sched = penalty * growth ** np.arange(num_frames)
-        return cls(sched, frame_len, num_frames, iter_rounds)
+    def frame_weights(self, num_frames: int) -> np.ndarray:
+        """One penalty weight per frame; InfeasibleConfig if one under- or overflows."""
+        with np.errstate(over="ignore", under="ignore"):
+            weights = self.penalty * self.penalty_growth ** np.arange(num_frames)
+        if not np.all(np.isfinite(weights) & (weights > 0)):
+            raise InfeasibleConfig("penalty * penalty_growth**frame leaves (0, inf)")
+        return weights
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,7 @@ class SolveResult:
 
 
 def _solve_round_ctx(queue: QueueState, ctx: RoundContext, penalty_weight: float,
-                     iter_rounds: int, barrier_params: bw.BarrierParams | None) -> SolveResult:
+                     iter_rounds: int) -> SolveResult:
     pop, config = ctx.population, ctx.config
     k = len(pop)
     cap = config.max_selectable
@@ -158,7 +153,7 @@ def _solve_round_ctx(queue: QueueState, ctx: RoundContext, penalty_weight: float
                 penalty_weight=penalty_weight,
                 min_ratio=config.min_ratio,
             )
-            alloc = bw.barrier_solve(instance, barrier_params)
+            alloc = bw.barrier_solve(instance)
             b_new = np.zeros(k)
             b_new[idx] = alloc.ratios
             new_val = _p3_value(Decision(x, b_new), queue, ctx, penalty_weight)
@@ -171,8 +166,7 @@ def _solve_round_ctx(queue: QueueState, ctx: RoundContext, penalty_weight: float
 
 
 def solve_round(queue: QueueState, observation: RoundObservation, population: Population,
-                config: SystemConfig, penalty_weight: float, iter_rounds: int = 3,
-                barrier_params: bw.BarrierParams | None = None) -> SolveResult:
+                config: SystemConfig, penalty_weight: float, iter_rounds: int = 3) -> SolveResult:
     """Alternating selection/allocation solve of one round's objective.
 
     Starts from the always-feasible empty decision; the returned half-step
@@ -180,7 +174,7 @@ def solve_round(queue: QueueState, observation: RoundObservation, population: Po
     decision (its objective is the budget credit term alone).
     """
     ctx = RoundContext(population, observation, config)
-    return _solve_round_ctx(queue, ctx, penalty_weight, iter_rounds, barrier_params)
+    return _solve_round_ctx(queue, ctx, penalty_weight, iter_rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +282,6 @@ class RoundRecord:
     latency: float
     phi: float
     cost: float
-    per_client_energy: np.ndarray
     queue_l2: float
     cum_latency: float
     cum_cost: float
@@ -330,8 +323,7 @@ def _decide(ctx: RoundContext, policy: PolicySpec, seed: int, round_index: int) 
 
 def run_policy(population: Population, config: SystemConfig, policy: PolicySpec,
                observations: Callable[[int], RoundObservation], seed: int,
-               pedpc: PedpcParams | None = None,
-               barrier_params: bw.BarrierParams | None = None,
+               pedpc: PedpcParams = PedpcParams(),
                initial_queue: QueueState | None = None,
                drift: DriftBound | None = None) -> RunTrace:
     """Run one policy across the whole horizon; deterministic in (inputs, seed).
@@ -344,10 +336,7 @@ def run_policy(population: Population, config: SystemConfig, policy: PolicySpec,
     """
     k, r_total = config.num_clients, config.num_rounds
     if policy.kind == "PEDPC":
-        if pedpc is None:
-            raise ValueError("PEDPC requires PedpcParams")
-        if pedpc.frame_len != config.frame_len or pedpc.num_frames != config.num_frames:
-            raise ValueError("PedpcParams frames disagree with the system config")
+        frame_weights = pedpc.frame_weights(config.num_frames)
     state = initial_queue if initial_queue is not None else QueueState.zero(k)
     if state.backlog.size != k:
         raise ValueError("initial queue has the wrong number of clients")
@@ -364,9 +353,8 @@ def run_policy(population: Population, config: SystemConfig, policy: PolicySpec,
     for r in range(r_total):
         ctx = RoundContext(population, observations(r), config)
         if policy.kind == "PEDPC":
-            frame = r // pedpc.frame_len
-            result = _solve_round_ctx(state, ctx, float(pedpc.penalty_schedule[frame]),
-                                      pedpc.iter_rounds, barrier_params)
+            result = _solve_round_ctx(state, ctx, float(frame_weights[r // config.frame_len]),
+                                      pedpc.iter_rounds)
             decision = result.decision
             halves.append(result.half_step_values)
         else:
@@ -392,7 +380,6 @@ def run_policy(population: Population, config: SystemConfig, policy: PolicySpec,
             latency=t0,
             phi=phi,
             cost=cost,
-            per_client_energy=energy_vec,
             queue_l2=float(np.linalg.norm(new_state.backlog)),
             cum_latency=cum_latency,
             cum_cost=cum_cost,

@@ -62,8 +62,7 @@ def full_run():
     scenario = Scenario(ScenarioSpec(seed=SEED, mode="IID"))
     drift = lyap.drift_bound(scenario.population, scenario.config,
                              scenario.worst_case_energy())
-    params = sched.PedpcParams.constant(1.0, scenario.config.frame_len,
-                                        scenario.config.num_frames)
+    params = sched.PedpcParams(1.0)
     start = time.perf_counter()
     trace = sched.run_policy(scenario.population, scenario.config, sched.PolicySpec("PEDPC"),
                              scenario.observe, SEED, pedpc=params, drift=drift)
@@ -260,7 +259,7 @@ def test_criterion_11_long_horizon_stability():
         "num_rounds": 3000, "frame_len": 300, "num_frames": 10}))
     drift = lyap.drift_bound(scenario.population, scenario.config,
                              scenario.worst_case_energy())
-    params = sched.PedpcParams.constant(1.0, 300, 10)
+    params = sched.PedpcParams(1.0)
     trace = sched.run_policy(scenario.population, scenario.config, sched.PolicySpec("PEDPC"),
                              scenario.observe, SEED, pedpc=params, drift=drift)
     ratios, _ = lyap.stability_series(trace.backlog_trace)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flsched import bandwidth as bw
 from flsched import cli, harness
 from flsched import lyapunov as lyap
 from flsched.errors import ConfigError, TooLarge, Unreachable
 from flsched.harness import (TinyCase, calibrate, compare_policies, load_config,
                              parse_config, run_experiment, sweep_v, verify_bounds)
-from flsched.scheduler import PolicySpec, run_policy
+from flsched.scheduler import POLICY_KINDS, PedpcParams, PolicySpec, run_policy
 
 
 def small_config(tmp_path: Path, **policy) -> Path:
@@ -33,8 +35,7 @@ def small_config(tmp_path: Path, **policy) -> Path:
 def test_parse_config_defaults():
     cfg = parse_config({})
     assert cfg.policy.kind == "PEDPC"
-    assert cfg.penalty == 1.0
-    assert cfg.barrier.tol == 1e-8
+    assert cfg.pedpc == PedpcParams(penalty=1.0, penalty_growth=1.0, iter_rounds=3)
 
 
 def test_parse_config_rejects_unknown_keys():
@@ -60,7 +61,7 @@ def test_parse_config_rejects_bad_barrier(barrier):
     {"penalty": "x"}, {"penalty": None}, {"penalty": float("nan")},
     {"penalty": float("inf")}, {"penalty": -1.0}, {"penalty_growth": float("nan")},
     {"penalty_growth": [1.0]}, {"iter_rounds": "x"}, {"iter_rounds": float("nan")},
-    {"iter_rounds": float("inf")}, {"iter_rounds": 0},
+    {"iter_rounds": float("inf")}, {"iter_rounds": 0}, {"penalty_growth": 0.0},
 ])
 def test_parse_config_rejects_bad_pedpc(pedpc):
     with pytest.raises(ConfigError):
@@ -95,8 +96,8 @@ def test_parse_config_rejects_bad_override(section, key, value):
 
 
 @pytest.mark.parametrize("doc", [
-    {"barrier": {"max_newton": 1.7}}, {"barrier": {"max_newton": True}},
-    {"barrier": {"max_newton": "50"}}, {"pedpc": {"iter_rounds": True}},
+    {"scenario": {"local_iters": "5"}}, {"scenario": {"local_iters": True}},
+    {"pedpc": {"iter_rounds": "3"}}, {"pedpc": {"iter_rounds": True}},
     {"pedpc": {"iter_rounds": 2.5}}, {"pedpc": {"iter_rounds": None}},
     *({"system": {key: bad}} for key in ("num_clients", "num_rounds", "frame_len",
                                          "num_frames")
@@ -113,7 +114,7 @@ def test_parse_config_rejects_non_integral_integers(doc):
     {"policy": {"kind": "Random", "random_fraction": float("nan")}},
     {"policy": {"kind": "FedCS", "latency_cap": float("inf")}},
     {"policy": {"kind": "FedCS", "latency_cap": True}},
-    {"barrier": {"tol": "1e-8"}}, {"pedpc": {"penalty": "1.0"}},
+    {"pedpc": {"penalty_growth": "2"}}, {"pedpc": {"penalty": "1.0"}},
     {"output": {"dir": 1}}, {"output": {"dir": None}},
 ])
 def test_parse_config_rejects_bad_policy_solver_and_output(doc):
@@ -141,11 +142,10 @@ def test_parse_config_accepts_integral_floats():
         "system": {"num_clients": 8.0, "num_rounds": 12.0, "frame_len": 4.0,
                    "num_frames": 3.0, "min_ratio": 0.05},
         "scenario": {"local_iters": 5.0},
-        "barrier": {"max_newton": 50.0},
         "pedpc": {"iter_rounds": 3.0},
     })
-    assert cfg.barrier.max_newton == 50 and type(cfg.barrier.max_newton) is int
-    assert cfg.iter_rounds == 3 and type(cfg.iter_rounds) is int
+    assert cfg.overrides["local_iters"] == 5 and type(cfg.overrides["local_iters"]) is int
+    assert cfg.pedpc.iter_rounds == 3 and type(cfg.pedpc.iter_rounds) is int
     config = harness.build_scenario(cfg, seed=0).config
     assert (config.num_clients, config.num_rounds, config.frame_len,
             config.num_frames) == (8, 12, 4, 3)
@@ -185,11 +185,9 @@ def test_cli_verify_bounds_drift_violation_exits_4(monkeypatch, capsys):
     assert "drift inequality" in capsys.readouterr().err
 
 
-def test_cli_no_converge_exits_3(tmp_path, capsys):
+def test_cli_no_converge_exits_3(tmp_path, monkeypatch, capsys):
     path = small_config(tmp_path)
-    doc = json.loads(path.read_text())
-    doc["barrier"] = {"max_newton": 1}
-    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(bw, "MAX_NEWTON", 1)
     assert cli.main(["run", "--config", str(path)]) == cli.EXIT_INFEASIBLE
     err = capsys.readouterr().err
     assert err.startswith("solver did not converge:") and err.count("\n") == 1
@@ -220,6 +218,21 @@ def test_cli_bad_numbers_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("step", ["2", "0.75"])
+def test_cli_verify_bounds_rejects_single_point_grid(monkeypatch, capsys, step):
+    # TinyCase: 3 clients at a 0.1 floor span 1 - 3 * 0.1 = 0.7 of free band
+    monkeypatch.setattr(harness, "run_policy", _no_run)
+    assert cli.main(["verify-bounds", "--v-grid", "1", "--grid-step", step]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--grid-step" in err
+
+
+@pytest.mark.parametrize("step", ["0.05", "0.5", "0.7"])
+def test_cli_verify_bounds_runs_grid_with_choice(capsys, step):
+    assert cli.main(["verify-bounds", "--v-grid", "1", "--grid-step", step]) == cli.EXIT_OK
+    assert capsys.readouterr().out.rstrip().endswith("[ok]")
+
+
 @pytest.mark.parametrize("argv,written", [
     (["sweep-v", "--v-grid", "0.1,1"], ("sweep_1.csv", harness.SWEEP_HEADER, 2)),
     (["compare", "--target-avg", "4"], ("compare_1.csv", harness.COMPARE_HEADER, 5)),
@@ -247,9 +260,39 @@ def _fresh_run_trace(cfg, scenario, drift, policy, penalty=None):
     scenario = harness.build_scenario(cfg, seed)
     drift = lyap.drift_bound(scenario.population, scenario.config,
                              scenario.worst_case_energy())
-    params = harness.pedpc_params_for(cfg, scenario, penalty) if policy.kind == "PEDPC" else None
+    pedpc = cfg.pedpc if penalty is None else replace(cfg.pedpc, penalty=penalty)
     return run_policy(scenario.population, scenario.config, policy, scenario.observe, seed,
-                      pedpc=params, barrier_params=cfg.barrier, drift=drift)
+                      pedpc=pedpc, drift=drift)
+
+
+def test_compare_runs_each_policy_knob_once(tmp_path, monkeypatch):
+    path = small_config(tmp_path)
+    real, seen = harness.run_policy, []
+
+    def spy(population, config, policy, observations, seed, pedpc, **kwargs):
+        knob = {"PEDPC": pedpc.penalty, "Random": policy.random_fraction,
+                "FedCS": policy.latency_cap}.get(policy.kind)
+        seen.append((policy.kind, knob))
+        return real(population, config, policy, observations, seed, pedpc, **kwargs)
+
+    monkeypatch.setattr(harness, "run_policy", spy)
+    rows = compare_policies(path, seed=1, target_avg=4)
+    assert len(seen) == len(set(seen))
+    assert {kind for kind, _ in seen} == set(POLICY_KINDS)
+    # the table is what a fresh run of each row's (policy, knob) writes
+    cfg = load_config(path)
+    scenario, drift = harness._prepare(cfg, 1)
+    lines = [harness.COMPARE_HEADER]
+    for row in rows:
+        policy = PolicySpec(row.policy,
+                            random_fraction=row.knob if row.policy == "Random" else None,
+                            latency_cap=row.knob if row.policy == "FedCS" else None)
+        penalty = row.knob if row.policy == "PEDPC" else None
+        s = harness._summary(cfg, scenario, drift, policy, penalty)
+        knob = "" if row.knob is None else harness._fmt(row.knob)
+        lines.append(",".join([row.policy, knob] + [harness._fmt(x) for x in (
+            s.avg_selected, s.total_latency, s.energy_overflow, s.total_phi)]))
+    assert (tmp_path / "out" / "compare_1.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_shared_scenario_matches_fresh_scenarios(tmp_path, monkeypatch):
@@ -401,7 +444,8 @@ def test_cli_run_and_exit_codes(tmp_path):
                          capture_output=True, text=True)
     assert out.returncode == 3
 
-    # mu_growth 1 never grows t, so an unvalidated barrier loops forever
+    # barrier tuning is not configurable: the section is unknown, so a
+    # mu_growth of 1 (which would never grow t) cannot reach the solver
     stuck = tmp_path / "stuck.json"
     doc = json.loads(path.read_text())
     doc["barrier"] = {"mu_growth": 1.0}
@@ -409,7 +453,7 @@ def test_cli_run_and_exit_codes(tmp_path):
     out = subprocess.run(env_cmd + ["run", "--config", str(stuck)],
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 2
-    assert "mu_growth" in out.stderr
+    assert "barrier" in out.stderr
 
 
 def test_cli_csv_determinism(tmp_path):

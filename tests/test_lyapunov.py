@@ -23,7 +23,6 @@ def test_update_queue_reference(twin_population, example_config):
                        example_config)
     assert nxt.backlog[0] == pytest.approx(0.0066, rel=1e-12)
     assert nxt.backlog[1] == 0.0  # 0.004 - 0.005 clamps at zero
-    assert nxt.round_index == state.round_index + 1
 
 
 def test_update_queue_zero_stays_zero(twin_population, example_config):

@@ -233,9 +233,8 @@ def test_baseline_fedcs_huge_cap_selects_max():
 def test_run_policy_trace_shape_and_invariants():
     sc = small_scenario(rounds=20)
     drift = drift_bound(sc.population, sc.config, sc.worst_case_energy())
-    params = PedpcParams.constant(1.0, sc.config.frame_len, sc.config.num_frames)
     tr = run_policy(sc.population, sc.config, PolicySpec("PEDPC"), sc.observe, seed=0,
-                    pedpc=params, drift=drift)
+                    pedpc=PedpcParams(1.0), drift=drift)
     assert len(tr.records) == 20
     assert tr.backlog_trace.shape == (21, 6)
     assert tr.drift_violations == 0
@@ -258,13 +257,29 @@ def test_run_policy_deterministic():
     assert np.array_equal(a.energies, b.energies)
 
 
-def test_run_policy_penalty_schedule_applies():
+def test_run_policy_penalty_schedule_applies(monkeypatch):
     sc = small_scenario(rounds=20)
-    sched_geo = PedpcParams.geometric(0.01, 10.0, sc.config.frame_len,
-                                      sc.config.num_frames)
+    real, weights = scheduler._solve_round_ctx, []
+
+    def spy(queue, ctx, penalty_weight, iter_rounds):
+        weights.append(penalty_weight)
+        return real(queue, ctx, penalty_weight, iter_rounds)
+
+    monkeypatch.setattr(scheduler, "_solve_round_ctx", spy)
     tr = run_policy(sc.population, sc.config, PolicySpec("PEDPC"), sc.observe, seed=0,
-                    pedpc=sched_geo)
+                    pedpc=PedpcParams(0.01, 10.0))
     assert len(tr.records) == 20  # runs through both frames
+    per_frame = 0.01 * 10.0 ** np.arange(sc.config.num_frames)
+    assert weights == [per_frame[r // sc.config.frame_len] for r in range(20)]
+    assert len(set(weights)) == sc.config.num_frames == 2
+
+
+@pytest.mark.parametrize("growth", [1e-40, 1e40])
+def test_run_policy_rejects_penalty_schedule_out_of_float_range(growth):
+    sc = small_scenario(rounds=20, frame_len=2, num_frames=10)  # growth**9 leaves floats
+    with pytest.raises(InfeasibleConfig):
+        run_policy(sc.population, sc.config, PolicySpec("PEDPC"), sc.observe, seed=0,
+                   pedpc=PedpcParams(1.0, growth))
 
 
 def test_pedpc_never_selects_when_unprofitable():
@@ -272,14 +287,14 @@ def test_pedpc_never_selects_when_unprofitable():
     sc = Scenario(ScenarioSpec(seed=0, mode="IID", overrides={
         "num_clients": 1, "num_rounds": 4, "frame_len": 2, "num_frames": 2,
         "min_ratio": 0.05}))
-    params = PedpcParams.constant(1e-9, 2, 2)
+    params = PedpcParams(1e-9)
     big = QueueState(np.array([1e6]))
     tr = run_policy(sc.population, sc.config, PolicySpec("PEDPC"), sc.observe, seed=0,
                     pedpc=params, initial_queue=big)
     assert all(r.n_selected == 0 for r in tr.records)
 
 
-def _always_solve_oracle(queue, ctx, penalty_weight, iter_rounds, barrier_params):
+def _always_solve_oracle(queue, ctx, penalty_weight, iter_rounds):
     """The alternation loop that calls the barrier after every selection half-step.
 
     Kept as it was before the fixed-point skip, apart from calling the shared
@@ -318,7 +333,7 @@ def _always_solve_oracle(queue, ctx, penalty_weight, iter_rounds, barrier_params
                 penalty_weight=penalty_weight,
                 min_ratio=config.min_ratio,
             )
-            alloc = bw.barrier_solve(instance, barrier_params)
+            alloc = bw.barrier_solve(instance)
             b_new = np.zeros(k)
             b_new[idx] = alloc.ratios
             new_val = _p3_value(Decision(x, b_new), queue, ctx, penalty_weight)
@@ -351,10 +366,10 @@ def _barrier_inputs(solve, *args):
     """Run one round solve and list the inputs of every barrier call it makes."""
     real, log = bw.barrier_solve, []
 
-    def record(instance, params=None):
+    def record(instance):
         log.append(b"".join(a.tobytes() for a in (
             instance.comp_latency, instance.lat_coeff, instance.price_coeff)))
-        return real(instance, params)
+        return real(instance)
 
     bw.barrier_solve = record
     try:
@@ -366,8 +381,8 @@ def _barrier_inputs(solve, *args):
 
 def test_solve_round_matches_always_solve_oracle_exactly():
     for z, ctx, v, iter_rounds in _skip_sample():
-        got = scheduler._solve_round_ctx(z, ctx, v, iter_rounds, None)
-        want = _always_solve_oracle(z, ctx, v, iter_rounds, None)
+        got = scheduler._solve_round_ctx(z, ctx, v, iter_rounds)
+        want = _always_solve_oracle(z, ctx, v, iter_rounds)
         assert np.array_equal(got.decision.selected, want.decision.selected)
         assert np.array_equal(got.decision.bandwidth, want.decision.bandwidth)
         assert got.objective == want.objective
@@ -379,8 +394,8 @@ def test_solve_round_skips_only_repeated_barrier_calls():
     # so equal inputs on consecutive calls mean the same set was solved twice
     oracle_repeats = resolved_rounds = 0
     for args in _skip_sample():
-        calls = _barrier_inputs(scheduler._solve_round_ctx, *args, None)
-        oracle_calls = _barrier_inputs(_always_solve_oracle, *args, None)
+        calls = _barrier_inputs(scheduler._solve_round_ctx, *args)
+        oracle_calls = _barrier_inputs(_always_solve_oracle, *args)
         assert all(a != b for a, b in zip(calls, calls[1:]))
         deduped = [c for i, c in enumerate(oracle_calls) if i == 0 or c != oracle_calls[i - 1]]
         assert calls == deduped
