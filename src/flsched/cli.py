@@ -25,6 +25,10 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_VERIFY = 4
 
+# The fixed case `verify-bounds` checks: small enough for the exhaustive lookahead.
+VERIFY_CASE = harness.HarnessConfig(overrides={
+    "num_clients": 3, "num_rounds": 4, "frame_len": 2, "num_frames": 2, "min_ratio": 0.1})
+
 _INFEASIBLE_ERRORS = (Infeasible, InfeasibleBound, InfeasibleConfig,
                       InfeasibleLink, Unreachable, TooLarge)
 
@@ -136,10 +140,9 @@ def _cmd_calibrate(args) -> int:
 def _cmd_verify(args) -> int:
     grid = _parse_v_grid(args.v_grid)
     grid_step = _positive("--grid-step", args.grid_step)
-    tiny = harness.TinyCase(seed=args.seed)
     ok = True
     for v in grid:
-        report = harness.verify_bounds(tiny, v, grid_step)
+        report = harness.verify_bounds(VERIFY_CASE, args.seed, v, grid_step)
         status = "ok" if report.all_ok else "FAIL"
         print(f"V={v:g} lhs={report.lhs_cost:.6g} lookahead={report.lookahead_opt:.6g} "
               f"rhs={report.theorem2_rhs:.6g} cost_bound={report.theorem2_ok} "

@@ -17,10 +17,8 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from . import bandwidth as bw
-from . import lyapunov as lyap
 from . import model
-from .errors import ConfigError, TooLarge, Unreachable, VerificationError
-from .lyapunov import DriftBound
+from .errors import ConfigError, TooLarge, Unreachable
 from .scheduler import PedpcParams, PolicySpec, RoundContext, RunTrace, run_policy
 from .simenv import IID, NONIID, Scenario, ScenarioSpec
 
@@ -28,6 +26,7 @@ CSV_HEADER = ("round,policy,seed,n_selected,latency_s,phi,cost,queue_l2,"
               "cum_latency_s,cum_cost,energy_overflow_j")
 SWEEP_HEADER = "v,avg_selected,total_latency_s,avg_cost,energy_overflow_j,total_phi"
 COMPARE_HEADER = "policy,knob,avg_selected,total_latency_s,energy_overflow_j,total_phi"
+CALIBRATION_TOLERANCE = 2.0  # accepted distance of the average selected count from the target
 
 _SYSTEM_KEYS = {"num_clients", "num_rounds", "frame_len", "num_frames",
                 "bandwidth", "min_ratio", "noise_power", "accuracy_coeff"}
@@ -54,7 +53,7 @@ class HarnessConfig:
 
     mode: str = IID
     overrides: Mapping[str, Any] = field(default_factory=dict)
-    policy: PolicySpec = PolicySpec("PEDPC")
+    policy: PolicySpec = PolicySpec()
     pedpc: PedpcParams = PedpcParams()
     output_dir: Path = Path("out")
 
@@ -113,30 +112,27 @@ def parse_config(doc: Mapping[str, Any]) -> HarnessConfig:
     pedpc_raw = _check_section("pedpc", doc.get("pedpc", {}))
     output_raw = _check_section("output", doc.get("output", {}))
 
-    mode = scenario.get("mode", IID)
-    if mode not in (IID, NONIID):
-        raise ConfigError(f"scenario mode must be {IID!r} or {NONIID!r}")
+    # absent keys are left to the dataclasses' defaults
+    present: dict[str, Any] = {}
+    if "mode" in scenario:
+        if scenario["mode"] not in (IID, NONIID):
+            raise ConfigError(f"scenario mode must be {IID!r} or {NONIID!r}")
+        present["mode"] = scenario["mode"]
+    if "dir" in output_raw:
+        if not isinstance(output_raw["dir"], str):
+            raise ConfigError(f"output dir must be a string, got {output_raw['dir']!r}")
+        present["output_dir"] = Path(output_raw["dir"])
     overrides = {key: _override(key, value)
                  for key, value in {**system, **scenario}.items() if key != "mode"}
-    knobs = {key: _number(key, value) for key, value in policy_raw.items() if key != "kind"}
-    penalty = _number("penalty", pedpc_raw.get("penalty", 1.0))
-    growth = _number("penalty_growth", pedpc_raw.get("penalty_growth", 1.0))
-    iters = _integer("iter_rounds", pedpc_raw.get("iter_rounds", 3))
-    output_dir = output_raw.get("dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output dir must be a string, got {output_dir!r}")
+    knobs = {key: value if key == "kind" else _number(key, value)
+             for key, value in policy_raw.items()}
+    pedpc = {key: _integer(key, value) if key == "iter_rounds" else _number(key, value)
+             for key, value in pedpc_raw.items()}
     try:
-        policy = PolicySpec(kind=policy_raw.get("kind", "PEDPC"), **knobs)
-        pedpc = PedpcParams(penalty=penalty, penalty_growth=growth, iter_rounds=iters)
+        return HarnessConfig(overrides=overrides, policy=PolicySpec(**knobs),
+                             pedpc=PedpcParams(**pedpc), **present)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return HarnessConfig(
-        mode=mode,
-        overrides=overrides,
-        policy=policy,
-        pedpc=pedpc,
-        output_dir=Path(output_dir),
-    )
 
 
 def load_config(path: str | Path) -> HarnessConfig:
@@ -222,30 +218,18 @@ def write_summary_json(path: Path, summary: ExperimentSummary) -> None:
                     encoding="utf-8")
 
 
-def _prepare(cfg: HarnessConfig, seed: int) -> tuple[Scenario, DriftBound]:
-    """The scenario and its drift bound, built once and shared by every run on them."""
-    scenario = build_scenario(cfg, seed)
-    drift = lyap.drift_bound(scenario.population, scenario.config,
-                             scenario.worst_case_energy())
-    return scenario, drift
-
-
-def _run_trace(cfg: HarnessConfig, scenario: Scenario, drift: DriftBound,
-               policy: PolicySpec, penalty: float | None = None) -> RunTrace:
+def _summary(cfg: HarnessConfig, scenario: Scenario, policy: PolicySpec,
+             penalty: float | None = None) -> ExperimentSummary:
     pedpc = cfg.pedpc if penalty is None else replace(cfg.pedpc, penalty=penalty)
-    trace = run_policy(scenario.population, scenario.config, policy, scenario.observe,
-                       scenario.spec.seed, pedpc=pedpc, drift=drift)
-    if trace.drift_violations:
-        raise VerificationError("one-step drift inequality violated during the run")
-    if not trace.lemma_deficit_ok:
-        raise VerificationError("queue-implied deficit lower bound violated")
-    return trace
+    return summarize(run_policy(scenario, policy, pedpc), scenario.population.energy_budget)
 
 
-def _summary(cfg: HarnessConfig, scenario: Scenario, drift: DriftBound,
-             policy: PolicySpec, penalty: float | None = None) -> ExperimentSummary:
-    trace = _run_trace(cfg, scenario, drift, policy, penalty)
-    return summarize(trace, scenario.population.energy_budget)
+def _write_run(csv_path: Path, trace: RunTrace, scenario: Scenario) -> ExperimentSummary:
+    """Write a run's per-round CSV and its summary JSON next to it."""
+    summary = summarize(trace, scenario.population.energy_budget)
+    write_rounds_csv(csv_path, trace)
+    write_summary_json(csv_path.with_suffix(".summary.json"), summary)
+    return summary
 
 
 def run_experiment(config_path: str | Path, policy: PolicySpec | None = None,
@@ -254,14 +238,10 @@ def run_experiment(config_path: str | Path, policy: PolicySpec | None = None,
     """Run one policy over the configured scenario; write CSV + summary JSON."""
     cfg = load_config(config_path)
     policy = policy if policy is not None else cfg.policy
-    scenario, drift = _prepare(cfg, seed)
-    trace = _run_trace(cfg, scenario, drift, policy)
-    summary = summarize(trace, scenario.population.energy_budget)
+    scenario = build_scenario(cfg, seed)
     csv_path = Path(output_path) if output_path is not None else \
         cfg.output_dir / f"{policy.kind}_{seed}_{cfg.pedpc.penalty:g}.csv"
-    write_rounds_csv(csv_path, trace)
-    write_summary_json(csv_path.with_suffix(".summary.json"), summary)
-    return summary
+    return _write_run(csv_path, run_policy(scenario, policy, cfg.pedpc), scenario)
 
 
 def sweep_v(config_path: str | Path, v_grid: Sequence[float], seed: int = 0
@@ -272,15 +252,12 @@ def sweep_v(config_path: str | Path, v_grid: Sequence[float], seed: int = 0
     if not all(0 < v < math.inf for v in v_grid):
         raise ValueError("penalty weights must be finite and positive")
     cfg = load_config(config_path)
-    scenario, drift = _prepare(cfg, seed)
+    scenario = build_scenario(cfg, seed)
     summaries = []
     for v in v_grid:
-        trace = _run_trace(cfg, scenario, drift, PolicySpec("PEDPC"), penalty=float(v))
-        summary = summarize(trace, scenario.population.energy_budget)
-        csv_path = cfg.output_dir / f"PEDPC_{seed}_{float(v):g}.csv"
-        write_rounds_csv(csv_path, trace)
-        write_summary_json(csv_path.with_suffix(".summary.json"), summary)
-        summaries.append(summary)
+        trace = run_policy(scenario, PolicySpec("PEDPC"), replace(cfg.pedpc, penalty=float(v)))
+        summaries.append(_write_run(cfg.output_dir / f"PEDPC_{seed}_{float(v):g}.csv",
+                                    trace, scenario))
     lines = [SWEEP_HEADER]
     for v, s in zip(v_grid, summaries):
         lines.append(",".join([_fmt(v), _fmt(s.avg_selected), _fmt(s.total_latency),
@@ -296,20 +273,19 @@ def sweep_v(config_path: str | Path, v_grid: Sequence[float], seed: int = 0
 
 
 def calibrate(config_path: str | Path, policy_kind: str, target_avg_selected: float,
-              seed: int = 0, tolerance: float = 2.0) -> float:
+              seed: int = 0, tolerance: float = CALIBRATION_TOLERANCE) -> float:
     """Bisect the policy's scalar knob until the average selected count is close.
 
     Knobs: penalty weight for PEDPC, selection fraction for Random, latency
     cap for FedCS. Raises Unreachable when the bracket cannot meet the target.
     """
     cfg = load_config(config_path)
-    scenario, drift = _prepare(cfg, seed)
-    return _calibrate(cfg, scenario, drift, policy_kind, target_avg_selected, tolerance)[0]
+    scenario = build_scenario(cfg, seed)
+    return _calibrate(cfg, scenario, policy_kind, target_avg_selected, tolerance)[0]
 
 
-def _calibrate(cfg: HarnessConfig, scenario: Scenario, drift: DriftBound,
-               policy_kind: str, target: float, tolerance: float = 2.0
-               ) -> tuple[float, ExperimentSummary | None]:
+def _calibrate(cfg: HarnessConfig, scenario: Scenario, policy_kind: str, target: float,
+               tolerance: float) -> tuple[float, ExperimentSummary | None]:
     """The calibrated knob and the probe run's summary that met it (None for Random)."""
     if policy_kind == "Random":
         # exact by construction: floor(fraction * K) clients every round
@@ -322,13 +298,13 @@ def _calibrate(cfg: HarnessConfig, scenario: Scenario, drift: DriftBound,
         lo, hi = 1e-6, 1e4
 
         def probe(v: float) -> ExperimentSummary:
-            return _summary(cfg, scenario, drift, PolicySpec("PEDPC"), v)
+            return _summary(cfg, scenario, PolicySpec("PEDPC"), v)
     elif policy_kind == "FedCS":
         lo, hi = 1e-4, 1e3
 
         def probe(t_max: float) -> ExperimentSummary:
             policy = PolicySpec("FedCS", latency_cap=t_max)
-            return _summary(cfg, scenario, drift, policy)
+            return _summary(cfg, scenario, policy)
     else:
         raise ValueError(f"policy {policy_kind!r} has no calibration knob")
 
@@ -369,16 +345,16 @@ def compare_policies(config_path: str | Path, seed: int = 0,
     PEDPC and FedCS reuse their accepted calibration runs: no pair runs twice.
     """
     cfg = load_config(config_path)
-    scenario, drift = _prepare(cfg, seed)
-    v_star, pedpc_run = _calibrate(cfg, scenario, drift, "PEDPC", target_avg)
-    fraction, _ = _calibrate(cfg, scenario, drift, "Random", target_avg)
-    t_max, fedcs_run = _calibrate(cfg, scenario, drift, "FedCS", target_avg)
+    scenario = build_scenario(cfg, seed)
+    v_star, pedpc_run = _calibrate(cfg, scenario, "PEDPC", target_avg, CALIBRATION_TOLERANCE)
+    fraction, _ = _calibrate(cfg, scenario, "Random", target_avg, CALIBRATION_TOLERANCE)
+    t_max, fedcs_run = _calibrate(cfg, scenario, "FedCS", target_avg, CALIBRATION_TOLERANCE)
     runs: list[tuple[str, float | None, ExperimentSummary]] = [
         ("PEDPC", v_star, pedpc_run),
-        ("SelectAll", None, _summary(cfg, scenario, drift, PolicySpec("SelectAll"))),
-        ("Random", fraction, _summary(cfg, scenario, drift,
+        ("SelectAll", None, _summary(cfg, scenario, PolicySpec("SelectAll"))),
+        ("Random", fraction, _summary(cfg, scenario,
                                       PolicySpec("Random", random_fraction=fraction))),
-        ("Greedy", None, _summary(cfg, scenario, drift, PolicySpec("Greedy"))),
+        ("Greedy", None, _summary(cfg, scenario, PolicySpec("Greedy"))),
         ("FedCS", t_max, fedcs_run),
     ]
     rows = [ComparisonRow(kind, knob, s.avg_selected, s.total_latency, s.energy_overflow,
@@ -397,26 +373,6 @@ def compare_policies(config_path: str | Path, seed: int = 0,
 
 # ---------------------------------------------------------------------------
 # tiny-scale verification of the performance and energy bounds
-
-
-@dataclass(frozen=True)
-class TinyCase:
-    """Scenario small enough for the exhaustive frame lookahead."""
-
-    num_clients: int = 3
-    num_rounds: int = 4
-    frame_len: int = 2
-    num_frames: int = 2
-    seed: int = 0
-    mode: str = IID
-    min_ratio: float = 0.1
-    overrides: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.num_clients > 3 or self.num_rounds > 4:
-            raise TooLarge("lookahead verification limited to 3 clients / 4 rounds")
-        if self.frame_len * self.num_frames != self.num_rounds:
-            raise ValueError("frame_len * num_frames must equal num_rounds")
 
 
 @dataclass(frozen=True)
@@ -490,33 +446,34 @@ def _frame_lookahead(scenario: Scenario, frame_index: int, grid_step: float) -> 
     return best
 
 
-def verify_bounds(tiny: TinyCase, penalty_weight: float, grid_step: float) -> BoundsReport:
+def verify_bounds(cfg: HarnessConfig, seed: int, penalty_weight: float,
+                  grid_step: float) -> BoundsReport:
     """Check the horizon cost bound and the per-client energy bound at tiny scale.
 
-    Runs the online policy on a realization, computes the frame-wise offline
-    optimum on the same realization by exhaustive search, and evaluates both
-    inequalities with the drift constant from the environment's worst case.
-    Raises ConfigError for a grid step that leaves the grid of some client count
-    a single corner point, where the lookahead would have no bandwidth choice.
+    Runs the online policy at a constant penalty weight on the configured
+    realization, computes the frame-wise offline optimum on the same
+    realization by exhaustive search, and evaluates both inequalities with the
+    scenario's drift constant. The search bounds the case's size: the share
+    grid takes at most 3 clients and a frame at most 5e6 plans (TooLarge).
+    Raises ConfigError for a penalty that grows across frames, and for a grid
+    step that leaves the grid of some client count a single corner point,
+    where the lookahead would have no bandwidth choice.
     """
-    for m in range(2, tiny.num_clients + 1):
-        if m * tiny.min_ratio < 1 - bw.FEAS_TOL and \
-                len(bw.simplex_grid(m, tiny.min_ratio, grid_step)) == 1:
-            raise ConfigError(f"--grid-step {grid_step:g} leaves one grid point for {m} clients")
-    overrides = dict(tiny.overrides)
-    overrides.update(num_clients=tiny.num_clients, num_rounds=tiny.num_rounds,
-                     frame_len=tiny.frame_len, num_frames=tiny.num_frames,
-                     min_ratio=tiny.min_ratio)
-    cfg = HarnessConfig(mode=tiny.mode, overrides=overrides)
-    scenario, drift = _prepare(cfg, tiny.seed)
+    if cfg.pedpc.penalty_growth != 1:
+        raise ConfigError("the bounds hold for a constant penalty: penalty_growth must be 1")
+    scenario = build_scenario(cfg, seed)
     config, pop = scenario.config, scenario.population
-    trace = _run_trace(cfg, scenario, drift, PolicySpec("PEDPC"), penalty_weight)
+    for m in range(2, config.num_clients + 1):
+        if m * config.min_ratio < 1 - bw.FEAS_TOL and \
+                len(bw.simplex_grid(m, config.min_ratio, grid_step)) == 1:
+            raise ConfigError(f"--grid-step {grid_step:g} leaves one grid point for {m} clients")
+    trace = run_policy(scenario, PolicySpec("PEDPC"), replace(cfg.pedpc, penalty=penalty_weight))
     lhs = float(np.mean([rec.cost for rec in trace.records]))
     c_stars = [_frame_lookahead(scenario, f, grid_step) for f in range(config.num_frames)]
     lookahead = float(np.mean(c_stars))
-    rhs = lookahead + drift.constant * config.frame_len / penalty_weight
+    rhs = lookahead + scenario.drift.constant * config.frame_len / penalty_weight
     y0_min = -float(model.client_utility(pop, config).sum())
-    slack = (2.0 * drift.constant * config.num_rounds * config.frame_len
+    slack = (2.0 * scenario.drift.constant * config.num_rounds * config.frame_len
              + 2.0 * penalty_weight * config.frame_len
              * float(np.sum(np.asarray(c_stars) - y0_min)))
     energy_rhs = pop.energy_budget + math.sqrt(max(slack, 0.0))

@@ -9,26 +9,31 @@ The barrier solves a bandwidth instance that depends only on the selected set,
 so it runs only when the selection half-step has just moved that set: the
 repeat on an unchanged set would return the same shares against the same
 value and change nothing.
+
+`run_policy` checks every run, whatever its policy or caller, against the
+one-step drift inequality and the queue-implied deficit bound, and raises
+VerificationError on a violation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import bandwidth as bw
 from . import lyapunov as lyap
 from . import model
-from .errors import InfeasibleConfig
-from .lyapunov import DriftBound, QueueState
+from .errors import InfeasibleConfig, VerificationError
+from .lyapunov import QueueState
 from .model import Decision, Population, RoundObservation, SystemConfig
 from .selection import SelectionInstance, itmcs
+from .simenv import Scenario, policy_rng
 
 POLICY_KINDS = ("PEDPC", "SelectAll", "Random", "Greedy", "FedCS")
 DESCENT_SLACK = 1e-9  # minimal per-iteration improvement to keep alternating
+DRIFT_TOL = 1e-9  # rounding slack allowed in the one-step drift inequality
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,7 @@ class PedpcParams:
 class PolicySpec:
     """Which policy to run and its scalar knob, if any."""
 
-    kind: str
+    kind: str = "PEDPC"
     random_fraction: float | None = None  # Random only
     latency_cap: float | None = None  # FedCS only
 
@@ -114,8 +119,14 @@ class SolveResult:
     half_step_values: tuple[float, ...]
 
 
-def _solve_round_ctx(queue: QueueState, ctx: RoundContext, penalty_weight: float,
-                     iter_rounds: int) -> SolveResult:
+def solve_round(queue: QueueState, ctx: RoundContext, penalty_weight: float,
+                iter_rounds: int) -> SolveResult:
+    """Alternating selection/allocation solve of one round's objective.
+
+    Starts from the always-feasible empty decision; the returned half-step
+    value trace is non-increasing. An all-infeasible round yields the empty
+    decision (its objective is the budget credit term alone).
+    """
     pop, config = ctx.population, ctx.config
     k = len(pop)
     cap = config.max_selectable
@@ -163,18 +174,6 @@ def _solve_round_ctx(queue: QueueState, ctx: RoundContext, penalty_weight: float
         if start_value - value < DESCENT_SLACK:
             break
     return SolveResult(Decision(x, b), value, tuple(halves))
-
-
-def solve_round(queue: QueueState, observation: RoundObservation, population: Population,
-                config: SystemConfig, penalty_weight: float, iter_rounds: int = 3) -> SolveResult:
-    """Alternating selection/allocation solve of one round's objective.
-
-    Starts from the always-feasible empty decision; the returned half-step
-    value trace is non-increasing. An all-infeasible round yields the empty
-    decision (its objective is the budget credit term alone).
-    """
-    ctx = RoundContext(population, observation, config)
-    return _solve_round_ctx(queue, ctx, penalty_weight, iter_rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +297,7 @@ class RunTrace:
     backlog_trace: np.ndarray  # (R+1, K); row r is the backlog entering round r
     energies: np.ndarray  # (R, K) realized per-round energy of selected clients
     half_step_values: list[tuple[float, ...]]  # PEDPC objective traces, else empty
-    drift_violations: int
-    drift_min_slack: float
-    lemma_deficit_ok: bool
+    drift_min_slack: float  # smallest one-step drift slack over the run
 
     @property
     def per_client_totals(self) -> np.ndarray:
@@ -308,8 +305,6 @@ class RunTrace:
 
 
 def _decide(ctx: RoundContext, policy: PolicySpec, seed: int, round_index: int) -> Decision:
-    from .simenv import policy_rng  # local import to keep module deps one-way
-
     if policy.kind == "SelectAll":
         return baseline_select_all(ctx.config)
     if policy.kind == "Random":
@@ -321,19 +316,18 @@ def _decide(ctx: RoundContext, policy: PolicySpec, seed: int, round_index: int) 
     raise ValueError(f"unknown policy kind {policy.kind!r}")
 
 
-def run_policy(population: Population, config: SystemConfig, policy: PolicySpec,
-               observations: Callable[[int], RoundObservation], seed: int,
-               pedpc: PedpcParams = PedpcParams(),
-               initial_queue: QueueState | None = None,
-               drift: DriftBound | None = None) -> RunTrace:
-    """Run one policy across the whole horizon; deterministic in (inputs, seed).
+def run_policy(scenario: Scenario, policy: PolicySpec, pedpc: PedpcParams = PedpcParams(),
+               initial_queue: QueueState | None = None) -> RunTrace:
+    """Run one policy across the scenario's horizon; deterministic in its inputs.
 
     Backlogs advance for every policy (they are the metric of budget
-    compliance even where the policy ignores them). When a drift envelope is
-    supplied, the one-step drift inequality is checked each round and
-    violations are counted; the queue-implied deficit lower bound is checked
-    at the end of every run.
+    compliance even where the policy ignores them). Every round is checked
+    against the one-step drift inequality with the scenario's envelope, and
+    the end of the run against the queue-implied deficit lower bound; a
+    violation of either raises VerificationError.
     """
+    drift = scenario.drift
+    population, config, seed = scenario.population, scenario.config, scenario.spec.seed
     k, r_total = config.num_clients, config.num_rounds
     if policy.kind == "PEDPC":
         frame_weights = pedpc.frame_weights(config.num_frames)
@@ -348,13 +342,12 @@ def run_policy(population: Population, config: SystemConfig, policy: PolicySpec,
     cum_latency = 0.0
     cum_cost = 0.0
     cum_energy = np.zeros(k)
-    drift_violations = 0
     drift_min_slack = math.inf
     for r in range(r_total):
-        ctx = RoundContext(population, observations(r), config)
+        ctx = RoundContext(population, scenario.observe(r), config)
         if policy.kind == "PEDPC":
-            result = _solve_round_ctx(state, ctx, float(frame_weights[r // config.frame_len]),
-                                      pedpc.iter_rounds)
+            result = solve_round(state, ctx, float(frame_weights[r // config.frame_len]),
+                                 pedpc.iter_rounds)
             decision = result.decision
             halves.append(result.half_step_values)
         else:
@@ -363,12 +356,12 @@ def run_policy(population: Population, config: SystemConfig, policy: PolicySpec,
         energy_vec, t0, phi = ctx.outcome(decision)
         cost = t0 - phi
         new_state = lyap.update_queue(state, decision, energy_vec, population, config)
-        if drift is not None:
-            slack = lyap.drift_gap(state, new_state, decision, energy_vec,
-                                   population, config, drift)
-            drift_min_slack = min(drift_min_slack, slack)
-            if slack < -1e-9:
-                drift_violations += 1
+        slack = lyap.drift_gap(state, new_state, decision, energy_vec, population, config,
+                               drift)
+        if slack < -DRIFT_TOL:
+            raise VerificationError(
+                f"one-step drift inequality violated in round {r} (slack {slack:.3e})")
+        drift_min_slack = min(drift_min_slack, slack)
         cum_latency += t0
         cum_cost += cost
         cum_energy += energy_vec
@@ -390,6 +383,9 @@ def run_policy(population: Population, config: SystemConfig, policy: PolicySpec,
         state = new_state
     _, deficit_ok = lyap.stability_series(backlog_trace, consumed=cum_energy,
                                           budgets=population.energy_budget)
+    if not deficit_ok.all():
+        raise VerificationError("queue-implied deficit lower bound violated for clients "
+                                f"{np.flatnonzero(~deficit_ok).tolist()}")
     return RunTrace(
         policy=policy.kind,
         seed=seed,
@@ -397,8 +393,5 @@ def run_policy(population: Population, config: SystemConfig, policy: PolicySpec,
         backlog_trace=backlog_trace,
         energies=energies,
         half_step_values=halves,
-        drift_violations=drift_violations,
         drift_min_slack=drift_min_slack,
-        lemma_deficit_ok=bool(deficit_ok.all()),
     )
-

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping
 
 import numpy as np
 
+from . import lyapunov as lyap
 from . import model
 from .model import ClientProfile, Population, RoundObservation, SystemConfig
 
@@ -141,7 +143,7 @@ def policy_rng(seed: int, round_index: int) -> np.random.Generator:
 
 
 class Scenario:
-    """Bundled population, configuration, and observation stream for one seed."""
+    """Bundled population, configuration, observation stream and drift envelope for one seed."""
 
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
@@ -159,3 +161,13 @@ class Scenario:
         lo, _ = self.spec.param("gain_sq")
         g_min = model.rate_coefficients(self.population, lo, self.config)
         return model.client_round(self.population, g_min, self.config.min_ratio)[1]
+
+    @cached_property
+    def drift(self) -> lyap.DriftBound:
+        """The envelope every run on this scenario is checked against, built on first use.
+
+        Lazy, so that an unbounded worst case raises InfeasibleBound (an
+        infeasible instance) when a run starts, not inside a caller's handling
+        of malformed scenario parameters.
+        """
+        return lyap.drift_bound(self.population, self.config, self.worst_case_energy())

@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +12,10 @@ from flsched import bandwidth as bw
 from flsched import cli, harness
 from flsched import lyapunov as lyap
 from flsched.errors import ConfigError, TooLarge, Unreachable
-from flsched.harness import (TinyCase, calibrate, compare_policies, load_config,
+from flsched.harness import (HarnessConfig, calibrate, compare_policies, load_config,
                              parse_config, run_experiment, sweep_v, verify_bounds)
 from flsched.scheduler import POLICY_KINDS, PedpcParams, PolicySpec, run_policy
+from flsched.simenv import Scenario
 
 
 def small_config(tmp_path: Path, **policy) -> Path:
@@ -36,6 +36,7 @@ def test_parse_config_defaults():
     cfg = parse_config({})
     assert cfg.policy.kind == "PEDPC"
     assert cfg.pedpc == PedpcParams(penalty=1.0, penalty_growth=1.0, iter_rounds=3)
+    assert cfg == HarnessConfig()  # absent keys take the dataclasses' own defaults
 
 
 def test_parse_config_rejects_unknown_keys():
@@ -160,29 +161,38 @@ def test_cli_run_nan_bandwidth_is_config_error(tmp_path, capsys):
     assert "bandwidth" in capsys.readouterr().err
 
 
-def _with_trace_field(real, field, value):
-    def run(*args, **kwargs):
-        trace = real(*args, **kwargs)
-        setattr(trace, field, value)
-        return trace
-    return run
+def _deficit_check_fails(backlog_trace, consumed, budgets):
+    return None, np.zeros(len(budgets), dtype=bool)
 
 
-@pytest.mark.parametrize("field,value", [("drift_violations", 1),
-                                         ("lemma_deficit_ok", False)])
+_BROKEN_GUARANTEES = [("drift_gap", lambda *args: -1.0, "drift inequality violated in round 0"),
+                      ("stability_series", _deficit_check_fails, "deficit lower bound")]
+
+
+@pytest.mark.parametrize("target,fake,message", _BROKEN_GUARANTEES,
+                         ids=[target for target, _, _ in _BROKEN_GUARANTEES])
 def test_cli_run_verification_failure_exits_4(tmp_path, monkeypatch, capsys,
-                                               field, value):
-    monkeypatch.setattr(harness, "run_policy",
-                        _with_trace_field(harness.run_policy, field, value))
+                                               target, fake, message):
+    monkeypatch.setattr(lyap, target, fake)
     assert cli.main(["run", "--config", str(small_config(tmp_path))]) == cli.EXIT_VERIFY
-    assert "verification failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed:") and message in err
 
 
 def test_cli_verify_bounds_drift_violation_exits_4(monkeypatch, capsys):
-    monkeypatch.setattr(harness, "run_policy",
-                        _with_trace_field(harness.run_policy, "drift_violations", 1))
+    monkeypatch.setattr(lyap, "drift_gap", lambda *args: -1.0)
     assert cli.main(["verify-bounds", "--v-grid", "1"]) == cli.EXIT_VERIFY
     assert "drift inequality" in capsys.readouterr().err
+
+
+def test_cli_run_unbounded_worst_case_exits_3(tmp_path, capsys):
+    # a gain range reaching 1e-300 leaves a zero worst-case rate: no finite drift
+    # constant exists, which is an infeasible instance, not a malformed config
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps({"scenario": {"gain_sq": [1e-300, 1e-9]},
+                                "output": {"dir": str(tmp_path / "out")}}))
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_INFEASIBLE
+    assert "worst-case round energy is unbounded" in capsys.readouterr().err
 
 
 def test_cli_no_converge_exits_3(tmp_path, monkeypatch, capsys):
@@ -220,7 +230,7 @@ def test_cli_bad_numbers_exit_2(tmp_path, monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("step", ["2", "0.75"])
 def test_cli_verify_bounds_rejects_single_point_grid(monkeypatch, capsys, step):
-    # TinyCase: 3 clients at a 0.1 floor span 1 - 3 * 0.1 = 0.7 of free band
+    # cli.VERIFY_CASE: 3 clients at a 0.1 floor span 1 - 3 * 0.1 = 0.7 of free band
     monkeypatch.setattr(harness, "run_policy", _no_run)
     assert cli.main(["verify-bounds", "--v-grid", "1", "--grid-step", step]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
@@ -254,26 +264,20 @@ def test_cli_commands(tmp_path, capsys, argv, written):
         assert len(lines) == 1 + rows
 
 
-def _fresh_run_trace(cfg, scenario, drift, policy, penalty=None):
-    """A run on a Scenario and drift bound built for it alone, ignoring the shared ones."""
-    seed = scenario.spec.seed
-    scenario = harness.build_scenario(cfg, seed)
-    drift = lyap.drift_bound(scenario.population, scenario.config,
-                             scenario.worst_case_energy())
-    pedpc = cfg.pedpc if penalty is None else replace(cfg.pedpc, penalty=penalty)
-    return run_policy(scenario.population, scenario.config, policy, scenario.observe, seed,
-                      pedpc=pedpc, drift=drift)
+def _fresh_run_policy(scenario, policy, pedpc, initial_queue=None):
+    """A run on a Scenario built for it alone, ignoring the shared one."""
+    return run_policy(Scenario(scenario.spec), policy, pedpc, initial_queue)
 
 
 def test_compare_runs_each_policy_knob_once(tmp_path, monkeypatch):
     path = small_config(tmp_path)
     real, seen = harness.run_policy, []
 
-    def spy(population, config, policy, observations, seed, pedpc, **kwargs):
+    def spy(scenario, policy, pedpc):
         knob = {"PEDPC": pedpc.penalty, "Random": policy.random_fraction,
                 "FedCS": policy.latency_cap}.get(policy.kind)
         seen.append((policy.kind, knob))
-        return real(population, config, policy, observations, seed, pedpc, **kwargs)
+        return real(scenario, policy, pedpc)
 
     monkeypatch.setattr(harness, "run_policy", spy)
     rows = compare_policies(path, seed=1, target_avg=4)
@@ -281,14 +285,14 @@ def test_compare_runs_each_policy_knob_once(tmp_path, monkeypatch):
     assert {kind for kind, _ in seen} == set(POLICY_KINDS)
     # the table is what a fresh run of each row's (policy, knob) writes
     cfg = load_config(path)
-    scenario, drift = harness._prepare(cfg, 1)
+    scenario = harness.build_scenario(cfg, 1)
     lines = [harness.COMPARE_HEADER]
     for row in rows:
         policy = PolicySpec(row.policy,
                             random_fraction=row.knob if row.policy == "Random" else None,
                             latency_cap=row.knob if row.policy == "FedCS" else None)
         penalty = row.knob if row.policy == "PEDPC" else None
-        s = harness._summary(cfg, scenario, drift, policy, penalty)
+        s = harness._summary(cfg, scenario, policy, penalty)
         knob = "" if row.knob is None else harness._fmt(row.knob)
         lines.append(",".join([row.policy, knob] + [harness._fmt(x) for x in (
             s.avg_selected, s.total_latency, s.energy_overflow, s.total_phi)]))
@@ -304,7 +308,7 @@ def test_shared_scenario_matches_fresh_scenarios(tmp_path, monkeypatch):
                 compare_policies(path, seed=1, target_avg=4))
 
     shared = results()
-    monkeypatch.setattr(harness, "_run_trace", _fresh_run_trace)
+    monkeypatch.setattr(harness, "run_policy", _fresh_run_policy)
     assert results() == shared
 
 
@@ -395,26 +399,38 @@ def test_calibrate_fedcs_saturation(tmp_path):
     assert abs(summary.avg_selected - 8) <= 2
 
 
-def test_tiny_case_guard():
+def _tiny(**overrides) -> HarnessConfig:
+    """cli.VERIFY_CASE with some of its overrides replaced."""
+    return HarnessConfig(overrides={**cli.VERIFY_CASE.overrides, **overrides})
+
+
+def test_tiny_case_guard(monkeypatch):
+    # the size limit is the lookahead's, the frame check SystemConfig's; both
+    # stop verify_bounds before the online run starts
+    monkeypatch.setattr(harness, "run_policy", _no_run)
     with pytest.raises(TooLarge):
-        TinyCase(num_clients=4)
-    with pytest.raises(ValueError):
-        TinyCase(frame_len=3)
+        verify_bounds(_tiny(num_clients=4), 0, 1.0, 0.05)
+    with pytest.raises(ConfigError, match="frame_len"):
+        verify_bounds(_tiny(frame_len=3), 0, 1.0, 0.05)
+    growing = HarnessConfig(overrides=cli.VERIFY_CASE.overrides,
+                            pedpc=PedpcParams(penalty_growth=2.0))
+    with pytest.raises(ConfigError, match="penalty_growth"):
+        verify_bounds(growing, 0, 1.0, 0.05)
 
 
 def test_verify_bounds_trivial_client():
     # a client that is never worth selecting: both sides of the cost bound
     # are trivially satisfied (lhs = 0 <= rhs)
-    tiny = TinyCase(num_clients=1, num_rounds=2, frame_len=1, num_frames=2, seed=0,
-                    overrides={"accuracy_coeff": 1e-12})
-    report = verify_bounds(tiny, 1.0, 0.05)
+    tiny = _tiny(num_clients=1, num_rounds=2, frame_len=1, num_frames=2,
+                 accuracy_coeff=1e-12)
+    report = verify_bounds(tiny, 0, 1.0, 0.05)
     assert report.lhs_cost == 0.0
     assert report.theorem2_ok
     assert report.energy_bound_ok.all()
 
 
 def test_verify_bounds_small():
-    report = verify_bounds(TinyCase(seed=2), 1.0, 0.05)
+    report = verify_bounds(cli.VERIFY_CASE, 2, 1.0, 0.05)
     assert report.theorem2_ok
     assert report.energy_bound_ok.all()
     assert report.lhs_cost <= report.theorem2_rhs + 1e-9

@@ -4,8 +4,8 @@ import pytest
 from flsched import bandwidth as bw
 from flsched import lyapunov as lyap
 from flsched import model, scheduler
-from flsched.errors import InfeasibleConfig
-from flsched.lyapunov import QueueState, drift_bound
+from flsched.errors import InfeasibleConfig, VerificationError
+from flsched.lyapunov import QueueState
 from flsched.model import (Decision, Population, RoundObservation, SystemConfig,
                            rate_coefficients, selected_totals)
 from flsched.scheduler import (DESCENT_SLACK, PedpcParams, PolicySpec, RoundContext,
@@ -59,7 +59,8 @@ def test_p3_objective_single_client_reference(twin_population, example_config):
 def test_solve_round_empty_when_everyone_expensive(example_config, twin_population):
     # huge backlogs make every price dwarf the utility weight
     z = QueueState(np.array([1e9, 1e9]))
-    res = solve_round(z, uniform_gain(2), twin_population, example_config, 1.0)
+    ctx = RoundContext(twin_population, uniform_gain(2), example_config)
+    res = solve_round(z, ctx, 1.0, 3)
     assert not res.decision.selected.any()
     assert res.objective == pytest.approx(-(2e9) * 1.5 / 300)
 
@@ -69,7 +70,8 @@ def test_solve_round_symmetric_pair(twin_population):
     cfg = SystemConfig(num_clients=2, num_rounds=300, frame_len=30, num_frames=10,
                        bandwidth=1e7, min_ratio=0.01, noise_power=1e-13,
                        accuracy_coeff=5e-6)
-    res = solve_round(QueueState.zero(2), uniform_gain(2), twin_population, cfg, 100.0)
+    ctx = RoundContext(twin_population, uniform_gain(2), cfg)
+    res = solve_round(QueueState.zero(2), ctx, 100.0, 3)
     assert res.decision.selected.all()
     assert np.allclose(res.decision.bandwidth, 0.5, atol=1e-6)
 
@@ -79,8 +81,8 @@ def test_solve_round_halves_monotone_random():
         sc = small_scenario(seed=seed)
         rng = np.random.default_rng(seed)
         z = QueueState(rng.uniform(0, 0.05, 6))
-        res = solve_round(z, sc.observe(0), sc.population, sc.config,
-                          10 ** rng.uniform(-2, 1), iter_rounds=3)
+        ctx = RoundContext(sc.population, sc.observe(0), sc.config)
+        res = solve_round(z, ctx, 10 ** rng.uniform(-2, 1), 3)
         seq = np.array(res.half_step_values)
         assert np.all(np.diff(seq) <= 1e-12)
         assert res.objective <= seq[0] + 1e-12  # never worse than doing nothing
@@ -89,7 +91,8 @@ def test_solve_round_halves_monotone_random():
 
 def test_solve_round_respects_selection_cap():
     sc = small_scenario(min_ratio=0.3)  # at most 3 clients fit
-    res = solve_round(QueueState.zero(6), sc.observe(0), sc.population, sc.config, 50.0)
+    ctx = RoundContext(sc.population, sc.observe(0), sc.config)
+    res = solve_round(QueueState.zero(6), ctx, 50.0, 3)
     assert res.decision.n_selected <= 3
     res.decision.validate(sc.config)
 
@@ -232,13 +235,10 @@ def test_baseline_fedcs_huge_cap_selects_max():
 
 def test_run_policy_trace_shape_and_invariants():
     sc = small_scenario(rounds=20)
-    drift = drift_bound(sc.population, sc.config, sc.worst_case_energy())
-    tr = run_policy(sc.population, sc.config, PolicySpec("PEDPC"), sc.observe, seed=0,
-                    pedpc=PedpcParams(1.0), drift=drift)
+    tr = run_policy(sc, PolicySpec("PEDPC"), pedpc=PedpcParams(1.0))
     assert len(tr.records) == 20
     assert tr.backlog_trace.shape == (21, 6)
-    assert tr.drift_violations == 0
-    assert tr.lemma_deficit_ok
+    assert tr.drift_min_slack >= -1e-9
     for seq in tr.half_step_values:
         assert np.all(np.diff(np.array(seq)) <= 1e-12)
     # cumulative columns really are prefix sums
@@ -248,10 +248,10 @@ def test_run_policy_trace_shape_and_invariants():
 
 
 def test_run_policy_deterministic():
-    sc = small_scenario(rounds=10)
+    sc = small_scenario(seed=5, rounds=10)
     spec = PolicySpec("Random", random_fraction=0.5)
-    a = run_policy(sc.population, sc.config, spec, sc.observe, seed=5)
-    b = run_policy(sc.population, sc.config, spec, sc.observe, seed=5)
+    a = run_policy(sc, spec)
+    b = run_policy(Scenario(sc.spec), spec)
     sel_a = [r.n_selected for r in a.records]
     assert sel_a == [r.n_selected for r in b.records]
     assert np.array_equal(a.energies, b.energies)
@@ -259,15 +259,14 @@ def test_run_policy_deterministic():
 
 def test_run_policy_penalty_schedule_applies(monkeypatch):
     sc = small_scenario(rounds=20)
-    real, weights = scheduler._solve_round_ctx, []
+    real, weights = scheduler.solve_round, []
 
     def spy(queue, ctx, penalty_weight, iter_rounds):
         weights.append(penalty_weight)
         return real(queue, ctx, penalty_weight, iter_rounds)
 
-    monkeypatch.setattr(scheduler, "_solve_round_ctx", spy)
-    tr = run_policy(sc.population, sc.config, PolicySpec("PEDPC"), sc.observe, seed=0,
-                    pedpc=PedpcParams(0.01, 10.0))
+    monkeypatch.setattr(scheduler, "solve_round", spy)
+    tr = run_policy(sc, PolicySpec("PEDPC"), pedpc=PedpcParams(0.01, 10.0))
     assert len(tr.records) == 20  # runs through both frames
     per_frame = 0.01 * 10.0 ** np.arange(sc.config.num_frames)
     assert weights == [per_frame[r // sc.config.frame_len] for r in range(20)]
@@ -278,8 +277,7 @@ def test_run_policy_penalty_schedule_applies(monkeypatch):
 def test_run_policy_rejects_penalty_schedule_out_of_float_range(growth):
     sc = small_scenario(rounds=20, frame_len=2, num_frames=10)  # growth**9 leaves floats
     with pytest.raises(InfeasibleConfig):
-        run_policy(sc.population, sc.config, PolicySpec("PEDPC"), sc.observe, seed=0,
-                   pedpc=PedpcParams(1.0, growth))
+        run_policy(sc, PolicySpec("PEDPC"), pedpc=PedpcParams(1.0, growth))
 
 
 def test_pedpc_never_selects_when_unprofitable():
@@ -289,9 +287,47 @@ def test_pedpc_never_selects_when_unprofitable():
         "min_ratio": 0.05}))
     params = PedpcParams(1e-9)
     big = QueueState(np.array([1e6]))
-    tr = run_policy(sc.population, sc.config, PolicySpec("PEDPC"), sc.observe, seed=0,
-                    pedpc=params, initial_queue=big)
+    tr = run_policy(sc, PolicySpec("PEDPC"), pedpc=params, initial_queue=big)
     assert all(r.n_selected == 0 for r in tr.records)
+
+
+def _drift_gap_replaced_in_round(round_index, slack):
+    """lyapunov.drift_gap replaced in one round by a fixed slack."""
+    real, calls = lyap.drift_gap, []
+
+    def gap(*args):
+        calls.append(None)
+        return slack if len(calls) == round_index + 1 else real(*args)
+    return gap
+
+
+@pytest.mark.parametrize("policy", [PolicySpec("PEDPC"), PolicySpec("SelectAll")],
+                         ids=lambda p: p.kind)
+def test_run_policy_raises_on_drift_violation(monkeypatch, policy):
+    sc = small_scenario(rounds=6)
+    monkeypatch.setattr(lyap, "drift_gap", _drift_gap_replaced_in_round(3, -2e-9))
+    with pytest.raises(VerificationError, match="in round 3 "):
+        run_policy(sc, policy)
+
+
+def test_run_policy_allows_drift_rounding_slack(monkeypatch):
+    sc = small_scenario(rounds=6)
+    monkeypatch.setattr(lyap, "drift_gap", _drift_gap_replaced_in_round(3, -0.5e-9))
+    assert run_policy(sc, PolicySpec("PEDPC")).drift_min_slack == -0.5e-9
+
+
+def test_run_policy_raises_on_deficit_violation(monkeypatch):
+    sc = small_scenario(rounds=6)
+    real = lyap.stability_series
+
+    def one_client_fails(backlog_trace, consumed, budgets):
+        ratios, check = real(backlog_trace, consumed=consumed, budgets=budgets)
+        check[4] = False
+        return ratios, check
+
+    monkeypatch.setattr(lyap, "stability_series", one_client_fails)
+    with pytest.raises(VerificationError, match=r"deficit lower bound violated .*\[4\]"):
+        run_policy(sc, PolicySpec("PEDPC"))
 
 
 def _always_solve_oracle(queue, ctx, penalty_weight, iter_rounds):
@@ -381,7 +417,7 @@ def _barrier_inputs(solve, *args):
 
 def test_solve_round_matches_always_solve_oracle_exactly():
     for z, ctx, v, iter_rounds in _skip_sample():
-        got = scheduler._solve_round_ctx(z, ctx, v, iter_rounds)
+        got = scheduler.solve_round(z, ctx, v, iter_rounds)
         want = _always_solve_oracle(z, ctx, v, iter_rounds)
         assert np.array_equal(got.decision.selected, want.decision.selected)
         assert np.array_equal(got.decision.bandwidth, want.decision.bandwidth)
@@ -394,7 +430,7 @@ def test_solve_round_skips_only_repeated_barrier_calls():
     # so equal inputs on consecutive calls mean the same set was solved twice
     oracle_repeats = resolved_rounds = 0
     for args in _skip_sample():
-        calls = _barrier_inputs(scheduler._solve_round_ctx, *args)
+        calls = _barrier_inputs(scheduler.solve_round, *args)
         oracle_calls = _barrier_inputs(_always_solve_oracle, *args)
         assert all(a != b for a, b in zip(calls, calls[1:]))
         deduped = [c for i, c in enumerate(oracle_calls) if i == 0 or c != oracle_calls[i - 1]]

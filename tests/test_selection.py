@@ -35,9 +35,10 @@ def test_marginal_score(twin_population, example_config, monkeypatch):
 
     def scores(penalty_weight):
         seen.clear()
-        scheduler.solve_round(QueueState(np.array([0.01 / energy_at_half, 0.0])),
-                              RoundObservation(np.full(2, 1e-10)), twin_population,
-                              example_config, penalty_weight, iter_rounds=1)
+        ctx = scheduler.RoundContext(twin_population, RoundObservation(np.full(2, 1e-10)),
+                                     example_config)
+        scheduler.solve_round(QueueState(np.array([0.01 / energy_at_half, 0.0])), ctx,
+                              penalty_weight, 1)
         return seen[0]
 
     q = scores(1.0)
