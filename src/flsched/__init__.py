@@ -5,8 +5,7 @@ from .bandwidth import (Allocation, AllocationInstance, barrier_solve, grid_orac
 from .lyapunov import DriftBound, QueueState, drift_bound, lyapunov_value, update_queue
 from .model import (ClientProfile, Decision, Population, RoundObservation,
                     SystemConfig)
-from .scheduler import (PedpcParams, PolicySpec, RoundContext, RoundRecord, RunTrace,
-                        run_policy, solve_round)
+from .scheduler import PolicySpec, RoundContext, RoundRecord, RunTrace, run_policy, solve_round
 from .selection import SelectionInstance, brute_force_selection, itmcs
 from .simenv import Scenario, ScenarioSpec, generate_population, sample_round
 
@@ -15,8 +14,7 @@ __all__ = [
     "grid_oracle", "lse_error_bound", "smoothed_objective",
     "DriftBound", "QueueState", "drift_bound", "lyapunov_value", "update_queue",
     "ClientProfile", "Decision", "Population", "RoundObservation", "SystemConfig",
-    "PedpcParams", "PolicySpec", "RoundContext", "RoundRecord", "RunTrace", "run_policy",
-    "solve_round",
+    "PolicySpec", "RoundContext", "RoundRecord", "RunTrace", "run_policy", "solve_round",
     "SelectionInstance", "brute_force_selection", "itmcs",
     "Scenario", "ScenarioSpec", "generate_population", "sample_round",
 ]

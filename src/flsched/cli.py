@@ -3,14 +3,15 @@
 Subcommands: run, sweep-v, compare, calibrate, verify-bounds.
 Exit codes: 0 success, 2 config error (including a bad number on the command
 line: a --v-grid entry or --grid-step that is not finite and positive, a
---grid-step that leaves a one-point share grid, or a non-finite --target-avg),
-3 infeasible/unreachable or a bandwidth solve that did not converge, 4
-verification failure.
+--grid-step that leaves a one-point share grid, a non-finite --target-avg or
+a negative --seed), 3 infeasible/unreachable or a bandwidth solve that did not
+converge, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -18,7 +19,7 @@ import sys
 from . import harness
 from .errors import (ConfigError, Infeasible, InfeasibleBound, InfeasibleConfig,
                      InfeasibleLink, NoConverge, TooLarge, Unreachable, VerificationError)
-from .scheduler import POLICY_KINDS, PolicySpec
+from .scheduler import POLICY_KINDS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -96,8 +97,7 @@ def _cmd_run(args) -> int:
     if args.policy:
         cfg = harness.load_config(args.config)
         try:
-            policy = PolicySpec(args.policy, cfg.policy.random_fraction,
-                                cfg.policy.latency_cap)
+            policy = dataclasses.replace(cfg.policy, kind=args.policy)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     summary = harness.run_experiment(args.config, policy=policy, seed=args.seed,

@@ -1,7 +1,8 @@
 """Experiment harness: config files, policy runs, sweeps, calibration, bounds.
 
-A single JSON document configures the system, scenario, policy, PEDPC
-parameters and output location. Unknown keys anywhere are a hard ConfigError.
+A single JSON document configures the system, scenario, policy (PEDPC's
+penalty weight V included) and output location. Unknown keys and sections
+anywhere are a hard ConfigError.
 All outputs (per-round CSV, summary JSON, sweep and comparison tables) are
 byte-identical across reruns with the same config and seed.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import bandwidth as bw
 from . import model
 from .errors import ConfigError, TooLarge, Unreachable
-from .scheduler import PedpcParams, PolicySpec, RoundContext, RunTrace, run_policy
+from .scheduler import PolicySpec, RoundContext, RunTrace, run_policy
 from .simenv import IID, NONIID, Scenario, ScenarioSpec
 
 CSV_HEADER = ("round,policy,seed,n_selected,latency_s,phi,cost,queue_l2,"
@@ -33,8 +34,7 @@ _SYSTEM_KEYS = {"num_clients", "num_rounds", "frame_len", "num_frames",
 _SCENARIO_KEYS = {"mode", "cpu_freq", "cycles_per_bit", "tx_power", "capacitance",
                   "local_iters", "model_size", "energy_budget", "data_size",
                   "data_size_choices", "gain_sq"}
-_POLICY_KEYS = {"kind", "random_fraction", "latency_cap"}
-_PEDPC_KEYS = {"penalty", "penalty_growth", "iter_rounds"}
+_POLICY_KEYS = {"kind", "penalty", "random_fraction", "latency_cap"}
 _OUTPUT_KEYS = {"dir"}
 _INTEGER_KEYS = {"num_clients", "num_rounds", "frame_len", "num_frames", "local_iters"}
 _RANGE_KEYS = {"cpu_freq", "cycles_per_bit", "tx_power", "gain_sq"}  # [low, high]
@@ -42,7 +42,6 @@ _SECTION_KEYS = {
     "system": _SYSTEM_KEYS,
     "scenario": _SCENARIO_KEYS,
     "policy": _POLICY_KEYS,
-    "pedpc": _PEDPC_KEYS,
     "output": _OUTPUT_KEYS,
 }
 
@@ -54,7 +53,6 @@ class HarnessConfig:
     mode: str = IID
     overrides: Mapping[str, Any] = field(default_factory=dict)
     policy: PolicySpec = PolicySpec()
-    pedpc: PedpcParams = PedpcParams()
     output_dir: Path = Path("out")
 
 
@@ -109,7 +107,6 @@ def parse_config(doc: Mapping[str, Any]) -> HarnessConfig:
     system = _check_section("system", doc.get("system", {}))
     scenario = _check_section("scenario", doc.get("scenario", {}))
     policy_raw = _check_section("policy", doc.get("policy", {}))
-    pedpc_raw = _check_section("pedpc", doc.get("pedpc", {}))
     output_raw = _check_section("output", doc.get("output", {}))
 
     # absent keys are left to the dataclasses' defaults
@@ -126,11 +123,8 @@ def parse_config(doc: Mapping[str, Any]) -> HarnessConfig:
                  for key, value in {**system, **scenario}.items() if key != "mode"}
     knobs = {key: value if key == "kind" else _number(key, value)
              for key, value in policy_raw.items()}
-    pedpc = {key: _integer(key, value) if key == "iter_rounds" else _number(key, value)
-             for key, value in pedpc_raw.items()}
     try:
-        return HarnessConfig(overrides=overrides, policy=PolicySpec(**knobs),
-                             pedpc=PedpcParams(**pedpc), **present)
+        return HarnessConfig(overrides=overrides, policy=PolicySpec(**knobs), **present)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -218,10 +212,8 @@ def write_summary_json(path: Path, summary: ExperimentSummary) -> None:
                     encoding="utf-8")
 
 
-def _summary(cfg: HarnessConfig, scenario: Scenario, policy: PolicySpec,
-             penalty: float | None = None) -> ExperimentSummary:
-    pedpc = cfg.pedpc if penalty is None else replace(cfg.pedpc, penalty=penalty)
-    return summarize(run_policy(scenario, policy, pedpc), scenario.population.energy_budget)
+def _summary(scenario: Scenario, policy: PolicySpec) -> ExperimentSummary:
+    return summarize(run_policy(scenario, policy), scenario.population.energy_budget)
 
 
 def _write_run(csv_path: Path, trace: RunTrace, scenario: Scenario) -> ExperimentSummary:
@@ -240,24 +232,31 @@ def run_experiment(config_path: str | Path, policy: PolicySpec | None = None,
     policy = policy if policy is not None else cfg.policy
     scenario = build_scenario(cfg, seed)
     csv_path = Path(output_path) if output_path is not None else \
-        cfg.output_dir / f"{policy.kind}_{seed}_{cfg.pedpc.penalty:g}.csv"
-    return _write_run(csv_path, run_policy(scenario, policy, cfg.pedpc), scenario)
+        cfg.output_dir / f"{policy.kind}_{seed}_{policy.penalty:g}.csv"
+    return _write_run(csv_path, run_policy(scenario, policy), scenario)
 
 
 def sweep_v(config_path: str | Path, v_grid: Sequence[float], seed: int = 0
             ) -> list[ExperimentSummary]:
-    """One drift-plus-penalty run per penalty weight over an identical scenario."""
+    """One drift-plus-penalty run per penalty weight over an identical scenario.
+
+    Every weight is checked before the first run: a ValueError if one is not
+    finite and positive, a ConfigError if two would write the same run file.
+    """
     if not len(v_grid):
         raise ValueError("empty penalty grid")
-    if not all(0 < v < math.inf for v in v_grid):
-        raise ValueError("penalty weights must be finite and positive")
+    policies = [PolicySpec("PEDPC", penalty=float(v)) for v in v_grid]
+    names: dict[str, float] = {}
+    for v, policy in zip(v_grid, policies):
+        name = f"{policy.penalty:g}"
+        if name in names:
+            raise ConfigError(f"penalty weights {names[name]!r} and {v!r} both write "
+                              f"the run file for V={name}")
+        names[name] = v
     cfg = load_config(config_path)
     scenario = build_scenario(cfg, seed)
-    summaries = []
-    for v in v_grid:
-        trace = run_policy(scenario, PolicySpec("PEDPC"), replace(cfg.pedpc, penalty=float(v)))
-        summaries.append(_write_run(cfg.output_dir / f"PEDPC_{seed}_{float(v):g}.csv",
-                                    trace, scenario))
+    summaries = [_write_run(cfg.output_dir / f"PEDPC_{seed}_{policy.penalty:g}.csv",
+                            run_policy(scenario, policy), scenario) for policy in policies]
     lines = [SWEEP_HEADER]
     for v, s in zip(v_grid, summaries):
         lines.append(",".join([_fmt(v), _fmt(s.avg_selected), _fmt(s.total_latency),
@@ -279,12 +278,15 @@ def calibrate(config_path: str | Path, policy_kind: str, target_avg_selected: fl
     Knobs: penalty weight for PEDPC, selection fraction for Random, latency
     cap for FedCS. Raises Unreachable when the bracket cannot meet the target.
     """
-    cfg = load_config(config_path)
-    scenario = build_scenario(cfg, seed)
-    return _calibrate(cfg, scenario, policy_kind, target_avg_selected, tolerance)[0]
+    scenario = build_scenario(load_config(config_path), seed)
+    return _calibrate(scenario, policy_kind, target_avg_selected, tolerance)[0]
 
 
-def _calibrate(cfg: HarnessConfig, scenario: Scenario, policy_kind: str, target: float,
+# The bisected knob of each calibrated policy: its PolicySpec field and bracket.
+_CALIBRATION_KNOBS = {"PEDPC": ("penalty", 1e-6, 1e4), "FedCS": ("latency_cap", 1e-4, 1e3)}
+
+
+def _calibrate(scenario: Scenario, policy_kind: str, target: float,
                tolerance: float) -> tuple[float, ExperimentSummary | None]:
     """The calibrated knob and the probe run's summary that met it (None for Random)."""
     if policy_kind == "Random":
@@ -293,20 +295,12 @@ def _calibrate(cfg: HarnessConfig, scenario: Scenario, policy_kind: str, target:
         if not (1 <= target <= k):
             raise Unreachable("target outside [1, K]")
         return float(target) / k, None
-
-    if policy_kind == "PEDPC":
-        lo, hi = 1e-6, 1e4
-
-        def probe(v: float) -> ExperimentSummary:
-            return _summary(cfg, scenario, PolicySpec("PEDPC"), v)
-    elif policy_kind == "FedCS":
-        lo, hi = 1e-4, 1e3
-
-        def probe(t_max: float) -> ExperimentSummary:
-            policy = PolicySpec("FedCS", latency_cap=t_max)
-            return _summary(cfg, scenario, policy)
-    else:
+    if policy_kind not in _CALIBRATION_KNOBS:
         raise ValueError(f"policy {policy_kind!r} has no calibration knob")
+    knob, lo, hi = _CALIBRATION_KNOBS[policy_kind]
+
+    def probe(value: float) -> ExperimentSummary:
+        return _summary(scenario, PolicySpec(policy_kind, **{knob: value}))
 
     s_lo = probe(lo)
     if abs(s_lo.avg_selected - target) <= tolerance:
@@ -346,15 +340,14 @@ def compare_policies(config_path: str | Path, seed: int = 0,
     """
     cfg = load_config(config_path)
     scenario = build_scenario(cfg, seed)
-    v_star, pedpc_run = _calibrate(cfg, scenario, "PEDPC", target_avg, CALIBRATION_TOLERANCE)
-    fraction, _ = _calibrate(cfg, scenario, "Random", target_avg, CALIBRATION_TOLERANCE)
-    t_max, fedcs_run = _calibrate(cfg, scenario, "FedCS", target_avg, CALIBRATION_TOLERANCE)
+    v_star, pedpc_run = _calibrate(scenario, "PEDPC", target_avg, CALIBRATION_TOLERANCE)
+    fraction, _ = _calibrate(scenario, "Random", target_avg, CALIBRATION_TOLERANCE)
+    t_max, fedcs_run = _calibrate(scenario, "FedCS", target_avg, CALIBRATION_TOLERANCE)
     runs: list[tuple[str, float | None, ExperimentSummary]] = [
         ("PEDPC", v_star, pedpc_run),
-        ("SelectAll", None, _summary(cfg, scenario, PolicySpec("SelectAll"))),
-        ("Random", fraction, _summary(cfg, scenario,
-                                      PolicySpec("Random", random_fraction=fraction))),
-        ("Greedy", None, _summary(cfg, scenario, PolicySpec("Greedy"))),
+        ("SelectAll", None, _summary(scenario, PolicySpec("SelectAll"))),
+        ("Random", fraction, _summary(scenario, PolicySpec("Random", random_fraction=fraction))),
+        ("Greedy", None, _summary(scenario, PolicySpec("Greedy"))),
         ("FedCS", t_max, fedcs_run),
     ]
     rows = [ComparisonRow(kind, knob, s.avg_selected, s.total_latency, s.energy_overflow,
@@ -455,19 +448,17 @@ def verify_bounds(cfg: HarnessConfig, seed: int, penalty_weight: float,
     realization by exhaustive search, and evaluates both inequalities with the
     scenario's drift constant. The search bounds the case's size: the share
     grid takes at most 3 clients and a frame at most 5e6 plans (TooLarge).
-    Raises ConfigError for a penalty that grows across frames, and for a grid
-    step that leaves the grid of some client count a single corner point,
-    where the lookahead would have no bandwidth choice.
+    Raises ConfigError for a grid step that leaves the grid of some client
+    count a single corner point, where the lookahead would have no bandwidth
+    choice.
     """
-    if cfg.pedpc.penalty_growth != 1:
-        raise ConfigError("the bounds hold for a constant penalty: penalty_growth must be 1")
     scenario = build_scenario(cfg, seed)
     config, pop = scenario.config, scenario.population
     for m in range(2, config.num_clients + 1):
         if m * config.min_ratio < 1 - bw.FEAS_TOL and \
                 len(bw.simplex_grid(m, config.min_ratio, grid_step)) == 1:
             raise ConfigError(f"--grid-step {grid_step:g} leaves one grid point for {m} clients")
-    trace = run_policy(scenario, PolicySpec("PEDPC"), replace(cfg.pedpc, penalty=penalty_weight))
+    trace = run_policy(scenario, PolicySpec("PEDPC", penalty=penalty_weight))
     lhs = float(np.mean([rec.cost for rec in trace.records]))
     c_stars = [_frame_lookahead(scenario, f, grid_step) for f in range(config.num_frames)]
     lookahead = float(np.mean(c_stars))

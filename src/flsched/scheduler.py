@@ -1,7 +1,9 @@
 """Round-by-round scheduling: the drift-plus-penalty policy and baselines.
 
 The PEDPC policy prices each client by its energy-deficit backlog, then
-alternates exact client selection with barrier bandwidth allocation. Each
+alternates exact client selection with barrier bandwidth allocation, at most
+ITER_ROUNDS times per round. Its penalty weight V, the price of the round cost
+against the drift, is the policy's `penalty`, one constant for the run. Each
 half-step is accepted only if it does not increase the true per-round
 objective, so the objective trace is non-increasing by construction even
 though the bandwidth subproblem is solved through a smoothed surrogate.
@@ -34,45 +36,23 @@ from .simenv import Scenario, policy_rng
 POLICY_KINDS = ("PEDPC", "SelectAll", "Random", "Greedy", "FedCS")
 DESCENT_SLACK = 1e-9  # minimal per-iteration improvement to keep alternating
 DRIFT_TOL = 1e-9  # rounding slack allowed in the one-step drift inequality
-
-
-@dataclass(frozen=True)
-class PedpcParams:
-    """PEDPC's run parameters: the penalty weight V, its per-frame growth, the alternation depth.
-
-    Frame f runs at V * penalty_growth**f; the frames themselves belong to SystemConfig.
-    """
-
-    penalty: float = 1.0
-    penalty_growth: float = 1.0
-    iter_rounds: int = 3
-
-    def __post_init__(self):
-        if not (self.penalty > 0 and self.penalty_growth > 0):
-            raise ValueError("pedpc penalty and penalty_growth must be positive")
-        if self.iter_rounds < 1:
-            raise ValueError("pedpc iter_rounds must be at least 1")
-
-    def frame_weights(self, num_frames: int) -> np.ndarray:
-        """One penalty weight per frame; InfeasibleConfig if one under- or overflows."""
-        with np.errstate(over="ignore", under="ignore"):
-            weights = self.penalty * self.penalty_growth ** np.arange(num_frames)
-        if not np.all(np.isfinite(weights) & (weights > 0)):
-            raise InfeasibleConfig("penalty * penalty_growth**frame leaves (0, inf)")
-        return weights
+ITER_ROUNDS = 3  # selection/bandwidth alternations per PEDPC round, at most
 
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Which policy to run and its scalar knob, if any."""
+    """Which policy to run and its knobs: PEDPC's penalty weight V, Random's and FedCS's."""
 
     kind: str = "PEDPC"
     random_fraction: float | None = None  # Random only
     latency_cap: float | None = None  # FedCS only
+    penalty: float = 1.0  # PEDPC only: V, the weight of the round cost against the drift
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        if not 0 < self.penalty < math.inf:
+            raise ValueError(f"penalty must be finite and positive, got {self.penalty!r}")
         if self.kind == "Random":
             if self.random_fraction is None or not (0 < self.random_fraction <= 1):
                 raise ValueError("Random requires random_fraction in (0, 1]")
@@ -119,13 +99,13 @@ class SolveResult:
     half_step_values: tuple[float, ...]
 
 
-def solve_round(queue: QueueState, ctx: RoundContext, penalty_weight: float,
-                iter_rounds: int) -> SolveResult:
+def solve_round(queue: QueueState, ctx: RoundContext, penalty_weight: float) -> SolveResult:
     """Alternating selection/allocation solve of one round's objective.
 
-    Starts from the always-feasible empty decision; the returned half-step
-    value trace is non-increasing. An all-infeasible round yields the empty
-    decision (its objective is the budget credit term alone).
+    Starts from the always-feasible empty decision and alternates at most
+    ITER_ROUNDS times (read at each call); the returned half-step value trace
+    is non-increasing. An all-infeasible round yields the empty decision (its
+    objective is the budget credit term alone).
     """
     pop, config = ctx.population, ctx.config
     k = len(pop)
@@ -135,7 +115,7 @@ def solve_round(queue: QueueState, ctx: RoundContext, penalty_weight: float,
     b = np.zeros(k)
     value = _p3_value(Decision(x, b), queue, ctx, penalty_weight)
     halves = [value]
-    for _ in range(iter_rounds):
+    for _ in range(ITER_ROUNDS):
         start_value = value
         # selection half-step: rescore everyone, keep the change only if it helps
         shares = np.where(x, b, hyp_share)
@@ -316,7 +296,7 @@ def _decide(ctx: RoundContext, policy: PolicySpec, seed: int, round_index: int) 
     raise ValueError(f"unknown policy kind {policy.kind!r}")
 
 
-def run_policy(scenario: Scenario, policy: PolicySpec, pedpc: PedpcParams = PedpcParams(),
+def run_policy(scenario: Scenario, policy: PolicySpec,
                initial_queue: QueueState | None = None) -> RunTrace:
     """Run one policy across the scenario's horizon; deterministic in its inputs.
 
@@ -329,8 +309,6 @@ def run_policy(scenario: Scenario, policy: PolicySpec, pedpc: PedpcParams = Pedp
     drift = scenario.drift
     population, config, seed = scenario.population, scenario.config, scenario.spec.seed
     k, r_total = config.num_clients, config.num_rounds
-    if policy.kind == "PEDPC":
-        frame_weights = pedpc.frame_weights(config.num_frames)
     state = initial_queue if initial_queue is not None else QueueState.zero(k)
     if state.backlog.size != k:
         raise ValueError("initial queue has the wrong number of clients")
@@ -346,8 +324,7 @@ def run_policy(scenario: Scenario, policy: PolicySpec, pedpc: PedpcParams = Pedp
     for r in range(r_total):
         ctx = RoundContext(population, scenario.observe(r), config)
         if policy.kind == "PEDPC":
-            result = solve_round(state, ctx, float(frame_weights[r // config.frame_len]),
-                                 pedpc.iter_rounds)
+            result = solve_round(state, ctx, policy.penalty)
             decision = result.decision
             halves.append(result.half_step_values)
         else:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 from typing import Any, Mapping
 
 import numpy as np
@@ -65,6 +66,8 @@ class ScenarioSpec:
     overrides: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.mode not in (IID, NONIID):
             raise ValueError(f"unknown mode {self.mode!r}")
         unknown = set(self.overrides) - set(DEFAULTS)

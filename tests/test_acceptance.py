@@ -47,8 +47,7 @@ def table1_config(tmp_path_factory):
         "system": {"num_clients": 100, "num_rounds": 300, "frame_len": 30,
                    "num_frames": 10, "min_ratio": 0.01},
         "scenario": {"mode": "IID"},
-        "policy": {"kind": "PEDPC"},
-        "pedpc": {"penalty": 1.0, "iter_rounds": 3},
+        "policy": {"kind": "PEDPC", "penalty": 1.0},
         "output": {"dir": str(base / "out")},
     }
     path = base / "table1.json"
@@ -60,9 +59,8 @@ def table1_config(tmp_path_factory):
 def full_run():
     """One full-scale drift-plus-penalty run, shared by several criteria."""
     scenario = Scenario(ScenarioSpec(seed=SEED, mode="IID"))
-    params = sched.PedpcParams(1.0)
     start = time.perf_counter()
-    trace = sched.run_policy(scenario, sched.PolicySpec("PEDPC"), pedpc=params)
+    trace = sched.run_policy(scenario, sched.PolicySpec("PEDPC", penalty=1.0))
     elapsed = time.perf_counter() - start
     return trace, elapsed
 
@@ -255,8 +253,7 @@ def test_criterion_10_byte_identical_cli(table1_config, tmp_path):
 def test_criterion_11_long_horizon_stability():
     scenario = Scenario(ScenarioSpec(seed=SEED, mode="IID", overrides={
         "num_rounds": 3000, "frame_len": 300, "num_frames": 10}))
-    params = sched.PedpcParams(1.0)
-    trace = sched.run_policy(scenario, sched.PolicySpec("PEDPC"), pedpc=params)
+    trace = sched.run_policy(scenario, sched.PolicySpec("PEDPC", penalty=1.0))
     ratios, _ = lyap.stability_series(trace.backlog_trace)
     early = float(ratios[299].max())   # max_k Z_k(300)/300
     late = float(ratios[2999].max())   # max_k Z_k(3000)/3000

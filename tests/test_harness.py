@@ -14,7 +14,7 @@ from flsched import lyapunov as lyap
 from flsched.errors import ConfigError, TooLarge, Unreachable
 from flsched.harness import (HarnessConfig, calibrate, compare_policies, load_config,
                              parse_config, run_experiment, sweep_v, verify_bounds)
-from flsched.scheduler import POLICY_KINDS, PedpcParams, PolicySpec, run_policy
+from flsched.scheduler import POLICY_KINDS, PolicySpec, run_policy
 from flsched.simenv import Scenario
 
 
@@ -23,8 +23,7 @@ def small_config(tmp_path: Path, **policy) -> Path:
         "system": {"num_clients": 8, "num_rounds": 12, "frame_len": 4,
                    "num_frames": 3, "min_ratio": 0.05},
         "scenario": {"mode": "IID"},
-        "policy": policy or {"kind": "PEDPC"},
-        "pedpc": {"penalty": 0.5, "iter_rounds": 2},
+        "policy": {"penalty": 0.5, **(policy or {"kind": "PEDPC"})},
         "output": {"dir": str(tmp_path / "out")},
     }
     path = tmp_path / "config.json"
@@ -34,8 +33,7 @@ def small_config(tmp_path: Path, **policy) -> Path:
 
 def test_parse_config_defaults():
     cfg = parse_config({})
-    assert cfg.policy.kind == "PEDPC"
-    assert cfg.pedpc == PedpcParams(penalty=1.0, penalty_growth=1.0, iter_rounds=3)
+    assert cfg.policy == PolicySpec(kind="PEDPC", penalty=1.0)
     assert cfg == HarnessConfig()  # absent keys take the dataclasses' own defaults
 
 
@@ -60,13 +58,14 @@ def test_parse_config_rejects_bad_barrier(barrier):
 
 @pytest.mark.parametrize("pedpc", [
     {"penalty": "x"}, {"penalty": None}, {"penalty": float("nan")},
-    {"penalty": float("inf")}, {"penalty": -1.0}, {"penalty_growth": float("nan")},
-    {"penalty_growth": [1.0]}, {"iter_rounds": "x"}, {"iter_rounds": float("nan")},
-    {"iter_rounds": float("inf")}, {"iter_rounds": 0}, {"penalty_growth": 0.0},
+    {"penalty": float("inf")}, {"penalty": -1.0}, {"penalty": float("-inf")},
+    {"penalty": 0}, {"penalty": 0.0}, {"penalty": "1"}, {"penalty": True},
+    {"penalty": [1]}, {"penalty": False},
 ])
 def test_parse_config_rejects_bad_pedpc(pedpc):
-    with pytest.raises(ConfigError):
-        parse_config({"pedpc": pedpc})
+    # PEDPC's penalty weight V is a knob of the policy section
+    with pytest.raises(ConfigError, match="penalty"):
+        parse_config({"policy": pedpc})
 
 
 _BAD_NUMBERS = [float("nan"), float("inf"), float("-inf"), "x"]
@@ -98,8 +97,8 @@ def test_parse_config_rejects_bad_override(section, key, value):
 
 @pytest.mark.parametrize("doc", [
     {"scenario": {"local_iters": "5"}}, {"scenario": {"local_iters": True}},
-    {"pedpc": {"iter_rounds": "3"}}, {"pedpc": {"iter_rounds": True}},
-    {"pedpc": {"iter_rounds": 2.5}}, {"pedpc": {"iter_rounds": None}},
+    {"scenario": {"local_iters": None}}, {"scenario": {"local_iters": False}},
+    {"scenario": {"local_iters": 0.5}}, {"scenario": {"local_iters": [5]}},
     *({"system": {key: bad}} for key in ("num_clients", "num_rounds", "frame_len",
                                          "num_frames")
       for bad in (8.5, True, False, "8", None)),
@@ -115,7 +114,7 @@ def test_parse_config_rejects_non_integral_integers(doc):
     {"policy": {"kind": "Random", "random_fraction": float("nan")}},
     {"policy": {"kind": "FedCS", "latency_cap": float("inf")}},
     {"policy": {"kind": "FedCS", "latency_cap": True}},
-    {"pedpc": {"penalty_growth": "2"}}, {"pedpc": {"penalty": "1.0"}},
+    {"policy": {"penalty_growth": 2}}, {"policy": {"penalty": "1.0"}},
     {"output": {"dir": 1}}, {"output": {"dir": None}},
 ])
 def test_parse_config_rejects_bad_policy_solver_and_output(doc):
@@ -143,10 +142,8 @@ def test_parse_config_accepts_integral_floats():
         "system": {"num_clients": 8.0, "num_rounds": 12.0, "frame_len": 4.0,
                    "num_frames": 3.0, "min_ratio": 0.05},
         "scenario": {"local_iters": 5.0},
-        "pedpc": {"iter_rounds": 3.0},
     })
     assert cfg.overrides["local_iters"] == 5 and type(cfg.overrides["local_iters"]) is int
-    assert cfg.pedpc.iter_rounds == 3 and type(cfg.pedpc.iter_rounds) is int
     config = harness.build_scenario(cfg, seed=0).config
     assert (config.num_clients, config.num_rounds, config.frame_len,
             config.num_frames) == (8, 12, 4, 3)
@@ -228,6 +225,46 @@ def test_cli_bad_numbers_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep-v", "calibrate", "compare",
+                                     "verify-bounds"])
+def test_cli_negative_seed_exits_2(tmp_path, monkeypatch, capsys, command):
+    extra = {"sweep-v": ["--v-grid", "1"], "calibrate": ["--policy", "FedCS", "--target-avg", "4"]}
+    argv = [command, "--seed", "-1", *extra.get(command, [])]
+    if command != "verify-bounds":
+        argv += ["--config", str(small_config(tmp_path))]
+    monkeypatch.setattr(harness, "run_policy", _no_run)
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed" in err and "-1" in err
+
+
+def test_cli_pedpc_section_exits_2(tmp_path, capsys):
+    # PEDPC's penalty is a knob of the policy section; there is no pedpc section
+    path = small_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["pedpc"] = {"penalty": 0.5}
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert "pedpc" in capsys.readouterr().err
+
+
+def test_cli_run_policy_changes_only_the_kind(tmp_path, monkeypatch):
+    path = small_config(tmp_path, kind="Greedy", latency_cap=20)
+    real, seen = harness.run_policy, []
+
+    def spy(scenario, policy):
+        seen.append(policy)
+        return real(scenario, policy)
+
+    monkeypatch.setattr(harness, "run_policy", spy)
+    for kind in ("PEDPC", "FedCS"):
+        assert cli.main(["run", "--config", str(path), "--seed", "1",
+                         "--policy", kind]) == cli.EXIT_OK
+    assert seen == [PolicySpec("PEDPC", latency_cap=20, penalty=0.5),
+                    PolicySpec("FedCS", latency_cap=20, penalty=0.5)]
+    assert (tmp_path / "out" / "PEDPC_1_0.5.csv").exists()
+
+
 @pytest.mark.parametrize("step", ["2", "0.75"])
 def test_cli_verify_bounds_rejects_single_point_grid(monkeypatch, capsys, step):
     # cli.VERIFY_CASE: 3 clients at a 0.1 floor span 1 - 3 * 0.1 = 0.7 of free band
@@ -264,35 +301,30 @@ def test_cli_commands(tmp_path, capsys, argv, written):
         assert len(lines) == 1 + rows
 
 
-def _fresh_run_policy(scenario, policy, pedpc, initial_queue=None):
+def _fresh_run_policy(scenario, policy, initial_queue=None):
     """A run on a Scenario built for it alone, ignoring the shared one."""
-    return run_policy(Scenario(scenario.spec), policy, pedpc, initial_queue)
+    return run_policy(Scenario(scenario.spec), policy, initial_queue)
 
 
 def test_compare_runs_each_policy_knob_once(tmp_path, monkeypatch):
     path = small_config(tmp_path)
     real, seen = harness.run_policy, []
 
-    def spy(scenario, policy, pedpc):
-        knob = {"PEDPC": pedpc.penalty, "Random": policy.random_fraction,
-                "FedCS": policy.latency_cap}.get(policy.kind)
-        seen.append((policy.kind, knob))
-        return real(scenario, policy, pedpc)
+    def spy(scenario, policy):
+        seen.append(policy)
+        return real(scenario, policy)
 
     monkeypatch.setattr(harness, "run_policy", spy)
     rows = compare_policies(path, seed=1, target_avg=4)
     assert len(seen) == len(set(seen))
-    assert {kind for kind, _ in seen} == set(POLICY_KINDS)
+    assert {policy.kind for policy in seen} == set(POLICY_KINDS)
     # the table is what a fresh run of each row's (policy, knob) writes
-    cfg = load_config(path)
-    scenario = harness.build_scenario(cfg, 1)
+    scenario = harness.build_scenario(load_config(path), 1)
+    knobs = {"PEDPC": "penalty", "Random": "random_fraction", "FedCS": "latency_cap"}
     lines = [harness.COMPARE_HEADER]
     for row in rows:
-        policy = PolicySpec(row.policy,
-                            random_fraction=row.knob if row.policy == "Random" else None,
-                            latency_cap=row.knob if row.policy == "FedCS" else None)
-        penalty = row.knob if row.policy == "PEDPC" else None
-        s = harness._summary(cfg, scenario, policy, penalty)
+        field = {knobs[row.policy]: row.knob} if row.policy in knobs else {}
+        s = harness._summary(scenario, PolicySpec(row.policy, **field))
         knob = "" if row.knob is None else harness._fmt(row.knob)
         lines.append(",".join([row.policy, knob] + [harness._fmt(x) for x in (
             s.avg_selected, s.total_latency, s.energy_overflow, s.total_phi)]))
@@ -381,6 +413,18 @@ def test_sweep_v_outputs(tmp_path):
             sweep_v(path, bad, seed=1)
 
 
+def test_sweep_v_rejects_colliding_file_names(tmp_path, monkeypatch, capsys):
+    # both weights print as V=1, so the second run would overwrite the first's files
+    path = small_config(tmp_path)
+    monkeypatch.setattr(harness, "run_policy", _no_run)
+    with pytest.raises(ConfigError, match=r"1\.0000001 and 1\.0000002"):
+        sweep_v(path, [1.0000001, 1.0000002], seed=1)
+    assert cli.main(["sweep-v", "--config", str(path), "--v-grid",
+                     "1.0000001,1.0000002"]) == cli.EXIT_CONFIG
+    assert "1.0000001" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_calibrate_random_exact(tmp_path):
     path = small_config(tmp_path)
     assert calibrate(path, "Random", 4, seed=0) == pytest.approx(0.5)
@@ -412,10 +456,6 @@ def test_tiny_case_guard(monkeypatch):
         verify_bounds(_tiny(num_clients=4), 0, 1.0, 0.05)
     with pytest.raises(ConfigError, match="frame_len"):
         verify_bounds(_tiny(frame_len=3), 0, 1.0, 0.05)
-    growing = HarnessConfig(overrides=cli.VERIFY_CASE.overrides,
-                            pedpc=PedpcParams(penalty_growth=2.0))
-    with pytest.raises(ConfigError, match="penalty_growth"):
-        verify_bounds(growing, 0, 1.0, 0.05)
 
 
 def test_verify_bounds_trivial_client():

@@ -8,7 +8,7 @@ from flsched.errors import InfeasibleConfig, VerificationError
 from flsched.lyapunov import QueueState
 from flsched.model import (Decision, Population, RoundObservation, SystemConfig,
                            rate_coefficients, selected_totals)
-from flsched.scheduler import (DESCENT_SLACK, PedpcParams, PolicySpec, RoundContext,
+from flsched.scheduler import (DESCENT_SLACK, PolicySpec, RoundContext,
                                SolveResult, _p3_value, baseline_fedcs, baseline_greedy,
                                baseline_random, baseline_select_all, run_policy,
                                solve_round)
@@ -60,7 +60,7 @@ def test_solve_round_empty_when_everyone_expensive(example_config, twin_populati
     # huge backlogs make every price dwarf the utility weight
     z = QueueState(np.array([1e9, 1e9]))
     ctx = RoundContext(twin_population, uniform_gain(2), example_config)
-    res = solve_round(z, ctx, 1.0, 3)
+    res = solve_round(z, ctx, 1.0)
     assert not res.decision.selected.any()
     assert res.objective == pytest.approx(-(2e9) * 1.5 / 300)
 
@@ -71,7 +71,7 @@ def test_solve_round_symmetric_pair(twin_population):
                        bandwidth=1e7, min_ratio=0.01, noise_power=1e-13,
                        accuracy_coeff=5e-6)
     ctx = RoundContext(twin_population, uniform_gain(2), cfg)
-    res = solve_round(QueueState.zero(2), ctx, 100.0, 3)
+    res = solve_round(QueueState.zero(2), ctx, 100.0)
     assert res.decision.selected.all()
     assert np.allclose(res.decision.bandwidth, 0.5, atol=1e-6)
 
@@ -82,7 +82,7 @@ def test_solve_round_halves_monotone_random():
         rng = np.random.default_rng(seed)
         z = QueueState(rng.uniform(0, 0.05, 6))
         ctx = RoundContext(sc.population, sc.observe(0), sc.config)
-        res = solve_round(z, ctx, 10 ** rng.uniform(-2, 1), 3)
+        res = solve_round(z, ctx, 10 ** rng.uniform(-2, 1))
         seq = np.array(res.half_step_values)
         assert np.all(np.diff(seq) <= 1e-12)
         assert res.objective <= seq[0] + 1e-12  # never worse than doing nothing
@@ -92,7 +92,7 @@ def test_solve_round_halves_monotone_random():
 def test_solve_round_respects_selection_cap():
     sc = small_scenario(min_ratio=0.3)  # at most 3 clients fit
     ctx = RoundContext(sc.population, sc.observe(0), sc.config)
-    res = solve_round(QueueState.zero(6), ctx, 50.0, 3)
+    res = solve_round(QueueState.zero(6), ctx, 50.0)
     assert res.decision.n_selected <= 3
     res.decision.validate(sc.config)
 
@@ -235,7 +235,7 @@ def test_baseline_fedcs_huge_cap_selects_max():
 
 def test_run_policy_trace_shape_and_invariants():
     sc = small_scenario(rounds=20)
-    tr = run_policy(sc, PolicySpec("PEDPC"), pedpc=PedpcParams(1.0))
+    tr = run_policy(sc, PolicySpec("PEDPC", penalty=1.0))
     assert len(tr.records) == 20
     assert tr.backlog_trace.shape == (21, 6)
     assert tr.drift_min_slack >= -1e-9
@@ -257,27 +257,18 @@ def test_run_policy_deterministic():
     assert np.array_equal(a.energies, b.energies)
 
 
-def test_run_policy_penalty_schedule_applies(monkeypatch):
+def test_run_policy_solves_every_round_at_the_policy_penalty(monkeypatch):
     sc = small_scenario(rounds=20)
     real, weights = scheduler.solve_round, []
 
-    def spy(queue, ctx, penalty_weight, iter_rounds):
+    def spy(queue, ctx, penalty_weight):
         weights.append(penalty_weight)
-        return real(queue, ctx, penalty_weight, iter_rounds)
+        return real(queue, ctx, penalty_weight)
 
     monkeypatch.setattr(scheduler, "solve_round", spy)
-    tr = run_policy(sc, PolicySpec("PEDPC"), pedpc=PedpcParams(0.01, 10.0))
+    tr = run_policy(sc, PolicySpec("PEDPC", penalty=0.01))
     assert len(tr.records) == 20  # runs through both frames
-    per_frame = 0.01 * 10.0 ** np.arange(sc.config.num_frames)
-    assert weights == [per_frame[r // sc.config.frame_len] for r in range(20)]
-    assert len(set(weights)) == sc.config.num_frames == 2
-
-
-@pytest.mark.parametrize("growth", [1e-40, 1e40])
-def test_run_policy_rejects_penalty_schedule_out_of_float_range(growth):
-    sc = small_scenario(rounds=20, frame_len=2, num_frames=10)  # growth**9 leaves floats
-    with pytest.raises(InfeasibleConfig):
-        run_policy(sc, PolicySpec("PEDPC"), pedpc=PedpcParams(1.0, growth))
+    assert weights == [0.01] * 20
 
 
 def test_pedpc_never_selects_when_unprofitable():
@@ -285,9 +276,8 @@ def test_pedpc_never_selects_when_unprofitable():
     sc = Scenario(ScenarioSpec(seed=0, mode="IID", overrides={
         "num_clients": 1, "num_rounds": 4, "frame_len": 2, "num_frames": 2,
         "min_ratio": 0.05}))
-    params = PedpcParams(1e-9)
     big = QueueState(np.array([1e6]))
-    tr = run_policy(sc, PolicySpec("PEDPC"), pedpc=params, initial_queue=big)
+    tr = run_policy(sc, PolicySpec("PEDPC", penalty=1e-9), initial_queue=big)
     assert all(r.n_selected == 0 for r in tr.records)
 
 
@@ -415,9 +405,10 @@ def _barrier_inputs(solve, *args):
     return log
 
 
-def test_solve_round_matches_always_solve_oracle_exactly():
+def test_solve_round_matches_always_solve_oracle_exactly(monkeypatch):
     for z, ctx, v, iter_rounds in _skip_sample():
-        got = scheduler.solve_round(z, ctx, v, iter_rounds)
+        monkeypatch.setattr(scheduler, "ITER_ROUNDS", iter_rounds)
+        got = scheduler.solve_round(z, ctx, v)
         want = _always_solve_oracle(z, ctx, v, iter_rounds)
         assert np.array_equal(got.decision.selected, want.decision.selected)
         assert np.array_equal(got.decision.bandwidth, want.decision.bandwidth)
@@ -425,13 +416,14 @@ def test_solve_round_matches_always_solve_oracle_exactly():
         assert got.half_step_values == want.half_step_values
 
 
-def test_solve_round_skips_only_repeated_barrier_calls():
+def test_solve_round_skips_only_repeated_barrier_calls(monkeypatch):
     # within a round the barrier's instance is a function of the selected set,
     # so equal inputs on consecutive calls mean the same set was solved twice
     oracle_repeats = resolved_rounds = 0
-    for args in _skip_sample():
-        calls = _barrier_inputs(scheduler.solve_round, *args)
-        oracle_calls = _barrier_inputs(_always_solve_oracle, *args)
+    for z, ctx, v, iter_rounds in _skip_sample():
+        monkeypatch.setattr(scheduler, "ITER_ROUNDS", iter_rounds)
+        calls = _barrier_inputs(scheduler.solve_round, z, ctx, v)
+        oracle_calls = _barrier_inputs(_always_solve_oracle, z, ctx, v, iter_rounds)
         assert all(a != b for a, b in zip(calls, calls[1:]))
         deduped = [c for i, c in enumerate(oracle_calls) if i == 0 or c != oracle_calls[i - 1]]
         assert calls == deduped

@@ -32,13 +32,14 @@ def test_marginal_score(twin_population, example_config, monkeypatch):
         return itmcs(instance)
 
     monkeypatch.setattr(scheduler, "itmcs", spy)
+    monkeypatch.setattr(scheduler, "ITER_ROUNDS", 1)
 
     def scores(penalty_weight):
         seen.clear()
         ctx = scheduler.RoundContext(twin_population, RoundObservation(np.full(2, 1e-10)),
                                      example_config)
         scheduler.solve_round(QueueState(np.array([0.01 / energy_at_half, 0.0])), ctx,
-                              penalty_weight, 1)
+                              penalty_weight)
         return seen[0]
 
     q = scores(1.0)
