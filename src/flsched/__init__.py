@@ -2,7 +2,7 @@
 
 from .bandwidth import (Allocation, AllocationInstance, barrier_solve, grid_oracle,
                         lse_error_bound, smoothed_objective)
-from .lyapunov import DriftBound, QueueState, drift_bound, lyapunov_value, update_queue
+from .lyapunov import QueueState, drift_bound, lyapunov_value, update_queue
 from .model import (ClientProfile, Decision, Population, RoundObservation,
                     SystemConfig)
 from .scheduler import PolicySpec, RoundContext, RoundRecord, RunTrace, run_policy, solve_round
@@ -12,7 +12,7 @@ from .simenv import Scenario, ScenarioSpec, generate_population, sample_round
 __all__ = [
     "Allocation", "AllocationInstance", "barrier_solve",
     "grid_oracle", "lse_error_bound", "smoothed_objective",
-    "DriftBound", "QueueState", "drift_bound", "lyapunov_value", "update_queue",
+    "QueueState", "drift_bound", "lyapunov_value", "update_queue",
     "ClientProfile", "Decision", "Population", "RoundObservation", "SystemConfig",
     "PolicySpec", "RoundContext", "RoundRecord", "RunTrace", "run_policy", "solve_round",
     "SelectionInstance", "brute_force_selection", "itmcs",

@@ -24,8 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import Infeasible, NoConverge, TooLarge
-
-FEAS_TOL = 1e-12
+from .model import FEAS_TOL, max_clients
 
 # barrier method tuning: constants, not run parameters; read at call time
 T0 = 1.0  # initial barrier weight t
@@ -67,7 +66,7 @@ class AllocationInstance:
             raise ValueError("penalty_weight must be positive")
         if not (0 < self.min_ratio <= 1):
             raise ValueError("min_ratio must lie in (0, 1]")
-        if self.size * self.min_ratio > 1 + FEAS_TOL:
+        if self.size > max_clients(self.min_ratio):
             raise Infeasible("floor times client count exceeds the whole band")
 
     @property
@@ -218,14 +217,12 @@ def barrier_solve(instance: AllocationInstance) -> Allocation:
 
     Newton steps solve the KKT system of the barrier subproblem in O(m) with
     the simplex equality kept exactly; backtracking keeps iterates strictly above
-    the floor. Deterministic for fixed inputs. Raises Infeasible when the
-    floor cannot be met and NoConverge when a centering exhausts its
-    MAX_NEWTON steps or meets a singular system.
+    the floor. Deterministic for fixed inputs. The instance itself has
+    checked that the floor can be met; raises NoConverge when a centering
+    exhausts its MAX_NEWTON steps or meets a singular system.
     """
     m = instance.size
     b_min = instance.min_ratio
-    if m * b_min > 1 + FEAS_TOL:
-        raise Infeasible("floor times client count exceeds the whole band")
     if abs(m * b_min - 1.0) <= FEAS_TOL:
         return _fixed_allocation(np.full(m, b_min), instance)
     if m == 1:
@@ -290,7 +287,7 @@ def simplex_grid(m: int, b_min: float, step: float) -> np.ndarray:
         raise ValueError("m must be >= 1")
     if m > 3:
         raise TooLarge("simplex grid limited to 3 clients")
-    if m * b_min > 1 + FEAS_TOL:
+    if m > max_clients(b_min):
         raise Infeasible("floor times client count exceeds the whole band")
     if m == 1:
         return np.array([[1.0]])

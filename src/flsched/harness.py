@@ -133,8 +133,10 @@ def load_config(path: str | Path) -> HarnessConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
     return parse_config(doc)
 
 
@@ -184,7 +186,7 @@ def summarize(trace: RunTrace, budgets: np.ndarray) -> ExperimentSummary:
         avg_selected=float(np.mean([rec.n_selected for rec in trace.records])),
         total_latency=float(np.sum([rec.latency for rec in trace.records])),
         avg_cost=float(np.mean(costs)),
-        energy_overflow=float(np.maximum(totals - budgets, 0.0).sum()),
+        energy_overflow=model.energy_overflow(totals, budgets),
         total_phi=float(np.sum([rec.phi for rec in trace.records])),
         per_client_totals=totals,
     )
@@ -192,6 +194,15 @@ def summarize(trace: RunTrace, budgets: np.ndarray) -> ExperimentSummary:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _write_lines(path: Path, lines: Sequence[str]) -> None:
+    """Write one output file, creating its directory; an unwritable path is a ConfigError."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_rounds_csv(path: Path, trace: RunTrace) -> None:
@@ -202,14 +213,7 @@ def write_rounds_csv(path: Path, trace: RunTrace) -> None:
             _fmt(rec.latency), _fmt(rec.phi), _fmt(rec.cost), _fmt(rec.queue_l2),
             _fmt(rec.cum_latency), _fmt(rec.cum_cost), _fmt(rec.cum_energy_overflow),
         ]))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_summary_json(path: Path, summary: ExperimentSummary) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def _summary(scenario: Scenario, policy: PolicySpec) -> ExperimentSummary:
@@ -220,7 +224,8 @@ def _write_run(csv_path: Path, trace: RunTrace, scenario: Scenario) -> Experimen
     """Write a run's per-round CSV and its summary JSON next to it."""
     summary = summarize(trace, scenario.population.energy_budget)
     write_rounds_csv(csv_path, trace)
-    write_summary_json(csv_path.with_suffix(".summary.json"), summary)
+    _write_lines(csv_path.with_suffix(".summary.json"),
+                 [json.dumps(summary.to_dict(), indent=2, sort_keys=True)])
     return summary
 
 
@@ -261,9 +266,7 @@ def sweep_v(config_path: str | Path, v_grid: Sequence[float], seed: int = 0
     for v, s in zip(v_grid, summaries):
         lines.append(",".join([_fmt(v), _fmt(s.avg_selected), _fmt(s.total_latency),
                                _fmt(s.avg_cost), _fmt(s.energy_overflow), _fmt(s.total_phi)]))
-    out = cfg.output_dir / f"sweep_{seed}.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(cfg.output_dir / f"sweep_{seed}.csv", lines)
     return summaries
 
 
@@ -358,9 +361,7 @@ def compare_policies(config_path: str | Path, seed: int = 0,
         lines.append(",".join([row.policy, knob, _fmt(row.avg_selected),
                                _fmt(row.total_latency), _fmt(row.energy_overflow),
                                _fmt(row.total_phi)]))
-    out = cfg.output_dir / f"compare_{seed}.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(cfg.output_dir / f"compare_{seed}.csv", lines)
     return rows
 
 
@@ -403,7 +404,7 @@ def _frame_lookahead(scenario: Scenario, frame_index: int, grid_step: float) -> 
         for mask in range(1, 2 ** k):
             idx = np.array([i for i in range(k) if mask >> i & 1])
             m = idx.size
-            if m * config.min_ratio > 1 + 1e-12:
+            if m > config.max_selectable:
                 continue
             if np.any(ctx.rate_coeff[idx] <= 0):
                 continue
@@ -455,16 +456,16 @@ def verify_bounds(cfg: HarnessConfig, seed: int, penalty_weight: float,
     scenario = build_scenario(cfg, seed)
     config, pop = scenario.config, scenario.population
     for m in range(2, config.num_clients + 1):
-        if m * config.min_ratio < 1 - bw.FEAS_TOL and \
+        if m * config.min_ratio < 1 - model.FEAS_TOL and \
                 len(bw.simplex_grid(m, config.min_ratio, grid_step)) == 1:
             raise ConfigError(f"--grid-step {grid_step:g} leaves one grid point for {m} clients")
     trace = run_policy(scenario, PolicySpec("PEDPC", penalty=penalty_weight))
     lhs = float(np.mean([rec.cost for rec in trace.records]))
     c_stars = [_frame_lookahead(scenario, f, grid_step) for f in range(config.num_frames)]
     lookahead = float(np.mean(c_stars))
-    rhs = lookahead + scenario.drift.constant * config.frame_len / penalty_weight
+    rhs = lookahead + scenario.drift * config.frame_len / penalty_weight
     y0_min = -float(model.client_utility(pop, config).sum())
-    slack = (2.0 * scenario.drift.constant * config.num_rounds * config.frame_len
+    slack = (2.0 * scenario.drift * config.num_rounds * config.frame_len
              + 2.0 * penalty_weight * config.frame_len
              * float(np.sum(np.asarray(c_stars) - y0_min)))
     energy_rhs = pop.energy_budget + math.sqrt(max(slack, 0.0))

@@ -7,12 +7,13 @@ and energy at a vector of band shares (`client_round`, and `selected_totals`
 for a decision), and the diminishing-returns accuracy utility
 (`client_utility`, natural log). `scheduler.RoundContext.outcome` assembles
 the round cost from them: the slowest selected client's latency minus the
-selected utility.
+selected utility. So are the two constraints: how many clients the floor
+admits (`max_clients`), and the energy budget's per-round credit H_k/R
+(`round_credit`) and horizon overflow (`energy_overflow`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,6 +22,15 @@ import numpy as np
 from .errors import InfeasibleLink
 
 SUM_TOL = 1e-9  # allowed slack on the bandwidth simplex equality
+FEAS_TOL = 1e-12  # allowed excess of the floored shares over the whole band
+
+
+def max_clients(min_ratio: float) -> int:
+    """Largest m with m * min_ratio <= 1 + FEAS_TOL: how many clients the floor admits."""
+    m = int((1.0 + FEAS_TOL) / min_ratio) + 1
+    while m * min_ratio > 1 + FEAS_TOL:
+        m -= 1
+    return m
 
 
 @dataclass(frozen=True)
@@ -60,7 +70,10 @@ class SystemConfig:
 
     def __post_init__(self):
         if self.num_rounds != self.frame_len * self.num_frames:
-            raise ValueError("num_rounds must equal frame_len * num_frames")
+            raise ValueError(f"num_rounds {self.num_rounds} != frame_len {self.frame_len}"
+                             f" * num_frames {self.num_frames}")
+        if self.frame_len < 1 or self.num_frames < 1:
+            raise ValueError("frame_len and num_frames must be positive")
         if not (0 < self.min_ratio <= 1):
             raise ValueError("min_ratio must lie in (0, 1]")
         if self.bandwidth <= 0 or self.noise_power <= 0 or self.accuracy_coeff <= 0:
@@ -71,7 +84,7 @@ class SystemConfig:
     @property
     def max_selectable(self) -> int:
         """Largest set that can each receive at least min_ratio of the band."""
-        return int(math.floor(1.0 / self.min_ratio + 1e-9))
+        return max_clients(self.min_ratio)
 
 
 class Population:
@@ -146,6 +159,16 @@ class Decision:
             raise ValueError("selected client below the bandwidth floor")
         if abs(shares.sum() - 1.0) > SUM_TOL:
             raise ValueError("selected shares must sum to one")
+
+
+def round_credit(population: Population, config: SystemConfig) -> np.ndarray:
+    """Per-client energy credit of one round, H_k/R: the budget spread over the horizon."""
+    return population.energy_budget / config.num_rounds
+
+
+def energy_overflow(consumed: np.ndarray, budgets: np.ndarray) -> float:
+    """Energy spent beyond budget, summed over clients: sum_k max(E_k - H_k, 0)."""
+    return float(np.maximum(consumed - budgets, 0.0).sum())
 
 
 def rate_coefficients(population: Population, gain_sq: np.ndarray, config: SystemConfig) -> np.ndarray:

@@ -70,6 +70,7 @@ class RoundContext:
         self.config = config
         self.rate_coeff = model.rate_coefficients(population, observation.gain_sq, config)
         self.log_utility = model.client_utility(population, config)
+        self.credit = model.round_credit(population, config)
 
     def outcome(self, decision: Decision) -> tuple[np.ndarray, float, float]:
         """Per-client round energies, the round latency t0 and the accuracy utility phi.
@@ -87,8 +88,7 @@ def _p3_value(decision: Decision, queue: QueueState, ctx: RoundContext,
               penalty_weight: float) -> float:
     """Backlog-priced energy drift plus weighted round cost (constant term dropped)."""
     energy, t0, phi = ctx.outcome(decision)
-    credit = ctx.population.energy_budget / ctx.config.num_rounds
-    drift_term = float(np.dot(queue.backlog, energy - credit))
+    drift_term = float(np.dot(queue.backlog, energy - ctx.credit))
     return drift_term + penalty_weight * (t0 - phi)
 
 
@@ -163,7 +163,7 @@ def solve_round(queue: QueueState, ctx: RoundContext, penalty_weight: float) -> 
 def baseline_select_all(config: SystemConfig) -> Decision:
     """Everyone selected, equal shares."""
     k = config.num_clients
-    if 1.0 / k < config.min_ratio - 1e-12:
+    if k > config.max_selectable:
         raise InfeasibleConfig("equal split over all clients falls below the floor")
     return Decision(np.ones(k, dtype=bool), np.full(k, 1.0 / k))
 
@@ -175,7 +175,7 @@ def baseline_random(config: SystemConfig, fraction: float,
     n = int(math.floor(fraction * k + 1e-9))  # guard against 0.29*100 = 28.999...
     if n < 1:
         raise InfeasibleConfig("fraction selects nobody")
-    if n * config.min_ratio > 1 + 1e-12:
+    if n > config.max_selectable:
         raise InfeasibleConfig("equal split over the sample falls below the floor")
     idx = rng.choice(k, size=n, replace=False)
     selected = np.zeros(k, dtype=bool)
@@ -183,13 +183,20 @@ def baseline_random(config: SystemConfig, fraction: float,
     return Decision(selected, np.where(selected, 1.0 / n, 0.0))
 
 
-def _prefix_fill(shares: np.ndarray, eligible: np.ndarray) -> Decision:
-    """Shared tail of the budget/latency-capped baselines.
+def _fill(rate_coeff: np.ndarray, upload: np.ndarray, slack: np.ndarray,
+          config: SystemConfig) -> Decision:
+    """Shared body of the budget/latency-capped baselines.
 
-    Sorts the eligible clients by their (floor-clamped) minimal share, admits
-    them while the running total stays within the band, then tops up the last
-    admitted client so the shares sum to one.
+    Each client with positive slack and a live link needs the share whose upload
+    cost upload / (share * rate) uses up that slack, clamped up to the floor (a
+    larger share only lowers the cost). In order of need, clients are admitted
+    while the shares fit in the band; the last one is topped up to fill it.
     """
+    eligible = (slack > 0) & (rate_coeff > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        need = np.where(eligible, upload / (rate_coeff * np.where(eligible, slack, 1.0)),
+                        np.inf)
+    shares = np.maximum(need, config.min_ratio)
     k = shares.size
     selected = np.zeros(k, dtype=bool)
     out = np.zeros(k)
@@ -216,20 +223,11 @@ def baseline_greedy(rate_coeff: np.ndarray, population: Population,
                     config: SystemConfig) -> Decision:
     """As many clients as fit when each is given exactly its per-round energy budget.
 
-    Each client's share is sized so its round energy equals its budget share
-    (clamped up to the floor, which can only reduce energy); clients whose
-    training alone busts the budget are excluded.
+    Each client's share is sized so its round energy equals its budget share;
+    clients whose training alone busts the budget are excluded.
     """
-    credit = population.energy_budget / config.num_rounds
-    headroom = credit - population.comp_energy
-    eligible = (headroom > 0) & (rate_coeff > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        need = np.where(eligible,
-                        population.tx_power * population.model_size
-                        / (rate_coeff * np.where(eligible, headroom, 1.0)),
-                        np.inf)
-    shares = np.maximum(need, config.min_ratio)
-    return _prefix_fill(shares, eligible)
+    return _fill(rate_coeff, population.tx_power * population.model_size,
+                 model.round_credit(population, config) - population.comp_energy, config)
 
 
 def baseline_fedcs(rate_coeff: np.ndarray, population: Population,
@@ -237,14 +235,8 @@ def baseline_fedcs(rate_coeff: np.ndarray, population: Population,
     """As many clients as fit when each is given exactly its latency-cap share."""
     if not latency_cap > 0:
         raise ValueError("latency_cap must be positive")
-    slack = latency_cap - population.comp_latency
-    eligible = (slack > 0) & (rate_coeff > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        need = np.where(eligible,
-                        population.model_size / (rate_coeff * np.where(eligible, slack, 1.0)),
-                        np.inf)
-    shares = np.maximum(need, config.min_ratio)
-    return _prefix_fill(shares, eligible)
+    return _fill(rate_coeff, population.model_size, latency_cap - population.comp_latency,
+                 config)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +324,8 @@ def run_policy(scenario: Scenario, policy: PolicySpec,
         decision.validate(config)
         energy_vec, t0, phi = ctx.outcome(decision)
         cost = t0 - phi
-        new_state = lyap.update_queue(state, decision, energy_vec, population, config)
-        slack = lyap.drift_gap(state, new_state, decision, energy_vec, population, config,
-                               drift)
+        new_state = lyap.update_queue(state, energy_vec, ctx.credit)
+        slack = lyap.drift_gap(state, new_state, energy_vec, ctx.credit, drift)
         if slack < -DRIFT_TOL:
             raise VerificationError(
                 f"one-step drift inequality violated in round {r} (slack {slack:.3e})")
@@ -342,7 +333,7 @@ def run_policy(scenario: Scenario, policy: PolicySpec,
         cum_latency += t0
         cum_cost += cost
         cum_energy += energy_vec
-        overflow = float(np.maximum(cum_energy - population.energy_budget, 0.0).sum())
+        overflow = model.energy_overflow(cum_energy, population.energy_budget)
         records.append(RoundRecord(
             round=r,
             policy=policy.kind,
@@ -358,8 +349,7 @@ def run_policy(scenario: Scenario, policy: PolicySpec,
         energies[r] = energy_vec
         backlog_trace[r + 1] = new_state.backlog
         state = new_state
-    _, deficit_ok = lyap.stability_series(backlog_trace, consumed=cum_energy,
-                                          budgets=population.energy_budget)
+    deficit_ok = lyap.deficit_ok(backlog_trace, cum_energy, population.energy_budget)
     if not deficit_ok.all():
         raise VerificationError("queue-implied deficit lower bound violated for clients "
                                 f"{np.flatnonzero(~deficit_ok).tolist()}")

@@ -146,7 +146,7 @@ def policy_rng(seed: int, round_index: int) -> np.random.Generator:
 
 
 class Scenario:
-    """Bundled population, configuration, observation stream and drift envelope for one seed."""
+    """Bundled population, configuration, observation stream and drift constant for one seed."""
 
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
@@ -166,11 +166,12 @@ class Scenario:
         return model.client_round(self.population, g_min, self.config.min_ratio)[1]
 
     @cached_property
-    def drift(self) -> lyap.DriftBound:
-        """The envelope every run on this scenario is checked against, built on first use.
+    def drift(self) -> float:
+        """The drift constant D every run on this scenario is checked against, built on first use.
 
         Lazy, so that an unbounded worst case raises InfeasibleBound (an
         infeasible instance) when a run starts, not inside a caller's handling
         of malformed scenario parameters.
         """
-        return lyap.drift_bound(self.population, self.config, self.worst_case_energy())
+        return lyap.drift_bound(model.round_credit(self.population, self.config),
+                                self.worst_case_energy())

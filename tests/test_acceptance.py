@@ -24,7 +24,6 @@ from scipy.stats import spearmanr
 
 from flsched import bandwidth as bw
 from flsched import harness
-from flsched import lyapunov as lyap
 from flsched import scheduler as sched
 from flsched.selection import SelectionInstance, brute_force_selection, itmcs
 from flsched.simenv import Scenario, ScenarioSpec
@@ -254,7 +253,7 @@ def test_criterion_11_long_horizon_stability():
     scenario = Scenario(ScenarioSpec(seed=SEED, mode="IID", overrides={
         "num_rounds": 3000, "frame_len": 300, "num_frames": 10}))
     trace = sched.run_policy(scenario, sched.PolicySpec("PEDPC", penalty=1.0))
-    ratios, _ = lyap.stability_series(trace.backlog_trace)
+    ratios = trace.backlog_trace[1:] / np.arange(1, trace.backlog_trace.shape[0])[:, None]
     early = float(ratios[299].max())   # max_k Z_k(300)/300
     late = float(ratios[2999].max())   # max_k Z_k(3000)/3000
     _report(11, "mean-rate-stability-trend", late < early,

@@ -159,11 +159,11 @@ def test_cli_run_nan_bandwidth_is_config_error(tmp_path, capsys):
 
 
 def _deficit_check_fails(backlog_trace, consumed, budgets):
-    return None, np.zeros(len(budgets), dtype=bool)
+    return np.zeros(len(budgets), dtype=bool)
 
 
 _BROKEN_GUARANTEES = [("drift_gap", lambda *args: -1.0, "drift inequality violated in round 0"),
-                      ("stability_series", _deficit_check_fails, "deficit lower bound")]
+                      ("deficit_ok", _deficit_check_fails, "deficit lower bound")]
 
 
 @pytest.mark.parametrize("target,fake,message", _BROKEN_GUARANTEES,
@@ -246,6 +246,63 @@ def test_cli_pedpc_section_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
     assert "pedpc" in capsys.readouterr().err
+
+
+def _missing_config(tmp_path):
+    return ["run", "--config", str(tmp_path / "missing.json")], "missing.json"
+
+
+def _latin1_config(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"system": {}} \u00e9'.encode("latin-1"))  # a lone 0xe9 byte
+    return ["run", "--config", str(path)], "latin1.json"
+
+
+def _out_is_a_directory(tmp_path):
+    return ["run", "--config", str(small_config(tmp_path)), "--out", str(tmp_path)], \
+        str(tmp_path)
+
+
+def _output_dir_under_a_file(tmp_path):
+    path = small_config(tmp_path)
+    doc = json.loads(path.read_text())
+    (tmp_path / "plain").write_text("")
+    doc["output"]["dir"] = str(tmp_path / "plain" / "out")
+    path.write_text(json.dumps(doc))
+    return ["run", "--config", str(path)], str(tmp_path / "plain" / "out")
+
+
+@pytest.mark.parametrize("case", [_missing_config, _latin1_config, _out_is_a_directory,
+                                  _output_dir_under_a_file], ids=lambda f: f.__name__[1:])
+def test_cli_unreadable_config_or_unwritable_output_exits_2(tmp_path, capsys, case):
+    argv, named = case(tmp_path)
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_cli_run_at_the_floor_capacity_edge(tmp_path, capsys, seed):
+    # 1/0.3333333334 lies just below 3, yet 3 * 0.3333333334 > 1 + 1e-12: at most
+    # two clients fit, and selection must not offer the allocator a third
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({
+        "system": {"num_clients": 10, "num_rounds": 12, "frame_len": 6, "num_frames": 2,
+                   "min_ratio": 0.3333333334},
+        "output": {"dir": str(tmp_path / "out")}}))
+    assert cli.main(["run", "--config", str(path), "--seed", seed]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["avg_selected"] <= 2
+
+
+@pytest.mark.parametrize("system,message", [
+    ({"num_rounds": 12}, "num_rounds 12 != frame_len 30 * num_frames 10"),  # default frames
+    ({"num_rounds": 0, "frame_len": 0}, "frame_len and num_frames must be positive"),
+], ids=["mismatch", "no-rounds"])
+def test_cli_bad_frames_exit_2(tmp_path, capsys, system, message):
+    path = tmp_path / "frames.json"
+    path.write_text(json.dumps({"system": system}))
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_cli_run_policy_changes_only_the_kind(tmp_path, monkeypatch):

@@ -4,31 +4,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flsched.errors import InfeasibleBound
-from flsched.lyapunov import (QueueState, drift_bound, drift_gap, energy_prices,
-                              lyapunov_value, stability_series, update_queue)
-from flsched.model import Decision, Population, SystemConfig, client_round
+from flsched.lyapunov import (QueueState, deficit_ok, drift_bound, drift_gap, energy_prices,
+                              lyapunov_value, update_queue)
+from flsched.model import Population, client_round, round_credit
+
+CREDIT = np.full(2, 0.005)  # H/R = 1.5 J / 300 rounds for both twin clients
 
 
-def make_config(k):
-    return SystemConfig(num_clients=k, num_rounds=300, frame_len=30, num_frames=10,
-                        bandwidth=1e7, min_ratio=0.01, noise_power=1e-13,
-                        accuracy_coeff=1.7e-8)
+def test_round_credit(twin_population, example_config):
+    assert np.allclose(round_credit(twin_population, example_config), CREDIT, rtol=1e-12)
 
 
-def test_update_queue_reference(twin_population, example_config):
-    # H/R = 0.005; selected client spends 0.0096: 0.002 + 0.0096 - 0.005 = 0.0066
+def test_update_queue_reference():
+    # H/R = 0.005; the selected client spends 0.0096: 0.002 + 0.0096 - 0.005 = 0.0066
     state = QueueState(np.array([0.002, 0.004]))
-    dec = Decision(np.array([True, False]), np.array([1.0, 0.0]))
-    nxt = update_queue(state, dec, np.array([0.0096, 123.0]), twin_population,
-                       example_config)
+    nxt = update_queue(state, np.array([0.0096, 0.0]), CREDIT)
     assert nxt.backlog[0] == pytest.approx(0.0066, rel=1e-12)
     assert nxt.backlog[1] == 0.0  # 0.004 - 0.005 clamps at zero
 
 
-def test_update_queue_zero_stays_zero(twin_population, example_config):
-    state = QueueState.zero(2)
-    nxt = update_queue(state, Decision.empty(2), np.zeros(2), twin_population,
-                       example_config)
+def test_update_queue_zero_stays_zero():
+    nxt = update_queue(QueueState.zero(2), np.zeros(2), CREDIT)
     assert np.all(nxt.backlog == 0.0)
 
 
@@ -36,20 +32,9 @@ def test_update_queue_zero_stays_zero(twin_population, example_config):
        st.lists(st.floats(min_value=0, max_value=0.1), min_size=2, max_size=2),
        st.booleans(), st.booleans())
 def test_update_queue_nonnegative(backlog, energy, s0, s1):
-    pop = Population([_plain_profile(), _plain_profile()])
-    cfg = make_config(2)
-    sel = np.array([s0, s1])
-    n = max(sel.sum(), 1)
-    dec = Decision(sel, np.where(sel, 1.0 / n, 0.0))
-    nxt = update_queue(QueueState(np.array(backlog)), dec, np.array(energy), pop, cfg)
+    spent = np.where([s0, s1], energy, 0.0)
+    nxt = update_queue(QueueState(np.array(backlog)), spent, CREDIT)
     assert np.all(nxt.backlog >= 0.0)
-
-
-def _plain_profile():
-    from flsched.model import ClientProfile
-    return ClientProfile(cpu_freq=1e9, cycles_per_bit=10.0, capacitance=1e-28,
-                         tx_power=0.1, model_size=2.4e5, data_size=1.2e6,
-                         energy_budget=1.5, local_iters=5)
 
 
 def test_lyapunov_value():
@@ -70,32 +55,25 @@ def test_lyapunov_zero_iff_empty():
     assert lyapunov_value(QueueState(np.array([0.0, 1e-9, 0.0]))) > 0.0
 
 
-def test_drift_bound_reference(twin_population, example_config):
-    got = drift_bound(twin_population, example_config, np.array([0.02, 0.02]))
-    assert np.allclose(got.y_min, -0.005)
-    assert np.allclose(got.y_max, 0.015)
-    assert got.constant == pytest.approx(2.25e-4, rel=1e-12)
+def test_drift_bound_reference():
+    # increments lie in [-0.005, 0.015] -> D = 0.5 * 2 * 0.015^2
+    assert drift_bound(CREDIT, np.array([0.02, 0.02])) == pytest.approx(2.25e-4, rel=1e-12)
 
 
-def test_drift_bound_degenerate_client(twin_population, example_config):
+def test_drift_bound_degenerate_client():
     # a never-selectable client still contributes the budget-credit square
-    got = drift_bound(twin_population, example_config, np.array([0.0, 0.0]))
-    assert np.allclose(got.y_max, -0.005)
-    assert got.constant == pytest.approx(0.5 * 2 * 0.005 ** 2, rel=1e-9)
+    assert drift_bound(CREDIT, np.array([0.0, 0.0])) == \
+        pytest.approx(0.5 * 2 * 0.005 ** 2, rel=1e-9)
 
 
-def test_drift_bound_single_client(example_profile):
-    # y_min = -0.005, y_max = 0.02 -> constant = 0.5 * 4e-4 = 2e-4
-    pop = Population([example_profile])
-    cfg = make_config(1)
-    got = drift_bound(pop, cfg, np.array([0.025]))
-    assert np.allclose(got.y_max, 0.02)
-    assert got.constant == pytest.approx(2.0e-4, rel=1e-9)
+def test_drift_bound_single_client():
+    # increments lie in [-0.005, 0.02] -> D = 0.5 * 4e-4 = 2e-4
+    assert drift_bound(CREDIT[:1], np.array([0.025])) == pytest.approx(2.0e-4, rel=1e-9)
 
 
-def test_drift_bound_infinite(twin_population, example_config):
+def test_drift_bound_infinite():
     with pytest.raises(InfeasibleBound):
-        drift_bound(twin_population, example_config, np.array([np.inf, 0.01]))
+        drift_bound(CREDIT, np.array([np.inf, 0.01]))
 
 
 def _prices(backlog, population, rate_coeff, ratios):
@@ -124,42 +102,24 @@ def test_energy_prices_vector(twin_population):
     assert np.isinf(dead[1])
 
 
-def test_drift_gap_one_step(twin_population, example_config):
+def test_drift_gap_one_step():
     # update satisfies the one-step inequality whenever the envelope is valid
     rng = np.random.default_rng(0)
-    bound = drift_bound(twin_population, example_config, np.full(2, 0.05))
+    constant = drift_bound(CREDIT, np.full(2, 0.05))
     for _ in range(200):
         state = QueueState(rng.uniform(0, 2, 2))
         sel = rng.random(2) < 0.5
-        n = max(sel.sum(), 1)
-        dec = Decision(sel, np.where(sel, 1.0 / n, 0.0))
-        energy = rng.uniform(0, 0.05, 2)
-        nxt = update_queue(state, dec, energy, twin_population, example_config)
-        assert drift_gap(state, nxt, dec, energy, twin_population,
-                         example_config, bound) >= -1e-12
+        spent = np.where(sel, rng.uniform(0, 0.05, 2), 0.0)
+        nxt = update_queue(state, spent, CREDIT)
+        assert drift_gap(state, nxt, spent, CREDIT, constant) >= -1e-12
 
 
-def test_stability_series_zero_trace():
-    trace = np.zeros((5, 3))
-    ratios, _ = stability_series(trace)
-    assert np.all(ratios == 0.0)
-
-
-def test_stability_series_constant_backlog():
-    trace = np.ones((6, 2)) * 0.7
-    ratios, _ = stability_series(trace)
-    rounds = np.arange(1, 6)
-    assert np.allclose(ratios, 0.7 / rounds[:, None])
-    assert np.all(np.diff(ratios[:, 0]) < 0)  # decays toward zero
-
-
-def test_stability_series_deficit_check():
+def test_deficit_ok():
     trace = np.zeros((4, 2))
     trace[-1] = [0.5, 0.0]
     consumed = np.array([1.9, 0.2])
     budgets = np.array([1.5, 1.5])
-    _, ok = stability_series(trace, consumed=consumed, budgets=budgets)
+    ok = deficit_ok(trace, consumed, budgets)
     assert ok[0]  # 0.5 >= 1.9 - 1.5
     assert ok[1]  # 0.0 >= 0.2 - 1.5
-    _, bad = stability_series(trace, consumed=np.array([2.1, 0.2]), budgets=budgets)
-    assert not bad[0]
+    assert not deficit_ok(trace, np.array([2.1, 0.2]), budgets)[0]

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flsched.errors import InfeasibleLink
-from flsched.model import (ClientProfile, Decision, Population, RoundObservation,
+from flsched.bandwidth import AllocationInstance, simplex_grid
+from flsched.errors import Infeasible, InfeasibleConfig, InfeasibleLink
+from flsched.model import (FEAS_TOL, ClientProfile, Decision, Population, RoundObservation,
                            SystemConfig, client_round, client_utility,
                            rate_coefficients, selected_totals)
-from flsched.scheduler import RoundContext
+from flsched.scheduler import RoundContext, baseline_random, baseline_select_all
 
 # hand-checked reference values for the example client (1 GHz, 10 cycles/bit,
 # 0.1 W, 0.24 Mbit model, 1.2 Mbit data, 5 local passes) on a SNR=100 channel
@@ -274,3 +275,47 @@ def test_selected_totals_matches_scalar(twin_population, example_config):
     dead = Decision(np.array([True, False]), np.array([1.0, 0.0]))
     with pytest.raises(InfeasibleLink):
         selected_totals(twin_population, np.array([0.0, 1.0]), dead)
+
+
+def _floor_config(min_ratio, num_clients):
+    return SystemConfig(num_clients=num_clients, num_rounds=1, frame_len=1, num_frames=1,
+                        bandwidth=1e7, min_ratio=min_ratio, noise_power=1e-13,
+                        accuracy_coeff=1.7e-8)
+
+
+def _ulps(x, n):
+    for _ in range(abs(n)):
+        x = np.nextafter(x, np.inf if n > 0 else 0.0)
+    return float(x)
+
+
+THIRD_NEIGHBOURS = [_ulps(1 / 3, n) for n in (-2, -1, 1, 2)]
+
+
+@pytest.mark.parametrize("min_ratio", [1.0, 0.5, 0.3333333334, 1 / 3, *THIRD_NEIGHBOURS,
+                                       0.2, 1 / 7, 0.1, 0.05, 0.01], ids=repr)
+def test_floor_capacity_is_one_rule(min_ratio):
+    # selection's cap, the allocator, the oracle grid and both equal-split
+    # baselines all admit exactly max_selectable clients and refuse one more
+    cap = _floor_config(min_ratio, 1).max_selectable
+    assert cap * min_ratio <= 1 + FEAS_TOL < (cap + 1) * min_ratio
+
+    def instance(m):
+        return AllocationInstance(np.zeros(m), np.ones(m), np.ones(m), 1.0, min_ratio)
+
+    assert instance(cap).size == cap
+    with pytest.raises(Infeasible):
+        instance(cap + 1)
+    if cap <= 3:
+        simplex_grid(cap, min_ratio, 0.01)
+    if cap + 1 <= 3:
+        with pytest.raises(Infeasible):
+            simplex_grid(cap + 1, min_ratio, 0.01)
+    assert baseline_select_all(_floor_config(min_ratio, cap)).n_selected == cap
+    with pytest.raises(InfeasibleConfig):
+        baseline_select_all(_floor_config(min_ratio, cap + 1))
+    wide = _floor_config(min_ratio, cap + 1)
+    rng = np.random.default_rng(0)
+    assert baseline_random(wide, cap / (cap + 1), rng).n_selected == cap
+    with pytest.raises(InfeasibleConfig):
+        baseline_random(wide, 1.0, rng)

@@ -308,14 +308,14 @@ def test_run_policy_allows_drift_rounding_slack(monkeypatch):
 
 def test_run_policy_raises_on_deficit_violation(monkeypatch):
     sc = small_scenario(rounds=6)
-    real = lyap.stability_series
+    real = lyap.deficit_ok
 
     def one_client_fails(backlog_trace, consumed, budgets):
-        ratios, check = real(backlog_trace, consumed=consumed, budgets=budgets)
+        check = real(backlog_trace, consumed, budgets)
         check[4] = False
-        return ratios, check
+        return check
 
-    monkeypatch.setattr(lyap, "stability_series", one_client_fails)
+    monkeypatch.setattr(lyap, "deficit_ok", one_client_fails)
     with pytest.raises(VerificationError, match=r"deficit lower bound violated .*\[4\]"):
         run_policy(sc, PolicySpec("PEDPC"))
 
