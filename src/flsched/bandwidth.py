@@ -3,16 +3,21 @@
 Minimizes a smooth surrogate of the weighted worst-client latency plus the
 backlog-priced communication energy, over the simplex with a per-client
 floor. The non-smooth max is replaced by log-sum-exp (additive error at most
-ln(m)); the surrogate is convex, and an equality-constrained Newton barrier
-method solves it. A dense grid search over the simplex slice serves as the
-verification oracle for small instances.
+ln(m)); the surrogate is convex, and a projected Newton method solves it: the
+floor is a simple bound, so each iteration fixes the shares held on it,
+takes a Newton step on the others under sum(b) = 1 and searches along the
+projection arc onto the floored simplex (Bertsekas, *SIAM J. Control Optim.*
+20:221-246, 1982). A dense grid search over the simplex slice serves as the
+verification oracle for small instances; the tests add a log-barrier solver
+of the same objective as the oracle for large ones.
 
 The Hessian of the smoothed objective is diagonal minus rank one (softmax
-curvature), H = diag(d) - a a^T, and the simplex equality borders it with a
-ones row. Each Newton step therefore solves its KKT system in O(m) by block
-elimination: Sherman-Morrison applies H^-1 to a vector, and the multiplier
-follows from the scalar equation 1^T step = 0 (Boyd & Vandenberghe, *Convex
-Optimization*, Sec. 10.4 and App. C.4). No m x m matrix is formed.
+curvature), H = diag(d) - a a^T, and so is its restriction to the free
+shares; the simplex equality borders it with a ones row. Each Newton step
+therefore solves its KKT system in O(m) by block elimination:
+Sherman-Morrison applies H^-1 to a vector, and the multiplier follows from
+the scalar equation 1^T step = 0 (Boyd & Vandenberghe, *Convex
+Optimization*, Sec. 10.2 and App. C.4). No m x m matrix is formed.
 """
 
 from __future__ import annotations
@@ -26,14 +31,12 @@ import numpy as np
 from .errors import Infeasible, NoConverge, TooLarge
 from .model import FEAS_TOL, max_clients
 
-# barrier method tuning: constants, not run parameters; read at call time
-T0 = 1.0  # initial barrier weight t
-MU_GROWTH = 20.0  # factor on t per outer step
-TOL = 1e-8  # stop once the duality gap m/t reaches this
-MAX_NEWTON = 200  # Newton steps allowed per centering
-LINE_ALPHA = 0.25  # backtracking sufficient-decrease fraction
-LINE_BETA = 0.5  # backtracking step shrink
-NEWTON_TOL = 1e-10  # on half the squared Newton decrement
+# projected Newton tuning: constants, not run parameters; read at call time
+MAX_NEWTON = 200  # Newton systems (KKT solves) allowed per solve
+LINE_ALPHA = 0.25  # sufficient-decrease fraction along the projection arc
+LINE_BETA = 0.5  # arc step shrink
+NEWTON_TOL = 1e-10  # stop once the Newton model's predicted decrease is this share of f
+FLAT_TOL = 2.0 ** -52  # curvature below this share of f makes a client flat
 
 
 @dataclass(frozen=True)
@@ -80,8 +83,8 @@ class Allocation:
 
     ratios: np.ndarray
     objective: float  # smoothed objective value at ratios
-    iterations: int
-    duality_gap: float
+    iterations: int  # KKT systems solved
+    duality_gap: float  # the Newton model's predicted decrease at the last step
     max_objective: float = float("nan")  # objective with the true (non-smoothed) max term
 
 
@@ -154,7 +157,7 @@ def smoothed_objective(ratios: np.ndarray, instance: AllocationInstance) -> Smoo
 
     The Hessian is positive semidefinite (softmax curvature conjugated by a
     diagonal plus non-negative diagonal terms); it is densified here from the
-    diagonal-minus-rank-one factors the barrier solver works with.
+    diagonal-minus-rank-one factors the Newton solver works with.
     """
     b = np.asarray(ratios, dtype=float)
     if np.any(b <= 0):
@@ -182,44 +185,125 @@ def _fixed_allocation(b: np.ndarray, instance: AllocationInstance) -> Allocation
     return Allocation(b, _value(b, instance), 0, 0.0, exact_objective(b, instance))
 
 
-def _newton_step(ev: _Factors, slack: np.ndarray, t: float
-                 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Gradient, Newton step and simplex multiplier of f - sum(log slack)/t.
+def _project(y: np.ndarray, floor: float) -> np.ndarray:
+    """Euclidean projection onto the floored simplex {b >= floor, sum(b) = 1}.
 
-    Solves [H 1; 1^T 0] [step; nu] = [-grad; 0] with H = diag(d) - a a^T, where
-    d adds the barrier curvature to the factors' diagonal. Sherman-Morrison
-    gives H^-1 r = r/d + (a/d) (a^T (r/d)) / delta with delta = 1 - a^T D^-1 a,
-    computed as sum(w * e / d) (e = d - V*w*du^2 > 0, the weights sum to one)
+    One sort finds the shift tau with sum(max(floor, y - tau)) = 1 (Held, Wolfe
+    and Crowder 1974); clipped shares land exactly on the floor.
+    """
+    z = y - floor
+    top = np.sort(z)[::-1]
+    excess = np.cumsum(top) - (1.0 - floor * y.size)
+    count = np.arange(1, y.size + 1)
+    last = int(np.flatnonzero(top * count > excess)[-1])
+    return floor + np.maximum(z - excess[last] / (last + 1), 0.0)
+
+
+def _newton_step(ev: _Factors, free: np.ndarray, pinned: np.ndarray
+                 ) -> tuple[np.ndarray, float]:
+    """Newton step on the free shares and its simplex multiplier nu.
+
+    The other shares move by `pinned` (zero on the free set). Solves
+    [H_FF 1; 1^T 0] [p_F; nu] = [-g_F - H_FA p_A; -1^T p_A], where
+    H = diag(d) - a a^T restricted to the free set F is again diagonal minus
+    rank one. Sherman-Morrison gives H_FF^-1 r = r/d + (a/d) (a^T (r/d)) / delta
+    with delta = 1 - a_F^T D_F^-1 a_F, computed as
+    sum_F(w * e / d) + sum_A(w) (e = d - V*w*du^2 >= 0, the weights sum to one)
     so that it carries no cancellation.
     """
-    barrier = 1.0 / (t * slack ** 2)
-    grad = ev.gradient - 1.0 / (t * slack)
-    d = ev.diag + barrier
-    delta = float((ev.weights * (ev.excess + barrier) / d).sum())
-    if not (delta > 0 and np.isfinite(d).all()):
+    d = ev.diag[free]
+    if not (d.size and np.isfinite(d).all() and (d > 0).all()):
         raise NoConverge("singular KKT system")
-    a_over_d = ev.rank_one / d
+    delta = float((ev.weights[free] * ev.excess[free] / d).sum()) + \
+        float(ev.weights[~free].sum())
+    if not delta > 0:
+        raise NoConverge("singular KKT system")
+    a = ev.rank_one[free]
+    a_over_d = a / d
 
     def solve_h(r: np.ndarray) -> np.ndarray:
         return r / d + a_over_d * (float(a_over_d @ r) / delta)
 
-    h_grad = solve_h(-grad)
+    h_grad = solve_h(a * float(ev.rank_one @ pinned) - ev.gradient[free])
     h_ones = solve_h(np.ones_like(d))
-    nu = float(h_grad.sum()) / float(h_ones.sum())
-    step = h_grad - nu * h_ones
+    nu = (float(h_grad.sum()) + float(pinned.sum())) / float(h_ones.sum())
+    step = pinned.copy()
+    step[free] = h_grad - nu * h_ones
     if not np.isfinite(step).all():
         raise NoConverge("singular KKT system")
-    return grad, step, nu
+    return step, nu
+
+
+def _start(instance: AllocationInstance) -> np.ndarray:
+    """Starting shares: the equal split, or a water-filling guess if that is better.
+
+    The guess freezes the softmax weights w of the equal split; the problem
+    left, minimize sum(h/b) with h = price + V*w*s over the floored simplex,
+    has the closed form b = max(floor, k*sqrt(h)), one sort finding k.
+    """
+    m = instance.size
+    b_min = instance.min_ratio
+    equal = np.full(m, 1.0 / m)
+    _, w = _value_and_weights(equal, instance)
+    root = np.sqrt(instance.price_coeff + instance.penalty_weight * w * instance.lat_coeff)
+    order = np.argsort(-root)
+    top = root[order]
+    if not top[0] > 0:
+        return equal
+    scale = (1.0 - (m - np.arange(1, m + 1)) * b_min) / np.cumsum(top)
+    last = int(np.flatnonzero(top * scale >= b_min)[-1])
+    guess = np.full(m, b_min)
+    guess[order[:last + 1]] = top[:last + 1] * scale[last]
+    return guess if _value(guess, instance) < _value(equal, instance) else equal
+
+
+def _diagonal_free(ev: _Factors, b: np.ndarray, b_min: float, movable: np.ndarray,
+                   fixed_move: float) -> np.ndarray:
+    """Free shares of the Newton step's floor-bounded model with H cut to diag(d).
+
+    Without the rank-one term the step separates: share i moves by
+    max(b_min - b_i, -(g_i + nu)/d_i), so it sits on the floor iff
+    nu >= kappa_i = d_i (b_i - b_min) - g_i, and the simplex equality, with
+    the other shares moving by `fixed_move` in total, is a decreasing
+    piecewise-linear equation in nu. One sort of kappa solves it; the
+    result starts the exact active-set iteration of `barrier_solve`.
+    """
+    idx = np.flatnonzero(movable)
+    d = ev.diag[idx]
+    kappa = d * (b[idx] - b_min) - ev.gradient[idx]
+    order = np.argsort(kappa)
+    idx, d, kappa = idx[order], d[order], kappa[order]
+    # nu[k]: the root with the first k shares (smallest kappa) on the floor
+    held = np.concatenate(([0.0], np.cumsum(b_min - b[idx])[:-1]))
+    slope = np.cumsum((1.0 / d)[::-1])[::-1]
+    offset = np.cumsum((ev.gradient[idx] / d)[::-1])[::-1]
+    nu = (held + fixed_move - offset) / slope
+    lower = np.concatenate(([-np.inf], kappa[:-1]))
+    fits = np.flatnonzero((lower <= nu) & (nu <= kappa))
+    free = np.zeros(b.size, dtype=bool)
+    free[idx[int(fits[0]) if fits.size else 0:]] = True
+    return free
 
 
 def barrier_solve(instance: AllocationInstance) -> Allocation:
-    """Interior-point solve of the smoothed allocation problem.
+    """Projected Newton solve of the smoothed allocation problem.
 
-    Newton steps solve the KKT system of the barrier subproblem in O(m) with
-    the simplex equality kept exactly; backtracking keeps iterates strictly above
-    the floor. Deterministic for fixed inputs. The instance itself has
-    checked that the floor can be met; raises NoConverge when a centering
-    exhausts its MAX_NEWTON steps or meets a singular system.
+    Each iteration recomputes the floor's active set and takes a Newton step
+    on the free shares under sum(b) = 1, then an Armijo search along the
+    projection arc s -> P(b + s*step) onto the floored simplex (Bertsekas
+    1982). The active set is settled per iteration by re-solving: a floor is
+    released when its multiplier in the Newton model, lambda_i =
+    g_i + (H step)_i + nu with nu from the free-set solve, is negative, and a
+    free share whose step crosses the floor is held on it. Flat clients,
+    whose curvature and gradient are below the value's resolution, move down
+    to the floor, or to where their latency reaches the slowest client's.
+    Stops, after taking the step, once the model's predicted decrease is at
+    most NEWTON_TOL of the value. Deterministic for fixed inputs. The instance
+    itself has checked that the floor can be met; raises NoConverge when the
+    solve exhausts its MAX_NEWTON systems or meets a singular one.
+
+    The name is kept from the log-barrier method this solver replaced,
+    because callers and outside tooling look the entry point up by it.
     """
     m = instance.size
     b_min = instance.min_ratio
@@ -228,53 +312,51 @@ def barrier_solve(instance: AllocationInstance) -> Allocation:
     if m == 1:
         return _fixed_allocation(np.array([1.0]), instance)
 
-    b = np.full(m, 1.0 / m)
-    t = T0
-    total_newton = 0
-
-    # centering objective f + phi/t keeps values O(f) however large t grows,
-    # so line-search comparisons stay resolvable in double precision
-    def barrier_value(f_value: float, x: np.ndarray) -> float:
-        return f_value - float(np.log(x - b_min).sum()) / t
-
+    b = _start(instance)
+    systems = 0
+    gain = 0.0
     while True:
-        for _ in range(MAX_NEWTON):
-            total_newton += 1
-            ev = _factors(b, instance)
-            grad, step, _ = _newton_step(ev, b - b_min, t)
-            decrement_sq = float(-grad @ step)
-            if decrement_sq <= 0 or decrement_sq / 2.0 <= NEWTON_TOL:
+        ev = _factors(b, instance)
+        flat = ev.diag <= FLAT_TOL * ev.value  # the value is never negative
+        if flat.all():
+            break  # no share moves the value: every feasible point is optimal
+        # where a flat share's latency would reach the slowest client's
+        head = _latency_terms(b, instance).max() - instance.comp_latency
+        reach = instance.lat_coeff / np.where(head > 0, head, np.inf)
+        target = np.where(flat & (reach < b), np.maximum(b_min, reach), b_min)
+        free = _diagonal_free(ev, b, b_min, ~flat, float((target - b)[flat].sum()))
+        # active-set rounds on the Newton model; m + 1 of them cut off a cycle
+        for _ in range(m + 1):
+            systems += 1
+            if systems > MAX_NEWTON:
+                raise NoConverge("Newton iteration budget exhausted")
+            step, nu = _newton_step(ev, free, np.where(free, 0.0, target - b))
+            hess_step = ev.diag * step - ev.rank_one * float(ev.rank_one @ step)
+            held = ~free & (ev.gradient + hess_step + nu >= 0) | free & (b + step < b_min)
+            if np.array_equal(free, ~flat & ~held):
                 break
-            if np.abs(step).max() <= 1e-14 * max(1.0, float(np.abs(b).max())):
-                break  # step at float-noise level: numerical optimum reached
-            # backtracking line search on the barrier subproblem
-            base = barrier_value(ev.value, b)
-            slope = float(grad @ step)
-            s = 1.0
-            improved = False
-            for _ in range(60):
-                trial = b + s * step
-                if (trial > b_min).all() and \
-                        barrier_value(_value(trial, instance), trial) \
-                        <= base + LINE_ALPHA * s * slope:
-                    improved = True
-                    break
-                s *= LINE_BETA
-            if not improved:
-                # descent smaller than float precision on t*f: numerical floor
+            free = ~flat & ~held
+        gain = -float(ev.gradient @ step + 0.5 * (step @ hess_step))
+        # a flat share above its target must still move, whatever the model gains
+        done = gain <= NEWTON_TOL * ev.value and not (flat & (b > target + FEAS_TOL)).any()
+        s = 1.0
+        for _ in range(60):
+            trial = _project(b + s * step, b_min)
+            if _value(trial, instance) <= \
+                    ev.value + LINE_ALPHA * float(ev.gradient @ (trial - b)):
                 break
-            b = b + s * step
+            s *= LINE_BETA
         else:
-            raise NoConverge("Newton iteration budget exhausted")
-        if m / t <= TOL:
+            break  # no descent resolvable in double precision: numerical optimum
+        b = trial
+        if done:
             break
-        t *= MU_GROWTH
 
     value = _value(b, instance)
     gap = smoothing_gap(b, instance)
     if not (-1e-12 <= gap <= lse_error_bound(m) + 1e-12):
         raise AssertionError("smoothing gap left [0, ln(m)]")
-    return Allocation(b, value, total_newton, m / t, exact_objective(b, instance))
+    return Allocation(b, value, systems, gain, exact_objective(b, instance))
 
 
 def simplex_grid(m: int, b_min: float, step: float) -> np.ndarray:
@@ -310,7 +392,7 @@ def simplex_grid(m: int, b_min: float, step: float) -> np.ndarray:
 def grid_oracle(instance: AllocationInstance, step: float) -> Allocation:
     """Exhaustive grid minimizer of the smoothed objective (small m only).
 
-    The oracle is deliberately independent of the barrier path: it evaluates
+    The oracle is deliberately independent of the Newton path: it evaluates
     the objective formula directly on every feasible grid point.
     """
     if instance.size > 3:

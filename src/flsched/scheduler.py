@@ -1,13 +1,15 @@
 """Round-by-round scheduling: the drift-plus-penalty policy and baselines.
 
 The PEDPC policy prices each client by its energy-deficit backlog, then
-alternates exact client selection with barrier bandwidth allocation, at most
-ITER_ROUNDS times per round. Its penalty weight V, the price of the round cost
+alternates exact client selection with projected-Newton bandwidth allocation
+(`bandwidth.barrier_solve`, which keeps the name of the log-barrier method it
+replaced so that outside tooling still finds it), at most ITER_ROUNDS times
+per round. Its penalty weight V, the price of the round cost
 against the drift, is the policy's `penalty`, one constant for the run. Each
 half-step is accepted only if it does not increase the true per-round
 objective, so the objective trace is non-increasing by construction even
 though the bandwidth subproblem is solved through a smoothed surrogate.
-The barrier solves a bandwidth instance that depends only on the selected set,
+The allocator solves a bandwidth instance that depends only on the selected set,
 so it runs only when the selection half-step has just moved that set: the
 repeat on an unchanged set would return the same shares against the same
 value and change nothing.
@@ -132,7 +134,7 @@ def solve_round(queue: QueueState, ctx: RoundContext, penalty_weight: float) -> 
                 x, b, value = proposal, b_cand, cand_val
                 moved = True
         halves.append(value)
-        # bandwidth half-step: barrier solve, kept only if the true value improves;
+        # bandwidth half-step: allocator solve, kept only if the true value improves;
         # an unmoved x was solved by the previous half-step, whose outcome stands
         if moved and x.any():
             idx = np.flatnonzero(x)

@@ -9,6 +9,8 @@ from flsched.bandwidth import (AllocationInstance, barrier_solve, exact_objectiv
                                smoothing_gap)
 from flsched.errors import Infeasible, NoConverge, TooLarge
 
+from barrier_oracle import log_barrier_solve
+
 
 def rand_instance(rng, m, b_min=0.01):
     return AllocationInstance(
@@ -114,52 +116,119 @@ def test_hessian_factors_match_dense_formula():
         assert np.all(ev.excess >= 0)
 
 
+def floored_point(rng, m, b_min):
+    """A share vector on the floored simplex with a random subset exactly on the floor."""
+    b = np.full(m, b_min)
+    free = rng.random(m) < rng.uniform(0.2, 1.0)
+    free[rng.integers(m)] = True
+    b[free] += (1.0 - m * b_min) * rng.dirichlet(np.ones(int(free.sum())))
+    return b, free
+
+
 def test_newton_step_matches_dense_kkt():
-    # the O(m) block-elimination step against a dense bordered-KKT solve; the
-    # reference applies symmetric diagonal scaling first, which keeps it
-    # accurate at t up to 1e10 where the raw KKT matrix has condition ~1e15
+    # the O(m) free-set step against a dense bordered-KKT solve over the free
+    # shares, with the held shares moving by fixed amounts; the reference
+    # applies symmetric diagonal scaling first, which keeps it accurate where
+    # shares near the floor make the raw KKT matrix badly conditioned
     rng = np.random.default_rng(18)
-    zero_priced = 0
+    zero_priced = floors = 0
     for trial in range(200):
         m = 1 + trial % 100
         b_min = rng.uniform(0.0, 0.5) / m
         inst = rand_instance(rng, m, b_min=b_min)
         zero_priced += int(np.any(inst.price_coeff == 0))
-        b = b_min + (1.0 - m * b_min) * rng.dirichlet(np.ones(m))
-        t = 10 ** rng.uniform(0, 10)
-        slack = b - b_min
-        grad, step, nu = bw._newton_step(bw._factors(b, inst), slack, t)
+        b, free = floored_point(rng, m, b_min)
+        ev = bw._factors(b, inst)
+        free &= ev.diag > bw.FLAT_TOL * ev.value  # a flat share is never free
+        if not free.any():
+            continue
+        held = ~free
+        floors += int(held.any())
+        pinned = np.where(held & (rng.random(m) < 0.3), -rng.uniform(0, 1, m) * b, 0.0)
+        step, nu = bw._newton_step(ev, free, pinned)
 
         ev = smoothed_objective(b, inst)
-        kkt = np.zeros((m + 1, m + 1))
-        kkt[:m, :m] = ev.hessian + np.diag(1.0 / (t * slack ** 2))
-        kkt[:m, m] = 1.0
-        kkt[m, :m] = 1.0
-        rhs = np.append(-(ev.gradient - 1.0 / (t * slack)), 0.0)
-        scale = np.append(1.0 / np.sqrt(np.diag(kkt)[:m]), 1.0)
+        f = np.flatnonzero(free)
+        k = f.size
+        kkt = np.zeros((k + 1, k + 1))
+        kkt[:k, :k] = ev.hessian[np.ix_(f, f)]
+        kkt[:k, k] = 1.0
+        kkt[k, :k] = 1.0
+        rhs = np.append(-ev.gradient[f] - ev.hessian[np.ix_(f, held)] @ pinned[held],
+                        -pinned.sum())
+        scale = np.append(1.0 / np.sqrt(np.diag(kkt)[:k]), 1.0)
         ref = scale * np.linalg.solve(kkt * np.outer(scale, scale), scale * rhs)
 
-        assert np.array_equal(grad, -rhs[:m])
+        assert np.array_equal(step[held], pinned[held])
         assert abs(step.sum()) <= 1e-12
         # step entries below 1e-15 are beneath the resolution of b itself
-        assert np.abs(step - ref[:m]).max() <= 1e-9 * np.abs(ref[:m]).max() + 1e-15
-        assert abs(nu - ref[m]) <= 1e-9 * abs(ref[m])
+        assert np.abs(step[f] - ref[:k]).max() <= 1e-9 * np.abs(ref[:k]).max() + 1e-15
+        assert abs(nu - ref[k]) <= 1e-9 * abs(ref[k]) + 1e-12 * np.abs(ev.gradient).max()
     assert zero_priced >= 100
+    assert floors >= 50
 
 
 def test_newton_step_rejects_singular_system():
     inst = AllocationInstance(np.zeros(2), np.ones(2), np.zeros(2), 1.0, 0.1)
     b = np.array([0.5, 0.5])
     ev = bw._factors(b, inst)
+    both = np.ones(2, dtype=bool)
     with pytest.raises(NoConverge, match="singular KKT"):
-        bw._newton_step(ev._replace(diag=np.array([np.inf, 1.0])), b - 0.1, 1.0)
+        bw._newton_step(ev._replace(diag=np.array([np.inf, 1.0])), both, np.zeros(2))
     with pytest.raises(NoConverge, match="singular KKT"):
-        bw._newton_step(ev._replace(weights=np.zeros(2)), b - 0.1, 1.0)
+        bw._newton_step(ev._replace(weights=np.zeros(2)), both, np.zeros(2))
+    # nothing free, or a free share without curvature: no Newton step
+    with pytest.raises(NoConverge, match="singular KKT"):
+        bw._newton_step(ev, np.zeros(2, dtype=bool), np.zeros(2))
+    with pytest.raises(NoConverge, match="singular KKT"):
+        bw._newton_step(ev._replace(diag=np.array([0.0, 1.0])), both, np.zeros(2))
+    # delta sums the held shares' weights: without them and without excess
+    # curvature on the free share the restricted Hessian is singular
+    first = np.array([True, False])
+    with pytest.raises(NoConverge, match="singular KKT"):
+        bw._newton_step(ev._replace(weights=np.array([1.0, 0.0]), excess=np.zeros(2)),
+                        first, np.zeros(2))
+    step, _ = bw._newton_step(ev._replace(weights=np.array([0.5, 0.5]), excess=np.zeros(2)),
+                              first, np.array([0.0, -0.1]))
+    assert step.tolist() == [0.1, -0.1]
+
+
+def test_diagonal_free_solves_the_diagonal_model():
+    # the sorted breakpoint scan against bisection on the multiplier of the
+    # separable model p_i(nu) = max(floor - b_i, -(g_i + nu)/d_i), sum(p) = 0
+    rng = np.random.default_rng(19)
+    for trial in range(100):
+        m = 2 + trial % 60
+        b_min = rng.uniform(0.0, 0.9) / m
+        inst = rand_instance(rng, m, b_min=b_min)
+        b, _ = floored_point(rng, m, b_min)
+        ev = bw._factors(b, inst)
+        movable = ev.diag > bw.FLAT_TOL * ev.value
+        moves = rng.uniform(-1, 0, m) * (b - b_min)  # the others drop toward the floor
+        fixed = float(moves[~movable].sum())
+        free = bw._diagonal_free(ev, b, b_min, movable, fixed)
+        assert not free[~movable].any()
+        g, d, x = ev.gradient[movable], ev.diag[movable], b[movable]
+        free = free[movable]
+
+        def total(nu):
+            return np.maximum(b_min - x, -(g + nu) / d).sum() + fixed
+
+        lo, hi = -np.abs(g).max() - 1.0, 1.0
+        while total(hi) > 0:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if total(mid) > 0 else (lo, mid)
+        on_floor = -(g + hi) / d <= b_min - x
+        kappa = d * (x - b_min) - g
+        clear = np.abs(kappa - hi) > 1e-9 * (np.abs(kappa) + abs(hi))
+        assert np.array_equal(free[clear], ~on_floor[clear])
 
 
 # (m, Newton iterations, objective) of barrier_solve on rand_instance draws from
-# default_rng(31) with min_ratio 0.005, recorded with the dense KKT solver the
-# O(m) step replaced
+# default_rng(31) with min_ratio 0.005, recorded with the log-barrier method
+# (dense KKT solver) that the projected Newton method replaced
 BARRIER_PIN = (
     (2, 18, 0.12198252090189805), (2, 15, 0.07510965503396133),
     (2, 23, 4.4790340213517315), (2, 16, 14.364510466266863),
@@ -172,14 +241,65 @@ BARRIER_PIN = (
     (100, 71, 1841.6868207284876), (100, 66, 2243.288170698517),
     (100, 66, 5064.217036192596), (100, 63, 1763.995509947388),
 )
+# (KKT systems, objective) of the projected Newton method on the same draws
+NEWTON_PIN = (
+    (4, 0.12198252087362141), (3, 0.07510965502953455),
+    (5, 4.479034021313436), (3, 14.36451046626686),
+    (13, 22.413246036688115), (12, 5.545327984593677),
+    (10, 13.947165086192996), (9, 27.05701342251435),
+    (7, 129.79064444832522), (19, 387.24359201309494),
+    (12, 419.2617494686792), (12, 100.98108480876516),
+    (4, 498.68061994481144), (25, 1076.8700305781479),
+    (21, 4042.43998031318), (21, 1064.5691216630098),
+    (22, 1841.6868207274783), (26, 2243.288170697556),
+    (30, 5064.217036192009), (23, 1763.9955099465506),
+)
 
 
 def test_barrier_regression_pin():
     rng = np.random.default_rng(31)
-    for m, iterations, objective in BARRIER_PIN:
+    for (m, _, barrier_objective), (systems, objective) in zip(BARRIER_PIN, NEWTON_PIN):
         got = barrier_solve(rand_instance(rng, m, b_min=0.005))
-        assert got.iterations == iterations
+        assert got.iterations == systems
         assert got.objective == pytest.approx(objective, rel=1e-12, abs=0)
+        assert got.objective <= barrier_objective * (1 + 1e-12)
+
+
+def stress_instance(rng):
+    """One draw of the allocator's stress family: m up to 100, latency
+    coefficients over three decades, half the clients unpriced, V over ten."""
+    m = int(rng.integers(1, 101))
+    b_min = min(float(rng.choice([0.001, 0.005, 0.01, 0.05])), 1.0 / m)
+    price = np.where(rng.random(m) < 0.5, 0.0, rng.uniform(0, 1e2, m))
+    return AllocationInstance(rng.uniform(0, 1, m), 10 ** rng.uniform(-3, 0, m), price,
+                              10 ** rng.uniform(-6, 4), b_min)
+
+
+def test_newton_matches_log_barrier_oracle_on_stress_family():
+    rng = np.random.default_rng(20)
+    compared = 0
+    for _ in range(300):
+        inst = stress_instance(rng)
+        try:
+            oracle = log_barrier_solve(inst)
+        except NoConverge:
+            continue
+        compared += 1
+        got = barrier_solve(inst)
+        assert got.objective <= oracle.objective * (1 + 1e-9)
+        # KKT certificate on the floored simplex
+        b, b_min = got.ratios, inst.min_ratio
+        assert abs(b.sum() - 1.0) <= 1e-12
+        assert b.min() >= b_min
+        grad = smoothed_objective(b, inst).gradient
+        free = b > b_min + 1e-12
+        if not free.any():
+            continue  # every share on the floor: nothing to certify
+        nu = -float(grad[free].mean())
+        tol = 1e-4 * float(np.abs(grad).max())
+        assert np.abs(grad[free] + nu).max() <= tol
+        assert np.all(grad[~free] + nu >= -tol)
+    assert compared >= 290
 
 
 def test_smoothing_gap_in_range():
@@ -200,7 +320,19 @@ def test_barrier_two_identical_clients():
                               np.array([0.1, 0.1]), 1.0, 0.1)
     got = barrier_solve(inst)
     assert np.allclose(got.ratios, 0.5, atol=1e-6)
-    assert got.duality_gap <= bw.TOL
+    assert got.duality_gap <= bw.NEWTON_TOL * got.objective
+
+
+def test_barrier_flat_clients():
+    # no share moves the value: the equal split stands
+    flat = AllocationInstance(np.array([0.3, 0.1]), np.zeros(2), np.zeros(2), 1.0, 0.1)
+    got = barrier_solve(flat)
+    assert np.array_equal(got.ratios, [0.5, 0.5]) and got.iterations == 0
+    # the slowest client's latency does not depend on its share: it goes to the floor
+    inst = AllocationInstance(np.array([5.0, 0.0]), np.array([0.0, 0.1]),
+                              np.array([0.0, 0.1]), 1.0, 0.1)
+    got = barrier_solve(inst)
+    assert np.array_equal(got.ratios, [0.1, 0.9])
 
 
 def test_barrier_single_client():
