@@ -1,21 +1,20 @@
 """Online client selection and bandwidth allocation for wireless federated learning."""
 
-from .bandwidth import (Allocation, AllocationInstance, barrier_solve, grid_oracle,
-                        lse_error_bound, smoothed_objective)
+from .bandwidth import (Allocation, AllocationInstance, barrier_solve, lse_error_bound,
+                        smoothed_objective)
 from .lyapunov import QueueState, drift_bound, lyapunov_value, update_queue
-from .model import (ClientProfile, Decision, Population, RoundObservation,
-                    SystemConfig)
+from .model import Decision, Population, RoundObservation, SystemConfig
 from .scheduler import PolicySpec, RoundContext, RoundRecord, RunTrace, run_policy, solve_round
-from .selection import SelectionInstance, brute_force_selection, itmcs
+from .selection import SelectionInstance, itmcs
 from .simenv import Scenario, ScenarioSpec, generate_population, sample_round
 
 __all__ = [
-    "Allocation", "AllocationInstance", "barrier_solve",
-    "grid_oracle", "lse_error_bound", "smoothed_objective",
+    "Allocation", "AllocationInstance", "barrier_solve", "lse_error_bound",
+    "smoothed_objective",
     "QueueState", "drift_bound", "lyapunov_value", "update_queue",
-    "ClientProfile", "Decision", "Population", "RoundObservation", "SystemConfig",
+    "Decision", "Population", "RoundObservation", "SystemConfig",
     "PolicySpec", "RoundContext", "RoundRecord", "RunTrace", "run_policy", "solve_round",
-    "SelectionInstance", "brute_force_selection", "itmcs",
+    "SelectionInstance", "itmcs",
     "Scenario", "ScenarioSpec", "generate_population", "sample_round",
 ]
 

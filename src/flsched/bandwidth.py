@@ -85,7 +85,6 @@ class Allocation:
     objective: float  # smoothed objective value at ratios
     iterations: int  # KKT systems solved
     duality_gap: float  # the Newton model's predicted decrease at the last step
-    max_objective: float = float("nan")  # objective with the true (non-smoothed) max term
 
 
 class SmoothedEval(NamedTuple):
@@ -167,13 +166,6 @@ def smoothed_objective(ratios: np.ndarray, instance: AllocationInstance) -> Smoo
                         np.diag(ev.diag) - np.outer(ev.rank_one, ev.rank_one))
 
 
-def exact_objective(ratios: np.ndarray, instance: AllocationInstance) -> float:
-    """Objective with the true (non-smoothed) max latency term."""
-    b = np.asarray(ratios, dtype=float)
-    u = _latency_terms(b, instance)
-    return instance.penalty_weight * float(u.max()) + float((instance.price_coeff / b).sum())
-
-
 def smoothing_gap(ratios: np.ndarray, instance: AllocationInstance) -> float:
     """LSE minus max of the latency terms; lies in [0, ln(m)]."""
     u = _latency_terms(np.asarray(ratios, dtype=float), instance)
@@ -182,7 +174,7 @@ def smoothing_gap(ratios: np.ndarray, instance: AllocationInstance) -> float:
 
 
 def _fixed_allocation(b: np.ndarray, instance: AllocationInstance) -> Allocation:
-    return Allocation(b, _value(b, instance), 0, 0.0, exact_objective(b, instance))
+    return Allocation(b, _value(b, instance), 0, 0.0)
 
 
 def _project(y: np.ndarray, floor: float) -> np.ndarray:
@@ -356,7 +348,7 @@ def barrier_solve(instance: AllocationInstance) -> Allocation:
     gap = smoothing_gap(b, instance)
     if not (-1e-12 <= gap <= lse_error_bound(m) + 1e-12):
         raise AssertionError("smoothing gap left [0, ln(m)]")
-    return Allocation(b, value, systems, gain, exact_objective(b, instance))
+    return Allocation(b, value, systems, gain)
 
 
 def simplex_grid(m: int, b_min: float, step: float) -> np.ndarray:
@@ -387,24 +379,3 @@ def simplex_grid(m: int, b_min: float, step: float) -> np.ndarray:
     b3 = 1.0 - b1 - b2
     keep = b3 >= b_min - FEAS_TOL
     return np.column_stack([b1[keep], b2[keep], b3[keep]])
-
-
-def grid_oracle(instance: AllocationInstance, step: float) -> Allocation:
-    """Exhaustive grid minimizer of the smoothed objective (small m only).
-
-    The oracle is deliberately independent of the Newton path: it evaluates
-    the objective formula directly on every feasible grid point.
-    """
-    if instance.size > 3:
-        raise TooLarge("grid oracle limited to 3 clients")
-    if step > 1e-3 + FEAS_TOL:
-        raise ValueError("oracle grid step must be at most 1e-3")
-    points = simplex_grid(instance.size, instance.min_ratio, step)
-    u = instance.comp_latency[None, :] + instance.lat_coeff[None, :] / points
-    lse = u[:, 0]
-    for j in range(1, u.shape[1]):
-        lse = np.logaddexp(lse, u[:, j])
-    values = instance.penalty_weight * lse + (instance.price_coeff[None, :] / points).sum(axis=1)
-    best = int(np.argmin(values))
-    b = points[best]
-    return Allocation(b, float(values[best]), 0, 0.0, exact_objective(b, instance))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -21,7 +21,7 @@ from . import bandwidth as bw
 from . import model
 from .errors import ConfigError, TooLarge, Unreachable
 from .scheduler import PolicySpec, RoundContext, RunTrace, run_policy
-from .simenv import IID, NONIID, Scenario, ScenarioSpec
+from .simenv import DEFAULTS, IID, NONIID, Range, Scenario, ScenarioSpec
 
 CSV_HEADER = ("round,policy,seed,n_selected,latency_s,phi,cost,queue_l2,"
               "cum_latency_s,cum_cost,energy_overflow_j")
@@ -29,20 +29,13 @@ SWEEP_HEADER = "v,avg_selected,total_latency_s,avg_cost,energy_overflow_j,total_
 COMPARE_HEADER = "policy,knob,avg_selected,total_latency_s,energy_overflow_j,total_phi"
 CALIBRATION_TOLERANCE = 2.0  # accepted distance of the average selected count from the target
 
-_SYSTEM_KEYS = {"num_clients", "num_rounds", "frame_len", "num_frames",
-                "bandwidth", "min_ratio", "noise_power", "accuracy_coeff"}
-_SCENARIO_KEYS = {"mode", "cpu_freq", "cycles_per_bit", "tx_power", "capacitance",
-                  "local_iters", "model_size", "energy_budget", "data_size",
-                  "data_size_choices", "gain_sq"}
-_POLICY_KEYS = {"kind", "penalty", "random_fraction", "latency_cap"}
-_OUTPUT_KEYS = {"dir"}
-_INTEGER_KEYS = {"num_clients", "num_rounds", "frame_len", "num_frames", "local_iters"}
-_RANGE_KEYS = {"cpu_freq", "cycles_per_bit", "tx_power", "gain_sq"}  # [low, high]
+_SYSTEM_KEYS = {f.name for f in fields(model.SystemConfig)}
+# each section's keys; a system or scenario key's default fixes its JSON form
 _SECTION_KEYS = {
     "system": _SYSTEM_KEYS,
-    "scenario": _SCENARIO_KEYS,
-    "policy": _POLICY_KEYS,
-    "output": _OUTPUT_KEYS,
+    "scenario": (DEFAULTS.keys() - _SYSTEM_KEYS) | {"mode"},
+    "policy": {f.name for f in fields(PolicySpec)},
+    "output": {"dir"},
 }
 
 
@@ -86,13 +79,18 @@ def _integer(key: str, value: Any) -> int:
 
 
 def _override(key: str, value: Any) -> Any:
-    """A validated `system` or `scenario` value: integer, number, or list of numbers."""
-    if key in _INTEGER_KEYS:
+    """A validated `system` or `scenario` value, in the form of its default.
+
+    An int default takes an integer, a `Range` default a [low, high] list, any
+    other tuple a non-empty list of numbers, and a float default a number.
+    """
+    default = DEFAULTS[key]
+    if isinstance(default, int):
         return _integer(key, value)
-    if key in _RANGE_KEYS or key == "data_size_choices":
+    if isinstance(default, tuple):
         if not isinstance(value, list) or not value or \
-                (key in _RANGE_KEYS and len(value) != 2):
-            shape = "[low, high]" if key in _RANGE_KEYS else "a non-empty list"
+                (isinstance(default, Range) and len(value) != 2):
+            shape = "[low, high]" if isinstance(default, Range) else "a non-empty list"
             raise ConfigError(f"{key} must be {shape}, got {value!r}")
         return tuple(_number(key, v) for v in value)
     return _number(key, value)

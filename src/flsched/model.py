@@ -1,21 +1,21 @@
 """Per-round physics of the federated system.
 
 Each physical quantity is defined here once, vectorized over the client
-population: training energy and latency (`Population`), full-band Shannon
-rates (`rate_coefficients`, base-2 log, bits/s), per-client round latency
-and energy at a vector of band shares (`client_round`, and `selected_totals`
-for a decision), and the diminishing-returns accuracy utility
-(`client_utility`, natural log). `scheduler.RoundContext.outcome` assembles
-the round cost from them: the slowest selected client's latency minus the
-selected utility. So are the two constraints: how many clients the floor
-admits (`max_clients`), and the energy budget's per-round credit H_k/R
-(`round_credit`) and horizon overflow (`energy_overflow`).
+population (`Population`, one array per client parameter): training energy
+and latency, full-band Shannon rates (`rate_coefficients`, base-2 log,
+bits/s), per-client round latency and energy at a vector of band shares
+(`client_round`, and `selected_totals` for a decision), and the
+diminishing-returns accuracy utility (`client_utility`, natural log).
+`scheduler.RoundContext.outcome` assembles the round cost from them: the
+slowest selected client's latency minus the selected utility. So are the
+two constraints: how many clients the floor admits (`max_clients`), and the
+energy budget's per-round credit H_k/R (`round_credit`) and horizon
+overflow (`energy_overflow`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,28 +31,6 @@ def max_clients(min_ratio: float) -> int:
     while m * min_ratio > 1 + FEAS_TOL:
         m -= 1
     return m
-
-
-@dataclass(frozen=True)
-class ClientProfile:
-    """Static hardware, radio, and data parameters of one client."""
-
-    cpu_freq: float  # cycles/s
-    cycles_per_bit: float  # cycles/bit
-    capacitance: float  # effective switched capacitance, J*s^2/cycle^3
-    tx_power: float  # W
-    model_size: float  # bits uploaded per round
-    data_size: float  # bits of local training data
-    energy_budget: float  # J over the whole horizon
-    local_iters: int  # local training passes per round
-
-    def __post_init__(self):
-        for name in ("cpu_freq", "cycles_per_bit", "capacitance", "tx_power",
-                     "model_size", "data_size", "energy_budget", "local_iters"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.local_iters != int(self.local_iters):
-            raise ValueError("local_iters must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -87,31 +65,46 @@ class SystemConfig:
         return max_clients(self.min_ratio)
 
 
+@dataclass(frozen=True, eq=False)
 class Population:
-    """Client profiles stacked as arrays for vectorized per-round math."""
+    """Static hardware, radio and data parameters, one array entry per client.
 
-    def __init__(self, profiles: Sequence[ClientProfile]):
-        if not profiles:
+    Every field is a 1-d array over the same clients, stored as floats except
+    `local_iters`, which keeps the dtype it is given. The static per-client
+    training cost, independent of the channel, is precomputed as
+    `comp_energy` and `comp_latency`.
+    """
+
+    cpu_freq: np.ndarray  # cycles/s
+    cycles_per_bit: np.ndarray  # cycles/bit
+    capacitance: np.ndarray  # effective switched capacitance, J*s^2/cycle^3
+    tx_power: np.ndarray  # W
+    model_size: np.ndarray  # bits uploaded per round
+    data_size: np.ndarray  # bits of local training data
+    energy_budget: np.ndarray  # J over the whole horizon
+    local_iters: np.ndarray  # local training passes per round, integral
+
+    def __post_init__(self):
+        for f in fields(self):
+            dtype = None if f.name == "local_iters" else float
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=dtype))
+        if any(getattr(self, f.name).shape != (len(self),) for f in fields(self)):
+            raise ValueError("per-client parameters must be 1-d arrays of equal length")
+        if not len(self):
             raise ValueError("empty population")
-        self.profiles = tuple(profiles)
-        self.cpu_freq = np.array([p.cpu_freq for p in profiles])
-        self.cycles_per_bit = np.array([p.cycles_per_bit for p in profiles])
-        self.capacitance = np.array([p.capacitance for p in profiles])
-        self.tx_power = np.array([p.tx_power for p in profiles])
-        self.model_size = np.array([p.model_size for p in profiles])
-        self.data_size = np.array([p.data_size for p in profiles])
-        self.energy_budget = np.array([p.energy_budget for p in profiles])
-        self.local_iters = np.array([p.local_iters for p in profiles])
-        # static per-client training cost, independent of the channel
-        self.comp_energy = (self.local_iters * self.capacitance * self.cycles_per_bit
-                            * self.data_size * self.cpu_freq ** 2)
-        self.comp_latency = self.local_iters * self.cycles_per_bit * self.data_size / self.cpu_freq
+        for f in fields(self):
+            if not (getattr(self, f.name) > 0).all():
+                raise ValueError(f"{f.name} must be strictly positive")
+        if (self.local_iters != np.floor(self.local_iters)).any():
+            raise ValueError("local_iters must be a positive integer")
+        object.__setattr__(self, "comp_energy",
+                           self.local_iters * self.capacitance * self.cycles_per_bit
+                           * self.data_size * self.cpu_freq ** 2)
+        object.__setattr__(self, "comp_latency",
+                           self.local_iters * self.cycles_per_bit * self.data_size / self.cpu_freq)
 
     def __len__(self) -> int:
-        return len(self.profiles)
-
-    def __getitem__(self, k: int) -> ClientProfile:
-        return self.profiles[k]
+        return self.cpu_freq.size
 
 
 @dataclass(frozen=True)
@@ -155,7 +148,7 @@ class Decision:
         if not self.selected.any():
             return
         shares = self.bandwidth[self.selected]
-        if np.any(shares < config.min_ratio - 1e-12):
+        if np.any(shares < config.min_ratio - FEAS_TOL):
             raise ValueError("selected client below the bandwidth floor")
         if abs(shares.sum() - 1.0) > SUM_TOL:
             raise ValueError("selected shares must sum to one")

@@ -210,7 +210,7 @@ def _fill(rate_coeff: np.ndarray, upload: np.ndarray, slack: np.ndarray,
     last = -1
     for client in order:
         s = shares[client]
-        if total + s > 1.0 + 1e-12:
+        if total + s > 1.0 + model.FEAS_TOL:
             break
         selected[client] = True
         out[client] = s

@@ -11,14 +11,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
-
-from .errors import TooLarge
-
-BRUTE_FORCE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -49,15 +43,6 @@ class SelectionInstance:
 class SelectionResult:
     selected: np.ndarray  # bool per client
     objective: float
-
-
-def selection_objective(subset: Iterable[int], instance: SelectionInstance) -> float:
-    """W(S): penalty times the largest latency in S plus the score sum; W({}) = 0."""
-    idx = list(subset)
-    if not idx:
-        return 0.0
-    t_max = float(np.max(instance.latencies[idx]))
-    return instance.penalty_weight * t_max + float(np.sum(instance.scores[idx]))
 
 
 def itmcs(instance: SelectionInstance) -> SelectionResult:
@@ -103,35 +88,3 @@ def itmcs(instance: SelectionInstance) -> SelectionResult:
             by_score = preds[np.lexsort((preds, q[preds]))][:take]
             selected[by_score] = True
     return SelectionResult(selected, best_w)
-
-
-@lru_cache(maxsize=8)
-def _subset_masks(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All 2^k selection masks as a bool matrix, plus per-row set sizes."""
-    masks = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1
-    masks = masks.astype(bool)
-    return masks, masks.sum(axis=1)
-
-
-def brute_force_selection(instance: SelectionInstance) -> SelectionResult:
-    """Exhaustive minimizer of W; ties broken by smaller set, then lexicographic.
-
-    Raises TooLarge beyond 20 clients.
-    """
-    k = len(instance.scores)
-    if k > BRUTE_FORCE_LIMIT:
-        raise TooLarge(f"brute force limited to {BRUTE_FORCE_LIMIT} clients")
-    masks, sizes = _subset_masks(k)
-    t_max = np.where(masks, instance.latencies[None, :], -np.inf).max(axis=1)
-    t_max[0] = 0.0
-    # where/sum instead of matmul so infinite scores cannot produce 0*inf NaNs
-    score_sum = np.where(masks, instance.scores[None, :], 0.0).sum(axis=1)
-    w = instance.penalty_weight * t_max + score_sum
-    w[0] = 0.0
-    if instance.max_selected is not None:
-        w = np.where(sizes > instance.max_selected, np.inf, w)
-    w_min = float(w.min())
-    cand = np.flatnonzero(w == w_min)
-    cand = cand[sizes[cand] == sizes[cand].min()]
-    best = min(cand, key=lambda row: tuple(np.flatnonzero(masks[row])))
-    return SelectionResult(masks[best].copy(), w_min)

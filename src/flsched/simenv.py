@@ -11,16 +11,16 @@ alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from numbers import Integral
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
 from . import lyapunov as lyap
 from . import model
-from .model import ClientProfile, Population, RoundObservation, SystemConfig
+from .model import Population, RoundObservation, SystemConfig
 
 IID = "IID"
 NONIID = "NONIID"
@@ -35,6 +35,16 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+class Range(NamedTuple):
+    """Bounds [low, high] of a parameter drawn at random, per client or per round."""
+
+    low: float
+    high: float
+
+
+# Every scenario parameter and its default. A key named after a `SystemConfig`
+# or `Population` field sets that field; a default's type fixes how a config
+# gives the key: an int, a float, a `Range`, or a tuple of values.
 DEFAULTS: dict[str, Any] = {
     "num_clients": 100,
     "num_rounds": 300,
@@ -44,16 +54,16 @@ DEFAULTS: dict[str, Any] = {
     "min_ratio": 0.01,
     "noise_power": 1e-13,  # W
     "accuracy_coeff": 1.7e-8,
-    "cycles_per_bit": (1.0, 10.0),
-    "cpu_freq": (1e7, 1e9),  # 0.01-1 GHz
-    "tx_power": (dbm_to_watts(10.0), dbm_to_watts(20.0)),  # 0.01-0.1 W
+    "cycles_per_bit": Range(1.0, 10.0),
+    "cpu_freq": Range(1e7, 1e9),  # 0.01-1 GHz
+    "tx_power": Range(dbm_to_watts(10.0), dbm_to_watts(20.0)),  # 0.01-0.1 W
     "capacitance": 1e-28,
     "local_iters": 5,
     "model_size": 2.4e5,  # bits
     "energy_budget": 1.5,  # J
     "data_size": 3.6e6,  # bits, IID (midpoint of the NONIID set)
     "data_size_choices": (1.2e6, 2.4e6, 3.6e6, 4.8e6, 6.0e6),  # bits, NONIID
-    "gain_sq": (1e-11, 1e-9),
+    "gain_sq": Range(1e-11, 1e-9),
 }
 
 
@@ -81,49 +91,36 @@ class ScenarioSpec:
         return self.overrides.get(name, DEFAULTS[name])
 
 
+def _typed(name: str, value: Any) -> Any:
+    """A parameter's value as the type of its default (int or float)."""
+    return type(DEFAULTS[name])(value)
+
+
 def generate_population(spec: ScenarioSpec) -> tuple[Population, SystemConfig]:
     """Draw the static client population and the system configuration.
 
-    Hardware draws (cpu frequency, cycles/bit, transmit power) are uniform
-    over their ranges and identical across modes for a given seed; only the
-    data volumes differ between IID and NONIID.
+    Each field of `Population` and `SystemConfig` is the parameter of the same
+    name. A `Range` parameter (cpu frequency, cycles/bit, transmit power) is
+    drawn uniformly per client, in field order from one stream, so these draws
+    are identical across modes for a given seed; any other is one value for
+    every client. Only the data volumes differ between modes: NONIID draws
+    them from `data_size_choices`, after the hardware.
     """
     k = int(spec.param("num_clients"))
     rng = np.random.default_rng([spec.seed, _POP_STREAM])
-    f_lo, f_hi = spec.param("cpu_freq")
-    c_lo, c_hi = spec.param("cycles_per_bit")
-    p_lo, p_hi = spec.param("tx_power")
-    cpu_freq = rng.uniform(f_lo, f_hi, k)
-    cycles = rng.uniform(c_lo, c_hi, k)
-    tx_power = rng.uniform(p_lo, p_hi, k)
-    if spec.mode == NONIID:
-        data = rng.choice(np.asarray(spec.param("data_size_choices"), dtype=float), size=k)
-    else:
-        data = np.full(k, float(spec.param("data_size")))
-    profiles = [
-        ClientProfile(
-            cpu_freq=cpu_freq[i],
-            cycles_per_bit=cycles[i],
-            capacitance=float(spec.param("capacitance")),
-            tx_power=tx_power[i],
-            model_size=float(spec.param("model_size")),
-            data_size=data[i],
-            energy_budget=float(spec.param("energy_budget")),
-            local_iters=int(spec.param("local_iters")),
-        )
-        for i in range(k)
-    ]
-    config = SystemConfig(
-        num_clients=k,
-        num_rounds=int(spec.param("num_rounds")),
-        frame_len=int(spec.param("frame_len")),
-        num_frames=int(spec.param("num_frames")),
-        bandwidth=float(spec.param("bandwidth")),
-        min_ratio=float(spec.param("min_ratio")),
-        noise_power=float(spec.param("noise_power")),
-        accuracy_coeff=float(spec.param("accuracy_coeff")),
-    )
-    return Population(profiles), config
+
+    def per_client(name: str) -> np.ndarray:
+        if name == "data_size" and spec.mode == NONIID:
+            return rng.choice(np.asarray(spec.param("data_size_choices"), dtype=float), size=k)
+        if isinstance(DEFAULTS[name], Range):
+            return rng.uniform(*spec.param(name), k)
+        return np.full(k, _typed(name, spec.param(name)))
+
+    arrays = {f.name: per_client(f.name) for f in fields(Population)}
+    # checked before the Population, so that SystemConfig reports a client count below one
+    config = SystemConfig(**{f.name: _typed(f.name, spec.param(f.name))
+                             for f in fields(SystemConfig)})
+    return Population(**arrays), config
 
 
 def sample_round(spec: ScenarioSpec, round_index: int, population: Population) -> RoundObservation:

@@ -114,4 +114,4 @@ def log_barrier_solve(instance: bw.AllocationInstance) -> bw.Allocation:
         t *= MU_GROWTH
 
     value = bw._value(b, instance)
-    return bw.Allocation(b, value, total_newton, m / t, bw.exact_objective(b, instance))
+    return bw.Allocation(b, value, total_newton, m / t)

@@ -2,18 +2,23 @@ import hypothesis
 import numpy as np
 import pytest
 
-from flsched.model import ClientProfile, Population, SystemConfig
+from flsched.model import Population, SystemConfig
 
 hypothesis.settings.register_profile("default", deadline=None)
 hypothesis.settings.load_profile("default")
 
+# 1 GHz client with the reference radio numbers: G(h2=1e-10) ~ 6.658e7 bit/s
+EXAMPLE_CLIENT = dict(cpu_freq=1e9, cycles_per_bit=10.0, capacitance=1e-28, tx_power=0.1,
+                      model_size=2.4e5, data_size=1.2e6, energy_budget=1.5, local_iters=5)
 
-@pytest.fixture
-def example_profile():
-    # 1 GHz client with the reference radio numbers: G(h2=1e-10) ~ 6.658e7 bit/s
-    return ClientProfile(cpu_freq=1e9, cycles_per_bit=10.0, capacitance=1e-28,
-                         tx_power=0.1, model_size=2.4e5, data_size=1.2e6,
-                         energy_budget=1.5, local_iters=5)
+
+def population(k: int = 1, **params) -> Population:
+    """k clients with the example client's parameters, each keyword replacing one.
+
+    A keyword's value is a scalar for every client or a length-k sequence.
+    """
+    return Population(**{name: np.full(k, value)
+                         for name, value in {**EXAMPLE_CLIENT, **params}.items()})
 
 
 @pytest.fixture
@@ -24,18 +29,5 @@ def example_config():
 
 
 @pytest.fixture
-def twin_population(example_profile):
-    return Population([example_profile, example_profile])
-
-
-def random_profile(rng: np.random.Generator) -> ClientProfile:
-    return ClientProfile(
-        cpu_freq=rng.uniform(1e7, 1e9),
-        cycles_per_bit=rng.uniform(1.0, 10.0),
-        capacitance=1e-28,
-        tx_power=rng.uniform(0.01, 0.1),
-        model_size=2.4e5,
-        data_size=rng.uniform(1.2e6, 6.0e6),
-        energy_budget=1.5,
-        local_iters=5,
-    )
+def twin_population():
+    return population(2)

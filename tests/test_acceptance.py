@@ -25,8 +25,10 @@ from scipy.stats import spearmanr
 from flsched import bandwidth as bw
 from flsched import harness
 from flsched import scheduler as sched
-from flsched.selection import SelectionInstance, brute_force_selection, itmcs
+from flsched.selection import SelectionInstance, itmcs
 from flsched.simenv import Scenario, ScenarioSpec
+
+from oracles import brute_force_selection, grid_oracle
 
 SEED = 1
 GREEDY_OVERFLOW_TOL = 1e-9  # J; see the module docstring
@@ -92,7 +94,7 @@ def test_criterion_02_barrier_matches_grid_oracle():
                                      rng.uniform(0.0, 0.5, 2), 10 ** rng.uniform(-1, 1),
                                      0.1)
         sol = bw.barrier_solve(inst)
-        oracle = bw.grid_oracle(inst, 1e-4)
+        oracle = grid_oracle(inst, 1e-4)
         worst_coord = max(worst_coord, float(np.abs(sol.ratios - oracle.ratios).max()))
         worst_rel = max(worst_rel,
                         abs(sol.objective - oracle.objective) / abs(oracle.objective))

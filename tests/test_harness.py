@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -14,8 +15,9 @@ from flsched import lyapunov as lyap
 from flsched.errors import ConfigError, TooLarge, Unreachable
 from flsched.harness import (HarnessConfig, calibrate, compare_policies, load_config,
                              parse_config, run_experiment, sweep_v, verify_bounds)
+from flsched.model import Population, SystemConfig
 from flsched.scheduler import POLICY_KINDS, PolicySpec, run_policy
-from flsched.simenv import Scenario
+from flsched.simenv import DEFAULTS, IID, NONIID, Range, Scenario
 
 
 def small_config(tmp_path: Path, **policy) -> Path:
@@ -69,12 +71,13 @@ def test_parse_config_rejects_bad_pedpc(pedpc):
 
 
 _BAD_NUMBERS = [float("nan"), float("inf"), float("-inf"), "x"]
-_LIST_KEYS = harness._RANGE_KEYS | {"data_size_choices"}
+_RANGE_KEYS = {"cpu_freq", "cycles_per_bit", "tx_power", "gain_sq"}  # [low, high]
+_LIST_KEYS = _RANGE_KEYS | {"data_size_choices"}
 
 
 def _bad_override_cases():
-    for section, keys in (("system", harness._SYSTEM_KEYS),
-                          ("scenario", harness._SCENARIO_KEYS - {"mode"})):
+    for section, keys in (("system", harness._SECTION_KEYS["system"]),
+                          ("scenario", harness._SECTION_KEYS["scenario"] - {"mode"})):
         for key in sorted(keys):
             for bad in _BAD_NUMBERS:
                 yield section, key, bad
@@ -84,9 +87,63 @@ def _bad_override_cases():
     for key in sorted(_LIST_KEYS):
         yield "scenario", key, 1.0  # a number where a list belongs
         yield "scenario", key, []
-    for key in sorted(harness._RANGE_KEYS):
+    for key in sorted(_RANGE_KEYS):
         yield "scenario", key, [1.0]
         yield "scenario", key, [1.0, 2.0, 3.0]
+
+
+def test_config_schema_is_read_from_the_defaults():
+    system = {f.name for f in dataclasses.fields(SystemConfig)}
+    assert harness._SECTION_KEYS["system"] == system
+    assert harness._SECTION_KEYS["scenario"] == (set(DEFAULTS) - system) | {"mode"}
+    assert harness._SECTION_KEYS["policy"] == {f.name for f in dataclasses.fields(PolicySpec)}
+    assert sorted(harness._SECTION_KEYS) == ["output", "policy", "scenario", "system"]
+    assert sum(len(keys) for keys in harness._SECTION_KEYS.values()) == 24
+    # each key's JSON form follows its default's type
+    assert {k for k, v in DEFAULTS.items() if isinstance(v, Range)} == _RANGE_KEYS
+    assert {k for k, v in DEFAULTS.items() if isinstance(v, tuple)} == _LIST_KEYS
+    assert {k for k, v in DEFAULTS.items() if isinstance(v, int)} == \
+        {"num_clients", "num_rounds", "frame_len", "num_frames", "local_iters"}
+
+
+@pytest.mark.parametrize("mode", [IID, NONIID])
+def test_config_of_every_default_matches_the_empty_config(mode):
+    as_json = {k: list(v) if isinstance(v, tuple) else v for k, v in DEFAULTS.items()}
+    system = harness._SECTION_KEYS["system"]
+    doc = {"system": {k: v for k, v in as_json.items() if k in system},
+           "scenario": {"mode": mode, **{k: v for k, v in as_json.items() if k not in system}}}
+    assert len(doc["system"]) + len(doc["scenario"]) == len(DEFAULTS) + 1
+    full = harness.build_scenario(parse_config(doc), seed=1)
+    empty = harness.build_scenario(parse_config({} if mode == IID else
+                                                {"scenario": {"mode": mode}}), seed=1)
+    assert full.config == empty.config
+    for name in [f.name for f in dataclasses.fields(Population)] + ["comp_energy",
+                                                                    "comp_latency"]:
+        got, want = getattr(full.population, name), getattr(empty.population, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert np.array_equal(full.observe(3).gain_sq, empty.observe(3).gain_sq)
+
+
+def _bad_per_client_cases():
+    # a range [v, v] draws v for every client; NaN fails the JSON number check first
+    for name in [f.name for f in dataclasses.fields(Population)]:
+        for value in (0, -1, float("nan")):
+            given = [value, value] if isinstance(DEFAULTS[name], Range) else value
+            message = f"{name} must be finite, got nan" if np.isnan(value) else \
+                f"{name} must be strictly positive"
+            yield pytest.param({name: given}, message, id=f"{name}-{value}")
+    yield pytest.param({"mode": NONIID, "data_size_choices": [2.4e6, 0.0]},
+                       "data_size must be strictly positive", id="data_size_choices-0")
+    yield pytest.param({"local_iters": 2.5}, "local_iters must be an integer, got 2.5",
+                       id="local_iters-2.5")
+
+
+@pytest.mark.parametrize("scenario,message", list(_bad_per_client_cases()))
+def test_cli_bad_per_client_value_exits_2(tmp_path, capsys, scenario, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"scenario": scenario}))
+    assert cli.main(["run", "--config", str(path), "--seed", "1"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("section,key,value", list(_bad_override_cases()))

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from flsched.errors import InfeasibleBound
 from flsched.lyapunov import (QueueState, deficit_ok, drift_bound, drift_gap, energy_prices,
                               lyapunov_value, update_queue)
-from flsched.model import Population, client_round, round_credit
+from flsched.model import client_round, round_credit
+
+from conftest import population
 
 CREDIT = np.full(2, 0.005)  # H/R = 1.5 J / 300 rounds for both twin clients
 
@@ -81,9 +83,9 @@ def _prices(backlog, population, rate_coeff, ratios):
     return energy_prices(np.asarray(backlog), energy)
 
 
-def test_energy_price(example_profile):
+def test_energy_price():
     g_ref = 1e7 * np.log2(101.0)
-    pop = Population([example_profile])
+    pop = population()
     assert _prices([0.0], pop, [0.0], [0.0])[0] == 0.0
     got = _prices([1.0], pop, [g_ref], [0.1])[0]
     # Z * (E_cmp + p * S / (b * G)) written out for the example client

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from flsched.bandwidth import AllocationInstance, simplex_grid
 from flsched.errors import Infeasible, InfeasibleConfig, InfeasibleLink
-from flsched.model import (FEAS_TOL, ClientProfile, Decision, Population, RoundObservation,
-                           SystemConfig, client_round, client_utility,
-                           rate_coefficients, selected_totals)
+from flsched.model import (FEAS_TOL, Decision, Population, RoundObservation, SystemConfig,
+                           client_round, client_utility, rate_coefficients, selected_totals)
 from flsched.scheduler import RoundContext, baseline_random, baseline_select_all
+
+from conftest import EXAMPLE_CLIENT, population
 
 # hand-checked reference values for the example client (1 GHz, 10 cycles/bit,
 # 0.1 W, 0.24 Mbit model, 1.2 Mbit data, 5 local passes) on a SNR=100 channel
@@ -25,22 +26,22 @@ PHI_REF = math.log1p(V_REF)  # 0.0201947...
 SNR100_GAIN = 1e-10  # 0.1 W * 1e-10 / 1e-13 W noise = SNR 100
 
 
-def rate_oracle(profile, gain_sq, config):
-    """Scalar full-band Shannon rate of one client, written out independently."""
-    return config.bandwidth * math.log2(1.0 + profile.tx_power * gain_sq / config.noise_power)
+def rate_oracle(pop, k, gain_sq, config):
+    """Scalar full-band Shannon rate of client k, written out independently."""
+    return config.bandwidth * math.log2(1.0 + pop.tx_power[k] * gain_sq / config.noise_power)
 
 
-def client_oracle(profile, rate_coeff, ratio):
-    """Scalar (latency, energy) of one client-round, written out independently."""
-    e_cmp = (profile.local_iters * profile.capacitance * profile.cycles_per_bit
-             * profile.data_size * profile.cpu_freq ** 2)
-    t_cmp = profile.local_iters * profile.cycles_per_bit * profile.data_size / profile.cpu_freq
-    t_com = profile.model_size / (ratio * rate_coeff)
-    return t_cmp + t_com, e_cmp + profile.tx_power * t_com
+def client_oracle(pop, k, rate_coeff, ratio):
+    """Scalar (latency, energy) of client k's round, written out independently."""
+    e_cmp = (pop.local_iters[k] * pop.capacitance[k] * pop.cycles_per_bit[k]
+             * pop.data_size[k] * pop.cpu_freq[k] ** 2)
+    t_cmp = pop.local_iters[k] * pop.cycles_per_bit[k] * pop.data_size[k] / pop.cpu_freq[k]
+    t_com = pop.model_size[k] / (ratio * rate_coeff)
+    return t_cmp + t_com, e_cmp + pop.tx_power[k] * t_com
 
 
-def one_client_rate(profile, gain_sq, config):
-    return rate_coefficients(Population([profile]), np.array([gain_sq]), config)[0]
+def one_client_rate(pop, gain_sq, config):
+    return rate_coefficients(pop, np.array([gain_sq]), config)[0]
 
 
 def snr100_context(population, config):
@@ -54,21 +55,18 @@ def upload(population, rate_coeff, shares):
     return latency - population.comp_latency, energy - population.comp_energy
 
 
-def test_rate_coefficient_snr100(example_profile, example_config):
-    g = one_client_rate(example_profile, SNR100_GAIN, example_config)
+def test_rate_coefficient_snr100(example_config):
+    g = one_client_rate(population(), SNR100_GAIN, example_config)
     assert g == pytest.approx(6.65821e7, rel=1e-5)
     assert g == pytest.approx(G_REF, rel=1e-12)
 
 
-def test_rate_coefficient_zero_gain(example_profile, example_config):
-    assert one_client_rate(example_profile, 0.0, example_config) == 0.0
+def test_rate_coefficient_zero_gain(example_config):
+    assert one_client_rate(population(), 0.0, example_config) == 0.0
 
 
 def test_rate_coefficient_snr_one(example_config):
-    prof = ClientProfile(cpu_freq=1e9, cycles_per_bit=10.0, capacitance=1e-28,
-                         tx_power=0.01, model_size=2.4e5, data_size=1.2e6,
-                         energy_budget=1.5, local_iters=5)
-    assert one_client_rate(prof, 1e-11, example_config) == pytest.approx(1.0e7, rel=1e-12)
+    assert one_client_rate(population(tx_power=0.01), 1e-11, example_config) == pytest.approx(1.0e7, rel=1e-12)
 
 
 def test_rate_coefficients_match_scalar(example_config, twin_population):
@@ -76,18 +74,17 @@ def test_rate_coefficients_match_scalar(example_config, twin_population):
     vec = rate_coefficients(twin_population, gains, example_config)
     for k in range(2):
         assert vec[k] == pytest.approx(
-            rate_oracle(twin_population[k], gains[k], example_config), rel=1e-14)
+            rate_oracle(twin_population, k, gains[k], example_config), rel=1e-14)
 
 
-def test_comp_quantities_reference(example_profile):
-    pop = Population([example_profile])
+def test_comp_quantities_reference():
+    pop = population()
     assert pop.comp_energy[0] == pytest.approx(E_CMP_REF, rel=1e-12)
     assert pop.comp_latency[0] == pytest.approx(T_CMP_REF, rel=1e-12)
 
 
-def test_comp_quantities_frequency_scaling(example_profile):
-    doubled = dataclasses.replace(example_profile, cpu_freq=2e9)
-    pop = Population([doubled])
+def test_comp_quantities_frequency_scaling():
+    pop = population(cpu_freq=2e9)
     # quadratic in frequency
     assert pop.comp_energy[0] == pytest.approx(4 * E_CMP_REF, rel=1e-12)
     assert pop.comp_latency[0] == pytest.approx(T_CMP_REF / 2, rel=1e-12)
@@ -95,20 +92,38 @@ def test_comp_quantities_frequency_scaling(example_profile):
 
 @given(st.floats(min_value=0.1, max_value=10.0))
 def test_comp_quantities_linear_in_data(scale):
-    base = ClientProfile(cpu_freq=1e9, cycles_per_bit=10.0, capacitance=1e-28,
-                         tx_power=0.1, model_size=2.4e5, data_size=1.2e6,
-                         energy_budget=1.5, local_iters=5)
-    grown = dataclasses.replace(base, data_size=base.data_size * scale)
-    pop = Population([base, grown])
+    base = EXAMPLE_CLIENT["data_size"]
+    pop = population(2, data_size=[base, base * scale])
     assert pop.comp_energy[1] == pytest.approx(scale * pop.comp_energy[0], rel=1e-12)
     assert pop.comp_latency[1] == pytest.approx(scale * pop.comp_latency[0], rel=1e-12)
 
 
-def test_profile_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        ClientProfile(cpu_freq=1e9, cycles_per_bit=10.0, capacitance=1e-28,
-                      tx_power=0.1, model_size=2.4e5, data_size=0.0,
-                      energy_budget=1.5, local_iters=5)
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Population)])
+def test_population_rejects_nonpositive(name, value):
+    # one bad client among three is enough, and the message names the parameter
+    values = np.full(3, float(EXAMPLE_CLIENT[name]))
+    values[1] = value
+    with pytest.raises(ValueError, match=f"^{name} must be strictly positive$"):
+        population(3, **{name: values})
+
+
+def test_population_rejects_non_integral_local_iters():
+    with pytest.raises(ValueError, match="^local_iters must be a positive integer$"):
+        population(2, local_iters=[5.0, 2.5])
+    assert population(2, local_iters=[5.0, 3.0]).comp_energy[1] == \
+        pytest.approx(0.6 * E_CMP_REF, rel=1e-12)
+
+
+def test_population_rejects_empty_or_ragged_arrays():
+    with pytest.raises(ValueError, match="^empty population$"):
+        population(0)
+    ragged = {name: np.full(2, value) for name, value in EXAMPLE_CLIENT.items()}
+    ragged["tx_power"] = np.full(3, 0.1)
+    with pytest.raises(ValueError, match="equal length"):
+        Population(**ragged)
+    with pytest.raises(ValueError, match="equal length"):
+        Population(**{name: np.full((2, 2), value) for name, value in EXAMPLE_CLIENT.items()})
 
 
 def test_comm_quantities_reference(twin_population):
@@ -138,10 +153,7 @@ def test_comm_quantities_dead_link(twin_population):
 
 @given(st.floats(min_value=0.01, max_value=0.99))
 def test_comm_monotone_in_share(ratio):
-    prof = ClientProfile(cpu_freq=1e9, cycles_per_bit=10.0, capacitance=1e-28,
-                         tx_power=0.1, model_size=2.4e5, data_size=1.2e6,
-                         energy_budget=1.5, local_iters=5)
-    (t_lo, t_hi), (e_lo, e_hi) = upload(Population([prof, prof]), np.full(2, G_REF),
+    (t_lo, t_hi), (e_lo, e_hi) = upload(population(2), np.full(2, G_REF),
                                         [ratio, ratio * 1.01])
     assert t_hi < t_lo and e_hi < e_lo
 
@@ -158,21 +170,16 @@ def test_client_round_totals(twin_population):
     assert t > T_CMP_REF and e > E_CMP_REF
 
 
-def _three_clients(example_profile):
-    """Three clients that differ only in CPU speed (1, 0.5 and 0.2 GHz)."""
-    return Population([dataclasses.replace(example_profile, cpu_freq=f)
-                       for f in (1e9, 5e8, 2e8)])
-
-
-def test_round_latency_selected_max(example_profile, example_config):
-    pop = _three_clients(example_profile)
+def test_round_latency_selected_max(example_config):
+    # three clients that differ only in CPU speed (1, 0.5 and 0.2 GHz)
+    pop = population(3, cpu_freq=[1e9, 5e8, 2e8])
     ctx = snr100_context(pop, dataclasses.replace(example_config, num_clients=3))
 
     def t0(selected, shares):
         return ctx.outcome(Decision(np.array(selected), np.array(shares)))[1]
 
     def slowest(members):
-        return max(client_oracle(pop[k], G_REF, share)[0] for k, share in members)
+        return max(client_oracle(pop, k, G_REF, share)[0] for k, share in members)
 
     # selected = {1, 2} -> the slower of the two; client 2 trains 5x slower than 0
     assert t0([False, True, True], [0.0, 0.5, 0.5]) == \
@@ -187,17 +194,15 @@ def test_round_latency_selected_max(example_profile, example_config):
 @given(st.lists(st.floats(min_value=1e7, max_value=1e9), min_size=1, max_size=8),
        st.integers(min_value=0))
 def test_round_latency_equals_indicator_max(freqs, bits):
-    profiles = [ClientProfile(cpu_freq=f, cycles_per_bit=10.0, capacitance=1e-28,
-                              tx_power=0.1, model_size=2.4e5, data_size=1.2e6,
-                              energy_budget=1.5, local_iters=5) for f in freqs]
+    pop = population(len(freqs), cpu_freq=freqs)
     config = SystemConfig(num_clients=len(freqs), num_rounds=300, frame_len=30,
                           num_frames=10, bandwidth=1e7, min_ratio=0.01, noise_power=1e-13,
                           accuracy_coeff=1.7e-8)
-    ctx = snr100_context(Population(profiles), config)
+    ctx = snr100_context(pop, config)
     sel = np.array([(bits >> i) & 1 == 1 for i in range(len(freqs))])
     share = 1.0 / max(sel.sum(), 1)
     dec = Decision(sel, np.where(sel, share, 0.0))
-    expect = max((client_oracle(profiles[k], ctx.rate_coeff[k], share)[0]
+    expect = max((client_oracle(pop, k, ctx.rate_coeff[k], share)[0]
                   for k in np.flatnonzero(sel)), default=0.0)
     assert ctx.outcome(dec)[1] == pytest.approx(expect, rel=1e-12)
 
@@ -225,10 +230,10 @@ def round_cost(ctx, decision):
     return t0 - phi
 
 
-def test_round_cost(twin_population, example_config, example_profile):
+def test_round_cost(twin_population, example_config):
     ctx = snr100_context(twin_population, example_config)
     dec = Decision(np.array([True, False]), np.array([1.0, 0.0]))
-    t, _ = client_oracle(example_profile, G_REF, 1.0)
+    t, _ = client_oracle(twin_population, 0, G_REF, 1.0)
     assert round_cost(ctx, dec) == pytest.approx(t - PHI_REF, rel=1e-12)
     assert round_cost(ctx, Decision.empty(2)) == 0.0
 
@@ -241,8 +246,8 @@ def test_round_cost_single_client_reference(twin_population, example_config):
 
 def test_round_cost_lower_bound(twin_population, example_config):
     # cost is at least minus the full utility of everyone
-    floor = -sum(math.log1p(example_config.accuracy_coeff * p.data_size)
-                 for p in twin_population.profiles)
+    floor = -sum(math.log1p(example_config.accuracy_coeff * d)
+                 for d in twin_population.data_size)
     ctx = snr100_context(twin_population, example_config)
     for sel in ([True, True], [True, False], [False, False]):
         sel = np.array(sel)
@@ -269,7 +274,7 @@ def test_selected_totals_matches_scalar(twin_population, example_config):
     dec = Decision(np.array([True, True]), np.array([0.4, 0.6]))
     lat, en = selected_totals(twin_population, coeffs, dec)
     for k in range(2):
-        t_ref, e_ref = client_oracle(twin_population[k], coeffs[k], dec.bandwidth[k])
+        t_ref, e_ref = client_oracle(twin_population, k, coeffs[k], dec.bandwidth[k])
         assert lat[k] == pytest.approx(t_ref, rel=1e-14)
         assert en[k] == pytest.approx(e_ref, rel=1e-14)
     dead = Decision(np.array([True, False]), np.array([1.0, 0.0]))

@@ -6,14 +6,16 @@ from flsched import lyapunov as lyap
 from flsched import model, scheduler
 from flsched.errors import InfeasibleConfig, VerificationError
 from flsched.lyapunov import QueueState
-from flsched.model import (Decision, Population, RoundObservation, SystemConfig,
-                           rate_coefficients, selected_totals)
+from flsched.model import (Decision, RoundObservation, SystemConfig, rate_coefficients,
+                           selected_totals)
 from flsched.scheduler import (DESCENT_SLACK, PolicySpec, RoundContext,
                                SolveResult, _p3_value, baseline_fedcs, baseline_greedy,
                                baseline_random, baseline_select_all, run_policy,
                                solve_round)
 from flsched.selection import SelectionInstance, itmcs
 from flsched.simenv import Scenario, ScenarioSpec, policy_rng
+
+from conftest import population
 
 G_REF = 1e7 * np.log2(101.0)
 
@@ -132,11 +134,7 @@ def test_baseline_random_infeasible():
 
 def test_baseline_greedy_share_inversion(example_config):
     # with training headroom 0.002 J the required share is p*S/(G*headroom)
-    from flsched.model import ClientProfile
-    prof = ClientProfile(cpu_freq=1e9, cycles_per_bit=5.0, capacitance=1e-28,
-                         tx_power=0.1, model_size=2.4e5, data_size=1.2e6,
-                         energy_budget=1.5, local_iters=5)
-    pop = Population([prof, prof])
+    pop = population(2, cycles_per_bit=5.0)
     dec = baseline_greedy(uniform_rate(pop, example_config), pop, example_config)
     e_cmp = pop.comp_energy[0]
     expect = 0.1 * 2.4e5 / (G_REF * (1.5 / 300 - e_cmp))
@@ -147,11 +145,7 @@ def test_baseline_greedy_share_inversion(example_config):
 
 
 def test_baseline_greedy_excludes_budget_busters():
-    from flsched.model import ClientProfile
-    hot = ClientProfile(cpu_freq=1e9, cycles_per_bit=10.0, capacitance=1e-27,
-                        tx_power=0.1, model_size=2.4e5, data_size=1.2e6,
-                        energy_budget=1.5, local_iters=5)  # e_cmp = 0.06 >> 0.005
-    pop = Population([hot, hot])
+    pop = population(2, capacitance=1e-27)  # e_cmp = 0.06 >> 0.005
     cfg = SystemConfig(num_clients=2, num_rounds=300, frame_len=30, num_frames=10,
                        bandwidth=1e7, min_ratio=0.01, noise_power=1e-13,
                        accuracy_coeff=1.7e-8)
@@ -203,11 +197,7 @@ def test_baseline_fedcs_share_inversion(example_config, twin_population):
 
 
 def test_baseline_fedcs_excludes_slow_training(example_config):
-    from flsched.model import ClientProfile
-    slow = ClientProfile(cpu_freq=1e7, cycles_per_bit=10.0, capacitance=1e-28,
-                         tx_power=0.1, model_size=2.4e5, data_size=1.2e6,
-                         energy_budget=1.5, local_iters=5)  # t_cmp = 6 s
-    pop = Population([slow, slow])
+    pop = population(2, cpu_freq=1e7)  # t_cmp = 6 s
     dec = baseline_fedcs(uniform_rate(pop, example_config), pop, example_config, 0.5)
     assert not dec.selected.any()
 

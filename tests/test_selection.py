@@ -9,8 +9,9 @@ from flsched import scheduler
 from flsched.errors import TooLarge
 from flsched.lyapunov import QueueState
 from flsched.model import RoundObservation
-from flsched.selection import (SelectionInstance, brute_force_selection, itmcs,
-                               selection_objective)
+from flsched.selection import SelectionInstance, itmcs
+
+from oracles import brute_force_selection, selection_objective
 
 
 def score_oracle(price, v, penalty_weight):

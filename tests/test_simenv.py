@@ -1,8 +1,21 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
+from flsched.model import Population
 from flsched.simenv import (DEFAULTS, IID, NONIID, Scenario, ScenarioSpec,
                             dbm_to_watts, generate_population, sample_round)
+
+# sha256 over each array of the default population (field name, dtype, bytes),
+# in field order and then the training cost: pins the draw order and dtypes
+POPULATION_DIGESTS = {
+    (1, IID): "a0f89b5a2d96f650f17bdc98d03fe27e00850552adfa417143b0d03e709c8b88",
+    (1, NONIID): "fae68fd0fa51eac1945f0dad6d91c826da214160f85bd51aa4e2bfb2f3e3a166",
+    (2, IID): "0a58c83c671d5c17f98489bc251b84957fa4ec79464195c06bc2bae8bdbebe3f",
+    (2, NONIID): "7dd437655f2deb1e74998e0522acfc55b5e9ce9060edc67c5ac8896b1cbc6f96",
+}
 
 
 def test_dbm_conversion():
@@ -22,6 +35,19 @@ def test_default_population_matches_reference_setting():
     assert np.all((pop.cpu_freq >= 1e7) & (pop.cpu_freq <= 1e9))
     assert np.all((pop.tx_power >= 0.01) & (pop.tx_power <= 0.1))
     assert np.all(pop.data_size == 3.6e6)  # IID: one common volume
+
+
+@pytest.mark.parametrize("seed,mode", sorted(POPULATION_DIGESTS))
+def test_population_arrays_are_pinned(seed, mode):
+    pop, _ = generate_population(ScenarioSpec(seed=seed, mode=mode))
+    digest = hashlib.sha256()
+    for name in [f.name for f in dataclasses.fields(Population)] + ["comp_energy",
+                                                                    "comp_latency"]:
+        arr = getattr(pop, name)
+        digest.update(name.encode())
+        digest.update(arr.dtype.str.encode())
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == POPULATION_DIGESTS[seed, mode]
 
 
 def test_noniid_data_sizes_from_the_five_point_set():
