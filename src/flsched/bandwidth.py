@@ -115,27 +115,25 @@ def _latency_terms(ratios: np.ndarray, instance: AllocationInstance) -> np.ndarr
     return instance.comp_latency + instance.lat_coeff / ratios
 
 
-def _value_and_weights(b: np.ndarray, instance: AllocationInstance) -> tuple[float, np.ndarray]:
-    """Smoothed objective value and the softmax weights of the latency terms.
+def _log_sum_exp(u: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """max(u), the smoothing gap LSE(u) - max(u), and the softmax weights of u.
 
-    Log-sum-exp is evaluated with the usual max shift so large latency terms
-    cannot overflow.
+    Evaluated with the usual max shift so large terms cannot overflow.
     """
-    u = _latency_terms(b, instance)
     shift = u.max()
     ex = np.exp(u - shift)
     total = ex.sum()
-    value = instance.penalty_weight * (shift + math.log(total)) + \
-        float((instance.price_coeff / b).sum())
-    return value, ex / total
+    return shift, math.log(total), ex / total
+
+
+def _value_and_weights(b: np.ndarray, instance: AllocationInstance) -> tuple[float, np.ndarray]:
+    """Smoothed objective value and the softmax weights of the latency terms."""
+    shift, gap, w = _log_sum_exp(_latency_terms(b, instance))
+    return instance.penalty_weight * (shift + gap) + float((instance.price_coeff / b).sum()), w
 
 
 def _value(b: np.ndarray, instance: AllocationInstance) -> float:
-    """Smoothed objective value alone, evaluated exactly as _value_and_weights."""
-    u = _latency_terms(b, instance)
-    shift = u.max()
-    return instance.penalty_weight * (shift + math.log(np.exp(u - shift).sum())) + \
-        float((instance.price_coeff / b).sum())
+    return _value_and_weights(b, instance)[0]
 
 
 def _factors(b: np.ndarray, instance: AllocationInstance) -> _Factors:
@@ -168,9 +166,7 @@ def smoothed_objective(ratios: np.ndarray, instance: AllocationInstance) -> Smoo
 
 def smoothing_gap(ratios: np.ndarray, instance: AllocationInstance) -> float:
     """LSE minus max of the latency terms; lies in [0, ln(m)]."""
-    u = _latency_terms(np.asarray(ratios, dtype=float), instance)
-    shift = u.max()
-    return float(math.log(np.exp(u - shift).sum()))
+    return _log_sum_exp(_latency_terms(np.asarray(ratios, dtype=float), instance))[1]
 
 
 def _fixed_allocation(b: np.ndarray, instance: AllocationInstance) -> Allocation:
@@ -354,8 +350,8 @@ def barrier_solve(instance: AllocationInstance) -> Allocation:
 def simplex_grid(m: int, b_min: float, step: float) -> np.ndarray:
     """Feasible share vectors (rows) on the floored simplex at a given resolution.
 
-    First m-1 coordinates walk a regular lattice from the floor; the last
-    coordinate closes the simplex and is kept above the floor. Supports m <= 3.
+    The first m-1 coordinates walk a regular lattice from the floor; the last
+    closes the simplex and is kept above the floor. Supports m <= 3.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -368,14 +364,9 @@ def simplex_grid(m: int, b_min: float, step: float) -> np.ndarray:
     top = 1.0 - (m - 1) * b_min
     n = int(math.floor((top - b_min) / step + 1e-9))
     axis = b_min + step * np.arange(n + 1)
-    if m == 2:
-        b1 = axis
-        b2 = 1.0 - b1
-        keep = b2 >= b_min - FEAS_TOL
-        return np.column_stack([b1[keep], b2[keep]])
-    g1, g2 = np.meshgrid(axis, axis, indexing="ij")
-    b1 = g1.ravel()
-    b2 = g2.ravel()
-    b3 = 1.0 - b1 - b2
-    keep = b3 >= b_min - FEAS_TOL
-    return np.column_stack([b1[keep], b2[keep], b3[keep]])
+    shares = [g.ravel() for g in np.meshgrid(*[axis] * (m - 1), indexing="ij")]
+    last = 1.0 - shares[0]
+    for b in shares[1:]:
+        last = last - b
+    keep = last >= b_min - FEAS_TOL
+    return np.column_stack([b[keep] for b in shares + [last]])

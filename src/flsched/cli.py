@@ -140,15 +140,14 @@ def _cmd_calibrate(args) -> int:
 def _cmd_verify(args) -> int:
     grid = _parse_v_grid(args.v_grid)
     grid_step = _positive("--grid-step", args.grid_step)
-    ok = True
-    for v in grid:
-        report = harness.verify_bounds(VERIFY_CASE, args.seed, v, grid_step)
+    reports = harness.verify_bounds(VERIFY_CASE, args.seed, grid, grid_step)
+    for report in reports:
         status = "ok" if report.all_ok else "FAIL"
-        print(f"V={v:g} lhs={report.lhs_cost:.6g} lookahead={report.lookahead_opt:.6g} "
-              f"rhs={report.theorem2_rhs:.6g} cost_bound={report.theorem2_ok} "
+        print(f"V={report.penalty_weight:g} lhs={report.lhs_cost:.6g} "
+              f"lookahead={report.lookahead_opt:.6g} rhs={report.theorem2_rhs:.6g} "
+              f"cost_bound={report.theorem2_ok} "
               f"energy_bound={bool(report.energy_bound_ok.all())} [{status}]")
-        ok = ok and report.all_ok
-    return EXIT_OK if ok else EXIT_VERIFY
+    return EXIT_OK if all(report.all_ok for report in reports) else EXIT_VERIFY
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -22,7 +22,7 @@ class NoConverge(RuntimeError):
 
 
 class InfeasibleConfig(ValueError):
-    """Policy parameters are incompatible with the system (bandwidth floor, frame count)."""
+    """Policy parameters are incompatible with the system (bandwidth floor, empty sample)."""
 
 
 class ConfigError(ValueError):

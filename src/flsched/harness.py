@@ -386,70 +386,57 @@ class BoundsReport:
 def _frame_lookahead(scenario: Scenario, frame_index: int, grid_step: float) -> float:
     """Exhaustive offline optimum of one frame's average cost.
 
-    Enumerates every selection set and every grid bandwidth vector per round,
-    then searches all per-round combinations satisfying the per-frame energy
-    budget. The empty round is always a candidate, so a feasible plan exists.
+    Each round's candidates are every selection set with every grid bandwidth
+    vector, the empty round first, so a feasible plan exists. The frontier of
+    plans that keep every client within its per-frame energy budget grows one
+    round at a time; the sums run in round order from zero.
     """
     config, pop = scenario.config, scenario.population
     k = config.num_clients
-    frame_len = config.frame_len
     cap_energy = pop.energy_budget / config.num_frames
     per_round: list[tuple[np.ndarray, np.ndarray]] = []
-    for r in range(frame_index * frame_len, (frame_index + 1) * frame_len):
+    for r in range(frame_index * config.frame_len, (frame_index + 1) * config.frame_len):
         ctx = RoundContext(pop, scenario.observe(r), config)
-        ys = [0.0]
-        es = [np.zeros(k)]
+        ys = [np.zeros(1)]
+        es = [np.zeros((1, k))]
         for mask in range(1, 2 ** k):
-            idx = np.array([i for i in range(k) if mask >> i & 1])
-            m = idx.size
-            if m > config.max_selectable:
+            idx = np.flatnonzero(mask >> np.arange(k) & 1)
+            if idx.size > config.max_selectable or np.any(ctx.rate_coeff[idx] <= 0):
                 continue
-            if np.any(ctx.rate_coeff[idx] <= 0):
-                continue
-            grids = bw.simplex_grid(m, config.min_ratio, grid_step)
+            grids = bw.simplex_grid(idx.size, config.min_ratio, grid_step)
             shares = np.zeros((grids.shape[0], k))
             shares[:, idx] = grids
             lat, energy = model.client_round(pop, ctx.rate_coeff, shares)
-            lat = lat[:, idx].max(axis=1)
-            phi = float(ctx.log_utility[idx].sum())
-            for row in range(grids.shape[0]):
-                ys.append(float(lat[row]) - phi)
-                es.append(np.where(shares[row] > 0, energy[row], 0.0))
-        per_round.append((np.array(ys), np.vstack(es)))
-    sizes = math.prod(len(ys) for ys, _ in per_round)
+            ys.append(lat[:, idx].max(axis=1) - float(ctx.log_utility[idx].sum()))
+            es.append(np.where(shares > 0, energy, 0.0))
+        per_round.append((np.concatenate(ys), np.vstack(es)))
+    sizes = math.prod(ys.size for ys, _ in per_round)
     if sizes > 5_000_000:
         raise TooLarge(f"lookahead product too large ({sizes} combinations)")
 
-    best = math.inf
-
-    def dfs(level: int, acc_y: float, acc_e: np.ndarray) -> None:
-        nonlocal best
-        if level == frame_len:
-            best = min(best, acc_y / frame_len)
-            return
-        ys, es = per_round[level]
-        for j in range(ys.size):
-            e_new = acc_e + es[j]
-            if np.any(e_new > cap_energy + 1e-12):
-                continue
-            dfs(level + 1, acc_y + ys[j], e_new)
-
-    dfs(0, 0.0, np.zeros(k))
-    return best
+    acc_y = np.zeros(1)
+    acc_e = np.zeros((1, k))
+    for ys, es in per_round:
+        acc_y = (acc_y[:, None] + ys).ravel()
+        acc_e = (acc_e[:, None] + es).reshape(-1, k)
+        keep = ~(acc_e > cap_energy + 1e-12).any(axis=1)
+        acc_y, acc_e = acc_y[keep], acc_e[keep]
+    return float(acc_y.min()) / config.frame_len
 
 
-def verify_bounds(cfg: HarnessConfig, seed: int, penalty_weight: float,
-                  grid_step: float) -> BoundsReport:
+def verify_bounds(cfg: HarnessConfig, seed: int, penalty_weights: Sequence[float],
+                  grid_step: float) -> list[BoundsReport]:
     """Check the horizon cost bound and the per-client energy bound at tiny scale.
 
-    Runs the online policy at a constant penalty weight on the configured
-    realization, computes the frame-wise offline optimum on the same
-    realization by exhaustive search, and evaluates both inequalities with the
+    Computes the frame-wise offline optimum of the configured realization by
+    exhaustive search, once, then for each penalty weight runs the online
+    policy on the same realization and evaluates both inequalities with the
     scenario's drift constant. The search bounds the case's size: the share
-    grid takes at most 3 clients and a frame at most 5e6 plans (TooLarge).
-    Raises ConfigError for a grid step that leaves the grid of some client
-    count a single corner point, where the lookahead would have no bandwidth
-    choice.
+    grid takes at most 3 clients and a frame at most 5e6 plans (TooLarge),
+    which also caps the frontier at 5e6 plans. Raises ConfigError for a grid
+    step that leaves the grid of some client count a single corner point,
+    where the lookahead would have no bandwidth choice. Every error is raised
+    before the first online run.
     """
     scenario = build_scenario(cfg, seed)
     config, pop = scenario.config, scenario.population
@@ -457,24 +444,28 @@ def verify_bounds(cfg: HarnessConfig, seed: int, penalty_weight: float,
         if m * config.min_ratio < 1 - model.FEAS_TOL and \
                 len(bw.simplex_grid(m, config.min_ratio, grid_step)) == 1:
             raise ConfigError(f"--grid-step {grid_step:g} leaves one grid point for {m} clients")
-    trace = run_policy(scenario, PolicySpec("PEDPC", penalty=penalty_weight))
-    lhs = float(np.mean([rec.cost for rec in trace.records]))
-    c_stars = [_frame_lookahead(scenario, f, grid_step) for f in range(config.num_frames)]
+    c_stars = np.array([_frame_lookahead(scenario, f, grid_step)
+                        for f in range(config.num_frames)])
     lookahead = float(np.mean(c_stars))
-    rhs = lookahead + scenario.drift * config.frame_len / penalty_weight
     y0_min = -float(model.client_utility(pop, config).sum())
-    slack = (2.0 * scenario.drift * config.num_rounds * config.frame_len
-             + 2.0 * penalty_weight * config.frame_len
-             * float(np.sum(np.asarray(c_stars) - y0_min)))
-    energy_rhs = pop.energy_budget + math.sqrt(max(slack, 0.0))
-    totals = trace.per_client_totals
-    return BoundsReport(
-        penalty_weight=penalty_weight,
-        lhs_cost=lhs,
-        lookahead_opt=lookahead,
-        theorem2_rhs=rhs,
-        theorem2_ok=bool(lhs <= rhs + 1e-9),
-        per_client_totals=totals,
-        energy_bound_rhs=energy_rhs,
-        energy_bound_ok=totals <= energy_rhs + 1e-9,
-    )
+    excess = float(np.sum(c_stars - y0_min))
+    reports = []
+    for v in penalty_weights:
+        trace = run_policy(scenario, PolicySpec("PEDPC", penalty=v))
+        lhs = float(np.mean([rec.cost for rec in trace.records]))
+        rhs = lookahead + scenario.drift * config.frame_len / v
+        slack = (2.0 * scenario.drift * config.num_rounds * config.frame_len
+                 + 2.0 * v * config.frame_len * excess)
+        energy_rhs = pop.energy_budget + math.sqrt(max(slack, 0.0))
+        totals = trace.per_client_totals
+        reports.append(BoundsReport(
+            penalty_weight=v,
+            lhs_cost=lhs,
+            lookahead_opt=lookahead,
+            theorem2_rhs=rhs,
+            theorem2_ok=bool(lhs <= rhs + 1e-9),
+            per_client_totals=totals,
+            energy_bound_rhs=energy_rhs,
+            energy_bound_ok=totals <= energy_rhs + 1e-9,
+        ))
+    return reports

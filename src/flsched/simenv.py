@@ -83,16 +83,23 @@ class ScenarioSpec:
         unknown = set(self.overrides) - set(DEFAULTS)
         if unknown:
             raise ValueError(f"unknown scenario overrides: {sorted(unknown)}")
-        lo, hi = self.param("gain_sq")
-        if not (0 < lo <= hi):
-            raise ValueError("gain_sq range must be positive and ordered")
+        # every drawn parameter's bounds, so that no draw decides whether a config is valid
+        for name, default in DEFAULTS.items():
+            if isinstance(default, Range):
+                lo, hi = self.param(name)
+                if not (0 < lo <= hi):
+                    raise ValueError(f"{name} range must be positive and ordered")
+            elif isinstance(default, tuple) and not all(v > 0 for v in self.param(name)):
+                raise ValueError(f"{name} entries must be positive")
 
     def param(self, name: str):
         return self.overrides.get(name, DEFAULTS[name])
 
 
 def _typed(name: str, value: Any) -> Any:
-    """A parameter's value as the type of its default (int or float)."""
+    """A parameter's value as the type of its default (int or float); an int takes no fraction."""
+    if isinstance(DEFAULTS[name], int) and not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return type(DEFAULTS[name])(value)
 
 
@@ -106,7 +113,10 @@ def generate_population(spec: ScenarioSpec) -> tuple[Population, SystemConfig]:
     every client. Only the data volumes differ between modes: NONIID draws
     them from `data_size_choices`, after the hardware.
     """
-    k = int(spec.param("num_clients"))
+    # built before the first draw, so that it reports a client count below one
+    config = SystemConfig(**{f.name: _typed(f.name, spec.param(f.name))
+                             for f in fields(SystemConfig)})
+    k = config.num_clients
     rng = np.random.default_rng([spec.seed, _POP_STREAM])
 
     def per_client(name: str) -> np.ndarray:
@@ -116,11 +126,7 @@ def generate_population(spec: ScenarioSpec) -> tuple[Population, SystemConfig]:
             return rng.uniform(*spec.param(name), k)
         return np.full(k, _typed(name, spec.param(name)))
 
-    arrays = {f.name: per_client(f.name) for f in fields(Population)}
-    # checked before the Population, so that SystemConfig reports a client count below one
-    config = SystemConfig(**{f.name: _typed(f.name, spec.param(f.name))
-                             for f in fields(SystemConfig)})
-    return Population(**arrays), config
+    return Population(**{f.name: per_client(f.name) for f in fields(Population)}), config
 
 
 def sample_round(spec: ScenarioSpec, round_index: int, population: Population) -> RoundObservation:

@@ -4,20 +4,25 @@
 exhaustive grid search (`barrier_oracle` covers larger instances), and
 `exact_objective` prices shares with the true, non-smoothed max latency.
 `brute_force_selection` enumerates every selection set to check
-`selection.itmcs` against `selection_objective`.
+`selection.itmcs` against `selection_objective`. `lookahead_oracle` checks
+the frame lookahead of `harness.verify_bounds` by enumerating every plan.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
+from flsched import model
 from flsched.bandwidth import Allocation, AllocationInstance, simplex_grid
 from flsched.errors import TooLarge
 from flsched.model import FEAS_TOL
+from flsched.scheduler import RoundContext
 from flsched.selection import SelectionInstance, SelectionResult
+from flsched.simenv import Scenario
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -88,3 +93,40 @@ def brute_force_selection(instance: SelectionInstance) -> SelectionResult:
     cand = cand[sizes[cand] == sizes[cand].min()]
     best = min(cand, key=lambda row: tuple(np.flatnonzero(masks[row])))
     return SelectionResult(masks[best].copy(), w_min)
+
+
+def lookahead_oracle(scenario: Scenario, frame_index: int, grid_step: float) -> float:
+    """Best average cost of one frame over every plan, enumerated with itertools.product.
+
+    A round's candidate is the empty round or a selection set with one grid
+    share vector, built row by row; a plan is one candidate per round and is
+    kept if no client's energy over the frame exceeds its per-frame budget.
+    """
+    config, pop = scenario.config, scenario.population
+    k = config.num_clients
+    cap = pop.energy_budget / config.num_frames
+    rounds = []
+    for r in range(frame_index * config.frame_len, (frame_index + 1) * config.frame_len):
+        ctx = RoundContext(pop, scenario.observe(r), config)
+        candidates = [(0.0, np.zeros(k))]
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(k), size) for size in range(1, k + 1))
+        for idx in map(list, subsets):
+            if len(idx) > config.max_selectable or min(ctx.rate_coeff[idx]) <= 0:
+                continue
+            phi = sum(float(ctx.log_utility[i]) for i in idx)
+            for row in simplex_grid(len(idx), config.min_ratio, grid_step):
+                shares = np.zeros(k)
+                shares[idx] = row
+                lat, energy = model.client_round(pop, ctx.rate_coeff, shares)
+                spent = np.where(shares > 0, energy, 0.0)
+                candidates.append((float(max(lat[idx])) - phi, spent))
+        rounds.append(candidates)
+    best = np.inf
+    for plan in itertools.product(*rounds):
+        cost, spent = 0.0, np.zeros(k)
+        for y, e in plan:
+            cost, spent = cost + y, spent + e
+        if (spent <= cap + 1e-12).all():
+            best = min(best, cost)
+    return best / config.frame_len

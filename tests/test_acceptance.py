@@ -180,12 +180,10 @@ def test_criterion_07_tiny_scale_bounds():
     tiny = harness.HarnessConfig(overrides={"num_clients": 3, "num_rounds": 4,
                                             "frame_len": 2, "num_frames": 2,
                                             "min_ratio": 0.1})
-    all_ok = True
-    details = []
-    for v in (0.1, 1.0, 10.0):
-        report = harness.verify_bounds(tiny, 0, v, 0.05)
-        all_ok = all_ok and report.all_ok
-        details.append(f"V={v:g}:{'ok' if report.all_ok else 'FAIL'}")
+    reports = harness.verify_bounds(tiny, 0, (0.1, 1.0, 10.0), 0.05)
+    all_ok = all(report.all_ok for report in reports)
+    details = [f"V={report.penalty_weight:g}:{'ok' if report.all_ok else 'FAIL'}"
+               for report in reports]
     elapsed = time.perf_counter() - start
     _report(7, "cost-and-energy-bounds-tiny",
             all_ok and elapsed < 120.0,

@@ -19,6 +19,8 @@ from flsched.model import Population, SystemConfig
 from flsched.scheduler import POLICY_KINDS, PolicySpec, run_policy
 from flsched.simenv import DEFAULTS, IID, NONIID, Range, Scenario
 
+from oracles import lookahead_oracle
+
 
 def small_config(tmp_path: Path, **policy) -> Path:
     doc = {
@@ -125,15 +127,17 @@ def test_config_of_every_default_matches_the_empty_config(mode):
 
 
 def _bad_per_client_cases():
-    # a range [v, v] draws v for every client; NaN fails the JSON number check first
+    # NaN fails the JSON number check first; a range's bounds are checked before any draw
     for name in [f.name for f in dataclasses.fields(Population)]:
         for value in (0, -1, float("nan")):
-            given = [value, value] if isinstance(DEFAULTS[name], Range) else value
+            is_range = isinstance(DEFAULTS[name], Range)
+            given = [value, value] if is_range else value
             message = f"{name} must be finite, got nan" if np.isnan(value) else \
+                f"{name} range must be positive and ordered" if is_range else \
                 f"{name} must be strictly positive"
             yield pytest.param({name: given}, message, id=f"{name}-{value}")
     yield pytest.param({"mode": NONIID, "data_size_choices": [2.4e6, 0.0]},
-                       "data_size must be strictly positive", id="data_size_choices-0")
+                       "data_size_choices entries must be positive", id="data_size_choices-0")
     yield pytest.param({"local_iters": 2.5}, "local_iters must be an integer, got 2.5",
                        id="local_iters-2.5")
 
@@ -144,6 +148,28 @@ def test_cli_bad_per_client_value_exits_2(tmp_path, capsys, scenario, message):
     path.write_text(json.dumps({"scenario": scenario}))
     assert cli.main(["run", "--config", str(path), "--seed", "1"]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("doc,message", [
+    ({"scenario": {"cpu_freq": [0, 1e9]}}, "cpu_freq range must be positive and ordered"),
+    ({"system": {"num_clients": 1, "num_rounds": 2, "frame_len": 1, "num_frames": 2},
+      "scenario": {"mode": NONIID, "data_size_choices": [-1, 3.6e6]}},
+     "data_size_choices entries must be positive"),
+], ids=["cpu_freq", "data_size_choices"])
+def test_cli_bad_drawn_bound_exits_2_on_every_seed(tmp_path, capsys, seed, doc, message):
+    # a bound that only some draws would hit fails before any draw, on every seed
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**doc, "output": {"dir": str(tmp_path / "out")}}))
+    assert cli.main(["run", "--config", str(path), "--seed", str(seed)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_cli_negative_client_count_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"system": {"num_clients": -1}}))
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: need at least one client\n"
 
 
 @pytest.mark.parametrize("section,key,value", list(_bad_override_cases()))
@@ -567,9 +593,9 @@ def test_tiny_case_guard(monkeypatch):
     # stop verify_bounds before the online run starts
     monkeypatch.setattr(harness, "run_policy", _no_run)
     with pytest.raises(TooLarge):
-        verify_bounds(_tiny(num_clients=4), 0, 1.0, 0.05)
+        verify_bounds(_tiny(num_clients=4), 0, [1.0], 0.05)
     with pytest.raises(ConfigError, match="frame_len"):
-        verify_bounds(_tiny(frame_len=3), 0, 1.0, 0.05)
+        verify_bounds(_tiny(frame_len=3), 0, [1.0], 0.05)
 
 
 def test_verify_bounds_trivial_client():
@@ -577,17 +603,45 @@ def test_verify_bounds_trivial_client():
     # are trivially satisfied (lhs = 0 <= rhs)
     tiny = _tiny(num_clients=1, num_rounds=2, frame_len=1, num_frames=2,
                  accuracy_coeff=1e-12)
-    report = verify_bounds(tiny, 0, 1.0, 0.05)
+    [report] = verify_bounds(tiny, 0, [1.0], 0.05)
     assert report.lhs_cost == 0.0
     assert report.theorem2_ok
     assert report.energy_bound_ok.all()
 
 
 def test_verify_bounds_small():
-    report = verify_bounds(cli.VERIFY_CASE, 2, 1.0, 0.05)
+    [report] = verify_bounds(cli.VERIFY_CASE, 2, [1.0], 0.05)
     assert report.theorem2_ok
     assert report.energy_bound_ok.all()
     assert report.lhs_cost <= report.theorem2_rhs + 1e-9
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"num_clients": 2, "num_rounds": 6, "frame_len": 3, "num_frames": 2, "energy_budget": 0.01},
+    {"energy_budget": 0.003},
+], ids=["verify-case", "two-clients-three-rounds", "tight-budget"])
+def test_frame_lookahead_matches_product_enumeration(overrides):
+    # on seed 0 the energy cap binds in the last two cases: it raises their optimum
+    scenario = harness.build_scenario(_tiny(**overrides), 0)
+    for frame in range(scenario.config.num_frames):
+        assert harness._frame_lookahead(scenario, frame, 0.1) == \
+            lookahead_oracle(scenario, frame, 0.1)
+
+
+def test_verify_bounds_computes_each_frame_once(monkeypatch):
+    calls = []
+    lookahead = harness._frame_lookahead
+
+    def counted(scenario, frame_index, grid_step):
+        calls.append(frame_index)
+        return lookahead(scenario, frame_index, grid_step)
+
+    monkeypatch.setattr(harness, "_frame_lookahead", counted)
+    reports = verify_bounds(cli.VERIFY_CASE, 0, [0.1, 1.0, 10.0], 0.05)
+    assert [r.penalty_weight for r in reports] == [0.1, 1.0, 10.0]
+    assert calls == list(range(cli.VERIFY_CASE.overrides["num_frames"]))
+    assert len({r.lookahead_opt for r in reports}) == 1
 
 
 def test_cli_run_and_exit_codes(tmp_path):

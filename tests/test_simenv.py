@@ -113,6 +113,37 @@ def test_overrides_and_rejection():
         ScenarioSpec(seed=0, mode="WEIRD")
 
 
+@pytest.mark.parametrize("name,bad", [
+    ("cpu_freq", (0.0, 1e9)), ("cycles_per_bit", (-1.0, 10.0)), ("tx_power", (0.1, 0.01)),
+    ("gain_sq", (0.0, 1e-9)), ("gain_sq", (1e-9, 1e-11)), ("data_size_choices", (-1.0, 3.6e6)),
+])
+def test_spec_checks_every_drawn_bound(name, bad):
+    # rejected by the spec itself, whatever the mode or the draws would be
+    message = f"{name} entries must be positive" if name == "data_size_choices" else \
+        f"{name} range must be positive and ordered"
+    for mode in (IID, NONIID):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ScenarioSpec(seed=1, mode=mode, overrides={name: bad})
+
+
+def test_system_config_is_checked_before_the_draws():
+    with pytest.raises(ValueError, match="^need at least one client$"):
+        generate_population(ScenarioSpec(seed=1, overrides={"num_clients": -1}))
+
+
+@pytest.mark.parametrize("name,value", [("local_iters", 2.5), ("num_clients", 3.7),
+                                        ("num_rounds", float("nan"))])
+def test_integer_parameter_takes_no_fraction(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        generate_population(ScenarioSpec(seed=1, overrides={name: value}))
+
+
+def test_integral_float_is_the_integer():
+    pop, config = generate_population(ScenarioSpec(seed=1, overrides={
+        "local_iters": 2.0, "num_clients": 3.0}))
+    assert pop.local_iters.tolist() == [2, 2, 2] and config.num_clients == 3
+
+
 def test_worst_case_energy_dominates_samples():
     sc = Scenario(ScenarioSpec(seed=5, overrides={"num_clients": 10,
                                                   "num_rounds": 20,
