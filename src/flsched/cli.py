@@ -120,13 +120,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     target = _finite("--target-avg", args.target_avg)
-    rows = harness.compare_policies(args.config, seed=args.seed, target_avg=target)
-    for row in rows:
-        knob = "-" if row.knob is None else f"{row.knob:.6g}"
-        print(f"{row.policy:<10} knob={knob:<12} avg_selected={row.avg_selected:7.2f} "
-              f"total_latency_s={row.total_latency:12.6g} "
-              f"energy_overflow_j={row.energy_overflow:12.6g} "
-              f"total_phi={row.total_phi:10.6g}")
+    for knob, s in harness.compare_policies(args.config, seed=args.seed, target_avg=target):
+        knob = "-" if knob is None else f"{knob:.6g}"
+        print(f"{s.policy:<10} knob={knob:<12} avg_selected={s.avg_selected:7.2f} "
+              f"total_latency_s={s.total_latency:12.6g} "
+              f"energy_overflow_j={s.energy_overflow:12.6g} "
+              f"total_phi={s.total_phi:10.6g}")
     return EXIT_OK
 
 

@@ -175,18 +175,40 @@ class ExperimentSummary:
         }
 
 
-def summarize(trace: RunTrace, budgets: np.ndarray) -> ExperimentSummary:
-    totals = trace.per_client_totals
-    costs = [rec.cost for rec in trace.records]
+def round_columns(trace: RunTrace, budgets: np.ndarray) -> dict[str, np.ndarray]:
+    """The per-round columns of a run's CSV after `seed`, by header name, from its trace.
+
+    The round cost is t0 - phi. Every running sum adds the rounds in order, as
+    `np.cumsum` does, and each backlog norm is taken one row at a time (a norm
+    over axis 1 rounds differently).
+    """
+    records = trace.records
+    latency = np.array([rec.latency for rec in records])
+    phi = np.array([rec.phi for rec in records])
+    cost = latency - phi
+    return {
+        "n_selected": np.array([rec.n_selected for rec in records]),
+        "latency_s": latency,
+        "phi": phi,
+        "cost": cost,
+        "queue_l2": np.array([np.linalg.norm(row) for row in trace.backlog_trace[1:]]),
+        "cum_latency_s": np.cumsum(latency),
+        "cum_cost": np.cumsum(cost),
+        "energy_overflow_j": model.energy_overflow(np.cumsum(trace.energies, axis=0), budgets),
+    }
+
+
+def summarize(trace: RunTrace, columns: Mapping[str, np.ndarray]) -> ExperimentSummary:
+    """A run's aggregates, from its trace and its `round_columns`."""
     return ExperimentSummary(
         policy=trace.policy,
         seed=trace.seed,
-        avg_selected=float(np.mean([rec.n_selected for rec in trace.records])),
-        total_latency=float(np.sum([rec.latency for rec in trace.records])),
-        avg_cost=float(np.mean(costs)),
-        energy_overflow=model.energy_overflow(totals, budgets),
-        total_phi=float(np.sum([rec.phi for rec in trace.records])),
-        per_client_totals=totals,
+        avg_selected=float(np.mean(columns["n_selected"])),
+        total_latency=float(np.sum(columns["latency_s"])),
+        avg_cost=float(np.mean(columns["cost"])),
+        energy_overflow=float(columns["energy_overflow_j"][-1]),
+        total_phi=float(np.sum(columns["phi"])),
+        per_client_totals=trace.per_client_totals,
     )
 
 
@@ -203,28 +225,35 @@ def _write_lines(path: Path, lines: Sequence[str]) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def write_rounds_csv(path: Path, trace: RunTrace) -> None:
+def write_rounds_csv(path: Path, trace: RunTrace, columns: Mapping[str, np.ndarray]) -> None:
+    """One CSV row per round of the trace, its columns from `round_columns`."""
     lines = [CSV_HEADER]
-    for rec in trace.records:
-        lines.append(",".join([
-            str(rec.round), rec.policy, str(trace.seed), str(rec.n_selected),
-            _fmt(rec.latency), _fmt(rec.phi), _fmt(rec.cost), _fmt(rec.queue_l2),
-            _fmt(rec.cum_latency), _fmt(rec.cum_cost), _fmt(rec.cum_energy_overflow),
-        ]))
+    rows = zip(*(columns[name].tolist() for name in CSV_HEADER.split(",")[3:]))
+    for rec, (n_selected, *values) in zip(trace.records, rows):
+        lines.append(",".join([str(rec.round), trace.policy, str(trace.seed), str(n_selected),
+                               *map(_fmt, values)]))
     _write_lines(path, lines)
 
 
-def _summary(scenario: Scenario, policy: PolicySpec) -> ExperimentSummary:
-    return summarize(run_policy(scenario, policy), scenario.population.energy_budget)
+def _summary(scenario: Scenario, policy: PolicySpec, csv_path: Path | None = None
+             ) -> ExperimentSummary:
+    """Run one policy and summarize it.
 
-
-def _write_run(csv_path: Path, trace: RunTrace, scenario: Scenario) -> ExperimentSummary:
-    """Write a run's per-round CSV and its summary JSON next to it."""
-    summary = summarize(trace, scenario.population.energy_budget)
-    write_rounds_csv(csv_path, trace)
-    _write_lines(csv_path.with_suffix(".summary.json"),
-                 [json.dumps(summary.to_dict(), indent=2, sort_keys=True)])
+    Given a path, also write the per-round CSV there and the summary JSON next to it.
+    """
+    trace = run_policy(scenario, policy)
+    columns = round_columns(trace, scenario.population.energy_budget)
+    summary = summarize(trace, columns)
+    if csv_path is not None:
+        write_rounds_csv(csv_path, trace, columns)
+        _write_lines(csv_path.with_suffix(".summary.json"),
+                     [json.dumps(summary.to_dict(), indent=2, sort_keys=True)])
     return summary
+
+
+def _run_file(policy: PolicySpec, seed: int) -> str:
+    """A run's default CSV name, `{kind}_{seed}_{V}.csv`, V being its penalty in %g form."""
+    return f"{policy.kind}_{seed}_{policy.penalty:g}.csv"
 
 
 def run_experiment(config_path: str | Path, policy: PolicySpec | None = None,
@@ -235,8 +264,8 @@ def run_experiment(config_path: str | Path, policy: PolicySpec | None = None,
     policy = policy if policy is not None else cfg.policy
     scenario = build_scenario(cfg, seed)
     csv_path = Path(output_path) if output_path is not None else \
-        cfg.output_dir / f"{policy.kind}_{seed}_{policy.penalty:g}.csv"
-    return _write_run(csv_path, run_policy(scenario, policy), scenario)
+        cfg.output_dir / _run_file(policy, seed)
+    return _summary(scenario, policy, csv_path)
 
 
 def sweep_v(config_path: str | Path, v_grid: Sequence[float], seed: int = 0
@@ -251,15 +280,15 @@ def sweep_v(config_path: str | Path, v_grid: Sequence[float], seed: int = 0
     policies = [PolicySpec("PEDPC", penalty=float(v)) for v in v_grid]
     names: dict[str, float] = {}
     for v, policy in zip(v_grid, policies):
-        name = f"{policy.penalty:g}"
+        name = _run_file(policy, seed)
         if name in names:
             raise ConfigError(f"penalty weights {names[name]!r} and {v!r} both write "
-                              f"the run file for V={name}")
+                              f"the run file for V={policy.penalty:g}")
         names[name] = v
     cfg = load_config(config_path)
     scenario = build_scenario(cfg, seed)
-    summaries = [_write_run(cfg.output_dir / f"PEDPC_{seed}_{policy.penalty:g}.csv",
-                            run_policy(scenario, policy), scenario) for policy in policies]
+    summaries = [_summary(scenario, policy, cfg.output_dir / _run_file(policy, seed))
+                 for policy in policies]
     lines = [SWEEP_HEADER]
     for v, s in zip(v_grid, summaries):
         lines.append(",".join([_fmt(v), _fmt(s.avg_selected), _fmt(s.total_latency),
@@ -273,22 +302,22 @@ def sweep_v(config_path: str | Path, v_grid: Sequence[float], seed: int = 0
 
 
 def calibrate(config_path: str | Path, policy_kind: str, target_avg_selected: float,
-              seed: int = 0, tolerance: float = CALIBRATION_TOLERANCE) -> float:
-    """Bisect the policy's scalar knob until the average selected count is close.
+              seed: int = 0) -> float:
+    """Bisect the policy's knob until the average selected count is CALIBRATION_TOLERANCE close.
 
     Knobs: penalty weight for PEDPC, selection fraction for Random, latency
     cap for FedCS. Raises Unreachable when the bracket cannot meet the target.
     """
     scenario = build_scenario(load_config(config_path), seed)
-    return _calibrate(scenario, policy_kind, target_avg_selected, tolerance)[0]
+    return _calibrate(scenario, policy_kind, target_avg_selected)[0]
 
 
 # The bisected knob of each calibrated policy: its PolicySpec field and bracket.
 _CALIBRATION_KNOBS = {"PEDPC": ("penalty", 1e-6, 1e4), "FedCS": ("latency_cap", 1e-4, 1e3)}
 
 
-def _calibrate(scenario: Scenario, policy_kind: str, target: float,
-               tolerance: float) -> tuple[float, ExperimentSummary | None]:
+def _calibrate(scenario: Scenario, policy_kind: str, target: float
+               ) -> tuple[float, ExperimentSummary | None]:
     """The calibrated knob and the probe run's summary that met it (None for Random)."""
     if policy_kind == "Random":
         # exact by construction: floor(fraction * K) clients every round
@@ -304,17 +333,17 @@ def _calibrate(scenario: Scenario, policy_kind: str, target: float,
         return _summary(scenario, PolicySpec(policy_kind, **{knob: value}))
 
     s_lo = probe(lo)
-    if abs(s_lo.avg_selected - target) <= tolerance:
+    if abs(s_lo.avg_selected - target) <= CALIBRATION_TOLERANCE:
         return lo, s_lo
     s_hi = probe(hi)
-    if abs(s_hi.avg_selected - target) <= tolerance:
+    if abs(s_hi.avg_selected - target) <= CALIBRATION_TOLERANCE:
         return hi, s_hi
     if s_lo.avg_selected > target or s_hi.avg_selected < target:
         raise Unreachable("target outside the achievable bracket")
     for _ in range(60):
         mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
         s_mid = probe(mid)
-        if abs(s_mid.avg_selected - target) <= tolerance:
+        if abs(s_mid.avg_selected - target) <= CALIBRATION_TOLERANCE:
             return mid, s_mid
         if s_mid.avg_selected < target:
             lo = mid
@@ -323,42 +352,30 @@ def _calibrate(scenario: Scenario, policy_kind: str, target: float,
     raise Unreachable("bisection failed to reach the target")
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    policy: str
-    knob: float | None
-    avg_selected: float
-    total_latency: float
-    energy_overflow: float
-    total_phi: float
-
-
-def compare_policies(config_path: str | Path, seed: int = 0,
-                     target_avg: float = 40.0) -> list[ComparisonRow]:
+def compare_policies(config_path: str | Path, seed: int = 0, target_avg: float = 40.0
+                     ) -> list[tuple[float | None, ExperimentSummary]]:
     """Calibrate where applicable, run all five policies on identical scenarios.
 
+    One (knob, summary) pair per policy, the knob None for SelectAll and Greedy.
     PEDPC and FedCS reuse their accepted calibration runs: no pair runs twice.
     """
     cfg = load_config(config_path)
     scenario = build_scenario(cfg, seed)
-    v_star, pedpc_run = _calibrate(scenario, "PEDPC", target_avg, CALIBRATION_TOLERANCE)
-    fraction, _ = _calibrate(scenario, "Random", target_avg, CALIBRATION_TOLERANCE)
-    t_max, fedcs_run = _calibrate(scenario, "FedCS", target_avg, CALIBRATION_TOLERANCE)
-    runs: list[tuple[str, float | None, ExperimentSummary]] = [
-        ("PEDPC", v_star, pedpc_run),
-        ("SelectAll", None, _summary(scenario, PolicySpec("SelectAll"))),
-        ("Random", fraction, _summary(scenario, PolicySpec("Random", random_fraction=fraction))),
-        ("Greedy", None, _summary(scenario, PolicySpec("Greedy"))),
-        ("FedCS", t_max, fedcs_run),
+    v_star, pedpc_run = _calibrate(scenario, "PEDPC", target_avg)
+    fraction, _ = _calibrate(scenario, "Random", target_avg)
+    t_max, fedcs_run = _calibrate(scenario, "FedCS", target_avg)
+    rows = [
+        (v_star, pedpc_run),
+        (None, _summary(scenario, PolicySpec("SelectAll"))),
+        (fraction, _summary(scenario, PolicySpec("Random", random_fraction=fraction))),
+        (None, _summary(scenario, PolicySpec("Greedy"))),
+        (t_max, fedcs_run),
     ]
-    rows = [ComparisonRow(kind, knob, s.avg_selected, s.total_latency, s.energy_overflow,
-                          s.total_phi) for kind, knob, s in runs]
     lines = [COMPARE_HEADER]
-    for row in rows:
-        knob = "" if row.knob is None else _fmt(row.knob)
-        lines.append(",".join([row.policy, knob, _fmt(row.avg_selected),
-                               _fmt(row.total_latency), _fmt(row.energy_overflow),
-                               _fmt(row.total_phi)]))
+    for knob, s in rows:
+        lines.append(",".join([s.policy, "" if knob is None else _fmt(knob),
+                               *map(_fmt, (s.avg_selected, s.total_latency, s.energy_overflow,
+                                           s.total_phi))]))
     _write_lines(cfg.output_dir / f"compare_{seed}.csv", lines)
     return rows
 
@@ -451,13 +468,12 @@ def verify_bounds(cfg: HarnessConfig, seed: int, penalty_weights: Sequence[float
     excess = float(np.sum(c_stars - y0_min))
     reports = []
     for v in penalty_weights:
-        trace = run_policy(scenario, PolicySpec("PEDPC", penalty=v))
-        lhs = float(np.mean([rec.cost for rec in trace.records]))
+        summary = _summary(scenario, PolicySpec("PEDPC", penalty=v))
+        lhs, totals = summary.avg_cost, summary.per_client_totals
         rhs = lookahead + scenario.drift * config.frame_len / v
         slack = (2.0 * scenario.drift * config.num_rounds * config.frame_len
                  + 2.0 * v * config.frame_len * excess)
         energy_rhs = pop.energy_budget + math.sqrt(max(slack, 0.0))
-        totals = trace.per_client_totals
         reports.append(BoundsReport(
             penalty_weight=v,
             lhs_cost=lhs,

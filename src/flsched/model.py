@@ -159,9 +159,9 @@ def round_credit(population: Population, config: SystemConfig) -> np.ndarray:
     return population.energy_budget / config.num_rounds
 
 
-def energy_overflow(consumed: np.ndarray, budgets: np.ndarray) -> float:
-    """Energy spent beyond budget, summed over clients: sum_k max(E_k - H_k, 0)."""
-    return float(np.maximum(consumed - budgets, 0.0).sum())
+def energy_overflow(consumed: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+    """Energy beyond budget, summed over clients (the last axis): sum_k max(E_k - H_k, 0)."""
+    return np.maximum(consumed - budgets, 0.0).sum(axis=-1)
 
 
 def rate_coefficients(population: Population, gain_sq: np.ndarray, config: SystemConfig) -> np.ndarray:

@@ -247,23 +247,17 @@ def baseline_fedcs(rate_coeff: np.ndarray, population: Population,
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Per-round metrics of one policy run."""
+    """What one round decided: how many clients, its latency t0 and accuracy utility phi."""
 
     round: int
-    policy: str
     n_selected: int
     latency: float
     phi: float
-    cost: float
-    queue_l2: float
-    cum_latency: float
-    cum_cost: float
-    cum_energy_overflow: float
 
 
 @dataclass
 class RunTrace:
-    """Everything a finished run exposes for metrics and verification."""
+    """What a finished run decided and spent; `harness.round_columns` derives the rest."""
 
     policy: str
     seed: int
@@ -290,11 +284,10 @@ def _decide(ctx: RoundContext, policy: PolicySpec, seed: int, round_index: int) 
     raise ValueError(f"unknown policy kind {policy.kind!r}")
 
 
-def run_policy(scenario: Scenario, policy: PolicySpec,
-               initial_queue: QueueState | None = None) -> RunTrace:
+def run_policy(scenario: Scenario, policy: PolicySpec) -> RunTrace:
     """Run one policy across the scenario's horizon; deterministic in its inputs.
 
-    Backlogs advance for every policy (they are the metric of budget
+    Backlogs advance from zero for every policy (they are the metric of budget
     compliance even where the policy ignores them). Every round is checked
     against the one-step drift inequality with the scenario's envelope, and
     the end of the run against the queue-implied deficit lower bound; a
@@ -303,17 +296,11 @@ def run_policy(scenario: Scenario, policy: PolicySpec,
     drift = scenario.drift
     population, config, seed = scenario.population, scenario.config, scenario.spec.seed
     k, r_total = config.num_clients, config.num_rounds
-    state = initial_queue if initial_queue is not None else QueueState.zero(k)
-    if state.backlog.size != k:
-        raise ValueError("initial queue has the wrong number of clients")
+    state = QueueState.zero(k)
     backlog_trace = np.zeros((r_total + 1, k))
-    backlog_trace[0] = state.backlog
     energies = np.zeros((r_total, k))
     records: list[RoundRecord] = []
     halves: list[tuple[float, ...]] = []
-    cum_latency = 0.0
-    cum_cost = 0.0
-    cum_energy = np.zeros(k)
     drift_min_slack = math.inf
     for r in range(r_total):
         ctx = RoundContext(population, scenario.observe(r), config)
@@ -325,33 +312,17 @@ def run_policy(scenario: Scenario, policy: PolicySpec,
             decision = _decide(ctx, policy, seed, r)
         decision.validate(config)
         energy_vec, t0, phi = ctx.outcome(decision)
-        cost = t0 - phi
         new_state = lyap.update_queue(state, energy_vec, ctx.credit)
         slack = lyap.drift_gap(state, new_state, energy_vec, ctx.credit, drift)
         if slack < -DRIFT_TOL:
             raise VerificationError(
                 f"one-step drift inequality violated in round {r} (slack {slack:.3e})")
         drift_min_slack = min(drift_min_slack, slack)
-        cum_latency += t0
-        cum_cost += cost
-        cum_energy += energy_vec
-        overflow = model.energy_overflow(cum_energy, population.energy_budget)
-        records.append(RoundRecord(
-            round=r,
-            policy=policy.kind,
-            n_selected=decision.n_selected,
-            latency=t0,
-            phi=phi,
-            cost=cost,
-            queue_l2=float(np.linalg.norm(new_state.backlog)),
-            cum_latency=cum_latency,
-            cum_cost=cum_cost,
-            cum_energy_overflow=overflow,
-        ))
+        records.append(RoundRecord(r, decision.n_selected, t0, phi))
         energies[r] = energy_vec
         backlog_trace[r + 1] = new_state.backlog
         state = new_state
-    deficit_ok = lyap.deficit_ok(backlog_trace, cum_energy, population.energy_budget)
+    deficit_ok = lyap.deficit_ok(backlog_trace, energies.sum(axis=0), population.energy_budget)
     if not deficit_ok.all():
         raise VerificationError("queue-implied deficit lower bound violated for clients "
                                 f"{np.flatnonzero(~deficit_ok).tolist()}")

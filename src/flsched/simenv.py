@@ -97,9 +97,12 @@ class ScenarioSpec:
 
 
 def _typed(name: str, value: Any) -> Any:
-    """A parameter's value as the type of its default (int or float); an int takes no fraction."""
-    if isinstance(DEFAULTS[name], int) and not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    """A parameter's value as its default's type (int or float); an int is whole and fits int64."""
+    if isinstance(DEFAULTS[name], int):
+        if not float(value).is_integer():
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not -2 ** 63 <= value < 2 ** 63:
+            raise ValueError(f"{name} is out of range")
     return type(DEFAULTS[name])(value)
 
 

@@ -204,13 +204,13 @@ def test_criterion_08_penalty_sweep_trends(table1_config):
             f"overflow={np.round(overflow, 2).tolist()}")
 
 
-def _cost(row: harness.ComparisonRow) -> float:
+def _cost(row: harness.ExperimentSummary) -> float:
     """The paper's round cost, latency minus accuracy utility, summed over the run."""
     return row.total_latency - row.total_phi
 
 
 def test_criterion_09_policy_comparison(table1_config):
-    rows = {r.policy: r for r in
+    rows = {s.policy: s for _, s in
             harness.compare_policies(table1_config, seed=SEED, target_avg=40.0)}
     pedpc = rows["PEDPC"]
     greedy = rows["Greedy"]

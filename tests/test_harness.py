@@ -172,6 +172,19 @@ def test_cli_negative_client_count_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: need at least one client\n"
 
 
+@pytest.mark.parametrize("doc,key", [
+    ({"scenario": {"local_iters": 1e20}}, "local_iters"),
+    ({"system": {"num_rounds": 1e20, "frame_len": 1e20, "num_frames": 1}}, "num_rounds"),
+    ({"system": {"num_clients": 1e20}}, "num_clients"),
+], ids=["local_iters", "num_rounds", "num_clients"])
+def test_cli_integer_beyond_int64_exits_2(tmp_path, capsys, doc, key):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({**doc, "output": {"dir": str(tmp_path / "out")}}))
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {key} is out of range\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section,key,value", list(_bad_override_cases()))
 def test_parse_config_rejects_bad_override(section, key, value):
     with pytest.raises(ConfigError, match=key):
@@ -441,9 +454,9 @@ def test_cli_commands(tmp_path, capsys, argv, written):
         assert len(lines) == 1 + rows
 
 
-def _fresh_run_policy(scenario, policy, initial_queue=None):
+def _fresh_run_policy(scenario, policy):
     """A run on a Scenario built for it alone, ignoring the shared one."""
-    return run_policy(Scenario(scenario.spec), policy, initial_queue)
+    return run_policy(Scenario(scenario.spec), policy)
 
 
 def test_compare_runs_each_policy_knob_once(tmp_path, monkeypatch):
@@ -458,16 +471,18 @@ def test_compare_runs_each_policy_knob_once(tmp_path, monkeypatch):
     rows = compare_policies(path, seed=1, target_avg=4)
     assert len(seen) == len(set(seen))
     assert {policy.kind for policy in seen} == set(POLICY_KINDS)
+    assert [s.policy for _, s in rows] == list(POLICY_KINDS)
     # the table is what a fresh run of each row's (policy, knob) writes
     scenario = harness.build_scenario(load_config(path), 1)
     knobs = {"PEDPC": "penalty", "Random": "random_fraction", "FedCS": "latency_cap"}
     lines = [harness.COMPARE_HEADER]
-    for row in rows:
-        field = {knobs[row.policy]: row.knob} if row.policy in knobs else {}
+    for knob, row in rows:
+        field = {knobs[row.policy]: knob} if row.policy in knobs else {}
         s = harness._summary(scenario, PolicySpec(row.policy, **field))
-        knob = "" if row.knob is None else harness._fmt(row.knob)
-        lines.append(",".join([row.policy, knob] + [harness._fmt(x) for x in (
-            s.avg_selected, s.total_latency, s.energy_overflow, s.total_phi)]))
+        assert s.to_dict() == row.to_dict()
+        lines.append(",".join([row.policy, "" if knob is None else harness._fmt(knob)]
+                              + [harness._fmt(x) for x in (s.avg_selected, s.total_latency,
+                                                           s.energy_overflow, s.total_phi)]))
     assert (tmp_path / "out" / "compare_1.csv").read_text() == "\n".join(lines) + "\n"
 
 
@@ -477,7 +492,7 @@ def test_shared_scenario_matches_fresh_scenarios(tmp_path, monkeypatch):
     def results():
         return (calibrate(path, "FedCS", 4, seed=1), calibrate(path, "PEDPC", 7, seed=1),
                 [s.to_dict() for s in sweep_v(path, [0.01, 1.0], seed=1)],
-                compare_policies(path, seed=1, target_avg=4))
+                [(knob, s.to_dict()) for knob, s in compare_policies(path, seed=1, target_avg=4)])
 
     shared = results()
     monkeypatch.setattr(harness, "run_policy", _fresh_run_policy)
@@ -523,6 +538,50 @@ def test_summary_avg_cost_matches_rows(tmp_path):
     summary = run_experiment(path, seed=3, output_path=out)
     costs = [float(r.split(",")[6]) for r in out.read_text().strip().split("\n")[1:]]
     assert summary.avg_cost == pytest.approx(np.mean(costs), abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["PEDPC", "Greedy"])
+def test_rounds_csv_agrees_with_its_trace(tmp_path, monkeypatch, kind):
+    # utility outweighs latency and budgets are tight, so both policies select,
+    # queue up backlog and (PEDPC) overflow
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "system": {"num_clients": 8, "num_rounds": 12, "frame_len": 4, "num_frames": 3,
+                   "min_ratio": 0.05, "accuracy_coeff": 1e-6},
+        "scenario": {"energy_budget": 0.02}, "policy": {"kind": kind}}))
+    real, traces = harness.run_policy, []
+
+    def spy(scenario, policy):
+        traces.append(real(scenario, policy))
+        return traces[-1]
+
+    monkeypatch.setattr(harness, "run_policy", spy)
+    out = tmp_path / "run.csv"
+    summary = run_experiment(path, seed=2, output_path=out)
+    (trace,) = traces
+    header, *rows = out.read_text().splitlines()
+    cells = [row.split(",") for row in rows]
+    col = {name: np.array([float(c[i]) for c in cells])
+           for i, name in enumerate(header.split(",")) if name != "policy"}
+    assert {c[1] for c in cells} == {kind}
+    assert np.array_equal(col["round"], np.arange(12))
+    assert np.array_equal(col["n_selected"], [rec.n_selected for rec in trace.records])
+    assert np.array_equal(col["latency_s"], [rec.latency for rec in trace.records])
+    assert np.array_equal(col["phi"], [rec.phi for rec in trace.records])
+    assert np.array_equal(col["cost"], col["latency_s"] - col["phi"])
+    assert np.array_equal(col["cum_latency_s"], np.cumsum(col["latency_s"]))
+    assert np.array_equal(col["cum_cost"], np.cumsum(col["cost"]))
+    assert np.allclose(col["queue_l2"], np.linalg.norm(trace.backlog_trace[1:], axis=1),
+                       rtol=1e-12, atol=0)
+    spent = np.cumsum(trace.energies, axis=0)
+    budget = harness.build_scenario(load_config(path), 2).population.energy_budget
+    assert np.allclose(col["energy_overflow_j"],
+                       [sum(max(e - h, 0.0) for e, h in zip(row, budget)) for row in spent],
+                       rtol=1e-12, atol=0)
+    assert col["energy_overflow_j"][-1] == summary.energy_overflow
+    assert col["n_selected"].any() and col["queue_l2"].any()
+    assert (col["energy_overflow_j"][-1] > 0) == (kind == "PEDPC")
+    assert summary.avg_cost == np.mean(col["cost"])
 
 
 def test_byte_identical_reruns(tmp_path):
