@@ -21,7 +21,7 @@ from . import bandwidth as bw
 from . import model
 from .errors import ConfigError, TooLarge, Unreachable
 from .scheduler import PolicySpec, RoundContext, RunTrace, run_policy
-from .simenv import DEFAULTS, IID, NONIID, Range, Scenario, ScenarioSpec
+from .simenv import DEFAULTS, IID, NONIID, Scenario, ScenarioSpec, checked, number
 
 CSV_HEADER = ("round,policy,seed,n_selected,latency_s,phi,cost,queue_l2,"
               "cum_latency_s,cum_cost,energy_overflow_j")
@@ -58,44 +58,6 @@ def _check_section(name: str, content: Any) -> dict:
     return content
 
 
-def _number(key: str, value: Any) -> float:
-    """A finite JSON number (booleans excluded) as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError as exc:
-        raise ConfigError(f"{key} is out of range") from exc
-    if not math.isfinite(x):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
-    return x
-
-
-def _integer(key: str, value: Any) -> int:
-    """A finite JSON number with no fractional part (3 or 3.0) as an int."""
-    if not _number(key, value).is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _override(key: str, value: Any) -> Any:
-    """A validated `system` or `scenario` value, in the form of its default.
-
-    An int default takes an integer, a `Range` default a [low, high] list, any
-    other tuple a non-empty list of numbers, and a float default a number.
-    """
-    default = DEFAULTS[key]
-    if isinstance(default, int):
-        return _integer(key, value)
-    if isinstance(default, tuple):
-        if not isinstance(value, list) or not value or \
-                (isinstance(default, Range) and len(value) != 2):
-            shape = "[low, high]" if isinstance(default, Range) else "a non-empty list"
-            raise ConfigError(f"{key} must be {shape}, got {value!r}")
-        return tuple(_number(key, v) for v in value)
-    return _number(key, value)
-
-
 def parse_config(doc: Mapping[str, Any]) -> HarnessConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
@@ -117,11 +79,12 @@ def parse_config(doc: Mapping[str, Any]) -> HarnessConfig:
         if not isinstance(output_raw["dir"], str):
             raise ConfigError(f"output dir must be a string, got {output_raw['dir']!r}")
         present["output_dir"] = Path(output_raw["dir"])
-    overrides = {key: _override(key, value)
-                 for key, value in {**system, **scenario}.items() if key != "mode"}
-    knobs = {key: value if key == "kind" else _number(key, value)
-             for key, value in policy_raw.items()}
     try:
+        overrides = {key: checked(key, value)
+                     for key, value in {**system, **scenario}.items() if key != "mode"}
+        # a knob the config names is a number: JSON null does not unset it
+        knobs = {key: value if key == "kind" else number(key, value)
+                 for key, value in policy_raw.items()}
         return HarnessConfig(overrides=overrides, policy=PolicySpec(**knobs), **present)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -33,7 +33,7 @@ from .errors import InfeasibleConfig, VerificationError
 from .lyapunov import QueueState
 from .model import Decision, Population, RoundObservation, SystemConfig
 from .selection import SelectionInstance, itmcs
-from .simenv import Scenario, policy_rng
+from .simenv import Scenario, number, policy_rng
 
 POLICY_KINDS = ("PEDPC", "SelectAll", "Random", "Greedy", "FedCS")
 DESCENT_SLACK = 1e-9  # minimal per-iteration improvement to keep alternating
@@ -51,9 +51,14 @@ class PolicySpec:
     penalty: float = 1.0  # PEDPC only: V, the weight of the round cost against the drift
 
     def __post_init__(self):
+        # each knob is stored as a finite float; random_fraction and latency_cap may stay None
+        object.__setattr__(self, "penalty", number("penalty", self.penalty))
+        for name in ("random_fraction", "latency_cap"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, number(name, getattr(self, name)))
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if not 0 < self.penalty < math.inf:
+        if not self.penalty > 0:
             raise ValueError(f"penalty must be finite and positive, got {self.penalty!r}")
         if self.kind == "Random":
             if self.random_fraction is None or not (0 < self.random_fraction <= 1):
@@ -199,25 +204,17 @@ def _fill(rate_coeff: np.ndarray, upload: np.ndarray, slack: np.ndarray,
         need = np.where(eligible, upload / (rate_coeff * np.where(eligible, slack, 1.0)),
                         np.inf)
     shares = np.maximum(need, config.min_ratio)
-    k = shares.size
-    selected = np.zeros(k, dtype=bool)
-    out = np.zeros(k)
     idx = np.flatnonzero(eligible)
-    if idx.size == 0:
-        return Decision(selected, out)
     order = idx[np.lexsort((idx, shares[idx]))]
-    total = 0.0
-    last = -1
-    for client in order:
-        s = shares[client]
-        if total + s > 1.0 + model.FEAS_TOL:
-            break
-        selected[client] = True
-        out[client] = s
-        total += s
-        last = client
-    if last >= 0:
-        out[last] += 1.0 - total
+    # every share is at least the floor, so the running totals rise: admission
+    # stops at the first total past the band
+    total = np.cumsum(shares[order])
+    admitted = order[:np.searchsorted(total, 1.0 + model.FEAS_TOL, side="right")]
+    selected = np.zeros(shares.size, dtype=bool)
+    selected[admitted] = True
+    out = np.where(selected, shares, 0.0)
+    if admitted.size:
+        out[admitted[-1]] += 1.0 - total[admitted.size - 1]
     return Decision(selected, out)
 
 

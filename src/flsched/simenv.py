@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Any, Mapping, NamedTuple
 
 import numpy as np
@@ -43,8 +43,8 @@ class Range(NamedTuple):
 
 
 # Every scenario parameter and its default. A key named after a `SystemConfig`
-# or `Population` field sets that field; a default's type fixes how a config
-# gives the key: an int, a float, a `Range`, or a tuple of values.
+# or `Population` field sets that field; a default's type fixes the form of
+# the key's value (`checked`): an int, a float, a `Range`, or a tuple of values.
 DEFAULTS: dict[str, Any] = {
     "num_clients": 100,
     "num_rounds": 300,
@@ -67,9 +67,55 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
+def number(name: str, value: Any) -> float:
+    """A finite number (booleans excluded) as a float."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name} is out of range") from exc
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return x
+
+
+def checked(name: str, value: Any) -> Any:
+    """A parameter's value in the form of its default, or a ValueError naming it.
+
+    An int default takes a whole number within int64 (3 or 3.0), a `Range`
+    default a [low, high] list with 0 < low <= high, any other tuple a
+    non-empty list of positive numbers, and a float default a number.
+    """
+    default = DEFAULTS[name]
+    if isinstance(default, int):
+        if not number(name, value).is_integer():
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not -2 ** 63 <= int(value) < 2 ** 63:
+            raise ValueError(f"{name} is out of range")
+        return int(value)
+    if not isinstance(default, tuple):
+        return number(name, value)
+    is_range = isinstance(default, Range)
+    if not isinstance(value, (list, tuple)) or not value or (is_range and len(value) != 2):
+        shape = "[low, high]" if is_range else "a non-empty list"
+        raise ValueError(f"{name} must be {shape}, got {value!r}")
+    entries = tuple(number(name, v) for v in value)
+    if is_range:
+        if not 0 < entries[0] <= entries[1]:
+            raise ValueError(f"{name} range must be positive and ordered")
+        return Range(*entries)
+    if not all(v > 0 for v in entries):
+        raise ValueError(f"{name} entries must be positive")
+    return entries
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Seeded scenario: data-volume mode plus optional parameter overrides."""
+    """Seeded scenario: data-volume mode plus optional parameter overrides.
+
+    Each override is stored `checked`, so a bad value fails here, before any draw.
+    """
 
     seed: int
     mode: str = IID
@@ -83,27 +129,11 @@ class ScenarioSpec:
         unknown = set(self.overrides) - set(DEFAULTS)
         if unknown:
             raise ValueError(f"unknown scenario overrides: {sorted(unknown)}")
-        # every drawn parameter's bounds, so that no draw decides whether a config is valid
-        for name, default in DEFAULTS.items():
-            if isinstance(default, Range):
-                lo, hi = self.param(name)
-                if not (0 < lo <= hi):
-                    raise ValueError(f"{name} range must be positive and ordered")
-            elif isinstance(default, tuple) and not all(v > 0 for v in self.param(name)):
-                raise ValueError(f"{name} entries must be positive")
+        object.__setattr__(self, "overrides", {name: checked(name, value)
+                                               for name, value in self.overrides.items()})
 
     def param(self, name: str):
         return self.overrides.get(name, DEFAULTS[name])
-
-
-def _typed(name: str, value: Any) -> Any:
-    """A parameter's value as its default's type (int or float); an int is whole and fits int64."""
-    if isinstance(DEFAULTS[name], int):
-        if not float(value).is_integer():
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not -2 ** 63 <= value < 2 ** 63:
-            raise ValueError(f"{name} is out of range")
-    return type(DEFAULTS[name])(value)
 
 
 def generate_population(spec: ScenarioSpec) -> tuple[Population, SystemConfig]:
@@ -117,8 +147,7 @@ def generate_population(spec: ScenarioSpec) -> tuple[Population, SystemConfig]:
     them from `data_size_choices`, after the hardware.
     """
     # built before the first draw, so that it reports a client count below one
-    config = SystemConfig(**{f.name: _typed(f.name, spec.param(f.name))
-                             for f in fields(SystemConfig)})
+    config = SystemConfig(**{f.name: spec.param(f.name) for f in fields(SystemConfig)})
     k = config.num_clients
     rng = np.random.default_rng([spec.seed, _POP_STREAM])
 
@@ -127,7 +156,7 @@ def generate_population(spec: ScenarioSpec) -> tuple[Population, SystemConfig]:
             return rng.choice(np.asarray(spec.param("data_size_choices"), dtype=float), size=k)
         if isinstance(DEFAULTS[name], Range):
             return rng.uniform(*spec.param(name), k)
-        return np.full(k, _typed(name, spec.param(name)))
+        return np.full(k, spec.param(name))
 
     return Population(**{f.name: per_client(f.name) for f in fields(Population)}), config
 

@@ -223,6 +223,22 @@ def test_baseline_fedcs_huge_cap_selects_max():
     assert np.allclose(np.sort(dec.bandwidth[dec.selected])[:4], 0.2)
 
 
+@pytest.mark.parametrize("knobs,name", [
+    ({"penalty": "1"}, "penalty"), ({"kind": "FedCS", "latency_cap": "3"}, "latency_cap"),
+    ({"kind": "Random", "random_fraction": float("nan")}, "random_fraction"),
+    ({"penalty": None}, "penalty"),
+], ids=["penalty", "latency_cap", "random_fraction", "penalty-None"])
+def test_policy_spec_knob_must_be_a_number(knobs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        PolicySpec(**knobs)
+
+
+def test_policy_spec_stores_knobs_as_floats():
+    spec = PolicySpec("FedCS", latency_cap=3, penalty=np.float32(0.5))
+    assert (spec.latency_cap, spec.penalty, spec.random_fraction) == (3.0, 0.5, None)
+    assert type(spec.latency_cap) is float and type(spec.penalty) is float
+
+
 def test_run_policy_trace_shape_and_invariants():
     sc = small_scenario(rounds=20)
     tr = run_policy(sc, PolicySpec("PEDPC", penalty=1.0))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from flsched.model import Population
-from flsched.simenv import (DEFAULTS, IID, NONIID, Scenario, ScenarioSpec,
+from flsched.simenv import (DEFAULTS, IID, NONIID, Range, Scenario, ScenarioSpec, checked,
                             dbm_to_watts, generate_population, sample_round)
 
 # sha256 over each array of the default population (field name, dtype, bytes),
@@ -134,8 +134,38 @@ def test_system_config_is_checked_before_the_draws():
 @pytest.mark.parametrize("name,value", [("local_iters", 2.5), ("num_clients", 3.7),
                                         ("num_rounds", float("nan"))])
 def test_integer_parameter_takes_no_fraction(name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+    # NaN fails the finite-number check first, as it does in a config file
+    message = f"{name} must be finite, got nan" if np.isnan(value) else \
+        f"{name} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         generate_population(ScenarioSpec(seed=1, overrides={name: value}))
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("bandwidth", float("inf"), "must be finite, got inf"),
+    ("energy_budget", float("inf"), "must be finite, got inf"),
+    ("accuracy_coeff", float("inf"), "must be finite, got inf"),
+    ("num_clients", True, "must be a number, got True"),
+    ("gain_sq", "x", "must be \\[low, high\\], got 'x'"),
+], ids=["bandwidth", "energy_budget", "accuracy_coeff", "num_clients", "gain_sq"])
+def test_spec_built_in_code_follows_the_config_rules(name, value, message):
+    # the same value rules as a config file, with no config file in the way
+    with pytest.raises(ValueError, match=f"^{name} {message}$"):
+        ScenarioSpec(seed=1, overrides={name: value})
+
+
+def test_every_default_passes_its_own_check():
+    # the spec checks only overrides, so each default must be a valid value
+    for name, default in DEFAULTS.items():
+        assert checked(name, default) == default and \
+            type(checked(name, default)) is type(default), name
+
+
+def test_spec_stores_overrides_in_the_defaults_form():
+    spec = ScenarioSpec(seed=1, overrides={"num_clients": 3.0, "cpu_freq": [1e8, 1e9],
+                                           "capacitance": 1})
+    assert spec.overrides == {"num_clients": 3, "cpu_freq": (1e8, 1e9), "capacitance": 1.0}
+    assert [type(v) for v in spec.overrides.values()] == [int, Range, float]
 
 
 def test_integral_float_is_the_integer():
