@@ -200,7 +200,7 @@ def _fill(rate_coeff: np.ndarray, upload: np.ndarray, slack: np.ndarray,
     while the shares fit in the band; the last one is topped up to fill it.
     """
     eligible = (slack > 0) & (rate_coeff > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         need = np.where(eligible, upload / (rate_coeff * np.where(eligible, slack, 1.0)),
                         np.inf)
     shares = np.maximum(need, config.min_ratio)

@@ -4,12 +4,16 @@ The subproblem scores each client with q_k (backlog price minus weighted
 utility) and charges the penalty weight times the slowest selected client.
 Only negative-score clients can help; among them, for any latency ceiling the
 best set is determined, so scanning ceilings in increasing latency order is
-exact. A brute-force enumerator backs the solver in tests.
+exact. The scan is one array pass of prefix sums when the set-size cap cannot
+bind, and a heap of Python floats when it can; both give the same bits as a
+running sum. In the tests, a brute-force enumerator and a per-ceiling
+definition back the solver.
 """
 
 from __future__ import annotations
 
 import heapq
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +39,12 @@ class SelectionInstance:
             raise ValueError("scores must not be NaN; latencies must be >= 0")
         if not self.penalty_weight > 0:
             raise ValueError("penalty_weight must be positive")
-        if self.max_selected is not None and self.max_selected < 0:
-            raise ValueError("max_selected must be non-negative")
+        cap = self.max_selected
+        if cap is not None:
+            if isinstance(cap, (bool, np.bool_)) or not isinstance(cap, numbers.Integral):
+                raise ValueError(f"max_selected must be an integer, got {cap!r}")
+            if cap < 0:
+                raise ValueError("max_selected must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -50,10 +58,17 @@ def itmcs(instance: SelectionInstance) -> SelectionResult:
 
     Candidates are, per negative-score client taken as the latency ceiling,
     that client plus the most negative predecessor scores that fit under the
-    cap; with no cap this collapses to scanning prefixes of the latency-sorted
-    negative-score clients. The empty set is always a candidate, so the
-    returned objective is never positive. Infinite-latency clients are never
-    eligible regardless of score.
+    cap. The empty set is always a candidate, so the returned objective is
+    never positive, and the first candidate with the smallest negative W
+    wins. Infinite-latency clients are never eligible regardless of score.
+
+    When the cap cannot bind (it is at least the number of eligible
+    clients), every predecessor fits and the candidates' W is one array
+    scan: v*t + q plus the shifted running sum of q over the latency-sorted
+    clients. When it binds, a heap of Python floats keeps the cap-1 most
+    negative predecessor scores. Both add in the same order, so W is the
+    same to the bit either way. A NaN W (an overflowing v*t next to a
+    -inf score) is never chosen.
     """
     q = instance.scores
     t = instance.latencies
@@ -62,28 +77,37 @@ def itmcs(instance: SelectionInstance) -> SelectionResult:
     eligible = np.flatnonzero((q < 0) & np.isfinite(t))
     cap = instance.max_selected if instance.max_selected is not None else k
     best_w = 0.0
-    best_at: tuple[int, int] | None = None
+    best_pos = -1
     if cap >= 1 and eligible.size:
         order = eligible[np.lexsort((eligible, t[eligible]))]
-        # max-heap of the most negative predecessor scores, at most cap-1 kept
-        pool: list[float] = []
-        pool_sum = 0.0
-        for pos, ceil in enumerate(order):
-            w = v * t[ceil] + q[ceil] + pool_sum
-            if w < best_w:
-                best_w = w
-                best_at = (pos, ceil)
-            if cap > 1:
-                heapq.heappush(pool, -q[ceil])
-                pool_sum += q[ceil]
-                if len(pool) > cap - 1:
-                    pool_sum += heapq.heappop(pool)
+        q_order = q[order]
+        with np.errstate(over="ignore", invalid="ignore"):
+            head = v * t[order]
+            if cap >= order.size:
+                pool_sums = np.concatenate(([0.0], np.cumsum(q_order)[:-1]))
+                w = head + q_order + pool_sums
+                pos = int(np.argmin(np.where(np.isnan(w), np.inf, w)))
+                if w[pos] < best_w:
+                    best_w, best_pos = float(w[pos]), pos
+            else:
+                # max-heap of the most negative predecessor scores, at most cap-1 kept
+                pool: list[float] = []
+                pool_sum = 0.0
+                for pos, (vt, qi) in enumerate(zip(head.tolist(), q_order.tolist())):
+                    w = vt + qi + pool_sum
+                    if w < best_w:
+                        best_w, best_pos = w, pos
+                    if cap > 1:
+                        pool_sum += qi
+                        if len(pool) < cap - 1:
+                            heapq.heappush(pool, -qi)
+                        else:  # a full pool drops its least negative score
+                            pool_sum += heapq.heappushpop(pool, -qi)
     selected = np.zeros(k, dtype=bool)
-    if best_at is not None:
-        pos, ceil = best_at
-        preds = order[:pos]
+    if best_pos >= 0:
+        preds = order[:best_pos]
         take = min(cap - 1, len(preds))
-        selected[ceil] = True
+        selected[order[best_pos]] = True
         if take:
             by_score = preds[np.lexsort((preds, q[preds]))][:take]
             selected[by_score] = True

@@ -4,13 +4,16 @@
 exhaustive grid search (`barrier_oracle` covers larger instances), and
 `exact_objective` prices shares with the true, non-smoothed max latency.
 `brute_force_selection` enumerates every selection set to check
-`selection.itmcs` against `selection_objective`. `lookahead_oracle` checks
-the frame lookahead of `harness.verify_bounds` by enumerating every plan.
+`selection.itmcs` against `selection_objective` on at most 20 clients, and
+`ceiling_selection` spells out the candidates itmcs scans, for any size.
+`lookahead_oracle` checks the frame lookahead of `harness.verify_bounds` by
+enumerating every plan.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Iterable
 
@@ -93,6 +96,31 @@ def brute_force_selection(instance: SelectionInstance) -> SelectionResult:
     cand = cand[sizes[cand] == sizes[cand].min()]
     best = min(cand, key=lambda row: tuple(np.flatnonzero(masks[row])))
     return SelectionResult(masks[best].copy(), w_min)
+
+
+def ceiling_selection(instance: SelectionInstance) -> SelectionResult:
+    """The best of one candidate per latency ceiling, by definition.
+
+    The clients that can help (negative score, finite latency) are taken in
+    order of latency, then index. Each, as the slowest client selected, is a
+    candidate together with the cap-1 most negative scores before it (ties by
+    index), found by sorted(). The empty set is the first candidate, and the
+    first candidate with the smallest W wins.
+    """
+    q, t = instance.scores.tolist(), instance.latencies.tolist()
+    k = len(q)
+    cap = k if instance.max_selected is None else instance.max_selected
+    helpful = sorted((i for i in range(k) if q[i] < 0 and math.isfinite(t[i])),
+                     key=lambda i: (t[i], i))
+    best, best_w = [], 0.0
+    for pos, ceil in enumerate(helpful if cap >= 1 else []):
+        companions = sorted(helpful[:pos], key=lambda i: (q[i], i))[:cap - 1]
+        w = instance.penalty_weight * t[ceil] + q[ceil] + math.fsum(q[i] for i in companions)
+        if w < best_w:
+            best, best_w = [ceil, *companions], w
+    selected = np.zeros(k, dtype=bool)
+    selected[best] = True
+    return SelectionResult(selected, best_w)
 
 
 def lookahead_oracle(scenario: Scenario, frame_index: int, grid_step: float) -> float:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -435,3 +437,18 @@ def test_solve_round_skips_only_repeated_barrier_calls(monkeypatch):
         resolved_rounds += len(calls) > 1
     assert oracle_repeats > 0  # the sample exercises the skip
     assert resolved_rounds > 0  # ... and the re-solve of a moved selection
+
+
+def test_fill_tiny_positive_slack_needs_no_share(example_config):
+    # a slack of 1e-320 makes upload / (rate * slack) overflow: that client
+    # needs an infinite share and is left out, as with no slack, silently
+    pop = population(3)
+    rate = uniform_rate(pop, example_config)
+    upload = pop.tx_power * pop.model_size
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = scheduler._fill(rate, upload, np.array([1e-320, 1e-3, 2e-3]), example_config)
+    none = scheduler._fill(rate, upload, np.array([0.0, 1e-3, 2e-3]), example_config)
+    assert list(tiny.selected) == [False, True, True]
+    assert np.array_equal(tiny.selected, none.selected)
+    assert np.array_equal(tiny.bandwidth, none.bandwidth)

@@ -10,8 +10,9 @@ from flsched.errors import TooLarge
 from flsched.lyapunov import QueueState
 from flsched.model import RoundObservation
 from flsched.selection import SelectionInstance, itmcs
+from flsched.simenv import Scenario, ScenarioSpec
 
-from oracles import brute_force_selection, selection_objective
+from oracles import brute_force_selection, ceiling_selection, selection_objective
 
 
 def score_oracle(price, v, penalty_weight):
@@ -130,6 +131,80 @@ def test_capped_counterexample_to_prefix_truncation():
     assert list(got.selected) == [False, True]
     assert got.objective == pytest.approx(-3.0)
     assert np.array_equal(got.selected, brute_force_selection(inst).selected)
+
+
+def assert_matches_ceiling_definition(inst):
+    fast, slow = itmcs(inst), ceiling_selection(inst)
+    assert np.array_equal(fast.selected, slow.selected)
+    assert math.isclose(fast.objective, slow.objective, rel_tol=0.0, abs_tol=1e-12)
+    return fast
+
+
+def test_itmcs_matches_ceiling_definition_at_full_size():
+    # caps below, at and above the number of eligible clients; on the tied
+    # instances every score and latency sits on a grid of 1/16 and V is a power
+    # of two, so each W is exact and the tie-breaks are compared, not rounding
+    rng = np.random.default_rng(44)
+    for case in range(240):
+        k = 120 if case % 4 == 0 else int(rng.integers(1, 121))
+        q, t = rng.normal(-0.3, 1.0, k), rng.uniform(0, 5, k)
+        v = 10 ** rng.uniform(-2, 2)
+        if case % 2:
+            q, t = np.round(q * 4) / 16, np.round(t * 2) / 16
+            v = 2.0 ** int(rng.integers(-3, 4))
+        if case % 3 == 0:
+            t[rng.random(k) < 0.2] = np.inf
+        n = int(((q < 0) & np.isfinite(t)).sum())
+        caps = {None, 0, 1, max(n - 1, 0), n, n + 1, int(rng.integers(0, k + 2))}
+        for cap in caps:
+            got = assert_matches_ceiling_definition(SelectionInstance(q, t, v, max_selected=cap))
+            assert cap is None or got.selected.sum() <= cap
+
+
+def test_nan_candidate_never_chosen():
+    # client 1 is the fastest; client 0's v*t overflows next to its -inf
+    # score, so its W and that of every later ceiling is NaN or +inf
+    q = np.array([-np.inf, -1.0, -0.5])
+    t = np.array([1e10, 0.0, 2e10])
+    for cap in (None, 1):
+        got = itmcs(SelectionInstance(q, t, 1e300, max_selected=cap))
+        assert list(got.selected) == [False, True, False]
+        assert got.objective == -1.0
+
+
+@pytest.mark.parametrize("cap,accepted", [
+    (2, True), (np.int64(2), True), (2.5, False), (2.0, False), (True, False),
+    (np.bool_(False), False), ("2", False),
+], ids=["int", "int64", "fraction", "float", "True", "numpy-bool", "string"])
+def test_max_selected_must_be_an_integer(cap, accepted):
+    def build():
+        return SelectionInstance(np.array([-1.0, -1.0, -1.0]), np.ones(3), 1.0,
+                                 max_selected=cap)
+    if accepted:
+        assert itmcs(build()).selected.sum() == 2
+    else:
+        with pytest.raises(ValueError, match="^max_selected must be an integer, got "):
+            build()
+
+
+@pytest.mark.parametrize("floor,binds", [({"min_ratio": 0.05}, True), ({}, False)],
+                         ids=["cap-20-of-40", "default-floor"])
+def test_run_exercises_each_scan_and_matches_definition(monkeypatch, floor, binds):
+    # a 5% floor caps the set at 20 of 40 NONIID clients and binds; the
+    # default 1% floor caps it at 100 and never binds
+    overrides = {"num_clients": 40, "num_rounds": 12, "frame_len": 6, "num_frames": 2, **floor}
+    cap_bound = []
+
+    def spy(instance):
+        eligible = int(((instance.scores < 0) & np.isfinite(instance.latencies)).sum())
+        cap_bound.append(instance.max_selected < eligible)
+        return assert_matches_ceiling_definition(instance)
+
+    monkeypatch.setattr(scheduler, "itmcs", spy)
+    scheduler.run_policy(Scenario(ScenarioSpec(seed=1, mode="NONIID", overrides=overrides)),
+                         scheduler.PolicySpec("PEDPC"))
+    assert len(cap_bound) >= 12
+    assert any(cap_bound) if binds else not any(cap_bound)
 
 
 def test_infinite_latency_excluded():
