@@ -4,10 +4,8 @@ The subproblem scores each client with q_k (backlog price minus weighted
 utility) and charges the penalty weight times the slowest selected client.
 Only negative-score clients can help; among them, for any latency ceiling the
 best set is determined, so scanning ceilings in increasing latency order is
-exact. The scan is one array pass of prefix sums when the set-size cap cannot
-bind, and a heap of Python floats when it can; both give the same bits as a
-running sum. In the tests, a brute-force enumerator and a per-ceiling
-definition back the solver.
+exact. A brute-force enumerator and a per-ceiling definition back the solver
+in tests.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ class SelectionInstance:
             raise ValueError("penalty_weight must be positive")
         cap = self.max_selected
         if cap is not None:
-            if isinstance(cap, (bool, np.bool_)) or not isinstance(cap, numbers.Integral):
+            if isinstance(cap, bool) or not isinstance(cap, numbers.Integral):
                 raise ValueError(f"max_selected must be an integer, got {cap!r}")
             if cap < 0:
                 raise ValueError("max_selected must be non-negative")
@@ -62,13 +60,10 @@ def itmcs(instance: SelectionInstance) -> SelectionResult:
     never positive, and the first candidate with the smallest negative W
     wins. Infinite-latency clients are never eligible regardless of score.
 
-    When the cap cannot bind (it is at least the number of eligible
-    clients), every predecessor fits and the candidates' W is one array
-    scan: v*t + q plus the shifted running sum of q over the latency-sorted
-    clients. When it binds, a heap of Python floats keeps the cap-1 most
-    negative predecessor scores. Both add in the same order, so W is the
-    same to the bit either way. A NaN W (an overflowing v*t next to a
-    -inf score) is never chosen.
+    The scan runs on Python floats: a max-heap keeps the cap-1 most negative
+    predecessor scores and their running sum, which with a cap that cannot
+    bind is the plain prefix sum. A NaN W (an overflowing v*t next to a -inf
+    score) is never chosen.
     """
     q = instance.scores
     t = instance.latencies
@@ -80,29 +75,21 @@ def itmcs(instance: SelectionInstance) -> SelectionResult:
     best_pos = -1
     if cap >= 1 and eligible.size:
         order = eligible[np.lexsort((eligible, t[eligible]))]
-        q_order = q[order]
         with np.errstate(over="ignore", invalid="ignore"):
-            head = v * t[order]
-            if cap >= order.size:
-                pool_sums = np.concatenate(([0.0], np.cumsum(q_order)[:-1]))
-                w = head + q_order + pool_sums
-                pos = int(np.argmin(np.where(np.isnan(w), np.inf, w)))
-                if w[pos] < best_w:
-                    best_w, best_pos = float(w[pos]), pos
-            else:
-                # max-heap of the most negative predecessor scores, at most cap-1 kept
-                pool: list[float] = []
-                pool_sum = 0.0
-                for pos, (vt, qi) in enumerate(zip(head.tolist(), q_order.tolist())):
-                    w = vt + qi + pool_sum
-                    if w < best_w:
-                        best_w, best_pos = w, pos
-                    if cap > 1:
-                        pool_sum += qi
-                        if len(pool) < cap - 1:
-                            heapq.heappush(pool, -qi)
-                        else:  # a full pool drops its least negative score
-                            pool_sum += heapq.heappushpop(pool, -qi)
+            head = (v * t[order]).tolist()
+        # max-heap of the most negative predecessor scores, at most cap-1 kept
+        pool: list[float] = []
+        pool_sum = 0.0
+        for pos, (vt, qi) in enumerate(zip(head, q[order].tolist())):
+            w = vt + qi + pool_sum
+            if w < best_w:
+                best_w, best_pos = w, pos
+            if cap > 1:
+                pool_sum += qi
+                if len(pool) < cap - 1:
+                    heapq.heappush(pool, -qi)
+                else:  # a full pool drops its least negative score
+                    pool_sum += heapq.heappushpop(pool, -qi)
     selected = np.zeros(k, dtype=bool)
     if best_pos >= 0:
         preds = order[:best_pos]

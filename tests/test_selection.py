@@ -163,7 +163,8 @@ def test_itmcs_matches_ceiling_definition_at_full_size():
 
 def test_nan_candidate_never_chosen():
     # client 1 is the fastest; client 0's v*t overflows next to its -inf
-    # score, so its W and that of every later ceiling is NaN or +inf
+    # score, so its W and that of every later ceiling is NaN or +inf, with
+    # and without companions in the pool
     q = np.array([-np.inf, -1.0, -0.5])
     t = np.array([1e10, 0.0, 2e10])
     for cap in (None, 1):
@@ -189,7 +190,7 @@ def test_max_selected_must_be_an_integer(cap, accepted):
 
 @pytest.mark.parametrize("floor,binds", [({"min_ratio": 0.05}, True), ({}, False)],
                          ids=["cap-20-of-40", "default-floor"])
-def test_run_exercises_each_scan_and_matches_definition(monkeypatch, floor, binds):
+def test_run_with_and_without_binding_cap_matches_definition(monkeypatch, floor, binds):
     # a 5% floor caps the set at 20 of 40 NONIID clients and binds; the
     # default 1% floor caps it at 100 and never binds
     overrides = {"num_clients": 40, "num_rounds": 12, "frame_len": 6, "num_frames": 2, **floor}
