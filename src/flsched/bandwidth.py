@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import Infeasible, NoConverge, TooLarge
-from .model import FEAS_TOL, max_clients
+from .model import FEAS_TOL, finite_non_negative, max_clients
 
 # projected Newton tuning: constants, not run parameters; read at call time
 MAX_NEWTON = 200  # Newton systems (KKT solves) allowed per solve
@@ -62,9 +62,8 @@ class AllocationInstance:
         object.__setattr__(self, "price_coeff", g)
         if not (c.shape == s.shape == g.shape) or c.ndim != 1 or c.size == 0:
             raise ValueError("coefficient arrays must be 1-d, non-empty, equal length")
-        for arr in (c, s, g):
-            if np.any(~np.isfinite(arr)) or np.any(arr < 0):
-                raise ValueError("coefficients must be finite and non-negative")
+        if not (finite_non_negative(c) and finite_non_negative(s) and finite_non_negative(g)):
+            raise ValueError("coefficients must be finite and non-negative")
         if not self.penalty_weight > 0:
             raise ValueError("penalty_weight must be positive")
         if not (0 < self.min_ratio <= 1):
@@ -167,6 +166,19 @@ def smoothed_objective(ratios: np.ndarray, instance: AllocationInstance) -> Smoo
 def smoothing_gap(ratios: np.ndarray, instance: AllocationInstance) -> float:
     """LSE minus max of the latency terms; lies in [0, ln(m)]."""
     return _log_sum_exp(_latency_terms(np.asarray(ratios, dtype=float), instance))[1]
+
+
+def fixed_share(m: int, b_min: float) -> float | None:
+    """Each client's share when the floored simplex for m clients is a single point.
+
+    That is the floor when m floors fill the band (to FEAS_TOL), and the
+    whole band for one client otherwise; None when the shares can move.
+    """
+    if abs(m * b_min - 1.0) <= FEAS_TOL:
+        return b_min
+    if m == 1:
+        return 1.0
+    return None
 
 
 def _fixed_allocation(b: np.ndarray, instance: AllocationInstance) -> Allocation:
@@ -295,10 +307,9 @@ def barrier_solve(instance: AllocationInstance) -> Allocation:
     """
     m = instance.size
     b_min = instance.min_ratio
-    if abs(m * b_min - 1.0) <= FEAS_TOL:
-        return _fixed_allocation(np.full(m, b_min), instance)
-    if m == 1:
-        return _fixed_allocation(np.array([1.0]), instance)
+    share = fixed_share(m, b_min)
+    if share is not None:
+        return _fixed_allocation(np.full(m, share), instance)
 
     b = _start(instance)
     systems = 0

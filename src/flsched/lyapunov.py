@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleBound
+from .model import finite_non_negative
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class QueueState:
     def __post_init__(self):
         z = np.asarray(self.backlog, dtype=float)
         object.__setattr__(self, "backlog", z)
-        if np.any(z < 0) or np.any(~np.isfinite(z)):
+        if not finite_non_negative(z):
             raise ValueError("backlogs must be finite and non-negative")
 
     @classmethod

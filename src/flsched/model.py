@@ -25,6 +25,14 @@ SUM_TOL = 1e-9  # allowed slack on the bandwidth simplex equality
 FEAS_TOL = 1e-12  # allowed excess of the floored shares over the whole band
 
 
+def finite_non_negative(values: np.ndarray) -> bool:
+    """Whether every entry is finite and >= 0, in two reductions.
+
+    min and max carry a NaN through, and a NaN fails both comparisons.
+    """
+    return not values.size or 0 <= values.min() <= values.max() < np.inf
+
+
 def max_clients(min_ratio: float) -> int:
     """Largest m with m * min_ratio <= 1 + FEAS_TOL: how many clients the floor admits."""
     m = int((1.0 + FEAS_TOL) / min_ratio) + 1
@@ -116,7 +124,7 @@ class RoundObservation:
     def __post_init__(self):
         g = np.asarray(self.gain_sq, dtype=float)
         object.__setattr__(self, "gain_sq", g)
-        if np.any(g < 0) or np.any(~np.isfinite(g)):
+        if not finite_non_negative(g):
             raise ValueError("squared gains must be finite and non-negative")
 
 
@@ -143,14 +151,15 @@ class Decision:
 
     def validate(self, config: SystemConfig) -> None:
         """Raise if the shares violate the floor or the simplex equality."""
-        if np.any(self.bandwidth[~self.selected] != 0.0):
+        if self.bandwidth[~self.selected].any():  # a NaN share counts as non-zero
             raise ValueError("unselected clients must have zero bandwidth")
         if not self.selected.any():
             return
+        # both checks are written to fail on a NaN share
         shares = self.bandwidth[self.selected]
-        if np.any(shares < config.min_ratio - FEAS_TOL):
+        if not shares.min() >= config.min_ratio - FEAS_TOL:
             raise ValueError("selected client below the bandwidth floor")
-        if abs(shares.sum() - 1.0) > SUM_TOL:
+        if not abs(shares.sum() - 1.0) <= SUM_TOL:
             raise ValueError("selected shares must sum to one")
 
 

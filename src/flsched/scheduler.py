@@ -12,7 +12,11 @@ though the bandwidth subproblem is solved through a smoothed surrogate.
 The allocator solves a bandwidth instance that depends only on the selected set,
 so it runs only when the selection half-step has just moved that set: the
 repeat on an unchanged set would return the same shares against the same
-value and change nothing.
+value and change nothing. Nor does it run when the moved set's floored
+simplex is the single point 1/m that the candidate already holds (one
+client, or m floors of exactly 1/m filling the band): it could only return
+that split. `SolveResult` carries the outcome of the accepted decision, so
+`run_policy` does not evaluate it again.
 
 `run_policy` checks every run, whatever its policy or caller, against the
 one-step drift inequality and the queue-implied deficit bound, and raises
@@ -92,11 +96,15 @@ class RoundContext:
 
 
 def _p3_value(decision: Decision, queue: QueueState, ctx: RoundContext,
-              penalty_weight: float) -> float:
-    """Backlog-priced energy drift plus weighted round cost (constant term dropped)."""
-    energy, t0, phi = ctx.outcome(decision)
+              penalty_weight: float) -> tuple[float, tuple[np.ndarray, float, float]]:
+    """Backlog-priced energy drift plus weighted round cost (constant term dropped).
+
+    Returned with the decision's `RoundContext.outcome`, which it prices.
+    """
+    outcome = ctx.outcome(decision)
+    energy, t0, phi = outcome
     drift_term = float(np.dot(queue.backlog, energy - ctx.credit))
-    return drift_term + penalty_weight * (t0 - phi)
+    return drift_term + penalty_weight * (t0 - phi), outcome
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,7 @@ class SolveResult:
     decision: Decision
     objective: float
     half_step_values: tuple[float, ...]
+    outcome: tuple[np.ndarray, float, float]  # the decision's RoundContext.outcome
 
 
 def solve_round(queue: QueueState, ctx: RoundContext, penalty_weight: float) -> SolveResult:
@@ -120,7 +129,7 @@ def solve_round(queue: QueueState, ctx: RoundContext, penalty_weight: float) -> 
     hyp_share = 1.0 / k  # scoring share for clients outside the current set
     x = np.zeros(k, dtype=bool)
     b = np.zeros(k)
-    value = _p3_value(Decision(x, b), queue, ctx, penalty_weight)
+    value, outcome = _p3_value(Decision(x, b), queue, ctx, penalty_weight)
     halves = [value]
     for _ in range(ITER_ROUNDS):
         start_value = value
@@ -130,18 +139,22 @@ def solve_round(queue: QueueState, ctx: RoundContext, penalty_weight: float) -> 
         scores = lyap.energy_prices(queue.backlog, energies) - penalty_weight * ctx.log_utility
         proposal = itmcs(SelectionInstance(scores, latencies, penalty_weight,
                                            max_selected=cap)).selected
-        moved = False
+        solve = False
         if not np.array_equal(proposal, x):
             m = int(proposal.sum())
-            b_cand = np.where(proposal, 1.0 / m if m else 0.0, 0.0)
-            cand_val = _p3_value(Decision(proposal, b_cand), queue, ctx, penalty_weight)
+            equal = 1.0 / m if m else 0.0
+            b_cand = np.where(proposal, equal, 0.0)
+            cand_val, cand_out = _p3_value(Decision(proposal, b_cand), queue, ctx,
+                                           penalty_weight)
             if cand_val <= value:
-                x, b, value = proposal, b_cand, cand_val
-                moved = True
+                x, b, value, outcome = proposal, b_cand, cand_val, cand_out
+                # the allocator's answer is the equal split just evaluated when
+                # the floored simplex is that single point
+                solve = m > 0 and bw.fixed_share(m, config.min_ratio) != equal
         halves.append(value)
         # bandwidth half-step: allocator solve, kept only if the true value improves;
         # an unmoved x was solved by the previous half-step, whose outcome stands
-        if moved and x.any():
+        if solve:
             idx = np.flatnonzero(x)
             instance = bw.AllocationInstance(
                 comp_latency=pop.comp_latency[idx],
@@ -154,13 +167,13 @@ def solve_round(queue: QueueState, ctx: RoundContext, penalty_weight: float) -> 
             alloc = bw.barrier_solve(instance)
             b_new = np.zeros(k)
             b_new[idx] = alloc.ratios
-            new_val = _p3_value(Decision(x, b_new), queue, ctx, penalty_weight)
+            new_val, new_out = _p3_value(Decision(x, b_new), queue, ctx, penalty_weight)
             if new_val <= value:
-                b, value = b_new, new_val
+                b, value, outcome = b_new, new_val, new_out
         halves.append(value)
         if start_value - value < DESCENT_SLACK:
             break
-    return SolveResult(Decision(x, b), value, tuple(halves))
+    return SolveResult(Decision(x, b), value, tuple(halves), outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +316,12 @@ def run_policy(scenario: Scenario, policy: PolicySpec) -> RunTrace:
         ctx = RoundContext(population, scenario.observe(r), config)
         if policy.kind == "PEDPC":
             result = solve_round(state, ctx, policy.penalty)
-            decision = result.decision
+            decision, outcome = result.decision, result.outcome
             halves.append(result.half_step_values)
         else:
-            decision = _decide(ctx, policy, seed, r)
+            decision, outcome = _decide(ctx, policy, seed, r), None
         decision.validate(config)
-        energy_vec, t0, phi = ctx.outcome(decision)
+        energy_vec, t0, phi = outcome if outcome is not None else ctx.outcome(decision)
         new_state = lyap.update_queue(state, energy_vec, ctx.credit)
         slack = lyap.drift_gap(state, new_state, energy_vec, ctx.credit, drift)
         if slack < -DRIFT_TOL:

@@ -11,6 +11,7 @@ in tests.
 from __future__ import annotations
 
 import heapq
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -33,7 +34,9 @@ class SelectionInstance:
         object.__setattr__(self, "latencies", t)
         if q.shape != t.shape or q.ndim != 1:
             raise ValueError("scores and latencies must be 1-d and equal length")
-        if np.any(np.isnan(q)) or np.any(np.isnan(t)) or np.any(t < 0):
+        # min carries a NaN through: a NaN score makes q.min() NaN, and a NaN
+        # or negative latency fails t.min() >= 0, which +inf passes
+        if q.size and (math.isnan(q.min()) or not t.min() >= 0):
             raise ValueError("scores must not be NaN; latencies must be >= 0")
         if not self.penalty_weight > 0:
             raise ValueError("penalty_weight must be positive")

@@ -15,7 +15,6 @@ import numpy as np
 
 from flsched import bandwidth as bw
 from flsched.errors import NoConverge
-from flsched.model import FEAS_TOL
 
 T0 = 1.0  # initial barrier weight t
 MU_GROWTH = 20.0  # factor on t per outer step
@@ -66,10 +65,9 @@ def log_barrier_solve(instance: bw.AllocationInstance) -> bw.Allocation:
     """
     m = instance.size
     b_min = instance.min_ratio
-    if abs(m * b_min - 1.0) <= FEAS_TOL:
-        return bw._fixed_allocation(np.full(m, b_min), instance)
-    if m == 1:
-        return bw._fixed_allocation(np.array([1.0]), instance)
+    share = bw.fixed_share(m, b_min)
+    if share is not None:
+        return bw._fixed_allocation(np.full(m, share), instance)
 
     b = np.full(m, 1.0 / m)
     t = T0

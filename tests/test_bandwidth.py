@@ -349,6 +349,17 @@ def test_barrier_forced_point():
     assert np.allclose(got.ratios, 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300],
+                         ids=["nan", "inf", "-inf", "negative"])
+@pytest.mark.parametrize("name", ["comp_latency", "lat_coeff", "price_coeff"])
+def test_allocation_instance_rejects_non_finite_or_negative(name, bad):
+    arrays = {"comp_latency": np.full(3, 0.1), "lat_coeff": np.full(3, 0.2),
+              "price_coeff": np.full(3, 0.0)}
+    arrays[name] = np.array([0.1, bad, 0.0])
+    with pytest.raises(ValueError, match="^coefficients must be finite and non-negative$"):
+        AllocationInstance(**arrays, penalty_weight=1.0, min_ratio=0.1)
+
+
 def test_barrier_infeasible():
     with pytest.raises(Infeasible):
         AllocationInstance(np.zeros(3), np.ones(3), np.ones(3), 1.0, 0.4)

@@ -17,6 +17,13 @@ def test_round_credit(twin_population, example_config):
     assert np.allclose(round_credit(twin_population, example_config), CREDIT, rtol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300],
+                         ids=["nan", "inf", "-inf", "negative"])
+def test_queue_state_rejects_non_finite_or_negative(bad):
+    with pytest.raises(ValueError, match="^backlogs must be finite and non-negative$"):
+        QueueState(np.array([0.0, bad, 1.0]))
+
+
 def test_update_queue_reference():
     # H/R = 0.005; the selected client spends 0.0096: 0.002 + 0.0096 - 0.005 = 0.0066
     state = QueueState(np.array([0.002, 0.004]))

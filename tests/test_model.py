@@ -108,6 +108,13 @@ def test_population_rejects_nonpositive(name, value):
         population(3, **{name: values})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300],
+                         ids=["nan", "inf", "-inf", "negative"])
+def test_round_observation_rejects_non_finite_or_negative(bad):
+    with pytest.raises(ValueError, match="^squared gains must be finite and non-negative$"):
+        RoundObservation(np.array([0.0, bad, 1e-10]))
+
+
 def test_population_rejects_non_integral_local_iters():
     with pytest.raises(ValueError, match="^local_iters must be a positive integer$"):
         population(2, local_iters=[5.0, 2.5])
@@ -265,6 +272,9 @@ def test_decision_validation(example_config):
         Decision(np.array([False, False]), np.array([0.0, 0.5])).validate(example_config)
     with pytest.raises(ValueError):
         Decision(np.array([True, True]), np.array([1.0, 0.001])).validate(example_config)
+    for nan_shares in ([np.nan, 1.0], [np.nan, np.nan]):  # NaN meets neither the floor nor the sum
+        with pytest.raises(ValueError, match="^selected client below the bandwidth floor$"):
+            Decision(np.array([True, True]), np.array(nan_shares)).validate(example_config)
     Decision.empty(2).validate(example_config)
 
 

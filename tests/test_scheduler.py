@@ -5,7 +5,7 @@ import pytest
 
 from flsched import bandwidth as bw
 from flsched import lyapunov as lyap
-from flsched import model, scheduler
+from flsched import model, scheduler, simenv
 from flsched.errors import InfeasibleConfig, VerificationError
 from flsched.lyapunov import QueueState
 from flsched.model import (Decision, RoundObservation, SystemConfig, rate_coefficients,
@@ -39,13 +39,13 @@ def uniform_rate(population, config, value=1e-10):
 
 def test_p3_objective_empty_zero_queue(twin_population, example_config):
     ctx = RoundContext(twin_population, uniform_gain(2), example_config)
-    assert _p3_value(Decision.empty(2), QueueState.zero(2), ctx, 1.0) == 0.0
+    assert _p3_value(Decision.empty(2), QueueState.zero(2), ctx, 1.0)[0] == 0.0
 
 
 def test_p3_objective_empty_with_backlog(twin_population, example_config):
     ctx = RoundContext(twin_population, uniform_gain(2), example_config)
     z = QueueState(np.array([0.01, 0.02]))
-    got = _p3_value(Decision.empty(2), z, ctx, 1.0)
+    got = _p3_value(Decision.empty(2), z, ctx, 1.0)[0]
     assert got == pytest.approx(-(0.01 + 0.02) * 1.5 / 300, rel=1e-12)
     assert got < 0
 
@@ -55,9 +55,10 @@ def test_p3_objective_single_client_reference(twin_population, example_config):
     ctx = RoundContext(twin_population, uniform_gain(2), example_config)
     z = QueueState(np.array([1.0, 0.0]))
     dec = Decision(np.array([True, False]), np.array([0.1, 0.0]))
-    got = _p3_value(dec, z, ctx, 1.0)
+    got, outcome = _p3_value(dec, z, ctx, 1.0)
     # the unselected client has zero backlog so only the credit of client 0 counts
     assert got == pytest.approx(0.0804555, rel=1e-5)
+    assert outcome[1:] == ctx.outcome(dec)[1:]  # the outcome it priced
 
 
 def test_solve_round_empty_when_everyone_expensive(example_config, twin_population):
@@ -330,8 +331,8 @@ def _always_solve_oracle(queue, ctx, penalty_weight, iter_rounds):
     """The alternation loop that calls the barrier after every selection half-step.
 
     Kept as it was before the fixed-point skip, apart from calling the shared
-    per-client model, as the reference the production loop must reproduce bit
-    for bit.
+    per-client model and evaluating the returned decision's outcome afresh, as
+    the reference the production loop must reproduce bit for bit.
     """
     pop, config = ctx.population, ctx.config
     k = len(pop)
@@ -339,7 +340,7 @@ def _always_solve_oracle(queue, ctx, penalty_weight, iter_rounds):
     hyp_share = 1.0 / k
     x = np.zeros(k, dtype=bool)
     b = np.zeros(k)
-    value = _p3_value(Decision(x, b), queue, ctx, penalty_weight)
+    value = _p3_value(Decision(x, b), queue, ctx, penalty_weight)[0]
     halves = [value]
     for _ in range(iter_rounds):
         start_value = value
@@ -351,7 +352,7 @@ def _always_solve_oracle(queue, ctx, penalty_weight, iter_rounds):
         if not np.array_equal(proposal, x):
             m = int(proposal.sum())
             b_cand = np.where(proposal, 1.0 / m if m else 0.0, 0.0)
-            cand_val = _p3_value(Decision(proposal, b_cand), queue, ctx, penalty_weight)
+            cand_val = _p3_value(Decision(proposal, b_cand), queue, ctx, penalty_weight)[0]
             if cand_val <= value:
                 x, b, value = proposal, b_cand, cand_val
         halves.append(value)
@@ -368,13 +369,14 @@ def _always_solve_oracle(queue, ctx, penalty_weight, iter_rounds):
             alloc = bw.barrier_solve(instance)
             b_new = np.zeros(k)
             b_new[idx] = alloc.ratios
-            new_val = _p3_value(Decision(x, b_new), queue, ctx, penalty_weight)
+            new_val = _p3_value(Decision(x, b_new), queue, ctx, penalty_weight)[0]
             if new_val <= value:
                 b, value = b_new, new_val
         halves.append(value)
         if start_value - value < DESCENT_SLACK:
             break
-    return SolveResult(Decision(x, b), value, tuple(halves))
+    decision = Decision(x, b)
+    return SolveResult(decision, value, tuple(halves), ctx.outcome(decision))
 
 
 def _skip_sample():
@@ -395,12 +397,12 @@ def _skip_sample():
 
 
 def _barrier_inputs(solve, *args):
-    """Run one round solve and list the inputs of every barrier call it makes."""
+    """Run one round solve and list the size and inputs of every barrier call it makes."""
     real, log = bw.barrier_solve, []
 
     def record(instance):
-        log.append(b"".join(a.tobytes() for a in (
-            instance.comp_latency, instance.lat_coeff, instance.price_coeff)))
+        log.append((instance.size, b"".join(a.tobytes() for a in (
+            instance.comp_latency, instance.lat_coeff, instance.price_coeff))))
         return real(instance)
 
     bw.barrier_solve = record
@@ -422,21 +424,90 @@ def test_solve_round_matches_always_solve_oracle_exactly(monkeypatch):
         assert got.half_step_values == want.half_step_values
 
 
+def _equal_split_only(m, min_ratio):
+    """Whether the allocator's only answer for m clients is the equal split 1/m.
+
+    m floors of exactly 1/m fill the band; one client gets the whole band
+    unless the floor is within FEAS_TOL of it, where the floor is returned.
+    """
+    return 1.0 / m == min_ratio or (m == 1 and abs(min_ratio - 1.0) > model.FEAS_TOL)
+
+
 def test_solve_round_skips_only_repeated_barrier_calls(monkeypatch):
     # within a round the barrier's instance is a function of the selected set,
-    # so equal inputs on consecutive calls mean the same set was solved twice
-    oracle_repeats = resolved_rounds = 0
+    # so equal inputs on consecutive calls mean the same set was solved twice;
+    # a set whose only split is the equal one the candidate holds is not solved
+    oracle_repeats = equal_split_sets = resolved_rounds = 0
     for z, ctx, v, iter_rounds in _skip_sample():
         monkeypatch.setattr(scheduler, "ITER_ROUNDS", iter_rounds)
         calls = _barrier_inputs(scheduler.solve_round, z, ctx, v)
         oracle_calls = _barrier_inputs(_always_solve_oracle, z, ctx, v, iter_rounds)
         assert all(a != b for a, b in zip(calls, calls[1:]))
         deduped = [c for i, c in enumerate(oracle_calls) if i == 0 or c != oracle_calls[i - 1]]
-        assert calls == deduped
+        solved = [c for c in deduped if not _equal_split_only(c[0], ctx.config.min_ratio)]
+        assert calls == solved
         oracle_repeats += len(oracle_calls) - len(deduped)
+        equal_split_sets += len(deduped) - len(solved)
         resolved_rounds += len(calls) > 1
-    assert oracle_repeats > 0  # the sample exercises the skip
+    assert oracle_repeats > 0  # the sample exercises the skip of a repeat
+    assert equal_split_sets > 0  # ... and of a set pinned at the floor
     assert resolved_rounds > 0  # ... and the re-solve of a moved selection
+
+
+def test_solve_round_solves_a_near_floor_set_whose_split_is_not_equal():
+    # a floor of 0.3333333333333 fills the band with 3 clients to FEAS_TOL,
+    # but the allocator returns the floor there, not 1/3, so the set is solved
+    sc = small_scenario(seed=2, rounds=12, min_ratio=0.3333333333333)
+    ctx = RoundContext(sc.population, sc.observe(0), sc.config)
+    calls = _barrier_inputs(scheduler.solve_round, QueueState.zero(6), ctx, 1.0)
+    assert [m for m, _ in calls] == [3]
+
+
+def test_solve_round_outcome_is_the_decisions_outcome(monkeypatch):
+    for z, ctx, v, iter_rounds in _skip_sample():
+        monkeypatch.setattr(scheduler, "ITER_ROUNDS", iter_rounds)
+        result = scheduler.solve_round(z, ctx, v)
+        energy, t0, phi = result.outcome
+        want_energy, want_t0, want_phi = ctx.outcome(result.decision)
+        assert energy.tobytes() == want_energy.tobytes()
+        assert np.array([t0, phi]).tobytes() == np.array([want_t0, want_phi]).tobytes()
+
+
+def test_pinned_floor_run_matches_always_solve_oracle(monkeypatch):
+    # 30 NONIID clients under a 5% floor: the 20-client sets fill the band at
+    # the floor, so the production loop skips their allocator calls
+    sc = small_scenario(seed=1, k=30, rounds=12, mode="NONIID", frame_len=4, num_frames=3)
+    got = run_policy(sc, PolicySpec("PEDPC"))
+    assert any(rec.n_selected == sc.config.max_selectable for rec in got.records)
+    monkeypatch.setattr(scheduler, "solve_round", lambda queue, ctx, v: _always_solve_oracle(
+        queue, ctx, v, scheduler.ITER_ROUNDS))
+    want = run_policy(sc, PolicySpec("PEDPC"))
+    assert got.records == want.records
+    assert got.backlog_trace.tobytes() == want.backlog_trace.tobytes()
+    assert got.energies.tobytes() == want.energies.tobytes()
+    assert got.half_step_values == want.half_step_values
+
+
+@pytest.mark.parametrize("policy", [PolicySpec("PEDPC"), PolicySpec("Greedy")],
+                         ids=lambda p: p.kind)
+def test_run_policy_draws_each_round_once_at_its_start(monkeypatch, policy):
+    # the benchmark stamps rounds on the channel draw, so each round must
+    # draw exactly once, in order, before its queue update
+    events = []
+    real_draw, real_update = simenv.sample_round, lyap.update_queue
+
+    def draw(spec, round_index, population):
+        events.append(("draw", round_index))
+        return real_draw(spec, round_index, population)
+
+    def update(*args):
+        events.append(("update", None))
+        return real_update(*args)
+
+    monkeypatch.setattr(simenv, "sample_round", draw)
+    monkeypatch.setattr(lyap, "update_queue", update)
+    run_policy(small_scenario(rounds=6), policy)
+    assert events == [e for r in range(6) for e in (("draw", r), ("update", None))]
 
 
 def test_fill_tiny_positive_slack_needs_no_share(example_config):

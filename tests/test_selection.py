@@ -208,6 +208,19 @@ def test_run_with_and_without_binding_cap_matches_definition(monkeypatch, floor,
     assert any(cap_bound) if binds else not any(cap_bound)
 
 
+@pytest.mark.parametrize("scores,latencies", [
+    ([-1.0, np.nan], [1.0, 1.0]), ([-1.0, -1.0], [np.nan, 1.0]), ([-1.0, -1.0], [1.0, -1e-300]),
+], ids=["nan-score", "nan-latency", "negative-latency"])
+def test_selection_instance_rejects_nan_or_negative_latency(scores, latencies):
+    with pytest.raises(ValueError, match="^scores must not be NaN; latencies must be >= 0$"):
+        SelectionInstance(np.array(scores), np.array(latencies), 1.0)
+
+
+def test_selection_instance_admits_infinite_latency_and_score():
+    inst = SelectionInstance(np.array([-np.inf, -1.0, np.inf]), np.array([1.0, np.inf, 0.0]), 1.0)
+    assert list(itmcs(inst).selected) == [True, False, False]
+
+
 def test_infinite_latency_excluded():
     # the first client is very attractive by score but cannot transmit
     inst = SelectionInstance(np.array([-5.0, -2.0]), np.array([np.inf, 1.0]), 1.0)
