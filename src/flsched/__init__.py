@@ -3,8 +3,8 @@
 from .bandwidth import (Allocation, AllocationInstance, barrier_solve, lse_error_bound,
                         smoothed_objective)
 from .lyapunov import QueueState, drift_bound, lyapunov_value, update_queue
-from .model import Decision, Population, RoundObservation, SystemConfig
-from .scheduler import PolicySpec, RoundContext, RoundRecord, RunTrace, run_policy, solve_round
+from .model import Decision, Population, RoundContext, SystemConfig
+from .scheduler import PolicySpec, RoundRecord, RunTrace, run_policy, solve_round
 from .selection import SelectionInstance, itmcs
 from .simenv import Scenario, ScenarioSpec, generate_population, sample_round
 
@@ -12,8 +12,8 @@ __all__ = [
     "Allocation", "AllocationInstance", "barrier_solve", "lse_error_bound",
     "smoothed_objective",
     "QueueState", "drift_bound", "lyapunov_value", "update_queue",
-    "Decision", "Population", "RoundObservation", "SystemConfig",
-    "PolicySpec", "RoundContext", "RoundRecord", "RunTrace", "run_policy", "solve_round",
+    "Decision", "Population", "RoundContext", "SystemConfig",
+    "PolicySpec", "RoundRecord", "RunTrace", "run_policy", "solve_round",
     "SelectionInstance", "itmcs",
     "Scenario", "ScenarioSpec", "generate_population", "sample_round",
 ]

@@ -37,6 +37,9 @@ LINE_ALPHA = 0.25  # sufficient-decrease fraction along the projection arc
 LINE_BETA = 0.5  # arc step shrink
 NEWTON_TOL = 1e-10  # stop once the Newton model's predicted decrease is this share of f
 FLAT_TOL = 2.0 ** -52  # curvature below this share of f makes a client flat
+# most lattice points `simplex_grid` builds; also the most plans the bounds
+# check's lookahead searches per frame, which a larger grid exceeds in one round
+GRID_LIMIT = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -362,7 +365,8 @@ def simplex_grid(m: int, b_min: float, step: float) -> np.ndarray:
     """Feasible share vectors (rows) on the floored simplex at a given resolution.
 
     The first m-1 coordinates walk a regular lattice from the floor; the last
-    closes the simplex and is kept above the floor. Supports m <= 3.
+    closes the simplex and is kept above the floor. Supports m <= 3 and at
+    most GRID_LIMIT lattice points, counted before any array is built.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -373,7 +377,10 @@ def simplex_grid(m: int, b_min: float, step: float) -> np.ndarray:
     if m == 1:
         return np.array([[1.0]])
     top = 1.0 - (m - 1) * b_min
-    n = int(math.floor((top - b_min) / step + 1e-9))
+    steps = (top - b_min) / step + 1e-9
+    if steps >= GRID_LIMIT or (math.floor(steps) + 1) ** (m - 1) > GRID_LIMIT:
+        raise TooLarge(f"share grid for {m} clients at step {step:g} exceeds {GRID_LIMIT} points")
+    n = int(math.floor(steps))
     axis = b_min + step * np.arange(n + 1)
     shares = [g.ravel() for g in np.meshgrid(*[axis] * (m - 1), indexing="ij")]
     last = 1.0 - shares[0]

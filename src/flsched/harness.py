@@ -20,7 +20,7 @@ import numpy as np
 from . import bandwidth as bw
 from . import model
 from .errors import ConfigError, TooLarge, Unreachable
-from .scheduler import PolicySpec, RoundContext, RunTrace, run_policy
+from .scheduler import PolicySpec, RunTrace, run_policy
 from .simenv import DEFAULTS, IID, NONIID, Scenario, ScenarioSpec, checked, number
 
 CSV_HEADER = ("round,policy,seed,n_selected,latency_s,phi,cost,queue_l2,"
@@ -376,7 +376,7 @@ def _frame_lookahead(scenario: Scenario, frame_index: int, grid_step: float) -> 
     cap_energy = pop.energy_budget / config.num_frames
     per_round: list[tuple[np.ndarray, np.ndarray]] = []
     for r in range(frame_index * config.frame_len, (frame_index + 1) * config.frame_len):
-        ctx = RoundContext(pop, scenario.observe(r), config)
+        ctx = scenario.observe(r)
         ys = [np.zeros(1)]
         es = [np.zeros((1, k))]
         for mask in range(1, 2 ** k):
@@ -391,7 +391,7 @@ def _frame_lookahead(scenario: Scenario, frame_index: int, grid_step: float) -> 
             es.append(np.where(shares > 0, energy, 0.0))
         per_round.append((np.concatenate(ys), np.vstack(es)))
     sizes = math.prod(ys.size for ys, _ in per_round)
-    if sizes > 5_000_000:
+    if sizes > bw.GRID_LIMIT:
         raise TooLarge(f"lookahead product too large ({sizes} combinations)")
 
     acc_y = np.zeros(1)
@@ -411,12 +411,12 @@ def verify_bounds(cfg: HarnessConfig, seed: int, penalty_weights: Sequence[float
     Computes the frame-wise offline optimum of the configured realization by
     exhaustive search, once, then for each penalty weight runs the online
     policy on the same realization and evaluates both inequalities with the
-    scenario's drift constant. The search bounds the case's size: the share
-    grid takes at most 3 clients and a frame at most 5e6 plans (TooLarge),
-    which also caps the frontier at 5e6 plans. Raises ConfigError for a grid
-    step that leaves the grid of some client count a single corner point,
-    where the lookahead would have no bandwidth choice. Every error is raised
-    before the first online run.
+    scenario's drift constant. The search bounds the case's size (TooLarge):
+    the share grid takes at most 3 clients and 5e6 points, counted before it
+    is built, and a frame at most 5e6 plans, which also caps the frontier.
+    Raises ConfigError for a grid step that leaves the grid of some client
+    count a single corner point, where the lookahead would have no bandwidth
+    choice. Every error is raised before the first online run.
     """
     scenario = build_scenario(cfg, seed)
     config, pop = scenario.config, scenario.population

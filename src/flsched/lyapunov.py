@@ -49,14 +49,19 @@ def drift_bound(credit: np.ndarray, max_energy: np.ndarray) -> float:
 
     max_energy[k] must upper-bound any realized round energy of client k
     (computed by the caller at the bandwidth floor and the worst channel the
-    environment can draw). Raises InfeasibleBound if any entry is infinite.
+    environment can draw). Raises InfeasibleBound if any entry is infinite,
+    or if D itself lies beyond the float range.
     """
     max_energy = np.asarray(max_energy, dtype=float)
     if np.any(max_energy < 0) or np.any(np.isnan(max_energy)):
         raise ValueError("max_energy must be non-negative")
     if np.any(np.isinf(max_energy)):
         raise InfeasibleBound("worst-case round energy is unbounded")
-    return 0.5 * float(np.maximum(credit ** 2, (max_energy - credit) ** 2).sum())
+    with np.errstate(over="ignore"):
+        constant = 0.5 * float(np.maximum(credit ** 2, (max_energy - credit) ** 2).sum())
+    if not np.isfinite(constant):
+        raise InfeasibleBound("drift constant overflows the float range")
+    return constant
 
 
 def drift_gap(before: QueueState, after: QueueState, spent: np.ndarray,

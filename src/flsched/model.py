@@ -6,11 +6,11 @@ and latency, full-band Shannon rates (`rate_coefficients`, base-2 log,
 bits/s), per-client round latency and energy at a vector of band shares
 (`client_round`, and `selected_totals` for a decision), and the
 diminishing-returns accuracy utility (`client_utility`, natural log).
-`scheduler.RoundContext.outcome` assembles the round cost from them: the
-slowest selected client's latency minus the selected utility. So are the
-two constraints: how many clients the floor admits (`max_clients`), and the
-energy budget's per-round credit H_k/R (`round_credit`) and horizon
-overflow (`energy_overflow`).
+`RoundContext` holds a round's rates with the utility and credit, and its
+`outcome` assembles the round cost from them: the slowest selected client's
+latency minus the selected utility. So are the two constraints: how many
+clients the floor admits (`max_clients`), and the energy budget's per-round
+credit H_k/R (`round_credit`) and horizon overflow (`energy_overflow`).
 """
 
 from __future__ import annotations
@@ -116,19 +116,6 @@ class Population:
 
 
 @dataclass(frozen=True)
-class RoundObservation:
-    """Squared channel gains observed at the start of a round."""
-
-    gain_sq: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.gain_sq, dtype=float)
-        object.__setattr__(self, "gain_sq", g)
-        if not finite_non_negative(g):
-            raise ValueError("squared gains must be finite and non-negative")
-
-
-@dataclass(frozen=True)
 class Decision:
     """One round's selection indicator and bandwidth-share vector."""
 
@@ -209,3 +196,28 @@ def selected_totals(population: Population, rate_coeff: np.ndarray, decision: De
     if np.isinf(latency[sel]).any():
         raise InfeasibleLink("selected client with zero transmission rate")
     return np.where(sel, latency, 0.0), np.where(sel, energy, 0.0)
+
+
+class RoundContext:
+    """One round's rates, from its squared channel gains, with the utility and credit."""
+
+    def __init__(self, population: Population, gain_sq: np.ndarray, config: SystemConfig):
+        gain_sq = np.asarray(gain_sq, dtype=float)
+        if not finite_non_negative(gain_sq):
+            raise ValueError("squared gains must be finite and non-negative")
+        self.population = population
+        self.config = config
+        self.rate_coeff = rate_coefficients(population, gain_sq, config)
+        self.log_utility = client_utility(population, config)
+        self.credit = round_credit(population, config)
+
+    def outcome(self, decision: Decision) -> tuple[np.ndarray, float, float]:
+        """Per-client round energies, the round latency t0 and the accuracy utility phi.
+
+        t0 is the slowest selected client's latency, 0 when nobody is selected;
+        the round cost is t0 - phi.
+        """
+        latency, energy = selected_totals(self.population, self.rate_coeff, decision)
+        sel = decision.selected
+        t0 = float(latency[sel].max()) if sel.any() else 0.0
+        return energy, t0, float(self.log_utility[sel].sum())

@@ -18,8 +18,9 @@ client, or m floors of exactly 1/m filling the band): it could only return
 that split. `SolveResult` carries the outcome of the accepted decision, so
 `run_policy` does not evaluate it again.
 
-`run_policy` checks every run, whatever its policy or caller, against the
-one-step drift inequality and the queue-implied deficit bound, and raises
+`run_policy` decides round r from its `model.RoundContext`, `Scenario.observe(r)`.
+It checks every run, whatever its policy or caller, against the one-step
+drift inequality and the queue-implied deficit bound, and raises
 VerificationError on a violation.
 """
 
@@ -35,7 +36,7 @@ from . import lyapunov as lyap
 from . import model
 from .errors import InfeasibleConfig, VerificationError
 from .lyapunov import QueueState
-from .model import Decision, Population, RoundObservation, SystemConfig
+from .model import Decision, RoundContext, SystemConfig
 from .selection import SelectionInstance, itmcs
 from .simenv import Scenario, number, policy_rng
 
@@ -70,29 +71,6 @@ class PolicySpec:
         if self.kind == "FedCS":
             if self.latency_cap is None or not self.latency_cap > 0:
                 raise ValueError("FedCS requires a positive latency_cap")
-
-
-class RoundContext:
-    """Per-round cached quantities shared by the policies and objective."""
-
-    def __init__(self, population: Population, observation: RoundObservation,
-                 config: SystemConfig):
-        self.population = population
-        self.config = config
-        self.rate_coeff = model.rate_coefficients(population, observation.gain_sq, config)
-        self.log_utility = model.client_utility(population, config)
-        self.credit = model.round_credit(population, config)
-
-    def outcome(self, decision: Decision) -> tuple[np.ndarray, float, float]:
-        """Per-client round energies, the round latency t0 and the accuracy utility phi.
-
-        t0 is the slowest selected client's latency, 0 when nobody is selected;
-        the round cost is t0 - phi.
-        """
-        latency, energy = model.selected_totals(self.population, self.rate_coeff, decision)
-        sel = decision.selected
-        t0 = float(latency[sel].max()) if sel.any() else 0.0
-        return energy, t0, float(self.log_utility[sel].sum())
 
 
 def _p3_value(decision: Decision, queue: QueueState, ctx: RoundContext,
@@ -203,8 +181,7 @@ def baseline_random(config: SystemConfig, fraction: float,
     return Decision(selected, np.where(selected, 1.0 / n, 0.0))
 
 
-def _fill(rate_coeff: np.ndarray, upload: np.ndarray, slack: np.ndarray,
-          config: SystemConfig) -> Decision:
+def _fill(ctx: RoundContext, upload: np.ndarray, slack: np.ndarray) -> Decision:
     """Shared body of the budget/latency-capped baselines.
 
     Each client with positive slack and a live link needs the share whose upload
@@ -212,11 +189,11 @@ def _fill(rate_coeff: np.ndarray, upload: np.ndarray, slack: np.ndarray,
     larger share only lowers the cost). In order of need, clients are admitted
     while the shares fit in the band; the last one is topped up to fill it.
     """
-    eligible = (slack > 0) & (rate_coeff > 0)
+    eligible = (slack > 0) & (ctx.rate_coeff > 0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        need = np.where(eligible, upload / (rate_coeff * np.where(eligible, slack, 1.0)),
+        need = np.where(eligible, upload / (ctx.rate_coeff * np.where(eligible, slack, 1.0)),
                         np.inf)
-    shares = np.maximum(need, config.min_ratio)
+    shares = np.maximum(need, ctx.config.min_ratio)
     idx = np.flatnonzero(eligible)
     order = idx[np.lexsort((idx, shares[idx]))]
     # every share is at least the floor, so the running totals rise: admission
@@ -231,24 +208,22 @@ def _fill(rate_coeff: np.ndarray, upload: np.ndarray, slack: np.ndarray,
     return Decision(selected, out)
 
 
-def baseline_greedy(rate_coeff: np.ndarray, population: Population,
-                    config: SystemConfig) -> Decision:
+def baseline_greedy(ctx: RoundContext) -> Decision:
     """As many clients as fit when each is given exactly its per-round energy budget.
 
     Each client's share is sized so its round energy equals its budget share;
     clients whose training alone busts the budget are excluded.
     """
-    return _fill(rate_coeff, population.tx_power * population.model_size,
-                 model.round_credit(population, config) - population.comp_energy, config)
+    pop = ctx.population
+    return _fill(ctx, pop.tx_power * pop.model_size, ctx.credit - pop.comp_energy)
 
 
-def baseline_fedcs(rate_coeff: np.ndarray, population: Population,
-                   config: SystemConfig, latency_cap: float) -> Decision:
+def baseline_fedcs(ctx: RoundContext, latency_cap: float) -> Decision:
     """As many clients as fit when each is given exactly its latency-cap share."""
     if not latency_cap > 0:
         raise ValueError("latency_cap must be positive")
-    return _fill(rate_coeff, population.model_size, latency_cap - population.comp_latency,
-                 config)
+    pop = ctx.population
+    return _fill(ctx, pop.model_size, latency_cap - pop.comp_latency)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +263,9 @@ def _decide(ctx: RoundContext, policy: PolicySpec, seed: int, round_index: int) 
     if policy.kind == "Random":
         return baseline_random(ctx.config, policy.random_fraction, policy_rng(seed, round_index))
     if policy.kind == "Greedy":
-        return baseline_greedy(ctx.rate_coeff, ctx.population, ctx.config)
+        return baseline_greedy(ctx)
     if policy.kind == "FedCS":
-        return baseline_fedcs(ctx.rate_coeff, ctx.population, ctx.config, policy.latency_cap)
+        return baseline_fedcs(ctx, policy.latency_cap)
     raise ValueError(f"unknown policy kind {policy.kind!r}")
 
 
@@ -313,7 +288,7 @@ def run_policy(scenario: Scenario, policy: PolicySpec) -> RunTrace:
     halves: list[tuple[float, ...]] = []
     drift_min_slack = math.inf
     for r in range(r_total):
-        ctx = RoundContext(population, scenario.observe(r), config)
+        ctx = scenario.observe(r)
         if policy.kind == "PEDPC":
             result = solve_round(state, ctx, policy.penalty)
             decision, outcome = result.decision, result.outcome

@@ -4,8 +4,8 @@ Defaults reproduce the reference simulation setting: 100 clients over 300
 rounds, 10 MHz of shared band, uniform hardware draws, squared channel gains
 log-uniform across [1e-11, 1e-9], and data volumes either one common size
 (IID) or drawn from the five-point heterogeneous set (NONIID). All draws are
-counter-based: any round's observation is reproducible from (seed, round)
-alone.
+counter-based: round r's gains are reproducible from (seed, r) alone, and
+`Scenario.observe(r)` builds the round's `model.RoundContext` from them.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lyapunov as lyap
 from . import model
-from .model import Population, RoundObservation, SystemConfig
+from .model import Population, RoundContext, SystemConfig
 
 IID = "IID"
 NONIID = "NONIID"
@@ -161,8 +161,8 @@ def generate_population(spec: ScenarioSpec) -> tuple[Population, SystemConfig]:
     return Population(**{f.name: per_client(f.name) for f in fields(Population)}), config
 
 
-def sample_round(spec: ScenarioSpec, round_index: int, population: Population) -> RoundObservation:
-    """Draw the round's squared channel gains, log-uniform over the gain range.
+def sample_round(spec: ScenarioSpec, round_index: int, population: Population) -> np.ndarray:
+    """Draw the round's (K,) squared channel gains, log-uniform over the gain range.
 
     Counter-based: the generator is keyed by (seed, round), so round r is
     reproducible without sampling rounds 0..r-1.
@@ -172,7 +172,7 @@ def sample_round(spec: ScenarioSpec, round_index: int, population: Population) -
     lo, hi = spec.param("gain_sq")
     rng = np.random.default_rng([spec.seed, _CHANNEL_STREAM, round_index])
     exponents = rng.uniform(math.log10(lo), math.log10(hi), len(population))
-    return RoundObservation(10.0 ** exponents)
+    return 10.0 ** exponents
 
 
 def policy_rng(seed: int, round_index: int) -> np.random.Generator:
@@ -181,24 +181,28 @@ def policy_rng(seed: int, round_index: int) -> np.random.Generator:
 
 
 class Scenario:
-    """Bundled population, configuration, observation stream and drift constant for one seed."""
+    """Bundled population, configuration, per-round contexts and drift constant for one seed."""
 
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
         self.population, self.config = generate_population(spec)
 
-    def observe(self, round_index: int) -> RoundObservation:
-        return sample_round(self.spec, round_index, self.population)
+    def observe(self, round_index: int) -> RoundContext:
+        """Round r's context, from one call of the module global `sample_round`."""
+        return RoundContext(self.population, sample_round(self.spec, round_index, self.population),
+                            self.config)
 
     def worst_case_energy(self) -> np.ndarray:
         """Per-client round-energy ceiling: bandwidth floor, weakest channel draw.
 
         Valid almost surely for the sampled environment since gains never fall
-        below the configured range's lower edge.
+        below the configured range's lower edge. A ceiling beyond the float
+        range is +inf, which the drift constant reports as unbounded.
         """
         lo, _ = self.spec.param("gain_sq")
         g_min = model.rate_coefficients(self.population, lo, self.config)
-        return model.client_round(self.population, g_min, self.config.min_ratio)[1]
+        with np.errstate(over="ignore"):
+            return model.client_round(self.population, g_min, self.config.min_ratio)[1]
 
     @cached_property
     def drift(self) -> float:

@@ -23,7 +23,6 @@ from flsched import model
 from flsched.bandwidth import Allocation, AllocationInstance, simplex_grid
 from flsched.errors import TooLarge
 from flsched.model import FEAS_TOL
-from flsched.scheduler import RoundContext
 from flsched.selection import SelectionInstance, SelectionResult
 from flsched.simenv import Scenario
 
@@ -135,7 +134,7 @@ def lookahead_oracle(scenario: Scenario, frame_index: int, grid_step: float) -> 
     cap = pop.energy_budget / config.num_frames
     rounds = []
     for r in range(frame_index * config.frame_len, (frame_index + 1) * config.frame_len):
-        ctx = RoundContext(pop, scenario.observe(r), config)
+        ctx = scenario.observe(r)
         candidates = [(0.0, np.zeros(k))]
         subsets = itertools.chain.from_iterable(
             itertools.combinations(range(k), size) for size in range(1, k + 1))

@@ -431,6 +431,13 @@ def test_grid_oracle_optimum_beats_equal_split():
         assert got.objective <= equal + 1e-12
 
 
+def test_simplex_grid_counts_its_lattice_before_building_it():
+    assert len(simplex_grid(2, 0.1, 1e-4)) == 8001  # the grid oracle's finest use
+    for m, step in [(2, 1e-300), (2, 1e-320), (3, 1e-4)]:
+        with pytest.raises(TooLarge, match=f"^share grid for {m} clients at step "):
+            simplex_grid(m, 0.1, step)
+
+
 def test_simplex_grid_shapes():
     g1 = simplex_grid(1, 0.1, 0.05)
     assert g1.shape == (1, 1) and g1[0, 0] == 1.0

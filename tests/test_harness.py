@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +124,7 @@ def test_config_of_every_default_matches_the_empty_config(mode):
                                                                     "comp_latency"]:
         got, want = getattr(full.population, name), getattr(empty.population, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
-    assert np.array_equal(full.observe(3).gain_sq, empty.observe(3).gain_sq)
+    assert np.array_equal(full.observe(3).rate_coeff, empty.observe(3).rate_coeff)
 
 
 def _bad_per_client_cases():
@@ -289,6 +290,22 @@ def test_cli_run_unbounded_worst_case_exits_3(tmp_path, capsys):
     assert "worst-case round energy is unbounded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"scenario": {"energy_budget": 1e160}, "system": {"num_clients": 3, "num_rounds": 2,
+                                                       "frame_len": 1, "num_frames": 2}},
+     "drift constant overflows the float range"),
+    ({"system": {"min_ratio": 1e-310}}, "worst-case round energy is unbounded"),
+], ids=["budget-1e160", "floor-1e-310"])
+def test_cli_run_overflowing_drift_constant_exits_3(tmp_path, capsys, doc, message):
+    # a drift constant or worst case past the float range is infeasible, without a warning
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({**doc, "output": {"dir": str(tmp_path / "out")}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err == f"infeasible: {message}\n"
+
+
 def test_cli_no_converge_exits_3(tmp_path, monkeypatch, capsys):
     path = small_config(tmp_path)
     monkeypatch.setattr(bw, "MAX_NEWTON", 1)
@@ -426,6 +443,17 @@ def test_cli_verify_bounds_rejects_single_point_grid(monkeypatch, capsys, step):
     assert cli.main(["verify-bounds", "--v-grid", "1", "--grid-step", step]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "--grid-step" in err
+
+
+@pytest.mark.parametrize("step", ["1e-300", "1e-4"])
+def test_cli_verify_bounds_too_fine_grid_exits_3(monkeypatch, capsys, step):
+    # the share lattice is counted before it is built: 1e-4 would be 7,001 x 7,001
+    # points for 3 clients, 1e-300 more than any array can hold
+    monkeypatch.setattr(harness, "run_policy", _no_run)
+    assert cli.main(["verify-bounds", "--v-grid", "1", "--grid-step", step]) == \
+        cli.EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: share grid for ") and "exceeds 5000000 points" in err
 
 
 @pytest.mark.parametrize("step", ["0.05", "0.5", "0.7"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -83,6 +85,16 @@ def test_drift_bound_single_client():
 def test_drift_bound_infinite():
     with pytest.raises(InfeasibleBound):
         drift_bound(CREDIT, np.array([np.inf, 0.01]))
+
+
+def test_drift_bound_overflow_is_infeasible_without_a_warning():
+    # finite credits and ceilings whose squares pass the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfeasibleBound, match="^drift constant overflows the float range$"):
+            drift_bound(np.full(2, 1e160), np.array([0.0, 0.01]))
+        with pytest.raises(InfeasibleBound, match="^drift constant overflows"):
+            drift_bound(CREDIT, np.array([1e300, 1e300]))
 
 
 def _prices(backlog, population, rate_coeff, ratios):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from flsched.bandwidth import AllocationInstance, simplex_grid
 from flsched.errors import Infeasible, InfeasibleConfig, InfeasibleLink
-from flsched.model import (FEAS_TOL, Decision, Population, RoundObservation, SystemConfig,
+from flsched.model import (FEAS_TOL, Decision, Population, RoundContext, SystemConfig,
                            client_round, client_utility, rate_coefficients, selected_totals)
-from flsched.scheduler import RoundContext, baseline_random, baseline_select_all
+from flsched.scheduler import baseline_random, baseline_select_all
 
 from conftest import EXAMPLE_CLIENT, population
 
@@ -45,8 +45,7 @@ def one_client_rate(pop, gain_sq, config):
 
 
 def snr100_context(population, config):
-    return RoundContext(population, RoundObservation(np.full(len(population), SNR100_GAIN)),
-                        config)
+    return RoundContext(population, np.full(len(population), SNR100_GAIN), config)
 
 
 def upload(population, rate_coeff, shares):
@@ -110,9 +109,9 @@ def test_population_rejects_nonpositive(name, value):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300],
                          ids=["nan", "inf", "-inf", "negative"])
-def test_round_observation_rejects_non_finite_or_negative(bad):
+def test_round_context_rejects_non_finite_or_negative(bad, example_config):
     with pytest.raises(ValueError, match="^squared gains must be finite and non-negative$"):
-        RoundObservation(np.array([0.0, bad, 1e-10]))
+        RoundContext(population(3), np.array([0.0, bad, 1e-10]), example_config)
 
 
 def test_population_rejects_non_integral_local_iters():

@@ -8,12 +8,10 @@ from flsched import lyapunov as lyap
 from flsched import model, scheduler, simenv
 from flsched.errors import InfeasibleConfig, VerificationError
 from flsched.lyapunov import QueueState
-from flsched.model import (Decision, RoundObservation, SystemConfig, rate_coefficients,
-                           selected_totals)
-from flsched.scheduler import (DESCENT_SLACK, PolicySpec, RoundContext,
-                               SolveResult, _p3_value, baseline_fedcs, baseline_greedy,
-                               baseline_random, baseline_select_all, run_policy,
-                               solve_round)
+from flsched.model import Decision, RoundContext, SystemConfig, selected_totals
+from flsched.scheduler import (DESCENT_SLACK, PolicySpec, SolveResult, _p3_value,
+                               baseline_fedcs, baseline_greedy, baseline_random,
+                               baseline_select_all, run_policy, solve_round)
 from flsched.selection import SelectionInstance, itmcs
 from flsched.simenv import Scenario, ScenarioSpec, policy_rng
 
@@ -29,21 +27,17 @@ def small_scenario(seed=0, k=6, rounds=20, mode="IID", **extra):
     return Scenario(ScenarioSpec(seed=seed, mode=mode, overrides=overrides))
 
 
-def uniform_gain(k, value=1e-10):
-    return RoundObservation(np.full(k, value))
-
-
-def uniform_rate(population, config, value=1e-10):
-    return rate_coefficients(population, np.full(len(population), value), config)
+def uniform_context(population, config, value=1e-10):
+    return RoundContext(population, np.full(len(population), value), config)
 
 
 def test_p3_objective_empty_zero_queue(twin_population, example_config):
-    ctx = RoundContext(twin_population, uniform_gain(2), example_config)
+    ctx = uniform_context(twin_population, example_config)
     assert _p3_value(Decision.empty(2), QueueState.zero(2), ctx, 1.0)[0] == 0.0
 
 
 def test_p3_objective_empty_with_backlog(twin_population, example_config):
-    ctx = RoundContext(twin_population, uniform_gain(2), example_config)
+    ctx = uniform_context(twin_population, example_config)
     z = QueueState(np.array([0.01, 0.02]))
     got = _p3_value(Decision.empty(2), z, ctx, 1.0)[0]
     assert got == pytest.approx(-(0.01 + 0.02) * 1.5 / 300, rel=1e-12)
@@ -52,7 +46,7 @@ def test_p3_objective_empty_with_backlog(twin_population, example_config):
 
 def test_p3_objective_single_client_reference(twin_population, example_config):
     # Z=1 on the selected client only: drift 0.0096... - 0.005 plus cost 0.0758...
-    ctx = RoundContext(twin_population, uniform_gain(2), example_config)
+    ctx = uniform_context(twin_population, example_config)
     z = QueueState(np.array([1.0, 0.0]))
     dec = Decision(np.array([True, False]), np.array([0.1, 0.0]))
     got, outcome = _p3_value(dec, z, ctx, 1.0)
@@ -64,7 +58,7 @@ def test_p3_objective_single_client_reference(twin_population, example_config):
 def test_solve_round_empty_when_everyone_expensive(example_config, twin_population):
     # huge backlogs make every price dwarf the utility weight
     z = QueueState(np.array([1e9, 1e9]))
-    ctx = RoundContext(twin_population, uniform_gain(2), example_config)
+    ctx = uniform_context(twin_population, example_config)
     res = solve_round(z, ctx, 1.0)
     assert not res.decision.selected.any()
     assert res.objective == pytest.approx(-(2e9) * 1.5 / 300)
@@ -75,7 +69,7 @@ def test_solve_round_symmetric_pair(twin_population):
     cfg = SystemConfig(num_clients=2, num_rounds=300, frame_len=30, num_frames=10,
                        bandwidth=1e7, min_ratio=0.01, noise_power=1e-13,
                        accuracy_coeff=5e-6)
-    ctx = RoundContext(twin_population, uniform_gain(2), cfg)
+    ctx = uniform_context(twin_population, cfg)
     res = solve_round(QueueState.zero(2), ctx, 100.0)
     assert res.decision.selected.all()
     assert np.allclose(res.decision.bandwidth, 0.5, atol=1e-6)
@@ -86,7 +80,7 @@ def test_solve_round_halves_monotone_random():
         sc = small_scenario(seed=seed)
         rng = np.random.default_rng(seed)
         z = QueueState(rng.uniform(0, 0.05, 6))
-        ctx = RoundContext(sc.population, sc.observe(0), sc.config)
+        ctx = sc.observe(0)
         res = solve_round(z, ctx, 10 ** rng.uniform(-2, 1))
         seq = np.array(res.half_step_values)
         assert np.all(np.diff(seq) <= 1e-12)
@@ -96,7 +90,7 @@ def test_solve_round_halves_monotone_random():
 
 def test_solve_round_respects_selection_cap():
     sc = small_scenario(min_ratio=0.3)  # at most 3 clients fit
-    ctx = RoundContext(sc.population, sc.observe(0), sc.config)
+    ctx = sc.observe(0)
     res = solve_round(QueueState.zero(6), ctx, 50.0)
     assert res.decision.n_selected <= 3
     res.decision.validate(sc.config)
@@ -138,7 +132,7 @@ def test_baseline_random_infeasible():
 def test_baseline_greedy_share_inversion(example_config):
     # with training headroom 0.002 J the required share is p*S/(G*headroom)
     pop = population(2, cycles_per_bit=5.0)
-    dec = baseline_greedy(uniform_rate(pop, example_config), pop, example_config)
+    dec = baseline_greedy(uniform_context(pop, example_config))
     e_cmp = pop.comp_energy[0]
     expect = 0.1 * 2.4e5 / (G_REF * (1.5 / 300 - e_cmp))
     assert dec.selected.all()
@@ -152,7 +146,7 @@ def test_baseline_greedy_excludes_budget_busters():
     cfg = SystemConfig(num_clients=2, num_rounds=300, frame_len=30, num_frames=10,
                        bandwidth=1e7, min_ratio=0.01, noise_power=1e-13,
                        accuracy_coeff=1.7e-8)
-    dec = baseline_greedy(uniform_rate(pop, cfg), pop, cfg)
+    dec = baseline_greedy(uniform_context(pop, cfg))
     assert not dec.selected.any()
 
 
@@ -169,7 +163,7 @@ def test_baseline_greedy_prefix_and_topup():
     snr = 2 ** (g_needed / sc.config.bandwidth) - 1
     gains = snr * sc.config.noise_power / pop.tx_power
     assert np.all(credit - pop.comp_energy > 0)
-    dec = baseline_greedy(rate_coefficients(pop, gains, sc.config), pop, sc.config)
+    dec = baseline_greedy(RoundContext(pop, gains, sc.config))
     assert dec.n_selected == 5
     shares = np.sort(dec.bandwidth[dec.selected])
     assert np.allclose(shares[:4], 0.18, atol=1e-9)
@@ -180,19 +174,18 @@ def test_baseline_greedy_energy_within_budget_share():
     # invariant: every selected client's round energy is at most its credit
     for seed in range(20):
         sc = small_scenario(seed=seed, k=6)
-        coeffs = rate_coefficients(sc.population, sc.observe(0).gain_sq, sc.config)
-        dec = baseline_greedy(coeffs, sc.population, sc.config)
+        ctx = sc.observe(0)
+        dec = baseline_greedy(ctx)
         if not dec.selected.any():
             continue
         dec.validate(sc.config)
-        _, energy = selected_totals(sc.population, coeffs, dec)
+        _, energy = selected_totals(sc.population, ctx.rate_coeff, dec)
         credit = sc.population.energy_budget / sc.config.num_rounds
         assert np.all(energy[dec.selected] <= credit[dec.selected] + 1e-12)
 
 
 def test_baseline_fedcs_share_inversion(example_config, twin_population):
-    dec = baseline_fedcs(uniform_rate(twin_population, example_config), twin_population,
-                         example_config, 0.5)
+    dec = baseline_fedcs(uniform_context(twin_population, example_config), 0.5)
     expect = 2.4e5 / (G_REF * (0.5 - 0.06))
     assert expect == pytest.approx(0.0081922, rel=1e-4)
     got = np.sort(dec.bandwidth[dec.selected])
@@ -201,27 +194,26 @@ def test_baseline_fedcs_share_inversion(example_config, twin_population):
 
 def test_baseline_fedcs_excludes_slow_training(example_config):
     pop = population(2, cpu_freq=1e7)  # t_cmp = 6 s
-    dec = baseline_fedcs(uniform_rate(pop, example_config), pop, example_config, 0.5)
+    dec = baseline_fedcs(uniform_context(pop, example_config), 0.5)
     assert not dec.selected.any()
 
 
 def test_baseline_fedcs_latency_within_cap():
     for seed in range(20):
         sc = small_scenario(seed=seed, k=6)
-        coeffs = rate_coefficients(sc.population, sc.observe(0).gain_sq, sc.config)
+        ctx = sc.observe(0)
         cap = 1.0
-        dec = baseline_fedcs(coeffs, sc.population, sc.config, cap)
+        dec = baseline_fedcs(ctx, cap)
         if not dec.selected.any():
             continue
         dec.validate(sc.config)
-        latency, _ = selected_totals(sc.population, coeffs, dec)
+        latency, _ = selected_totals(sc.population, ctx.rate_coeff, dec)
         assert np.all(latency[dec.selected] <= cap + 1e-12)
 
 
 def test_baseline_fedcs_huge_cap_selects_max():
     sc = small_scenario(k=6, min_ratio=0.2)  # at most 5 clients fit
-    coeffs = rate_coefficients(sc.population, sc.observe(0).gain_sq, sc.config)
-    dec = baseline_fedcs(coeffs, sc.population, sc.config, 1e9)
+    dec = baseline_fedcs(sc.observe(0), 1e9)
     assert dec.n_selected == 5
     assert np.allclose(np.sort(dec.bandwidth[dec.selected])[:4], 0.2)
 
@@ -284,7 +276,7 @@ def test_pedpc_never_selects_when_unprofitable():
         "min_ratio": 0.05}))
     big = QueueState(np.array([1e6]))
     for r in range(4):
-        ctx = RoundContext(sc.population, sc.observe(r), sc.config)
+        ctx = sc.observe(r)
         assert solve_round(big, ctx, 1e-9).decision.n_selected == 0
 
 
@@ -390,8 +382,7 @@ def _skip_sample():
         rng = np.random.default_rng(1000 + seed)
         z = QueueState(10 ** rng.uniform(-4, 0, 30))
         v = 10 ** rng.uniform(-2, 1)
-        ctx = RoundContext(sc.population, sc.observe(int(rng.integers(20))),
-                                     sc.config)
+        ctx = sc.observe(int(rng.integers(20)))
         for iter_rounds in (1, 3, 6):
             yield z, ctx, v, iter_rounds
 
@@ -458,7 +449,7 @@ def test_solve_round_solves_a_near_floor_set_whose_split_is_not_equal():
     # a floor of 0.3333333333333 fills the band with 3 clients to FEAS_TOL,
     # but the allocator returns the floor there, not 1/3, so the set is solved
     sc = small_scenario(seed=2, rounds=12, min_ratio=0.3333333333333)
-    ctx = RoundContext(sc.population, sc.observe(0), sc.config)
+    ctx = sc.observe(0)
     calls = _barrier_inputs(scheduler.solve_round, QueueState.zero(6), ctx, 1.0)
     assert [m for m, _ in calls] == [3]
 
@@ -514,12 +505,12 @@ def test_fill_tiny_positive_slack_needs_no_share(example_config):
     # a slack of 1e-320 makes upload / (rate * slack) overflow: that client
     # needs an infinite share and is left out, as with no slack, silently
     pop = population(3)
-    rate = uniform_rate(pop, example_config)
+    ctx = uniform_context(pop, example_config)
     upload = pop.tx_power * pop.model_size
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tiny = scheduler._fill(rate, upload, np.array([1e-320, 1e-3, 2e-3]), example_config)
-    none = scheduler._fill(rate, upload, np.array([0.0, 1e-3, 2e-3]), example_config)
+        tiny = scheduler._fill(ctx, upload, np.array([1e-320, 1e-3, 2e-3]))
+    none = scheduler._fill(ctx, upload, np.array([0.0, 1e-3, 2e-3]))
     assert list(tiny.selected) == [False, True, True]
     assert np.array_equal(tiny.selected, none.selected)
     assert np.array_equal(tiny.bandwidth, none.bandwidth)

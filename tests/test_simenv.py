@@ -76,12 +76,10 @@ def test_modes_share_hardware_draws():
 def test_sample_round_range_and_determinism():
     spec = ScenarioSpec(seed=3)
     pop, _ = generate_population(spec)
-    obs1 = sample_round(spec, 17, pop)
-    obs2 = sample_round(spec, 17, pop)
-    assert np.array_equal(obs1.gain_sq, obs2.gain_sq)
-    assert np.all((obs1.gain_sq >= 1e-11) & (obs1.gain_sq <= 1e-9))
-    other = sample_round(spec, 18, pop)
-    assert not np.array_equal(obs1.gain_sq, other.gain_sq)
+    gains = sample_round(spec, 17, pop)
+    assert np.array_equal(gains, sample_round(spec, 17, pop))
+    assert np.all((gains >= 1e-11) & (gains <= 1e-9))
+    assert not np.array_equal(gains, sample_round(spec, 18, pop))
 
 
 def test_sample_round_counter_based():
@@ -92,13 +90,13 @@ def test_sample_round_counter_based():
     for r in range(5):
         sample_round(spec, r, pop)
     again = sample_round(spec, 5, pop)
-    assert np.array_equal(direct.gain_sq, again.gain_sq)
+    assert np.array_equal(direct, again)
 
 
 def test_gain_log_uniform_median():
     spec = ScenarioSpec(seed=11, overrides={"num_clients": 500})
     pop, _ = generate_population(spec)
-    draws = np.concatenate([sample_round(spec, r, pop).gain_sq for r in range(200)])
+    draws = np.concatenate([sample_round(spec, r, pop) for r in range(200)])
     med = np.median(np.log10(draws))
     assert med == pytest.approx(-10.0, abs=0.02)
 
@@ -179,12 +177,9 @@ def test_worst_case_energy_dominates_samples():
                                                   "num_rounds": 20,
                                                   "frame_len": 4,
                                                   "num_frames": 5}))
-    from flsched.model import rate_coefficients
     cap = sc.worst_case_energy()
     for r in range(20):
-        obs = sc.observe(r)
-        coeffs = rate_coefficients(sc.population, obs.gain_sq, sc.config)
         comm = (sc.population.tx_power * sc.population.model_size
-                / (sc.config.min_ratio * coeffs))
+                / (sc.config.min_ratio * sc.observe(r).rate_coeff))
         energy = sc.population.comp_energy + comm
         assert np.all(energy <= cap + 1e-12)
