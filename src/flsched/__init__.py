@@ -2,7 +2,7 @@
 
 from .bandwidth import (Allocation, AllocationInstance, barrier_solve, lse_error_bound,
                         smoothed_objective)
-from .lyapunov import QueueState, drift_bound, lyapunov_value, update_queue
+from .lyapunov import drift_bound, lyapunov_value, update_queue
 from .model import Decision, Population, RoundContext, SystemConfig
 from .scheduler import PolicySpec, RoundRecord, RunTrace, run_policy, solve_round
 from .selection import SelectionInstance, itmcs
@@ -11,7 +11,7 @@ from .simenv import Scenario, ScenarioSpec, generate_population, sample_round
 __all__ = [
     "Allocation", "AllocationInstance", "barrier_solve", "lse_error_bound",
     "smoothed_objective",
-    "QueueState", "drift_bound", "lyapunov_value", "update_queue",
+    "drift_bound", "lyapunov_value", "update_queue",
     "Decision", "Population", "RoundContext", "SystemConfig",
     "PolicySpec", "RoundRecord", "RunTrace", "run_policy", "solve_round",
     "SelectionInstance", "itmcs",

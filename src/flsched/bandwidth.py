@@ -247,7 +247,7 @@ def _start(instance: AllocationInstance) -> np.ndarray:
     m = instance.size
     b_min = instance.min_ratio
     equal = np.full(m, 1.0 / m)
-    _, w = _value_and_weights(equal, instance)
+    equal_value, w = _value_and_weights(equal, instance)
     root = np.sqrt(instance.price_coeff + instance.penalty_weight * w * instance.lat_coeff)
     order = np.argsort(-root)
     top = root[order]
@@ -257,7 +257,7 @@ def _start(instance: AllocationInstance) -> np.ndarray:
     last = int(np.flatnonzero(top * scale >= b_min)[-1])
     guess = np.full(m, b_min)
     guess[order[:last + 1]] = top[:last + 1] * scale[last]
-    return guess if _value(guess, instance) < _value(equal, instance) else equal
+    return guess if _value(guess, instance) < equal_value else equal
 
 
 def _diagonal_free(ev: _Factors, b: np.ndarray, b_min: float, movable: np.ndarray,

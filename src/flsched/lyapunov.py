@@ -5,43 +5,28 @@ share; the scheduler prices clients by backlog so long-term budgets are met
 without lookahead. This module owns the queue update, the quadratic
 congestion measure, the one-step drift constant, and the deficit check
 every run ends with.
+
+A backlog is a plain (K,) float array. Inside a run it is made by
+`update_queue`'s clamp from the zero vector, so it is never re-checked;
+`scheduler.solve_round` checks one that comes from outside the run, and the
+run's drift check fails on a non-finite backlog or energy (its slack is NaN).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InfeasibleBound
-from .model import finite_non_negative
 
 
-@dataclass(frozen=True)
-class QueueState:
-    """Non-negative per-client energy-deficit backlogs at one round."""
-
-    backlog: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.backlog, dtype=float)
-        object.__setattr__(self, "backlog", z)
-        if not finite_non_negative(z):
-            raise ValueError("backlogs must be finite and non-negative")
-
-    @classmethod
-    def zero(cls, num_clients: int) -> "QueueState":
-        return cls(np.zeros(num_clients))
-
-
-def update_queue(state: QueueState, spent: np.ndarray, credit: np.ndarray) -> QueueState:
+def update_queue(backlog: np.ndarray, spent: np.ndarray, credit: np.ndarray) -> np.ndarray:
     """Advance backlogs one round: add spent (0 if unselected), subtract the credit, clamp at 0."""
-    return QueueState(np.maximum(state.backlog + spent - credit, 0.0))
+    return np.maximum(backlog + spent - credit, 0.0)
 
 
-def lyapunov_value(state: QueueState) -> float:
+def lyapunov_value(backlog: np.ndarray) -> float:
     """Scalar congestion measure: half the squared backlog norm."""
-    return 0.5 * float(np.dot(state.backlog, state.backlog))
+    return 0.5 * float(np.dot(backlog, backlog))
 
 
 def drift_bound(credit: np.ndarray, max_energy: np.ndarray) -> float:
@@ -64,13 +49,13 @@ def drift_bound(credit: np.ndarray, max_energy: np.ndarray) -> float:
     return constant
 
 
-def drift_gap(before: QueueState, after: QueueState, spent: np.ndarray,
+def drift_gap(before: np.ndarray, after: np.ndarray, spent: np.ndarray,
               credit: np.ndarray, constant: float) -> float:
     """Slack of the one-step drift inequality (non-negative when it holds).
 
     Returns D + sum_k Z_k (spent_k - credit_k) - [Y(Z') - Y(Z)].
     """
-    rhs = constant + float(np.dot(before.backlog, spent - credit))
+    rhs = constant + float(np.dot(before, spent - credit))
     return rhs - (lyapunov_value(after) - lyapunov_value(before))
 
 

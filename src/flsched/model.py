@@ -34,8 +34,13 @@ def finite_non_negative(values: np.ndarray) -> bool:
 
 
 def max_clients(min_ratio: float) -> int:
-    """Largest m with m * min_ratio <= 1 + FEAS_TOL: how many clients the floor admits."""
-    m = int((1.0 + FEAS_TOL) / min_ratio) + 1
+    """Largest m with m * min_ratio <= 1 + FEAS_TOL: how many clients the floor admits.
+
+    The quotient 1/min_ratio is clamped at 2**62, which stands for any
+    population: a floor below about 2e-19 admits every set, and a subnormal
+    one would otherwise overflow the quotient.
+    """
+    m = int(min((1.0 + FEAS_TOL) / float(min_ratio), 2.0 ** 62)) + 1
     while m * min_ratio > 1 + FEAS_TOL:
         m -= 1
     return m
@@ -105,11 +110,14 @@ class Population:
                 raise ValueError(f"{f.name} must be strictly positive")
         if (self.local_iters != np.floor(self.local_iters)).any():
             raise ValueError("local_iters must be a positive integer")
-        object.__setattr__(self, "comp_energy",
-                           self.local_iters * self.capacitance * self.cycles_per_bit
-                           * self.data_size * self.cpu_freq ** 2)
-        object.__setattr__(self, "comp_latency",
-                           self.local_iters * self.cycles_per_bit * self.data_size / self.cpu_freq)
+        # a cost past the float range is +inf, which the drift bound reports (InfeasibleBound)
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "comp_energy",
+                               self.local_iters * self.capacitance * self.cycles_per_bit
+                               * self.data_size * self.cpu_freq ** 2)
+            object.__setattr__(self, "comp_latency",
+                               self.local_iters * self.cycles_per_bit * self.data_size
+                               / self.cpu_freq)
 
     def __len__(self) -> int:
         return self.cpu_freq.size

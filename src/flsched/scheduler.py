@@ -18,10 +18,11 @@ client, or m floors of exactly 1/m filling the band): it could only return
 that split. `SolveResult` carries the outcome of the accepted decision, so
 `run_policy` does not evaluate it again.
 
-`run_policy` decides round r from its `model.RoundContext`, `Scenario.observe(r)`.
+`run_policy` decides round r from its `model.RoundContext`, `Scenario.observe(r)`,
+and row r of its backlog trace, which `lyapunov.update_queue` fills in place.
 It checks every run, whatever its policy or caller, against the one-step
-drift inequality and the queue-implied deficit bound, and raises
-VerificationError on a violation.
+drift inequality (a NaN slack fails it) and the queue-implied deficit bound,
+and raises VerificationError on a violation.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from . import bandwidth as bw
 from . import lyapunov as lyap
 from . import model
 from .errors import InfeasibleConfig, VerificationError
-from .lyapunov import QueueState
 from .model import Decision, RoundContext, SystemConfig
 from .selection import SelectionInstance, itmcs
 from .simenv import Scenario, number, policy_rng
@@ -73,7 +73,7 @@ class PolicySpec:
                 raise ValueError("FedCS requires a positive latency_cap")
 
 
-def _p3_value(decision: Decision, queue: QueueState, ctx: RoundContext,
+def _p3_value(decision: Decision, backlog: np.ndarray, ctx: RoundContext,
               penalty_weight: float) -> tuple[float, tuple[np.ndarray, float, float]]:
     """Backlog-priced energy drift plus weighted round cost (constant term dropped).
 
@@ -81,7 +81,7 @@ def _p3_value(decision: Decision, queue: QueueState, ctx: RoundContext,
     """
     outcome = ctx.outcome(decision)
     energy, t0, phi = outcome
-    drift_term = float(np.dot(queue.backlog, energy - ctx.credit))
+    drift_term = float(np.dot(backlog, energy - ctx.credit))
     return drift_term + penalty_weight * (t0 - phi), outcome
 
 
@@ -93,28 +93,32 @@ class SolveResult:
     outcome: tuple[np.ndarray, float, float]  # the decision's RoundContext.outcome
 
 
-def solve_round(queue: QueueState, ctx: RoundContext, penalty_weight: float) -> SolveResult:
-    """Alternating selection/allocation solve of one round's objective.
+def solve_round(backlog: np.ndarray, ctx: RoundContext, penalty_weight: float) -> SolveResult:
+    """Alternating selection/allocation solve of one round's objective at the given backlogs.
 
-    Starts from the always-feasible empty decision and alternates at most
+    Raises ValueError unless every backlog is finite and non-negative. Starts
+    from the always-feasible empty decision and alternates at most
     ITER_ROUNDS times (read at each call); the returned half-step value trace
     is non-increasing. An all-infeasible round yields the empty decision (its
     objective is the budget credit term alone).
     """
+    backlog = np.asarray(backlog, dtype=float)
+    if not model.finite_non_negative(backlog):
+        raise ValueError("backlogs must be finite and non-negative")
     pop, config = ctx.population, ctx.config
     k = len(pop)
     cap = config.max_selectable
     hyp_share = 1.0 / k  # scoring share for clients outside the current set
     x = np.zeros(k, dtype=bool)
     b = np.zeros(k)
-    value, outcome = _p3_value(Decision(x, b), queue, ctx, penalty_weight)
+    value, outcome = _p3_value(Decision(x, b), backlog, ctx, penalty_weight)
     halves = [value]
     for _ in range(ITER_ROUNDS):
         start_value = value
         # selection half-step: rescore everyone, keep the change only if it helps
         shares = np.where(x, b, hyp_share)
         latencies, energies = model.client_round(pop, ctx.rate_coeff, shares)
-        scores = lyap.energy_prices(queue.backlog, energies) - penalty_weight * ctx.log_utility
+        scores = lyap.energy_prices(backlog, energies) - penalty_weight * ctx.log_utility
         proposal = itmcs(SelectionInstance(scores, latencies, penalty_weight,
                                            max_selected=cap)).selected
         solve = False
@@ -122,7 +126,7 @@ def solve_round(queue: QueueState, ctx: RoundContext, penalty_weight: float) -> 
             m = int(proposal.sum())
             equal = 1.0 / m if m else 0.0
             b_cand = np.where(proposal, equal, 0.0)
-            cand_val, cand_out = _p3_value(Decision(proposal, b_cand), queue, ctx,
+            cand_val, cand_out = _p3_value(Decision(proposal, b_cand), backlog, ctx,
                                            penalty_weight)
             if cand_val <= value:
                 x, b, value, outcome = proposal, b_cand, cand_val, cand_out
@@ -137,7 +141,7 @@ def solve_round(queue: QueueState, ctx: RoundContext, penalty_weight: float) -> 
             instance = bw.AllocationInstance(
                 comp_latency=pop.comp_latency[idx],
                 lat_coeff=pop.model_size[idx] / ctx.rate_coeff[idx],
-                price_coeff=(pop.tx_power[idx] * queue.backlog[idx] * pop.model_size[idx]
+                price_coeff=(pop.tx_power[idx] * backlog[idx] * pop.model_size[idx]
                              / ctx.rate_coeff[idx]),
                 penalty_weight=penalty_weight,
                 min_ratio=config.min_ratio,
@@ -145,7 +149,7 @@ def solve_round(queue: QueueState, ctx: RoundContext, penalty_weight: float) -> 
             alloc = bw.barrier_solve(instance)
             b_new = np.zeros(k)
             b_new[idx] = alloc.ratios
-            new_val, new_out = _p3_value(Decision(x, b_new), queue, ctx, penalty_weight)
+            new_val, new_out = _p3_value(Decision(x, b_new), backlog, ctx, penalty_weight)
             if new_val <= value:
                 b, value, outcome = b_new, new_val, new_out
         halves.append(value)
@@ -281,7 +285,6 @@ def run_policy(scenario: Scenario, policy: PolicySpec) -> RunTrace:
     drift = scenario.drift
     population, config, seed = scenario.population, scenario.config, scenario.spec.seed
     k, r_total = config.num_clients, config.num_rounds
-    state = QueueState.zero(k)
     backlog_trace = np.zeros((r_total + 1, k))
     energies = np.zeros((r_total, k))
     records: list[RoundRecord] = []
@@ -290,23 +293,22 @@ def run_policy(scenario: Scenario, policy: PolicySpec) -> RunTrace:
     for r in range(r_total):
         ctx = scenario.observe(r)
         if policy.kind == "PEDPC":
-            result = solve_round(state, ctx, policy.penalty)
+            result = solve_round(backlog_trace[r], ctx, policy.penalty)
             decision, outcome = result.decision, result.outcome
             halves.append(result.half_step_values)
         else:
             decision, outcome = _decide(ctx, policy, seed, r), None
         decision.validate(config)
         energy_vec, t0, phi = outcome if outcome is not None else ctx.outcome(decision)
-        new_state = lyap.update_queue(state, energy_vec, ctx.credit)
-        slack = lyap.drift_gap(state, new_state, energy_vec, ctx.credit, drift)
-        if slack < -DRIFT_TOL:
+        backlog_trace[r + 1] = lyap.update_queue(backlog_trace[r], energy_vec, ctx.credit)
+        slack = lyap.drift_gap(backlog_trace[r], backlog_trace[r + 1], energy_vec, ctx.credit,
+                               drift)
+        if not slack >= -DRIFT_TOL:  # a NaN slack (non-finite energy or backlog) fails too
             raise VerificationError(
                 f"one-step drift inequality violated in round {r} (slack {slack:.3e})")
         drift_min_slack = min(drift_min_slack, slack)
         records.append(RoundRecord(r, decision.n_selected, t0, phi))
         energies[r] = energy_vec
-        backlog_trace[r + 1] = new_state.backlog
-        state = new_state
     deficit_ok = lyap.deficit_ok(backlog_trace, energies.sum(axis=0), population.energy_budget)
     if not deficit_ok.all():
         raise VerificationError("queue-implied deficit lower bound violated for clients "

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import lyapunov as lyap
 from . import model
+from .errors import InfeasibleBound
 from .model import Population, RoundContext, SystemConfig
 
 IID = "IID"
@@ -197,11 +198,15 @@ class Scenario:
 
         Valid almost surely for the sampled environment since gains never fall
         below the configured range's lower edge. A ceiling beyond the float
-        range is +inf, which the drift constant reports as unbounded.
+        range is +inf, which the drift constant reports as unbounded. Raises
+        InfeasibleBound if the rate at the range's upper edge, the largest any
+        round can draw, overflows the float range.
         """
-        lo, _ = self.spec.param("gain_sq")
-        g_min = model.rate_coefficients(self.population, lo, self.config)
+        lo, hi = self.spec.param("gain_sq")
         with np.errstate(over="ignore"):
+            if not np.isfinite(model.rate_coefficients(self.population, hi, self.config)).all():
+                raise InfeasibleBound("rate coefficient overflows the float range")
+            g_min = model.rate_coefficients(self.population, lo, self.config)
             return model.client_round(self.population, g_min, self.config.min_ratio)[1]
 
     @cached_property

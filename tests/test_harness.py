@@ -260,12 +260,20 @@ def _deficit_check_fails(backlog_trace, consumed, budgets):
     return np.zeros(len(budgets), dtype=bool)
 
 
-_BROKEN_GUARANTEES = [("drift_gap", lambda *args: -1.0, "drift inequality violated in round 0"),
-                      ("deficit_ok", _deficit_check_fails, "deficit lower bound")]
+# (id, lyapunov function replaced, its fake, expected message); a NaN slack, from
+# the drift gap itself or from a NaN backlog, fails the check like a negative one
+_BROKEN_GUARANTEES = [
+    ("drift_gap", "drift_gap", lambda *args: -1.0, "drift inequality violated in round 0"),
+    ("deficit_ok", "deficit_ok", _deficit_check_fails, "deficit lower bound"),
+    ("drift_gap-nan", "drift_gap", lambda *args: np.nan,
+     "drift inequality violated in round 0 (slack nan)"),
+    ("update_queue-nan", "update_queue", lambda backlog, spent, credit: backlog * np.nan,
+     "drift inequality violated in round 0 (slack nan)"),
+]
 
 
-@pytest.mark.parametrize("target,fake,message", _BROKEN_GUARANTEES,
-                         ids=[target for target, _, _ in _BROKEN_GUARANTEES])
+@pytest.mark.parametrize("target,fake,message", [case[1:] for case in _BROKEN_GUARANTEES],
+                         ids=[case[0] for case in _BROKEN_GUARANTEES])
 def test_cli_run_verification_failure_exits_4(tmp_path, monkeypatch, capsys,
                                                target, fake, message):
     monkeypatch.setattr(lyap, target, fake)
@@ -290,20 +298,45 @@ def test_cli_run_unbounded_worst_case_exits_3(tmp_path, capsys):
     assert "worst-case round energy is unbounded" in capsys.readouterr().err
 
 
+_FLOAT_EDGE_SYSTEM = {"num_clients": 3, "num_rounds": 2, "frame_len": 1, "num_frames": 2}
+
+
 @pytest.mark.parametrize("doc,message", [
-    ({"scenario": {"energy_budget": 1e160}, "system": {"num_clients": 3, "num_rounds": 2,
-                                                       "frame_len": 1, "num_frames": 2}},
+    ({"scenario": {"energy_budget": 1e160}, "system": _FLOAT_EDGE_SYSTEM},
      "drift constant overflows the float range"),
     ({"system": {"min_ratio": 1e-310}}, "worst-case round energy is unbounded"),
-], ids=["budget-1e160", "floor-1e-310"])
+    ({"system": {**_FLOAT_EDGE_SYSTEM, "noise_power": 5e-324}},
+     "rate coefficient overflows the float range"),
+    ({"system": {**_FLOAT_EDGE_SYSTEM, "bandwidth": 1e308}},
+     "rate coefficient overflows the float range"),
+    ({"scenario": {"data_size": 1e308}, "system": _FLOAT_EDGE_SYSTEM},
+     "drift constant overflows the float range"),
+    ({"scenario": {"cpu_freq": [1e300, 1e300]}, "system": _FLOAT_EDGE_SYSTEM},
+     "worst-case round energy is unbounded"),
+], ids=["budget-1e160", "floor-1e-310", "noise-5e-324", "bandwidth-1e308", "data-1e308",
+        "cpu-1e300"])
 def test_cli_run_overflowing_drift_constant_exits_3(tmp_path, capsys, doc, message):
-    # a drift constant or worst case past the float range is infeasible, without a warning
+    # a drift constant, worst case, rate or training cost past the float range is
+    # infeasible, without a warning
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps({**doc, "output": {"dir": str(tmp_path / "out")}}))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert cli.main(["run", "--config", str(path)]) == cli.EXIT_INFEASIBLE
     assert capsys.readouterr().err == f"infeasible: {message}\n"
+
+
+@pytest.mark.parametrize("policy", ["PEDPC", "Greedy", "SelectAll"])
+def test_cli_run_subnormal_floor_with_finite_drift_runs(tmp_path, capsys, policy):
+    # a floor of 1e-309 admits any population; a tiny upload keeps the drift finite
+    path = tmp_path / "tiny_floor.json"
+    path.write_text(json.dumps({"system": {**_FLOAT_EDGE_SYSTEM, "min_ratio": 1e-309},
+                                "scenario": {"model_size": 1e-300},
+                                "output": {"dir": str(tmp_path / "out")}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", "--config", str(path), "--policy", policy]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["policy"] == policy
 
 
 def test_cli_no_converge_exits_3(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flsched.errors import InfeasibleBound
-from flsched.lyapunov import (QueueState, deficit_ok, drift_bound, drift_gap, energy_prices,
+from flsched.lyapunov import (deficit_ok, drift_bound, drift_gap, energy_prices,
                               lyapunov_value, update_queue)
 from flsched.model import client_round, round_credit
 
@@ -19,24 +19,16 @@ def test_round_credit(twin_population, example_config):
     assert np.allclose(round_credit(twin_population, example_config), CREDIT, rtol=1e-12)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300],
-                         ids=["nan", "inf", "-inf", "negative"])
-def test_queue_state_rejects_non_finite_or_negative(bad):
-    with pytest.raises(ValueError, match="^backlogs must be finite and non-negative$"):
-        QueueState(np.array([0.0, bad, 1.0]))
-
-
 def test_update_queue_reference():
     # H/R = 0.005; the selected client spends 0.0096: 0.002 + 0.0096 - 0.005 = 0.0066
-    state = QueueState(np.array([0.002, 0.004]))
-    nxt = update_queue(state, np.array([0.0096, 0.0]), CREDIT)
-    assert nxt.backlog[0] == pytest.approx(0.0066, rel=1e-12)
-    assert nxt.backlog[1] == 0.0  # 0.004 - 0.005 clamps at zero
+    nxt = update_queue(np.array([0.002, 0.004]), np.array([0.0096, 0.0]), CREDIT)
+    assert nxt[0] == pytest.approx(0.0066, rel=1e-12)
+    assert nxt[1] == 0.0  # 0.004 - 0.005 clamps at zero
 
 
 def test_update_queue_zero_stays_zero():
-    nxt = update_queue(QueueState.zero(2), np.zeros(2), CREDIT)
-    assert np.all(nxt.backlog == 0.0)
+    nxt = update_queue(np.zeros(2), np.zeros(2), CREDIT)
+    assert np.all(nxt == 0.0)
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1), min_size=2, max_size=2),
@@ -44,26 +36,26 @@ def test_update_queue_zero_stays_zero():
        st.booleans(), st.booleans())
 def test_update_queue_nonnegative(backlog, energy, s0, s1):
     spent = np.where([s0, s1], energy, 0.0)
-    nxt = update_queue(QueueState(np.array(backlog)), spent, CREDIT)
-    assert np.all(nxt.backlog >= 0.0)
+    nxt = update_queue(np.array(backlog), spent, CREDIT)
+    assert np.all(nxt >= 0.0)
 
 
 def test_lyapunov_value():
-    assert lyapunov_value(QueueState(np.zeros(5))) == 0.0
-    assert lyapunov_value(QueueState(np.array([0.003, 0.004]))) == \
+    assert lyapunov_value(np.zeros(5)) == 0.0
+    assert lyapunov_value(np.array([0.003, 0.004])) == \
         pytest.approx(1.25e-5, rel=1e-12)
 
 
 @given(st.floats(min_value=0.0, max_value=10.0))
 def test_lyapunov_quadratic_scaling(alpha):
     z = np.array([0.1, 0.2, 0.3])
-    assert lyapunov_value(QueueState(alpha * z)) == \
-        pytest.approx(alpha ** 2 * lyapunov_value(QueueState(z)), abs=1e-12)
+    assert lyapunov_value(alpha * z) == \
+        pytest.approx(alpha ** 2 * lyapunov_value(z), abs=1e-12)
 
 
 def test_lyapunov_zero_iff_empty():
-    assert lyapunov_value(QueueState(np.zeros(3))) == 0.0
-    assert lyapunov_value(QueueState(np.array([0.0, 1e-9, 0.0]))) > 0.0
+    assert lyapunov_value(np.zeros(3)) == 0.0
+    assert lyapunov_value(np.array([0.0, 1e-9, 0.0])) > 0.0
 
 
 def test_drift_bound_reference():
@@ -128,11 +120,11 @@ def test_drift_gap_one_step():
     rng = np.random.default_rng(0)
     constant = drift_bound(CREDIT, np.full(2, 0.05))
     for _ in range(200):
-        state = QueueState(rng.uniform(0, 2, 2))
+        z = rng.uniform(0, 2, 2)
         sel = rng.random(2) < 0.5
         spent = np.where(sel, rng.uniform(0, 0.05, 2), 0.0)
-        nxt = update_queue(state, spent, CREDIT)
-        assert drift_gap(state, nxt, spent, CREDIT, constant) >= -1e-12
+        nxt = update_queue(z, spent, CREDIT)
+        assert drift_gap(z, nxt, spent, CREDIT, constant) >= -1e-12
 
 
 def test_deficit_ok():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from flsched.bandwidth import AllocationInstance, simplex_grid
 from flsched.errors import Infeasible, InfeasibleConfig, InfeasibleLink
 from flsched.model import (FEAS_TOL, Decision, Population, RoundContext, SystemConfig,
-                           client_round, client_utility, rate_coefficients, selected_totals)
+                           client_round, client_utility, max_clients, rate_coefficients,
+                           selected_totals)
 from flsched.scheduler import baseline_random, baseline_select_all
 
 from conftest import EXAMPLE_CLIENT, population
@@ -333,3 +335,15 @@ def test_floor_capacity_is_one_rule(min_ratio):
     assert baseline_random(wide, cap / (cap + 1), rng).n_selected == cap
     with pytest.raises(InfeasibleConfig):
         baseline_random(wide, 1.0, rng)
+
+
+@pytest.mark.parametrize("min_ratio", [2e-19, 1e-300, 1e-309, 5e-324], ids=repr)
+def test_max_clients_admits_any_population_below_a_tiny_floor(min_ratio):
+    # 1/min_ratio passes 2**62 (and for a subnormal floor, the float range):
+    # the count stops near 2**62 instead of overflowing int()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cap = max_clients(min_ratio)
+        assert max_clients(np.float64(min_ratio)) == cap
+    assert 2 ** 62 <= cap <= 2 ** 62 + 1
+    assert cap * min_ratio <= 1 + FEAS_TOL

@@ -7,7 +7,6 @@ from flsched import bandwidth as bw
 from flsched import lyapunov as lyap
 from flsched import model, scheduler, simenv
 from flsched.errors import InfeasibleConfig, VerificationError
-from flsched.lyapunov import QueueState
 from flsched.model import Decision, RoundContext, SystemConfig, selected_totals
 from flsched.scheduler import (DESCENT_SLACK, PolicySpec, SolveResult, _p3_value,
                                baseline_fedcs, baseline_greedy, baseline_random,
@@ -33,12 +32,12 @@ def uniform_context(population, config, value=1e-10):
 
 def test_p3_objective_empty_zero_queue(twin_population, example_config):
     ctx = uniform_context(twin_population, example_config)
-    assert _p3_value(Decision.empty(2), QueueState.zero(2), ctx, 1.0)[0] == 0.0
+    assert _p3_value(Decision.empty(2), np.zeros(2), ctx, 1.0)[0] == 0.0
 
 
 def test_p3_objective_empty_with_backlog(twin_population, example_config):
     ctx = uniform_context(twin_population, example_config)
-    z = QueueState(np.array([0.01, 0.02]))
+    z = np.array([0.01, 0.02])
     got = _p3_value(Decision.empty(2), z, ctx, 1.0)[0]
     assert got == pytest.approx(-(0.01 + 0.02) * 1.5 / 300, rel=1e-12)
     assert got < 0
@@ -47,7 +46,7 @@ def test_p3_objective_empty_with_backlog(twin_population, example_config):
 def test_p3_objective_single_client_reference(twin_population, example_config):
     # Z=1 on the selected client only: drift 0.0096... - 0.005 plus cost 0.0758...
     ctx = uniform_context(twin_population, example_config)
-    z = QueueState(np.array([1.0, 0.0]))
+    z = np.array([1.0, 0.0])
     dec = Decision(np.array([True, False]), np.array([0.1, 0.0]))
     got, outcome = _p3_value(dec, z, ctx, 1.0)
     # the unselected client has zero backlog so only the credit of client 0 counts
@@ -57,11 +56,20 @@ def test_p3_objective_single_client_reference(twin_population, example_config):
 
 def test_solve_round_empty_when_everyone_expensive(example_config, twin_population):
     # huge backlogs make every price dwarf the utility weight
-    z = QueueState(np.array([1e9, 1e9]))
+    z = np.array([1e9, 1e9])
     ctx = uniform_context(twin_population, example_config)
     res = solve_round(z, ctx, 1.0)
     assert not res.decision.selected.any()
     assert res.objective == pytest.approx(-(2e9) * 1.5 / 300)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300],
+                         ids=["nan", "inf", "-inf", "negative"])
+def test_solve_round_rejects_non_finite_or_negative_backlogs(twin_population, example_config,
+                                                              bad):
+    ctx = uniform_context(twin_population, example_config)
+    with pytest.raises(ValueError, match="^backlogs must be finite and non-negative$"):
+        solve_round(np.array([0.0, bad]), ctx, 1.0)
 
 
 def test_solve_round_symmetric_pair(twin_population):
@@ -70,7 +78,7 @@ def test_solve_round_symmetric_pair(twin_population):
                        bandwidth=1e7, min_ratio=0.01, noise_power=1e-13,
                        accuracy_coeff=5e-6)
     ctx = uniform_context(twin_population, cfg)
-    res = solve_round(QueueState.zero(2), ctx, 100.0)
+    res = solve_round(np.zeros(2), ctx, 100.0)
     assert res.decision.selected.all()
     assert np.allclose(res.decision.bandwidth, 0.5, atol=1e-6)
 
@@ -79,7 +87,7 @@ def test_solve_round_halves_monotone_random():
     for seed in range(40):
         sc = small_scenario(seed=seed)
         rng = np.random.default_rng(seed)
-        z = QueueState(rng.uniform(0, 0.05, 6))
+        z = rng.uniform(0, 0.05, 6)
         ctx = sc.observe(0)
         res = solve_round(z, ctx, 10 ** rng.uniform(-2, 1))
         seq = np.array(res.half_step_values)
@@ -91,7 +99,7 @@ def test_solve_round_halves_monotone_random():
 def test_solve_round_respects_selection_cap():
     sc = small_scenario(min_ratio=0.3)  # at most 3 clients fit
     ctx = sc.observe(0)
-    res = solve_round(QueueState.zero(6), ctx, 50.0)
+    res = solve_round(np.zeros(6), ctx, 50.0)
     assert res.decision.n_selected <= 3
     res.decision.validate(sc.config)
 
@@ -259,9 +267,9 @@ def test_run_policy_solves_every_round_at_the_policy_penalty(monkeypatch):
     sc = small_scenario(rounds=20)
     real, weights = scheduler.solve_round, []
 
-    def spy(queue, ctx, penalty_weight):
+    def spy(backlog, ctx, penalty_weight):
         weights.append(penalty_weight)
-        return real(queue, ctx, penalty_weight)
+        return real(backlog, ctx, penalty_weight)
 
     monkeypatch.setattr(scheduler, "solve_round", spy)
     tr = run_policy(sc, PolicySpec("PEDPC", penalty=0.01))
@@ -274,7 +282,7 @@ def test_pedpc_never_selects_when_unprofitable():
     sc = Scenario(ScenarioSpec(seed=0, mode="IID", overrides={
         "num_clients": 1, "num_rounds": 4, "frame_len": 2, "num_frames": 2,
         "min_ratio": 0.05}))
-    big = QueueState(np.array([1e6]))
+    big = np.array([1e6])
     for r in range(4):
         ctx = sc.observe(r)
         assert solve_round(big, ctx, 1e-9).decision.n_selected == 0
@@ -319,7 +327,7 @@ def test_run_policy_raises_on_deficit_violation(monkeypatch):
         run_policy(sc, PolicySpec("PEDPC"))
 
 
-def _always_solve_oracle(queue, ctx, penalty_weight, iter_rounds):
+def _always_solve_oracle(backlog, ctx, penalty_weight, iter_rounds):
     """The alternation loop that calls the barrier after every selection half-step.
 
     Kept as it was before the fixed-point skip, apart from calling the shared
@@ -332,19 +340,19 @@ def _always_solve_oracle(queue, ctx, penalty_weight, iter_rounds):
     hyp_share = 1.0 / k
     x = np.zeros(k, dtype=bool)
     b = np.zeros(k)
-    value = _p3_value(Decision(x, b), queue, ctx, penalty_weight)[0]
+    value = _p3_value(Decision(x, b), backlog, ctx, penalty_weight)[0]
     halves = [value]
     for _ in range(iter_rounds):
         start_value = value
         shares = np.where(x, b, hyp_share)
         latencies, energies = model.client_round(pop, ctx.rate_coeff, shares)
-        scores = lyap.energy_prices(queue.backlog, energies) - penalty_weight * ctx.log_utility
+        scores = lyap.energy_prices(backlog, energies) - penalty_weight * ctx.log_utility
         proposal = itmcs(SelectionInstance(scores, latencies, penalty_weight,
                                            max_selected=cap)).selected
         if not np.array_equal(proposal, x):
             m = int(proposal.sum())
             b_cand = np.where(proposal, 1.0 / m if m else 0.0, 0.0)
-            cand_val = _p3_value(Decision(proposal, b_cand), queue, ctx, penalty_weight)[0]
+            cand_val = _p3_value(Decision(proposal, b_cand), backlog, ctx, penalty_weight)[0]
             if cand_val <= value:
                 x, b, value = proposal, b_cand, cand_val
         halves.append(value)
@@ -353,7 +361,7 @@ def _always_solve_oracle(queue, ctx, penalty_weight, iter_rounds):
             instance = bw.AllocationInstance(
                 comp_latency=pop.comp_latency[idx],
                 lat_coeff=pop.model_size[idx] / ctx.rate_coeff[idx],
-                price_coeff=(pop.tx_power[idx] * queue.backlog[idx] * pop.model_size[idx]
+                price_coeff=(pop.tx_power[idx] * backlog[idx] * pop.model_size[idx]
                              / ctx.rate_coeff[idx]),
                 penalty_weight=penalty_weight,
                 min_ratio=config.min_ratio,
@@ -361,7 +369,7 @@ def _always_solve_oracle(queue, ctx, penalty_weight, iter_rounds):
             alloc = bw.barrier_solve(instance)
             b_new = np.zeros(k)
             b_new[idx] = alloc.ratios
-            new_val = _p3_value(Decision(x, b_new), queue, ctx, penalty_weight)[0]
+            new_val = _p3_value(Decision(x, b_new), backlog, ctx, penalty_weight)[0]
             if new_val <= value:
                 b, value = b_new, new_val
         halves.append(value)
@@ -380,7 +388,7 @@ def _skip_sample():
     for seed in range(16):
         sc = small_scenario(seed=seed, k=30)
         rng = np.random.default_rng(1000 + seed)
-        z = QueueState(10 ** rng.uniform(-4, 0, 30))
+        z = 10 ** rng.uniform(-4, 0, 30)
         v = 10 ** rng.uniform(-2, 1)
         ctx = sc.observe(int(rng.integers(20)))
         for iter_rounds in (1, 3, 6):
@@ -450,7 +458,7 @@ def test_solve_round_solves_a_near_floor_set_whose_split_is_not_equal():
     # but the allocator returns the floor there, not 1/3, so the set is solved
     sc = small_scenario(seed=2, rounds=12, min_ratio=0.3333333333333)
     ctx = sc.observe(0)
-    calls = _barrier_inputs(scheduler.solve_round, QueueState.zero(6), ctx, 1.0)
+    calls = _barrier_inputs(scheduler.solve_round, np.zeros(6), ctx, 1.0)
     assert [m for m, _ in calls] == [3]
 
 
@@ -470,8 +478,8 @@ def test_pinned_floor_run_matches_always_solve_oracle(monkeypatch):
     sc = small_scenario(seed=1, k=30, rounds=12, mode="NONIID", frame_len=4, num_frames=3)
     got = run_policy(sc, PolicySpec("PEDPC"))
     assert any(rec.n_selected == sc.config.max_selectable for rec in got.records)
-    monkeypatch.setattr(scheduler, "solve_round", lambda queue, ctx, v: _always_solve_oracle(
-        queue, ctx, v, scheduler.ITER_ROUNDS))
+    monkeypatch.setattr(scheduler, "solve_round", lambda backlog, ctx, v: _always_solve_oracle(
+        backlog, ctx, v, scheduler.ITER_ROUNDS))
     want = run_policy(sc, PolicySpec("PEDPC"))
     assert got.records == want.records
     assert got.backlog_trace.tobytes() == want.backlog_trace.tobytes()

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from flsched import scheduler
 from flsched.errors import TooLarge
-from flsched.lyapunov import QueueState
 from flsched.model import RoundContext
 from flsched.selection import SelectionInstance, itmcs
 from flsched.simenv import Scenario, ScenarioSpec
@@ -39,7 +38,7 @@ def test_marginal_score(twin_population, example_config, monkeypatch):
     def scores(penalty_weight):
         seen.clear()
         ctx = RoundContext(twin_population, np.full(2, 1e-10), example_config)
-        scheduler.solve_round(QueueState(np.array([0.01 / energy_at_half, 0.0])), ctx,
+        scheduler.solve_round(np.array([0.01 / energy_at_half, 0.0]), ctx,
                               penalty_weight)
         return seen[0]
 
