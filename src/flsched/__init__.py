@@ -3,7 +3,7 @@
 from .bandwidth import (Allocation, AllocationInstance, barrier_solve, lse_error_bound,
                         smoothed_objective)
 from .lyapunov import drift_bound, lyapunov_value, update_queue
-from .model import Decision, Population, RoundContext, SystemConfig
+from .model import Population, RoundContext, SystemConfig
 from .scheduler import PolicySpec, RoundRecord, RunTrace, run_policy, solve_round
 from .selection import SelectionInstance, itmcs
 from .simenv import Scenario, ScenarioSpec, generate_population, sample_round
@@ -12,7 +12,7 @@ __all__ = [
     "Allocation", "AllocationInstance", "barrier_solve", "lse_error_bound",
     "smoothed_objective",
     "drift_bound", "lyapunov_value", "update_queue",
-    "Decision", "Population", "RoundContext", "SystemConfig",
+    "Population", "RoundContext", "SystemConfig",
     "PolicySpec", "RoundRecord", "RunTrace", "run_policy", "solve_round",
     "SelectionInstance", "itmcs",
     "Scenario", "ScenarioSpec", "generate_population", "sample_round",

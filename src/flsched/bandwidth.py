@@ -248,6 +248,8 @@ def _start(instance: AllocationInstance) -> np.ndarray:
     b_min = instance.min_ratio
     equal = np.full(m, 1.0 / m)
     equal_value, w = _value_and_weights(equal, instance)
+    if not math.isfinite(equal_value):
+        raise NoConverge("allocator objective leaves the float range")
     root = np.sqrt(instance.price_coeff + instance.penalty_weight * w * instance.lat_coeff)
     order = np.argsort(-root)
     top = root[order]
@@ -279,6 +281,8 @@ def _diagonal_free(ev: _Factors, b: np.ndarray, b_min: float, movable: np.ndarra
     # nu[k]: the root with the first k shares (smallest kappa) on the floor
     held = np.concatenate(([0.0], np.cumsum(b_min - b[idx])[:-1]))
     slope = np.cumsum((1.0 / d)[::-1])[::-1]
+    if not math.isfinite(slope[0]):  # the sum of every 1/d
+        raise NoConverge("Newton system leaves the float range")
     offset = np.cumsum((ev.gradient[idx] / d)[::-1])[::-1]
     nu = (held + fixed_move - offset) / slope
     lower = np.concatenate(([-np.inf], kappa[:-1]))
@@ -288,6 +292,7 @@ def _diagonal_free(ev: _Factors, b: np.ndarray, b_min: float, movable: np.ndarra
     return free
 
 
+@np.errstate(over="ignore")  # a value past the float range raises NoConverge below
 def barrier_solve(instance: AllocationInstance) -> Allocation:
     """Projected Newton solve of the smoothed allocation problem.
 
@@ -303,7 +308,9 @@ def barrier_solve(instance: AllocationInstance) -> Allocation:
     Stops, after taking the step, once the model's predicted decrease is at
     most NEWTON_TOL of the value. Deterministic for fixed inputs. The instance
     itself has checked that the floor can be met; raises NoConverge when the
-    solve exhausts its MAX_NEWTON systems or meets a singular one.
+    solve exhausts its MAX_NEWTON systems or meets a singular one, or when the
+    objective, its curvature or a Newton system leaves the float range (a
+    penalty weight near either end of it), without an overflow warning.
 
     The name is kept from the log-barrier method this solver replaced,
     because callers and outside tooling look the entry point up by it.
@@ -319,6 +326,8 @@ def barrier_solve(instance: AllocationInstance) -> Allocation:
     gain = 0.0
     while True:
         ev = _factors(b, instance)
+        if not np.isfinite(ev.diag).all():
+            raise NoConverge("allocator objective leaves the float range")
         flat = ev.diag <= FLAT_TOL * ev.value  # the value is never negative
         if flat.all():
             break  # no share moves the value: every feasible point is optimal

@@ -4,13 +4,16 @@ Each physical quantity is defined here once, vectorized over the client
 population (`Population`, one array per client parameter): training energy
 and latency, full-band Shannon rates (`rate_coefficients`, base-2 log,
 bits/s), per-client round latency and energy at a vector of band shares
-(`client_round`, and `selected_totals` for a decision), and the
-diminishing-returns accuracy utility (`client_utility`, natural log).
-`RoundContext` holds a round's rates with the utility and credit, and its
-`outcome` assembles the round cost from them: the slowest selected client's
-latency minus the selected utility. So are the two constraints: how many
-clients the floor admits (`max_clients`), and the energy budget's per-round
-credit H_k/R (`round_credit`) and horizon overflow (`energy_overflow`).
+(`client_round` and `selected_totals`), and the diminishing-returns accuracy
+utility (`client_utility`, natural log).
+A round's decision is its share vector: a client is selected iff its share
+is non-zero. `RoundContext` holds a round's rates with the utility and
+credit, and its `outcome` assembles the round cost from them: the slowest
+selected client's latency minus the selected utility. So are the
+constraints: the floor and simplex rules of one round's shares
+(`check_shares`), how many clients the floor admits (`max_clients`), and
+the energy budget's per-round credit H_k/R (`round_credit`) and horizon
+overflow (`energy_overflow`).
 """
 
 from __future__ import annotations
@@ -123,39 +126,19 @@ class Population:
         return self.cpu_freq.size
 
 
-@dataclass(frozen=True)
-class Decision:
-    """One round's selection indicator and bandwidth-share vector."""
+def check_shares(shares: np.ndarray, config: SystemConfig) -> None:
+    """Raise if one round's shares violate the floor or the simplex equality.
 
-    selected: np.ndarray  # bool per client
-    bandwidth: np.ndarray  # share of the band per client, 0 for unselected
-
-    def __post_init__(self):
-        object.__setattr__(self, "selected", np.asarray(self.selected, dtype=bool))
-        object.__setattr__(self, "bandwidth", np.asarray(self.bandwidth, dtype=float))
-        if self.selected.shape != self.bandwidth.shape:
-            raise ValueError("selected and bandwidth must have equal length")
-
-    @classmethod
-    def empty(cls, num_clients: int) -> "Decision":
-        return cls(np.zeros(num_clients, dtype=bool), np.zeros(num_clients))
-
-    @property
-    def n_selected(self) -> int:
-        return int(self.selected.sum())
-
-    def validate(self, config: SystemConfig) -> None:
-        """Raise if the shares violate the floor or the simplex equality."""
-        if self.bandwidth[~self.selected].any():  # a NaN share counts as non-zero
-            raise ValueError("unselected clients must have zero bandwidth")
-        if not self.selected.any():
-            return
-        # both checks are written to fail on a NaN share
-        shares = self.bandwidth[self.selected]
-        if not shares.min() >= config.min_ratio - FEAS_TOL:
-            raise ValueError("selected client below the bandwidth floor")
-        if not abs(shares.sum() - 1.0) <= SUM_TOL:
-            raise ValueError("selected shares must sum to one")
+    A client is selected iff its share is non-zero, so a NaN share counts as
+    selected; both checks are written to fail on it. Selecting nobody is valid.
+    """
+    held = shares[shares != 0]
+    if not held.size:
+        return
+    if not held.min() >= config.min_ratio - FEAS_TOL:
+        raise ValueError("selected client below the bandwidth floor")
+    if not abs(held.sum() - 1.0) <= SUM_TOL:
+        raise ValueError("selected shares must sum to one")
 
 
 def round_credit(population: Population, config: SystemConfig) -> np.ndarray:
@@ -193,14 +176,14 @@ def client_round(population: Population, rate_coeff: np.ndarray, shares: np.ndar
             population.comp_energy + population.tx_power * t_com)
 
 
-def selected_totals(population: Population, rate_coeff: np.ndarray, decision: Decision
+def selected_totals(population: Population, rate_coeff: np.ndarray, shares: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-client (latency, energy) arrays; zero entries for unselected clients.
+    """Per-client (latency, energy) arrays; zero entries for unselected clients (zero shares).
 
     Raises InfeasibleLink if a selected client has zero achieved rate.
     """
-    sel = decision.selected
-    latency, energy = client_round(population, rate_coeff, decision.bandwidth)
+    sel = shares != 0
+    latency, energy = client_round(population, rate_coeff, shares)
     if np.isinf(latency[sel]).any():
         raise InfeasibleLink("selected client with zero transmission rate")
     return np.where(sel, latency, 0.0), np.where(sel, energy, 0.0)
@@ -219,13 +202,12 @@ class RoundContext:
         self.log_utility = client_utility(population, config)
         self.credit = round_credit(population, config)
 
-    def outcome(self, decision: Decision) -> tuple[np.ndarray, float, float]:
+    def outcome(self, shares: np.ndarray) -> tuple[np.ndarray, float, float]:
         """Per-client round energies, the round latency t0 and the accuracy utility phi.
 
-        t0 is the slowest selected client's latency, 0 when nobody is selected;
-        the round cost is t0 - phi.
+        t0 is the slowest selected client's latency, 0 when nobody is selected
+        (unselected clients' latencies are 0, selected ones' non-negative); the
+        round cost is t0 - phi.
         """
-        latency, energy = selected_totals(self.population, self.rate_coeff, decision)
-        sel = decision.selected
-        t0 = float(latency[sel].max()) if sel.any() else 0.0
-        return energy, t0, float(self.log_utility[sel].sum())
+        latency, energy = selected_totals(self.population, self.rate_coeff, shares)
+        return energy, float(latency.max()), float(self.log_utility[shares != 0].sum())

@@ -15,14 +15,16 @@ repeat on an unchanged set would return the same shares against the same
 value and change nothing. Nor does it run when the moved set's floored
 simplex is the single point 1/m that the candidate already holds (one
 client, or m floors of exactly 1/m filling the band): it could only return
-that split. `SolveResult` carries the outcome of the accepted decision, so
-`run_policy` does not evaluate it again.
+that split. `SolveResult` carries the outcome of the accepted shares, so
+`run_policy` does not evaluate them again.
 
-`run_policy` decides round r from its `model.RoundContext`, `Scenario.observe(r)`,
-and row r of its backlog trace, which `lyapunov.update_queue` fills in place.
-It checks every run, whatever its policy or caller, against the one-step
-drift inequality (a NaN slack fails it) and the queue-implied deficit bound,
-and raises VerificationError on a violation.
+Every policy decides a round as one share vector, whose non-zero entries are
+the selected clients. `run_policy` decides round r from its
+`model.RoundContext`, `Scenario.observe(r)`, and row r of its backlog trace,
+which `lyapunov.update_queue` fills in place. It checks every round's shares
+with `model.check_shares`, and every run, whatever its policy or caller,
+against the one-step drift inequality (a NaN slack fails it) and the
+queue-implied deficit bound, and raises VerificationError on a violation.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from . import bandwidth as bw
 from . import lyapunov as lyap
 from . import model
 from .errors import InfeasibleConfig, VerificationError
-from .model import Decision, RoundContext, SystemConfig
+from .model import RoundContext, SystemConfig
 from .selection import SelectionInstance, itmcs
 from .simenv import Scenario, number, policy_rng
 
@@ -73,13 +75,13 @@ class PolicySpec:
                 raise ValueError("FedCS requires a positive latency_cap")
 
 
-def _p3_value(decision: Decision, backlog: np.ndarray, ctx: RoundContext,
+def _p3_value(shares: np.ndarray, backlog: np.ndarray, ctx: RoundContext,
               penalty_weight: float) -> tuple[float, tuple[np.ndarray, float, float]]:
     """Backlog-priced energy drift plus weighted round cost (constant term dropped).
 
-    Returned with the decision's `RoundContext.outcome`, which it prices.
+    Returned with the shares' `RoundContext.outcome`, which it prices.
     """
-    outcome = ctx.outcome(decision)
+    outcome = ctx.outcome(shares)
     energy, t0, phi = outcome
     drift_term = float(np.dot(backlog, energy - ctx.credit))
     return drift_term + penalty_weight * (t0 - phi), outcome
@@ -87,20 +89,19 @@ def _p3_value(decision: Decision, backlog: np.ndarray, ctx: RoundContext,
 
 @dataclass(frozen=True)
 class SolveResult:
-    decision: Decision
-    objective: float
+    shares: np.ndarray  # the round's decision; its last half-step value is the objective
     half_step_values: tuple[float, ...]
-    outcome: tuple[np.ndarray, float, float]  # the decision's RoundContext.outcome
+    outcome: tuple[np.ndarray, float, float]  # the shares' RoundContext.outcome
 
 
 def solve_round(backlog: np.ndarray, ctx: RoundContext, penalty_weight: float) -> SolveResult:
     """Alternating selection/allocation solve of one round's objective at the given backlogs.
 
     Raises ValueError unless every backlog is finite and non-negative. Starts
-    from the always-feasible empty decision and alternates at most
-    ITER_ROUNDS times (read at each call); the returned half-step value trace
-    is non-increasing. An all-infeasible round yields the empty decision (its
-    objective is the budget credit term alone).
+    from the always-feasible empty decision (all shares zero) and alternates
+    at most ITER_ROUNDS times (read at each call); the returned half-step
+    value trace is non-increasing. An all-infeasible round yields the empty
+    decision (its objective is the budget credit term alone).
     """
     backlog = np.asarray(backlog, dtype=float)
     if not model.finite_non_negative(backlog):
@@ -109,35 +110,33 @@ def solve_round(backlog: np.ndarray, ctx: RoundContext, penalty_weight: float) -
     k = len(pop)
     cap = config.max_selectable
     hyp_share = 1.0 / k  # scoring share for clients outside the current set
-    x = np.zeros(k, dtype=bool)
     b = np.zeros(k)
-    value, outcome = _p3_value(Decision(x, b), backlog, ctx, penalty_weight)
+    value, outcome = _p3_value(b, backlog, ctx, penalty_weight)
     halves = [value]
     for _ in range(ITER_ROUNDS):
         start_value = value
         # selection half-step: rescore everyone, keep the change only if it helps
-        shares = np.where(x, b, hyp_share)
+        shares = np.where(b != 0, b, hyp_share)
         latencies, energies = model.client_round(pop, ctx.rate_coeff, shares)
         scores = lyap.energy_prices(backlog, energies) - penalty_weight * ctx.log_utility
         proposal = itmcs(SelectionInstance(scores, latencies, penalty_weight,
                                            max_selected=cap)).selected
         solve = False
-        if not np.array_equal(proposal, x):
+        if not np.array_equal(proposal, b != 0):
             m = int(proposal.sum())
             equal = 1.0 / m if m else 0.0
             b_cand = np.where(proposal, equal, 0.0)
-            cand_val, cand_out = _p3_value(Decision(proposal, b_cand), backlog, ctx,
-                                           penalty_weight)
+            cand_val, cand_out = _p3_value(b_cand, backlog, ctx, penalty_weight)
             if cand_val <= value:
-                x, b, value, outcome = proposal, b_cand, cand_val, cand_out
+                b, value, outcome = b_cand, cand_val, cand_out
                 # the allocator's answer is the equal split just evaluated when
                 # the floored simplex is that single point
                 solve = m > 0 and bw.fixed_share(m, config.min_ratio) != equal
         halves.append(value)
         # bandwidth half-step: allocator solve, kept only if the true value improves;
-        # an unmoved x was solved by the previous half-step, whose outcome stands
+        # an unmoved set was solved by the previous half-step, whose outcome stands
         if solve:
-            idx = np.flatnonzero(x)
+            idx = np.flatnonzero(b)
             instance = bw.AllocationInstance(
                 comp_latency=pop.comp_latency[idx],
                 lat_coeff=pop.model_size[idx] / ctx.rate_coeff[idx],
@@ -149,29 +148,29 @@ def solve_round(backlog: np.ndarray, ctx: RoundContext, penalty_weight: float) -
             alloc = bw.barrier_solve(instance)
             b_new = np.zeros(k)
             b_new[idx] = alloc.ratios
-            new_val, new_out = _p3_value(Decision(x, b_new), backlog, ctx, penalty_weight)
+            new_val, new_out = _p3_value(b_new, backlog, ctx, penalty_weight)
             if new_val <= value:
                 b, value, outcome = b_new, new_val, new_out
         halves.append(value)
         if start_value - value < DESCENT_SLACK:
             break
-    return SolveResult(Decision(x, b), value, tuple(halves), outcome)
+    return SolveResult(b, tuple(halves), outcome)
 
 
 # ---------------------------------------------------------------------------
 # baseline policies
 
 
-def baseline_select_all(config: SystemConfig) -> Decision:
+def baseline_select_all(config: SystemConfig) -> np.ndarray:
     """Everyone selected, equal shares."""
     k = config.num_clients
     if k > config.max_selectable:
         raise InfeasibleConfig("equal split over all clients falls below the floor")
-    return Decision(np.ones(k, dtype=bool), np.full(k, 1.0 / k))
+    return np.full(k, 1.0 / k)
 
 
 def baseline_random(config: SystemConfig, fraction: float,
-                    rng: np.random.Generator) -> Decision:
+                    rng: np.random.Generator) -> np.ndarray:
     """A fixed-size uniform sample of clients, equal shares."""
     k = config.num_clients
     n = int(math.floor(fraction * k + 1e-9))  # guard against 0.29*100 = 28.999...
@@ -179,13 +178,12 @@ def baseline_random(config: SystemConfig, fraction: float,
         raise InfeasibleConfig("fraction selects nobody")
     if n > config.max_selectable:
         raise InfeasibleConfig("equal split over the sample falls below the floor")
-    idx = rng.choice(k, size=n, replace=False)
-    selected = np.zeros(k, dtype=bool)
-    selected[idx] = True
-    return Decision(selected, np.where(selected, 1.0 / n, 0.0))
+    shares = np.zeros(k)
+    shares[rng.choice(k, size=n, replace=False)] = 1.0 / n
+    return shares
 
 
-def _fill(ctx: RoundContext, upload: np.ndarray, slack: np.ndarray) -> Decision:
+def _fill(ctx: RoundContext, upload: np.ndarray, slack: np.ndarray) -> np.ndarray:
     """Shared body of the budget/latency-capped baselines.
 
     Each client with positive slack and a live link needs the share whose upload
@@ -204,15 +202,14 @@ def _fill(ctx: RoundContext, upload: np.ndarray, slack: np.ndarray) -> Decision:
     # stops at the first total past the band
     total = np.cumsum(shares[order])
     admitted = order[:np.searchsorted(total, 1.0 + model.FEAS_TOL, side="right")]
-    selected = np.zeros(shares.size, dtype=bool)
-    selected[admitted] = True
-    out = np.where(selected, shares, 0.0)
+    out = np.zeros(shares.size)
+    out[admitted] = shares[admitted]
     if admitted.size:
         out[admitted[-1]] += 1.0 - total[admitted.size - 1]
-    return Decision(selected, out)
+    return out
 
 
-def baseline_greedy(ctx: RoundContext) -> Decision:
+def baseline_greedy(ctx: RoundContext) -> np.ndarray:
     """As many clients as fit when each is given exactly its per-round energy budget.
 
     Each client's share is sized so its round energy equals its budget share;
@@ -222,7 +219,7 @@ def baseline_greedy(ctx: RoundContext) -> Decision:
     return _fill(ctx, pop.tx_power * pop.model_size, ctx.credit - pop.comp_energy)
 
 
-def baseline_fedcs(ctx: RoundContext, latency_cap: float) -> Decision:
+def baseline_fedcs(ctx: RoundContext, latency_cap: float) -> np.ndarray:
     """As many clients as fit when each is given exactly its latency-cap share."""
     if not latency_cap > 0:
         raise ValueError("latency_cap must be positive")
@@ -261,7 +258,7 @@ class RunTrace:
         return self.energies.sum(axis=0)
 
 
-def _decide(ctx: RoundContext, policy: PolicySpec, seed: int, round_index: int) -> Decision:
+def _decide(ctx: RoundContext, policy: PolicySpec, seed: int, round_index: int) -> np.ndarray:
     if policy.kind == "SelectAll":
         return baseline_select_all(ctx.config)
     if policy.kind == "Random":
@@ -294,12 +291,12 @@ def run_policy(scenario: Scenario, policy: PolicySpec) -> RunTrace:
         ctx = scenario.observe(r)
         if policy.kind == "PEDPC":
             result = solve_round(backlog_trace[r], ctx, policy.penalty)
-            decision, outcome = result.decision, result.outcome
+            shares, outcome = result.shares, result.outcome
             halves.append(result.half_step_values)
         else:
-            decision, outcome = _decide(ctx, policy, seed, r), None
-        decision.validate(config)
-        energy_vec, t0, phi = outcome if outcome is not None else ctx.outcome(decision)
+            shares, outcome = _decide(ctx, policy, seed, r), None
+        model.check_shares(shares, config)
+        energy_vec, t0, phi = outcome if outcome is not None else ctx.outcome(shares)
         backlog_trace[r + 1] = lyap.update_queue(backlog_trace[r], energy_vec, ctx.credit)
         slack = lyap.drift_gap(backlog_trace[r], backlog_trace[r + 1], energy_vec, ctx.credit,
                                drift)
@@ -307,7 +304,7 @@ def run_policy(scenario: Scenario, policy: PolicySpec) -> RunTrace:
             raise VerificationError(
                 f"one-step drift inequality violated in round {r} (slack {slack:.3e})")
         drift_min_slack = min(drift_min_slack, slack)
-        records.append(RoundRecord(r, decision.n_selected, t0, phi))
+        records.append(RoundRecord(r, int(np.count_nonzero(shares)), t0, phi))
         energies[r] = energy_vec
     deficit_ok = lyap.deficit_ok(backlog_trace, energies.sum(axis=0), population.energy_budget)
     if not deficit_ok.all():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,22 @@ def test_newton_step_rejects_singular_system():
     step, _ = bw._newton_step(ev._replace(weights=np.array([0.5, 0.5]), excess=np.zeros(2)),
                               first, np.array([0.0, -0.1]))
     assert step.tolist() == [0.1, -0.1]
+
+
+@pytest.mark.parametrize("penalty,message", [
+    (1e308, "allocator objective leaves the float range"),  # the equal split's value
+    (1e305, "allocator objective leaves the float range"),  # its curvature, the value finite
+    (1e-306, "Newton system leaves the float range"),  # 1/d past the float range
+    (1e-315, "Newton system leaves the float range"),
+], ids=["value-1e308", "curvature-1e305", "newton-1e-306", "newton-1e-315"])
+def test_barrier_solve_past_the_float_range_does_not_converge(penalty, message):
+    rng = np.random.default_rng(5)
+    inst = AllocationInstance(rng.uniform(0, 1, 20), rng.uniform(1e-3, 1, 20), np.zeros(20),
+                              penalty, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConverge, match=f"^{message}$"):
+            barrier_solve(inst)
 
 
 def test_diagonal_free_solves_the_diagonal_model():

@@ -326,6 +326,30 @@ def test_cli_run_overflowing_drift_constant_exits_3(tmp_path, capsys, doc, messa
     assert capsys.readouterr().err == f"infeasible: {message}\n"
 
 
+@pytest.mark.parametrize("penalty,code,err", [
+    (1e308, cli.EXIT_INFEASIBLE,
+     "solver did not converge: allocator objective leaves the float range\n"),
+    (1e-308, cli.EXIT_INFEASIBLE, "solver did not converge: Newton system leaves the float range\n"),
+    (1e-315, cli.EXIT_INFEASIBLE, "solver did not converge: Newton system leaves the float range\n"),
+    (5e-324, cli.EXIT_OK, ""),
+], ids=["1e308", "1e-308", "1e-315", "5e-324"])
+def test_cli_run_penalty_at_the_float_edges(tmp_path, capsys, penalty, code, err):
+    # a weight whose allocator objective or Newton system leaves the float range
+    # does not converge, without a warning; the smallest weight selects nobody
+    path = tmp_path / "edge_penalty.json"
+    path.write_text(json.dumps({"system": {"num_clients": 20, "num_rounds": 4, "frame_len": 2,
+                                           "num_frames": 2},
+                                "policy": {"penalty": penalty},
+                                "output": {"dir": str(tmp_path / "out")}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", "--config", str(path), "--seed", "1"]) == code
+    out, got_err = capsys.readouterr()
+    assert got_err == err
+    if code == cli.EXIT_OK:
+        assert json.loads(out)["avg_selected"] == 0.0
+
+
 @pytest.mark.parametrize("policy", ["PEDPC", "Greedy", "SelectAll"])
 def test_cli_run_subnormal_floor_with_finite_drift_runs(tmp_path, capsys, policy):
     # a floor of 1e-309 admits any population; a tiny upload keeps the drift finite
@@ -645,6 +669,34 @@ def test_rounds_csv_agrees_with_its_trace(tmp_path, monkeypatch, kind):
     assert col["n_selected"].any() and col["queue_l2"].any()
     assert (col["energy_overflow_j"][-1] > 0) == (kind == "PEDPC")
     assert summary.avg_cost == np.mean(col["cost"])
+
+
+# the CI smoke config, with every policy's knob set: per-round selected counts, then
+# total_latency, avg_cost, energy_overflow and total_phi (tolerances, not hashes,
+# because exp and log may differ by an ulp across platforms)
+SMOKE_DOC = {"system": {"num_clients": 8, "num_rounds": 12, "frame_len": 4, "num_frames": 3,
+                        "min_ratio": 0.05},
+             "policy": {"penalty": 0.5, "random_fraction": 0.5, "latency_cap": 20}}
+RUN_PIN = {
+    "PEDPC": ([6] * 12, 2.993836692361306, -0.10691566865857642, 0.0, 4.276824716264223),
+    "SelectAll": ([8] * 12, 11.516220078493449, 0.4844822602895404, 0.0, 5.7024329550189625),
+    "Random": ([4] * 12, 8.843474365204376, 0.4993548239745744, 0.0, 2.8512164775094813),
+    "Greedy": ([8] * 12, 12.281402938092837, 0.5482474985894895, 0.0, 5.7024329550189625),
+    "FedCS": ([8] * 12, 12.281402938092837, 0.5482474985894895, 0.0, 5.7024329550189625),
+}
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_policy_run_pin(kind):
+    cfg = parse_config(SMOKE_DOC)
+    scenario = harness.build_scenario(cfg, 1)
+    trace = run_policy(scenario, dataclasses.replace(cfg.policy, kind=kind))
+    summary = harness.summarize(trace, harness.round_columns(
+        trace, scenario.population.energy_budget))
+    selected, *totals = RUN_PIN[kind]
+    assert [rec.n_selected for rec in trace.records] == selected
+    assert [summary.total_latency, summary.avg_cost, summary.energy_overflow,
+            summary.total_phi] == pytest.approx(totals, rel=1e-12, abs=0)
 
 
 def test_byte_identical_reruns(tmp_path):

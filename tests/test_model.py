@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from flsched.bandwidth import AllocationInstance, simplex_grid
 from flsched.errors import Infeasible, InfeasibleConfig, InfeasibleLink
-from flsched.model import (FEAS_TOL, Decision, Population, RoundContext, SystemConfig,
+from flsched.model import (FEAS_TOL, Population, RoundContext, SystemConfig, check_shares,
                            client_round, client_utility, max_clients, rate_coefficients,
                            selected_totals)
 from flsched.scheduler import baseline_random, baseline_select_all
@@ -152,11 +152,7 @@ def test_comm_quantities_dead_link(twin_population):
                                    np.array([0.5, 0.0]))
     assert np.isinf(latency).all() and np.isinf(energy).all()
     with pytest.raises(InfeasibleLink):
-        selected_totals(twin_population, np.array([0.0, G_REF]),
-                        Decision(np.array([True, False]), np.array([1.0, 0.0])))
-    with pytest.raises(InfeasibleLink):
-        selected_totals(twin_population, np.full(2, G_REF),
-                        Decision(np.array([True, True]), np.array([1.0, 0.0])))
+        selected_totals(twin_population, np.array([0.0, G_REF]), np.array([1.0, 0.0]))
 
 
 @given(st.floats(min_value=0.01, max_value=0.99))
@@ -183,19 +179,17 @@ def test_round_latency_selected_max(example_config):
     pop = population(3, cpu_freq=[1e9, 5e8, 2e8])
     ctx = snr100_context(pop, dataclasses.replace(example_config, num_clients=3))
 
-    def t0(selected, shares):
-        return ctx.outcome(Decision(np.array(selected), np.array(shares)))[1]
+    def t0(shares):
+        return ctx.outcome(np.array(shares))[1]
 
     def slowest(members):
         return max(client_oracle(pop, k, G_REF, share)[0] for k, share in members)
 
     # selected = {1, 2} -> the slower of the two; client 2 trains 5x slower than 0
-    assert t0([False, True, True], [0.0, 0.5, 0.5]) == \
-        pytest.approx(slowest([(1, 0.5), (2, 0.5)]), rel=1e-12)
-    assert t0([True, True, False], [0.5, 0.5, 0.0]) == \
-        pytest.approx(slowest([(0, 0.5), (1, 0.5)]), rel=1e-12)
-    assert t0([False, False, False], [0.0, 0.0, 0.0]) == 0.0
-    assert t0([True, True, True], [1 / 3] * 3) == \
+    assert t0([0.0, 0.5, 0.5]) == pytest.approx(slowest([(1, 0.5), (2, 0.5)]), rel=1e-12)
+    assert t0([0.5, 0.5, 0.0]) == pytest.approx(slowest([(0, 0.5), (1, 0.5)]), rel=1e-12)
+    assert t0([0.0, 0.0, 0.0]) == 0.0
+    assert t0([1 / 3] * 3) == \
         pytest.approx(slowest([(k, 1 / 3) for k in range(3)]), rel=1e-12)
 
 
@@ -209,7 +203,7 @@ def test_round_latency_equals_indicator_max(freqs, bits):
     ctx = snr100_context(pop, config)
     sel = np.array([(bits >> i) & 1 == 1 for i in range(len(freqs))])
     share = 1.0 / max(sel.sum(), 1)
-    dec = Decision(sel, np.where(sel, share, 0.0))
+    dec = np.where(sel, share, 0.0)
     expect = max((client_oracle(pop, k, ctx.rate_coeff[k], share)[0]
                   for k in np.flatnonzero(sel)), default=0.0)
     assert ctx.outcome(dec)[1] == pytest.approx(expect, rel=1e-12)
@@ -219,37 +213,35 @@ def test_accuracy_utility_reference(twin_population, example_config):
     assert client_utility(twin_population, example_config) == \
         pytest.approx([PHI_REF, PHI_REF], rel=1e-12)
     ctx = snr100_context(twin_population, example_config)
-    one = Decision(np.array([True, False]), np.array([1.0, 0.0]))
+    one = np.array([1.0, 0.0])
     assert ctx.outcome(one)[2] == pytest.approx(PHI_REF, rel=1e-12)
-    assert ctx.outcome(Decision.empty(2))[2] == 0.0
-    both = Decision(np.array([True, True]), np.array([0.5, 0.5]))
+    assert ctx.outcome(np.zeros(2))[2] == 0.0
+    both = np.array([0.5, 0.5])
     assert ctx.outcome(both)[2] == pytest.approx(2 * PHI_REF, rel=1e-12)
 
 
 def test_accuracy_utility_monotone_under_adding(twin_population, example_config):
     ctx = snr100_context(twin_population, example_config)
-    one = Decision(np.array([True, False]), np.array([1.0, 0.0]))
-    both = Decision(np.array([True, True]), np.array([0.5, 0.5]))
+    one = np.array([1.0, 0.0])
+    both = np.array([0.5, 0.5])
     assert ctx.outcome(both)[2] >= ctx.outcome(one)[2]
 
 
-def round_cost(ctx, decision):
-    _, t0, phi = ctx.outcome(decision)
+def round_cost(ctx, shares):
+    _, t0, phi = ctx.outcome(shares)
     return t0 - phi
 
 
 def test_round_cost(twin_population, example_config):
     ctx = snr100_context(twin_population, example_config)
-    dec = Decision(np.array([True, False]), np.array([1.0, 0.0]))
     t, _ = client_oracle(twin_population, 0, G_REF, 1.0)
-    assert round_cost(ctx, dec) == pytest.approx(t - PHI_REF, rel=1e-12)
-    assert round_cost(ctx, Decision.empty(2)) == 0.0
+    assert round_cost(ctx, np.array([1.0, 0.0])) == pytest.approx(t - PHI_REF, rel=1e-12)
+    assert round_cost(ctx, np.zeros(2)) == 0.0
 
 
 def test_round_cost_single_client_reference(twin_population, example_config):
     ctx = snr100_context(twin_population, example_config)
-    dec = Decision(np.array([True, False]), np.array([0.1, 0.0]))
-    assert round_cost(ctx, dec) == pytest.approx(0.0758509, rel=1e-5)
+    assert round_cost(ctx, np.array([0.1, 0.0])) == pytest.approx(0.0758509, rel=1e-5)
 
 
 def test_round_cost_lower_bound(twin_population, example_config):
@@ -260,37 +252,33 @@ def test_round_cost_lower_bound(twin_population, example_config):
     for sel in ([True, True], [True, False], [False, False]):
         sel = np.array(sel)
         n = max(sel.sum(), 1)
-        dec = Decision(sel, np.where(sel, 1.0 / n, 0.0))
-        assert round_cost(ctx, dec) >= floor
+        assert round_cost(ctx, np.where(sel, 1.0 / n, 0.0)) >= floor
 
 
-def test_decision_validation(example_config):
-    good = Decision(np.array([True, False]), np.array([1.0, 0.0]))
-    good.validate(example_config)
-    with pytest.raises(ValueError):
-        Decision(np.array([True, False]), np.array([0.9, 0.0])).validate(example_config)
-    with pytest.raises(ValueError):
-        Decision(np.array([False, False]), np.array([0.0, 0.5])).validate(example_config)
-    with pytest.raises(ValueError):
-        Decision(np.array([True, True]), np.array([1.0, 0.001])).validate(example_config)
+def test_check_shares(example_config):
+    check_shares(np.array([1.0, 0.0]), example_config)
+    for shares in ([0.9, 0.0], [0.0, 0.5]):
+        with pytest.raises(ValueError, match="^selected shares must sum to one$"):
+            check_shares(np.array(shares), example_config)
+    with pytest.raises(ValueError, match="^selected client below the bandwidth floor$"):
+        check_shares(np.array([1.0, 0.001]), example_config)
     for nan_shares in ([np.nan, 1.0], [np.nan, np.nan]):  # NaN meets neither the floor nor the sum
         with pytest.raises(ValueError, match="^selected client below the bandwidth floor$"):
-            Decision(np.array([True, True]), np.array(nan_shares)).validate(example_config)
-    Decision.empty(2).validate(example_config)
+            check_shares(np.array(nan_shares), example_config)
+    check_shares(np.zeros(2), example_config)
 
 
 def test_selected_totals_matches_scalar(twin_population, example_config):
     gains = np.array([1e-10, 3e-11])
     coeffs = rate_coefficients(twin_population, gains, example_config)
-    dec = Decision(np.array([True, True]), np.array([0.4, 0.6]))
-    lat, en = selected_totals(twin_population, coeffs, dec)
+    shares = np.array([0.4, 0.6])
+    lat, en = selected_totals(twin_population, coeffs, shares)
     for k in range(2):
-        t_ref, e_ref = client_oracle(twin_population, k, coeffs[k], dec.bandwidth[k])
+        t_ref, e_ref = client_oracle(twin_population, k, coeffs[k], shares[k])
         assert lat[k] == pytest.approx(t_ref, rel=1e-14)
         assert en[k] == pytest.approx(e_ref, rel=1e-14)
-    dead = Decision(np.array([True, False]), np.array([1.0, 0.0]))
     with pytest.raises(InfeasibleLink):
-        selected_totals(twin_population, np.array([0.0, 1.0]), dead)
+        selected_totals(twin_population, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
 
 def _floor_config(min_ratio, num_clients):
@@ -327,12 +315,12 @@ def test_floor_capacity_is_one_rule(min_ratio):
     if cap + 1 <= 3:
         with pytest.raises(Infeasible):
             simplex_grid(cap + 1, min_ratio, 0.01)
-    assert baseline_select_all(_floor_config(min_ratio, cap)).n_selected == cap
+    assert np.count_nonzero(baseline_select_all(_floor_config(min_ratio, cap))) == cap
     with pytest.raises(InfeasibleConfig):
         baseline_select_all(_floor_config(min_ratio, cap + 1))
     wide = _floor_config(min_ratio, cap + 1)
     rng = np.random.default_rng(0)
-    assert baseline_random(wide, cap / (cap + 1), rng).n_selected == cap
+    assert np.count_nonzero(baseline_random(wide, cap / (cap + 1), rng)) == cap
     with pytest.raises(InfeasibleConfig):
         baseline_random(wide, 1.0, rng)
 

@@ -7,7 +7,7 @@ from flsched import bandwidth as bw
 from flsched import lyapunov as lyap
 from flsched import model, scheduler, simenv
 from flsched.errors import InfeasibleConfig, VerificationError
-from flsched.model import Decision, RoundContext, SystemConfig, selected_totals
+from flsched.model import RoundContext, SystemConfig, check_shares, selected_totals
 from flsched.scheduler import (DESCENT_SLACK, PolicySpec, SolveResult, _p3_value,
                                baseline_fedcs, baseline_greedy, baseline_random,
                                baseline_select_all, run_policy, solve_round)
@@ -32,13 +32,13 @@ def uniform_context(population, config, value=1e-10):
 
 def test_p3_objective_empty_zero_queue(twin_population, example_config):
     ctx = uniform_context(twin_population, example_config)
-    assert _p3_value(Decision.empty(2), np.zeros(2), ctx, 1.0)[0] == 0.0
+    assert _p3_value(np.zeros(2), np.zeros(2), ctx, 1.0)[0] == 0.0
 
 
 def test_p3_objective_empty_with_backlog(twin_population, example_config):
     ctx = uniform_context(twin_population, example_config)
     z = np.array([0.01, 0.02])
-    got = _p3_value(Decision.empty(2), z, ctx, 1.0)[0]
+    got = _p3_value(np.zeros(2), z, ctx, 1.0)[0]
     assert got == pytest.approx(-(0.01 + 0.02) * 1.5 / 300, rel=1e-12)
     assert got < 0
 
@@ -47,7 +47,7 @@ def test_p3_objective_single_client_reference(twin_population, example_config):
     # Z=1 on the selected client only: drift 0.0096... - 0.005 plus cost 0.0758...
     ctx = uniform_context(twin_population, example_config)
     z = np.array([1.0, 0.0])
-    dec = Decision(np.array([True, False]), np.array([0.1, 0.0]))
+    dec = np.array([0.1, 0.0])
     got, outcome = _p3_value(dec, z, ctx, 1.0)
     # the unselected client has zero backlog so only the credit of client 0 counts
     assert got == pytest.approx(0.0804555, rel=1e-5)
@@ -59,8 +59,8 @@ def test_solve_round_empty_when_everyone_expensive(example_config, twin_populati
     z = np.array([1e9, 1e9])
     ctx = uniform_context(twin_population, example_config)
     res = solve_round(z, ctx, 1.0)
-    assert not res.decision.selected.any()
-    assert res.objective == pytest.approx(-(2e9) * 1.5 / 300)
+    assert not res.shares.any()
+    assert res.half_step_values[-1] == pytest.approx(-(2e9) * 1.5 / 300)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300],
@@ -79,8 +79,7 @@ def test_solve_round_symmetric_pair(twin_population):
                        accuracy_coeff=5e-6)
     ctx = uniform_context(twin_population, cfg)
     res = solve_round(np.zeros(2), ctx, 100.0)
-    assert res.decision.selected.all()
-    assert np.allclose(res.decision.bandwidth, 0.5, atol=1e-6)
+    assert np.allclose(res.shares, 0.5, atol=1e-6)
 
 
 def test_solve_round_halves_monotone_random():
@@ -92,23 +91,22 @@ def test_solve_round_halves_monotone_random():
         res = solve_round(z, ctx, 10 ** rng.uniform(-2, 1))
         seq = np.array(res.half_step_values)
         assert np.all(np.diff(seq) <= 1e-12)
-        assert res.objective <= seq[0] + 1e-12  # never worse than doing nothing
-        res.decision.validate(sc.config)
+        assert seq[-1] <= seq[0] + 1e-12  # never worse than doing nothing
+        check_shares(res.shares, sc.config)
 
 
 def test_solve_round_respects_selection_cap():
     sc = small_scenario(min_ratio=0.3)  # at most 3 clients fit
     ctx = sc.observe(0)
     res = solve_round(np.zeros(6), ctx, 50.0)
-    assert res.decision.n_selected <= 3
-    res.decision.validate(sc.config)
+    assert np.count_nonzero(res.shares) <= 3
+    check_shares(res.shares, sc.config)
 
 
 def test_baseline_select_all(example_config):
     dec = baseline_select_all(example_config)
-    assert dec.selected.all()
-    assert np.allclose(dec.bandwidth, 0.5)
-    dec.validate(example_config)
+    assert np.allclose(dec, 0.5)
+    check_shares(dec, example_config)
 
 
 def test_baseline_select_all_infeasible():
@@ -123,12 +121,12 @@ def test_baseline_random_counts_and_determinism():
     sc = small_scenario(k=6)
     dec1 = baseline_random(sc.config, 0.5, policy_rng(7, 0))
     dec2 = baseline_random(sc.config, 0.5, policy_rng(7, 0))
-    assert dec1.n_selected == 3
-    assert np.array_equal(dec1.selected, dec2.selected)
-    assert np.allclose(dec1.bandwidth[dec1.selected], 1 / 3)
-    dec1.validate(sc.config)
+    assert np.count_nonzero(dec1) == 3
+    assert np.array_equal(dec1, dec2)
+    assert np.allclose(dec1[dec1 != 0], 1 / 3)
+    check_shares(dec1, sc.config)
     full = baseline_random(sc.config, 1.0, policy_rng(7, 0))
-    assert full.selected.all()  # fraction one behaves like select-all
+    assert full.all()  # fraction one behaves like select-all
 
 
 def test_baseline_random_infeasible():
@@ -143,10 +141,10 @@ def test_baseline_greedy_share_inversion(example_config):
     dec = baseline_greedy(uniform_context(pop, example_config))
     e_cmp = pop.comp_energy[0]
     expect = 0.1 * 2.4e5 / (G_REF * (1.5 / 300 - e_cmp))
-    assert dec.selected.all()
+    assert dec.all()
     # first added keeps its minimal share; the last is topped up to close the band
-    assert dec.bandwidth.min() == pytest.approx(expect, rel=1e-9)
-    assert dec.bandwidth.sum() == pytest.approx(1.0, abs=1e-12)
+    assert dec.min() == pytest.approx(expect, rel=1e-9)
+    assert dec.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_baseline_greedy_excludes_budget_busters():
@@ -155,7 +153,7 @@ def test_baseline_greedy_excludes_budget_busters():
                        bandwidth=1e7, min_ratio=0.01, noise_power=1e-13,
                        accuracy_coeff=1.7e-8)
     dec = baseline_greedy(uniform_context(pop, cfg))
-    assert not dec.selected.any()
+    assert not dec.any()
 
 
 def test_baseline_greedy_prefix_and_topup():
@@ -172,8 +170,8 @@ def test_baseline_greedy_prefix_and_topup():
     gains = snr * sc.config.noise_power / pop.tx_power
     assert np.all(credit - pop.comp_energy > 0)
     dec = baseline_greedy(RoundContext(pop, gains, sc.config))
-    assert dec.n_selected == 5
-    shares = np.sort(dec.bandwidth[dec.selected])
+    assert np.count_nonzero(dec) == 5
+    shares = np.sort(dec[dec != 0])
     assert np.allclose(shares[:4], 0.18, atol=1e-9)
     assert shares[-1] == pytest.approx(0.28, abs=1e-9)
 
@@ -184,26 +182,26 @@ def test_baseline_greedy_energy_within_budget_share():
         sc = small_scenario(seed=seed, k=6)
         ctx = sc.observe(0)
         dec = baseline_greedy(ctx)
-        if not dec.selected.any():
+        if not dec.any():
             continue
-        dec.validate(sc.config)
+        check_shares(dec, sc.config)
         _, energy = selected_totals(sc.population, ctx.rate_coeff, dec)
         credit = sc.population.energy_budget / sc.config.num_rounds
-        assert np.all(energy[dec.selected] <= credit[dec.selected] + 1e-12)
+        assert np.all(energy[dec != 0] <= credit[dec != 0] + 1e-12)
 
 
 def test_baseline_fedcs_share_inversion(example_config, twin_population):
     dec = baseline_fedcs(uniform_context(twin_population, example_config), 0.5)
     expect = 2.4e5 / (G_REF * (0.5 - 0.06))
     assert expect == pytest.approx(0.0081922, rel=1e-4)
-    got = np.sort(dec.bandwidth[dec.selected])
+    got = np.sort(dec[dec != 0])
     assert got[0] == pytest.approx(max(expect, example_config.min_ratio), rel=1e-9)
 
 
 def test_baseline_fedcs_excludes_slow_training(example_config):
     pop = population(2, cpu_freq=1e7)  # t_cmp = 6 s
     dec = baseline_fedcs(uniform_context(pop, example_config), 0.5)
-    assert not dec.selected.any()
+    assert not dec.any()
 
 
 def test_baseline_fedcs_latency_within_cap():
@@ -212,18 +210,18 @@ def test_baseline_fedcs_latency_within_cap():
         ctx = sc.observe(0)
         cap = 1.0
         dec = baseline_fedcs(ctx, cap)
-        if not dec.selected.any():
+        if not dec.any():
             continue
-        dec.validate(sc.config)
+        check_shares(dec, sc.config)
         latency, _ = selected_totals(sc.population, ctx.rate_coeff, dec)
-        assert np.all(latency[dec.selected] <= cap + 1e-12)
+        assert np.all(latency[dec != 0] <= cap + 1e-12)
 
 
 def test_baseline_fedcs_huge_cap_selects_max():
     sc = small_scenario(k=6, min_ratio=0.2)  # at most 5 clients fit
     dec = baseline_fedcs(sc.observe(0), 1e9)
-    assert dec.n_selected == 5
-    assert np.allclose(np.sort(dec.bandwidth[dec.selected])[:4], 0.2)
+    assert np.count_nonzero(dec) == 5
+    assert np.allclose(np.sort(dec[dec != 0])[:4], 0.2)
 
 
 @pytest.mark.parametrize("knobs,name", [
@@ -285,7 +283,7 @@ def test_pedpc_never_selects_when_unprofitable():
     big = np.array([1e6])
     for r in range(4):
         ctx = sc.observe(r)
-        assert solve_round(big, ctx, 1e-9).decision.n_selected == 0
+        assert not solve_round(big, ctx, 1e-9).shares.any()
 
 
 def _drift_gap_replaced_in_round(round_index, slack):
@@ -331,33 +329,33 @@ def _always_solve_oracle(backlog, ctx, penalty_weight, iter_rounds):
     """The alternation loop that calls the barrier after every selection half-step.
 
     Kept as it was before the fixed-point skip, apart from calling the shared
-    per-client model and evaluating the returned decision's outcome afresh, as
-    the reference the production loop must reproduce bit for bit.
+    per-client model, holding the decision as its share vector and evaluating
+    the returned shares' outcome afresh, as the reference the production loop
+    must reproduce bit for bit.
     """
     pop, config = ctx.population, ctx.config
     k = len(pop)
     cap = config.max_selectable
     hyp_share = 1.0 / k
-    x = np.zeros(k, dtype=bool)
     b = np.zeros(k)
-    value = _p3_value(Decision(x, b), backlog, ctx, penalty_weight)[0]
+    value = _p3_value(b, backlog, ctx, penalty_weight)[0]
     halves = [value]
     for _ in range(iter_rounds):
         start_value = value
-        shares = np.where(x, b, hyp_share)
+        shares = np.where(b != 0, b, hyp_share)
         latencies, energies = model.client_round(pop, ctx.rate_coeff, shares)
         scores = lyap.energy_prices(backlog, energies) - penalty_weight * ctx.log_utility
         proposal = itmcs(SelectionInstance(scores, latencies, penalty_weight,
                                            max_selected=cap)).selected
-        if not np.array_equal(proposal, x):
+        if not np.array_equal(proposal, b != 0):
             m = int(proposal.sum())
             b_cand = np.where(proposal, 1.0 / m if m else 0.0, 0.0)
-            cand_val = _p3_value(Decision(proposal, b_cand), backlog, ctx, penalty_weight)[0]
+            cand_val = _p3_value(b_cand, backlog, ctx, penalty_weight)[0]
             if cand_val <= value:
-                x, b, value = proposal, b_cand, cand_val
+                b, value = b_cand, cand_val
         halves.append(value)
-        if x.any():
-            idx = np.flatnonzero(x)
+        if b.any():
+            idx = np.flatnonzero(b)
             instance = bw.AllocationInstance(
                 comp_latency=pop.comp_latency[idx],
                 lat_coeff=pop.model_size[idx] / ctx.rate_coeff[idx],
@@ -369,14 +367,13 @@ def _always_solve_oracle(backlog, ctx, penalty_weight, iter_rounds):
             alloc = bw.barrier_solve(instance)
             b_new = np.zeros(k)
             b_new[idx] = alloc.ratios
-            new_val = _p3_value(Decision(x, b_new), backlog, ctx, penalty_weight)[0]
+            new_val = _p3_value(b_new, backlog, ctx, penalty_weight)[0]
             if new_val <= value:
                 b, value = b_new, new_val
         halves.append(value)
         if start_value - value < DESCENT_SLACK:
             break
-    decision = Decision(x, b)
-    return SolveResult(decision, value, tuple(halves), ctx.outcome(decision))
+    return SolveResult(b, tuple(halves), ctx.outcome(b))
 
 
 def _skip_sample():
@@ -417,9 +414,7 @@ def test_solve_round_matches_always_solve_oracle_exactly(monkeypatch):
         monkeypatch.setattr(scheduler, "ITER_ROUNDS", iter_rounds)
         got = scheduler.solve_round(z, ctx, v)
         want = _always_solve_oracle(z, ctx, v, iter_rounds)
-        assert np.array_equal(got.decision.selected, want.decision.selected)
-        assert np.array_equal(got.decision.bandwidth, want.decision.bandwidth)
-        assert got.objective == want.objective
+        assert got.shares.tobytes() == want.shares.tobytes()
         assert got.half_step_values == want.half_step_values
 
 
@@ -467,7 +462,7 @@ def test_solve_round_outcome_is_the_decisions_outcome(monkeypatch):
         monkeypatch.setattr(scheduler, "ITER_ROUNDS", iter_rounds)
         result = scheduler.solve_round(z, ctx, v)
         energy, t0, phi = result.outcome
-        want_energy, want_t0, want_phi = ctx.outcome(result.decision)
+        want_energy, want_t0, want_phi = ctx.outcome(result.shares)
         assert energy.tobytes() == want_energy.tobytes()
         assert np.array([t0, phi]).tobytes() == np.array([want_t0, want_phi]).tobytes()
 
@@ -519,6 +514,5 @@ def test_fill_tiny_positive_slack_needs_no_share(example_config):
         warnings.simplefilter("error")
         tiny = scheduler._fill(ctx, upload, np.array([1e-320, 1e-3, 2e-3]))
     none = scheduler._fill(ctx, upload, np.array([0.0, 1e-3, 2e-3]))
-    assert list(tiny.selected) == [False, True, True]
-    assert np.array_equal(tiny.selected, none.selected)
-    assert np.array_equal(tiny.bandwidth, none.bandwidth)
+    assert list(tiny != 0) == [False, True, True]
+    assert np.array_equal(tiny, none)
