@@ -7,9 +7,9 @@ ln(m)); the surrogate is convex, and a projected Newton method solves it: the
 floor is a simple bound, so each iteration fixes the shares held on it,
 takes a Newton step on the others under sum(b) = 1 and searches along the
 projection arc onto the floored simplex (Bertsekas, *SIAM J. Control Optim.*
-20:221-246, 1982). A dense grid search over the simplex slice serves as the
-verification oracle for small instances; the tests add a log-barrier solver
-of the same objective as the oracle for large ones.
+20:221-246, 1982). Its oracles are test code: `tests/oracles.py` searches
+the `simplex_grid` lattice for m <= 3, and `tests/barrier_oracle.py` runs a
+log-barrier method on the same objective for larger instances.
 
 The Hessian of the smoothed objective is diagonal minus rank one (softmax
 curvature), H = diag(d) - a a^T, and so is its restriction to the free
@@ -113,34 +113,27 @@ def lse_error_bound(selected_count: int) -> float:
     return math.log(selected_count)
 
 
-def _latency_terms(ratios: np.ndarray, instance: AllocationInstance) -> np.ndarray:
-    return instance.comp_latency + instance.lat_coeff / ratios
+class _Point(NamedTuple):
+    value: float  # the smoothed objective
+    weights: np.ndarray  # softmax weights of the latency terms
+    top: float  # the largest latency term
+    gap: float  # LSE minus max of the latency terms; lies in [0, ln(m)]
 
 
-def _log_sum_exp(u: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """max(u), the smoothing gap LSE(u) - max(u), and the softmax weights of u.
-
-    Evaluated with the usual max shift so large terms cannot overflow.
-    """
-    shift = u.max()
-    ex = np.exp(u - shift)
-    total = ex.sum()
-    return shift, math.log(total), ex / total
-
-
-def _value_and_weights(b: np.ndarray, instance: AllocationInstance) -> tuple[float, np.ndarray]:
-    """Smoothed objective value and the softmax weights of the latency terms."""
-    shift, gap, w = _log_sum_exp(_latency_terms(b, instance))
-    return instance.penalty_weight * (shift + gap) + float((instance.price_coeff / b).sum()), w
+def _evaluate(b: np.ndarray, instance: AllocationInstance) -> _Point:
+    """The smoothed objective at shares b; the max shift keeps exp from overflowing."""
+    u = instance.comp_latency + instance.lat_coeff / b
+    top = u.max()
+    ex = np.exp(u - top)
+    total = np.add.reduce(ex)
+    gap = math.log(total)
+    value = instance.penalty_weight * (top + gap) + float(np.add.reduce(instance.price_coeff / b))
+    return _Point(value, ex / total, top, gap)
 
 
-def _value(b: np.ndarray, instance: AllocationInstance) -> float:
-    return _value_and_weights(b, instance)[0]
-
-
-def _factors(b: np.ndarray, instance: AllocationInstance) -> _Factors:
+def _factors(b: np.ndarray, instance: AllocationInstance, point: _Point) -> _Factors:
     v = instance.penalty_weight
-    value, w = _value_and_weights(b, instance)
+    w = point.weights
     b2 = b ** 2
     b3 = b ** 3
     vw = v * w
@@ -148,7 +141,7 @@ def _factors(b: np.ndarray, instance: AllocationInstance) -> _Factors:
     grad = vw * du - instance.price_coeff / b2
     wd = w * du
     excess = vw * 2.0 * instance.lat_coeff / b3 + 2.0 * instance.price_coeff / b3
-    return _Factors(value, grad, v * wd * du + excess, math.sqrt(v) * wd, w, excess)
+    return _Factors(point.value, grad, v * wd * du + excess, math.sqrt(v) * wd, w, excess)
 
 
 def smoothed_objective(ratios: np.ndarray, instance: AllocationInstance) -> SmoothedEval:
@@ -161,14 +154,9 @@ def smoothed_objective(ratios: np.ndarray, instance: AllocationInstance) -> Smoo
     b = np.asarray(ratios, dtype=float)
     if np.any(b <= 0):
         raise ValueError("ratios must be strictly positive")
-    ev = _factors(b, instance)
+    ev = _factors(b, instance, _evaluate(b, instance))
     return SmoothedEval(ev.value, ev.gradient,
                         np.diag(ev.diag) - np.outer(ev.rank_one, ev.rank_one))
-
-
-def smoothing_gap(ratios: np.ndarray, instance: AllocationInstance) -> float:
-    """LSE minus max of the latency terms; lies in [0, ln(m)]."""
-    return _log_sum_exp(_latency_terms(np.asarray(ratios, dtype=float), instance))[1]
 
 
 def fixed_share(m: int, b_min: float) -> float | None:
@@ -185,7 +173,7 @@ def fixed_share(m: int, b_min: float) -> float | None:
 
 
 def _fixed_allocation(b: np.ndarray, instance: AllocationInstance) -> Allocation:
-    return Allocation(b, _value(b, instance), 0, 0.0)
+    return Allocation(b, _evaluate(b, instance).value, 0, 0.0)
 
 
 def _project(y: np.ndarray, floor: float) -> np.ndarray:
@@ -196,9 +184,9 @@ def _project(y: np.ndarray, floor: float) -> np.ndarray:
     """
     z = y - floor
     top = np.sort(z)[::-1]
-    excess = np.cumsum(top) - (1.0 - floor * y.size)
+    excess = np.add.accumulate(top) - (1.0 - floor * y.size)
     count = np.arange(1, y.size + 1)
-    last = int(np.flatnonzero(top * count > excess)[-1])
+    last = int((top * count > excess).nonzero()[0][-1])
     return floor + np.maximum(z - excess[last] / (last + 1), 0.0)
 
 
@@ -215,10 +203,10 @@ def _newton_step(ev: _Factors, free: np.ndarray, pinned: np.ndarray
     so that it carries no cancellation.
     """
     d = ev.diag[free]
-    if not (d.size and np.isfinite(d).all() and (d > 0).all()):
+    if not (d.size and 0 < d.min() <= d.max() < np.inf):  # a NaN fails both
         raise NoConverge("singular KKT system")
-    delta = float((ev.weights[free] * ev.excess[free] / d).sum()) + \
-        float(ev.weights[~free].sum())
+    delta = float(np.add.reduce(ev.weights[free] * ev.excess[free] / d)) + \
+        float(np.add.reduce(ev.weights[~free]))
     if not delta > 0:
         raise NoConverge("singular KKT system")
     a = ev.rank_one[free]
@@ -229,7 +217,8 @@ def _newton_step(ev: _Factors, free: np.ndarray, pinned: np.ndarray
 
     h_grad = solve_h(a * float(ev.rank_one @ pinned) - ev.gradient[free])
     h_ones = solve_h(np.ones_like(d))
-    nu = (float(h_grad.sum()) + float(pinned.sum())) / float(h_ones.sum())
+    nu = (float(np.add.reduce(h_grad)) + float(np.add.reduce(pinned))) / \
+        float(np.add.reduce(h_ones))
     step = pinned.copy()
     step[free] = h_grad - nu * h_ones
     if not np.isfinite(step).all():
@@ -237,8 +226,8 @@ def _newton_step(ev: _Factors, free: np.ndarray, pinned: np.ndarray
     return step, nu
 
 
-def _start(instance: AllocationInstance) -> np.ndarray:
-    """Starting shares: the equal split, or a water-filling guess if that is better.
+def _start(instance: AllocationInstance) -> tuple[np.ndarray, _Point]:
+    """Starting shares and their evaluation: the equal split, or a water-filling guess if better.
 
     The guess freezes the softmax weights w of the equal split; the problem
     left, minimize sum(h/b) with h = price + V*w*s over the floored simplex,
@@ -247,19 +236,21 @@ def _start(instance: AllocationInstance) -> np.ndarray:
     m = instance.size
     b_min = instance.min_ratio
     equal = np.full(m, 1.0 / m)
-    equal_value, w = _value_and_weights(equal, instance)
-    if not math.isfinite(equal_value):
+    at_equal = _evaluate(equal, instance)
+    if not math.isfinite(at_equal.value):
         raise NoConverge("allocator objective leaves the float range")
-    root = np.sqrt(instance.price_coeff + instance.penalty_weight * w * instance.lat_coeff)
+    root = np.sqrt(instance.price_coeff +
+                   instance.penalty_weight * at_equal.weights * instance.lat_coeff)
     order = np.argsort(-root)
     top = root[order]
     if not top[0] > 0:
-        return equal
-    scale = (1.0 - (m - np.arange(1, m + 1)) * b_min) / np.cumsum(top)
-    last = int(np.flatnonzero(top * scale >= b_min)[-1])
+        return equal, at_equal
+    scale = (1.0 - (m - np.arange(1, m + 1)) * b_min) / np.add.accumulate(top)
+    last = int((top * scale >= b_min).nonzero()[0][-1])
     guess = np.full(m, b_min)
     guess[order[:last + 1]] = top[:last + 1] * scale[last]
-    return guess if _value(guess, instance) < equal_value else equal
+    at_guess = _evaluate(guess, instance)
+    return (guess, at_guess) if at_guess.value < at_equal.value else (equal, at_equal)
 
 
 def _diagonal_free(ev: _Factors, b: np.ndarray, b_min: float, movable: np.ndarray,
@@ -273,20 +264,20 @@ def _diagonal_free(ev: _Factors, b: np.ndarray, b_min: float, movable: np.ndarra
     piecewise-linear equation in nu. One sort of kappa solves it; the
     result starts the exact active-set iteration of `barrier_solve`.
     """
-    idx = np.flatnonzero(movable)
+    idx = movable.nonzero()[0]
     d = ev.diag[idx]
     kappa = d * (b[idx] - b_min) - ev.gradient[idx]
     order = np.argsort(kappa)
     idx, d, kappa = idx[order], d[order], kappa[order]
     # nu[k]: the root with the first k shares (smallest kappa) on the floor
-    held = np.concatenate(([0.0], np.cumsum(b_min - b[idx])[:-1]))
-    slope = np.cumsum((1.0 / d)[::-1])[::-1]
+    held = np.concatenate(([0.0], np.add.accumulate(b_min - b[idx])[:-1]))
+    slope = np.add.accumulate((1.0 / d)[::-1])[::-1]
     if not math.isfinite(slope[0]):  # the sum of every 1/d
         raise NoConverge("Newton system leaves the float range")
-    offset = np.cumsum((ev.gradient[idx] / d)[::-1])[::-1]
+    offset = np.add.accumulate((ev.gradient[idx] / d)[::-1])[::-1]
     nu = (held + fixed_move - offset) / slope
     lower = np.concatenate(([-np.inf], kappa[:-1]))
-    fits = np.flatnonzero((lower <= nu) & (nu <= kappa))
+    fits = ((lower <= nu) & (nu <= kappa)).nonzero()[0]
     free = np.zeros(b.size, dtype=bool)
     free[idx[int(fits[0]) if fits.size else 0:]] = True
     return free
@@ -304,13 +295,16 @@ def barrier_solve(instance: AllocationInstance) -> Allocation:
     g_i + (H step)_i + nu with nu from the free-set solve, is negative, and a
     free share whose step crosses the floor is held on it. Flat clients,
     whose curvature and gradient are below the value's resolution, move down
-    to the floor, or to where their latency reaches the slowest client's.
-    Stops, after taking the step, once the model's predicted decrease is at
-    most NEWTON_TOL of the value. Deterministic for fixed inputs. The instance
-    itself has checked that the floor can be met; raises NoConverge when the
-    solve exhausts its MAX_NEWTON systems or meets a singular one, or when the
-    objective, its curvature or a Newton system leaves the float range (a
-    penalty weight near either end of it), without an overflow warning.
+    to the floor, or to where their latency reaches the slowest client's; that
+    work runs only when a client is flat. Each point is evaluated once: the
+    accepted trial's evaluation feeds the next Newton system, the returned
+    value and the smoothing-gap check. Stops, after taking the step, once the
+    model's predicted decrease is at most NEWTON_TOL of the value.
+    Deterministic for fixed inputs. The instance itself has checked that the
+    floor can be met; raises NoConverge when the solve exhausts its MAX_NEWTON
+    systems or meets a singular one, or when the objective, its curvature or a
+    Newton system leaves the float range (a penalty weight near either end of
+    it), without an overflow warning.
 
     The name is kept from the log-barrier method this solver replaced,
     because callers and outside tooling look the entry point up by it.
@@ -321,21 +315,27 @@ def barrier_solve(instance: AllocationInstance) -> Allocation:
     if share is not None:
         return _fixed_allocation(np.full(m, share), instance)
 
-    b = _start(instance)
+    b, point = _start(instance)
     systems = 0
     gain = 0.0
     while True:
-        ev = _factors(b, instance)
-        if not np.isfinite(ev.diag).all():
+        ev = _factors(b, instance, point)
+        if not ev.diag.max() < np.inf:  # a NaN fails too
             raise NoConverge("allocator objective leaves the float range")
         flat = ev.diag <= FLAT_TOL * ev.value  # the value is never negative
-        if flat.all():
-            break  # no share moves the value: every feasible point is optimal
-        # where a flat share's latency would reach the slowest client's
-        head = _latency_terms(b, instance).max() - instance.comp_latency
-        reach = instance.lat_coeff / np.where(head > 0, head, np.inf)
-        target = np.where(flat & (reach < b), np.maximum(b_min, reach), b_min)
-        free = _diagonal_free(ev, b, b_min, ~flat, float((target - b)[flat].sum()))
+        has_flat = flat.any()
+        target, fixed_move, stuck = b_min, 0.0, False
+        if has_flat:
+            if flat.all():
+                break  # no share moves the value: every feasible point is optimal
+            # where a flat share's latency would reach the slowest client's
+            head = point.top - instance.comp_latency
+            reach = instance.lat_coeff / np.where(head > 0, head, np.inf)
+            target = np.where(flat & (reach < b), np.maximum(b_min, reach), b_min)
+            fixed_move = float(np.add.reduce((target - b)[flat]))
+            # a flat share above its target must still move, whatever the model gains
+            stuck = (flat & (b > target + FEAS_TOL)).any()
+        free = _diagonal_free(ev, b, b_min, ~flat, fixed_move)
         # active-set rounds on the Newton model; m + 1 of them cut off a cycle
         for _ in range(m + 1):
             systems += 1
@@ -344,30 +344,29 @@ def barrier_solve(instance: AllocationInstance) -> Allocation:
             step, nu = _newton_step(ev, free, np.where(free, 0.0, target - b))
             hess_step = ev.diag * step - ev.rank_one * float(ev.rank_one @ step)
             held = ~free & (ev.gradient + hess_step + nu >= 0) | free & (b + step < b_min)
-            if np.array_equal(free, ~flat & ~held):
+            if has_flat:
+                held |= flat
+            if np.array_equal(free, ~held):
                 break
-            free = ~flat & ~held
+            free = ~held
         gain = -float(ev.gradient @ step + 0.5 * (step @ hess_step))
-        # a flat share above its target must still move, whatever the model gains
-        done = gain <= NEWTON_TOL * ev.value and not (flat & (b > target + FEAS_TOL)).any()
+        done = gain <= NEWTON_TOL * ev.value and not stuck
         s = 1.0
         for _ in range(60):
             trial = _project(b + s * step, b_min)
-            if _value(trial, instance) <= \
-                    ev.value + LINE_ALPHA * float(ev.gradient @ (trial - b)):
+            at_trial = _evaluate(trial, instance)
+            if at_trial.value <= ev.value + LINE_ALPHA * float(ev.gradient @ (trial - b)):
                 break
             s *= LINE_BETA
         else:
             break  # no descent resolvable in double precision: numerical optimum
-        b = trial
+        b, point = trial, at_trial
         if done:
             break
 
-    value = _value(b, instance)
-    gap = smoothing_gap(b, instance)
-    if not (-1e-12 <= gap <= lse_error_bound(m) + 1e-12):
+    if not (-1e-12 <= point.gap <= lse_error_bound(m) + 1e-12):
         raise AssertionError("smoothing gap left [0, ln(m)]")
-    return Allocation(b, value, systems, gain)
+    return Allocation(b, point.value, systems, gain)
 
 
 def simplex_grid(m: int, b_min: float, step: float) -> np.ndarray:

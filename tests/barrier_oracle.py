@@ -81,7 +81,7 @@ def log_barrier_solve(instance: bw.AllocationInstance) -> bw.Allocation:
     while True:
         for _ in range(MAX_NEWTON):
             total_newton += 1
-            ev = bw._factors(b, instance)
+            ev = bw._factors(b, instance, bw._evaluate(b, instance))
             grad, step, _ = barrier_step(ev, b - b_min, t)
             decrement_sq = float(-grad @ step)
             if decrement_sq <= 0 or decrement_sq / 2.0 <= NEWTON_TOL:
@@ -96,7 +96,7 @@ def log_barrier_solve(instance: bw.AllocationInstance) -> bw.Allocation:
             for _ in range(60):
                 trial = b + s * step
                 if (trial > b_min).all() and \
-                        barrier_value(bw._value(trial, instance), trial) \
+                        barrier_value(bw._evaluate(trial, instance).value, trial) \
                         <= base + LINE_ALPHA * s * slope:
                     improved = True
                     break
@@ -111,5 +111,5 @@ def log_barrier_solve(instance: bw.AllocationInstance) -> bw.Allocation:
             break
         t *= MU_GROWTH
 
-    value = bw._value(b, instance)
+    value = bw._evaluate(b, instance).value
     return bw.Allocation(b, value, total_newton, m / t)

@@ -1,8 +1,9 @@
 """Test-only oracles of the per-round subproblems.
 
 `grid_oracle` checks the bandwidth allocator on at most 3 clients by an
-exhaustive grid search (`barrier_oracle` covers larger instances), and
-`exact_objective` prices shares with the true, non-smoothed max latency.
+exhaustive grid search (`barrier_oracle` covers larger instances),
+`exact_objective` prices shares with the true, non-smoothed max latency, and
+`smoothing_gap` measures how far the smoothed max lies above it.
 `brute_force_selection` enumerates every selection set to check
 `selection.itmcs` against `selection_objective` on at most 20 clients, and
 `ceiling_selection` spells out the candidates itmcs scans, for any size.
@@ -34,6 +35,12 @@ def exact_objective(ratios: np.ndarray, instance: AllocationInstance) -> float:
     b = np.asarray(ratios, dtype=float)
     u = instance.comp_latency + instance.lat_coeff / b
     return instance.penalty_weight * float(u.max()) + float((instance.price_coeff / b).sum())
+
+
+def smoothing_gap(ratios: np.ndarray, instance: AllocationInstance) -> float:
+    """LSE minus max of the latency terms; lies in [0, ln(m)]."""
+    u = instance.comp_latency + instance.lat_coeff / np.asarray(ratios, dtype=float)
+    return math.log(float(np.exp(u - u.max()).sum()))
 
 
 def grid_oracle(instance: AllocationInstance, step: float) -> Allocation:

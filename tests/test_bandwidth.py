@@ -6,11 +6,11 @@ import pytest
 
 from flsched import bandwidth as bw
 from flsched.bandwidth import (AllocationInstance, barrier_solve, lse_error_bound, simplex_grid,
-                               smoothed_objective, smoothing_gap)
+                               smoothed_objective)
 from flsched.errors import Infeasible, NoConverge, TooLarge
 
 from barrier_oracle import log_barrier_solve
-from oracles import exact_objective, grid_oracle
+from oracles import exact_objective, grid_oracle, smoothing_gap
 
 
 def rand_instance(rng, m, b_min=0.01):
@@ -103,7 +103,7 @@ def test_hessian_factors_match_dense_formula():
         m = int(rng.integers(1, 40))
         inst = rand_instance(rng, m)
         b = rng.uniform(0.01, 1.0, m)
-        ev = bw._factors(b, inst)
+        ev = bw._factors(b, inst, bw._evaluate(b, inst))
         hess = smoothed_objective(b, inst).hessian
         assert np.array_equal(np.diag(ev.diag) - np.outer(ev.rank_one, ev.rank_one), hess)
         v, s, g = inst.penalty_weight, inst.lat_coeff, inst.price_coeff
@@ -139,7 +139,7 @@ def test_newton_step_matches_dense_kkt():
         inst = rand_instance(rng, m, b_min=b_min)
         zero_priced += int(np.any(inst.price_coeff == 0))
         b, free = floored_point(rng, m, b_min)
-        ev = bw._factors(b, inst)
+        ev = bw._factors(b, inst, bw._evaluate(b, inst))
         free &= ev.diag > bw.FLAT_TOL * ev.value  # a flat share is never free
         if not free.any():
             continue
@@ -172,12 +172,17 @@ def test_newton_step_matches_dense_kkt():
 def test_newton_step_rejects_singular_system():
     inst = AllocationInstance(np.zeros(2), np.ones(2), np.zeros(2), 1.0, 0.1)
     b = np.array([0.5, 0.5])
-    ev = bw._factors(b, inst)
+    ev = bw._factors(b, inst, bw._evaluate(b, inst))
     both = np.ones(2, dtype=bool)
     with pytest.raises(NoConverge, match="singular KKT"):
         bw._newton_step(ev._replace(diag=np.array([np.inf, 1.0])), both, np.zeros(2))
     with pytest.raises(NoConverge, match="singular KKT"):
         bw._newton_step(ev._replace(weights=np.zeros(2)), both, np.zeros(2))
+    # a NaN fails the min/max test of the curvature and the sign test of delta
+    with pytest.raises(NoConverge, match="singular KKT"):
+        bw._newton_step(ev._replace(diag=np.array([np.nan, 1.0])), both, np.zeros(2))
+    with pytest.raises(NoConverge, match="singular KKT"):
+        bw._newton_step(ev._replace(weights=np.array([np.nan, 0.5])), both, np.zeros(2))
     # nothing free, or a free share without curvature: no Newton step
     with pytest.raises(NoConverge, match="singular KKT"):
         bw._newton_step(ev, np.zeros(2, dtype=bool), np.zeros(2))
@@ -219,7 +224,7 @@ def test_diagonal_free_solves_the_diagonal_model():
         b_min = rng.uniform(0.0, 0.9) / m
         inst = rand_instance(rng, m, b_min=b_min)
         b, _ = floored_point(rng, m, b_min)
-        ev = bw._factors(b, inst)
+        ev = bw._factors(b, inst, bw._evaluate(b, inst))
         movable = ev.diag > bw.FLAT_TOL * ev.value
         moves = rng.uniform(-1, 0, m) * (b - b_min)  # the others drop toward the floor
         fixed = float(moves[~movable].sum())
@@ -340,16 +345,49 @@ def test_barrier_two_identical_clients():
     assert got.duality_gap <= bw.NEWTON_TOL * got.objective
 
 
+FLAT_INSTANCES = (
+    # no share moves the value
+    AllocationInstance(np.array([0.3, 0.1]), np.zeros(2), np.zeros(2), 1.0, 0.1),
+    # the slowest client's latency does not depend on its share
+    AllocationInstance(np.array([5.0, 0.0]), np.array([0.0, 0.1]), np.array([0.0, 0.1]),
+                       1.0, 0.1),
+)
+
+
 def test_barrier_flat_clients():
     # no share moves the value: the equal split stands
-    flat = AllocationInstance(np.array([0.3, 0.1]), np.zeros(2), np.zeros(2), 1.0, 0.1)
-    got = barrier_solve(flat)
+    got = barrier_solve(FLAT_INSTANCES[0])
     assert np.array_equal(got.ratios, [0.5, 0.5]) and got.iterations == 0
-    # the slowest client's latency does not depend on its share: it goes to the floor
-    inst = AllocationInstance(np.array([5.0, 0.0]), np.array([0.0, 0.1]),
-                              np.array([0.0, 0.1]), 1.0, 0.1)
-    got = barrier_solve(inst)
+    # the slowest client goes to the floor
+    got = barrier_solve(FLAT_INSTANCES[1])
     assert np.array_equal(got.ratios, [0.1, 0.9])
+
+
+def test_barrier_solve_evaluates_each_point_once(monkeypatch):
+    # the Newton factors, the final value, the smoothing gap and the flat
+    # clients' targets reuse the evaluation of the point they are taken at
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(bw, "_evaluate", counted("points", bw._evaluate))
+    monkeypatch.setattr(bw, "_project", counted("trials", bw._project))  # one per trial
+    rng = np.random.default_rng(20)
+    solved = 0
+    for inst in [stress_instance(rng) for _ in range(100)] + list(FLAT_INSTANCES):
+        counts.update(points=0, trials=0)
+        barrier_solve(inst)
+        # the fixed point, or the equal split and, when it has any weight to
+        # spread, the water-filling guess
+        fixed = bw.fixed_share(inst.size, inst.min_ratio) is not None
+        starts = 1 if fixed or not (inst.lat_coeff.any() or inst.price_coeff.any()) else 2
+        assert counts["points"] == starts + counts["trials"]
+        solved += counts["trials"] > 0
+    assert solved >= 50
 
 
 def test_barrier_single_client():
