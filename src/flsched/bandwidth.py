@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Infeasible, NoConverge, TooLarge
+from .errors import Infeasible, NoConverge
 from .model import FEAS_TOL, finite_non_negative, max_clients
 
 # projected Newton tuning: constants, not run parameters; read at call time
@@ -379,7 +379,7 @@ def simplex_grid(m: int, b_min: float, step: float) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > 3:
-        raise TooLarge("simplex grid limited to 3 clients")
+        raise Infeasible("simplex grid limited to 3 clients")
     if m > max_clients(b_min):
         raise Infeasible("floor times client count exceeds the whole band")
     if m == 1:
@@ -387,7 +387,7 @@ def simplex_grid(m: int, b_min: float, step: float) -> np.ndarray:
     top = 1.0 - (m - 1) * b_min
     steps = (top - b_min) / step + 1e-9
     if steps >= GRID_LIMIT or (math.floor(steps) + 1) ** (m - 1) > GRID_LIMIT:
-        raise TooLarge(f"share grid for {m} clients at step {step:g} exceeds {GRID_LIMIT} points")
+        raise Infeasible(f"share grid for {m} clients at step {step:g} exceeds {GRID_LIMIT} points")
     n = int(math.floor(steps))
     axis = b_min + step * np.arange(n + 1)
     shares = [g.ravel() for g in np.meshgrid(*[axis] * (m - 1), indexing="ij")]

@@ -1,11 +1,13 @@
 """Command line entry point.
 
 Subcommands: run, sweep-v, compare, calibrate, verify-bounds.
-Exit codes: 0 success, 2 config error (including a bad number on the command
-line: a --v-grid entry or --grid-step that is not finite and positive, a
---grid-step that leaves a one-point share grid, a non-finite --target-avg or
-a negative --seed), 3 infeasible/unreachable or a bandwidth solve that did not
-converge, 4 verification failure.
+Exit codes, each from one error class of `errors`: 0 success; 2 ConfigError,
+a malformed config or a bad number on the command line (a --v-grid entry or
+--grid-step that is not finite and positive, a --grid-step that leaves a
+one-point share grid, a non-finite --target-avg or a negative --seed); 3
+Infeasible, an instance that cannot be solved as asked, or NoConverge, a
+bandwidth solve that did not converge; 4 VerificationError, a run that broke
+a checked rule, or a bound that verify-bounds finds broken.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import math
 import sys
 
 from . import harness
-from .errors import (ConfigError, Infeasible, InfeasibleBound, InfeasibleConfig,
-                     InfeasibleLink, NoConverge, TooLarge, Unreachable, VerificationError)
+from .errors import ConfigError, Infeasible, NoConverge, VerificationError
 from .scheduler import POLICY_KINDS
 
 EXIT_OK = 0
@@ -29,9 +30,6 @@ EXIT_VERIFY = 4
 # The fixed case `verify-bounds` checks: small enough for the exhaustive lookahead.
 VERIFY_CASE = harness.HarnessConfig(overrides={
     "num_clients": 3, "num_rounds": 4, "frame_len": 2, "num_frames": 2, "min_ratio": 0.1})
-
-_INFEASIBLE_ERRORS = (Infeasible, InfeasibleBound, InfeasibleConfig,
-                      InfeasibleLink, Unreachable, TooLarge)
 
 
 def _finite(flag: str, value: float) -> float:
@@ -163,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _INFEASIBLE_ERRORS as exc:
+    except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except NoConverge as exc:

@@ -1,37 +1,22 @@
-"""Exception types shared across the package."""
-
-
-class InfeasibleLink(ValueError):
-    """A client cannot transmit: bandwidth share times rate coefficient is zero."""
-
-
-class InfeasibleBound(ValueError):
-    """Drift-bound constant cannot be finite (some worst-case energy is infinite)."""
-
-
-class TooLarge(ValueError):
-    """Instance exceeds the size an exhaustive oracle can enumerate."""
-
-
-class Infeasible(ValueError):
-    """No feasible point exists for the requested allocation."""
-
-
-class NoConverge(RuntimeError):
-    """Newton iterations exhausted before reaching the requested tolerance."""
-
-
-class InfeasibleConfig(ValueError):
-    """Policy parameters are incompatible with the system (bandwidth floor, empty sample)."""
+"""Exception types shared across the package, one per CLI exit code (NoConverge aside)."""
 
 
 class ConfigError(ValueError):
-    """Malformed or unknown configuration content."""
+    """Malformed or unknown configuration content, or a bad command-line number. Exit 2."""
 
 
-class Unreachable(RuntimeError):
-    """Calibration target cannot be met within the parameter bracket."""
+class Infeasible(RuntimeError):
+    """The instance cannot be solved as asked. Exit 3.
+
+    A floor no split of the band can meet, a dead link, an unbounded drift
+    constant, a calibration target out of reach, or an instance too large
+    for an exhaustive search.
+    """
+
+
+class NoConverge(RuntimeError):
+    """Newton iterations exhausted before reaching the requested tolerance. Exit 3."""
 
 
 class VerificationError(RuntimeError):
-    """A run broke one of the guarantees every run checks (drift or deficit bound)."""
+    """A run broke a checked rule: a round's share rules, the drift or the deficit bound. Exit 4."""

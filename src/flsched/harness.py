@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bandwidth as bw
 from . import model
-from .errors import ConfigError, TooLarge, Unreachable
+from .errors import ConfigError, Infeasible
 from .scheduler import PolicySpec, RunTrace, run_policy
 from .simenv import DEFAULTS, IID, NONIID, Scenario, ScenarioSpec, checked, number
 
@@ -269,7 +269,7 @@ def calibrate(config_path: str | Path, policy_kind: str, target_avg_selected: fl
     """Bisect the policy's knob until the average selected count is CALIBRATION_TOLERANCE close.
 
     Knobs: penalty weight for PEDPC, selection fraction for Random, latency
-    cap for FedCS. Raises Unreachable when the bracket cannot meet the target.
+    cap for FedCS. Raises Infeasible when the bracket cannot meet the target.
     """
     scenario = build_scenario(load_config(config_path), seed)
     return _calibrate(scenario, policy_kind, target_avg_selected)[0]
@@ -286,7 +286,7 @@ def _calibrate(scenario: Scenario, policy_kind: str, target: float
         # exact by construction: floor(fraction * K) clients every round
         k = scenario.config.num_clients
         if not (1 <= target <= k):
-            raise Unreachable("target outside [1, K]")
+            raise Infeasible("target outside [1, K]")
         return float(target) / k, None
     if policy_kind not in _CALIBRATION_KNOBS:
         raise ValueError(f"policy {policy_kind!r} has no calibration knob")
@@ -302,7 +302,7 @@ def _calibrate(scenario: Scenario, policy_kind: str, target: float
     if abs(s_hi.avg_selected - target) <= CALIBRATION_TOLERANCE:
         return hi, s_hi
     if s_lo.avg_selected > target or s_hi.avg_selected < target:
-        raise Unreachable("target outside the achievable bracket")
+        raise Infeasible("target outside the achievable bracket")
     for _ in range(60):
         mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
         s_mid = probe(mid)
@@ -312,7 +312,7 @@ def _calibrate(scenario: Scenario, policy_kind: str, target: float
             lo = mid
         else:
             hi = mid
-    raise Unreachable("bisection failed to reach the target")
+    raise Infeasible("bisection failed to reach the target")
 
 
 def compare_policies(config_path: str | Path, seed: int = 0, target_avg: float = 40.0
@@ -392,7 +392,7 @@ def _frame_lookahead(scenario: Scenario, frame_index: int, grid_step: float) -> 
         per_round.append((np.concatenate(ys), np.vstack(es)))
     sizes = math.prod(ys.size for ys, _ in per_round)
     if sizes > bw.GRID_LIMIT:
-        raise TooLarge(f"lookahead product too large ({sizes} combinations)")
+        raise Infeasible(f"lookahead product too large ({sizes} combinations)")
 
     acc_y = np.zeros(1)
     acc_e = np.zeros((1, k))
@@ -411,7 +411,7 @@ def verify_bounds(cfg: HarnessConfig, seed: int, penalty_weights: Sequence[float
     Computes the frame-wise offline optimum of the configured realization by
     exhaustive search, once, then for each penalty weight runs the online
     policy on the same realization and evaluates both inequalities with the
-    scenario's drift constant. The search bounds the case's size (TooLarge):
+    scenario's drift constant. The search bounds the case's size (Infeasible):
     the share grid takes at most 3 clients and 5e6 points, counted before it
     is built, and a frame at most 5e6 plans, which also caps the frontier.
     Raises ConfigError for a grid step that leaves the grid of some client

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InfeasibleBound
+from .errors import Infeasible
 
 
 def update_queue(backlog: np.ndarray, spent: np.ndarray, credit: np.ndarray) -> np.ndarray:
@@ -34,18 +34,18 @@ def drift_bound(credit: np.ndarray, max_energy: np.ndarray) -> float:
 
     max_energy[k] must upper-bound any realized round energy of client k
     (computed by the caller at the bandwidth floor and the worst channel the
-    environment can draw). Raises InfeasibleBound if any entry is infinite,
+    environment can draw). Raises Infeasible if any entry is infinite,
     or if D itself lies beyond the float range.
     """
     max_energy = np.asarray(max_energy, dtype=float)
     if np.any(max_energy < 0) or np.any(np.isnan(max_energy)):
         raise ValueError("max_energy must be non-negative")
     if np.any(np.isinf(max_energy)):
-        raise InfeasibleBound("worst-case round energy is unbounded")
+        raise Infeasible("worst-case round energy is unbounded")
     with np.errstate(over="ignore"):
         constant = 0.5 * float(np.maximum(credit ** 2, (max_energy - credit) ** 2).sum())
     if not np.isfinite(constant):
-        raise InfeasibleBound("drift constant overflows the float range")
+        raise Infeasible("drift constant overflows the float range")
     return constant
 
 
@@ -73,6 +73,15 @@ def energy_prices(backlog: np.ndarray, energy: np.ndarray) -> np.ndarray:
 
 def deficit_ok(backlog_trace: np.ndarray, consumed: np.ndarray, budgets: np.ndarray
                ) -> np.ndarray:
-    """Per client, whether Z_k(R) - Z_k(0) >= consumed_k - budget_k (row r: backlog entering r)."""
+    """Per client, whether Z_k(R) - Z_k(0) >= consumed_k - budget_k (row r: backlog entering r).
+
+    The bound holds exactly, since each clamp can only raise a backlog. The
+    allowance is 1e-9 J plus what rounding can cost in the R clamped updates,
+    the R-term sum `consumed` and the budget's per-round split: at most
+    4 R 2**-53 times consumed + budget + largest backlog, which bounds every
+    partial sum they pass through.
+    """
+    rounds = backlog_trace.shape[0] - 1
+    allowance = 1e-9 + 4 * rounds * 2.0 ** -53 * (consumed + budgets + backlog_trace.max(axis=0))
     final_gap = backlog_trace[-1] - backlog_trace[0]
-    return final_gap >= consumed - budgets - 1e-9
+    return final_gap >= consumed - budgets - allowance

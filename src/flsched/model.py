@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InfeasibleLink
+from .errors import Infeasible, VerificationError
 
 SUM_TOL = 1e-9  # allowed slack on the bandwidth simplex equality
 FEAS_TOL = 1e-12  # allowed excess of the floored shares over the whole band
@@ -113,7 +113,7 @@ class Population:
                 raise ValueError(f"{f.name} must be strictly positive")
         if (self.local_iters != np.floor(self.local_iters)).any():
             raise ValueError("local_iters must be a positive integer")
-        # a cost past the float range is +inf, which the drift bound reports (InfeasibleBound)
+        # a cost past the float range is +inf, which the drift bound reports (Infeasible)
         with np.errstate(over="ignore"):
             object.__setattr__(self, "comp_energy",
                                self.local_iters * self.capacitance * self.cycles_per_bit
@@ -127,7 +127,7 @@ class Population:
 
 
 def check_shares(shares: np.ndarray, config: SystemConfig) -> None:
-    """Raise if one round's shares violate the floor or the simplex equality.
+    """Raise VerificationError if one round's shares violate the floor or the simplex equality.
 
     A client is selected iff its share is non-zero, so a NaN share counts as
     selected; both checks are written to fail on it. Selecting nobody is valid.
@@ -136,9 +136,9 @@ def check_shares(shares: np.ndarray, config: SystemConfig) -> None:
     if not held.size:
         return
     if not held.min() >= config.min_ratio - FEAS_TOL:
-        raise ValueError("selected client below the bandwidth floor")
+        raise VerificationError("selected client below the bandwidth floor")
     if not abs(held.sum() - 1.0) <= SUM_TOL:
-        raise ValueError("selected shares must sum to one")
+        raise VerificationError("selected shares must sum to one")
 
 
 def round_credit(population: Population, config: SystemConfig) -> np.ndarray:
@@ -180,12 +180,12 @@ def selected_totals(population: Population, rate_coeff: np.ndarray, shares: np.n
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Per-client (latency, energy) arrays; zero entries for unselected clients (zero shares).
 
-    Raises InfeasibleLink if a selected client has zero achieved rate.
+    Raises Infeasible if a selected client has zero achieved rate.
     """
     sel = shares != 0
     latency, energy = client_round(population, rate_coeff, shares)
     if np.isinf(latency[sel]).any():
-        raise InfeasibleLink("selected client with zero transmission rate")
+        raise Infeasible("selected client with zero transmission rate")
     return np.where(sel, latency, 0.0), np.where(sel, energy, 0.0)
 
 

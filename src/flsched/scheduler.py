@@ -37,7 +37,7 @@ import numpy as np
 from . import bandwidth as bw
 from . import lyapunov as lyap
 from . import model
-from .errors import InfeasibleConfig, VerificationError
+from .errors import Infeasible, VerificationError
 from .model import RoundContext, SystemConfig
 from .selection import SelectionInstance, itmcs
 from .simenv import Scenario, number, policy_rng
@@ -165,7 +165,7 @@ def baseline_select_all(config: SystemConfig) -> np.ndarray:
     """Everyone selected, equal shares."""
     k = config.num_clients
     if k > config.max_selectable:
-        raise InfeasibleConfig("equal split over all clients falls below the floor")
+        raise Infeasible("equal split over all clients falls below the floor")
     return np.full(k, 1.0 / k)
 
 
@@ -175,9 +175,9 @@ def baseline_random(config: SystemConfig, fraction: float,
     k = config.num_clients
     n = int(math.floor(fraction * k + 1e-9))  # guard against 0.29*100 = 28.999...
     if n < 1:
-        raise InfeasibleConfig("fraction selects nobody")
+        raise Infeasible("fraction selects nobody")
     if n > config.max_selectable:
-        raise InfeasibleConfig("equal split over the sample falls below the floor")
+        raise Infeasible("equal split over the sample falls below the floor")
     shares = np.zeros(k)
     shares[rng.choice(k, size=n, replace=False)] = 1.0 / n
     return shares

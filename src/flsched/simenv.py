@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lyapunov as lyap
 from . import model
-from .errors import InfeasibleBound
+from .errors import Infeasible
 from .model import Population, RoundContext, SystemConfig
 
 IID = "IID"
@@ -199,13 +199,13 @@ class Scenario:
         Valid almost surely for the sampled environment since gains never fall
         below the configured range's lower edge. A ceiling beyond the float
         range is +inf, which the drift constant reports as unbounded. Raises
-        InfeasibleBound if the rate at the range's upper edge, the largest any
+        Infeasible if the rate at the range's upper edge, the largest any
         round can draw, overflows the float range.
         """
         lo, hi = self.spec.param("gain_sq")
         with np.errstate(over="ignore"):
             if not np.isfinite(model.rate_coefficients(self.population, hi, self.config)).all():
-                raise InfeasibleBound("rate coefficient overflows the float range")
+                raise Infeasible("rate coefficient overflows the float range")
             g_min = model.rate_coefficients(self.population, lo, self.config)
             return model.client_round(self.population, g_min, self.config.min_ratio)[1]
 
@@ -213,9 +213,9 @@ class Scenario:
     def drift(self) -> float:
         """The drift constant D every run on this scenario is checked against, built on first use.
 
-        Lazy, so that an unbounded worst case raises InfeasibleBound (an
-        infeasible instance) when a run starts, not inside a caller's handling
-        of malformed scenario parameters.
+        Lazy, so that only a run pays for it: an unbounded worst case raises
+        Infeasible when the first run starts, and a caller that builds the
+        scenario without running it (Random's calibration) still succeeds.
         """
         return lyap.drift_bound(model.round_credit(self.population, self.config),
                                 self.worst_case_energy())

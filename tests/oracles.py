@@ -22,7 +22,7 @@ import numpy as np
 
 from flsched import model
 from flsched.bandwidth import Allocation, AllocationInstance, simplex_grid
-from flsched.errors import TooLarge
+from flsched.errors import Infeasible
 from flsched.model import FEAS_TOL
 from flsched.selection import SelectionInstance, SelectionResult
 from flsched.simenv import Scenario
@@ -50,7 +50,7 @@ def grid_oracle(instance: AllocationInstance, step: float) -> Allocation:
     the objective formula directly on every feasible grid point.
     """
     if instance.size > 3:
-        raise TooLarge("grid oracle limited to 3 clients")
+        raise Infeasible("grid oracle limited to 3 clients")
     if step > 1e-3 + FEAS_TOL:
         raise ValueError("oracle grid step must be at most 1e-3")
     points = simplex_grid(instance.size, instance.min_ratio, step)
@@ -83,11 +83,11 @@ def _subset_masks(k: int) -> tuple[np.ndarray, np.ndarray]:
 def brute_force_selection(instance: SelectionInstance) -> SelectionResult:
     """Exhaustive minimizer of W; ties broken by smaller set, then lexicographic.
 
-    Raises TooLarge beyond 20 clients.
+    Raises Infeasible beyond 20 clients.
     """
     k = len(instance.scores)
     if k > BRUTE_FORCE_LIMIT:
-        raise TooLarge(f"brute force limited to {BRUTE_FORCE_LIMIT} clients")
+        raise Infeasible(f"brute force limited to {BRUTE_FORCE_LIMIT} clients")
     masks, sizes = _subset_masks(k)
     t_max = np.where(masks, instance.latencies[None, :], -np.inf).max(axis=1)
     t_max[0] = 0.0

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flsched import bandwidth as bw
-from flsched import cli, harness
+from flsched import cli, harness, scheduler
 from flsched import lyapunov as lyap
-from flsched.errors import ConfigError, TooLarge, Unreachable
+from flsched.errors import ConfigError, Infeasible
 from flsched.harness import (HarnessConfig, calibrate, compare_policies, load_config,
                              parse_config, run_experiment, sweep_v, verify_bounds)
 from flsched.model import Population, SystemConfig
@@ -286,6 +286,109 @@ def test_cli_verify_bounds_drift_violation_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(lyap, "drift_gap", lambda *args: -1.0)
     assert cli.main(["verify-bounds", "--v-grid", "1"]) == cli.EXIT_VERIFY
     assert "drift inequality" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shares,message", [
+    ([0.1, 0.9], "selected client below the bandwidth floor"),
+    ([0.3, 0.3], "selected shares must sum to one"),
+])
+def test_cli_run_broken_share_rules_exit_4(tmp_path, monkeypatch, capsys, shares, message):
+    # a policy whose shares break the floor (0.2 here) or the simplex equality
+    # fails the run's share check, which is a verification failure
+    path = tmp_path / "floor.json"
+    path.write_text(json.dumps({"system": {"num_clients": 8, "num_rounds": 4, "frame_len": 2,
+                                           "num_frames": 2, "min_ratio": 0.2},
+                                "output": {"dir": str(tmp_path / "out")}}))
+    monkeypatch.setattr(scheduler, "baseline_greedy", lambda ctx: np.array(shares + [0.0] * 6))
+    assert cli.main(["run", "--config", str(path), "--policy", "Greedy"]) == cli.EXIT_VERIFY
+    assert capsys.readouterr().err == f"verification failed: {message}\n"
+
+
+# SelectAll at seed 299: every backlog and both sides of the deficit bound reach
+# about 2.3e7 J, where the two sides differ by one ulp (3.7e-9 J)
+DEFICIT_ROUNDING_CASE = {
+    "system": {"num_clients": 20, "num_rounds": 6, "frame_len": 2, "num_frames": 3,
+               "min_ratio": 6.6367538581906305e-06, "bandwidth": 10272.682576386149},
+    "scenario": {"energy_budget": 377.3808000658412,
+                 "gain_sq": [2.2442540853163686e-16, 4.485951770817831e-15],
+                 "model_size": 22309469.946381085},
+    "policy": {"kind": "SelectAll"},
+}
+
+
+def test_cli_run_deficit_bound_at_large_energies_exits_0(tmp_path, capsys):
+    path = tmp_path / "deficit_rounding.json"
+    path.write_text(json.dumps({**DEFICIT_ROUNDING_CASE,
+                                "output": {"dir": str(tmp_path / "out")}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", "--config", str(path), "--seed", "299"]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["avg_selected"] == 20.0
+
+
+def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    return float(10.0 ** rng.uniform(np.log10(lo), np.log10(hi)))
+
+
+def _fuzz_config(rng: np.random.Generator, out: Path) -> dict:
+    """A valid config drawn from wide ranges: 1-30 clients, 1-3 frames of 1-3 rounds,
+    and log-uniform floors, budgets, gain ranges, model sizes, bandwidths and V."""
+    frame_len, num_frames = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    gain_lo = _log_uniform(rng, 1e-16, 1e-6)
+    return {
+        "system": {"num_clients": int(rng.integers(1, 31)),
+                   "num_rounds": frame_len * num_frames, "frame_len": frame_len,
+                   "num_frames": num_frames, "min_ratio": _log_uniform(rng, 1e-6, 1.0),
+                   "bandwidth": _log_uniform(rng, 1e3, 1e10)},
+        "scenario": {"energy_budget": _log_uniform(rng, 1e-6, 1e3),
+                     "gain_sq": [gain_lo, gain_lo * _log_uniform(rng, 1.0, 1e4)],
+                     "model_size": _log_uniform(rng, 1e2, 1e8)},
+        "policy": {"penalty": _log_uniform(rng, 1e-12, 1e12),
+                   "random_fraction": float(rng.uniform(0.0, 1.0)) or 1.0,
+                   "latency_cap": _log_uniform(rng, 1e-3, 1e3)},
+        "output": {"dir": str(out)},
+    }
+
+
+FUZZ_CONFIGS = 120
+
+
+def test_cli_run_fuzz_exits_0_or_3(tmp_path, capsys):
+    # every drawn config is valid, so each run completes (0) or is infeasible (3):
+    # an exit 2 is a validation gap, an exit 4 a broken guarantee
+    rng = np.random.default_rng(0)
+    path = tmp_path / "fuzz.json"
+    failures = []
+    for _ in range(FUZZ_CONFIGS):
+        doc = _fuzz_config(rng, tmp_path / "out")
+        seed = str(int(rng.integers(0, 1000)))
+        path.write_text(json.dumps(doc))
+        for kind in POLICY_KINDS:
+            argv = ["run", "--config", str(path), "--seed", seed, "--policy", kind]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    code = cli.main(argv)
+                except Exception as exc:  # an escape is what this test reports
+                    code = repr(exc)
+            err = capsys.readouterr().err
+            if code not in (cli.EXIT_OK, cli.EXIT_INFEASIBLE):
+                failures.append((kind, seed, code, err, doc))
+    assert not failures
+
+
+def _infeasible(*args):
+    raise Infeasible("found while the config was read")
+
+
+@pytest.mark.parametrize("target", ["checked", "Scenario"])
+def test_cli_infeasible_inside_a_config_handler_exits_3(tmp_path, monkeypatch, capsys, target):
+    # parse_config and build_scenario turn a ValueError into a ConfigError (exit 2);
+    # an infeasible instance is not one, wherever it is found
+    monkeypatch.setattr(harness, target, _infeasible)
+    assert cli.main(["run", "--config", str(small_config(tmp_path))]) == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "infeasible: found while the config was read\n"
 
 
 def test_cli_run_unbounded_worst_case_exits_3(tmp_path, capsys):
@@ -742,7 +845,7 @@ def test_sweep_v_rejects_colliding_file_names(tmp_path, monkeypatch, capsys):
 def test_calibrate_random_exact(tmp_path):
     path = small_config(tmp_path)
     assert calibrate(path, "Random", 4, seed=0) == pytest.approx(0.5)
-    with pytest.raises(Unreachable):
+    with pytest.raises(Infeasible):
         calibrate(path, "Random", 0, seed=0)
     with pytest.raises(ValueError):
         calibrate(path, "Greedy", 4, seed=0)
@@ -766,7 +869,7 @@ def test_tiny_case_guard(monkeypatch):
     # the size limit is the lookahead's, the frame check SystemConfig's; both
     # stop verify_bounds before the online run starts
     monkeypatch.setattr(harness, "run_policy", _no_run)
-    with pytest.raises(TooLarge):
+    with pytest.raises(Infeasible):
         verify_bounds(_tiny(num_clients=4), 0, [1.0], 0.05)
     with pytest.raises(ConfigError, match="frame_len"):
         verify_bounds(_tiny(frame_len=3), 0, [1.0], 0.05)

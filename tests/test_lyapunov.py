@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flsched.errors import InfeasibleBound
+from flsched.errors import Infeasible
 from flsched.lyapunov import (deficit_ok, drift_bound, drift_gap, energy_prices,
                               lyapunov_value, update_queue)
 from flsched.model import client_round, round_credit
@@ -75,7 +75,7 @@ def test_drift_bound_single_client():
 
 
 def test_drift_bound_infinite():
-    with pytest.raises(InfeasibleBound):
+    with pytest.raises(Infeasible):
         drift_bound(CREDIT, np.array([np.inf, 0.01]))
 
 
@@ -83,9 +83,9 @@ def test_drift_bound_overflow_is_infeasible_without_a_warning():
     # finite credits and ceilings whose squares pass the float range
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InfeasibleBound, match="^drift constant overflows the float range$"):
+        with pytest.raises(Infeasible, match="^drift constant overflows the float range$"):
             drift_bound(np.full(2, 1e160), np.array([0.0, 0.01]))
-        with pytest.raises(InfeasibleBound, match="^drift constant overflows"):
+        with pytest.raises(Infeasible, match="^drift constant overflows"):
             drift_bound(CREDIT, np.array([1e300, 1e300]))
 
 
@@ -136,3 +136,18 @@ def test_deficit_ok():
     assert ok[0]  # 0.5 >= 1.9 - 1.5
     assert ok[1]  # 0.0 >= 0.2 - 1.5
     assert not deficit_ok(trace, np.array([2.1, 0.2]), budgets)[0]
+
+
+def test_deficit_ok_allowance_scales_with_the_energies():
+    # the allowance covers float rounding only: at unit scale a 1e-6 J shortfall
+    # fails, also over 300 rounds, while one ulp at 2.3e7 J (seed 299's case) passes
+    for rounds in (1, 6, 300):
+        trace = np.zeros((rounds + 1, 1))
+        trace[1:] = 1.0
+        assert deficit_ok(trace, np.array([2.5]), np.array([1.5]))[0]
+        assert not deficit_ok(trace, np.array([2.5 + 1e-6]), np.array([1.5]))[0]
+    budget, consumed = 377.3808000658412, 2.3e7
+    trace = np.zeros((7, 1))
+    trace[1:] = consumed - budget
+    assert deficit_ok(trace, np.array([np.nextafter(consumed, np.inf)]), np.array([budget]))[0]
+    assert not deficit_ok(trace, np.array([consumed + 1e-6 * consumed]), np.array([budget]))[0]

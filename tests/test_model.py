@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flsched.bandwidth import AllocationInstance, simplex_grid
-from flsched.errors import Infeasible, InfeasibleConfig, InfeasibleLink
+from flsched.errors import Infeasible, VerificationError
 from flsched.model import (FEAS_TOL, Population, RoundContext, SystemConfig, check_shares,
                            client_round, client_utility, max_clients, rate_coefficients,
                            selected_totals)
@@ -151,7 +151,7 @@ def test_comm_quantities_dead_link(twin_population):
     latency, energy = client_round(twin_population, np.array([0.0, G_REF]),
                                    np.array([0.5, 0.0]))
     assert np.isinf(latency).all() and np.isinf(energy).all()
-    with pytest.raises(InfeasibleLink):
+    with pytest.raises(Infeasible):
         selected_totals(twin_population, np.array([0.0, G_REF]), np.array([1.0, 0.0]))
 
 
@@ -258,12 +258,12 @@ def test_round_cost_lower_bound(twin_population, example_config):
 def test_check_shares(example_config):
     check_shares(np.array([1.0, 0.0]), example_config)
     for shares in ([0.9, 0.0], [0.0, 0.5]):
-        with pytest.raises(ValueError, match="^selected shares must sum to one$"):
+        with pytest.raises(VerificationError, match="^selected shares must sum to one$"):
             check_shares(np.array(shares), example_config)
-    with pytest.raises(ValueError, match="^selected client below the bandwidth floor$"):
+    with pytest.raises(VerificationError, match="^selected client below the bandwidth floor$"):
         check_shares(np.array([1.0, 0.001]), example_config)
     for nan_shares in ([np.nan, 1.0], [np.nan, np.nan]):  # NaN meets neither the floor nor the sum
-        with pytest.raises(ValueError, match="^selected client below the bandwidth floor$"):
+        with pytest.raises(VerificationError, match="^selected client below the bandwidth floor$"):
             check_shares(np.array(nan_shares), example_config)
     check_shares(np.zeros(2), example_config)
 
@@ -277,7 +277,7 @@ def test_selected_totals_matches_scalar(twin_population, example_config):
         t_ref, e_ref = client_oracle(twin_population, k, coeffs[k], shares[k])
         assert lat[k] == pytest.approx(t_ref, rel=1e-14)
         assert en[k] == pytest.approx(e_ref, rel=1e-14)
-    with pytest.raises(InfeasibleLink):
+    with pytest.raises(Infeasible):
         selected_totals(twin_population, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
 
@@ -316,12 +316,12 @@ def test_floor_capacity_is_one_rule(min_ratio):
         with pytest.raises(Infeasible):
             simplex_grid(cap + 1, min_ratio, 0.01)
     assert np.count_nonzero(baseline_select_all(_floor_config(min_ratio, cap))) == cap
-    with pytest.raises(InfeasibleConfig):
+    with pytest.raises(Infeasible):
         baseline_select_all(_floor_config(min_ratio, cap + 1))
     wide = _floor_config(min_ratio, cap + 1)
     rng = np.random.default_rng(0)
     assert np.count_nonzero(baseline_random(wide, cap / (cap + 1), rng)) == cap
-    with pytest.raises(InfeasibleConfig):
+    with pytest.raises(Infeasible):
         baseline_random(wide, 1.0, rng)
 
 

@@ -6,7 +6,7 @@ import pytest
 from flsched import bandwidth as bw
 from flsched import lyapunov as lyap
 from flsched import model, scheduler, simenv
-from flsched.errors import InfeasibleConfig, VerificationError
+from flsched.errors import Infeasible, VerificationError
 from flsched.model import RoundContext, SystemConfig, check_shares, selected_totals
 from flsched.scheduler import (DESCENT_SLACK, PolicySpec, SolveResult, _p3_value,
                                baseline_fedcs, baseline_greedy, baseline_random,
@@ -113,7 +113,7 @@ def test_baseline_select_all_infeasible():
     cfg = SystemConfig(num_clients=2, num_rounds=300, frame_len=30, num_frames=10,
                        bandwidth=1e7, min_ratio=0.6, noise_power=1e-13,
                        accuracy_coeff=1.7e-8)
-    with pytest.raises(InfeasibleConfig):
+    with pytest.raises(Infeasible):
         baseline_select_all(cfg)
 
 
@@ -131,7 +131,7 @@ def test_baseline_random_counts_and_determinism():
 
 def test_baseline_random_infeasible():
     sc = small_scenario(k=6, min_ratio=0.05)
-    with pytest.raises(InfeasibleConfig):
+    with pytest.raises(Infeasible):
         baseline_random(sc.config, 0.05, policy_rng(0, 0))
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flsched import scheduler
-from flsched.errors import TooLarge
+from flsched.errors import Infeasible
 from flsched.model import RoundContext
 from flsched.selection import SelectionInstance, itmcs
 from flsched.simenv import Scenario, ScenarioSpec
@@ -80,7 +80,7 @@ def test_brute_force_single_client():
 
 
 def test_brute_force_too_large():
-    with pytest.raises(TooLarge):
+    with pytest.raises(Infeasible):
         brute_force_selection(SelectionInstance(np.zeros(21) - 1, np.ones(21), 1.0))
 
 
