@@ -4,7 +4,7 @@ from .bandwidth import (Allocation, AllocationInstance, barrier_solve, lse_error
                         smoothed_objective)
 from .lyapunov import drift_bound, lyapunov_value, update_queue
 from .model import Population, RoundContext, SystemConfig
-from .scheduler import PolicySpec, RoundRecord, RunTrace, run_policy, solve_round
+from .scheduler import PolicySpec, RunTrace, run_policy, solve_round
 from .selection import SelectionInstance, itmcs
 from .simenv import Scenario, ScenarioSpec, generate_population, sample_round
 
@@ -13,7 +13,7 @@ __all__ = [
     "smoothed_objective",
     "drift_bound", "lyapunov_value", "update_queue",
     "Population", "RoundContext", "SystemConfig",
-    "PolicySpec", "RoundRecord", "RunTrace", "run_policy", "solve_round",
+    "PolicySpec", "RunTrace", "run_policy", "solve_round",
     "SelectionInstance", "itmcs",
     "Scenario", "ScenarioSpec", "generate_population", "sample_round",
 ]

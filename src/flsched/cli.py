@@ -111,8 +111,8 @@ def _cmd_sweep(args) -> int:
     summaries = harness.sweep_v(args.config, grid, seed=args.seed)
     for v, s in zip(grid, summaries):
         print(f"V={v:g} avg_selected={s.avg_selected:.2f} "
-              f"total_latency_s={s.total_latency:.6g} "
-              f"energy_overflow_j={s.energy_overflow:.6g}")
+              f"total_latency_s={s.total_latency_s:.6g} "
+              f"energy_overflow_j={s.energy_overflow_j:.6g}")
     return EXIT_OK
 
 
@@ -121,8 +121,8 @@ def _cmd_compare(args) -> int:
     for knob, s in harness.compare_policies(args.config, seed=args.seed, target_avg=target):
         knob = "-" if knob is None else f"{knob:.6g}"
         print(f"{s.policy:<10} knob={knob:<12} avg_selected={s.avg_selected:7.2f} "
-              f"total_latency_s={s.total_latency:12.6g} "
-              f"energy_overflow_j={s.energy_overflow:12.6g} "
+              f"total_latency_s={s.total_latency_s:12.6g} "
+              f"energy_overflow_j={s.energy_overflow_j:12.6g} "
               f"total_phi={s.total_phi:10.6g}")
     return EXIT_OK
 

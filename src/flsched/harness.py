@@ -4,7 +4,10 @@ A single JSON document configures the system, scenario, policy (PEDPC's
 penalty weight V included) and output location. Unknown keys and sections
 anywhere are a hard ConfigError.
 All outputs (per-round CSV, summary JSON, sweep and comparison tables) are
-byte-identical across reruns with the same config and seed.
+byte-identical across reruns with the same config and seed. Each aggregate
+of a run is the `ExperimentSummary` field of the name that the summary JSON
+and the sweep and comparison headers give it, so the tables list their
+aggregates once, in their headers.
 """
 
 from __future__ import annotations
@@ -119,23 +122,16 @@ class ExperimentSummary:
     policy: str
     seed: int
     avg_selected: float
-    total_latency: float
+    total_latency_s: float
     avg_cost: float
-    energy_overflow: float
+    energy_overflow_j: float
     total_phi: float
-    per_client_totals: np.ndarray
+    per_client_totals_j: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "seed": self.seed,
-            "avg_selected": self.avg_selected,
-            "total_latency_s": self.total_latency,
-            "avg_cost": self.avg_cost,
-            "energy_overflow_j": self.energy_overflow,
-            "total_phi": self.total_phi,
-            "per_client_totals_j": [float(x) for x in self.per_client_totals],
-        }
+        """The fields by name, the per-client totals as a list."""
+        return {name: value.tolist() if isinstance(value, np.ndarray) else value
+                for name, value in vars(self).items()}
 
 
 def round_columns(trace: RunTrace, budgets: np.ndarray) -> dict[str, np.ndarray]:
@@ -146,11 +142,10 @@ def round_columns(trace: RunTrace, budgets: np.ndarray) -> dict[str, np.ndarray]
     over axis 1 rounds differently).
     """
     records = trace.records
-    latency = np.array([rec.latency for rec in records])
-    phi = np.array([rec.phi for rec in records])
+    latency, phi = records["latency"], records["phi"]
     cost = latency - phi
     return {
-        "n_selected": np.array([rec.n_selected for rec in records]),
+        "n_selected": records["n_selected"],
         "latency_s": latency,
         "phi": phi,
         "cost": cost,
@@ -167,11 +162,11 @@ def summarize(trace: RunTrace, columns: Mapping[str, np.ndarray]) -> ExperimentS
         policy=trace.policy,
         seed=trace.seed,
         avg_selected=float(np.mean(columns["n_selected"])),
-        total_latency=float(np.sum(columns["latency_s"])),
+        total_latency_s=float(np.sum(columns["latency_s"])),
         avg_cost=float(np.mean(columns["cost"])),
-        energy_overflow=float(columns["energy_overflow_j"][-1]),
+        energy_overflow_j=float(columns["energy_overflow_j"][-1]),
         total_phi=float(np.sum(columns["phi"])),
-        per_client_totals=trace.per_client_totals,
+        per_client_totals_j=trace.energies.sum(axis=0),
     )
 
 
@@ -189,11 +184,11 @@ def _write_lines(path: Path, lines: Sequence[str]) -> None:
 
 
 def write_rounds_csv(path: Path, trace: RunTrace, columns: Mapping[str, np.ndarray]) -> None:
-    """One CSV row per round of the trace, its columns from `round_columns`."""
+    """One CSV row per round of the trace, numbered by position; columns from `round_columns`."""
     lines = [CSV_HEADER]
     rows = zip(*(columns[name].tolist() for name in CSV_HEADER.split(",")[3:]))
-    for rec, (n_selected, *values) in zip(trace.records, rows):
-        lines.append(",".join([str(rec.round), trace.policy, str(trace.seed), str(n_selected),
+    for r, (n_selected, *values) in enumerate(rows):
+        lines.append(",".join([str(r), trace.policy, str(trace.seed), str(n_selected),
                                *map(_fmt, values)]))
     _write_lines(path, lines)
 
@@ -254,8 +249,8 @@ def sweep_v(config_path: str | Path, v_grid: Sequence[float], seed: int = 0
                  for policy in policies]
     lines = [SWEEP_HEADER]
     for v, s in zip(v_grid, summaries):
-        lines.append(",".join([_fmt(v), _fmt(s.avg_selected), _fmt(s.total_latency),
-                               _fmt(s.avg_cost), _fmt(s.energy_overflow), _fmt(s.total_phi)]))
+        lines.append(",".join([_fmt(v), *(_fmt(getattr(s, name))
+                                          for name in SWEEP_HEADER.split(",")[1:])]))
     _write_lines(cfg.output_dir / f"sweep_{seed}.csv", lines)
     return summaries
 
@@ -337,8 +332,8 @@ def compare_policies(config_path: str | Path, seed: int = 0, target_avg: float =
     lines = [COMPARE_HEADER]
     for knob, s in rows:
         lines.append(",".join([s.policy, "" if knob is None else _fmt(knob),
-                               *map(_fmt, (s.avg_selected, s.total_latency, s.energy_overflow,
-                                           s.total_phi))]))
+                               *(_fmt(getattr(s, name))
+                                 for name in COMPARE_HEADER.split(",")[2:])]))
     _write_lines(cfg.output_dir / f"compare_{seed}.csv", lines)
     return rows
 
@@ -432,7 +427,7 @@ def verify_bounds(cfg: HarnessConfig, seed: int, penalty_weights: Sequence[float
     reports = []
     for v in penalty_weights:
         summary = _summary(scenario, PolicySpec("PEDPC", penalty=v))
-        lhs, totals = summary.avg_cost, summary.per_client_totals
+        lhs, totals = summary.avg_cost, summary.per_client_totals_j
         rhs = lookahead + scenario.drift * config.frame_len / v
         slack = (2.0 * scenario.drift * config.num_rounds * config.frame_len
                  + 2.0 * v * config.frame_len * excess)

@@ -21,10 +21,11 @@ that split. `SolveResult` carries the outcome of the accepted shares, so
 Every policy decides a round as one share vector, whose non-zero entries are
 the selected clients. `run_policy` decides round r from its
 `model.RoundContext`, `Scenario.observe(r)`, and row r of its backlog trace,
-which `lyapunov.update_queue` fills in place. It checks every round's shares
-with `model.check_shares`, and every run, whatever its policy or caller,
-against the one-step drift inequality (a NaN slack fails it) and the
-queue-implied deficit bound, and raises VerificationError on a violation.
+which `lyapunov.update_queue` fills in place; row r of its record array holds
+the round's selected count, latency t0 and utility phi. It checks every
+round's shares with `model.check_shares`, and every run, whatever its policy
+or caller, against the one-step drift inequality (a NaN slack fails it) and
+the queue-implied deficit bound, and raises VerificationError on a violation.
 """
 
 from __future__ import annotations
@@ -231,31 +232,17 @@ def baseline_fedcs(ctx: RoundContext, latency_cap: float) -> np.ndarray:
 # run loop
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """What one round decided: how many clients, its latency t0 and accuracy utility phi."""
-
-    round: int
-    n_selected: int
-    latency: float
-    phi: float
-
-
 @dataclass
 class RunTrace:
     """What a finished run decided and spent; `harness.round_columns` derives the rest."""
 
     policy: str
     seed: int
-    records: list[RoundRecord]
+    records: np.ndarray  # (R,) fields n_selected, latency (t0) and phi; row r is round r
     backlog_trace: np.ndarray  # (R+1, K); row r is the backlog entering round r
     energies: np.ndarray  # (R, K) realized per-round energy of selected clients
     half_step_values: list[tuple[float, ...]]  # PEDPC objective traces, else empty
     drift_min_slack: float  # smallest one-step drift slack over the run
-
-    @property
-    def per_client_totals(self) -> np.ndarray:
-        return self.energies.sum(axis=0)
 
 
 def _decide(ctx: RoundContext, policy: PolicySpec, seed: int, round_index: int) -> np.ndarray:
@@ -284,7 +271,8 @@ def run_policy(scenario: Scenario, policy: PolicySpec) -> RunTrace:
     k, r_total = config.num_clients, config.num_rounds
     backlog_trace = np.zeros((r_total + 1, k))
     energies = np.zeros((r_total, k))
-    records: list[RoundRecord] = []
+    records = np.zeros(r_total, dtype=[("n_selected", np.int64), ("latency", float),
+                                       ("phi", float)])
     halves: list[tuple[float, ...]] = []
     drift_min_slack = math.inf
     for r in range(r_total):
@@ -304,7 +292,7 @@ def run_policy(scenario: Scenario, policy: PolicySpec) -> RunTrace:
             raise VerificationError(
                 f"one-step drift inequality violated in round {r} (slack {slack:.3e})")
         drift_min_slack = min(drift_min_slack, slack)
-        records.append(RoundRecord(r, int(np.count_nonzero(shares)), t0, phi))
+        records[r] = (np.count_nonzero(shares), t0, phi)
         energies[r] = energy_vec
     deficit_ok = lyap.deficit_ok(backlog_trace, energies.sum(axis=0), population.energy_budget)
     if not deficit_ok.all():

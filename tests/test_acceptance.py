@@ -194,7 +194,7 @@ def test_criterion_08_penalty_sweep_trends(table1_config):
     grid = [1e-3, 1e-2, 1e-1, 1.0, 10.0]
     summaries = harness.sweep_v(table1_config, grid, seed=SEED)
     selected = [s.avg_selected for s in summaries]
-    overflow = [s.energy_overflow for s in summaries]
+    overflow = [s.energy_overflow_j for s in summaries]
     rho_sel = spearmanr(grid, selected).statistic
     rho_ovf = spearmanr(grid, overflow).statistic
     _report(8, "penalty-sweep-trends",
@@ -206,7 +206,7 @@ def test_criterion_08_penalty_sweep_trends(table1_config):
 
 def _cost(row: harness.ExperimentSummary) -> float:
     """The paper's round cost, latency minus accuracy utility, summed over the run."""
-    return row.total_latency - row.total_phi
+    return row.total_latency_s - row.total_phi
 
 
 def test_criterion_09_policy_comparison(table1_config):
@@ -218,21 +218,21 @@ def test_criterion_09_policy_comparison(table1_config):
     fedcs = rows["FedCS"]
     for row in rows.values():
         print(f"  {row.policy:<10} avg_sel={row.avg_selected:7.2f} "
-              f"latency={row.total_latency:12.4f} overflow={row.energy_overflow:12.6f} "
+              f"latency={row.total_latency_s:12.4f} overflow={row.energy_overflow_j:12.6f} "
               f"cost={_cost(row):12.4f}")
     # Greedy never spends beyond its credit, so its overflow is zero and cannot
     # be undercut; PEDPC is compared with it on the paper's cost instead.
     checks = {
-        "latency<Greedy(2x)": pedpc.total_latency * 2 <= greedy.total_latency,
-        "latency<Random(2x)": pedpc.total_latency * 2 <= rand.total_latency,
-        "overflow(Greedy)=0": greedy.energy_overflow <= GREEDY_OVERFLOW_TOL,
+        "latency<Greedy(2x)": pedpc.total_latency_s * 2 <= greedy.total_latency_s,
+        "latency<Random(2x)": pedpc.total_latency_s * 2 <= rand.total_latency_s,
+        "overflow(Greedy)=0": greedy.energy_overflow_j <= GREEDY_OVERFLOW_TOL,
         "cost<Greedy": _cost(pedpc) < _cost(greedy),
-        "overflow<Random(2x)": pedpc.energy_overflow * 2 <= rand.energy_overflow
-                               and pedpc.energy_overflow < rand.energy_overflow,
-        "overflow<FedCS": pedpc.energy_overflow < fedcs.energy_overflow,
+        "overflow<Random(2x)": pedpc.energy_overflow_j * 2 <= rand.energy_overflow_j
+                               and pedpc.energy_overflow_j < rand.energy_overflow_j,
+        "overflow<FedCS": pedpc.energy_overflow_j < fedcs.energy_overflow_j,
     }
     detail = ", ".join(f"{k}:{'ok' if v else 'FAIL'}" for k, v in checks.items())
-    detail += (f"; Greedy overflow {greedy.energy_overflow:.3e} J "
+    detail += (f"; Greedy overflow {greedy.energy_overflow_j:.3e} J "
                f"(tol {GREEDY_OVERFLOW_TOL:.0e} J)")
     _report(9, "policy-comparison-directions", all(checks.values()), detail)
 

@@ -670,8 +670,8 @@ def test_compare_runs_each_policy_knob_once(tmp_path, monkeypatch):
         s = harness._summary(scenario, PolicySpec(row.policy, **field))
         assert s.to_dict() == row.to_dict()
         lines.append(",".join([row.policy, "" if knob is None else harness._fmt(knob)]
-                              + [harness._fmt(x) for x in (s.avg_selected, s.total_latency,
-                                                           s.energy_overflow, s.total_phi)]))
+                              + [harness._fmt(x) for x in (s.avg_selected, s.total_latency_s,
+                                                           s.energy_overflow_j, s.total_phi)]))
     assert (tmp_path / "out" / "compare_1.csv").read_text() == "\n".join(lines) + "\n"
 
 
@@ -705,6 +705,22 @@ def test_run_experiment_row_count_and_summary(tmp_path):
     sidecar = json.loads(out.with_suffix(".summary.json").read_text())
     assert sidecar["policy"] == "PEDPC"
     assert summary.avg_cost == pytest.approx(sidecar["avg_cost"])
+    # the sidecar is the summary's fields, by name
+    assert set(sidecar) == {"policy", "seed", "avg_selected", "total_latency_s", "avg_cost",
+                            "energy_overflow_j", "total_phi", "per_client_totals_j"}
+    assert sidecar.pop("per_client_totals_j") == summary.per_client_totals_j.tolist()
+    for name, value in sidecar.items():
+        assert value == getattr(summary, name), name
+
+
+def test_table_headers_name_summary_fields():
+    # each aggregate column of the sweep and comparison tables is read by its name
+    fields = [f.name for f in dataclasses.fields(harness.ExperimentSummary)]
+    v, *sweep = harness.SWEEP_HEADER.split(",")
+    policy, knob, *compare = harness.COMPARE_HEADER.split(",")
+    assert (v, policy, knob) == ("v", "policy", "knob")
+    assert sweep and set(sweep) <= set(fields)
+    assert compare and set(compare) <= set(fields)
 
 
 def test_run_experiment_select_all_counts(tmp_path):
@@ -755,9 +771,9 @@ def test_rounds_csv_agrees_with_its_trace(tmp_path, monkeypatch, kind):
            for i, name in enumerate(header.split(",")) if name != "policy"}
     assert {c[1] for c in cells} == {kind}
     assert np.array_equal(col["round"], np.arange(12))
-    assert np.array_equal(col["n_selected"], [rec.n_selected for rec in trace.records])
-    assert np.array_equal(col["latency_s"], [rec.latency for rec in trace.records])
-    assert np.array_equal(col["phi"], [rec.phi for rec in trace.records])
+    assert np.array_equal(col["n_selected"], trace.records["n_selected"])
+    assert np.array_equal(col["latency_s"], trace.records["latency"])
+    assert np.array_equal(col["phi"], trace.records["phi"])
     assert np.array_equal(col["cost"], col["latency_s"] - col["phi"])
     assert np.array_equal(col["cum_latency_s"], np.cumsum(col["latency_s"]))
     assert np.array_equal(col["cum_cost"], np.cumsum(col["cost"]))
@@ -768,14 +784,14 @@ def test_rounds_csv_agrees_with_its_trace(tmp_path, monkeypatch, kind):
     assert np.allclose(col["energy_overflow_j"],
                        [sum(max(e - h, 0.0) for e, h in zip(row, budget)) for row in spent],
                        rtol=1e-12, atol=0)
-    assert col["energy_overflow_j"][-1] == summary.energy_overflow
+    assert col["energy_overflow_j"][-1] == summary.energy_overflow_j
     assert col["n_selected"].any() and col["queue_l2"].any()
     assert (col["energy_overflow_j"][-1] > 0) == (kind == "PEDPC")
     assert summary.avg_cost == np.mean(col["cost"])
 
 
 # the CI smoke config, with every policy's knob set: per-round selected counts, then
-# total_latency, avg_cost, energy_overflow and total_phi (tolerances, not hashes,
+# total_latency_s, avg_cost, energy_overflow_j and total_phi (tolerances, not hashes,
 # because exp and log may differ by an ulp across platforms)
 SMOKE_DOC = {"system": {"num_clients": 8, "num_rounds": 12, "frame_len": 4, "num_frames": 3,
                         "min_ratio": 0.05},
@@ -797,8 +813,8 @@ def test_policy_run_pin(kind):
     summary = harness.summarize(trace, harness.round_columns(
         trace, scenario.population.energy_budget))
     selected, *totals = RUN_PIN[kind]
-    assert [rec.n_selected for rec in trace.records] == selected
-    assert [summary.total_latency, summary.avg_cost, summary.energy_overflow,
+    assert trace.records["n_selected"].tolist() == selected
+    assert [summary.total_latency_s, summary.avg_cost, summary.energy_overflow_j,
             summary.total_phi] == pytest.approx(totals, rel=1e-12, abs=0)
 
 
@@ -823,8 +839,12 @@ def test_sweep_v_outputs(tmp_path):
     summaries = sweep_v(path, [0.01, 1.0], seed=1)
     assert len(summaries) == 2
     sweep_csv = tmp_path / "out" / "sweep_1.csv"
-    assert sweep_csv.exists()
-    assert len(sweep_csv.read_text().strip().split("\n")) == 3
+    lines = [harness.SWEEP_HEADER]
+    for v, s in zip([0.01, 1.0], summaries):
+        lines.append(",".join(harness._fmt(x) for x in (v, s.avg_selected, s.total_latency_s,
+                                                        s.avg_cost, s.energy_overflow_j,
+                                                        s.total_phi)))
+    assert sweep_csv.read_text() == "\n".join(lines) + "\n"
     for bad in ([], [0.0], [float("nan")], [1.0, float("inf")]):
         with pytest.raises(ValueError):
             sweep_v(path, bad, seed=1)
