@@ -91,15 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    cfg = harness.load_config(args.config)
     policy = None
     if args.policy:
-        cfg = harness.load_config(args.config)
         try:
             policy = dataclasses.replace(cfg.policy, kind=args.policy)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    summary = harness.run_experiment(args.config, policy=policy, seed=args.seed,
-                                     output_path=args.out)
+    summary = harness.run_experiment(cfg, policy=policy, seed=args.seed, output_path=args.out)
     doc = summary.to_dict()
     doc.pop("per_client_totals_j")
     print(json.dumps(doc, sort_keys=True))

@@ -214,11 +214,14 @@ def _run_file(policy: PolicySpec, seed: int) -> str:
     return f"{policy.kind}_{seed}_{policy.penalty:g}.csv"
 
 
-def run_experiment(config_path: str | Path, policy: PolicySpec | None = None,
+def run_experiment(config: str | Path | HarnessConfig, policy: PolicySpec | None = None,
                    seed: int = 0, output_path: str | Path | None = None
                    ) -> ExperimentSummary:
-    """Run one policy over the configured scenario; write CSV + summary JSON."""
-    cfg = load_config(config_path)
+    """Run one policy over the configured scenario; write CSV + summary JSON.
+
+    `config` is a config file's path, or a config already loaded from one.
+    """
+    cfg = config if isinstance(config, HarnessConfig) else load_config(config)
     policy = policy if policy is not None else cfg.policy
     scenario = build_scenario(cfg, seed)
     csv_path = Path(output_path) if output_path is not None else \

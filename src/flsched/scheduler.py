@@ -20,12 +20,14 @@ that split. `SolveResult` carries the outcome of the accepted shares, so
 
 Every policy decides a round as one share vector, whose non-zero entries are
 the selected clients. `run_policy` decides round r from its
-`model.RoundContext`, `Scenario.observe(r)`, and row r of its backlog trace,
-which `lyapunov.update_queue` fills in place; row r of its record array holds
-the round's selected count, latency t0 and utility phi. It checks every
-round's shares with `model.check_shares`, and every run, whatever its policy
-or caller, against the one-step drift inequality (a NaN slack fails it) and
-the queue-implied deficit bound, and raises VerificationError on a violation.
+`model.RoundContext`, `Scenario.observe(r)`, which the scenario's first run
+draws and every later run on that scenario reads unchanged, and from row r
+of its backlog trace, which `lyapunov.update_queue` fills in place; row r of
+its record array holds the round's selected count, latency t0 and utility
+phi. It checks every round's shares with `model.check_shares`, and every
+run, whatever its policy or caller, against the one-step drift inequality (a
+NaN slack fails it) and the queue-implied deficit bound, and raises
+VerificationError on a violation.
 """
 
 from __future__ import annotations

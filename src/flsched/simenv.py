@@ -4,8 +4,10 @@ Defaults reproduce the reference simulation setting: 100 clients over 300
 rounds, 10 MHz of shared band, uniform hardware draws, squared channel gains
 log-uniform across [1e-11, 1e-9], and data volumes either one common size
 (IID) or drawn from the five-point heterogeneous set (NONIID). All draws are
-counter-based: round r's gains are reproducible from (seed, r) alone, and
-`Scenario.observe(r)` builds the round's `model.RoundContext` from them.
+counter-based: round r's gains are reproducible from (seed, r) alone.
+`Scenario.observe(r)` builds the round's `model.RoundContext` from them on its
+first call for r and returns that same context on every later call, so the
+runs, calibration probes and sweep points on one scenario draw each round once.
 """
 
 from __future__ import annotations
@@ -182,16 +184,29 @@ def policy_rng(seed: int, round_index: int) -> np.random.Generator:
 
 
 class Scenario:
-    """Bundled population, configuration, per-round contexts and drift constant for one seed."""
+    """Bundled population, configuration, per-round contexts and drift constant for one seed.
+
+    The contexts are built as the rounds are first observed and kept for the
+    scenario's lifetime, their arrays read-only, so that every run on the
+    scenario reads the same values.
+    """
 
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
         self.population, self.config = generate_population(spec)
+        self._contexts: dict[int, RoundContext] = {}
 
     def observe(self, round_index: int) -> RoundContext:
-        """Round r's context, from one call of the module global `sample_round`."""
-        return RoundContext(self.population, sample_round(self.spec, round_index, self.population),
-                            self.config)
+        """Round r's context: the first call for r builds it from one call of the
+        module global `sample_round`, every later call returns that same object."""
+        ctx = self._contexts.get(round_index)
+        if ctx is None:
+            ctx = RoundContext(self.population,
+                               sample_round(self.spec, round_index, self.population), self.config)
+            for values in (ctx.rate_coeff, ctx.log_utility, ctx.credit):
+                values.flags.writeable = False
+            self._contexts[round_index] = ctx
+        return ctx
 
     def worst_case_energy(self) -> np.ndarray:
         """Per-client round-energy ceiling: bandwidth floor, weakest channel draw.

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flsched import bandwidth as bw
-from flsched import cli, harness, scheduler
+from flsched import cli, harness, scheduler, simenv
 from flsched import lyapunov as lyap
 from flsched.errors import ConfigError, Infeasible
 from flsched.harness import (HarnessConfig, calibrate, compare_policies, load_config,
@@ -594,6 +594,43 @@ def test_cli_run_policy_changes_only_the_kind(tmp_path, monkeypatch):
     assert seen == [PolicySpec("PEDPC", latency_cap=20, penalty=0.5),
                     PolicySpec("FedCS", latency_cap=20, penalty=0.5)]
     assert (tmp_path / "out" / "PEDPC_1_0.5.csv").exists()
+
+
+def test_cli_run_policy_reads_the_config_once(tmp_path, monkeypatch):
+    path = small_config(tmp_path)
+    real, paths = harness.load_config, []
+
+    def spy(config_path):
+        paths.append(config_path)
+        return real(config_path)
+
+    monkeypatch.setattr(harness, "load_config", spy)
+    assert cli.main(["run", "--config", str(path), "--seed", "1",
+                     "--policy", "Greedy"]) == cli.EXIT_OK
+    assert paths == [str(path)]
+    assert (tmp_path / "out" / "Greedy_1_0.5.csv").exists()
+
+
+def test_calibrate_draws_each_round_once_across_its_probes(tmp_path, monkeypatch):
+    # every probe runs on one scenario: only the first draws the channel
+    path = tmp_path / "full.json"
+    path.write_text("{}")
+    draws, probes = [], []
+    real_draw, real_run = simenv.sample_round, harness.run_policy
+
+    def draw(spec, round_index, population):
+        draws.append(round_index)
+        return real_draw(spec, round_index, population)
+
+    def run(scenario, policy):
+        probes.append(policy)
+        return real_run(scenario, policy)
+
+    monkeypatch.setattr(simenv, "sample_round", draw)
+    monkeypatch.setattr(harness, "run_policy", run)
+    calibrate(path, "FedCS", 40, seed=1)
+    assert len(probes) > 1
+    assert draws == list(range(300))
 
 
 @pytest.mark.parametrize("step", ["2", "0.75"])

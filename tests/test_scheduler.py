@@ -503,6 +503,38 @@ def test_run_policy_draws_each_round_once_at_its_start(monkeypatch, policy):
     assert events == [e for r in range(6) for e in (("draw", r), ("update", None))]
 
 
+def test_run_policy_reuses_the_scenario_contexts_unchanged(monkeypatch):
+    # a scenario keeps the contexts its first run drew: later runs draw
+    # nothing, see the same objects and get the same trace, byte for byte
+    sc = small_scenario(seed=1, k=8, rounds=12, frame_len=4, num_frames=3)
+    draws = []
+    real_draw = simenv.sample_round
+
+    def draw(spec, round_index, population):
+        draws.append(round_index)
+        return real_draw(spec, round_index, population)
+
+    monkeypatch.setattr(simenv, "sample_round", draw)
+    for policy in (PolicySpec("PEDPC"), PolicySpec("SelectAll"),
+                   PolicySpec("Random", random_fraction=0.5), PolicySpec("Greedy"),
+                   PolicySpec("FedCS", latency_cap=0.2)):
+        first = run_policy(sc, policy)
+        drawn = len(draws)
+        second = run_policy(sc, policy)
+        assert len(draws) == drawn, policy.kind
+        for name in ("records", "backlog_trace", "energies"):
+            assert getattr(second, name).tobytes() == getattr(first, name).tobytes(), name
+    assert draws == list(range(12))
+    fresh = small_scenario(seed=1, k=8, rounds=12, frame_len=4, num_frames=3)
+    for r in range(12):
+        ctx = sc.observe(r)
+        assert sc.observe(r) is ctx
+        for name in ("rate_coeff", "log_utility", "credit"):
+            assert not getattr(ctx, name).flags.writeable
+            assert getattr(ctx, name).tobytes() == getattr(fresh.observe(r), name).tobytes()
+    assert len(draws) == 2 * 12  # the fresh scenario's draws alone
+
+
 def test_fill_tiny_positive_slack_needs_no_share(example_config):
     # a slack of 1e-320 makes upload / (rate * slack) overflow: that client
     # needs an infinite share and is left out, as with no slack, silently
