@@ -425,7 +425,7 @@ def verify_bounds(cfg: HarnessConfig, seed: int, penalty_weights: Sequence[float
     c_stars = np.array([_frame_lookahead(scenario, f, grid_step)
                         for f in range(config.num_frames)])
     lookahead = float(np.mean(c_stars))
-    y0_min = -float(model.client_utility(pop, config).sum())
+    y0_min = -float(scenario.log_utility.sum())
     excess = float(np.sum(c_stars - y0_min))
     reports = []
     for v in penalty_weights:

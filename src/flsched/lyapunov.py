@@ -7,9 +7,9 @@ congestion measure, the one-step drift constant, and the deficit check
 every run ends with.
 
 A backlog is a plain (K,) float array. Inside a run it is made by
-`update_queue`'s clamp from the zero vector, so it is never re-checked;
-`scheduler.solve_round` checks one that comes from outside the run, and the
-run's drift check fails on a non-finite backlog or energy (its slack is NaN).
+`update_queue`'s clamp from the zero vector; `scheduler.solve_round` checks
+every backlog it is given, in each PEDPC round too, and the run's drift
+check fails on a non-finite backlog or energy (its slack is NaN).
 """
 
 from __future__ import annotations

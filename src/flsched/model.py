@@ -8,8 +8,9 @@ bits/s), per-client round latency and energy at a vector of band shares
 utility (`client_utility`, natural log).
 A round's decision is its share vector: a client is selected iff its share
 is non-zero. `RoundContext` holds a round's rates with the utility and
-credit, and its `outcome` assembles the round cost from them: the slowest
-selected client's latency minus the selected utility. So are the
+credit, which the scenario computes once for all its rounds, and its
+`outcome` assembles the round cost from them: the slowest selected client's
+latency minus the selected utility. So are the
 constraints: the floor and simplex rules of one round's shares
 (`check_shares`), how many clients the floor admits (`max_clients`), and
 the energy budget's per-round credit H_k/R (`round_credit`) and horizon
@@ -190,17 +191,18 @@ def selected_totals(population: Population, rate_coeff: np.ndarray, shares: np.n
 
 
 class RoundContext:
-    """One round's rates, from its squared channel gains, with the utility and credit."""
+    """One round's rates, from its squared channel gains, with its scenario's utility and credit."""
 
-    def __init__(self, population: Population, gain_sq: np.ndarray, config: SystemConfig):
+    def __init__(self, population: Population, gain_sq: np.ndarray, config: SystemConfig,
+                 log_utility: np.ndarray, credit: np.ndarray):
         gain_sq = np.asarray(gain_sq, dtype=float)
         if not finite_non_negative(gain_sq):
             raise ValueError("squared gains must be finite and non-negative")
         self.population = population
         self.config = config
         self.rate_coeff = rate_coefficients(population, gain_sq, config)
-        self.log_utility = client_utility(population, config)
-        self.credit = round_credit(population, config)
+        self.log_utility = log_utility
+        self.credit = credit
 
     def outcome(self, shares: np.ndarray) -> tuple[np.ndarray, float, float]:
         """Per-client round energies, the round latency t0 and the accuracy utility phi.

@@ -5,9 +5,10 @@ rounds, 10 MHz of shared band, uniform hardware draws, squared channel gains
 log-uniform across [1e-11, 1e-9], and data volumes either one common size
 (IID) or drawn from the five-point heterogeneous set (NONIID). All draws are
 counter-based: round r's gains are reproducible from (seed, r) alone.
-`Scenario.observe(r)` builds the round's `model.RoundContext` from them on its
-first call for r and returns that same context on every later call, so the
-runs, calibration probes and sweep points on one scenario draw each round once.
+`Scenario.observe(r)` builds the round's `model.RoundContext` from them and the
+scenario's own credit and utility on its first call for r (r in [0, R)) and
+returns that same context on every later call, so the runs, calibration probes
+and sweep points on one scenario draw each round once.
 """
 
 from __future__ import annotations
@@ -186,25 +187,32 @@ def policy_rng(seed: int, round_index: int) -> np.random.Generator:
 class Scenario:
     """Bundled population, configuration, per-round contexts and drift constant for one seed.
 
-    The contexts are built as the rounds are first observed and kept for the
-    scenario's lifetime, their arrays read-only, so that every run on the
-    scenario reads the same values.
+    The energy credit and accuracy utility are computed once, here, and every
+    round's context shares them. The contexts are built as the rounds are first
+    observed and kept for the scenario's lifetime, their arrays read-only, so
+    that every run on the scenario reads the same values.
     """
 
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
         self.population, self.config = generate_population(spec)
+        self.credit = model.round_credit(self.population, self.config)
+        self.log_utility = model.client_utility(self.population, self.config)
+        self.credit.flags.writeable = self.log_utility.flags.writeable = False
         self._contexts: dict[int, RoundContext] = {}
 
     def observe(self, round_index: int) -> RoundContext:
         """Round r's context: the first call for r builds it from one call of the
-        module global `sample_round`, every later call returns that same object."""
+        module global `sample_round`, every later call returns that same object.
+        Raises ValueError, before any draw, for r outside the horizon [0, R)."""
         ctx = self._contexts.get(round_index)
         if ctx is None:
-            ctx = RoundContext(self.population,
-                               sample_round(self.spec, round_index, self.population), self.config)
-            for values in (ctx.rate_coeff, ctx.log_utility, ctx.credit):
-                values.flags.writeable = False
+            if not 0 <= round_index < self.config.num_rounds:
+                raise ValueError(f"round {round_index} is outside the horizon"
+                                 f" of {self.config.num_rounds} rounds")
+            gain_sq = sample_round(self.spec, round_index, self.population)
+            ctx = RoundContext(self.population, gain_sq, self.config, self.log_utility, self.credit)
+            ctx.rate_coeff.flags.writeable = False
             self._contexts[round_index] = ctx
         return ctx
 
@@ -232,5 +240,4 @@ class Scenario:
         Infeasible when the first run starts, and a caller that builds the
         scenario without running it (Random's calibration) still succeeds.
         """
-        return lyap.drift_bound(model.round_credit(self.population, self.config),
-                                self.worst_case_energy())
+        return lyap.drift_bound(self.credit, self.worst_case_energy())

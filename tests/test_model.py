@@ -11,7 +11,7 @@ from flsched.bandwidth import AllocationInstance, simplex_grid
 from flsched.errors import Infeasible, VerificationError
 from flsched.model import (FEAS_TOL, Population, RoundContext, SystemConfig, check_shares,
                            client_round, client_utility, max_clients, rate_coefficients,
-                           selected_totals)
+                           round_credit, selected_totals)
 from flsched.scheduler import baseline_random, baseline_select_all
 
 from conftest import EXAMPLE_CLIENT, population
@@ -47,7 +47,8 @@ def one_client_rate(pop, gain_sq, config):
 
 
 def snr100_context(population, config):
-    return RoundContext(population, np.full(len(population), SNR100_GAIN), config)
+    return RoundContext(population, np.full(len(population), SNR100_GAIN), config,
+                        client_utility(population, config), round_credit(population, config))
 
 
 def upload(population, rate_coeff, shares):
@@ -112,8 +113,10 @@ def test_population_rejects_nonpositive(name, value):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300],
                          ids=["nan", "inf", "-inf", "negative"])
 def test_round_context_rejects_non_finite_or_negative(bad, example_config):
+    pop = population(3)
     with pytest.raises(ValueError, match="^squared gains must be finite and non-negative$"):
-        RoundContext(population(3), np.array([0.0, bad, 1e-10]), example_config)
+        RoundContext(pop, np.array([0.0, bad, 1e-10]), example_config,
+                     client_utility(pop, example_config), round_credit(pop, example_config))
 
 
 def test_population_rejects_non_integral_local_iters():

@@ -7,7 +7,8 @@ from flsched import bandwidth as bw
 from flsched import lyapunov as lyap
 from flsched import model, scheduler, simenv
 from flsched.errors import Infeasible, VerificationError
-from flsched.model import RoundContext, SystemConfig, check_shares, selected_totals
+from flsched.model import (RoundContext, SystemConfig, check_shares, client_utility,
+                           round_credit, selected_totals)
 from flsched.scheduler import (DESCENT_SLACK, PolicySpec, SolveResult, _p3_value,
                                baseline_fedcs, baseline_greedy, baseline_random,
                                baseline_select_all, run_policy, solve_round)
@@ -27,7 +28,8 @@ def small_scenario(seed=0, k=6, rounds=20, mode="IID", **extra):
 
 
 def uniform_context(population, config, value=1e-10):
-    return RoundContext(population, np.full(len(population), value), config)
+    return RoundContext(population, np.full(len(population), value), config,
+                        client_utility(population, config), round_credit(population, config))
 
 
 def test_p3_objective_empty_zero_queue(twin_population, example_config):
@@ -169,7 +171,8 @@ def test_baseline_greedy_prefix_and_topup():
     snr = 2 ** (g_needed / sc.config.bandwidth) - 1
     gains = snr * sc.config.noise_power / pop.tx_power
     assert np.all(credit - pop.comp_energy > 0)
-    dec = baseline_greedy(RoundContext(pop, gains, sc.config))
+    dec = baseline_greedy(RoundContext(pop, gains, sc.config, client_utility(pop, sc.config),
+                                       round_credit(pop, sc.config)))
     assert np.count_nonzero(dec) == 5
     shares = np.sort(dec[dec != 0])
     assert np.allclose(shares[:4], 0.18, atol=1e-9)
@@ -533,6 +536,25 @@ def test_run_policy_reuses_the_scenario_contexts_unchanged(monkeypatch):
             assert not getattr(ctx, name).flags.writeable
             assert getattr(ctx, name).tobytes() == getattr(fresh.observe(r), name).tobytes()
     assert len(draws) == 2 * 12  # the fresh scenario's draws alone
+
+
+def test_every_context_shares_the_scenarios_credit_and_utility():
+    # the credit and utility are computed once per scenario, read-only, and
+    # every kept context holds the same two arrays: the memo's array data is
+    # R rate vectors plus one credit and one utility vector
+    sc = Scenario(ScenarioSpec(seed=1))
+    run_policy(sc, PolicySpec("Greedy"))
+    r, k = sc.config.num_rounds, sc.config.num_clients
+    for name, formula in (("credit", model.round_credit), ("log_utility", model.client_utility)):
+        shared = getattr(sc, name)
+        assert getattr(sc.observe(0), name) is getattr(sc.observe(r - 1), name) is shared
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
+        assert shared.tobytes() == formula(sc.population, sc.config).tobytes()
+    assert len(sc._contexts) == r
+    arrays = {id(a): a for ctx in sc._contexts.values()
+              for a in (ctx.rate_coeff, ctx.credit, ctx.log_utility)}
+    assert sum(a.nbytes for a in arrays.values()) == r * k * 8 + 2 * k * 8 == 241_600
 
 
 def test_fill_tiny_positive_slack_needs_no_share(example_config):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flsched import scheduler
 from flsched.errors import Infeasible
-from flsched.model import RoundContext
+from flsched.model import RoundContext, client_utility, round_credit
 from flsched.selection import SelectionInstance, itmcs
 from flsched.simenv import Scenario, ScenarioSpec
 
@@ -37,7 +37,9 @@ def test_marginal_score(twin_population, example_config, monkeypatch):
 
     def scores(penalty_weight):
         seen.clear()
-        ctx = RoundContext(twin_population, np.full(2, 1e-10), example_config)
+        ctx = RoundContext(twin_population, np.full(2, 1e-10), example_config,
+                           client_utility(twin_population, example_config),
+                           round_credit(twin_population, example_config))
         scheduler.solve_round(np.array([0.01 / energy_at_half, 0.0]), ctx,
                               penalty_weight)
         return seen[0]

@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from flsched import simenv
 from flsched.model import Population
 from flsched.simenv import (DEFAULTS, IID, NONIID, Range, Scenario, ScenarioSpec, checked,
                             dbm_to_watts, generate_population, sample_round)
@@ -183,3 +184,15 @@ def test_worst_case_energy_dominates_samples():
                 / (sc.config.min_ratio * sc.observe(r).rate_coeff))
         energy = sc.population.comp_energy + comm
         assert np.all(energy <= cap + 1e-12)
+
+
+@pytest.mark.parametrize("round_index", [4, 10 ** 6, -1])
+def test_observe_rejects_a_round_outside_the_horizon(monkeypatch, round_index):
+    # a scenario holds at most R contexts: a round outside [0, R) is refused
+    # before anything is drawn, built or kept
+    sc = Scenario(ScenarioSpec(seed=1, overrides={"num_clients": 3, "num_rounds": 4,
+                                                  "frame_len": 2, "num_frames": 2}))
+    monkeypatch.setattr(simenv, "sample_round", lambda *args: pytest.fail("drew a round"))
+    with pytest.raises(ValueError, match=f"^round {round_index} is outside the horizon of 4 rounds$"):
+        sc.observe(round_index)
+    assert sc._contexts == {}
