@@ -138,8 +138,9 @@ def round_columns(trace: RunTrace, budgets: np.ndarray) -> dict[str, np.ndarray]
     """The per-round columns of a run's CSV after `seed`, by header name, from its trace.
 
     The round cost is t0 - phi. Every running sum adds the rounds in order, as
-    `np.cumsum` does, and each backlog norm is taken one row at a time (a norm
-    over axis 1 rounds differently).
+    `np.cumsum` does, and each backlog norm is the square root of the squared
+    norm the run recorded, `np.dot` of the row with itself, as `np.linalg.norm`
+    takes it (a norm over axis 1 rounds differently).
     """
     records = trace.records
     latency, phi = records["latency"], records["phi"]
@@ -149,7 +150,7 @@ def round_columns(trace: RunTrace, budgets: np.ndarray) -> dict[str, np.ndarray]
         "latency_s": latency,
         "phi": phi,
         "cost": cost,
-        "queue_l2": np.array([np.linalg.norm(row) for row in trace.backlog_trace[1:]]),
+        "queue_l2": np.sqrt(records["backlog_sq"]),
         "cum_latency_s": np.cumsum(latency),
         "cum_cost": np.cumsum(cost),
         "energy_overflow_j": model.energy_overflow(np.cumsum(trace.energies, axis=0), budgets),
@@ -184,13 +185,14 @@ def _write_lines(path: Path, lines: Sequence[str]) -> None:
 
 
 def write_rounds_csv(path: Path, trace: RunTrace, columns: Mapping[str, np.ndarray]) -> None:
-    """One CSV row per round of the trace, numbered by position; columns from `round_columns`."""
-    lines = [CSV_HEADER]
-    rows = zip(*(columns[name].tolist() for name in CSV_HEADER.split(",")[3:]))
-    for r, (n_selected, *values) in enumerate(rows):
-        lines.append(",".join([str(r), trace.policy, str(trace.seed), str(n_selected),
-                               *map(_fmt, values)]))
-    _write_lines(path, lines)
+    """One CSV row per round of the trace, numbered by position; columns from `round_columns`.
+
+    Each row is one `%` format: "%.17g" writes a float as `_fmt` does.
+    """
+    names = CSV_HEADER.split(",")[3:]
+    row = f"%d,{trace.policy},{trace.seed},%d" + ",%.17g" * (len(names) - 1)
+    rows = zip(*(columns[name].tolist() for name in names))
+    _write_lines(path, [CSV_HEADER, *(row % (r, *values) for r, values in enumerate(rows))])
 
 
 def _summary(scenario: Scenario, policy: PolicySpec, csv_path: Path | None = None

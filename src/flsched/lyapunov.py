@@ -3,8 +3,9 @@
 Each client carries a backlog of energy spent beyond its per-round budget
 share; the scheduler prices clients by backlog so long-term budgets are met
 without lookahead. This module owns the queue update, the quadratic
-congestion measure, the one-step drift constant, and the deficit check
-every run ends with.
+congestion measure, the one-step drift constant and slack, and the deficit
+check every run ends with. The drift slack takes the congestion of both
+backlogs as values, so a run squares each backlog's norm once.
 
 A backlog is a plain (K,) float array. Inside a run it is made by
 `update_queue`'s clamp from the zero vector; `scheduler.solve_round` checks
@@ -49,14 +50,16 @@ def drift_bound(credit: np.ndarray, max_energy: np.ndarray) -> float:
     return constant
 
 
-def drift_gap(before: np.ndarray, after: np.ndarray, spent: np.ndarray,
-              credit: np.ndarray, constant: float) -> float:
+def drift_gap(before: np.ndarray, spent: np.ndarray, credit: np.ndarray, constant: float,
+              value_before: float, value_after: float) -> float:
     """Slack of the one-step drift inequality (non-negative when it holds).
 
-    Returns D + sum_k Z_k (spent_k - credit_k) - [Y(Z') - Y(Z)].
+    Returns D + sum_k Z_k (spent_k - credit_k) - [Y(Z') - Y(Z)], given the
+    backlogs Z entering the round and the Lyapunov values Y(Z) and Y(Z')
+    (`lyapunov_value`) of those and of the backlogs Z' after it.
     """
     rhs = constant + float(np.dot(before, spent - credit))
-    return rhs - (lyapunov_value(after) - lyapunov_value(before))
+    return rhs - (value_after - value_before)
 
 
 def energy_prices(backlog: np.ndarray, energy: np.ndarray) -> np.ndarray:

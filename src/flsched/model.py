@@ -4,13 +4,15 @@ Each physical quantity is defined here once, vectorized over the client
 population (`Population`, one array per client parameter): training energy
 and latency, full-band Shannon rates (`rate_coefficients`, base-2 log,
 bits/s), per-client round latency and energy at a vector of band shares
-(`client_round` and `selected_totals`), and the diminishing-returns accuracy
-utility (`client_utility`, natural log).
+(`client_round`, for every client or a given subset; `selected_totals` costs
+only the selected ones and leaves zeros elsewhere), and the
+diminishing-returns accuracy utility (`client_utility`, natural log).
 A round's decision is its share vector: a client is selected iff its share
 is non-zero. `RoundContext` holds a round's rates with the utility and
 credit, which the scenario computes once for all its rounds, and its
 `outcome` assembles the round cost from them: the slowest selected client's
-latency minus the selected utility. So are the
+latency minus the selected utility, returned with the per-client energies
+and latencies it came from. So are the
 constraints: the floor and simplex rules of one round's shares
 (`check_shares`), how many clients the floor admits (`max_clients`), and
 the energy budget's per-round credit H_k/R (`round_credit`) and horizon
@@ -163,31 +165,37 @@ def client_utility(population: Population, config: SystemConfig) -> np.ndarray:
     return np.log1p(config.accuracy_coeff * population.data_size)
 
 
-def client_round(population: Population, rate_coeff: np.ndarray, shares: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def client_round(population: Population, rate_coeff: np.ndarray, shares: np.ndarray,
+                 clients: slice | np.ndarray = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Per-client (latency, energy) of training plus upload at the given band shares.
 
-    Both are +inf on a dead link, where share times rate coefficient is zero.
-    `shares` may carry leading axes, one share vector per row.
+    `rate_coeff` and `shares` are those of the population's `clients` (all of
+    them by default), in that order. Both results are +inf on a dead link,
+    where share times rate coefficient is zero or NaN. `shares` may carry
+    leading axes, one share vector per row.
     """
     rate = np.asarray(shares) * rate_coeff
     live = rate > 0
-    t_com = np.where(live, population.model_size / np.where(live, rate, 1.0), np.inf)
-    return (population.comp_latency + t_com,
-            population.comp_energy + population.tx_power * t_com)
+    t_com = np.where(live, population.model_size[clients] / np.where(live, rate, 1.0), np.inf)
+    return (population.comp_latency[clients] + t_com,
+            population.comp_energy[clients] + population.tx_power[clients] * t_com)
 
 
 def selected_totals(population: Population, rate_coeff: np.ndarray, shares: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Per-client (latency, energy) arrays; zero entries for unselected clients (zero shares).
 
-    Raises Infeasible if a selected client has zero achieved rate.
+    Only the selected clients are costed (`client_round` on them). Raises
+    Infeasible if a selected client's latency is infinite: a dead link, an
+    upload time or a training latency beyond the float range.
     """
-    sel = shares != 0
-    latency, energy = client_round(population, rate_coeff, shares)
-    if np.isinf(latency[sel]).any():
+    idx = shares.nonzero()[0]
+    held_latency, held_energy = client_round(population, rate_coeff[idx], shares[idx], idx)
+    if np.isinf(held_latency).any():
         raise Infeasible("selected client with zero transmission rate")
-    return np.where(sel, latency, 0.0), np.where(sel, energy, 0.0)
+    latency, energy = np.zeros(shares.size), np.zeros(shares.size)
+    latency[idx], energy[idx] = held_latency, held_energy
+    return latency, energy
 
 
 class RoundContext:
@@ -204,12 +212,13 @@ class RoundContext:
         self.log_utility = log_utility
         self.credit = credit
 
-    def outcome(self, shares: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """Per-client round energies, the round latency t0 and the accuracy utility phi.
+    def outcome(self, shares: np.ndarray) -> tuple[np.ndarray, float, float, np.ndarray]:
+        """Per-client round energies, the round latency t0, the accuracy utility phi
+        and the per-client latencies (those of `selected_totals`).
 
         t0 is the slowest selected client's latency, 0 when nobody is selected
         (unselected clients' latencies are 0, selected ones' non-negative); the
         round cost is t0 - phi.
         """
         latency, energy = selected_totals(self.population, self.rate_coeff, shares)
-        return energy, float(latency.max()), float(self.log_utility[shares != 0].sum())
+        return energy, float(latency.max()), float(self.log_utility[shares != 0].sum()), latency

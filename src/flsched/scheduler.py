@@ -16,15 +16,19 @@ value and change nothing. Nor does it run when the moved set's floored
 simplex is the single point 1/m that the candidate already holds (one
 client, or m floors of exactly 1/m filling the band): it could only return
 that split. `SolveResult` carries the outcome of the accepted shares, so
-`run_policy` does not evaluate them again.
+`run_policy` does not evaluate them again. Nor is anything else priced twice
+in a round: the empty start is priced from its zero outcome, and each
+rescoring takes the held clients' costs from that outcome and the others'
+at 1/K from one `client_round` call per round.
 
 Every policy decides a round as one share vector, whose non-zero entries are
 the selected clients. `run_policy` decides round r from its
 `model.RoundContext`, `Scenario.observe(r)`, which the scenario's first run
 draws and every later run on that scenario reads unchanged, and from row r
 of its backlog trace, which `lyapunov.update_queue` fills in place; row r of
-its record array holds the round's selected count, latency t0 and utility
-phi. It checks every round's shares with `model.check_shares`, and every
+its record array holds the round's selected count, latency t0, utility phi
+and the squared norm of the backlog after it, one `np.dot` that the drift
+check also reads. It checks every round's shares with `model.check_shares`, and every
 run, whatever its policy or caller, against the one-step drift inequality (a
 NaN slack fails it) and the queue-implied deficit bound, and raises
 VerificationError on a violation.
@@ -78,23 +82,20 @@ class PolicySpec:
                 raise ValueError("FedCS requires a positive latency_cap")
 
 
-def _p3_value(shares: np.ndarray, backlog: np.ndarray, ctx: RoundContext,
-              penalty_weight: float) -> tuple[float, tuple[np.ndarray, float, float]]:
-    """Backlog-priced energy drift plus weighted round cost (constant term dropped).
-
-    Returned with the shares' `RoundContext.outcome`, which it prices.
-    """
-    outcome = ctx.outcome(shares)
-    energy, t0, phi = outcome
+def _p3_value(outcome: tuple[np.ndarray, float, float, np.ndarray], backlog: np.ndarray,
+              ctx: RoundContext, penalty_weight: float) -> float:
+    """Backlog-priced energy drift plus weighted round cost (constant term dropped)
+    of a decision, from its `RoundContext.outcome`."""
+    energy, t0, phi, _ = outcome
     drift_term = float(np.dot(backlog, energy - ctx.credit))
-    return drift_term + penalty_weight * (t0 - phi), outcome
+    return drift_term + penalty_weight * (t0 - phi)
 
 
 @dataclass(frozen=True)
 class SolveResult:
     shares: np.ndarray  # the round's decision; its last half-step value is the objective
     half_step_values: tuple[float, ...]
-    outcome: tuple[np.ndarray, float, float]  # the shares' RoundContext.outcome
+    outcome: tuple[np.ndarray, float, float, np.ndarray]  # the shares' RoundContext.outcome
 
 
 def solve_round(backlog: np.ndarray, ctx: RoundContext, penalty_weight: float) -> SolveResult:
@@ -112,16 +113,19 @@ def solve_round(backlog: np.ndarray, ctx: RoundContext, penalty_weight: float) -
     pop, config = ctx.population, ctx.config
     k = len(pop)
     cap = config.max_selectable
-    hyp_share = 1.0 / k  # scoring share for clients outside the current set
+    # every client's costs at the scoring share 1/K, which a client outside the
+    # current set is rescored at, and the utility's weight in the scores
+    hyp_latency, hyp_energy = model.client_round(pop, ctx.rate_coeff, 1.0 / k)
+    utility = penalty_weight * ctx.log_utility
     b = np.zeros(k)
-    value, outcome = _p3_value(b, backlog, ctx, penalty_weight)
+    outcome = (np.zeros(k), 0.0, 0.0, np.zeros(k))  # the empty decision's, without a pass
+    value = _p3_value(outcome, backlog, ctx, penalty_weight)
     halves = [value]
+    latencies, energies = hyp_latency, hyp_energy
     for _ in range(ITER_ROUNDS):
         start_value = value
         # selection half-step: rescore everyone, keep the change only if it helps
-        shares = np.where(b != 0, b, hyp_share)
-        latencies, energies = model.client_round(pop, ctx.rate_coeff, shares)
-        scores = lyap.energy_prices(backlog, energies) - penalty_weight * ctx.log_utility
+        scores = lyap.energy_prices(backlog, energies) - utility
         proposal = itmcs(SelectionInstance(scores, latencies, penalty_weight,
                                            max_selected=cap)).selected
         solve = False
@@ -129,7 +133,8 @@ def solve_round(backlog: np.ndarray, ctx: RoundContext, penalty_weight: float) -
             m = int(proposal.sum())
             equal = 1.0 / m if m else 0.0
             b_cand = np.where(proposal, equal, 0.0)
-            cand_val, cand_out = _p3_value(b_cand, backlog, ctx, penalty_weight)
+            cand_out = ctx.outcome(b_cand)
+            cand_val = _p3_value(cand_out, backlog, ctx, penalty_weight)
             if cand_val <= value:
                 b, value, outcome = b_cand, cand_val, cand_out
                 # the allocator's answer is the equal split just evaluated when
@@ -151,12 +156,18 @@ def solve_round(backlog: np.ndarray, ctx: RoundContext, penalty_weight: float) -
             alloc = bw.barrier_solve(instance)
             b_new = np.zeros(k)
             b_new[idx] = alloc.ratios
-            new_val, new_out = _p3_value(b_new, backlog, ctx, penalty_weight)
+            new_out = ctx.outcome(b_new)
+            new_val = _p3_value(new_out, backlog, ctx, penalty_weight)
             if new_val <= value:
                 b, value, outcome = b_new, new_val, new_out
         halves.append(value)
         if start_value - value < DESCENT_SLACK:
             break
+        # the next rescoring: the held clients at their shares, from the outcome
+        # that accepted them, the others at 1/K
+        held = b != 0
+        latencies = np.where(held, outcome[3], hyp_latency)
+        energies = np.where(held, outcome[0], hyp_energy)
     return SolveResult(b, tuple(halves), outcome)
 
 
@@ -193,22 +204,21 @@ def _fill(ctx: RoundContext, upload: np.ndarray, slack: np.ndarray) -> np.ndarra
     cost upload / (share * rate) uses up that slack, clamped up to the floor (a
     larger share only lowers the cost). In order of need, clients are admitted
     while the shares fit in the band; the last one is topped up to fill it.
+    Only those eligible clients are computed.
     """
-    eligible = (slack > 0) & (ctx.rate_coeff > 0)
+    idx = ((slack > 0) & (ctx.rate_coeff > 0)).nonzero()[0]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        need = np.where(eligible, upload / (ctx.rate_coeff * np.where(eligible, slack, 1.0)),
-                        np.inf)
+        need = upload[idx] / (ctx.rate_coeff[idx] * slack[idx])
     shares = np.maximum(need, ctx.config.min_ratio)
-    idx = np.flatnonzero(eligible)
-    order = idx[np.lexsort((idx, shares[idx]))]
+    order = np.lexsort((idx, shares))
     # every share is at least the floor, so the running totals rise: admission
     # stops at the first total past the band
-    total = np.cumsum(shares[order])
-    admitted = order[:np.searchsorted(total, 1.0 + model.FEAS_TOL, side="right")]
-    out = np.zeros(shares.size)
-    out[admitted] = shares[admitted]
+    total = shares[order].cumsum()
+    admitted = order[:total.searchsorted(1.0 + model.FEAS_TOL, side="right")]
+    out = np.zeros(slack.size)
+    out[idx[admitted]] = shares[admitted]
     if admitted.size:
-        out[admitted[-1]] += 1.0 - total[admitted.size - 1]
+        out[idx[admitted[-1]]] += 1.0 - total[admitted.size - 1]
     return out
 
 
@@ -240,7 +250,9 @@ class RunTrace:
 
     policy: str
     seed: int
-    records: np.ndarray  # (R,) fields n_selected, latency (t0) and phi; row r is round r
+    # (R,) fields n_selected, latency (t0), phi and backlog_sq (squared norm of the
+    # backlog after the round); row r is round r
+    records: np.ndarray
     backlog_trace: np.ndarray  # (R+1, K); row r is the backlog entering round r
     energies: np.ndarray  # (R, K) realized per-round energy of selected clients
     half_step_values: list[tuple[float, ...]]  # PEDPC objective traces, else empty
@@ -274,9 +286,10 @@ def run_policy(scenario: Scenario, policy: PolicySpec) -> RunTrace:
     backlog_trace = np.zeros((r_total + 1, k))
     energies = np.zeros((r_total, k))
     records = np.zeros(r_total, dtype=[("n_selected", np.int64), ("latency", float),
-                                       ("phi", float)])
+                                       ("phi", float), ("backlog_sq", float)])
     halves: list[tuple[float, ...]] = []
     drift_min_slack = math.inf
+    y_after = 0.0  # Lyapunov value of the zero backlog entering round 0
     for r in range(r_total):
         ctx = scenario.observe(r)
         if policy.kind == "PEDPC":
@@ -286,15 +299,16 @@ def run_policy(scenario: Scenario, policy: PolicySpec) -> RunTrace:
         else:
             shares, outcome = _decide(ctx, policy, seed, r), None
         model.check_shares(shares, config)
-        energy_vec, t0, phi = outcome if outcome is not None else ctx.outcome(shares)
+        energy_vec, t0, phi, _ = outcome if outcome is not None else ctx.outcome(shares)
         backlog_trace[r + 1] = lyap.update_queue(backlog_trace[r], energy_vec, ctx.credit)
-        slack = lyap.drift_gap(backlog_trace[r], backlog_trace[r + 1], energy_vec, ctx.credit,
-                               drift)
+        backlog_sq = float(np.dot(backlog_trace[r + 1], backlog_trace[r + 1]))
+        y_before, y_after = y_after, 0.5 * backlog_sq  # lyapunov_value of both backlogs
+        slack = lyap.drift_gap(backlog_trace[r], energy_vec, ctx.credit, drift, y_before, y_after)
         if not slack >= -DRIFT_TOL:  # a NaN slack (non-finite energy or backlog) fails too
             raise VerificationError(
                 f"one-step drift inequality violated in round {r} (slack {slack:.3e})")
         drift_min_slack = min(drift_min_slack, slack)
-        records[r] = (np.count_nonzero(shares), t0, phi)
+        records[r] = (np.count_nonzero(shares), t0, phi, backlog_sq)
         energies[r] = energy_vec
     deficit_ok = lyap.deficit_ok(backlog_trace, energies.sum(axis=0), population.energy_budget)
     if not deficit_ok.all():

@@ -188,7 +188,8 @@ class Scenario:
     """Bundled population, configuration, per-round contexts and drift constant for one seed.
 
     The energy credit and accuracy utility are computed once, here, and every
-    round's context shares them. The contexts are built as the rounds are first
+    round's context shares them; a utility beyond the float range is
+    Infeasible. The contexts are built as the rounds are first
     observed and kept for the scenario's lifetime, their arrays read-only, so
     that every run on the scenario reads the same values.
     """
@@ -197,7 +198,10 @@ class Scenario:
         self.spec = spec
         self.population, self.config = generate_population(spec)
         self.credit = model.round_credit(self.population, self.config)
-        self.log_utility = model.client_utility(self.population, self.config)
+        with np.errstate(over="ignore"):
+            self.log_utility = model.client_utility(self.population, self.config)
+        if not np.isfinite(self.log_utility).all():
+            raise Infeasible("accuracy utility overflows the float range")
         self.credit.flags.writeable = self.log_utility.flags.writeable = False
         self._contexts: dict[int, RoundContext] = {}
 

@@ -8,7 +8,10 @@ exhaustive grid search (`barrier_oracle` covers larger instances),
 `selection.itmcs` against `selection_objective` on at most 20 clients, and
 `ceiling_selection` spells out the candidates itmcs scans, for any size.
 `lookahead_oracle` checks the frame lookahead of `harness.verify_bounds` by
-enumerating every plan.
+enumerating every plan. `masked_selected_totals` and `masked_fill` compute
+`model.selected_totals` and `scheduler._fill` as masked passes over every
+client, the reference their passes over the clients concerned must match
+bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from flsched import model
 from flsched.bandwidth import Allocation, AllocationInstance, simplex_grid
 from flsched.errors import Infeasible
-from flsched.model import FEAS_TOL
+from flsched.model import FEAS_TOL, Population, RoundContext
 from flsched.selection import SelectionInstance, SelectionResult
 from flsched.simenv import Scenario
 
@@ -164,3 +167,31 @@ def lookahead_oracle(scenario: Scenario, frame_index: int, grid_step: float) -> 
         if (spent <= cap + 1e-12).all():
             best = min(best, cost)
     return best / config.frame_len
+
+
+def masked_selected_totals(population: Population, rate_coeff: np.ndarray, shares: np.ndarray
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """`model.selected_totals` costed for every client, the unselected masked to zero."""
+    sel = shares != 0
+    latency, energy = model.client_round(population, rate_coeff, shares)
+    if np.isinf(latency[sel]).any():
+        raise Infeasible("selected client with zero transmission rate")
+    return np.where(sel, latency, 0.0), np.where(sel, energy, 0.0)
+
+
+def masked_fill(ctx: RoundContext, upload: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """`scheduler._fill` with the need computed for every client, +inf where ineligible."""
+    eligible = (slack > 0) & (ctx.rate_coeff > 0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        need = np.where(eligible, upload / (ctx.rate_coeff * np.where(eligible, slack, 1.0)),
+                        np.inf)
+    shares = np.maximum(need, ctx.config.min_ratio)
+    idx = np.flatnonzero(eligible)
+    order = idx[np.lexsort((idx, shares[idx]))]
+    total = np.cumsum(shares[order])
+    admitted = order[:np.searchsorted(total, 1.0 + FEAS_TOL, side="right")]
+    out = np.zeros(shares.size)
+    out[admitted] = shares[admitted]
+    if admitted.size:
+        out[admitted[-1]] += 1.0 - total[admitted.size - 1]
+    return out

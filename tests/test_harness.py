@@ -429,6 +429,22 @@ def test_cli_run_overflowing_drift_constant_exits_3(tmp_path, capsys, doc, messa
     assert capsys.readouterr().err == f"infeasible: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["run"], ["calibrate", "--policy", "Random", "--target-avg", "1"],
+], ids=["run", "calibrate-Random"])
+def test_cli_utility_past_the_float_range_exits_3(tmp_path, capsys, argv):
+    # accuracy_coeff * data_size passes the float range when the scenario is
+    # built, before any run: infeasible, without a warning
+    path = tmp_path / "utility.json"
+    path.write_text(json.dumps({"system": {**_FLOAT_EDGE_SYSTEM, "accuracy_coeff": 1e303},
+                                "output": {"dir": str(tmp_path / "out")}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main([argv[0], "--config", str(path), *argv[1:]]) == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr() == ("", "infeasible: accuracy utility overflows the float range\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("penalty,code,err", [
     (1e308, cli.EXIT_INFEASIBLE,
      "solver did not converge: allocator objective leaves the float range\n"),
@@ -853,6 +869,19 @@ def test_policy_run_pin(kind):
     assert trace.records["n_selected"].tolist() == selected
     assert [summary.total_latency_s, summary.avg_cost, summary.energy_overflow_j,
             summary.total_phi] == pytest.approx(totals, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("kind,doc", [*((kind, SMOKE_DOC) for kind in POLICY_KINDS),
+                                      ("Greedy", {})], ids=[*POLICY_KINDS, "Greedy-full"])
+def test_queue_l2_is_each_backlog_rows_norm_bit_for_bit(kind, doc):
+    # the CSV's backlog norm comes from the squared norm the run recorded
+    cfg = parse_config(doc)
+    scenario = harness.build_scenario(cfg, 1)
+    trace = run_policy(scenario, dataclasses.replace(cfg.policy, kind=kind))
+    got = harness.round_columns(trace, scenario.population.energy_budget)["queue_l2"]
+    want = np.array([np.linalg.norm(row) for row in trace.backlog_trace[1:]])
+    assert got.tobytes() == want.tobytes()
+    assert len(got) == scenario.config.num_rounds
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -124,7 +124,8 @@ def test_drift_gap_one_step():
         sel = rng.random(2) < 0.5
         spent = np.where(sel, rng.uniform(0, 0.05, 2), 0.0)
         nxt = update_queue(z, spent, CREDIT)
-        assert drift_gap(z, nxt, spent, CREDIT, constant) >= -1e-12
+        assert drift_gap(z, spent, CREDIT, constant, lyapunov_value(z),
+                         lyapunov_value(nxt)) >= -1e-12
 
 
 def test_deficit_ok():

@@ -15,6 +15,7 @@ from flsched.model import (FEAS_TOL, Population, RoundContext, SystemConfig, che
 from flsched.scheduler import baseline_random, baseline_select_all
 
 from conftest import EXAMPLE_CLIENT, population
+from oracles import masked_selected_totals
 
 # hand-checked reference values for the example client (1 GHz, 10 cycles/bit,
 # 0.1 W, 0.24 Mbit model, 1.2 Mbit data, 5 local passes) on a SNR=100 channel
@@ -231,7 +232,7 @@ def test_accuracy_utility_monotone_under_adding(twin_population, example_config)
 
 
 def round_cost(ctx, shares):
-    _, t0, phi = ctx.outcome(shares)
+    _, t0, phi, _ = ctx.outcome(shares)
     return t0 - phi
 
 
@@ -282,6 +283,62 @@ def test_selected_totals_matches_scalar(twin_population, example_config):
         assert en[k] == pytest.approx(e_ref, rel=1e-14)
     with pytest.raises(Infeasible):
         selected_totals(twin_population, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+
+
+def _selection_draws(count, k=12):
+    """Random (population, rate coefficients, shares) draws with the edges of the cost.
+
+    Each draw picks which edges it carries, each for about a tenth of its
+    clients: dead links (zero rate coefficient), a rate of about 1e-300 whose
+    upload time passes the float range, NaN shares, and training latencies past
+    the float range. About 40% of the shares are zero.
+    """
+    rng = np.random.default_rng(25)
+    for _ in range(count):
+        dead, tiny, nan, slow = rng.choice([0.0, 0.1], size=(4, 1)) > rng.random((4, k))
+        pop = population(k, cpu_freq=rng.uniform(1e7, 1e9, k),
+                         model_size=rng.uniform(2.4e5, 1e9, k),
+                         data_size=np.where(slow, 1e308, 3.6e6))
+        rate_coeff = np.where(dead, 0.0, np.where(tiny, 1e-300, rng.uniform(1e6, 1e8, k)))
+        shares = np.where(rng.random(k) < 0.4, 0.0, rng.uniform(0.01, 1.0, k))
+        yield pop, rate_coeff, np.where(nan, np.nan, shares), dead | tiny | slow
+
+
+def test_selected_totals_matches_the_masked_reference_bit_for_bit():
+    # the pass over the selected clients returns the masked pass's bytes, and
+    # raises Infeasible exactly where it does: a dead link, a NaN share, an
+    # upload time or a training latency past the float range, on a selected client
+    raised = returned = returned_past_an_unselected_edge = 0
+    for pop, rate_coeff, shares, edge in _selection_draws(600):
+        with np.errstate(over="ignore"):
+            try:
+                want = masked_selected_totals(pop, rate_coeff, shares)
+            except Infeasible:
+                with pytest.raises(Infeasible, match="zero transmission rate"):
+                    selected_totals(pop, rate_coeff, shares)
+                raised += 1
+                continue
+            got = selected_totals(pop, rate_coeff, shares)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        returned += 1
+        returned_past_an_unselected_edge += bool((edge & (shares == 0)).any())
+    assert raised > 100 and returned > 100 and returned_past_an_unselected_edge > 40
+
+
+def test_selected_totals_raises_on_each_edge_of_a_selected_client():
+    # client 1's training latency overflows; 1e9 bits at a rate of 1e-300 take 1e309 s
+    pop = population(2, data_size=[3.6e6, 1e308], model_size=1e9)
+    live = np.array([6e7, 6e7])
+    for rate_coeff, shares in [(np.array([0.0, 6e7]), [1.0, 0.0]),  # dead link
+                               (live, [np.nan, 0.0]),  # NaN share
+                               (np.array([1e-300, 6e7]), [1.0, 0.0]),  # upload overflows
+                               (live, [0.5, 0.5])]:  # training latency overflows
+        for totals in (selected_totals, masked_selected_totals):
+            with np.errstate(over="ignore"), pytest.raises(Infeasible):
+                totals(pop, rate_coeff, np.array(shares))
+    # the same edges on an unselected client cost nothing
+    latency, energy = selected_totals(pop, np.array([6e7, 0.0]), np.array([1.0, 0.0]))
+    assert latency[1] == energy[1] == 0.0 and np.isfinite(latency[0])
 
 
 def _floor_config(min_ratio, num_clients):

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -16,6 +18,7 @@ from flsched.selection import SelectionInstance, itmcs
 from flsched.simenv import Scenario, ScenarioSpec, policy_rng
 
 from conftest import population
+from oracles import masked_fill
 
 G_REF = 1e7 * np.log2(101.0)
 
@@ -34,13 +37,13 @@ def uniform_context(population, config, value=1e-10):
 
 def test_p3_objective_empty_zero_queue(twin_population, example_config):
     ctx = uniform_context(twin_population, example_config)
-    assert _p3_value(np.zeros(2), np.zeros(2), ctx, 1.0)[0] == 0.0
+    assert _p3_value(ctx.outcome(np.zeros(2)), np.zeros(2), ctx, 1.0) == 0.0
 
 
 def test_p3_objective_empty_with_backlog(twin_population, example_config):
     ctx = uniform_context(twin_population, example_config)
     z = np.array([0.01, 0.02])
-    got = _p3_value(np.zeros(2), z, ctx, 1.0)[0]
+    got = _p3_value(ctx.outcome(np.zeros(2)), z, ctx, 1.0)
     assert got == pytest.approx(-(0.01 + 0.02) * 1.5 / 300, rel=1e-12)
     assert got < 0
 
@@ -50,10 +53,9 @@ def test_p3_objective_single_client_reference(twin_population, example_config):
     ctx = uniform_context(twin_population, example_config)
     z = np.array([1.0, 0.0])
     dec = np.array([0.1, 0.0])
-    got, outcome = _p3_value(dec, z, ctx, 1.0)
+    got = _p3_value(ctx.outcome(dec), z, ctx, 1.0)
     # the unselected client has zero backlog so only the credit of client 0 counts
     assert got == pytest.approx(0.0804555, rel=1e-5)
-    assert outcome[1:] == ctx.outcome(dec)[1:]  # the outcome it priced
 
 
 def test_solve_round_empty_when_everyone_expensive(example_config, twin_population):
@@ -247,7 +249,7 @@ def test_run_policy_trace_shape_and_invariants():
     sc = small_scenario(rounds=20)
     tr = run_policy(sc, PolicySpec("PEDPC", penalty=1.0))
     assert tr.records.shape == (20,)
-    assert tr.records.dtype.names == ("n_selected", "latency", "phi")
+    assert tr.records.dtype.names == ("n_selected", "latency", "phi", "backlog_sq")
     assert tr.backlog_trace.shape == (21, 6)
     assert tr.drift_min_slack >= -1e-9
     for seq in tr.half_step_values:
@@ -340,7 +342,7 @@ def _always_solve_oracle(backlog, ctx, penalty_weight, iter_rounds):
     cap = config.max_selectable
     hyp_share = 1.0 / k
     b = np.zeros(k)
-    value = _p3_value(b, backlog, ctx, penalty_weight)[0]
+    value = _p3_value(ctx.outcome(b), backlog, ctx, penalty_weight)
     halves = [value]
     for _ in range(iter_rounds):
         start_value = value
@@ -352,7 +354,7 @@ def _always_solve_oracle(backlog, ctx, penalty_weight, iter_rounds):
         if not np.array_equal(proposal, b != 0):
             m = int(proposal.sum())
             b_cand = np.where(proposal, 1.0 / m if m else 0.0, 0.0)
-            cand_val = _p3_value(b_cand, backlog, ctx, penalty_weight)[0]
+            cand_val = _p3_value(ctx.outcome(b_cand), backlog, ctx, penalty_weight)
             if cand_val <= value:
                 b, value = b_cand, cand_val
         halves.append(value)
@@ -369,7 +371,7 @@ def _always_solve_oracle(backlog, ctx, penalty_weight, iter_rounds):
             alloc = bw.barrier_solve(instance)
             b_new = np.zeros(k)
             b_new[idx] = alloc.ratios
-            new_val = _p3_value(b_new, backlog, ctx, penalty_weight)[0]
+            new_val = _p3_value(ctx.outcome(b_new), backlog, ctx, penalty_weight)
             if new_val <= value:
                 b, value = b_new, new_val
         halves.append(value)
@@ -463,9 +465,10 @@ def test_solve_round_outcome_is_the_decisions_outcome(monkeypatch):
     for z, ctx, v, iter_rounds in _skip_sample():
         monkeypatch.setattr(scheduler, "ITER_ROUNDS", iter_rounds)
         result = scheduler.solve_round(z, ctx, v)
-        energy, t0, phi = result.outcome
-        want_energy, want_t0, want_phi = ctx.outcome(result.shares)
+        energy, t0, phi, latency = result.outcome
+        want_energy, want_t0, want_phi, want_latency = ctx.outcome(result.shares)
         assert energy.tobytes() == want_energy.tobytes()
+        assert latency.tobytes() == want_latency.tobytes()
         assert np.array([t0, phi]).tobytes() == np.array([want_t0, want_phi]).tobytes()
 
 
@@ -569,3 +572,90 @@ def test_fill_tiny_positive_slack_needs_no_share(example_config):
     none = scheduler._fill(ctx, upload, np.array([0.0, 1e-3, 2e-3]))
     assert list(tiny != 0) == [False, True, True]
     assert np.array_equal(tiny, none)
+
+
+def test_fill_matches_the_masked_reference_bit_for_bit(example_config):
+    # dead links (zero rate coefficients) and zero, negative and 1e-320 slacks
+    # are left out, silently, as by the pass over every client
+    rng = np.random.default_rng(7)
+    admitted = topped_up = tiny_slacks = 0
+    for _ in range(300):
+        k = 30
+        pop = population(k, cpu_freq=rng.uniform(1e7, 1e9, k),
+                         tx_power=rng.uniform(0.01, 0.1, k))
+        config = dataclasses.replace(example_config, num_clients=k,
+                                     min_ratio=float(rng.choice([0.01, 0.05, 0.2, 0.5])))
+        gain_sq = np.where(rng.random(k) < 0.2, 0.0, 10 ** rng.uniform(-11, -9, k))
+        ctx = RoundContext(pop, gain_sq, config, client_utility(pop, config),
+                           round_credit(pop, config))
+        upload = pop.tx_power * pop.model_size if rng.random() < 0.5 else pop.model_size
+        edge = rng.choice([0.0, 1e-320, -1.0], size=k)
+        slack = np.where(rng.random(k) < 0.2, edge,
+                         rng.uniform(-0.2, 1.0, k) * rng.choice([0.01, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = scheduler._fill(ctx, upload, slack)
+        want = masked_fill(ctx, upload, slack)
+        assert got.tobytes() == want.tobytes()
+        admitted += bool(got.any())
+        topped_up += bool(got.any()) and got.max() > np.sort(got)[-2]
+        tiny_slacks += bool((slack == 1e-320).any())
+    assert admitted > 200 and topped_up > 100 and tiny_slacks > 100
+
+
+def _drift_min_slack_afresh(trace, scenario):
+    """The run's smallest drift slack, each from both backlogs' Lyapunov values afresh."""
+    z = trace.backlog_trace
+    return min(scenario.drift + float(np.dot(z[r], trace.energies[r] - scenario.credit))
+               - (lyap.lyapunov_value(z[r + 1]) - lyap.lyapunov_value(z[r]))
+               for r in range(len(trace.records)))
+
+
+@pytest.mark.parametrize("kind", scheduler.POLICY_KINDS)
+def test_run_policy_carries_each_backlogs_squared_norm(kind):
+    # one dot per backlog: the recorded value is twice its Lyapunov value, and
+    # the run's smallest slack is the one from taking both values afresh
+    sc = small_scenario(seed=1, k=8, energy_budget=0.05)  # a budget every policy overspends
+    trace = run_policy(sc, PolicySpec(kind, penalty=0.5, random_fraction=0.5, latency_cap=20.0))
+    assert trace.records["backlog_sq"].tobytes() == np.array(
+        [2 * lyap.lyapunov_value(row) for row in trace.backlog_trace[1:]]).tobytes()
+    assert trace.records["backlog_sq"].any()
+    want = _drift_min_slack_afresh(trace, sc)
+    assert np.float64(trace.drift_min_slack).tobytes() == np.float64(want).tobytes()
+
+
+def _p3_value_reference(z, ctx, v):
+    """The value of the empty decision, priced from `RoundContext.outcome` of zero shares."""
+    return _p3_value(ctx.outcome(np.zeros(len(z))), z, ctx, v)
+
+
+@pytest.mark.parametrize("level", [0.0, 1e6])
+def test_solve_round_prices_the_empty_start_without_a_pass(monkeypatch, example_config, level):
+    # clients that train for 6e4 s are never worth selecting: the round stays
+    # empty, its value and outcome are the empty decision's, bit for bit, and
+    # no outcome pass runs; at a zero backlog the value is +0.0
+    ctx = uniform_context(population(2, cpu_freq=1e3), example_config)
+    z = np.full(2, level)
+    real, calls = model.selected_totals, []
+    monkeypatch.setattr(model, "selected_totals", lambda *a: calls.append(a) or real(*a))
+    result = solve_round(z, ctx, 1.0)
+    assert not result.shares.any() and not calls
+    want = ctx.outcome(np.zeros(2))
+    energy, t0, phi, latency = result.outcome
+    assert [energy.tobytes(), latency.tobytes()] == [want[0].tobytes(), want[3].tobytes()]
+    assert np.array([t0, phi]).tobytes() == np.array(want[1:3]).tobytes()
+    value = _p3_value_reference(z, ctx, 1.0)
+    assert np.array(result.half_step_values).tobytes() == np.array([value] * 3).tobytes()
+    if level == 0.0:
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    else:
+        assert value < 0.0
+
+
+def test_solve_round_first_value_is_the_empty_decisions_value():
+    # on rounds that select, at the sample's positive backlogs and at zero ones
+    for z, ctx, v, _ in _skip_sample():
+        for backlog in (z, np.zeros_like(z)):
+            first = solve_round(backlog, ctx, v).half_step_values[0]
+            want = _p3_value_reference(backlog, ctx, v)
+            assert np.float64(first).tobytes() == np.float64(want).tobytes()
