@@ -1,7 +1,6 @@
 """Online client selection and bandwidth allocation for wireless federated learning."""
 
-from .bandwidth import (Allocation, AllocationInstance, barrier_solve, lse_error_bound,
-                        smoothed_objective)
+from .bandwidth import Allocation, AllocationInstance, barrier_solve
 from .lyapunov import drift_bound, lyapunov_value, update_queue
 from .model import Population, RoundContext, SystemConfig
 from .scheduler import PolicySpec, RunTrace, run_policy, solve_round
@@ -9,8 +8,7 @@ from .selection import SelectionInstance, itmcs
 from .simenv import Scenario, ScenarioSpec, generate_population, sample_round
 
 __all__ = [
-    "Allocation", "AllocationInstance", "barrier_solve", "lse_error_bound",
-    "smoothed_objective",
+    "Allocation", "AllocationInstance", "barrier_solve",
     "drift_bound", "lyapunov_value", "update_queue",
     "Population", "RoundContext", "SystemConfig",
     "PolicySpec", "RunTrace", "run_policy", "solve_round",

@@ -3,12 +3,13 @@
 The PEDPC policy prices each client by its energy-deficit backlog, then
 alternates exact client selection with projected-Newton bandwidth allocation
 (`bandwidth.barrier_solve`, which keeps the name of the log-barrier method it
-replaced so that outside tooling still finds it), at most ITER_ROUNDS times
-per round. Its penalty weight V, the price of the round cost
-against the drift, is the policy's `penalty`, one constant for the run. Each
-half-step is accepted only if it does not increase the true per-round
-objective, so the objective trace is non-increasing by construction even
-though the bandwidth subproblem is solved through a smoothed surrogate.
+replaced so that outside tooling still finds it), at most ITER_ROUNDS times per
+round, stopping after an alternation that did not lower the round value (a
+strict comparison, the same in any energy unit). Its penalty weight V, the
+price of the round cost against the drift, is the policy's `penalty`, one
+constant for the run. Each half-step is accepted only if it does not increase
+the true per-round objective, so the objective trace is non-increasing by
+construction even though the allocator solves a smoothed surrogate.
 The allocator solves a bandwidth instance that depends only on the selected set,
 so it runs only when the selection half-step has just moved that set: the
 repeat on an unchanged set would return the same shares against the same
@@ -50,7 +51,6 @@ from .selection import SelectionInstance, itmcs
 from .simenv import Scenario, number, policy_rng
 
 POLICY_KINDS = ("PEDPC", "SelectAll", "Random", "Greedy", "FedCS")
-DESCENT_SLACK = 1e-9  # minimal per-iteration improvement to keep alternating
 DRIFT_TOL = 1e-9  # rounding slack allowed in the one-step drift inequality
 ITER_ROUNDS = 3  # selection/bandwidth alternations per PEDPC round, at most
 
@@ -103,9 +103,11 @@ def solve_round(backlog: np.ndarray, ctx: RoundContext, penalty_weight: float) -
 
     Raises ValueError unless every backlog is finite and non-negative. Starts
     from the always-feasible empty decision (all shares zero) and alternates
-    at most ITER_ROUNDS times (read at each call); the returned half-step
-    value trace is non-increasing. An all-infeasible round yields the empty
-    decision (its objective is the budget credit term alone).
+    at most ITER_ROUNDS times (read at each call), stopping after the first
+    alternation whose value is not below its start value (a NaN value stops
+    it too). The returned half-step value trace is non-increasing. An
+    all-infeasible round yields the empty decision (its objective is the
+    budget credit term alone).
     """
     backlog = np.asarray(backlog, dtype=float)
     if not model.finite_non_negative(backlog):
@@ -161,7 +163,7 @@ def solve_round(backlog: np.ndarray, ctx: RoundContext, penalty_weight: float) -
             if new_val <= value:
                 b, value, outcome = b_new, new_val, new_out
         halves.append(value)
-        if start_value - value < DESCENT_SLACK:
+        if not value < start_value:
             break
         # the next rescoring: the held clients at their shares, from the outcome
         # that accepted them, the others at 1/K

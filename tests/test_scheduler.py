@@ -11,9 +11,9 @@ from flsched import model, scheduler, simenv
 from flsched.errors import Infeasible, VerificationError
 from flsched.model import (RoundContext, SystemConfig, check_shares, client_utility,
                            round_credit, selected_totals)
-from flsched.scheduler import (DESCENT_SLACK, PolicySpec, SolveResult, _p3_value,
-                               baseline_fedcs, baseline_greedy, baseline_random,
-                               baseline_select_all, run_policy, solve_round)
+from flsched.scheduler import (PolicySpec, SolveResult, _p3_value, baseline_fedcs,
+                               baseline_greedy, baseline_random, baseline_select_all,
+                               run_policy, solve_round)
 from flsched.selection import SelectionInstance, itmcs
 from flsched.simenv import Scenario, ScenarioSpec, policy_rng
 
@@ -375,7 +375,7 @@ def _always_solve_oracle(backlog, ctx, penalty_weight, iter_rounds):
             if new_val <= value:
                 b, value = b_new, new_val
         halves.append(value)
-        if start_value - value < DESCENT_SLACK:
+        if not value < start_value:
             break
     return SolveResult(b, tuple(halves), ctx.outcome(b))
 
