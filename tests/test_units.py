@@ -10,7 +10,7 @@ of its sums.
 """
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -79,10 +79,8 @@ def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
 def test_energy_unit_scales_energies_and_backlogs_exactly(name, policy, c):
     doc = CONFIGS[name]
     base = _run(json.dumps(doc), policy)
-    scaled_policy = policy
-    if policy.kind == "PEDPC":
-        scaled_policy = PolicySpec(penalty=policy.penalty * c * c)
-    scaled = _run(_energy_unit(doc, c), scaled_policy)
+    # V scales as the round value does; the other policies ignore it
+    scaled = _run(_energy_unit(doc, c), replace(policy, penalty=policy.penalty * c * c))
     # each field on its own: a multi-field view's bytes carry the other fields
     for field in ("n_selected", "latency", "phi"):
         assert _same_bits(scaled.records[field], base.records[field]), field
@@ -129,7 +127,8 @@ def test_relabeling_the_iid_clients_keeps_each_pedpc_round(monkeypatch, penalty)
     np.testing.assert_array_equal(relabeled.records["n_selected"], base.records["n_selected"])
     np.testing.assert_allclose(relabeled.records["latency"], base.records["latency"],
                                rtol=1e-9, atol=0)
-    # the run's overflow, as its summary reports it: the last round's
-    overflow = [harness.round_columns(trace, sc.population.energy_budget)["energy_overflow_j"][-1]
-                for trace, sc in ((relabeled, scenario), (base, _scenario(json.dumps({}))))]
-    assert overflow[0] == pytest.approx(overflow[1], rel=1e-9, abs=0)
+    # the run's overflow as its summary reports it, the last round's (every budget is equal)
+    budgets = scenario.population.energy_budget
+    got, want = (harness.round_columns(trace, budgets)["energy_overflow_j"][-1]
+                 for trace in (relabeled, base))
+    assert got == pytest.approx(want, rel=1e-9, abs=0)
