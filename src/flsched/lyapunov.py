@@ -20,9 +20,14 @@ import numpy as np
 from .errors import Infeasible
 
 
-def update_queue(backlog: np.ndarray, spent: np.ndarray, credit: np.ndarray) -> np.ndarray:
-    """Advance backlogs one round: add spent (0 if unselected), subtract the credit, clamp at 0."""
-    return np.maximum(backlog + spent - credit, 0.0)
+def update_queue(backlog: np.ndarray, spent: np.ndarray, credit: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Advance backlogs one round: add spent (0 if unselected), subtract the credit, clamp at 0.
+
+    The result is written into `out` if given, a new array otherwise, and returned.
+    """
+    return np.maximum(np.subtract(np.add(backlog, spent, out=out), credit, out=out), 0.0,
+                      out=out)
 
 
 def lyapunov_value(backlog: np.ndarray) -> float:

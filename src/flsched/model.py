@@ -14,7 +14,8 @@ credit, which the scenario computes once for all its rounds, and its
 latency minus the selected utility, returned with the per-client energies
 and latencies it came from. So are the
 constraints: the floor and simplex rules of one round's shares
-(`check_shares`), how many clients the floor admits (`max_clients`), and
+(`check_shares`, which returns the selected indices that `outcome` can
+cost), how many clients the floor admits (`max_clients`), and
 the energy budget's per-round credit H_k/R (`round_credit`) and horizon
 overflow (`energy_overflow`).
 """
@@ -129,19 +130,22 @@ class Population:
         return self.cpu_freq.size
 
 
-def check_shares(shares: np.ndarray, config: SystemConfig) -> None:
+def check_shares(shares: np.ndarray, config: SystemConfig) -> np.ndarray:
     """Raise VerificationError if one round's shares violate the floor or the simplex equality.
 
-    A client is selected iff its share is non-zero, so a NaN share counts as
-    selected; both checks are written to fail on it. Selecting nobody is valid.
+    Returns the indices of the selected clients, ascending, for the rest of
+    the round to cost. A client is selected iff its share is non-zero, so a
+    NaN share counts as selected (both checks are written to fail on it) and
+    a -0.0 share does not. Selecting nobody is valid.
     """
-    held = shares[shares != 0]
-    if not held.size:
-        return
-    if not held.min() >= config.min_ratio - FEAS_TOL:
-        raise VerificationError("selected client below the bandwidth floor")
-    if not abs(held.sum() - 1.0) <= SUM_TOL:
-        raise VerificationError("selected shares must sum to one")
+    clients = shares.nonzero()[0]
+    if clients.size:
+        held = shares[clients]
+        if not held.min() >= config.min_ratio - FEAS_TOL:
+            raise VerificationError("selected client below the bandwidth floor")
+        if not abs(held.sum() - 1.0) <= SUM_TOL:
+            raise VerificationError("selected shares must sum to one")
+    return clients
 
 
 def round_credit(population: Population, config: SystemConfig) -> np.ndarray:
@@ -181,20 +185,23 @@ def client_round(population: Population, rate_coeff: np.ndarray, shares: np.ndar
             population.comp_energy[clients] + population.tx_power[clients] * t_com)
 
 
-def selected_totals(population: Population, rate_coeff: np.ndarray, shares: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def selected_totals(population: Population, rate_coeff: np.ndarray, shares: np.ndarray,
+                    clients: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-client (latency, energy) arrays; zero entries for unselected clients (zero shares).
 
-    Only the selected clients are costed (`client_round` on them). Raises
-    Infeasible if a selected client's latency is infinite: a dead link, an
-    upload time or a training latency beyond the float range.
+    Only the selected clients are costed (`client_round` on them): `clients`,
+    the ascending indices of the non-zero shares, found here if not given.
+    Raises Infeasible if a selected client's latency is infinite: a dead
+    link, an upload time or a training latency beyond the float range.
     """
-    idx = shares.nonzero()[0]
-    held_latency, held_energy = client_round(population, rate_coeff[idx], shares[idx], idx)
+    if clients is None:
+        clients = shares.nonzero()[0]
+    held_latency, held_energy = client_round(population, rate_coeff[clients], shares[clients],
+                                             clients)
     if np.isinf(held_latency).any():
         raise Infeasible("selected client with zero transmission rate")
     latency, energy = np.zeros(shares.size), np.zeros(shares.size)
-    latency[idx], energy[idx] = held_latency, held_energy
+    latency[clients], energy[clients] = held_latency, held_energy
     return latency, energy
 
 
@@ -212,13 +219,18 @@ class RoundContext:
         self.log_utility = log_utility
         self.credit = credit
 
-    def outcome(self, shares: np.ndarray) -> tuple[np.ndarray, float, float, np.ndarray]:
+    def outcome(self, shares: np.ndarray, clients: np.ndarray | None = None
+                ) -> tuple[np.ndarray, float, float, np.ndarray]:
         """Per-client round energies, the round latency t0, the accuracy utility phi
         and the per-client latencies (those of `selected_totals`).
 
-        t0 is the slowest selected client's latency, 0 when nobody is selected
-        (unselected clients' latencies are 0, selected ones' non-negative); the
-        round cost is t0 - phi.
+        `clients` are the selected clients' indices (`check_shares` returns
+        them), found here if not given; they alone are costed, and phi sums
+        their utilities. t0 is the slowest selected client's latency, 0 when
+        nobody is selected (unselected clients' latencies are 0, selected
+        ones' non-negative); the round cost is t0 - phi.
         """
-        latency, energy = selected_totals(self.population, self.rate_coeff, shares)
-        return energy, float(latency.max()), float(self.log_utility[shares != 0].sum()), latency
+        if clients is None:
+            clients = shares.nonzero()[0]
+        latency, energy = selected_totals(self.population, self.rate_coeff, shares, clients)
+        return energy, float(latency.max()), float(self.log_utility[clients].sum()), latency

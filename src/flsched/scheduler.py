@@ -29,16 +29,20 @@ draws and every later run on that scenario reads unchanged, and from row r
 of its backlog trace, which `lyapunov.update_queue` fills in place; row r of
 its record array holds the round's selected count, latency t0, utility phi
 and the squared norm of the backlog after it, one `np.dot` that the drift
-check also reads. It checks every round's shares with `model.check_shares`, and every
-run, whatever its policy or caller, against the one-step drift inequality (a
-NaN slack fails it) and the queue-implied deficit bound, and raises
-VerificationError on a violation.
+check also reads. It checks every round's shares with `model.check_shares`,
+whose selected index set is the round's count and what a baseline's outcome
+costs, and every run, whatever its policy or caller, against the one-step
+drift inequality (a NaN slack fails it) and the queue-implied deficit bound,
+and raises VerificationError on a violation. A baseline's run constants
+(`greedy_terms`, `fedcs_terms`, Random's sample size, SelectAll's split)
+are computed once, at run start, where an infeasible baseline raises.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -46,7 +50,7 @@ from . import bandwidth as bw
 from . import lyapunov as lyap
 from . import model
 from .errors import Infeasible, VerificationError
-from .model import RoundContext, SystemConfig
+from .model import Population, RoundContext, SystemConfig
 from .selection import SelectionInstance, itmcs
 from .simenv import Scenario, number, policy_rng
 
@@ -185,17 +189,30 @@ def baseline_select_all(config: SystemConfig) -> np.ndarray:
     return np.full(k, 1.0 / k)
 
 
-def baseline_random(config: SystemConfig, fraction: float,
-                    rng: np.random.Generator) -> np.ndarray:
-    """A fixed-size uniform sample of clients, equal shares."""
+def random_sample_size(config: SystemConfig, fraction: float) -> int:
+    """How many clients Random samples in every round: floor(fraction * K).
+
+    Raises Infeasible if that is nobody or more clients than the floor admits.
+    """
     k = config.num_clients
     n = int(math.floor(fraction * k + 1e-9))  # guard against 0.29*100 = 28.999...
     if n < 1:
         raise Infeasible("fraction selects nobody")
     if n > config.max_selectable:
         raise Infeasible("equal split over the sample falls below the floor")
-    shares = np.zeros(k)
-    shares[rng.choice(k, size=n, replace=False)] = 1.0 / n
+    return n
+
+
+def baseline_random(config: SystemConfig, fraction: float, rng: np.random.Generator,
+                    size: int | None = None) -> np.ndarray:
+    """A fixed-size uniform sample of clients, equal shares.
+
+    `size` is `random_sample_size(config, fraction)`, which a run computes
+    once; it is computed here if not given.
+    """
+    n = random_sample_size(config, fraction) if size is None else size
+    shares = np.zeros(config.num_clients)
+    shares[rng.choice(config.num_clients, size=n, replace=False)] = 1.0 / n
     return shares
 
 
@@ -212,7 +229,7 @@ def _fill(ctx: RoundContext, upload: np.ndarray, slack: np.ndarray) -> np.ndarra
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         need = upload[idx] / (ctx.rate_coeff[idx] * slack[idx])
     shares = np.maximum(need, ctx.config.min_ratio)
-    order = np.lexsort((idx, shares))
+    order = shares.argsort(kind="stable")  # ties in index order, as idx ascends
     # every share is at least the floor, so the running totals rise: admission
     # stops at the first total past the band
     total = shares[order].cumsum()
@@ -224,22 +241,41 @@ def _fill(ctx: RoundContext, upload: np.ndarray, slack: np.ndarray) -> np.ndarra
     return out
 
 
-def baseline_greedy(ctx: RoundContext) -> np.ndarray:
+def greedy_terms(population: Population, credit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy's (upload, slack) for `_fill`, constant over a run: each client's
+    upload energy per unit of rate-time, tx_power * model_size, and the energy
+    its round credit leaves after training, credit - comp_energy."""
+    return population.tx_power * population.model_size, credit - population.comp_energy
+
+
+def baseline_greedy(ctx: RoundContext, terms: tuple[np.ndarray, np.ndarray] | None = None
+                    ) -> np.ndarray:
     """As many clients as fit when each is given exactly its per-round energy budget.
 
     Each client's share is sized so its round energy equals its budget share;
-    clients whose training alone busts the budget are excluded.
+    clients whose training alone busts the budget are excluded. `terms` are
+    `greedy_terms(ctx.population, ctx.credit)`, which a run computes once;
+    they are computed here if not given.
     """
-    pop = ctx.population
-    return _fill(ctx, pop.tx_power * pop.model_size, ctx.credit - pop.comp_energy)
+    return _fill(ctx, *(terms or greedy_terms(ctx.population, ctx.credit)))
 
 
-def baseline_fedcs(ctx: RoundContext, latency_cap: float) -> np.ndarray:
-    """As many clients as fit when each is given exactly its latency-cap share."""
+def fedcs_terms(population: Population, latency_cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """FedCS's (upload, slack) for `_fill`, constant over a run: each client's
+    model size, and the time the latency cap leaves after training."""
     if not latency_cap > 0:
         raise ValueError("latency_cap must be positive")
-    pop = ctx.population
-    return _fill(ctx, pop.model_size, latency_cap - pop.comp_latency)
+    return population.model_size, latency_cap - population.comp_latency
+
+
+def baseline_fedcs(ctx: RoundContext, latency_cap: float,
+                   terms: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """As many clients as fit when each is given exactly its latency-cap share.
+
+    `terms` are `fedcs_terms(ctx.population, latency_cap)`, which a run
+    computes once; they are computed here if not given.
+    """
+    return _fill(ctx, *(terms or fedcs_terms(ctx.population, latency_cap)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +297,28 @@ class RunTrace:
     drift_min_slack: float  # smallest one-step drift slack over the run
 
 
-def _decide(ctx: RoundContext, policy: PolicySpec, seed: int, round_index: int) -> np.ndarray:
+def _baseline(scenario: Scenario, policy: PolicySpec
+              ) -> Callable[[RoundContext, int], np.ndarray]:
+    """A baseline's decision for (round context, round index).
+
+    Its run constants are computed once, here, so a policy that no round
+    can satisfy raises Infeasible at run start.
+    """
+    config, pop = scenario.config, scenario.population
     if policy.kind == "SelectAll":
-        return baseline_select_all(ctx.config)
+        shares = baseline_select_all(config)
+        return lambda ctx, r: shares
     if policy.kind == "Random":
-        return baseline_random(ctx.config, policy.random_fraction, policy_rng(seed, round_index))
+        seed, fraction = scenario.spec.seed, policy.random_fraction
+        size = random_sample_size(config, fraction)
+        return lambda ctx, r: baseline_random(config, fraction, policy_rng(seed, r), size)
     if policy.kind == "Greedy":
-        return baseline_greedy(ctx)
+        terms = greedy_terms(pop, scenario.credit)
+        return lambda ctx, r: baseline_greedy(ctx, terms)
     if policy.kind == "FedCS":
-        return baseline_fedcs(ctx, policy.latency_cap)
+        cap = policy.latency_cap
+        terms = fedcs_terms(pop, cap)
+        return lambda ctx, r: baseline_fedcs(ctx, cap, terms)
     raise ValueError(f"unknown policy kind {policy.kind!r}")
 
 
@@ -285,6 +334,7 @@ def run_policy(scenario: Scenario, policy: PolicySpec) -> RunTrace:
     drift = scenario.drift
     population, config, seed = scenario.population, scenario.config, scenario.spec.seed
     k, r_total = config.num_clients, config.num_rounds
+    decide = None if policy.kind == "PEDPC" else _baseline(scenario, policy)
     backlog_trace = np.zeros((r_total + 1, k))
     energies = np.zeros((r_total, k))
     records = np.zeros(r_total, dtype=[("n_selected", np.int64), ("latency", float),
@@ -294,23 +344,24 @@ def run_policy(scenario: Scenario, policy: PolicySpec) -> RunTrace:
     y_after = 0.0  # Lyapunov value of the zero backlog entering round 0
     for r in range(r_total):
         ctx = scenario.observe(r)
-        if policy.kind == "PEDPC":
+        if decide is None:
             result = solve_round(backlog_trace[r], ctx, policy.penalty)
             shares, outcome = result.shares, result.outcome
             halves.append(result.half_step_values)
         else:
-            shares, outcome = _decide(ctx, policy, seed, r), None
-        model.check_shares(shares, config)
-        energy_vec, t0, phi, _ = outcome if outcome is not None else ctx.outcome(shares)
-        backlog_trace[r + 1] = lyap.update_queue(backlog_trace[r], energy_vec, ctx.credit)
-        backlog_sq = float(np.dot(backlog_trace[r + 1], backlog_trace[r + 1]))
+            shares, outcome = decide(ctx, r), None
+        selected = model.check_shares(shares, config)
+        energy_vec, t0, phi, _ = outcome if outcome is not None else ctx.outcome(shares, selected)
+        after = lyap.update_queue(backlog_trace[r], energy_vec, ctx.credit,
+                                  out=backlog_trace[r + 1])
+        backlog_sq = float(np.dot(after, after))
         y_before, y_after = y_after, 0.5 * backlog_sq  # lyapunov_value of both backlogs
         slack = lyap.drift_gap(backlog_trace[r], energy_vec, ctx.credit, drift, y_before, y_after)
         if not slack >= -DRIFT_TOL:  # a NaN slack (non-finite energy or backlog) fails too
             raise VerificationError(
                 f"one-step drift inequality violated in round {r} (slack {slack:.3e})")
         drift_min_slack = min(drift_min_slack, slack)
-        records[r] = (np.count_nonzero(shares), t0, phi, backlog_sq)
+        records[r] = (selected.size, t0, phi, backlog_sq)
         energies[r] = energy_vec
     deficit_ok = lyap.deficit_ok(backlog_trace, energies.sum(axis=0), population.energy_budget)
     if not deficit_ok.all():

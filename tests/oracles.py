@@ -11,7 +11,9 @@ exhaustive grid search (`barrier_oracle` covers larger instances),
 enumerating every plan. `masked_selected_totals` and `masked_fill` compute
 `model.selected_totals` and `scheduler._fill` as masked passes over every
 client, the reference their passes over the clients concerned must match
-bit for bit.
+bit for bit. `masked_baseline_run` runs a baseline policy as such a pass
+per round, with every constant and check computed afresh in each round,
+the reference `scheduler.run_policy` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ import numpy as np
 
 from flsched import model
 from flsched.bandwidth import Allocation, AllocationInstance, simplex_grid
-from flsched.errors import Infeasible
-from flsched.model import FEAS_TOL, Population, RoundContext
+from flsched.errors import Infeasible, VerificationError
+from flsched.model import FEAS_TOL, SUM_TOL, Population, RoundContext
+from flsched.scheduler import PolicySpec
 from flsched.selection import SelectionInstance, SelectionResult
-from flsched.simenv import Scenario
+from flsched.simenv import Scenario, policy_rng
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -195,3 +198,71 @@ def masked_fill(ctx: RoundContext, upload: np.ndarray, slack: np.ndarray) -> np.
     if admitted.size:
         out[admitted[-1]] += 1.0 - total[admitted.size - 1]
     return out
+
+
+def _masked_decision(ctx: RoundContext, policy: PolicySpec, seed: int, r: int) -> np.ndarray:
+    """A baseline's round-r shares, its size, checks and terms computed in the round."""
+    config, pop = ctx.config, ctx.population
+    k = config.num_clients
+    if policy.kind == "SelectAll":
+        if k > config.max_selectable:
+            raise Infeasible("equal split over all clients falls below the floor")
+        return np.full(k, 1.0 / k)
+    if policy.kind == "Random":
+        n = int(math.floor(policy.random_fraction * k + 1e-9))
+        if n < 1:
+            raise Infeasible("fraction selects nobody")
+        if n > config.max_selectable:
+            raise Infeasible("equal split over the sample falls below the floor")
+        shares = np.zeros(k)
+        shares[policy_rng(seed, r).choice(k, size=n, replace=False)] = 1.0 / n
+        return shares
+    if policy.kind == "Greedy":
+        return masked_fill(ctx, pop.tx_power * pop.model_size, ctx.credit - pop.comp_energy)
+    if policy.kind == "FedCS":
+        return masked_fill(ctx, pop.model_size, policy.latency_cap - pop.comp_latency)
+    raise ValueError(f"{policy.kind} is not a baseline")
+
+
+def _masked_check_shares(shares: np.ndarray, config: model.SystemConfig) -> None:
+    """`model.check_shares` on the masked selected shares."""
+    held = shares[shares != 0]
+    if not held.size:
+        return
+    if not held.min() >= config.min_ratio - FEAS_TOL:
+        raise VerificationError("selected client below the bandwidth floor")
+    if not abs(held.sum() - 1.0) <= SUM_TOL:
+        raise VerificationError("selected shares must sum to one")
+
+
+def masked_baseline_run(scenario: Scenario, policy: PolicySpec
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """A baseline's (records, energies, backlog_trace, drift_min_slack) over the horizon.
+
+    Each round decides, checks and costs its shares over every client, finds
+    the selected ones by mask and counts them with count_nonzero, and
+    advances the backlogs into a new row; the drift slack is taken from the
+    round's two squared backlog norms, as `scheduler.run_policy` takes it.
+    The deficit check at the end of a run is left out.
+    """
+    config, seed = scenario.config, scenario.spec.seed
+    k, r_total = config.num_clients, config.num_rounds
+    records = np.zeros(r_total, dtype=[("n_selected", np.int64), ("latency", float),
+                                       ("phi", float), ("backlog_sq", float)])
+    energies, backlog_trace = np.zeros((r_total, k)), np.zeros((r_total + 1, k))
+    min_slack, y_after = math.inf, 0.0
+    for r in range(r_total):
+        ctx = scenario.observe(r)
+        shares = _masked_decision(ctx, policy, seed, r)
+        _masked_check_shares(shares, config)
+        latency, energy = masked_selected_totals(ctx.population, ctx.rate_coeff, shares)
+        phi = float(ctx.log_utility[shares != 0].sum())
+        backlog_trace[r + 1] = np.maximum(backlog_trace[r] + energy - ctx.credit, 0.0)
+        backlog_sq = float(np.dot(backlog_trace[r + 1], backlog_trace[r + 1]))
+        y_before, y_after = y_after, 0.5 * backlog_sq
+        slack = (scenario.drift + float(np.dot(backlog_trace[r], energy - ctx.credit))
+                 - (y_after - y_before))
+        min_slack = min(min_slack, slack)
+        records[r] = (np.count_nonzero(shares), float(latency.max()), phi, backlog_sq)
+        energies[r] = energy
+    return records, energies, backlog_trace, min_slack

@@ -267,7 +267,7 @@ _BROKEN_GUARANTEES = [
     ("deficit_ok", "deficit_ok", _deficit_check_fails, "deficit lower bound"),
     ("drift_gap-nan", "drift_gap", lambda *args: np.nan,
      "drift inequality violated in round 0 (slack nan)"),
-    ("update_queue-nan", "update_queue", lambda backlog, spent, credit: backlog * np.nan,
+    ("update_queue-nan", "update_queue", lambda backlog, spent, credit, out=None: backlog * np.nan,
      "drift inequality violated in round 0 (slack nan)"),
 ]
 
@@ -299,7 +299,8 @@ def test_cli_run_broken_share_rules_exit_4(tmp_path, monkeypatch, capsys, shares
     path.write_text(json.dumps({"system": {"num_clients": 8, "num_rounds": 4, "frame_len": 2,
                                            "num_frames": 2, "min_ratio": 0.2},
                                 "output": {"dir": str(tmp_path / "out")}}))
-    monkeypatch.setattr(scheduler, "baseline_greedy", lambda ctx: np.array(shares + [0.0] * 6))
+    monkeypatch.setattr(scheduler, "baseline_greedy",
+                        lambda ctx, terms=None: np.array(shares + [0.0] * 6))
     assert cli.main(["run", "--config", str(path), "--policy", "Greedy"]) == cli.EXIT_VERIFY
     assert capsys.readouterr().err == f"verification failed: {message}\n"
 

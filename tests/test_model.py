@@ -272,6 +272,42 @@ def test_check_shares(example_config):
     check_shares(np.zeros(2), example_config)
 
 
+@pytest.mark.parametrize("shares", [[0.0, 0.0], [-0.0, -0.0], [-0.0, 1.0], [1.0, -0.0],
+                                    [0.5, 0.5], [0.0, 0.0, 0.3, -0.0, 0.7]])
+def test_check_shares_returns_the_selected_indices(example_config, shares):
+    # the non-zero shares' indices, ascending: -0.0 selects nobody
+    got = check_shares(np.array(shares), example_config)
+    want = np.flatnonzero(shares)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("shares", [[np.nan, 0.0], [np.nan, 1.0], [0.0, np.nan, -0.0]])
+def test_check_shares_counts_a_nan_share_as_selected(example_config, shares):
+    # were the NaN unselected, each of these would pass: nobody or [1.0] is valid
+    with pytest.raises(VerificationError, match="^selected client below the bandwidth floor$"):
+        check_shares(np.array(shares), example_config)
+
+
+def test_outcome_on_the_checked_index_set_matches_the_masked_reference(example_config):
+    # costing the set check_shares returns gives the masked pass's energies,
+    # latencies, t0 and phi, bit for bit, as does costing without the set
+    pop = population(4, cpu_freq=[1e9, 5e8, 2e9, 1e8])
+    config = dataclasses.replace(example_config, num_clients=4)
+    ctx = RoundContext(pop, np.array([1e-10, 3e-11, 0.0, 5e-10]), config,
+                       client_utility(pop, config), round_credit(pop, config))
+    for shares in ([0.0, 0.0, 0.0, 0.0], [0.25, 0.0, 0.0, 0.75], [0.5, -0.0, 0.0, 0.5],
+                   [0.1, 0.2, 0.0, 0.7]):
+        shares = np.array(shares)
+        latency, energy = masked_selected_totals(pop, ctx.rate_coeff, shares)
+        phi = float(ctx.log_utility[shares != 0].sum())
+        for got in (ctx.outcome(shares, check_shares(shares, config)), ctx.outcome(shares)):
+            assert [got[0].tobytes(), got[3].tobytes()] == [energy.tobytes(), latency.tobytes()]
+            assert np.array(got[1:3]).tobytes() == np.array([latency.max(), phi]).tobytes()
+    with pytest.raises(Infeasible):  # client 2's dead link, in the set as found by the check
+        shares = np.array([0.5, 0.0, 0.5, 0.0])
+        ctx.outcome(shares, check_shares(shares, config))
+
+
 def test_selected_totals_matches_scalar(twin_population, example_config):
     gains = np.array([1e-10, 3e-11])
     coeffs = rate_coefficients(twin_population, gains, example_config)

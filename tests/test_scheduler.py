@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flsched import bandwidth as bw
+from flsched import harness
 from flsched import lyapunov as lyap
 from flsched import model, scheduler, simenv
 from flsched.errors import Infeasible, VerificationError
@@ -18,7 +19,7 @@ from flsched.selection import SelectionInstance, itmcs
 from flsched.simenv import Scenario, ScenarioSpec, policy_rng
 
 from conftest import population
-from oracles import masked_fill
+from oracles import masked_baseline_run, masked_fill
 
 G_REF = 1e7 * np.log2(101.0)
 
@@ -499,9 +500,9 @@ def test_run_policy_draws_each_round_once_at_its_start(monkeypatch, policy):
         events.append(("draw", round_index))
         return real_draw(spec, round_index, population)
 
-    def update(*args):
+    def update(*args, **kwargs):
         events.append(("update", None))
-        return real_update(*args)
+        return real_update(*args, **kwargs)
 
     monkeypatch.setattr(simenv, "sample_round", draw)
     monkeypatch.setattr(lyap, "update_queue", update)
@@ -659,3 +660,42 @@ def test_solve_round_first_value_is_the_empty_decisions_value():
             first = solve_round(backlog, ctx, v).half_step_values[0]
             want = _p3_value_reference(backlog, ctx, v)
             assert np.float64(first).tobytes() == np.float64(want).tobytes()
+
+
+# CI's smoke system, the built-in setting and the benchmark's floored NONIID one
+_BASELINE_RUN_CONFIGS = {
+    "default": {},
+    "pedpc_floor": {"system": {"min_ratio": 0.05}, "scenario": {"mode": "NONIID"}},
+    "smoke": {"system": {"num_clients": 8, "num_rounds": 12, "frame_len": 4, "num_frames": 3,
+                         "min_ratio": 0.05}},
+}
+# FedCS at 0.1 s selects nobody on the smoke system at seed 2 and about 10 of
+# 100 clients elsewhere; at 0.3 s about 40 of 100, or the floor's 20
+_BASELINE_RUN_POLICIES = (PolicySpec("SelectAll"), PolicySpec("Random", random_fraction=0.4),
+                          PolicySpec("Greedy"), PolicySpec("FedCS", latency_cap=0.1),
+                          PolicySpec("FedCS", latency_cap=0.3))
+
+
+@pytest.mark.parametrize("policy", _BASELINE_RUN_POLICIES,
+                         ids=lambda p: p.kind + (f"-{p.latency_cap:g}" if p.latency_cap else ""))
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", list(_BASELINE_RUN_CONFIGS))
+def test_baseline_run_matches_the_masked_reference_bit_for_bit(name, seed, policy):
+    # one index set per round and the run constants computed once give the
+    # per-round masked pass's records, energies, backlogs and drift slack; on
+    # the floor's 20-client cap SelectAll and Random 0.4 are Infeasible in both
+    scenario = harness.build_scenario(harness.parse_config(_BASELINE_RUN_CONFIGS[name]), seed)
+    try:
+        records, energies, backlog_trace, min_slack = masked_baseline_run(scenario, policy)
+    except Infeasible as exc:
+        assert name == "pedpc_floor" and policy.kind in ("SelectAll", "Random")
+        with pytest.raises(Infeasible, match=f"^{exc}$"):
+            run_policy(scenario, policy)
+        return
+    trace = run_policy(scenario, policy)
+    assert trace.records.tobytes() == records.tobytes()
+    assert trace.energies.tobytes() == energies.tobytes()
+    assert trace.backlog_trace.tobytes() == backlog_trace.tobytes()
+    assert np.float64(trace.drift_min_slack).tobytes() == np.float64(min_slack).tobytes()
+    nobody_fits = (name, seed, policy.latency_cap) == ("smoke", 2, 0.1)
+    assert records["n_selected"].any() != nobody_fits
