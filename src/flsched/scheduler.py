@@ -18,9 +18,13 @@ simplex is the single point 1/m that the candidate already holds (one
 client, or m floors of exactly 1/m filling the band): it could only return
 that split. `SolveResult` carries the outcome of the accepted shares, so
 `run_policy` does not evaluate them again. Nor is anything else priced twice
-in a round: the empty start is priced from its zero outcome, and each
-rescoring takes the held clients' costs from that outcome and the others'
-at 1/K from one `client_round` call per round.
+in a round: the empty start is priced from its zero outcome, every client's
+score at the scoring share 1/K is priced once per round, and each later
+rescoring reprices only the held clients, from the outcome that accepted
+them, into a copy of those scores. The held set is one ascending index
+array: the selection half-step compares the proposal's indices with it, and
+the candidate's outcome, the allocator's instance and its outcome take it
+as given.
 
 Every policy decides a round as one share vector, whose non-zero entries are
 the selected clients. `run_policy` decides round r from its
@@ -119,30 +123,38 @@ def solve_round(backlog: np.ndarray, ctx: RoundContext, penalty_weight: float) -
     pop, config = ctx.population, ctx.config
     k = len(pop)
     cap = config.max_selectable
-    # every client's costs at the scoring share 1/K, which a client outside the
-    # current set is rescored at, and the utility's weight in the scores
+    # every client's costs and score at the scoring share 1/K, which a client
+    # outside the held set is rescored at
     hyp_latency, hyp_energy = model.client_round(pop, ctx.rate_coeff, 1.0 / k)
     utility = penalty_weight * ctx.log_utility
+    hyp_scores = lyap.energy_prices(backlog, hyp_energy) - utility
     b = np.zeros(k)
+    held = b.nonzero()[0]  # the decision's selected clients, ascending
     outcome = (np.zeros(k), 0.0, 0.0, np.zeros(k))  # the empty decision's, without a pass
     value = _p3_value(outcome, backlog, ctx, penalty_weight)
     halves = [value]
-    latencies, energies = hyp_latency, hyp_energy
-    for _ in range(ITER_ROUNDS):
+    scores, latencies = hyp_scores, hyp_latency
+    for alternation in range(ITER_ROUNDS):
+        if alternation:
+            # a later rescoring: the held clients at their shares, from the
+            # outcome that accepted them, the others at 1/K as priced above
+            scores, latencies = hyp_scores.copy(), hyp_latency.copy()
+            scores[held] = lyap.energy_prices(backlog[held], outcome[0][held]) - utility[held]
+            latencies[held] = outcome[3][held]
         start_value = value
-        # selection half-step: rescore everyone, keep the change only if it helps
-        scores = lyap.energy_prices(backlog, energies) - utility
-        proposal = itmcs(SelectionInstance(scores, latencies, penalty_weight,
-                                           max_selected=cap)).selected
+        # selection half-step: keep the proposed set only if it helps
+        chosen = itmcs(SelectionInstance(scores, latencies, penalty_weight,
+                                         max_selected=cap)).selected.nonzero()[0]
         solve = False
-        if not np.array_equal(proposal, b != 0):
-            m = int(proposal.sum())
+        if chosen.size != held.size or (chosen != held).any():
+            m = chosen.size
             equal = 1.0 / m if m else 0.0
-            b_cand = np.where(proposal, equal, 0.0)
-            cand_out = ctx.outcome(b_cand)
+            b_cand = np.zeros(k)
+            b_cand[chosen] = equal
+            cand_out = ctx.outcome(b_cand, chosen)
             cand_val = _p3_value(cand_out, backlog, ctx, penalty_weight)
             if cand_val <= value:
-                b, value, outcome = b_cand, cand_val, cand_out
+                b, value, outcome, held = b_cand, cand_val, cand_out, chosen
                 # the allocator's answer is the equal split just evaluated when
                 # the floored simplex is that single point
                 solve = m > 0 and bw.fixed_share(m, config.min_ratio) != equal
@@ -150,30 +162,24 @@ def solve_round(backlog: np.ndarray, ctx: RoundContext, penalty_weight: float) -
         # bandwidth half-step: allocator solve, kept only if the true value improves;
         # an unmoved set was solved by the previous half-step, whose outcome stands
         if solve:
-            idx = np.flatnonzero(b)
             instance = bw.AllocationInstance(
-                comp_latency=pop.comp_latency[idx],
-                lat_coeff=pop.model_size[idx] / ctx.rate_coeff[idx],
-                price_coeff=(pop.tx_power[idx] * backlog[idx] * pop.model_size[idx]
-                             / ctx.rate_coeff[idx]),
+                comp_latency=pop.comp_latency[held],
+                lat_coeff=pop.model_size[held] / ctx.rate_coeff[held],
+                price_coeff=(pop.tx_power[held] * backlog[held] * pop.model_size[held]
+                             / ctx.rate_coeff[held]),
                 penalty_weight=penalty_weight,
                 min_ratio=config.min_ratio,
             )
             alloc = bw.barrier_solve(instance)
             b_new = np.zeros(k)
-            b_new[idx] = alloc.ratios
-            new_out = ctx.outcome(b_new)
+            b_new[held] = alloc.ratios
+            new_out = ctx.outcome(b_new, held)
             new_val = _p3_value(new_out, backlog, ctx, penalty_weight)
             if new_val <= value:
                 b, value, outcome = b_new, new_val, new_out
         halves.append(value)
         if not value < start_value:
             break
-        # the next rescoring: the held clients at their shares, from the outcome
-        # that accepted them, the others at 1/K
-        held = b != 0
-        latencies = np.where(held, outcome[3], hyp_latency)
-        energies = np.where(held, outcome[0], hyp_energy)
     return SolveResult(b, tuple(halves), outcome)
 
 

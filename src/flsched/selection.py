@@ -4,8 +4,10 @@ The subproblem scores each client with q_k (backlog price minus weighted
 utility) and charges the penalty weight times the slowest selected client.
 Only negative-score clients can help; among them, for any latency ceiling the
 best set is determined, so scanning ceilings in increasing latency order is
-exact. A brute-force enumerator and a per-ceiling definition back the solver
-in tests.
+exact. The scan has two phases: plain prefix sums while every predecessor
+fits under the cap, then a heap that keeps the cap-1 most negative scores.
+A brute-force enumerator, a per-ceiling definition and the earlier one-loop
+heap scan back the solver in tests.
 """
 
 from __future__ import annotations
@@ -63,10 +65,12 @@ def itmcs(instance: SelectionInstance) -> SelectionResult:
     never positive, and the first candidate with the smallest negative W
     wins. Infinite-latency clients are never eligible regardless of score.
 
-    The scan runs on Python floats: a max-heap keeps the cap-1 most negative
-    predecessor scores and their running sum, which with a cap that cannot
-    bind is the plain prefix sum. A NaN W (an overflowing v*t next to a -inf
-    score) is never chosen.
+    The scan runs on Python floats in latency order (ties by index), in two
+    phases. The first cap-1 ceilings keep every predecessor, so their pool
+    sum is the plain prefix sum. From there a min-heap of the negated scores
+    keeps the cap-1 most negative predecessors, and each client pushes its
+    score in and pops the least negative one out. A NaN W (an overflowing
+    v*t next to a -inf score) is never chosen.
     """
     q = instance.scores
     t = instance.latencies
@@ -77,28 +81,39 @@ def itmcs(instance: SelectionInstance) -> SelectionResult:
     best_w = 0.0
     best_pos = -1
     if cap >= 1 and eligible.size:
-        order = eligible[np.lexsort((eligible, t[eligible]))]
+        order = eligible[t[eligible].argsort(kind="stable")]  # eligible ascends: ties by index
         with np.errstate(over="ignore", invalid="ignore"):
             head = (v * t[order]).tolist()
-        # max-heap of the most negative predecessor scores, at most cap-1 kept
-        pool: list[float] = []
+        clients = zip(head, q[order].tolist())
+        pool: list[float] = []  # the negated predecessor scores in the sum
         pool_sum = 0.0
-        for pos, (vt, qi) in enumerate(zip(head, q[order].tolist())):
+        # phase one: the first cap-1 ceilings, whose predecessors all fit
+        for pos, (vt, qi) in zip(range(cap - 1), clients):
             w = vt + qi + pool_sum
             if w < best_w:
                 best_w, best_pos = w, pos
-            if cap > 1:
+            pool_sum += qi
+            pool.append(-qi)
+        # phase two: a full pool drops its least negative score per client
+        if cap > 1:
+            heapq.heapify(pool)
+            for pos, (vt, qi) in enumerate(clients, len(pool)):
+                w = vt + qi + pool_sum
+                if w < best_w:
+                    best_w, best_pos = w, pos
                 pool_sum += qi
-                if len(pool) < cap - 1:
-                    heapq.heappush(pool, -qi)
-                else:  # a full pool drops its least negative score
-                    pool_sum += heapq.heappushpop(pool, -qi)
+                pool_sum += heapq.heappushpop(pool, -qi)
+        else:  # no companions: W is the ceiling's own
+            for pos, (vt, qi) in enumerate(clients):
+                w = vt + qi
+                if w < best_w:
+                    best_w, best_pos = w, pos
     selected = np.zeros(k, dtype=bool)
     if best_pos >= 0:
         preds = order[:best_pos]
-        take = min(cap - 1, len(preds))
         selected[order[best_pos]] = True
-        if take:
-            by_score = preds[np.lexsort((preds, q[preds]))][:take]
-            selected[by_score] = True
+        if cap - 1 >= len(preds):  # the cap does not bind
+            selected[preds] = True
+        elif cap > 1:
+            selected[preds[np.lexsort((preds, q[preds]))[:cap - 1]]] = True
     return SelectionResult(selected, best_w)

@@ -6,7 +6,9 @@ exhaustive grid search (`barrier_oracle` covers larger instances),
 `smoothing_gap` measures how far the smoothed max lies above it.
 `brute_force_selection` enumerates every selection set to check
 `selection.itmcs` against `selection_objective` on at most 20 clients, and
-`ceiling_selection` spells out the candidates itmcs scans, for any size.
+`ceiling_selection` spells out the candidates itmcs scans, for any size;
+`heap_selection` is itmcs's earlier one-loop scan, which it must match bit
+for bit.
 `lookahead_oracle` checks the frame lookahead of `harness.verify_bounds` by
 enumerating every plan. `masked_selected_totals` and `masked_fill` compute
 `model.selected_totals` and `scheduler._fill` as masked passes over every
@@ -18,6 +20,7 @@ the reference `scheduler.run_policy` must match bit for bit.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from functools import lru_cache
@@ -132,6 +135,50 @@ def ceiling_selection(instance: SelectionInstance) -> SelectionResult:
             best, best_w = [ceil, *companions], w
     selected = np.zeros(k, dtype=bool)
     selected[best] = True
+    return SelectionResult(selected, best_w)
+
+
+def heap_selection(instance: SelectionInstance) -> SelectionResult:
+    """`selection.itmcs` as it was before its scan split into two phases.
+
+    One loop over the latency order (a lexsort on latency, then index) with
+    a per-client cap test and heap push while the pool fills; the tail sorts
+    the predecessors by score even when the cap does not bind. The reference
+    the two-phase scan must match bit for bit, `objective` included.
+    """
+    q = instance.scores
+    t = instance.latencies
+    v = instance.penalty_weight
+    k = len(q)
+    eligible = np.flatnonzero((q < 0) & np.isfinite(t))
+    cap = instance.max_selected if instance.max_selected is not None else k
+    best_w = 0.0
+    best_pos = -1
+    if cap >= 1 and eligible.size:
+        order = eligible[np.lexsort((eligible, t[eligible]))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            head = (v * t[order]).tolist()
+        # max-heap of the most negative predecessor scores, at most cap-1 kept
+        pool: list[float] = []
+        pool_sum = 0.0
+        for pos, (vt, qi) in enumerate(zip(head, q[order].tolist())):
+            w = vt + qi + pool_sum
+            if w < best_w:
+                best_w, best_pos = w, pos
+            if cap > 1:
+                pool_sum += qi
+                if len(pool) < cap - 1:
+                    heapq.heappush(pool, -qi)
+                else:  # a full pool drops its least negative score
+                    pool_sum += heapq.heappushpop(pool, -qi)
+    selected = np.zeros(k, dtype=bool)
+    if best_pos >= 0:
+        preds = order[:best_pos]
+        take = min(cap - 1, len(preds))
+        selected[order[best_pos]] = True
+        if take:
+            by_score = preds[np.lexsort((preds, q[preds]))][:take]
+            selected[by_score] = True
     return SelectionResult(selected, best_w)
 
 

@@ -15,11 +15,11 @@ from flsched.model import (RoundContext, SystemConfig, check_shares, client_util
 from flsched.scheduler import (PolicySpec, SolveResult, _p3_value, baseline_fedcs,
                                baseline_greedy, baseline_random, baseline_select_all,
                                run_policy, solve_round)
-from flsched.selection import SelectionInstance, itmcs
+from flsched.selection import SelectionInstance
 from flsched.simenv import Scenario, ScenarioSpec, policy_rng
 
 from conftest import population
-from oracles import masked_baseline_run, masked_fill
+from oracles import heap_selection, masked_baseline_run, masked_fill
 
 G_REF = 1e7 * np.log2(101.0)
 
@@ -330,13 +330,15 @@ def test_run_policy_raises_on_deficit_violation(monkeypatch):
         run_policy(sc, PolicySpec("PEDPC"))
 
 
-def _always_solve_oracle(backlog, ctx, penalty_weight, iter_rounds):
+def _always_solve_oracle(backlog, ctx, penalty_weight, iter_rounds, select=heap_selection):
     """The alternation loop that calls the barrier after every selection half-step.
 
     Kept as it was before the fixed-point skip, apart from calling the shared
     per-client model, holding the decision as its share vector and evaluating
     the returned shares' outcome afresh, as the reference the production loop
-    must reproduce bit for bit.
+    must reproduce bit for bit. It rescores every client in every alternation,
+    compares full masks and selects with `select`, by default
+    `heap_selection`, the one-loop scan.
     """
     pop, config = ctx.population, ctx.config
     k = len(pop)
@@ -350,8 +352,8 @@ def _always_solve_oracle(backlog, ctx, penalty_weight, iter_rounds):
         shares = np.where(b != 0, b, hyp_share)
         latencies, energies = model.client_round(pop, ctx.rate_coeff, shares)
         scores = lyap.energy_prices(backlog, energies) - penalty_weight * ctx.log_utility
-        proposal = itmcs(SelectionInstance(scores, latencies, penalty_weight,
-                                           max_selected=cap)).selected
+        proposal = select(SelectionInstance(scores, latencies, penalty_weight,
+                                            max_selected=cap)).selected
         if not np.array_equal(proposal, b != 0):
             m = int(proposal.sum())
             b_cand = np.where(proposal, 1.0 / m if m else 0.0, 0.0)
@@ -423,6 +425,27 @@ def test_solve_round_matches_always_solve_oracle_exactly(monkeypatch):
         assert got.half_step_values == want.half_step_values
 
 
+def _recorder(log):
+    """A selection step that logs its instance's scores and latencies, then runs `heap_selection`."""
+    def record(instance):
+        log.append(instance.scores.tobytes() + instance.latencies.tobytes())
+        return heap_selection(instance)
+    return record
+
+
+def test_solve_round_scores_match_a_full_rescoring(monkeypatch):
+    # every selection instance the production loop builds, the held clients
+    # repriced into a copy of the 1/K scores, is the oracle's rescoring of
+    # every client at its share or at 1/K, alternation by alternation
+    for z, ctx, v, iter_rounds in _skip_sample():
+        got, want = [], []
+        monkeypatch.setattr(scheduler, "ITER_ROUNDS", iter_rounds)
+        monkeypatch.setattr(scheduler, "itmcs", _recorder(got))
+        scheduler.solve_round(z, ctx, v)
+        _always_solve_oracle(z, ctx, v, iter_rounds, select=_recorder(want))
+        assert got == want
+
+
 def _equal_split_only(m, min_ratio):
     """Whether the allocator's only answer for m clients is the equal split 1/m.
 
@@ -486,6 +509,29 @@ def test_pinned_floor_run_matches_always_solve_oracle(monkeypatch):
     assert got.backlog_trace.tobytes() == want.backlog_trace.tobytes()
     assert got.energies.tobytes() == want.energies.tobytes()
     assert got.half_step_values == want.half_step_values
+
+
+@pytest.mark.parametrize("penalty", [0.1, 1.0])
+@pytest.mark.parametrize("name", ["default", "pedpc_floor"])
+def test_full_scale_run_matches_always_solve_oracle(monkeypatch, name, penalty):
+    # 100 clients over two frames of 30 rounds, under the default floor (no
+    # cap binds, most sets are solved) and the 5% one (20-client sets pinned
+    # at the floor): held-set rescoring, index sets and the two-phase scan
+    # give the always-solve loop's records, energies, backlogs and traces
+    doc = _BASELINE_RUN_CONFIGS[name]
+    system = {**doc.get("system", {}), "num_rounds": 60, "frame_len": 30, "num_frames": 2}
+    scenario = harness.build_scenario(harness.parse_config({**doc, "system": system}), 1)
+    policy = PolicySpec("PEDPC", penalty=penalty)
+    got = run_policy(scenario, policy)
+    monkeypatch.setattr(scheduler, "solve_round", lambda backlog, ctx, v: _always_solve_oracle(
+        backlog, ctx, v, scheduler.ITER_ROUNDS))
+    want = run_policy(scenario, policy)
+    assert got.records["n_selected"].any()
+    assert got.records.tobytes() == want.records.tobytes()
+    assert got.energies.tobytes() == want.energies.tobytes()
+    assert got.backlog_trace.tobytes() == want.backlog_trace.tobytes()
+    assert [np.array(h).tobytes() for h in got.half_step_values] == \
+        [np.array(h).tobytes() for h in want.half_step_values]
 
 
 @pytest.mark.parametrize("policy", [PolicySpec("PEDPC"), PolicySpec("Greedy")],

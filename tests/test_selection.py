@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flsched import scheduler
+from flsched import harness, scheduler
 from flsched.errors import Infeasible
 from flsched.model import RoundContext, client_utility, round_credit
 from flsched.selection import SelectionInstance, itmcs
 from flsched.simenv import Scenario, ScenarioSpec
 
-from oracles import brute_force_selection, ceiling_selection, selection_objective
+from oracles import (brute_force_selection, ceiling_selection, heap_selection,
+                     selection_objective)
 
 
 def score_oracle(price, v, penalty_weight):
@@ -140,10 +141,13 @@ def assert_matches_ceiling_definition(inst):
     return fast
 
 
-def test_itmcs_matches_ceiling_definition_at_full_size():
-    # caps below, at and above the number of eligible clients; on the tied
-    # instances every score and latency sits on a grid of 1/16 and V is a power
-    # of two, so each W is exact and the tie-breaks are compared, not rounding
+def _full_size_draws():
+    """240 seeded instances of up to 120 clients, as (q, t, V, n eligible, a drawn cap).
+
+    On the odd (tied) instances every score and latency sits on a grid of
+    1/16 and V is a power of two, so each W is exact and the tie-breaks are
+    compared, not rounding; every third instance has infinite latencies.
+    """
     rng = np.random.default_rng(44)
     for case in range(240):
         k = 120 if case % 4 == 0 else int(rng.integers(1, 121))
@@ -155,10 +159,55 @@ def test_itmcs_matches_ceiling_definition_at_full_size():
         if case % 3 == 0:
             t[rng.random(k) < 0.2] = np.inf
         n = int(((q < 0) & np.isfinite(t)).sum())
-        caps = {None, 0, 1, max(n - 1, 0), n, n + 1, int(rng.integers(0, k + 2))}
-        for cap in caps:
+        yield q, t, v, n, int(rng.integers(0, k + 2))
+
+
+def test_itmcs_matches_ceiling_definition_at_full_size():
+    # caps below, at and above the number of eligible clients
+    for q, t, v, n, drawn in _full_size_draws():
+        for cap in {None, 0, 1, max(n - 1, 0), n, n + 1, drawn}:
             got = assert_matches_ceiling_definition(SelectionInstance(q, t, v, max_selected=cap))
             assert cap is None or got.selected.sum() <= cap
+
+
+def assert_matches_heap_scan(inst):
+    got, want = itmcs(inst), heap_selection(inst)
+    assert np.array_equal(got.selected, want.selected)
+    assert got.objective == want.objective
+
+
+def test_itmcs_matches_the_heap_scan_bit_for_bit():
+    # the two-phase scan against the one-loop heap scan it replaced: the same
+    # set and the same W, whether the cap binds, fills the pool exactly or not
+    for q, t, v, n, drawn in _full_size_draws():
+        for cap in {None, 0, 1, 2, max(n - 1, 0), n, n + 1, drawn}:
+            assert_matches_heap_scan(SelectionInstance(q, t, v, max_selected=cap))
+    # NaN candidates (see test_nan_candidate_never_chosen), with and without a heap
+    for cap in (None, 0, 1, 2):
+        assert_matches_heap_scan(SelectionInstance(np.array([-np.inf, -1.0, -0.5]),
+                                                   np.array([1e10, 0.0, 2e10]), 1e300,
+                                                   max_selected=cap))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("config", [{}, {"system": {"min_ratio": 0.05},
+                                         "scenario": {"mode": "NONIID"}}],
+                         ids=["default", "pedpc_floor"])
+def test_itmcs_matches_the_heap_scan_on_pedpc_runs(monkeypatch, config, seed):
+    # every selection instance of a full-scale PEDPC run: the default 100-client
+    # cap never binds, the floor's 20-client cap does
+    captured = []
+
+    def capture(instance):
+        captured.append(instance)
+        return itmcs(instance)
+
+    monkeypatch.setattr(scheduler, "itmcs", capture)
+    scheduler.run_policy(harness.build_scenario(harness.parse_config(config), seed),
+                         scheduler.PolicySpec("PEDPC"))
+    assert len(captured) >= 300
+    for inst in captured:
+        assert_matches_heap_scan(inst)
 
 
 def test_nan_candidate_never_chosen():
