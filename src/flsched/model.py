@@ -5,17 +5,17 @@ population (`Population`, one array per client parameter): training energy
 and latency, full-band Shannon rates (`rate_coefficients`, base-2 log,
 bits/s), per-client round latency and energy at a vector of band shares
 (`client_round`, for every client or a given subset; `selected_totals` costs
-only the selected ones and leaves zeros elsewhere), and the
+only the selected ones, by their indices, and leaves zeros elsewhere), and the
 diminishing-returns accuracy utility (`client_utility`, natural log).
 A round's decision is its share vector: a client is selected iff its share
 is non-zero. `RoundContext` holds a round's rates with the utility and
 credit, which the scenario computes once for all its rounds, and its
-`outcome` assembles the round cost from them: the slowest selected client's
-latency minus the selected utility, returned with the per-client energies
-and latencies it came from. So are the
+`outcome` assembles the round cost from them and the selected indices: the
+slowest selected client's latency minus the selected utility, returned with
+the per-client energies and latencies it came from. So are the
 constraints: the floor and simplex rules of one round's shares
-(`check_shares`, which returns the selected indices that `outcome` can
-cost), how many clients the floor admits (`max_clients`), and
+(`check_shares`, which returns the selected indices that `outcome`
+costs), how many clients the floor admits (`max_clients`), and
 the energy budget's per-round credit H_k/R (`round_credit`) and horizon
 overflow (`energy_overflow`).
 """
@@ -186,16 +186,14 @@ def client_round(population: Population, rate_coeff: np.ndarray, shares: np.ndar
 
 
 def selected_totals(population: Population, rate_coeff: np.ndarray, shares: np.ndarray,
-                    clients: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                    clients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-client (latency, energy) arrays; zero entries for unselected clients (zero shares).
 
     Only the selected clients are costed (`client_round` on them): `clients`,
-    the ascending indices of the non-zero shares, found here if not given.
+    the ascending indices of the non-zero shares.
     Raises Infeasible if a selected client's latency is infinite: a dead
     link, an upload time or a training latency beyond the float range.
     """
-    if clients is None:
-        clients = shares.nonzero()[0]
     held_latency, held_energy = client_round(population, rate_coeff[clients], shares[clients],
                                              clients)
     if np.isinf(held_latency).any():
@@ -219,18 +217,16 @@ class RoundContext:
         self.log_utility = log_utility
         self.credit = credit
 
-    def outcome(self, shares: np.ndarray, clients: np.ndarray | None = None
+    def outcome(self, shares: np.ndarray, clients: np.ndarray
                 ) -> tuple[np.ndarray, float, float, np.ndarray]:
         """Per-client round energies, the round latency t0, the accuracy utility phi
         and the per-client latencies (those of `selected_totals`).
 
-        `clients` are the selected clients' indices (`check_shares` returns
-        them), found here if not given; they alone are costed, and phi sums
-        their utilities. t0 is the slowest selected client's latency, 0 when
-        nobody is selected (unselected clients' latencies are 0, selected
-        ones' non-negative); the round cost is t0 - phi.
+        `clients` are the selected clients' ascending indices (`check_shares`
+        returns them); they alone are costed, and phi sums their utilities.
+        t0 is the slowest selected client's latency, 0 when nobody is
+        selected (unselected clients' latencies are 0, selected ones'
+        non-negative); the round cost is t0 - phi.
         """
-        if clients is None:
-            clients = shares.nonzero()[0]
         latency, energy = selected_totals(self.population, self.rate_coeff, shares, clients)
         return energy, float(latency.max()), float(self.log_utility[clients].sum()), latency

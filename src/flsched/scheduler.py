@@ -39,7 +39,8 @@ costs, and every run, whatever its policy or caller, against the one-step
 drift inequality (a NaN slack fails it) and the queue-implied deficit bound,
 and raises VerificationError on a violation. A baseline's run constants
 (`greedy_terms`, `fedcs_terms`, Random's sample size, SelectAll's split)
-are computed once, at run start, where an infeasible baseline raises.
+are computed once, at run start, where an infeasible baseline raises, and
+each round passes them to its rule (`_fill` for Greedy and FedCS).
 """
 
 from __future__ import annotations
@@ -209,21 +210,18 @@ def random_sample_size(config: SystemConfig, fraction: float) -> int:
     return n
 
 
-def baseline_random(config: SystemConfig, fraction: float, rng: np.random.Generator,
-                    size: int | None = None) -> np.ndarray:
-    """A fixed-size uniform sample of clients, equal shares.
+def baseline_random(num_clients: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniform sample of `size` of the clients, equal shares.
 
-    `size` is `random_sample_size(config, fraction)`, which a run computes
-    once; it is computed here if not given.
+    `size` is `random_sample_size(config, fraction)`, which a run computes once.
     """
-    n = random_sample_size(config, fraction) if size is None else size
-    shares = np.zeros(config.num_clients)
-    shares[rng.choice(config.num_clients, size=n, replace=False)] = 1.0 / n
+    shares = np.zeros(num_clients)
+    shares[rng.choice(num_clients, size=size, replace=False)] = 1.0 / size
     return shares
 
 
 def _fill(ctx: RoundContext, upload: np.ndarray, slack: np.ndarray) -> np.ndarray:
-    """Shared body of the budget/latency-capped baselines.
+    """One round of Greedy or FedCS, from its run's `greedy_terms` or `fedcs_terms`.
 
     Each client with positive slack and a live link needs the share whose upload
     cost upload / (share * rate) uses up that slack, clamped up to the floor (a
@@ -254,34 +252,12 @@ def greedy_terms(population: Population, credit: np.ndarray) -> tuple[np.ndarray
     return population.tx_power * population.model_size, credit - population.comp_energy
 
 
-def baseline_greedy(ctx: RoundContext, terms: tuple[np.ndarray, np.ndarray] | None = None
-                    ) -> np.ndarray:
-    """As many clients as fit when each is given exactly its per-round energy budget.
-
-    Each client's share is sized so its round energy equals its budget share;
-    clients whose training alone busts the budget are excluded. `terms` are
-    `greedy_terms(ctx.population, ctx.credit)`, which a run computes once;
-    they are computed here if not given.
-    """
-    return _fill(ctx, *(terms or greedy_terms(ctx.population, ctx.credit)))
-
-
 def fedcs_terms(population: Population, latency_cap: float) -> tuple[np.ndarray, np.ndarray]:
     """FedCS's (upload, slack) for `_fill`, constant over a run: each client's
     model size, and the time the latency cap leaves after training."""
     if not latency_cap > 0:
         raise ValueError("latency_cap must be positive")
     return population.model_size, latency_cap - population.comp_latency
-
-
-def baseline_fedcs(ctx: RoundContext, latency_cap: float,
-                   terms: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """As many clients as fit when each is given exactly its latency-cap share.
-
-    `terms` are `fedcs_terms(ctx.population, latency_cap)`, which a run
-    computes once; they are computed here if not given.
-    """
-    return _fill(ctx, *(terms or fedcs_terms(ctx.population, latency_cap)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +291,15 @@ def _baseline(scenario: Scenario, policy: PolicySpec
         shares = baseline_select_all(config)
         return lambda ctx, r: shares
     if policy.kind == "Random":
-        seed, fraction = scenario.spec.seed, policy.random_fraction
-        size = random_sample_size(config, fraction)
-        return lambda ctx, r: baseline_random(config, fraction, policy_rng(seed, r), size)
+        seed, k = scenario.spec.seed, config.num_clients
+        size = random_sample_size(config, policy.random_fraction)
+        return lambda ctx, r: baseline_random(k, size, policy_rng(seed, r))
     if policy.kind == "Greedy":
-        terms = greedy_terms(pop, scenario.credit)
-        return lambda ctx, r: baseline_greedy(ctx, terms)
+        upload, slack = greedy_terms(pop, scenario.credit)
+        return lambda ctx, r: _fill(ctx, upload, slack)
     if policy.kind == "FedCS":
-        cap = policy.latency_cap
-        terms = fedcs_terms(pop, cap)
-        return lambda ctx, r: baseline_fedcs(ctx, cap, terms)
+        upload, slack = fedcs_terms(pop, policy.latency_cap)
+        return lambda ctx, r: _fill(ctx, upload, slack)
     raise ValueError(f"unknown policy kind {policy.kind!r}")
 
 

@@ -299,8 +299,8 @@ def test_cli_run_broken_share_rules_exit_4(tmp_path, monkeypatch, capsys, shares
     path.write_text(json.dumps({"system": {"num_clients": 8, "num_rounds": 4, "frame_len": 2,
                                            "num_frames": 2, "min_ratio": 0.2},
                                 "output": {"dir": str(tmp_path / "out")}}))
-    monkeypatch.setattr(scheduler, "baseline_greedy",
-                        lambda ctx, terms=None: np.array(shares + [0.0] * 6))
+    monkeypatch.setattr(scheduler, "_fill",
+                        lambda ctx, upload, slack: np.array(shares + [0.0] * 6))
     assert cli.main(["run", "--config", str(path), "--policy", "Greedy"]) == cli.EXIT_VERIFY
     assert capsys.readouterr().err == f"verification failed: {message}\n"
 

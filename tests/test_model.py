@@ -12,7 +12,7 @@ from flsched.errors import Infeasible, VerificationError
 from flsched.model import (FEAS_TOL, Population, RoundContext, SystemConfig, check_shares,
                            client_round, client_utility, max_clients, rate_coefficients,
                            round_credit, selected_totals)
-from flsched.scheduler import baseline_random, baseline_select_all
+from flsched.scheduler import baseline_random, baseline_select_all, random_sample_size
 
 from conftest import EXAMPLE_CLIENT, population
 from oracles import masked_selected_totals
@@ -155,8 +155,9 @@ def test_comm_quantities_dead_link(twin_population):
     latency, energy = client_round(twin_population, np.array([0.0, G_REF]),
                                    np.array([0.5, 0.0]))
     assert np.isinf(latency).all() and np.isinf(energy).all()
+    shares = np.array([1.0, 0.0])
     with pytest.raises(Infeasible):
-        selected_totals(twin_population, np.array([0.0, G_REF]), np.array([1.0, 0.0]))
+        selected_totals(twin_population, np.array([0.0, G_REF]), shares, shares.nonzero()[0])
 
 
 @given(st.floats(min_value=0.01, max_value=0.99))
@@ -184,7 +185,8 @@ def test_round_latency_selected_max(example_config):
     ctx = snr100_context(pop, dataclasses.replace(example_config, num_clients=3))
 
     def t0(shares):
-        return ctx.outcome(np.array(shares))[1]
+        shares = np.array(shares)
+        return ctx.outcome(shares, shares.nonzero()[0])[1]
 
     def slowest(members):
         return max(client_oracle(pop, k, G_REF, share)[0] for k, share in members)
@@ -210,7 +212,7 @@ def test_round_latency_equals_indicator_max(freqs, bits):
     dec = np.where(sel, share, 0.0)
     expect = max((client_oracle(pop, k, ctx.rate_coeff[k], share)[0]
                   for k in np.flatnonzero(sel)), default=0.0)
-    assert ctx.outcome(dec)[1] == pytest.approx(expect, rel=1e-12)
+    assert ctx.outcome(dec, dec.nonzero()[0])[1] == pytest.approx(expect, rel=1e-12)
 
 
 def test_accuracy_utility_reference(twin_population, example_config):
@@ -218,21 +220,22 @@ def test_accuracy_utility_reference(twin_population, example_config):
         pytest.approx([PHI_REF, PHI_REF], rel=1e-12)
     ctx = snr100_context(twin_population, example_config)
     one = np.array([1.0, 0.0])
-    assert ctx.outcome(one)[2] == pytest.approx(PHI_REF, rel=1e-12)
-    assert ctx.outcome(np.zeros(2))[2] == 0.0
+    assert ctx.outcome(one, one.nonzero()[0])[2] == pytest.approx(PHI_REF, rel=1e-12)
+    empty = np.zeros(2)
+    assert ctx.outcome(empty, empty.nonzero()[0])[2] == 0.0
     both = np.array([0.5, 0.5])
-    assert ctx.outcome(both)[2] == pytest.approx(2 * PHI_REF, rel=1e-12)
+    assert ctx.outcome(both, both.nonzero()[0])[2] == pytest.approx(2 * PHI_REF, rel=1e-12)
 
 
 def test_accuracy_utility_monotone_under_adding(twin_population, example_config):
     ctx = snr100_context(twin_population, example_config)
     one = np.array([1.0, 0.0])
     both = np.array([0.5, 0.5])
-    assert ctx.outcome(both)[2] >= ctx.outcome(one)[2]
+    assert ctx.outcome(both, both.nonzero()[0])[2] >= ctx.outcome(one, one.nonzero()[0])[2]
 
 
 def round_cost(ctx, shares):
-    _, t0, phi, _ = ctx.outcome(shares)
+    _, t0, phi, _ = ctx.outcome(shares, shares.nonzero()[0])
     return t0 - phi
 
 
@@ -290,7 +293,7 @@ def test_check_shares_counts_a_nan_share_as_selected(example_config, shares):
 
 def test_outcome_on_the_checked_index_set_matches_the_masked_reference(example_config):
     # costing the set check_shares returns gives the masked pass's energies,
-    # latencies, t0 and phi, bit for bit, as does costing without the set
+    # latencies, t0 and phi, bit for bit
     pop = population(4, cpu_freq=[1e9, 5e8, 2e9, 1e8])
     config = dataclasses.replace(example_config, num_clients=4)
     ctx = RoundContext(pop, np.array([1e-10, 3e-11, 0.0, 5e-10]), config,
@@ -300,9 +303,9 @@ def test_outcome_on_the_checked_index_set_matches_the_masked_reference(example_c
         shares = np.array(shares)
         latency, energy = masked_selected_totals(pop, ctx.rate_coeff, shares)
         phi = float(ctx.log_utility[shares != 0].sum())
-        for got in (ctx.outcome(shares, check_shares(shares, config)), ctx.outcome(shares)):
-            assert [got[0].tobytes(), got[3].tobytes()] == [energy.tobytes(), latency.tobytes()]
-            assert np.array(got[1:3]).tobytes() == np.array([latency.max(), phi]).tobytes()
+        got = ctx.outcome(shares, check_shares(shares, config))
+        assert [got[0].tobytes(), got[3].tobytes()] == [energy.tobytes(), latency.tobytes()]
+        assert np.array(got[1:3]).tobytes() == np.array([latency.max(), phi]).tobytes()
     with pytest.raises(Infeasible):  # client 2's dead link, in the set as found by the check
         shares = np.array([0.5, 0.0, 0.5, 0.0])
         ctx.outcome(shares, check_shares(shares, config))
@@ -312,13 +315,14 @@ def test_selected_totals_matches_scalar(twin_population, example_config):
     gains = np.array([1e-10, 3e-11])
     coeffs = rate_coefficients(twin_population, gains, example_config)
     shares = np.array([0.4, 0.6])
-    lat, en = selected_totals(twin_population, coeffs, shares)
+    lat, en = selected_totals(twin_population, coeffs, shares, shares.nonzero()[0])
     for k in range(2):
         t_ref, e_ref = client_oracle(twin_population, k, coeffs[k], shares[k])
         assert lat[k] == pytest.approx(t_ref, rel=1e-14)
         assert en[k] == pytest.approx(e_ref, rel=1e-14)
+    shares = np.array([1.0, 0.0])
     with pytest.raises(Infeasible):
-        selected_totals(twin_population, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        selected_totals(twin_population, np.array([0.0, 1.0]), shares, shares.nonzero()[0])
 
 
 def _selection_draws(count, k=12):
@@ -351,10 +355,10 @@ def test_selected_totals_matches_the_masked_reference_bit_for_bit():
                 want = masked_selected_totals(pop, rate_coeff, shares)
             except Infeasible:
                 with pytest.raises(Infeasible, match="zero transmission rate"):
-                    selected_totals(pop, rate_coeff, shares)
+                    selected_totals(pop, rate_coeff, shares, shares.nonzero()[0])
                 raised += 1
                 continue
-            got = selected_totals(pop, rate_coeff, shares)
+            got = selected_totals(pop, rate_coeff, shares, shares.nonzero()[0])
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         returned += 1
         returned_past_an_unselected_edge += bool((edge & (shares == 0)).any())
@@ -369,11 +373,14 @@ def test_selected_totals_raises_on_each_edge_of_a_selected_client():
                                (live, [np.nan, 0.0]),  # NaN share
                                (np.array([1e-300, 6e7]), [1.0, 0.0]),  # upload overflows
                                (live, [0.5, 0.5])]:  # training latency overflows
-        for totals in (selected_totals, masked_selected_totals):
-            with np.errstate(over="ignore"), pytest.raises(Infeasible):
-                totals(pop, rate_coeff, np.array(shares))
+        shares = np.array(shares)
+        with np.errstate(over="ignore"), pytest.raises(Infeasible):
+            selected_totals(pop, rate_coeff, shares, shares.nonzero()[0])
+        with np.errstate(over="ignore"), pytest.raises(Infeasible):
+            masked_selected_totals(pop, rate_coeff, shares)
     # the same edges on an unselected client cost nothing
-    latency, energy = selected_totals(pop, np.array([6e7, 0.0]), np.array([1.0, 0.0]))
+    shares = np.array([1.0, 0.0])
+    latency, energy = selected_totals(pop, np.array([6e7, 0.0]), shares, shares.nonzero()[0])
     assert latency[1] == energy[1] == 0.0 and np.isfinite(latency[0])
 
 
@@ -416,9 +423,10 @@ def test_floor_capacity_is_one_rule(min_ratio):
         baseline_select_all(_floor_config(min_ratio, cap + 1))
     wide = _floor_config(min_ratio, cap + 1)
     rng = np.random.default_rng(0)
-    assert np.count_nonzero(baseline_random(wide, cap / (cap + 1), rng)) == cap
-    with pytest.raises(Infeasible):
-        baseline_random(wide, 1.0, rng)
+    size = random_sample_size(wide, cap / (cap + 1))
+    assert np.count_nonzero(baseline_random(cap + 1, size, rng)) == cap
+    with pytest.raises(Infeasible, match="^equal split over the sample falls below the floor$"):
+        random_sample_size(wide, 1.0)
 
 
 @pytest.mark.parametrize("min_ratio", [2e-19, 1e-300, 1e-309, 5e-324], ids=repr)

@@ -12,9 +12,9 @@ from flsched import model, scheduler, simenv
 from flsched.errors import Infeasible, VerificationError
 from flsched.model import (RoundContext, SystemConfig, check_shares, client_utility,
                            round_credit, selected_totals)
-from flsched.scheduler import (PolicySpec, SolveResult, _p3_value, baseline_fedcs,
-                               baseline_greedy, baseline_random, baseline_select_all,
-                               run_policy, solve_round)
+from flsched.scheduler import (PolicySpec, SolveResult, _fill, _p3_value, baseline_random,
+                               baseline_select_all, fedcs_terms, greedy_terms,
+                               random_sample_size, run_policy, solve_round)
 from flsched.selection import SelectionInstance
 from flsched.simenv import Scenario, ScenarioSpec, policy_rng
 
@@ -38,13 +38,15 @@ def uniform_context(population, config, value=1e-10):
 
 def test_p3_objective_empty_zero_queue(twin_population, example_config):
     ctx = uniform_context(twin_population, example_config)
-    assert _p3_value(ctx.outcome(np.zeros(2)), np.zeros(2), ctx, 1.0) == 0.0
+    empty = np.zeros(2)
+    assert _p3_value(ctx.outcome(empty, empty.nonzero()[0]), np.zeros(2), ctx, 1.0) == 0.0
 
 
 def test_p3_objective_empty_with_backlog(twin_population, example_config):
     ctx = uniform_context(twin_population, example_config)
     z = np.array([0.01, 0.02])
-    got = _p3_value(ctx.outcome(np.zeros(2)), z, ctx, 1.0)
+    empty = np.zeros(2)
+    got = _p3_value(ctx.outcome(empty, empty.nonzero()[0]), z, ctx, 1.0)
     assert got == pytest.approx(-(0.01 + 0.02) * 1.5 / 300, rel=1e-12)
     assert got < 0
 
@@ -54,7 +56,7 @@ def test_p3_objective_single_client_reference(twin_population, example_config):
     ctx = uniform_context(twin_population, example_config)
     z = np.array([1.0, 0.0])
     dec = np.array([0.1, 0.0])
-    got = _p3_value(ctx.outcome(dec), z, ctx, 1.0)
+    got = _p3_value(ctx.outcome(dec, dec.nonzero()[0]), z, ctx, 1.0)
     # the unselected client has zero backlog so only the credit of client 0 counts
     assert got == pytest.approx(0.0804555, rel=1e-5)
 
@@ -124,26 +126,31 @@ def test_baseline_select_all_infeasible():
 
 def test_baseline_random_counts_and_determinism():
     sc = small_scenario(k=6)
-    dec1 = baseline_random(sc.config, 0.5, policy_rng(7, 0))
-    dec2 = baseline_random(sc.config, 0.5, policy_rng(7, 0))
+    dec1 = baseline_random(6, random_sample_size(sc.config, 0.5), policy_rng(7, 0))
+    dec2 = baseline_random(6, random_sample_size(sc.config, 0.5), policy_rng(7, 0))
     assert np.count_nonzero(dec1) == 3
     assert np.array_equal(dec1, dec2)
     assert np.allclose(dec1[dec1 != 0], 1 / 3)
     check_shares(dec1, sc.config)
-    full = baseline_random(sc.config, 1.0, policy_rng(7, 0))
+    full = baseline_random(6, random_sample_size(sc.config, 1.0), policy_rng(7, 0))
     assert full.all()  # fraction one behaves like select-all
 
 
 def test_baseline_random_infeasible():
-    sc = small_scenario(k=6, min_ratio=0.05)
-    with pytest.raises(Infeasible):
-        baseline_random(sc.config, 0.05, policy_rng(0, 0))
+    # of 6 clients, a 5% fraction samples nobody, and a 20% floor admits only 5
+    for min_ratio, fraction, message in [
+            (0.05, 0.05, "fraction selects nobody"),
+            (0.2, 1.0, "equal split over the sample falls below the floor")]:
+        sc = small_scenario(k=6, min_ratio=min_ratio)
+        with pytest.raises(Infeasible, match=f"^{message}$"):
+            random_sample_size(sc.config, fraction)
 
 
 def test_baseline_greedy_share_inversion(example_config):
     # with training headroom 0.002 J the required share is p*S/(G*headroom)
     pop = population(2, cycles_per_bit=5.0)
-    dec = baseline_greedy(uniform_context(pop, example_config))
+    ctx = uniform_context(pop, example_config)
+    dec = _fill(ctx, *greedy_terms(pop, ctx.credit))
     e_cmp = pop.comp_energy[0]
     expect = 0.1 * 2.4e5 / (G_REF * (1.5 / 300 - e_cmp))
     assert dec.all()
@@ -157,7 +164,8 @@ def test_baseline_greedy_excludes_budget_busters():
     cfg = SystemConfig(num_clients=2, num_rounds=300, frame_len=30, num_frames=10,
                        bandwidth=1e7, min_ratio=0.01, noise_power=1e-13,
                        accuracy_coeff=1.7e-8)
-    dec = baseline_greedy(uniform_context(pop, cfg))
+    ctx = uniform_context(pop, cfg)
+    dec = _fill(ctx, *greedy_terms(pop, ctx.credit))
     assert not dec.any()
 
 
@@ -174,8 +182,9 @@ def test_baseline_greedy_prefix_and_topup():
     snr = 2 ** (g_needed / sc.config.bandwidth) - 1
     gains = snr * sc.config.noise_power / pop.tx_power
     assert np.all(credit - pop.comp_energy > 0)
-    dec = baseline_greedy(RoundContext(pop, gains, sc.config, client_utility(pop, sc.config),
-                                       round_credit(pop, sc.config)))
+    ctx = RoundContext(pop, gains, sc.config, client_utility(pop, sc.config),
+                       round_credit(pop, sc.config))
+    dec = _fill(ctx, *greedy_terms(pop, ctx.credit))
     assert np.count_nonzero(dec) == 5
     shares = np.sort(dec[dec != 0])
     assert np.allclose(shares[:4], 0.18, atol=1e-9)
@@ -187,17 +196,18 @@ def test_baseline_greedy_energy_within_budget_share():
     for seed in range(20):
         sc = small_scenario(seed=seed, k=6)
         ctx = sc.observe(0)
-        dec = baseline_greedy(ctx)
+        dec = _fill(ctx, *greedy_terms(sc.population, ctx.credit))
         if not dec.any():
             continue
         check_shares(dec, sc.config)
-        _, energy = selected_totals(sc.population, ctx.rate_coeff, dec)
+        _, energy = selected_totals(sc.population, ctx.rate_coeff, dec, dec.nonzero()[0])
         credit = sc.population.energy_budget / sc.config.num_rounds
         assert np.all(energy[dec != 0] <= credit[dec != 0] + 1e-12)
 
 
 def test_baseline_fedcs_share_inversion(example_config, twin_population):
-    dec = baseline_fedcs(uniform_context(twin_population, example_config), 0.5)
+    dec = _fill(uniform_context(twin_population, example_config),
+                *fedcs_terms(twin_population, 0.5))
     expect = 2.4e5 / (G_REF * (0.5 - 0.06))
     assert expect == pytest.approx(0.0081922, rel=1e-4)
     got = np.sort(dec[dec != 0])
@@ -206,8 +216,14 @@ def test_baseline_fedcs_share_inversion(example_config, twin_population):
 
 def test_baseline_fedcs_excludes_slow_training(example_config):
     pop = population(2, cpu_freq=1e7)  # t_cmp = 6 s
-    dec = baseline_fedcs(uniform_context(pop, example_config), 0.5)
+    dec = _fill(uniform_context(pop, example_config), *fedcs_terms(pop, 0.5))
     assert not dec.any()
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, float("nan")], ids=repr)
+def test_fedcs_terms_rejects_a_non_positive_cap(twin_population, cap):
+    with pytest.raises(ValueError, match="^latency_cap must be positive$"):
+        fedcs_terms(twin_population, cap)
 
 
 def test_baseline_fedcs_latency_within_cap():
@@ -215,17 +231,17 @@ def test_baseline_fedcs_latency_within_cap():
         sc = small_scenario(seed=seed, k=6)
         ctx = sc.observe(0)
         cap = 1.0
-        dec = baseline_fedcs(ctx, cap)
+        dec = _fill(ctx, *fedcs_terms(sc.population, cap))
         if not dec.any():
             continue
         check_shares(dec, sc.config)
-        latency, _ = selected_totals(sc.population, ctx.rate_coeff, dec)
+        latency, _ = selected_totals(sc.population, ctx.rate_coeff, dec, dec.nonzero()[0])
         assert np.all(latency[dec != 0] <= cap + 1e-12)
 
 
 def test_baseline_fedcs_huge_cap_selects_max():
     sc = small_scenario(k=6, min_ratio=0.2)  # at most 5 clients fit
-    dec = baseline_fedcs(sc.observe(0), 1e9)
+    dec = _fill(sc.observe(0), *fedcs_terms(sc.population, 1e9))
     assert np.count_nonzero(dec) == 5
     assert np.allclose(np.sort(dec[dec != 0])[:4], 0.2)
 
@@ -345,7 +361,7 @@ def _always_solve_oracle(backlog, ctx, penalty_weight, iter_rounds, select=heap_
     cap = config.max_selectable
     hyp_share = 1.0 / k
     b = np.zeros(k)
-    value = _p3_value(ctx.outcome(b), backlog, ctx, penalty_weight)
+    value = _p3_value(ctx.outcome(b, b.nonzero()[0]), backlog, ctx, penalty_weight)
     halves = [value]
     for _ in range(iter_rounds):
         start_value = value
@@ -357,7 +373,8 @@ def _always_solve_oracle(backlog, ctx, penalty_weight, iter_rounds, select=heap_
         if not np.array_equal(proposal, b != 0):
             m = int(proposal.sum())
             b_cand = np.where(proposal, 1.0 / m if m else 0.0, 0.0)
-            cand_val = _p3_value(ctx.outcome(b_cand), backlog, ctx, penalty_weight)
+            cand_val = _p3_value(ctx.outcome(b_cand, b_cand.nonzero()[0]), backlog, ctx,
+                                 penalty_weight)
             if cand_val <= value:
                 b, value = b_cand, cand_val
         halves.append(value)
@@ -374,13 +391,14 @@ def _always_solve_oracle(backlog, ctx, penalty_weight, iter_rounds, select=heap_
             alloc = bw.barrier_solve(instance)
             b_new = np.zeros(k)
             b_new[idx] = alloc.ratios
-            new_val = _p3_value(ctx.outcome(b_new), backlog, ctx, penalty_weight)
+            new_val = _p3_value(ctx.outcome(b_new, b_new.nonzero()[0]), backlog, ctx,
+                                penalty_weight)
             if new_val <= value:
                 b, value = b_new, new_val
         halves.append(value)
         if not value < start_value:
             break
-    return SolveResult(b, tuple(halves), ctx.outcome(b))
+    return SolveResult(b, tuple(halves), ctx.outcome(b, b.nonzero()[0]))
 
 
 def _skip_sample():
@@ -490,7 +508,8 @@ def test_solve_round_outcome_is_the_decisions_outcome(monkeypatch):
         monkeypatch.setattr(scheduler, "ITER_ROUNDS", iter_rounds)
         result = scheduler.solve_round(z, ctx, v)
         energy, t0, phi, latency = result.outcome
-        want_energy, want_t0, want_phi, want_latency = ctx.outcome(result.shares)
+        want_energy, want_t0, want_phi, want_latency = ctx.outcome(
+            result.shares, result.shares.nonzero()[0])
         assert energy.tobytes() == want_energy.tobytes()
         assert latency.tobytes() == want_latency.tobytes()
         assert np.array([t0, phi]).tobytes() == np.array([want_t0, want_phi]).tobytes()
@@ -673,7 +692,8 @@ def test_run_policy_carries_each_backlogs_squared_norm(kind):
 
 def _p3_value_reference(z, ctx, v):
     """The value of the empty decision, priced from `RoundContext.outcome` of zero shares."""
-    return _p3_value(ctx.outcome(np.zeros(len(z))), z, ctx, v)
+    empty = np.zeros(len(z))
+    return _p3_value(ctx.outcome(empty, empty.nonzero()[0]), z, ctx, v)
 
 
 @pytest.mark.parametrize("level", [0.0, 1e6])
@@ -687,7 +707,8 @@ def test_solve_round_prices_the_empty_start_without_a_pass(monkeypatch, example_
     monkeypatch.setattr(model, "selected_totals", lambda *a: calls.append(a) or real(*a))
     result = solve_round(z, ctx, 1.0)
     assert not result.shares.any() and not calls
-    want = ctx.outcome(np.zeros(2))
+    empty = np.zeros(2)
+    want = ctx.outcome(empty, empty.nonzero()[0])
     energy, t0, phi, latency = result.outcome
     assert [energy.tobytes(), latency.tobytes()] == [want[0].tobytes(), want[3].tobytes()]
     assert np.array([t0, phi]).tobytes() == np.array(want[1:3]).tobytes()
