@@ -1,7 +1,7 @@
 """Online client selection and bandwidth allocation for wireless federated learning."""
 
 from .bandwidth import Allocation, AllocationInstance, barrier_solve
-from .lyapunov import drift_bound, lyapunov_value, update_queue
+from .lyapunov import drift_bound, update_queue
 from .model import Population, RoundContext, SystemConfig
 from .scheduler import PolicySpec, RunTrace, run_policy, solve_round
 from .selection import SelectionInstance, itmcs
@@ -9,7 +9,7 @@ from .simenv import Scenario, ScenarioSpec, generate_population, sample_round
 
 __all__ = [
     "Allocation", "AllocationInstance", "barrier_solve",
-    "drift_bound", "lyapunov_value", "update_queue",
+    "drift_bound", "update_queue",
     "Population", "RoundContext", "SystemConfig",
     "PolicySpec", "RunTrace", "run_policy", "solve_round",
     "SelectionInstance", "itmcs",

@@ -172,10 +172,6 @@ def fixed_share(m: int, b_min: float) -> float | None:
     return None
 
 
-def _fixed_allocation(b: np.ndarray, instance: AllocationInstance) -> Allocation:
-    return Allocation(b, _evaluate(b, instance).value, 0, 0.0)
-
-
 def _project(y: np.ndarray, floor: float) -> np.ndarray:
     """Euclidean projection onto the floored simplex {b >= floor, sum(b) = 1}.
 
@@ -320,7 +316,8 @@ def barrier_solve(instance: AllocationInstance) -> Allocation:
     b_min = instance.min_ratio
     share = fixed_share(m, b_min)
     if share is not None:
-        return _fixed_allocation(np.full(m, share), instance)
+        b = np.full(m, share)
+        return Allocation(b, _evaluate(b, instance).value, 0, 0.0)
 
     b, point = _start(instance)
     systems = 0

@@ -23,7 +23,7 @@ import numpy as np
 from . import bandwidth as bw
 from . import model
 from .errors import ConfigError, Infeasible
-from .scheduler import PolicySpec, RunTrace, run_policy
+from .scheduler import PolicySpec, RunTrace, random_sample_size, run_policy
 from .simenv import DEFAULTS, IID, NONIID, Scenario, ScenarioSpec, checked, number
 
 CSV_HEADER = ("round,policy,seed,n_selected,latency_s,phi,cost,queue_l2,"
@@ -217,7 +217,7 @@ def _run_file(policy: PolicySpec, seed: int) -> str:
 
 
 def run_experiment(config: str | Path | HarnessConfig, policy: PolicySpec | None = None,
-                   seed: int = 0, output_path: str | Path | None = None
+                   *, seed: int, output_path: str | Path | None = None
                    ) -> ExperimentSummary:
     """Run one policy over the configured scenario; write CSV + summary JSON.
 
@@ -231,7 +231,7 @@ def run_experiment(config: str | Path | HarnessConfig, policy: PolicySpec | None
     return _summary(scenario, policy, csv_path)
 
 
-def sweep_v(config_path: str | Path, v_grid: Sequence[float], seed: int = 0
+def sweep_v(config_path: str | Path, v_grid: Sequence[float], seed: int
             ) -> list[ExperimentSummary]:
     """One drift-plus-penalty run per penalty weight over an identical scenario.
 
@@ -265,11 +265,12 @@ def sweep_v(config_path: str | Path, v_grid: Sequence[float], seed: int = 0
 
 
 def calibrate(config_path: str | Path, policy_kind: str, target_avg_selected: float,
-              seed: int = 0) -> float:
+              seed: int) -> float:
     """Bisect the policy's knob until the average selected count is CALIBRATION_TOLERANCE close.
 
     Knobs: penalty weight for PEDPC, selection fraction for Random, latency
-    cap for FedCS. Raises Infeasible when the bracket cannot meet the target.
+    cap for FedCS. Raises Infeasible when the bracket cannot meet the target,
+    or when the floor cannot admit Random's sample at it.
     """
     scenario = build_scenario(load_config(config_path), seed)
     return _calibrate(scenario, policy_kind, target_avg_selected)[0]
@@ -287,7 +288,9 @@ def _calibrate(scenario: Scenario, policy_kind: str, target: float
         k = scenario.config.num_clients
         if not (1 <= target <= k):
             raise Infeasible("target outside [1, K]")
-        return float(target) / k, None
+        fraction = float(target) / k
+        random_sample_size(scenario.config, fraction)  # raises if the floor cannot admit it
+        return fraction, None
     if policy_kind not in _CALIBRATION_KNOBS:
         raise ValueError(f"policy {policy_kind!r} has no calibration knob")
     knob, lo, hi = _CALIBRATION_KNOBS[policy_kind]
@@ -315,7 +318,7 @@ def _calibrate(scenario: Scenario, policy_kind: str, target: float
     raise Infeasible("bisection failed to reach the target")
 
 
-def compare_policies(config_path: str | Path, seed: int = 0, target_avg: float = 40.0
+def compare_policies(config_path: str | Path, seed: int, target_avg: float
                      ) -> list[tuple[float | None, ExperimentSummary]]:
     """Calibrate where applicable, run all five policies on identical scenarios.
 

@@ -4,8 +4,9 @@ Each client carries a backlog of energy spent beyond its per-round budget
 share; the scheduler prices clients by backlog so long-term budgets are met
 without lookahead. This module owns the queue update, the quadratic
 congestion measure, the one-step drift constant and slack, and the deficit
-check every run ends with. The drift slack takes the congestion of both
-backlogs as values, so a run squares each backlog's norm once.
+check every run ends with. The congestion measure is the one in the drift
+slack, which takes the squared norms of both backlogs and halves their
+difference, so a run squares each backlog's norm once.
 
 A backlog is a plain (K,) float array. Inside a run it is made by
 `update_queue`'s clamp from the zero vector; `scheduler.solve_round` checks
@@ -30,11 +31,6 @@ def update_queue(backlog: np.ndarray, spent: np.ndarray, credit: np.ndarray,
                       out=out)
 
 
-def lyapunov_value(backlog: np.ndarray) -> float:
-    """Scalar congestion measure: half the squared backlog norm."""
-    return 0.5 * float(np.dot(backlog, backlog))
-
-
 def drift_bound(credit: np.ndarray, max_energy: np.ndarray) -> float:
     """D = 0.5 * sum_k max(credit_k^2, (max_energy_k - credit_k)^2), the drift constant.
 
@@ -56,15 +52,15 @@ def drift_bound(credit: np.ndarray, max_energy: np.ndarray) -> float:
 
 
 def drift_gap(before: np.ndarray, spent: np.ndarray, credit: np.ndarray, constant: float,
-              value_before: float, value_after: float) -> float:
+              sq_before: float, sq_after: float) -> float:
     """Slack of the one-step drift inequality (non-negative when it holds).
 
     Returns D + sum_k Z_k (spent_k - credit_k) - [Y(Z') - Y(Z)], given the
-    backlogs Z entering the round and the Lyapunov values Y(Z) and Y(Z')
-    (`lyapunov_value`) of those and of the backlogs Z' after it.
+    backlogs Z entering the round and the squared norms of those and of the
+    backlogs Z' after it; the Lyapunov value Y is half the squared norm.
     """
     rhs = constant + float(np.dot(before, spent - credit))
-    return rhs - (value_after - value_before)
+    return rhs - 0.5 * (sq_after - sq_before)
 
 
 def energy_prices(backlog: np.ndarray, energy: np.ndarray) -> np.ndarray:

@@ -255,8 +255,6 @@ def greedy_terms(population: Population, credit: np.ndarray) -> tuple[np.ndarray
 def fedcs_terms(population: Population, latency_cap: float) -> tuple[np.ndarray, np.ndarray]:
     """FedCS's (upload, slack) for `_fill`, constant over a run: each client's
     model size, and the time the latency cap leaves after training."""
-    if not latency_cap > 0:
-        raise ValueError("latency_cap must be positive")
     return population.model_size, latency_cap - population.comp_latency
 
 
@@ -294,13 +292,9 @@ def _baseline(scenario: Scenario, policy: PolicySpec
         seed, k = scenario.spec.seed, config.num_clients
         size = random_sample_size(config, policy.random_fraction)
         return lambda ctx, r: baseline_random(k, size, policy_rng(seed, r))
-    if policy.kind == "Greedy":
-        upload, slack = greedy_terms(pop, scenario.credit)
-        return lambda ctx, r: _fill(ctx, upload, slack)
-    if policy.kind == "FedCS":
-        upload, slack = fedcs_terms(pop, policy.latency_cap)
-        return lambda ctx, r: _fill(ctx, upload, slack)
-    raise ValueError(f"unknown policy kind {policy.kind!r}")
+    upload, slack = (greedy_terms(pop, scenario.credit) if policy.kind == "Greedy"
+                     else fedcs_terms(pop, policy.latency_cap))
+    return lambda ctx, r: _fill(ctx, upload, slack)
 
 
 def run_policy(scenario: Scenario, policy: PolicySpec) -> RunTrace:
@@ -322,7 +316,7 @@ def run_policy(scenario: Scenario, policy: PolicySpec) -> RunTrace:
                                        ("phi", float), ("backlog_sq", float)])
     halves: list[tuple[float, ...]] = []
     drift_min_slack = math.inf
-    y_after = 0.0  # Lyapunov value of the zero backlog entering round 0
+    backlog_sq = 0.0  # squared norm of the zero backlog entering round 0
     for r in range(r_total):
         ctx = scenario.observe(r)
         if decide is None:
@@ -335,9 +329,9 @@ def run_policy(scenario: Scenario, policy: PolicySpec) -> RunTrace:
         energy_vec, t0, phi, _ = outcome if outcome is not None else ctx.outcome(shares, selected)
         after = lyap.update_queue(backlog_trace[r], energy_vec, ctx.credit,
                                   out=backlog_trace[r + 1])
-        backlog_sq = float(np.dot(after, after))
-        y_before, y_after = y_after, 0.5 * backlog_sq  # lyapunov_value of both backlogs
-        slack = lyap.drift_gap(backlog_trace[r], energy_vec, ctx.credit, drift, y_before, y_after)
+        sq_before, backlog_sq = backlog_sq, float(np.dot(after, after))
+        slack = lyap.drift_gap(backlog_trace[r], energy_vec, ctx.credit, drift, sq_before,
+                               backlog_sq)
         if not slack >= -DRIFT_TOL:  # a NaN slack (non-finite energy or backlog) fails too
             raise VerificationError(
                 f"one-step drift inequality violated in round {r} (slack {slack:.3e})")

@@ -22,12 +22,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SelectionInstance:
-    """Scores q_k, predicted latencies T_k, penalty weight, optional set-size cap."""
+    """Scores q_k, predicted latencies T_k, penalty weight, set-size cap."""
 
     scores: np.ndarray
     latencies: np.ndarray
     penalty_weight: float
-    max_selected: int | None = None
+    max_selected: int
 
     def __post_init__(self):
         q = np.asarray(self.scores, dtype=float)
@@ -43,11 +43,10 @@ class SelectionInstance:
         if not self.penalty_weight > 0:
             raise ValueError("penalty_weight must be positive")
         cap = self.max_selected
-        if cap is not None:
-            if isinstance(cap, bool) or not isinstance(cap, numbers.Integral):
-                raise ValueError(f"max_selected must be an integer, got {cap!r}")
-            if cap < 0:
-                raise ValueError("max_selected must be non-negative")
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral):
+            raise ValueError(f"max_selected must be an integer, got {cap!r}")
+        if cap < 0:
+            raise ValueError("max_selected must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ class SelectionResult:
 
 
 def itmcs(instance: SelectionInstance) -> SelectionResult:
-    """Exact minimizer of W over selections (optionally capped in size).
+    """Exact minimizer of W over selections of at most the cap in size.
 
     Candidates are, per negative-score client taken as the latency ceiling,
     that client plus the most negative predecessor scores that fit under the
@@ -77,7 +76,7 @@ def itmcs(instance: SelectionInstance) -> SelectionResult:
     v = instance.penalty_weight
     k = len(q)
     eligible = np.flatnonzero((q < 0) & np.isfinite(t))
-    cap = instance.max_selected if instance.max_selected is not None else k
+    cap = instance.max_selected
     best_w = 0.0
     best_pos = -1
     if cap >= 1 and eligible.size:

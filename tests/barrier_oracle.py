@@ -67,7 +67,8 @@ def log_barrier_solve(instance: bw.AllocationInstance) -> bw.Allocation:
     b_min = instance.min_ratio
     share = bw.fixed_share(m, b_min)
     if share is not None:
-        return bw._fixed_allocation(np.full(m, share), instance)
+        b = np.full(m, share)
+        return bw.Allocation(b, bw._evaluate(b, instance).value, 0, 0.0)
 
     b = np.full(m, 1.0 / m)
     t = T0

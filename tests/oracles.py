@@ -104,8 +104,7 @@ def brute_force_selection(instance: SelectionInstance) -> SelectionResult:
     score_sum = np.where(masks, instance.scores[None, :], 0.0).sum(axis=1)
     w = instance.penalty_weight * t_max + score_sum
     w[0] = 0.0
-    if instance.max_selected is not None:
-        w = np.where(sizes > instance.max_selected, np.inf, w)
+    w = np.where(sizes > instance.max_selected, np.inf, w)
     w_min = float(w.min())
     cand = np.flatnonzero(w == w_min)
     cand = cand[sizes[cand] == sizes[cand].min()]
@@ -124,7 +123,7 @@ def ceiling_selection(instance: SelectionInstance) -> SelectionResult:
     """
     q, t = instance.scores.tolist(), instance.latencies.tolist()
     k = len(q)
-    cap = k if instance.max_selected is None else instance.max_selected
+    cap = instance.max_selected
     helpful = sorted((i for i in range(k) if q[i] < 0 and math.isfinite(t[i])),
                      key=lambda i: (t[i], i))
     best, best_w = [], 0.0
@@ -151,7 +150,7 @@ def heap_selection(instance: SelectionInstance) -> SelectionResult:
     v = instance.penalty_weight
     k = len(q)
     eligible = np.flatnonzero((q < 0) & np.isfinite(t))
-    cap = instance.max_selected if instance.max_selected is not None else k
+    cap = instance.max_selected
     best_w = 0.0
     best_pos = -1
     if cap >= 1 and eligible.size:

@@ -72,7 +72,7 @@ def test_criterion_01_selection_exactness():
     mismatches = 0
     for _ in range(1000):
         inst = SelectionInstance(rng.normal(-0.2, 1.0, 12), rng.uniform(0.0, 5.0, 12),
-                                 10 ** rng.uniform(-2.0, 2.0))
+                                 10 ** rng.uniform(-2.0, 2.0), max_selected=12)
         fast = itmcs(inst)
         slow = brute_force_selection(inst)
         if abs(fast.objective - slow.objective) > 1e-12 or \

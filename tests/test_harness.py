@@ -938,6 +938,25 @@ def test_calibrate_random_exact(tmp_path):
         calibrate(path, "Greedy", 4, seed=0)
 
 
+def test_calibrate_random_meets_the_floor_as_its_run_does(tmp_path, capsys):
+    # pedpc_floor: a 5% floor admits 20 of the 100 clients, so a target of 40
+    # is the fraction 0.4 whose run is infeasible; 20 is the largest sample
+    path = tmp_path / "floor.json"
+    path.write_text(json.dumps({"system": {"min_ratio": 0.05}, "scenario": {"mode": "NONIID"},
+                                "output": {"dir": str(tmp_path / "out")}}))
+    message = "infeasible: equal split over the sample falls below the floor\n"
+    argv = ["--config", str(path), "--policy", "Random", "--seed", "1"]
+    assert cli.main(["calibrate", *argv, "--target-avg", "40"]) == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr() == ("", message)
+    assert calibrate(path, "Random", 20, seed=1) == 0.2
+    path.write_text(json.dumps({"system": {"min_ratio": 0.05}, "scenario": {"mode": "NONIID"},
+                                "policy": {"random_fraction": 0.4},
+                                "output": {"dir": str(tmp_path / "out")}}))
+    assert cli.main(["run", *argv]) == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+
+
 def test_calibrate_fedcs_saturation(tmp_path):
     # every client feasible at a huge cap: target = everyone is reachable
     path = small_config(tmp_path)

@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flsched.errors import Infeasible
-from flsched.lyapunov import (deficit_ok, drift_bound, drift_gap, energy_prices,
-                              lyapunov_value, update_queue)
+from flsched.lyapunov import deficit_ok, drift_bound, drift_gap, energy_prices, update_queue
 from flsched.model import client_round, round_credit
 
 from conftest import population
@@ -40,22 +39,29 @@ def test_update_queue_nonnegative(backlog, energy, s0, s1):
     assert np.all(nxt >= 0.0)
 
 
-def test_lyapunov_value():
-    assert lyapunov_value(np.zeros(5)) == 0.0
-    assert lyapunov_value(np.array([0.003, 0.004])) == \
+def lyapunov_term(backlog):
+    """Y(Z) as `drift_gap` charges it: the slack's drop from a zero backlog to Z,
+    with no drift constant, spending or credit."""
+    zero = np.zeros_like(backlog)
+    return -drift_gap(zero, zero, zero, 0.0, 0.0, float(np.dot(backlog, backlog)))
+
+
+def test_lyapunov_term_reference():
+    assert lyapunov_term(np.zeros(5)) == 0.0
+    assert lyapunov_term(np.array([0.003, 0.004])) == \
         pytest.approx(1.25e-5, rel=1e-12)
 
 
 @given(st.floats(min_value=0.0, max_value=10.0))
 def test_lyapunov_quadratic_scaling(alpha):
     z = np.array([0.1, 0.2, 0.3])
-    assert lyapunov_value(alpha * z) == \
-        pytest.approx(alpha ** 2 * lyapunov_value(z), abs=1e-12)
+    assert lyapunov_term(alpha * z) == \
+        pytest.approx(alpha ** 2 * lyapunov_term(z), abs=1e-12)
 
 
 def test_lyapunov_zero_iff_empty():
-    assert lyapunov_value(np.zeros(3)) == 0.0
-    assert lyapunov_value(np.array([0.0, 1e-9, 0.0])) > 0.0
+    assert lyapunov_term(np.zeros(3)) == 0.0
+    assert lyapunov_term(np.array([0.0, 1e-9, 0.0])) > 0.0
 
 
 def test_drift_bound_reference():
@@ -124,8 +130,26 @@ def test_drift_gap_one_step():
         sel = rng.random(2) < 0.5
         spent = np.where(sel, rng.uniform(0, 0.05, 2), 0.0)
         nxt = update_queue(z, spent, CREDIT)
-        assert drift_gap(z, spent, CREDIT, constant, lyapunov_value(z),
-                         lyapunov_value(nxt)) >= -1e-12
+        assert drift_gap(z, spent, CREDIT, constant, float(np.dot(z, z)),
+                         float(np.dot(nxt, nxt))) >= -1e-12
+
+
+def test_drift_gap_halves_the_squared_norms_bit_for_bit():
+    # halving is exact for normal floats and commutes with the rounding of
+    # the difference, so the slack equals the one from both Lyapunov values
+    rng = np.random.default_rng(30)
+    for _ in range(500):
+        k = int(rng.integers(1, 50))
+        z = 10.0 ** rng.uniform(-6, 6, k)
+        spent = np.where(rng.random(k) < 0.5, 10.0 ** rng.uniform(-6, 6, k), 0.0)
+        credit = 10.0 ** rng.uniform(-6, 6, k)
+        constant = drift_bound(credit, spent)
+        nxt = update_queue(z, spent, credit)
+        sq_before, sq_after = float(np.dot(z, z)), float(np.dot(nxt, nxt))
+        rhs = constant + float(np.dot(z, spent - credit))
+        want = rhs - (0.5 * sq_after - 0.5 * sq_before)
+        got = drift_gap(z, spent, credit, constant, sq_before, sq_after)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_deficit_ok():

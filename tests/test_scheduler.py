@@ -220,12 +220,6 @@ def test_baseline_fedcs_excludes_slow_training(example_config):
     assert not dec.any()
 
 
-@pytest.mark.parametrize("cap", [0.0, -1.0, float("nan")], ids=repr)
-def test_fedcs_terms_rejects_a_non_positive_cap(twin_population, cap):
-    with pytest.raises(ValueError, match="^latency_cap must be positive$"):
-        fedcs_terms(twin_population, cap)
-
-
 def test_baseline_fedcs_latency_within_cap():
     for seed in range(20):
         sc = small_scenario(seed=seed, k=6)
@@ -254,6 +248,20 @@ def test_baseline_fedcs_huge_cap_selects_max():
 def test_policy_spec_knob_must_be_a_number(knobs, name):
     with pytest.raises(ValueError, match=f"^{name} must be "):
         PolicySpec(**knobs)
+
+
+@pytest.mark.parametrize("kind,knob,value,message", [
+    ("FedCS", "latency_cap", 0.0, "FedCS requires a positive latency_cap"),
+    ("FedCS", "latency_cap", -1.0, "FedCS requires a positive latency_cap"),
+    ("FedCS", "latency_cap", float("nan"), "latency_cap must be finite, got nan"),
+    ("Random", "random_fraction", 0.0, r"Random requires random_fraction in \(0, 1\]"),
+    ("Random", "random_fraction", 1.5, r"Random requires random_fraction in \(0, 1\]"),
+], ids=["FedCS-0.0", "FedCS--1.0", "FedCS-nan", "Random-0.0", "Random-1.5"])
+def test_policy_spec_baseline_knob_rule(kind, knob, value, message):
+    # PolicySpec is the one home of each baseline knob's rule: fedcs_terms
+    # takes the cap, and random_sample_size the fraction, as checked here
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PolicySpec(kind, **{knob: value})
 
 
 def test_policy_spec_stores_knobs_as_floats():
@@ -673,7 +681,7 @@ def _drift_min_slack_afresh(trace, scenario):
     """The run's smallest drift slack, each from both backlogs' Lyapunov values afresh."""
     z = trace.backlog_trace
     return min(scenario.drift + float(np.dot(z[r], trace.energies[r] - scenario.credit))
-               - (lyap.lyapunov_value(z[r + 1]) - lyap.lyapunov_value(z[r]))
+               - (0.5 * float(np.dot(z[r + 1], z[r + 1])) - 0.5 * float(np.dot(z[r], z[r])))
                for r in range(len(trace.records)))
 
 
@@ -684,7 +692,7 @@ def test_run_policy_carries_each_backlogs_squared_norm(kind):
     sc = small_scenario(seed=1, k=8, energy_budget=0.05)  # a budget every policy overspends
     trace = run_policy(sc, PolicySpec(kind, penalty=0.5, random_fraction=0.5, latency_cap=20.0))
     assert trace.records["backlog_sq"].tobytes() == np.array(
-        [2 * lyap.lyapunov_value(row) for row in trace.backlog_trace[1:]]).tobytes()
+        [float(np.dot(row, row)) for row in trace.backlog_trace[1:]]).tobytes()
     assert trace.records["backlog_sq"].any()
     want = _drift_min_slack_afresh(trace, sc)
     assert np.float64(trace.drift_min_slack).tobytes() == np.float64(want).tobytes()

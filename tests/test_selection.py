@@ -55,36 +55,41 @@ def test_marginal_score(twin_population, example_config, monkeypatch):
 
 
 def test_selection_objective():
-    inst = SelectionInstance(np.array([-1.5, -0.3]), np.array([1.0, 2.0]), 1.0)
+    inst = SelectionInstance(np.array([-1.5, -0.3]), np.array([1.0, 2.0]), 1.0, max_selected=2)
     assert selection_objective([], inst) == 0.0
     assert selection_objective([0], inst) == pytest.approx(-0.5)
     assert selection_objective([0, 1], inst) == pytest.approx(0.2)
 
 
 def test_itmcs_examples():
-    inst = SelectionInstance(np.array([-1.5, -0.3, 0.2]), np.array([1.0, 2.0, 0.5]), 1.0)
+    inst = SelectionInstance(np.array([-1.5, -0.3, 0.2]), np.array([1.0, 2.0, 0.5]), 1.0,
+                             max_selected=3)
     got = itmcs(inst)
     assert list(got.selected) == [True, False, False]
     assert got.objective == pytest.approx(-0.5)
 
-    nothing = itmcs(SelectionInstance(np.array([0.5, 0.0]), np.array([1.0, 1.0]), 1.0))
+    nothing = itmcs(SelectionInstance(np.array([0.5, 0.0]), np.array([1.0, 1.0]), 1.0,
+                                      max_selected=2))
     assert not nothing.selected.any()
     assert nothing.objective == 0.0
 
-    tie = itmcs(SelectionInstance(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), 1.0))
+    tie = itmcs(SelectionInstance(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), 1.0,
+                                  max_selected=2))
     assert list(tie.selected) == [True, True]
     assert tie.objective == pytest.approx(-1.0)
 
 
 def test_brute_force_single_client():
-    got = brute_force_selection(SelectionInstance(np.array([-0.1]), np.array([5.0]), 1.0))
+    got = brute_force_selection(SelectionInstance(np.array([-0.1]), np.array([5.0]), 1.0,
+                                                  max_selected=1))
     assert not got.selected.any()  # W({0}) = 4.9 > 0, empty wins
     assert got.objective == 0.0
 
 
 def test_brute_force_too_large():
     with pytest.raises(Infeasible):
-        brute_force_selection(SelectionInstance(np.zeros(21) - 1, np.ones(21), 1.0))
+        brute_force_selection(SelectionInstance(np.zeros(21) - 1, np.ones(21), 1.0,
+                                                max_selected=21))
 
 
 def test_objective_never_positive():
@@ -92,7 +97,7 @@ def test_objective_never_positive():
     for _ in range(200):
         k = rng.integers(1, 10)
         inst = SelectionInstance(rng.normal(0, 1, k), rng.uniform(0, 3, k),
-                                 10 ** rng.uniform(-2, 2))
+                                 10 ** rng.uniform(-2, 2), max_selected=k)
         assert itmcs(inst).objective <= 0.0
 
 
@@ -101,7 +106,7 @@ def test_itmcs_matches_brute_force_seeded():
     for _ in range(300):
         k = int(rng.integers(1, 13))
         inst = SelectionInstance(rng.normal(-0.2, 1.0, k), rng.uniform(0, 5, k),
-                                 10 ** rng.uniform(-2, 2))
+                                 10 ** rng.uniform(-2, 2), max_selected=k)
         fast = itmcs(inst)
         slow = brute_force_selection(inst)
         assert abs(fast.objective - slow.objective) <= 1e-12
@@ -165,9 +170,9 @@ def _full_size_draws():
 def test_itmcs_matches_ceiling_definition_at_full_size():
     # caps below, at and above the number of eligible clients
     for q, t, v, n, drawn in _full_size_draws():
-        for cap in {None, 0, 1, max(n - 1, 0), n, n + 1, drawn}:
+        for cap in {len(q), 0, 1, max(n - 1, 0), n, n + 1, drawn}:
             got = assert_matches_ceiling_definition(SelectionInstance(q, t, v, max_selected=cap))
-            assert cap is None or got.selected.sum() <= cap
+            assert got.selected.sum() <= cap
 
 
 def assert_matches_heap_scan(inst):
@@ -180,10 +185,10 @@ def test_itmcs_matches_the_heap_scan_bit_for_bit():
     # the two-phase scan against the one-loop heap scan it replaced: the same
     # set and the same W, whether the cap binds, fills the pool exactly or not
     for q, t, v, n, drawn in _full_size_draws():
-        for cap in {None, 0, 1, 2, max(n - 1, 0), n, n + 1, drawn}:
+        for cap in {len(q), 0, 1, 2, max(n - 1, 0), n, n + 1, drawn}:
             assert_matches_heap_scan(SelectionInstance(q, t, v, max_selected=cap))
     # NaN candidates (see test_nan_candidate_never_chosen), with and without a heap
-    for cap in (None, 0, 1, 2):
+    for cap in (3, 0, 1, 2):
         assert_matches_heap_scan(SelectionInstance(np.array([-np.inf, -1.0, -0.5]),
                                                    np.array([1e10, 0.0, 2e10]), 1e300,
                                                    max_selected=cap))
@@ -216,7 +221,7 @@ def test_nan_candidate_never_chosen():
     # and without companions in the pool
     q = np.array([-np.inf, -1.0, -0.5])
     t = np.array([1e10, 0.0, 2e10])
-    for cap in (None, 1):
+    for cap in (3, 1):
         got = itmcs(SelectionInstance(q, t, 1e300, max_selected=cap))
         assert list(got.selected) == [False, True, False]
         assert got.objective == -1.0
@@ -262,24 +267,26 @@ def test_run_with_and_without_binding_cap_matches_definition(monkeypatch, floor,
 ], ids=["nan-score", "nan-latency", "negative-latency"])
 def test_selection_instance_rejects_nan_or_negative_latency(scores, latencies):
     with pytest.raises(ValueError, match="^scores must not be NaN; latencies must be >= 0$"):
-        SelectionInstance(np.array(scores), np.array(latencies), 1.0)
+        SelectionInstance(np.array(scores), np.array(latencies), 1.0, max_selected=len(scores))
 
 
 def test_selection_instance_admits_infinite_latency_and_score():
-    inst = SelectionInstance(np.array([-np.inf, -1.0, np.inf]), np.array([1.0, np.inf, 0.0]), 1.0)
+    inst = SelectionInstance(np.array([-np.inf, -1.0, np.inf]), np.array([1.0, np.inf, 0.0]), 1.0,
+                             max_selected=3)
     assert list(itmcs(inst).selected) == [True, False, False]
 
 
 def test_infinite_latency_excluded():
     # the first client is very attractive by score but cannot transmit
-    inst = SelectionInstance(np.array([-5.0, -2.0]), np.array([np.inf, 1.0]), 1.0)
+    inst = SelectionInstance(np.array([-5.0, -2.0]), np.array([np.inf, 1.0]), 1.0, max_selected=2)
     got = itmcs(inst)
     assert list(got.selected) == [False, True]
     assert got.objective == pytest.approx(-1.0)
 
 
 def test_deterministic_tie_breaks():
-    inst = SelectionInstance(np.array([-0.5, -0.5, -0.5]), np.array([2.0, 2.0, 2.0]), 0.1)
+    inst = SelectionInstance(np.array([-0.5, -0.5, -0.5]), np.array([2.0, 2.0, 2.0]), 0.1,
+                             max_selected=3)
     a = itmcs(inst)
     b = itmcs(inst)
     assert np.array_equal(a.selected, b.selected)
@@ -291,7 +298,7 @@ def test_deterministic_tie_breaks():
 def test_itmcs_never_beaten_by_random_subset(k, seed):
     rng = np.random.default_rng(seed)
     inst = SelectionInstance(rng.normal(-0.3, 1.0, k), rng.uniform(0, 4, k),
-                             10 ** rng.uniform(-1, 1))
+                             10 ** rng.uniform(-1, 1), max_selected=k)
     best = itmcs(inst).objective
     for _ in range(20):
         subset = [i for i in range(k) if rng.random() < 0.5]
