@@ -81,6 +81,8 @@ def parse_config(doc: Mapping[str, Any]) -> HarnessConfig:
     if "dir" in output_raw:
         if not isinstance(output_raw["dir"], str):
             raise ConfigError(f"output dir must be a string, got {output_raw['dir']!r}")
+        if "\0" in output_raw["dir"]:  # no file system path holds one
+            raise ConfigError("output dir must not contain a NUL character")
         present["output_dir"] = Path(output_raw["dir"])
     try:
         overrides = {key: checked(key, value)
@@ -97,7 +99,8 @@ def load_config(path: str | Path) -> HarnessConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
+    # not UTF-8 or not JSON, an integer past int's digit limit, or nested too deep
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc

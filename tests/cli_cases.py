@@ -1,0 +1,212 @@
+"""Every command-line case of `flsched`, listed once, and the named configs they share.
+
+A case runs in a fresh directory of its own. Its config, when it has one, is
+written there as `config.json`, and its argv names that file and every output
+path relative to the directory, so outputs and messages do not depend on where
+the directory is. Tier-1 runs each case in process through `cli.main`
+(`tests/test_cli.py`); CI runs each through the installed console script:
+
+    python tests/cli_cases.py
+
+A case checks its exit code and its stderr: the exact text where it pins one,
+otherwise nothing on success and one line with its exit code's prefix on
+failure. A case that writes nothing also checks that stdout is empty and that
+no file besides its config appears.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+CONFIG = "config.json"
+_PREFIXES = {2: ("config error: ",), 3: ("infeasible: ", "solver did not converge: ")}
+
+# CI's smoke system, with every policy's knob set
+SMOKE = {"system": {"num_clients": 8, "num_rounds": 12, "frame_len": 4, "num_frames": 3,
+                    "min_ratio": 0.05},
+         "policy": {"penalty": 0.5, "random_fraction": 0.5, "latency_cap": 20}}
+_SMOKE_SYSTEM = SMOKE["system"]
+# the built-in setting: 100 clients, 300 rounds, IID
+FULL = {}
+# the benchmark's floored NONIID setting: a 5% floor admits 20 of the 100 clients
+PEDPC_FLOOR = {"system": {"min_ratio": 0.05}, "scenario": {"mode": "NONIID"}}
+# 1/0.3333333334 lies just below 3, yet 3 * 0.3333333334 > 1 + 1e-12: at most two
+# clients fit
+EDGE = {"system": {"num_clients": 10, "num_rounds": 12, "frame_len": 6, "num_frames": 2,
+                   "min_ratio": 0.3333333334}}
+# the smallest horizon, for configs at the edges of the float range
+FLOAT_EDGE_SYSTEM = {"num_clients": 3, "num_rounds": 2, "frame_len": 1, "num_frames": 2}
+# 20 clients over two frames of 2 rounds, for penalty weights at the float edges
+PENALTY_EDGE_SYSTEM = {"num_clients": 20, "num_rounds": 4, "frame_len": 2, "num_frames": 2}
+# SelectAll at seed 299: every backlog and both sides of the deficit bound reach
+# about 2.3e7 J, where the two sides differ by one ulp (3.7e-9 J)
+DEFICIT_ROUNDING_CASE = {
+    "system": {"num_clients": 20, "num_rounds": 6, "frame_len": 2, "num_frames": 3,
+               "min_ratio": 6.6367538581906305e-06, "bandwidth": 10272.682576386149},
+    "scenario": {"energy_budget": 377.3808000658412,
+                 "gain_sq": [2.2442540853163686e-16, 4.485951770817831e-15],
+                 "model_size": 22309469.946381085},
+    "policy": {"kind": "SelectAll"},
+}
+# every scenario key set, on the smoke horizon at the default 1% floor
+_SCENARIO = {"system": {**_SMOKE_SYSTEM, "min_ratio": 0.01},
+             "scenario": {"mode": "NONIID", "cpu_freq": [1e7, 1e9], "cycles_per_bit": [1, 10],
+                          "tx_power": [0.01, 0.1], "capacitance": 1e-28, "local_iters": 5,
+                          "model_size": 2.4e5, "energy_budget": 1.5, "data_size": 3.6e6,
+                          "data_size_choices": [1.2e6, 2.4e6, 3.6e6, 4.8e6, 6.0e6],
+                          "gain_sq": [1e-11, 1e-9]}}
+
+
+@dataclass(frozen=True)
+class Case:
+    """One command line: its config (a JSON document, raw bytes, or None for no file),
+    its argv, its exit code and, where pinned, its exact stderr without the newline."""
+
+    id: str
+    config: dict | bytes | None
+    command: str
+    code: int = 0
+    stderr: str | None = None
+    writes_nothing: bool = False
+
+    @property
+    def argv(self) -> list[str]:
+        return self.command.split()
+
+
+CASES = [
+    Case("verify-bounds", None, "verify-bounds --v-grid 1"),
+    Case("verify-bounds-seed-2-fine-grid", None, "verify-bounds --seed 2 --grid-step 0.02"),
+    Case("run-smoke", SMOKE, f"run --config {CONFIG} --seed 1 --out smoke.csv"),
+    *(Case(f"run-smoke-{kind}", SMOKE, f"run --config {CONFIG} --seed 1 --policy {kind}")
+      for kind in ("Greedy", "SelectAll", "Random", "FedCS")),
+    Case("sweep-v-smoke", SMOKE, f"sweep-v --config {CONFIG} --v-grid 0.5,1"),
+    Case("calibrate-smoke-PEDPC", SMOKE,
+         f"calibrate --config {CONFIG} --policy PEDPC --target-avg 5"),
+    Case("compare-smoke", SMOKE, f"compare --config {CONFIG} --seed 1 --target-avg 4"),
+    Case("run-smoke-negative-seed", SMOKE, f"run --config {CONFIG} --seed -1", 2,
+         "config error: seed must be a non-negative integer, got -1"),
+    Case("run-missing-config", None, f"run --config {CONFIG}", 2,
+         f"config error: cannot read {CONFIG}: No such file or directory"),
+    Case("run-smoke-out-is-a-directory", SMOKE, f"run --config {CONFIG} --out .", 2,
+         "config error: cannot write .: Is a directory"),
+    Case("run-edge", EDGE, f"run --config {CONFIG} --seed 1"),
+    Case("run-scenario", _SCENARIO, f"run --config {CONFIG} --seed 1"),
+    Case("run-full", FULL, f"run --config {CONFIG} --seed 1"),
+    Case("calibrate-full-FedCS", FULL,
+         f"calibrate --config {CONFIG} --policy FedCS --target-avg 40 --seed 1"),
+    Case("compare-full", FULL, f"compare --config {CONFIG} --seed 1"),
+    Case("run-floor", PEDPC_FLOOR, f"run --config {CONFIG} --seed 1"),
+    Case("run-floor-Greedy", PEDPC_FLOOR, f"run --config {CONFIG} --seed 1 --policy Greedy"),
+    Case("run-floor-SelectAll", PEDPC_FLOOR,
+         f"run --config {CONFIG} --seed 1 --policy SelectAll", 3,
+         "infeasible: equal split over all clients falls below the floor"),
+    Case("calibrate-floor-Random", PEDPC_FLOOR,
+         f"calibrate --config {CONFIG} --policy Random --target-avg 40 --seed 1", 3,
+         "infeasible: equal split over the sample falls below the floor"),
+    Case("run-floor-Random-0.4", {**PEDPC_FLOOR, "policy": {"random_fraction": 0.4}},
+         f"run --config {CONFIG} --seed 1 --policy Random", 3,
+         "infeasible: equal split over the sample falls below the floor"),
+    Case("run-smoke-Random-nobody", {"system": _SMOKE_SYSTEM, "policy": {"random_fraction": 0.01}},
+         f"run --config {CONFIG} --seed 1 --policy Random", 3,
+         "infeasible: fraction selects nobody"),
+    Case("run-smoke-FedCS-no-cap", {"system": _SMOKE_SYSTEM, "policy": {"latency_cap": 0}},
+         f"run --config {CONFIG} --seed 1 --policy FedCS", 2,
+         "config error: FedCS requires a positive latency_cap"),
+    Case("run-deficit-rounding", DEFICIT_ROUNDING_CASE, f"run --config {CONFIG} --seed 299"),
+    Case("run-negative-capacitance", {"scenario": {"capacitance": -1}}, f"run --config {CONFIG}",
+         2, "config error: capacitance must be strictly positive"),
+    Case("run-zero-cpu-range", {"scenario": {"cpu_freq": [0, 1e9]}}, f"run --config {CONFIG}",
+         2, "config error: cpu_freq range must be positive and ordered"),
+    Case("run-huge-budget", {"scenario": {"energy_budget": 1e160}, "system": FLOAT_EDGE_SYSTEM},
+         f"run --config {CONFIG}", 3, "infeasible: drift constant overflows the float range"),
+    Case("run-subnormal-floor", {"system": {"min_ratio": 1e-310}}, f"run --config {CONFIG}", 3,
+         "infeasible: worst-case round energy is unbounded"),
+    Case("run-tiny-floor", {"system": {**FLOAT_EDGE_SYSTEM, "min_ratio": 1e-309},
+                            "scenario": {"model_size": 1e-300}}, f"run --config {CONFIG}"),
+    Case("run-tiny-noise", {"system": {**FLOAT_EDGE_SYSTEM, "noise_power": 5e-324}},
+         f"run --config {CONFIG}", 3, "infeasible: rate coefficient overflows the float range"),
+    Case("run-huge-data", {"scenario": {"data_size": 1e308}, "system": FLOAT_EDGE_SYSTEM},
+         f"run --config {CONFIG}", 3, "infeasible: drift constant overflows the float range"),
+    # accuracy_coeff * data_size passes the float range when the scenario is built,
+    # before any run or calibration
+    *(Case(f"{name}-utility-overflow", {"system": {**FLOAT_EDGE_SYSTEM, "accuracy_coeff": 1e303}},
+           f"{name} --config {CONFIG}{args}", 3,
+           "infeasible: accuracy utility overflows the float range", writes_nothing=True)
+      for name, args in (("run", ""), ("calibrate", " --policy Random --target-avg 1"))),
+    Case("verify-bounds-grid-1e-300", None, "verify-bounds --grid-step 1e-300", 3,
+         "infeasible: share grid for 2 clients at step 1e-300 exceeds 5000000 points"),
+    *(Case(f"run-penalty-{v}", {"system": PENALTY_EDGE_SYSTEM, "policy": {"penalty": float(v)}},
+           f"run --config {CONFIG} --seed 1", 3, f"solver did not converge: {message}")
+      for v, message in (("1e308", "allocator objective leaves the float range"),
+                         ("1e-308", "Newton system leaves the float range"))),
+    Case("run-unknown-key", {"system": {"nope": 1}}, f"run --config {CONFIG}", 2,
+         "config error: unknown keys in section 'system': ['nope']"),
+    Case("run-SelectAll-floor-0.2", {"system": {**_SMOKE_SYSTEM, "min_ratio": 0.2},
+                                     "policy": {"kind": "SelectAll"}},
+         f"run --config {CONFIG}", 3,
+         "infeasible: equal split over all clients falls below the floor"),
+    # barrier tuning is not configurable: a mu_growth of 1, which would never grow
+    # the barrier weight, cannot reach the solver
+    Case("run-barrier-section", {**SMOKE, "barrier": {"mu_growth": 1.0}}, f"run --config {CONFIG}",
+         2, "config error: unknown config sections: ['barrier']"),
+    # JSON that cannot be parsed into a config
+    Case("run-nested-too-deep", b"[" * 200_000 + b"]" * 200_000, f"run --config {CONFIG}", 2,
+         writes_nothing=True),
+    Case("run-integer-past-the-digit-limit",
+         b'{"system": {"num_clients": 1' + b"0" * 5000 + b"}}", f"run --config {CONFIG}", 2,
+         writes_nothing=True),
+    Case("run-nul-in-output-dir", {"output": {"dir": "o\u0000x"}}, f"run --config {CONFIG}", 2,
+         "config error: output dir must not contain a NUL character", writes_nothing=True),
+]
+
+
+def write_config(case: Case, directory: Path) -> None:
+    """Write the case's config, if it has one, into the directory it runs in."""
+    if isinstance(case.config, bytes):
+        (directory / CONFIG).write_bytes(case.config)
+    elif case.config is not None:
+        (directory / CONFIG).write_text(json.dumps(case.config))
+
+
+def problems(case: Case, directory: Path, code: int, out: str, err: str) -> list[str]:
+    """How a run of the case in the directory, with this exit code and output, breaks it."""
+    found = [] if code == case.code else [f"exit code {code}, expected {case.code}"]
+    if case.stderr is not None:
+        err_ok = err == case.stderr + "\n"
+    elif case.code == 0:
+        err_ok = err == ""
+    else:
+        err_ok = err.count("\n") == 1 and err.endswith("\n") and \
+            err.startswith(_PREFIXES[case.code])
+    if not err_ok:
+        found.append(f"stderr {err!r}")
+    written = sorted(p.name for p in directory.iterdir() if p.name != CONFIG)
+    if case.writes_nothing and (out or written):
+        found.append(f"wrote stdout {out!r} and files {written}")
+    return found
+
+
+def main() -> int:
+    """Run every case through the installed `flsched` console script; report each failure."""
+    failed = 0
+    for case in CASES:
+        with tempfile.TemporaryDirectory() as name:
+            write_config(case, Path(name))
+            proc = subprocess.run(["flsched", *case.argv], cwd=name, capture_output=True,
+                                  text=True)
+            found = problems(case, Path(name), proc.returncode, proc.stdout, proc.stderr)
+        for problem in found:
+            print(f"{case.id}: {problem}")
+        failed += bool(found)
+    print(f"{len(CASES) - failed} of {len(CASES)} cases pass")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,24 @@
+"""Every case of `cli_cases`, run in process through `cli.main`."""
+
+import pytest
+
+from flsched import cli
+
+from cli_cases import CASES, problems, write_config
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.id)
+def test_cli_case(case, tmp_path, monkeypatch, capsys):
+    write_config(case, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(case.argv)
+    out, err = capsys.readouterr()
+    assert problems(case, tmp_path, code, out, err) == []
+
+
+def test_cli_cases_cover_the_contract():
+    # exit 4 is reached only by fault injection, which tests/test_harness.py keeps
+    assert len({case.id for case in CASES}) == len(CASES)
+    assert {case.argv[0] for case in CASES} == {"run", "sweep-v", "compare", "calibrate",
+                                                "verify-bounds"}
+    assert {case.code for case in CASES} == {0, 2, 3}

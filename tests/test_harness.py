@@ -20,17 +20,15 @@ from flsched.model import Population, SystemConfig
 from flsched.scheduler import POLICY_KINDS, PolicySpec, run_policy
 from flsched.simenv import DEFAULTS, IID, NONIID, Range, Scenario
 
+from cli_cases import (DEFICIT_ROUNDING_CASE, EDGE, FLOAT_EDGE_SYSTEM, PEDPC_FLOOR,
+                       PENALTY_EDGE_SYSTEM, SMOKE)
 from oracles import lookahead_oracle
 
 
 def small_config(tmp_path: Path, **policy) -> Path:
-    doc = {
-        "system": {"num_clients": 8, "num_rounds": 12, "frame_len": 4,
-                   "num_frames": 3, "min_ratio": 0.05},
-        "scenario": {"mode": "IID"},
-        "policy": {"penalty": 0.5, **(policy or {"kind": "PEDPC"})},
-        "output": {"dir": str(tmp_path / "out")},
-    }
+    """The smoke system at V = 0.5 with the given policy knobs, PEDPC by default."""
+    doc = {"system": SMOKE["system"], "policy": {"penalty": 0.5, **policy},
+           "output": {"dir": str(tmp_path / "out")}}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
@@ -305,18 +303,6 @@ def test_cli_run_broken_share_rules_exit_4(tmp_path, monkeypatch, capsys, shares
     assert capsys.readouterr().err == f"verification failed: {message}\n"
 
 
-# SelectAll at seed 299: every backlog and both sides of the deficit bound reach
-# about 2.3e7 J, where the two sides differ by one ulp (3.7e-9 J)
-DEFICIT_ROUNDING_CASE = {
-    "system": {"num_clients": 20, "num_rounds": 6, "frame_len": 2, "num_frames": 3,
-               "min_ratio": 6.6367538581906305e-06, "bandwidth": 10272.682576386149},
-    "scenario": {"energy_budget": 377.3808000658412,
-                 "gain_sq": [2.2442540853163686e-16, 4.485951770817831e-15],
-                 "model_size": 22309469.946381085},
-    "policy": {"kind": "SelectAll"},
-}
-
-
 def test_cli_run_deficit_bound_at_large_energies_exits_0(tmp_path, capsys):
     path = tmp_path / "deficit_rounding.json"
     path.write_text(json.dumps({**DEFICIT_ROUNDING_CASE,
@@ -402,20 +388,17 @@ def test_cli_run_unbounded_worst_case_exits_3(tmp_path, capsys):
     assert "worst-case round energy is unbounded" in capsys.readouterr().err
 
 
-_FLOAT_EDGE_SYSTEM = {"num_clients": 3, "num_rounds": 2, "frame_len": 1, "num_frames": 2}
-
-
 @pytest.mark.parametrize("doc,message", [
-    ({"scenario": {"energy_budget": 1e160}, "system": _FLOAT_EDGE_SYSTEM},
+    ({"scenario": {"energy_budget": 1e160}, "system": FLOAT_EDGE_SYSTEM},
      "drift constant overflows the float range"),
     ({"system": {"min_ratio": 1e-310}}, "worst-case round energy is unbounded"),
-    ({"system": {**_FLOAT_EDGE_SYSTEM, "noise_power": 5e-324}},
+    ({"system": {**FLOAT_EDGE_SYSTEM, "noise_power": 5e-324}},
      "rate coefficient overflows the float range"),
-    ({"system": {**_FLOAT_EDGE_SYSTEM, "bandwidth": 1e308}},
+    ({"system": {**FLOAT_EDGE_SYSTEM, "bandwidth": 1e308}},
      "rate coefficient overflows the float range"),
-    ({"scenario": {"data_size": 1e308}, "system": _FLOAT_EDGE_SYSTEM},
+    ({"scenario": {"data_size": 1e308}, "system": FLOAT_EDGE_SYSTEM},
      "drift constant overflows the float range"),
-    ({"scenario": {"cpu_freq": [1e300, 1e300]}, "system": _FLOAT_EDGE_SYSTEM},
+    ({"scenario": {"cpu_freq": [1e300, 1e300]}, "system": FLOAT_EDGE_SYSTEM},
      "worst-case round energy is unbounded"),
 ], ids=["budget-1e160", "floor-1e-310", "noise-5e-324", "bandwidth-1e308", "data-1e308",
         "cpu-1e300"])
@@ -430,22 +413,6 @@ def test_cli_run_overflowing_drift_constant_exits_3(tmp_path, capsys, doc, messa
     assert capsys.readouterr().err == f"infeasible: {message}\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["run"], ["calibrate", "--policy", "Random", "--target-avg", "1"],
-], ids=["run", "calibrate-Random"])
-def test_cli_utility_past_the_float_range_exits_3(tmp_path, capsys, argv):
-    # accuracy_coeff * data_size passes the float range when the scenario is
-    # built, before any run: infeasible, without a warning
-    path = tmp_path / "utility.json"
-    path.write_text(json.dumps({"system": {**_FLOAT_EDGE_SYSTEM, "accuracy_coeff": 1e303},
-                                "output": {"dir": str(tmp_path / "out")}}))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert cli.main([argv[0], "--config", str(path), *argv[1:]]) == cli.EXIT_INFEASIBLE
-    assert capsys.readouterr() == ("", "infeasible: accuracy utility overflows the float range\n")
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("penalty,code,err", [
     (1e308, cli.EXIT_INFEASIBLE,
      "solver did not converge: allocator objective leaves the float range\n"),
@@ -457,9 +424,7 @@ def test_cli_run_penalty_at_the_float_edges(tmp_path, capsys, penalty, code, err
     # a weight whose allocator objective or Newton system leaves the float range
     # does not converge, without a warning; the smallest weight selects nobody
     path = tmp_path / "edge_penalty.json"
-    path.write_text(json.dumps({"system": {"num_clients": 20, "num_rounds": 4, "frame_len": 2,
-                                           "num_frames": 2},
-                                "policy": {"penalty": penalty},
+    path.write_text(json.dumps({"system": PENALTY_EDGE_SYSTEM, "policy": {"penalty": penalty},
                                 "output": {"dir": str(tmp_path / "out")}}))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -474,7 +439,7 @@ def test_cli_run_penalty_at_the_float_edges(tmp_path, capsys, penalty, code, err
 def test_cli_run_subnormal_floor_with_finite_drift_runs(tmp_path, capsys, policy):
     # a floor of 1e-309 admits any population; a tiny upload keeps the drift finite
     path = tmp_path / "tiny_floor.json"
-    path.write_text(json.dumps({"system": {**_FLOAT_EDGE_SYSTEM, "min_ratio": 1e-309},
+    path.write_text(json.dumps({"system": {**FLOAT_EDGE_SYSTEM, "min_ratio": 1e-309},
                                 "scenario": {"model_size": 1e-300},
                                 "output": {"dir": str(tmp_path / "out")}}))
     with warnings.catch_warnings():
@@ -574,13 +539,9 @@ def test_cli_unreadable_config_or_unwritable_output_exits_2(tmp_path, capsys, ca
 
 @pytest.mark.parametrize("seed", ["1", "2"])
 def test_cli_run_at_the_floor_capacity_edge(tmp_path, capsys, seed):
-    # 1/0.3333333334 lies just below 3, yet 3 * 0.3333333334 > 1 + 1e-12: at most
-    # two clients fit, and selection must not offer the allocator a third
+    # at most two clients fit, and selection must not offer the allocator a third
     path = tmp_path / "edge.json"
-    path.write_text(json.dumps({
-        "system": {"num_clients": 10, "num_rounds": 12, "frame_len": 6, "num_frames": 2,
-                   "min_ratio": 0.3333333334},
-        "output": {"dir": str(tmp_path / "out")}}))
+    path.write_text(json.dumps({**EDGE, "output": {"dir": str(tmp_path / "out")}}))
     assert cli.main(["run", "--config", str(path), "--seed", seed]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["avg_selected"] <= 2
 
@@ -806,8 +767,7 @@ def test_rounds_csv_agrees_with_its_trace(tmp_path, monkeypatch, kind):
     # queue up backlog and (PEDPC) overflow
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
-        "system": {"num_clients": 8, "num_rounds": 12, "frame_len": 4, "num_frames": 3,
-                   "min_ratio": 0.05, "accuracy_coeff": 1e-6},
+        "system": {**SMOKE["system"], "accuracy_coeff": 1e-6},
         "scenario": {"energy_budget": 0.02}, "policy": {"kind": kind}}))
     real, traces = harness.run_policy, []
 
@@ -844,12 +804,9 @@ def test_rounds_csv_agrees_with_its_trace(tmp_path, monkeypatch, kind):
     assert summary.avg_cost == np.mean(col["cost"])
 
 
-# the CI smoke config, with every policy's knob set: per-round selected counts, then
-# total_latency_s, avg_cost, energy_overflow_j and total_phi (tolerances, not hashes,
-# because exp and log may differ by an ulp across platforms)
-SMOKE_DOC = {"system": {"num_clients": 8, "num_rounds": 12, "frame_len": 4, "num_frames": 3,
-                        "min_ratio": 0.05},
-             "policy": {"penalty": 0.5, "random_fraction": 0.5, "latency_cap": 20}}
+# on the smoke config: per-round selected counts, then total_latency_s, avg_cost,
+# energy_overflow_j and total_phi (tolerances, not hashes, because exp and log may
+# differ by an ulp across platforms)
 RUN_PIN = {
     "PEDPC": ([6] * 12, 2.993836692361306, -0.10691566865857642, 0.0, 4.276824716264223),
     "SelectAll": ([8] * 12, 11.516220078493449, 0.4844822602895404, 0.0, 5.7024329550189625),
@@ -861,7 +818,7 @@ RUN_PIN = {
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)
 def test_policy_run_pin(kind):
-    cfg = parse_config(SMOKE_DOC)
+    cfg = parse_config(SMOKE)
     scenario = harness.build_scenario(cfg, 1)
     trace = run_policy(scenario, dataclasses.replace(cfg.policy, kind=kind))
     summary = harness.summarize(trace, harness.round_columns(
@@ -872,7 +829,7 @@ def test_policy_run_pin(kind):
             summary.total_phi] == pytest.approx(totals, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("kind,doc", [*((kind, SMOKE_DOC) for kind in POLICY_KINDS),
+@pytest.mark.parametrize("kind,doc", [*((kind, SMOKE) for kind in POLICY_KINDS),
                                       ("Greedy", {})], ids=[*POLICY_KINDS, "Greedy-full"])
 def test_queue_l2_is_each_backlog_rows_norm_bit_for_bit(kind, doc):
     # the CSV's backlog norm comes from the squared norm the run recorded
@@ -942,15 +899,13 @@ def test_calibrate_random_meets_the_floor_as_its_run_does(tmp_path, capsys):
     # pedpc_floor: a 5% floor admits 20 of the 100 clients, so a target of 40
     # is the fraction 0.4 whose run is infeasible; 20 is the largest sample
     path = tmp_path / "floor.json"
-    path.write_text(json.dumps({"system": {"min_ratio": 0.05}, "scenario": {"mode": "NONIID"},
-                                "output": {"dir": str(tmp_path / "out")}}))
+    path.write_text(json.dumps({**PEDPC_FLOOR, "output": {"dir": str(tmp_path / "out")}}))
     message = "infeasible: equal split over the sample falls below the floor\n"
     argv = ["--config", str(path), "--policy", "Random", "--seed", "1"]
     assert cli.main(["calibrate", *argv, "--target-avg", "40"]) == cli.EXIT_INFEASIBLE
     assert capsys.readouterr() == ("", message)
     assert calibrate(path, "Random", 20, seed=1) == 0.2
-    path.write_text(json.dumps({"system": {"min_ratio": 0.05}, "scenario": {"mode": "NONIID"},
-                                "policy": {"random_fraction": 0.4},
+    path.write_text(json.dumps({**PEDPC_FLOOR, "policy": {"random_fraction": 0.4},
                                 "output": {"dir": str(tmp_path / "out")}}))
     assert cli.main(["run", *argv]) == cli.EXIT_INFEASIBLE
     assert capsys.readouterr().err == message
@@ -1025,42 +980,6 @@ def test_verify_bounds_computes_each_frame_once(monkeypatch):
     assert [r.penalty_weight for r in reports] == [0.1, 1.0, 10.0]
     assert calls == list(range(cli.VERIFY_CASE.overrides["num_frames"]))
     assert len({r.lookahead_opt for r in reports}) == 1
-
-
-def test_cli_run_and_exit_codes(tmp_path):
-    path = small_config(tmp_path)
-    env_cmd = [sys.executable, "-m", "flsched.cli"]
-    out = subprocess.run(env_cmd + ["run", "--config", str(path), "--seed", "1"],
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout)["policy"] == "PEDPC"
-
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"system": {"nope": 1}}))
-    out = subprocess.run(env_cmd + ["run", "--config", str(bad)],
-                         capture_output=True, text=True)
-    assert out.returncode == 2
-
-    infeasible = tmp_path / "inf.json"
-    infeasible.write_text(json.dumps({
-        "system": {"num_clients": 8, "num_rounds": 12, "frame_len": 4,
-                   "num_frames": 3, "min_ratio": 0.2},
-        "policy": {"kind": "SelectAll"},
-        "output": {"dir": str(tmp_path / "out")}}))
-    out = subprocess.run(env_cmd + ["run", "--config", str(infeasible)],
-                         capture_output=True, text=True)
-    assert out.returncode == 3
-
-    # barrier tuning is not configurable: the section is unknown, so a
-    # mu_growth of 1 (which would never grow t) cannot reach the solver
-    stuck = tmp_path / "stuck.json"
-    doc = json.loads(path.read_text())
-    doc["barrier"] = {"mu_growth": 1.0}
-    stuck.write_text(json.dumps(doc))
-    out = subprocess.run(env_cmd + ["run", "--config", str(stuck)],
-                         capture_output=True, text=True, timeout=60)
-    assert out.returncode == 2
-    assert "barrier" in out.stderr
 
 
 def test_cli_csv_determinism(tmp_path):

@@ -18,6 +18,7 @@ from flsched.scheduler import (PolicySpec, SolveResult, _fill, _p3_value, baseli
 from flsched.selection import SelectionInstance
 from flsched.simenv import Scenario, ScenarioSpec, policy_rng
 
+from cli_cases import FULL, PEDPC_FLOOR, SMOKE
 from conftest import population
 from oracles import heap_selection, masked_baseline_run, masked_fill
 
@@ -737,13 +738,7 @@ def test_solve_round_first_value_is_the_empty_decisions_value():
             assert np.float64(first).tobytes() == np.float64(want).tobytes()
 
 
-# CI's smoke system, the built-in setting and the benchmark's floored NONIID one
-_BASELINE_RUN_CONFIGS = {
-    "default": {},
-    "pedpc_floor": {"system": {"min_ratio": 0.05}, "scenario": {"mode": "NONIID"}},
-    "smoke": {"system": {"num_clients": 8, "num_rounds": 12, "frame_len": 4, "num_frames": 3,
-                         "min_ratio": 0.05}},
-}
+_BASELINE_RUN_CONFIGS = {"default": FULL, "pedpc_floor": PEDPC_FLOOR, "smoke": SMOKE}
 # FedCS at 0.1 s selects nobody on the smoke system at seed 2 and about 10 of
 # 100 clients elsewhere; at 0.3 s about 40 of 100, or the floor's 20
 _BASELINE_RUN_POLICIES = (PolicySpec("SelectAll"), PolicySpec("Random", random_fraction=0.4),

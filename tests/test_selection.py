@@ -11,6 +11,7 @@ from flsched.model import RoundContext, client_utility, round_credit
 from flsched.selection import SelectionInstance, itmcs
 from flsched.simenv import Scenario, ScenarioSpec
 
+from cli_cases import FULL, PEDPC_FLOOR
 from oracles import (brute_force_selection, ceiling_selection, heap_selection,
                      selection_objective)
 
@@ -195,9 +196,7 @@ def test_itmcs_matches_the_heap_scan_bit_for_bit():
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("config", [{}, {"system": {"min_ratio": 0.05},
-                                         "scenario": {"mode": "NONIID"}}],
-                         ids=["default", "pedpc_floor"])
+@pytest.mark.parametrize("config", [FULL, PEDPC_FLOOR], ids=["default", "pedpc_floor"])
 def test_itmcs_matches_the_heap_scan_on_pedpc_runs(monkeypatch, config, seed):
     # every selection instance of a full-scale PEDPC run: the default 100-client
     # cap never binds, the floor's 20-client cap does

@@ -21,10 +21,11 @@ from flsched.model import Population
 from flsched.scheduler import PolicySpec, RunTrace, run_policy
 from flsched.simenv import DEFAULTS
 
+from cli_cases import FULL, PEDPC_FLOOR
+
 SEED = 1
 PENALTY = 0.1
-CONFIGS = {"default": {},
-           "pedpc_floor": {"system": {"min_ratio": 0.05}, "scenario": {"mode": "NONIID"}}}
+CONFIGS = {"default": FULL, "pedpc_floor": PEDPC_FLOOR}
 # the floor's 20-client cap makes SelectAll and Random at 0.4 Infeasible there
 POLICIES = {
     "default": (PolicySpec(penalty=PENALTY), PolicySpec("SelectAll"),
