@@ -7,9 +7,14 @@ ln(m)); the surrogate is convex, and a projected Newton method solves it: the
 floor is a simple bound, so each iteration fixes the shares held on it,
 takes a Newton step on the others under sum(b) = 1 and searches along the
 projection arc onto the floored simplex (Bertsekas, *SIAM J. Control Optim.*
-20:221-246, 1982). Its oracles are test code: `tests/oracles.py` searches
-the `simplex_grid` lattice for m <= 3, and `tests/barrier_oracle.py` runs a
-log-barrier method on the same objective for larger instances.
+20:221-246, 1982). Its start iterates the water-filling whose fixed point the
+KKT conditions define: at the optimum, each share is max(floor,
+k*sqrt(price + V*w*s)) at the optimum's own softmax weights w, so repeating
+that closed form at the weights of the point last reached leaves Newton,
+on the instances of a PEDPC run, one confirming system. Its oracles are test
+code: `tests/oracles.py` searches the `simplex_grid` lattice for m <= 3, and
+`tests/barrier_oracle.py` runs a log-barrier method on the same objective
+for larger instances.
 
 The Hessian of the smoothed objective is diagonal minus rank one (softmax
 curvature), H = diag(d) - a a^T, and so is its restriction to the free
@@ -32,10 +37,10 @@ from .errors import Infeasible, NoConverge
 from .model import FEAS_TOL, finite_non_negative, max_clients
 
 # projected Newton tuning: constants, not run parameters; read at call time
-MAX_NEWTON = 200  # Newton systems (KKT solves) allowed per solve
+MAX_NEWTON = 200  # Newton systems (KKT solves) allowed per solve; also the start's passes
 LINE_ALPHA = 0.25  # sufficient-decrease fraction along the projection arc
 LINE_BETA = 0.5  # arc step shrink
-NEWTON_TOL = 1e-10  # stop once the Newton model's predicted decrease is this share of f
+NEWTON_TOL = 1e-10  # stop once the Newton model's (or a start pass's) decrease is this share of f
 FLAT_TOL = 2.0 ** -52  # curvature below this share of f makes a client flat
 # most lattice points `simplex_grid` builds; also the most plans the bounds
 # check's lookahead searches per frame, which a larger grid exceeds in one round
@@ -86,7 +91,7 @@ class Allocation:
     ratios: np.ndarray
     objective: float  # smoothed objective value at ratios
     iterations: int  # KKT systems solved
-    duality_gap: float  # the Newton model's predicted decrease at the last step
+    predicted_decrease: float  # the Newton model's predicted decrease at the last step
 
 
 class SmoothedEval(NamedTuple):
@@ -223,30 +228,44 @@ def _newton_step(ev: _Factors, free: np.ndarray, pinned: np.ndarray
 
 
 def _start(instance: AllocationInstance) -> tuple[np.ndarray, _Point]:
-    """Starting shares and their evaluation: the equal split, or a water-filling guess if better.
+    """Starting shares and their evaluation: the water-filling fixed point, from the equal split.
 
-    The guess freezes the softmax weights w of the equal split; the problem
-    left, minimize sum(h/b) with h = price + V*w*s over the floored simplex,
-    has the closed form b = max(floor, k*sqrt(h)), one sort finding k.
+    At the optimum, the KKT conditions make the shares their own water-filling:
+    with h = price + V*w*s at the optimum's softmax weights w, they minimize
+    sum(h/b) over the floored simplex, whose closed form is
+    b = max(floor, k*sqrt(h)), one sort finding k. Each pass freezes w at the
+    point last kept and takes that closed form, starting from the equal split;
+    a pass is kept only if it lowers the smoothed value, and the passes stop
+    after one that does not, or that lowers it by at most NEWTON_TOL of the
+    value, or after MAX_NEWTON passes.
     """
     m = instance.size
     b_min = instance.min_ratio
-    equal = np.full(m, 1.0 / m)
-    at_equal = _evaluate(equal, instance)
-    if not math.isfinite(at_equal.value):
+    b = np.full(m, 1.0 / m)
+    point = _evaluate(b, instance)
+    if not math.isfinite(point.value):
         raise NoConverge("allocator objective leaves the float range")
-    root = np.sqrt(instance.price_coeff +
-                   instance.penalty_weight * at_equal.weights * instance.lat_coeff)
-    order = np.argsort(-root)
-    top = root[order]
-    if not top[0] > 0:
-        return equal, at_equal
-    scale = (1.0 - (m - np.arange(1, m + 1)) * b_min) / np.add.accumulate(top)
-    last = int((top * scale >= b_min).nonzero()[0][-1])
-    guess = np.full(m, b_min)
-    guess[order[:last + 1]] = top[:last + 1] * scale[last]
-    at_guess = _evaluate(guess, instance)
-    return (guess, at_guess) if at_guess.value < at_equal.value else (equal, at_equal)
+    weighted_lat = instance.penalty_weight * instance.lat_coeff
+    fill = 1.0 - (m - np.arange(1, m + 1)) * b_min  # the band left over the floors
+    floors = np.full(m, b_min)
+    for _ in range(MAX_NEWTON):
+        root = np.sqrt(instance.price_coeff + weighted_lat * point.weights)
+        order = (-root).argsort()
+        top = root[order]
+        if not top[0] > 0:
+            break
+        scale = fill / np.add.accumulate(top)
+        last = int((top * scale >= b_min).nonzero()[0][-1])
+        guess = floors.copy()
+        guess[order[:last + 1]] = top[:last + 1] * scale[last]
+        at_guess = _evaluate(guess, instance)
+        if not at_guess.value < point.value:
+            break
+        done = point.value - at_guess.value <= NEWTON_TOL * point.value
+        b, point = guess, at_guess
+        if done:
+            break
+    return b, point
 
 
 def _diagonal_free(ev: _Factors, b: np.ndarray, b_min: float, movable: np.ndarray | None,
@@ -290,8 +309,10 @@ def _diagonal_free(ev: _Factors, b: np.ndarray, b_min: float, movable: np.ndarra
 def barrier_solve(instance: AllocationInstance) -> Allocation:
     """Projected Newton solve of the smoothed allocation problem.
 
-    Each iteration recomputes the floor's active set and takes a Newton step
-    on the free shares under sum(b) = 1, then an Armijo search along the
+    It starts at `_start`'s point: water-filling passes from the equal split
+    toward the KKT fixed point, each kept only if it lowers the value. Each
+    iteration recomputes the floor's active set and takes a Newton step on
+    the free shares under sum(b) = 1, then an Armijo search along the
     projection arc s -> P(b + s*step) onto the floored simplex (Bertsekas
     1982). The active set is settled per iteration by re-solving: a floor is
     released when its multiplier in the Newton model, lambda_i =
@@ -300,9 +321,10 @@ def barrier_solve(instance: AllocationInstance) -> Allocation:
     whose curvature and gradient are below the value's resolution, move down
     to the floor, or to where their latency reaches the slowest client's; that
     work runs only when a client is flat. Each point is evaluated once: the
-    accepted trial's evaluation feeds the next Newton system, the returned
-    value and the smoothing-gap check. Stops, after taking the step, once the
-    model's predicted decrease is at most NEWTON_TOL of the value.
+    start's evaluation and then each accepted trial's feed the next Newton
+    system, the returned value and the smoothing-gap check. Stops, after
+    taking the step, once the model's predicted decrease is at most
+    NEWTON_TOL of the value.
     Deterministic for fixed inputs. The instance itself has checked that the
     floor can be met; raises NoConverge when the solve exhausts its MAX_NEWTON
     systems or meets a singular one, or when the objective, its curvature or a

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -83,6 +84,10 @@ def parse_config(doc: Mapping[str, Any]) -> HarnessConfig:
             raise ConfigError(f"output dir must be a string, got {output_raw['dir']!r}")
         if "\0" in output_raw["dir"]:  # no file system path holds one
             raise ConfigError("output dir must not contain a NUL character")
+        try:  # a lone surrogate, which JSON's \ud800 escape gives, has no file system bytes
+            os.fsencode(output_raw["dir"])
+        except UnicodeEncodeError:
+            raise ConfigError("output dir cannot be encoded as a file system path") from None
         present["output_dir"] = Path(output_raw["dir"])
     try:
         overrides = {key: checked(key, value)

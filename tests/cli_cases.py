@@ -147,6 +147,8 @@ CASES = [
                          ("1e-308", "Newton system leaves the float range"))),
     Case("run-unknown-key", {"system": {"nope": 1}}, f"run --config {CONFIG}", 2,
          "config error: unknown keys in section 'system': ['nope']"),
+    Case("run-negative-client-count", {"system": {"num_clients": -1}}, f"run --config {CONFIG}",
+         2, "config error: need at least one client", writes_nothing=True),
     Case("run-SelectAll-floor-0.2", {"system": {**_SMOKE_SYSTEM, "min_ratio": 0.2},
                                      "policy": {"kind": "SelectAll"}},
          f"run --config {CONFIG}", 3,
@@ -155,6 +157,10 @@ CASES = [
     # the barrier weight, cannot reach the solver
     Case("run-barrier-section", {**SMOKE, "barrier": {"mu_growth": 1.0}}, f"run --config {CONFIG}",
          2, "config error: unknown config sections: ['barrier']"),
+    # PEDPC's penalty is a knob of the policy section; there is no pedpc section
+    Case("run-pedpc-section", {"system": _SMOKE_SYSTEM, "policy": {"penalty": 0.5},
+                               "pedpc": {"penalty": 0.5}}, f"run --config {CONFIG}",
+         2, "config error: unknown config sections: ['pedpc']", writes_nothing=True),
     # JSON that cannot be parsed into a config
     Case("run-nested-too-deep", b"[" * 200_000 + b"]" * 200_000, f"run --config {CONFIG}", 2,
          writes_nothing=True),
@@ -163,6 +169,10 @@ CASES = [
          writes_nothing=True),
     Case("run-nul-in-output-dir", {"output": {"dir": "o\u0000x"}}, f"run --config {CONFIG}", 2,
          "config error: output dir must not contain a NUL character", writes_nothing=True),
+    # a lone surrogate, which JSON's \ud800 escape gives, has no file system bytes
+    Case("run-surrogate-in-output-dir", {"output": {"dir": "\ud800"}}, f"run --config {CONFIG}",
+         2, "config error: output dir cannot be encoded as a file system path",
+         writes_nothing=True),
 ]
 
 

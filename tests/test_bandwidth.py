@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from flsched import bandwidth as bw
+from flsched import harness, scheduler
 from flsched.bandwidth import (AllocationInstance, barrier_solve, lse_error_bound, simplex_grid,
                                smoothed_objective)
 from flsched.errors import Infeasible, NoConverge
 
 from barrier_oracle import log_barrier_solve
+from cli_cases import FULL
 from oracles import exact_objective, grid_oracle, smoothing_gap
 
 
@@ -267,8 +269,8 @@ BARRIER_PIN = (
 )
 # (KKT systems, objective) of the projected Newton method on the same draws
 NEWTON_PIN = (
-    (4, 0.12198252087362141), (3, 0.07510965502953455),
-    (5, 4.479034021313436), (3, 14.36451046626686),
+    (1, 0.1219825208736214), (1, 0.07510965502953455),
+    (1, 4.479034021313435), (1, 14.364510466266863),
     (13, 22.413246036688115), (12, 5.545327984593677),
     (10, 13.947165086192996), (9, 27.05701342251435),
     (7, 129.79064444832522), (19, 387.24359201309494),
@@ -299,6 +301,22 @@ def stress_instance(rng):
                               10 ** rng.uniform(-6, 4), b_min)
 
 
+def check_against_oracle(got, oracle, inst):
+    """No worse than the log-barrier oracle, with a KKT certificate on the floored simplex."""
+    assert got.objective <= oracle.objective * (1 + 1e-9)
+    b, b_min = got.ratios, inst.min_ratio
+    assert abs(b.sum() - 1.0) <= 1e-12
+    assert b.min() >= b_min
+    grad = smoothed_objective(b, inst).gradient
+    free = b > b_min + 1e-12
+    if not free.any():
+        return  # every share on the floor: nothing to certify
+    nu = -float(grad[free].mean())
+    tol = 1e-4 * float(np.abs(grad).max())
+    assert np.abs(grad[free] + nu).max() <= tol
+    assert np.all(grad[~free] + nu >= -tol)
+
+
 def test_newton_matches_log_barrier_oracle_on_stress_family():
     rng = np.random.default_rng(20)
     compared = 0
@@ -309,20 +327,7 @@ def test_newton_matches_log_barrier_oracle_on_stress_family():
         except NoConverge:
             continue
         compared += 1
-        got = barrier_solve(inst)
-        assert got.objective <= oracle.objective * (1 + 1e-9)
-        # KKT certificate on the floored simplex
-        b, b_min = got.ratios, inst.min_ratio
-        assert abs(b.sum() - 1.0) <= 1e-12
-        assert b.min() >= b_min
-        grad = smoothed_objective(b, inst).gradient
-        free = b > b_min + 1e-12
-        if not free.any():
-            continue  # every share on the floor: nothing to certify
-        nu = -float(grad[free].mean())
-        tol = 1e-4 * float(np.abs(grad).max())
-        assert np.abs(grad[free] + nu).max() <= tol
-        assert np.all(grad[~free] + nu >= -tol)
+        check_against_oracle(barrier_solve(inst), oracle, inst)
     assert compared >= 290
 
 
@@ -344,7 +349,7 @@ def test_barrier_two_identical_clients():
                               np.array([0.1, 0.1]), 1.0, 0.1)
     got = barrier_solve(inst)
     assert np.allclose(got.ratios, 0.5, atol=1e-6)
-    assert got.duality_gap <= bw.NEWTON_TOL * got.objective
+    assert got.predicted_decrease <= bw.NEWTON_TOL * got.objective
 
 
 FLAT_INSTANCES = (
@@ -365,31 +370,105 @@ def test_barrier_flat_clients():
     assert np.array_equal(got.ratios, [0.1, 0.9])
 
 
+def watch_start(monkeypatch):
+    """Record every smoothed value `_evaluate` returns, and, per `_start` call, the
+    values it evaluated in order together with the value of the point it returned."""
+    values, starts = [], []
+    real_evaluate, real_start = bw._evaluate, bw._start
+
+    def evaluate(b, instance):
+        point = real_evaluate(b, instance)
+        values.append(point.value)
+        return point
+
+    def start(instance):
+        first = len(values)
+        b, point = real_start(instance)
+        starts.append((values[first:], point.value))
+        return b, point
+
+    monkeypatch.setattr(bw, "_evaluate", evaluate)
+    monkeypatch.setattr(bw, "_start", start)
+    return values, starts
+
+
+def check_start_passes(visited, kept):
+    """The start evaluates the equal split, then one point per water-filling pass:
+    every pass it keeps strictly lowers the value, it returns the last one kept,
+    and at most one further pass, which did not lower the value, is dropped."""
+    n = 1
+    while n < len(visited) and visited[n] < visited[n - 1]:
+        n += 1
+    assert kept == visited[n - 1]
+    assert len(visited) - n <= 1 and not any(v < kept for v in visited[n:])
+    assert len(visited) <= 1 + bw.MAX_NEWTON
+
+
 def test_barrier_solve_evaluates_each_point_once(monkeypatch):
     # the Newton factors, the final value, the smoothing gap and the flat
-    # clients' targets reuse the evaluation of the point they are taken at
-    counts = {}
+    # clients' targets reuse the evaluation of the point they are taken at,
+    # and the start evaluates the equal split and each of its passes once
+    values, starts = watch_start(monkeypatch)
+    trials = []
+    real_project = bw._project
 
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
+    def project(y, floor):  # one per line-search trial
+        trials.append(None)
+        return real_project(y, floor)
 
-    monkeypatch.setattr(bw, "_evaluate", counted("points", bw._evaluate))
-    monkeypatch.setattr(bw, "_project", counted("trials", bw._project))  # one per trial
+    monkeypatch.setattr(bw, "_project", project)
     rng = np.random.default_rng(20)
     solved = 0
     for inst in [stress_instance(rng) for _ in range(100)] + list(FLAT_INSTANCES):
-        counts.update(points=0, trials=0)
+        del values[:], starts[:], trials[:]
         barrier_solve(inst)
-        # the fixed point, or the equal split and, when it has any weight to
-        # spread, the water-filling guess
-        fixed = bw.fixed_share(inst.size, inst.min_ratio) is not None
-        starts = 1 if fixed or not (inst.lat_coeff.any() or inst.price_coeff.any()) else 2
-        assert counts["points"] == starts + counts["trials"]
-        solved += counts["trials"] > 0
+        if bw.fixed_share(inst.size, inst.min_ratio) is not None:
+            assert (len(values), starts, trials) == (1, [], [])  # the fixed point only
+            continue
+        ((visited, kept),) = starts
+        check_start_passes(visited, kept)
+        # a pass runs whenever the start has any weight to spread
+        spread = inst.lat_coeff.any() or inst.price_coeff.any()
+        assert len(visited) >= (2 if spread else 1)
+        assert len(values) == len(visited) + len(trials)
+        solved += len(trials) > 0
     assert solved >= 50
+
+
+class _Recorded(Exception):
+    pass
+
+
+def pedpc_instances(calls: int) -> list[AllocationInstance]:
+    """The first allocator instances of a seeded PEDPC run on the built-in setting,
+    solved as they come; the run stops once `calls` of them are held."""
+    held = []
+
+    def record(instance):
+        held.append(instance)
+        if len(held) == calls:
+            raise _Recorded
+        return barrier_solve(instance)
+
+    cfg = harness.parse_config(FULL)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bw, "barrier_solve", record)
+        with pytest.raises(_Recorded):
+            scheduler.run_policy(harness.build_scenario(cfg, 1), cfg.policy)
+    return held
+
+
+def test_start_leaves_one_kkt_system_on_pedpc_instances(monkeypatch):
+    instances = pedpc_instances(24)
+    _, starts = watch_start(monkeypatch)
+    for inst in instances:
+        del starts[:]
+        got = barrier_solve(inst)
+        assert got.iterations == 1
+        ((visited, kept),) = starts
+        check_start_passes(visited, kept)
+        assert len(visited) > 2  # the start passes on beyond the first water-filling
+        check_against_oracle(got, log_barrier_solve(inst), inst)
 
 
 def test_barrier_single_client():
