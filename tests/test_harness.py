@@ -487,10 +487,19 @@ def test_cli_negative_seed_exits_2(tmp_path, monkeypatch, capsys, command):
     assert err.startswith("config error:") and "seed" in err and "-1" in err
 
 
+def _missing_config(tmp_path):
+    return ["run", "--config", str(tmp_path / "missing.json")], "missing.json"
+
+
 def _latin1_config(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"system": {}} \u00e9'.encode("latin-1"))  # a lone 0xe9 byte
     return ["run", "--config", str(path)], "latin1.json"
+
+
+def _out_is_a_directory(tmp_path):
+    return ["run", "--config", str(small_config(tmp_path)), "--out", str(tmp_path)], \
+        str(tmp_path)
 
 
 def _output_dir_under_a_file(tmp_path):
@@ -502,8 +511,8 @@ def _output_dir_under_a_file(tmp_path):
     return ["run", "--config", str(path)], str(tmp_path / "plain" / "out")
 
 
-@pytest.mark.parametrize("case", [_latin1_config, _output_dir_under_a_file],
-                         ids=lambda f: f.__name__[1:])
+@pytest.mark.parametrize("case", [_missing_config, _latin1_config, _out_is_a_directory,
+                                  _output_dir_under_a_file], ids=lambda f: f.__name__[1:])
 def test_cli_unreadable_config_or_unwritable_output_exits_2(tmp_path, capsys, case):
     argv, named = case(tmp_path)
     assert cli.main(argv) == cli.EXIT_CONFIG
