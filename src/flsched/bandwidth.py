@@ -268,7 +268,7 @@ def _start(instance: AllocationInstance) -> tuple[np.ndarray, _Point]:
     return b, point
 
 
-def _diagonal_free(ev: _Factors, b: np.ndarray, b_min: float, movable: np.ndarray | None,
+def _diagonal_free(ev: _Factors, b: np.ndarray, b_min: float, movable: np.ndarray,
                    fixed_move: float) -> np.ndarray:
     """Free shares of the Newton step's floor-bounded model with H cut to diag(d).
 
@@ -278,18 +278,12 @@ def _diagonal_free(ev: _Factors, b: np.ndarray, b_min: float, movable: np.ndarra
     the other shares moving by `fixed_move` in total, is a decreasing
     piecewise-linear equation in nu. One sort of kappa solves it; the
     result starts the exact active-set iteration of `barrier_solve`.
-    `movable` masks the shares the model may move; None means every share,
-    which skips gathering them.
+    `movable` masks the shares the model may move.
     """
-    if movable is None:
-        kappa = ev.diag * (b - b_min) - ev.gradient
-        idx = np.argsort(kappa)
-        kappa = kappa[idx]
-    else:
-        idx = movable.nonzero()[0]
-        kappa = ev.diag[idx] * (b[idx] - b_min) - ev.gradient[idx]
-        order = np.argsort(kappa)
-        idx, kappa = idx[order], kappa[order]
+    idx = movable.nonzero()[0]
+    kappa = ev.diag[idx] * (b[idx] - b_min) - ev.gradient[idx]
+    order = np.argsort(kappa)
+    idx, kappa = idx[order], kappa[order]
     d = ev.diag[idx]
     # nu[k]: the root with the first k shares (smallest kappa) on the floor
     held = np.concatenate(([0.0], np.add.accumulate(b_min - b[idx])[:-1]))
@@ -361,7 +355,7 @@ def barrier_solve(instance: AllocationInstance) -> Allocation:
             fixed_move = float(np.add.reduce((target - b)[flat]))
             # a flat share above its target must still move, whatever the model gains
             stuck = (flat & (b > target + FEAS_TOL)).any()
-        free = _diagonal_free(ev, b, b_min, ~flat if has_flat else None, fixed_move)
+        free = _diagonal_free(ev, b, b_min, ~flat, fixed_move)
         # active-set rounds on the Newton model; m + 1 of them cut off a cycle
         for _ in range(m + 1):
             systems += 1

@@ -27,9 +27,11 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_VERIFY = 4
 
-# The fixed case `verify-bounds` checks: small enough for the exhaustive lookahead.
-VERIFY_CASE = harness.HarnessConfig(overrides={
-    "num_clients": 3, "num_rounds": 4, "frame_len": 2, "num_frames": 2, "min_ratio": 0.1})
+# The fixed case `verify-bounds` checks, small enough for the exhaustive lookahead:
+# 3 clients over 4 rounds, split into the check's own frames of 2 rounds.
+VERIFY_CASE = harness.HarnessConfig(overrides={"num_clients": 3, "num_rounds": 4,
+                                               "min_ratio": 0.1})
+VERIFY_FRAME_ROUNDS = 2
 
 
 def _finite(flag: str, value: float) -> float:
@@ -136,7 +138,8 @@ def _cmd_calibrate(args) -> int:
 def _cmd_verify(args) -> int:
     grid = _parse_v_grid(args.v_grid)
     grid_step = _positive("--grid-step", args.grid_step)
-    reports = harness.verify_bounds(VERIFY_CASE, args.seed, grid, grid_step)
+    reports = harness.verify_bounds(VERIFY_CASE, VERIFY_FRAME_ROUNDS, args.seed, grid,
+                                    grid_step)
     for report in reports:
         status = "ok" if report.all_ok else "FAIL"
         print(f"V={report.penalty_weight:g} lhs={report.lhs_cost:.6g} "

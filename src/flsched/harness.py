@@ -374,8 +374,9 @@ class BoundsReport:
         return bool(self.theorem2_ok and self.energy_bound_ok.all())
 
 
-def _frame_lookahead(scenario: Scenario, frame_index: int, grid_step: float) -> float:
-    """Exhaustive offline optimum of one frame's average cost.
+def _frame_lookahead(scenario: Scenario, frame_rounds: int, frame_index: int,
+                     grid_step: float) -> float:
+    """Exhaustive offline optimum of one frame of `frame_rounds` rounds' average cost.
 
     Each round's candidates are every selection set with every grid bandwidth
     vector, the empty round first, so a feasible plan exists. The frontier of
@@ -384,9 +385,9 @@ def _frame_lookahead(scenario: Scenario, frame_index: int, grid_step: float) -> 
     """
     config, pop = scenario.config, scenario.population
     k = config.num_clients
-    cap_energy = pop.energy_budget / config.num_frames
+    cap_energy = pop.energy_budget / (config.num_rounds // frame_rounds)
     per_round: list[tuple[np.ndarray, np.ndarray]] = []
-    for r in range(frame_index * config.frame_len, (frame_index + 1) * config.frame_len):
+    for r in range(frame_index * frame_rounds, (frame_index + 1) * frame_rounds):
         ctx = scenario.observe(r)
         ys = [np.zeros(1)]
         es = [np.zeros((1, k))]
@@ -412,31 +413,38 @@ def _frame_lookahead(scenario: Scenario, frame_index: int, grid_step: float) -> 
         acc_e = (acc_e[:, None] + es).reshape(-1, k)
         keep = ~(acc_e > cap_energy + 1e-12).any(axis=1)
         acc_y, acc_e = acc_y[keep], acc_e[keep]
-    return float(acc_y.min()) / config.frame_len
+    return float(acc_y.min()) / frame_rounds
 
 
-def verify_bounds(cfg: HarnessConfig, seed: int, penalty_weights: Sequence[float],
-                  grid_step: float) -> list[BoundsReport]:
+def verify_bounds(cfg: HarnessConfig, frame_rounds: int, seed: int,
+                  penalty_weights: Sequence[float], grid_step: float) -> list[BoundsReport]:
     """Check the horizon cost bound and the per-client energy bound at tiny scale.
 
+    The T-slot frames of the cost bound are the check's own, `frame_rounds`
+    rounds each (the frame length T), and must split the configured horizon
+    into whole frames (ConfigError); the config's frame keys are not read.
     Computes the frame-wise offline optimum of the configured realization by
     exhaustive search, once, then for each penalty weight runs the online
     policy on the same realization and evaluates both inequalities with the
-    scenario's drift constant. The search bounds the case's size (Infeasible):
-    the share grid takes at most 3 clients and 5e6 points, counted before it
-    is built, and a frame at most 5e6 plans, which also caps the frontier.
+    scenario's drift constant. The search bounds the case's size
+    (Infeasible): the share grid takes at most 3 clients and 5e6 points,
+    counted before it is built, and a frame at most 5e6 plans, which also
+    caps the frontier.
     Raises ConfigError for a grid step that leaves the grid of some client
     count a single corner point, where the lookahead would have no bandwidth
     choice. Every error is raised before the first online run.
     """
     scenario = build_scenario(cfg, seed)
     config, pop = scenario.config, scenario.population
+    if frame_rounds < 1 or config.num_rounds % frame_rounds:
+        raise ConfigError(f"{config.num_rounds} rounds do not split into frames of "
+                          f"{frame_rounds}")
     for m in range(2, config.num_clients + 1):
         if m * config.min_ratio < 1 - model.FEAS_TOL and \
                 len(bw.simplex_grid(m, config.min_ratio, grid_step)) == 1:
             raise ConfigError(f"--grid-step {grid_step:g} leaves one grid point for {m} clients")
-    c_stars = np.array([_frame_lookahead(scenario, f, grid_step)
-                        for f in range(config.num_frames)])
+    c_stars = np.array([_frame_lookahead(scenario, frame_rounds, f, grid_step)
+                        for f in range(config.num_rounds // frame_rounds)])
     lookahead = float(np.mean(c_stars))
     y0_min = -float(scenario.log_utility.sum())
     excess = float(np.sum(c_stars - y0_min))
@@ -444,9 +452,9 @@ def verify_bounds(cfg: HarnessConfig, seed: int, penalty_weights: Sequence[float
     for v in penalty_weights:
         summary = _summary(scenario, PolicySpec("PEDPC", penalty=v))
         lhs, totals = summary.avg_cost, summary.per_client_totals_j
-        rhs = lookahead + scenario.drift * config.frame_len / v
-        slack = (2.0 * scenario.drift * config.num_rounds * config.frame_len
-                 + 2.0 * v * config.frame_len * excess)
+        rhs = lookahead + scenario.drift * frame_rounds / v
+        slack = (2.0 * scenario.drift * config.num_rounds * frame_rounds
+                 + 2.0 * v * frame_rounds * excess)
         energy_rhs = pop.energy_budget + math.sqrt(max(slack, 0.0))
         reports.append(BoundsReport(
             penalty_weight=v,

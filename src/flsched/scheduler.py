@@ -304,16 +304,21 @@ def run_policy(scenario: Scenario, policy: PolicySpec) -> RunTrace:
     compliance even where the policy ignores them). Every round is checked
     against the one-step drift inequality with the scenario's envelope, and
     the end of the run against the queue-implied deficit lower bound; a
-    violation of either raises VerificationError.
+    violation of either raises VerificationError. A horizon too large for its
+    per-round arrays raises Infeasible before the first round.
     """
     drift = scenario.drift
     population, config, seed = scenario.population, scenario.config, scenario.spec.seed
     k, r_total = config.num_clients, config.num_rounds
     decide = None if policy.kind == "PEDPC" else _baseline(scenario, policy)
-    backlog_trace = np.zeros((r_total + 1, k))
-    energies = np.zeros((r_total, k))
-    records = np.zeros(r_total, dtype=[("n_selected", np.int64), ("latency", float),
-                                       ("phi", float), ("backlog_sq", float)])
+    try:
+        backlog_trace = np.zeros((r_total + 1, k))
+        energies = np.zeros((r_total, k))
+        records = np.zeros(r_total, dtype=[("n_selected", np.int64), ("latency", float),
+                                           ("phi", float), ("backlog_sq", float)])
+    except (ValueError, MemoryError) as exc:  # numpy's "array is too big", or no memory
+        raise Infeasible(f"horizon of {r_total} rounds for {k} clients is too large to"
+                         " allocate") from exc
     halves: list[tuple[float, ...]] = []
     drift_min_slack = math.inf
     backlog_sq = 0.0  # squared norm of the zero backlog entering round 0

@@ -10,8 +10,9 @@ the directory is. Tier-1 runs each case in process through `cli.main`
 
 A case checks its exit code and its stderr: the exact text where it pins one,
 otherwise nothing on success and one line with its exit code's prefix on
-failure. A case that writes nothing also checks that stdout is empty and that
-no file besides its config appears.
+failure. A case that pins its stdout checks that text too. A case that writes
+nothing also checks that stdout is empty and that no file besides its config
+appears.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ CONFIG = "config.json"
 _PREFIXES = {2: ("config error: ",), 3: ("infeasible: ", "solver did not converge: ")}
 
 # CI's smoke system, with every policy's knob set
-SMOKE = {"system": {"num_clients": 8, "num_rounds": 12, "frame_len": 4, "num_frames": 3,
-                    "min_ratio": 0.05},
+SMOKE = {"system": {"num_clients": 8, "num_rounds": 12, "min_ratio": 0.05},
          "policy": {"penalty": 0.5, "random_fraction": 0.5, "latency_cap": 20}}
 _SMOKE_SYSTEM = SMOKE["system"]
 # the built-in setting: 100 clients, 300 rounds, IID
@@ -37,17 +37,16 @@ FULL = {}
 PEDPC_FLOOR = {"system": {"min_ratio": 0.05}, "scenario": {"mode": "NONIID"}}
 # 1/0.3333333334 lies just below 3, yet 3 * 0.3333333334 > 1 + 1e-12: at most two
 # clients fit
-EDGE = {"system": {"num_clients": 10, "num_rounds": 12, "frame_len": 6, "num_frames": 2,
-                   "min_ratio": 0.3333333334}}
+EDGE = {"system": {"num_clients": 10, "num_rounds": 12, "min_ratio": 0.3333333334}}
 # the smallest horizon, for configs at the edges of the float range
-FLOAT_EDGE_SYSTEM = {"num_clients": 3, "num_rounds": 2, "frame_len": 1, "num_frames": 2}
-# 20 clients over two frames of 2 rounds, for penalty weights at the float edges
-PENALTY_EDGE_SYSTEM = {"num_clients": 20, "num_rounds": 4, "frame_len": 2, "num_frames": 2}
+FLOAT_EDGE_SYSTEM = {"num_clients": 3, "num_rounds": 2}
+# 20 clients over 4 rounds, for penalty weights at the float edges
+PENALTY_EDGE_SYSTEM = {"num_clients": 20, "num_rounds": 4}
 # SelectAll at seed 299: every backlog and both sides of the deficit bound reach
 # about 2.3e7 J, where the two sides differ by one ulp (3.7e-9 J)
 DEFICIT_ROUNDING_CASE = {
-    "system": {"num_clients": 20, "num_rounds": 6, "frame_len": 2, "num_frames": 3,
-               "min_ratio": 6.6367538581906305e-06, "bandwidth": 10272.682576386149},
+    "system": {"num_clients": 20, "num_rounds": 6, "min_ratio": 6.6367538581906305e-06,
+               "bandwidth": 10272.682576386149},
     "scenario": {"energy_budget": 377.3808000658412,
                  "gain_sq": [2.2442540853163686e-16, 4.485951770817831e-15],
                  "model_size": 22309469.946381085},
@@ -65,7 +64,8 @@ _SCENARIO = {"system": {**_SMOKE_SYSTEM, "min_ratio": 0.01},
 @dataclass(frozen=True)
 class Case:
     """One command line: its config (a JSON document, raw bytes, or None for no file),
-    its argv, its exit code and, where pinned, its exact stderr without the newline."""
+    its argv, its exit code and, where pinned, its exact stderr without the newline
+    and its exact stdout."""
 
     id: str
     config: dict | bytes | None
@@ -73,6 +73,7 @@ class Case:
     code: int = 0
     stderr: str | None = None
     writes_nothing: bool = False
+    stdout: str | None = None
 
     @property
     def argv(self) -> list[str]:
@@ -80,8 +81,13 @@ class Case:
 
 
 CASES = [
-    Case("verify-bounds", None, "verify-bounds --v-grid 1"),
-    Case("verify-bounds-seed-2-fine-grid", None, "verify-bounds --seed 2 --grid-step 0.02"),
+    Case("verify-bounds", None, "verify-bounds --v-grid 1",
+         stdout="V=1 lhs=-0.0243063 lookahead=-0.0243063 rhs=0.397569 cost_bound=True"
+                " energy_bound=True [ok]\n"),
+    Case("verify-bounds-seed-2-fine-grid", None, "verify-bounds --seed 2 --grid-step 0.02",
+         stdout="V=0.1 lhs=0 lookahead=0 rhs=4.21875 cost_bound=True energy_bound=True [ok]\n"
+                "V=1 lhs=0 lookahead=0 rhs=0.421875 cost_bound=True energy_bound=True [ok]\n"
+                "V=10 lhs=0 lookahead=0 rhs=0.0421875 cost_bound=True energy_bound=True [ok]\n"),
     Case("run-smoke", SMOKE, f"run --config {CONFIG} --seed 1 --out smoke.csv"),
     *(Case(f"run-smoke-{kind}", SMOKE, f"run --config {CONFIG} --seed 1 --policy {kind}")
       for kind in ("Greedy", "SelectAll", "Random", "FedCS")),
@@ -149,6 +155,17 @@ CASES = [
          "config error: unknown keys in section 'system': ['nope']"),
     Case("run-negative-client-count", {"system": {"num_clients": -1}}, f"run --config {CONFIG}",
          2, "config error: need at least one client", writes_nothing=True),
+    Case("run-no-rounds", {"system": {"num_rounds": 0}}, f"run --config {CONFIG}", 2,
+         "config error: need at least one round", writes_nothing=True),
+    *(Case(f"run-{key}-beyond-int64", {section: {key: 1e20}}, f"run --config {CONFIG}", 2,
+           f"config error: {key} is out of range", writes_nothing=True)
+      for section, key in (("scenario", "local_iters"), ("system", "num_rounds"),
+                           ("system", "num_clients"))),
+    # 2**62 rounds: numpy refuses the run's per-round arrays before allocating any
+    Case("run-horizon-too-large", {"system": {"num_clients": 1, "num_rounds": 2 ** 62}},
+         f"run --config {CONFIG}", 3,
+         "infeasible: horizon of 4611686018427387904 rounds for 1 clients is too large to allocate",
+         writes_nothing=True),
     Case("run-SelectAll-floor-0.2", {"system": {**_SMOKE_SYSTEM, "min_ratio": 0.2},
                                      "policy": {"kind": "SelectAll"}},
          f"run --config {CONFIG}", 3,
@@ -196,6 +213,8 @@ def problems(case: Case, directory: Path, code: int, out: str, err: str) -> list
             err.startswith(_PREFIXES[case.code])
     if not err_ok:
         found.append(f"stderr {err!r}")
+    if case.stdout is not None and out != case.stdout:
+        found.append(f"stdout {out!r}")
     written = sorted(p.name for p in directory.iterdir() if p.name != CONFIG)
     if case.writes_nothing and (out or written):
         found.append(f"wrote stdout {out!r} and files {written}")

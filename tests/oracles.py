@@ -181,18 +181,20 @@ def heap_selection(instance: SelectionInstance) -> SelectionResult:
     return SelectionResult(selected, best_w)
 
 
-def lookahead_oracle(scenario: Scenario, frame_index: int, grid_step: float) -> float:
+def lookahead_oracle(scenario: Scenario, frame_rounds: int, frame_index: int,
+                     grid_step: float) -> float:
     """Best average cost of one frame over every plan, enumerated with itertools.product.
 
-    A round's candidate is the empty round or a selection set with one grid
+    The frame is rounds [frame_index, frame_index + 1) * frame_rounds. A
+    round's candidate is the empty round or a selection set with one grid
     share vector, built row by row; a plan is one candidate per round and is
     kept if no client's energy over the frame exceeds its per-frame budget.
     """
     config, pop = scenario.config, scenario.population
     k = config.num_clients
-    cap = pop.energy_budget / config.num_frames
+    cap = pop.energy_budget / (config.num_rounds // frame_rounds)
     rounds = []
-    for r in range(frame_index * config.frame_len, (frame_index + 1) * config.frame_len):
+    for r in range(frame_index * frame_rounds, (frame_index + 1) * frame_rounds):
         ctx = scenario.observe(r)
         candidates = [(0.0, np.zeros(k))]
         subsets = itertools.chain.from_iterable(
@@ -215,7 +217,7 @@ def lookahead_oracle(scenario: Scenario, frame_index: int, grid_step: float) -> 
             cost, spent = cost + y, spent + e
         if (spent <= cap + 1e-12).all():
             best = min(best, cost)
-    return best / config.frame_len
+    return best / frame_rounds
 
 
 def masked_selected_totals(population: Population, rate_coeff: np.ndarray, shares: np.ndarray

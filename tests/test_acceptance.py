@@ -45,8 +45,7 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 def table1_config(tmp_path_factory):
     base = tmp_path_factory.mktemp("accept")
     doc = {
-        "system": {"num_clients": 100, "num_rounds": 300, "frame_len": 30,
-                   "num_frames": 10, "min_ratio": 0.01},
+        "system": {"num_clients": 100, "num_rounds": 300, "min_ratio": 0.01},
         "scenario": {"mode": "IID"},
         "policy": {"kind": "PEDPC", "penalty": 1.0},
         "output": {"dir": str(base / "out")},
@@ -178,9 +177,8 @@ def test_criterion_06_drift_inequality(full_run):
 def test_criterion_07_tiny_scale_bounds():
     start = time.perf_counter()
     tiny = harness.HarnessConfig(overrides={"num_clients": 3, "num_rounds": 4,
-                                            "frame_len": 2, "num_frames": 2,
                                             "min_ratio": 0.1})
-    reports = harness.verify_bounds(tiny, 0, (0.1, 1.0, 10.0), 0.05)
+    reports = harness.verify_bounds(tiny, 2, 0, (0.1, 1.0, 10.0), 0.05)  # frames of 2 rounds
     all_ok = all(report.all_ok for report in reports)
     details = [f"V={report.penalty_weight:g}:{'ok' if report.all_ok else 'FAIL'}"
                for report in reports]
@@ -250,8 +248,7 @@ def test_criterion_10_byte_identical_cli(table1_config, tmp_path):
 
 
 def test_criterion_11_long_horizon_stability():
-    scenario = Scenario(ScenarioSpec(seed=SEED, mode="IID", overrides={
-        "num_rounds": 3000, "frame_len": 300, "num_frames": 10}))
+    scenario = Scenario(ScenarioSpec(seed=SEED, mode="IID", overrides={"num_rounds": 3000}))
     trace = sched.run_policy(scenario, sched.PolicySpec("PEDPC", penalty=1.0))
     ratios = trace.backlog_trace[1:] / np.arange(1, trace.backlog_trace.shape[0])[:, None]
     early = float(ratios[299].max())   # max_k Z_k(300)/300

@@ -232,8 +232,6 @@ def test_diagonal_free_solves_the_diagonal_model():
         fixed = float(moves[~movable].sum())
         free = bw._diagonal_free(ev, b, b_min, movable, fixed)
         assert not free[~movable].any()
-        if movable.all():  # the path that skips gathering the movable shares
-            assert np.array_equal(bw._diagonal_free(ev, b, b_min, None, fixed), free)
         g, d, x = ev.gradient[movable], ev.diag[movable], b[movable]
         free = free[movable]
 

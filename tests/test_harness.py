@@ -152,7 +152,7 @@ def test_cli_bad_per_client_value_exits_2(tmp_path, capsys, scenario, message):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("doc,message", [
     ({"scenario": {"cpu_freq": [0, 1e9]}}, "cpu_freq range must be positive and ordered"),
-    ({"system": {"num_clients": 1, "num_rounds": 2, "frame_len": 1, "num_frames": 2},
+    ({"system": {"num_clients": 1, "num_rounds": 2},
       "scenario": {"mode": NONIID, "data_size_choices": [-1, 3.6e6]}},
      "data_size_choices entries must be positive"),
 ], ids=["cpu_freq", "data_size_choices"])
@@ -162,19 +162,6 @@ def test_cli_bad_drawn_bound_exits_2_on_every_seed(tmp_path, capsys, seed, doc, 
     path.write_text(json.dumps({**doc, "output": {"dir": str(tmp_path / "out")}}))
     assert cli.main(["run", "--config", str(path), "--seed", str(seed)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
-
-
-@pytest.mark.parametrize("doc,key", [
-    ({"scenario": {"local_iters": 1e20}}, "local_iters"),
-    ({"system": {"num_rounds": 1e20, "frame_len": 1e20, "num_frames": 1}}, "num_rounds"),
-    ({"system": {"num_clients": 1e20}}, "num_clients"),
-], ids=["local_iters", "num_rounds", "num_clients"])
-def test_cli_integer_beyond_int64_exits_2(tmp_path, capsys, doc, key):
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps({**doc, "output": {"dir": str(tmp_path / "out")}}))
-    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: {key} is out of range\n"
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("section,key,value", list(_bad_override_cases()))
@@ -228,14 +215,12 @@ def test_parse_config_fuzz_parses_or_config_error(doc):
 
 def test_parse_config_accepts_integral_floats():
     cfg = parse_config({
-        "system": {"num_clients": 8.0, "num_rounds": 12.0, "frame_len": 4.0,
-                   "num_frames": 3.0, "min_ratio": 0.05},
+        "system": {"num_clients": 8.0, "num_rounds": 12.0, "min_ratio": 0.05},
         "scenario": {"local_iters": 5.0},
     })
     assert cfg.overrides["local_iters"] == 5 and type(cfg.overrides["local_iters"]) is int
     config = harness.build_scenario(cfg, seed=0).config
-    assert (config.num_clients, config.num_rounds, config.frame_len,
-            config.num_frames) == (8, 12, 4, 3)
+    assert (config.num_clients, config.num_rounds) == (8, 12)
 
 
 def test_cli_run_nan_bandwidth_is_config_error(tmp_path, capsys):
@@ -287,8 +272,7 @@ def test_cli_run_broken_share_rules_exit_4(tmp_path, monkeypatch, capsys, shares
     # a policy whose shares break the floor (0.2 here) or the simplex equality
     # fails the run's share check, which is a verification failure
     path = tmp_path / "floor.json"
-    path.write_text(json.dumps({"system": {"num_clients": 8, "num_rounds": 4, "frame_len": 2,
-                                           "num_frames": 2, "min_ratio": 0.2},
+    path.write_text(json.dumps({"system": {"num_clients": 8, "num_rounds": 4, "min_ratio": 0.2},
                                 "output": {"dir": str(tmp_path / "out")}}))
     monkeypatch.setattr(scheduler, "_fill",
                         lambda ctx, upload, slack: np.array(shares + [0.0] * 6))
@@ -312,14 +296,13 @@ def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
 
 
 def _fuzz_config(rng: np.random.Generator, out: Path) -> dict:
-    """A valid config drawn from wide ranges: 1-30 clients, 1-3 frames of 1-3 rounds,
+    """A valid config drawn from wide ranges: 1-30 clients, 1-3 times 1-3 rounds,
     and log-uniform floors, budgets, gain ranges, model sizes, bandwidths and V."""
-    frame_len, num_frames = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    num_rounds = int(rng.integers(1, 4)) * int(rng.integers(1, 4))
     gain_lo = _log_uniform(rng, 1e-16, 1e-6)
     return {
-        "system": {"num_clients": int(rng.integers(1, 31)),
-                   "num_rounds": frame_len * num_frames, "frame_len": frame_len,
-                   "num_frames": num_frames, "min_ratio": _log_uniform(rng, 1e-6, 1.0),
+        "system": {"num_clients": int(rng.integers(1, 31)), "num_rounds": num_rounds,
+                   "min_ratio": _log_uniform(rng, 1e-6, 1.0),
                    "bandwidth": _log_uniform(rng, 1e3, 1e10)},
         "scenario": {"energy_budget": _log_uniform(rng, 1e-6, 1e3),
                      "gain_sq": [gain_lo, gain_lo * _log_uniform(rng, 1.0, 1e4)],
@@ -529,15 +512,20 @@ def test_cli_run_at_the_floor_capacity_edge(tmp_path, capsys, seed):
     assert json.loads(capsys.readouterr().out)["avg_selected"] <= 2
 
 
-@pytest.mark.parametrize("system,message", [
-    ({"num_rounds": 12}, "num_rounds 12 != frame_len 30 * num_frames 10"),  # default frames
-    ({"num_rounds": 0, "frame_len": 0}, "frame_len and num_frames must be positive"),
-], ids=["mismatch", "no-rounds"])
-def test_cli_bad_frames_exit_2(tmp_path, capsys, system, message):
-    path = tmp_path / "frames.json"
-    path.write_text(json.dumps({"system": system}))
-    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: {message}\n"
+def test_frame_keys_do_not_change_a_run(tmp_path, capsys):
+    # no run reads frame_len or num_frames: the smoke system without them, with
+    # a pair that splits its 12 rounds (4 x 3) and with one that does not
+    # (7 x 5) writes the same CSV, summary JSON and stdout
+    outputs = []
+    for frames in ({}, {"frame_len": 4, "num_frames": 3}, {"frame_len": 7, "num_frames": 5}):
+        path = tmp_path / "frames.json"
+        path.write_text(json.dumps({**SMOKE, "system": {**SMOKE["system"], **frames}}))
+        csv = tmp_path / f"run_{len(outputs)}.csv"
+        assert cli.main(["run", "--config", str(path), "--seed", "1", "--out", str(csv)]) == \
+            cli.EXIT_OK
+        outputs.append((capsys.readouterr(), csv.read_bytes(),
+                        csv.with_suffix(".summary.json").read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_cli_run_policy_changes_only_the_kind(tmp_path, monkeypatch):
@@ -910,58 +898,57 @@ def _tiny(**overrides) -> HarnessConfig:
 
 
 def test_tiny_case_guard(monkeypatch):
-    # the size limit is the lookahead's, the frame check SystemConfig's; both
-    # stop verify_bounds before the online run starts
+    # the size limit is the lookahead's, the whole-frame check the bound's own;
+    # both stop verify_bounds before the online run starts
     monkeypatch.setattr(harness, "run_policy", _no_run)
     with pytest.raises(Infeasible):
-        verify_bounds(_tiny(num_clients=4), 0, [1.0], 0.05)
-    with pytest.raises(ConfigError, match="frame_len"):
-        verify_bounds(_tiny(frame_len=3), 0, [1.0], 0.05)
+        verify_bounds(_tiny(num_clients=4), cli.VERIFY_FRAME_ROUNDS, 0, [1.0], 0.05)
+    with pytest.raises(ConfigError, match="^4 rounds do not split into frames of 3$"):
+        verify_bounds(cli.VERIFY_CASE, 3, 0, [1.0], 0.05)
 
 
 def test_verify_bounds_trivial_client():
     # a client that is never worth selecting: both sides of the cost bound
     # are trivially satisfied (lhs = 0 <= rhs)
-    tiny = _tiny(num_clients=1, num_rounds=2, frame_len=1, num_frames=2,
-                 accuracy_coeff=1e-12)
-    [report] = verify_bounds(tiny, 0, [1.0], 0.05)
+    tiny = _tiny(num_clients=1, num_rounds=2, accuracy_coeff=1e-12)
+    [report] = verify_bounds(tiny, 1, 0, [1.0], 0.05)
     assert report.lhs_cost == 0.0
     assert report.theorem2_ok
     assert report.energy_bound_ok.all()
 
 
 def test_verify_bounds_small():
-    [report] = verify_bounds(cli.VERIFY_CASE, 2, [1.0], 0.05)
+    [report] = verify_bounds(cli.VERIFY_CASE, cli.VERIFY_FRAME_ROUNDS, 2, [1.0], 0.05)
     assert report.theorem2_ok
     assert report.energy_bound_ok.all()
     assert report.lhs_cost <= report.theorem2_rhs + 1e-9
 
 
-@pytest.mark.parametrize("overrides", [
-    {},
-    {"num_clients": 2, "num_rounds": 6, "frame_len": 3, "num_frames": 2, "energy_budget": 0.01},
-    {"energy_budget": 0.003},
+@pytest.mark.parametrize("overrides,frame_rounds", [
+    ({}, 2),
+    ({"num_clients": 2, "num_rounds": 6, "energy_budget": 0.01}, 3),
+    ({"energy_budget": 0.003}, 2),
 ], ids=["verify-case", "two-clients-three-rounds", "tight-budget"])
-def test_frame_lookahead_matches_product_enumeration(overrides):
+def test_frame_lookahead_matches_product_enumeration(overrides, frame_rounds):
     # on seed 0 the energy cap binds in the last two cases: it raises their optimum
     scenario = harness.build_scenario(_tiny(**overrides), 0)
-    for frame in range(scenario.config.num_frames):
-        assert harness._frame_lookahead(scenario, frame, 0.1) == \
-            lookahead_oracle(scenario, frame, 0.1)
+    for frame in range(scenario.config.num_rounds // frame_rounds):
+        assert harness._frame_lookahead(scenario, frame_rounds, frame, 0.1) == \
+            lookahead_oracle(scenario, frame_rounds, frame, 0.1)
 
 
 def test_verify_bounds_computes_each_frame_once(monkeypatch):
     calls = []
     lookahead = harness._frame_lookahead
 
-    def counted(scenario, frame_index, grid_step):
-        calls.append(frame_index)
-        return lookahead(scenario, frame_index, grid_step)
+    def counted(scenario, frame_rounds, frame_index, grid_step):
+        calls.append((frame_rounds, frame_index))
+        return lookahead(scenario, frame_rounds, frame_index, grid_step)
 
     monkeypatch.setattr(harness, "_frame_lookahead", counted)
-    reports = verify_bounds(cli.VERIFY_CASE, 0, [0.1, 1.0, 10.0], 0.05)
+    reports = verify_bounds(cli.VERIFY_CASE, cli.VERIFY_FRAME_ROUNDS, 0, [0.1, 1.0, 10.0], 0.05)
     assert [r.penalty_weight for r in reports] == [0.1, 1.0, 10.0]
-    assert calls == list(range(cli.VERIFY_CASE.overrides["num_frames"]))
+    assert calls == [(2, 0), (2, 1)]  # 4 rounds in frames of 2
     assert len({r.lookahead_opt for r in reports}) == 1
 
 

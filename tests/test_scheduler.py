@@ -26,8 +26,7 @@ G_REF = 1e7 * np.log2(101.0)
 
 
 def small_scenario(seed=0, k=6, rounds=20, mode="IID", **extra):
-    overrides = {"num_clients": k, "num_rounds": rounds, "frame_len": rounds // 2,
-                 "num_frames": 2, "min_ratio": 0.05}
+    overrides = {"num_clients": k, "num_rounds": rounds, "min_ratio": 0.05}
     overrides.update(extra)
     return Scenario(ScenarioSpec(seed=seed, mode=mode, overrides=overrides))
 
@@ -301,15 +300,14 @@ def test_run_policy_solves_every_round_at_the_policy_penalty(monkeypatch):
 
     monkeypatch.setattr(scheduler, "solve_round", spy)
     tr = run_policy(sc, PolicySpec("PEDPC", penalty=0.01))
-    assert len(tr.records) == 20  # runs through both frames
+    assert len(tr.records) == 20  # runs every round
     assert weights == [0.01] * 20
 
 
 def test_pedpc_never_selects_when_unprofitable():
     # one client whose backlog price exceeds any utility gain
     sc = Scenario(ScenarioSpec(seed=0, mode="IID", overrides={
-        "num_clients": 1, "num_rounds": 4, "frame_len": 2, "num_frames": 2,
-        "min_ratio": 0.05}))
+        "num_clients": 1, "num_rounds": 4, "min_ratio": 0.05}))
     big = np.array([1e6])
     for r in range(4):
         ctx = sc.observe(r)
@@ -527,7 +525,7 @@ def test_solve_round_outcome_is_the_decisions_outcome(monkeypatch):
 def test_pinned_floor_run_matches_always_solve_oracle(monkeypatch):
     # 30 NONIID clients under a 5% floor: the 20-client sets fill the band at
     # the floor, so the production loop skips their allocator calls
-    sc = small_scenario(seed=1, k=30, rounds=12, mode="NONIID", frame_len=4, num_frames=3)
+    sc = small_scenario(seed=1, k=30, rounds=12, mode="NONIID")
     got = run_policy(sc, PolicySpec("PEDPC"))
     assert (got.records["n_selected"] == sc.config.max_selectable).any()
     monkeypatch.setattr(scheduler, "solve_round", lambda backlog, ctx, v: _always_solve_oracle(
@@ -542,12 +540,12 @@ def test_pinned_floor_run_matches_always_solve_oracle(monkeypatch):
 @pytest.mark.parametrize("penalty", [0.1, 1.0])
 @pytest.mark.parametrize("name", ["default", "pedpc_floor"])
 def test_full_scale_run_matches_always_solve_oracle(monkeypatch, name, penalty):
-    # 100 clients over two frames of 30 rounds, under the default floor (no
+    # 100 clients over 60 rounds, under the default floor (no
     # cap binds, most sets are solved) and the 5% one (20-client sets pinned
     # at the floor): held-set rescoring, index sets and the two-phase scan
     # give the always-solve loop's records, energies, backlogs and traces
     doc = _BASELINE_RUN_CONFIGS[name]
-    system = {**doc.get("system", {}), "num_rounds": 60, "frame_len": 30, "num_frames": 2}
+    system = {**doc.get("system", {}), "num_rounds": 60}
     scenario = harness.build_scenario(harness.parse_config({**doc, "system": system}), 1)
     policy = PolicySpec("PEDPC", penalty=penalty)
     got = run_policy(scenario, policy)
@@ -587,7 +585,7 @@ def test_run_policy_draws_each_round_once_at_its_start(monkeypatch, policy):
 def test_run_policy_reuses_the_scenario_contexts_unchanged(monkeypatch):
     # a scenario keeps the contexts its first run drew: later runs draw
     # nothing, see the same objects and get the same trace, byte for byte
-    sc = small_scenario(seed=1, k=8, rounds=12, frame_len=4, num_frames=3)
+    sc = small_scenario(seed=1, k=8, rounds=12)
     draws = []
     real_draw = simenv.sample_round
 
@@ -606,7 +604,7 @@ def test_run_policy_reuses_the_scenario_contexts_unchanged(monkeypatch):
         for name in ("records", "backlog_trace", "energies"):
             assert getattr(second, name).tobytes() == getattr(first, name).tobytes(), name
     assert draws == list(range(12))
-    fresh = small_scenario(seed=1, k=8, rounds=12, frame_len=4, num_frames=3)
+    fresh = small_scenario(seed=1, k=8, rounds=12)
     for r in range(12):
         ctx = sc.observe(r)
         assert sc.observe(r) is ctx

@@ -246,7 +246,7 @@ def test_max_selected_must_be_an_integer(cap, accepted):
 def test_run_with_and_without_binding_cap_matches_definition(monkeypatch, floor, binds):
     # a 5% floor caps the set at 20 of 40 NONIID clients and binds; the
     # default 1% floor caps it at 100 and never binds
-    overrides = {"num_clients": 40, "num_rounds": 12, "frame_len": 6, "num_frames": 2, **floor}
+    overrides = {"num_clients": 40, "num_rounds": 12, **floor}
     cap_bound = []
 
     def spy(instance):

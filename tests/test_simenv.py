@@ -174,10 +174,7 @@ def test_integral_float_is_the_integer():
 
 
 def test_worst_case_energy_dominates_samples():
-    sc = Scenario(ScenarioSpec(seed=5, overrides={"num_clients": 10,
-                                                  "num_rounds": 20,
-                                                  "frame_len": 4,
-                                                  "num_frames": 5}))
+    sc = Scenario(ScenarioSpec(seed=5, overrides={"num_clients": 10, "num_rounds": 20}))
     cap = sc.worst_case_energy()
     for r in range(20):
         comm = (sc.population.tx_power * sc.population.model_size
@@ -190,8 +187,7 @@ def test_worst_case_energy_dominates_samples():
 def test_observe_rejects_a_round_outside_the_horizon(monkeypatch, round_index):
     # a scenario holds at most R contexts: a round outside [0, R) is refused
     # before anything is drawn, built or kept
-    sc = Scenario(ScenarioSpec(seed=1, overrides={"num_clients": 3, "num_rounds": 4,
-                                                  "frame_len": 2, "num_frames": 2}))
+    sc = Scenario(ScenarioSpec(seed=1, overrides={"num_clients": 3, "num_rounds": 4}))
     monkeypatch.setattr(simenv, "sample_round", lambda *args: pytest.fail("drew a round"))
     with pytest.raises(ValueError, match=f"^round {round_index} is outside the horizon of 4 rounds$"):
         sc.observe(round_index)
