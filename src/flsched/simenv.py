@@ -148,7 +148,8 @@ def generate_population(spec: ScenarioSpec) -> tuple[Population, SystemConfig]:
     drawn uniformly per client, in field order from one stream, so these draws
     are identical across modes for a given seed; any other is one value for
     every client. Only the data volumes differ between modes: NONIID draws
-    them from `data_size_choices`, after the hardware.
+    them from `data_size_choices`, after the hardware. A client count whose
+    per-client arrays cannot be allocated raises Infeasible.
     """
     # built before the first draw, so that it reports a client count below one
     config = SystemConfig(**{f.name: spec.param(f.name) for f in fields(SystemConfig)})
@@ -162,7 +163,11 @@ def generate_population(spec: ScenarioSpec) -> tuple[Population, SystemConfig]:
             return rng.uniform(*spec.param(name), k)
         return np.full(k, spec.param(name))
 
-    return Population(**{f.name: per_client(f.name) for f in fields(Population)}), config
+    try:
+        drawn = {f.name: per_client(f.name) for f in fields(Population)}
+    except (ValueError, MemoryError) as exc:  # numpy's "array is too big", or no memory
+        raise Infeasible(f"population of {k} clients is too large to allocate") from exc
+    return Population(**drawn), config
 
 
 def sample_round(spec: ScenarioSpec, round_index: int, population: Population) -> np.ndarray:

@@ -13,11 +13,22 @@ otherwise nothing on success and one line with its exit code's prefix on
 failure. A case that pins its stdout checks that text too. A case that writes
 nothing also checks that stdout is empty and that no file besides its config
 appears.
+
+A case that needs only a config, an argv and the outputs is a row here. A case
+that patches the program (a fault injection, a spy, a run that must not start)
+or compares the outputs of several runs stays a test in `tests/test_harness.py`.
+
+The script also prints one digest line per case: its id, its exit code and the
+sha256 of its stdout, of its stderr and of each file it writes, by relative
+path. Two trees' runs, each with a `flsched` on PATH that imports that tree's
+`src/`, then compare by `diff`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -59,6 +70,16 @@ _SCENARIO = {"system": {**_SMOKE_SYSTEM, "min_ratio": 0.01},
                           "model_size": 2.4e5, "energy_budget": 1.5, "data_size": 3.6e6,
                           "data_size_choices": [1.2e6, 2.4e6, 3.6e6, 4.8e6, 6.0e6],
                           "gain_sq": [1e-11, 1e-9]}}
+# a floor of 1e-309 admits any population; a tiny upload keeps the drift finite
+_TINY_FLOOR = {"system": {**FLOAT_EDGE_SYSTEM, "min_ratio": 1e-309},
+               "scenario": {"model_size": 1e-300}}
+_VERIFY_V1 = ("V=1 lhs=-0.0243063 lookahead=-0.0243063 rhs=0.397569 cost_bound=True"
+              " energy_bound=True [ok]\n")
+# Population's per-client fields, each with whether its key is a [low, high] range;
+# written out, not read from flsched, so that a renamed field fails its rows
+_PER_CLIENT = (("cpu_freq", True), ("cycles_per_bit", True), ("capacitance", False),
+               ("tx_power", True), ("model_size", False), ("data_size", False),
+               ("energy_budget", False), ("local_iters", False))
 
 
 @dataclass(frozen=True)
@@ -80,10 +101,24 @@ class Case:
         return self.command.split()
 
 
+def _bad_per_client_cases():
+    """Zero, negative and NaN for every per-client field: NaN fails the JSON number
+    check first, and a range's bounds are checked before any draw."""
+    for name, is_range in _PER_CLIENT:
+        for value in (0, -1, math.nan):
+            message = f"{name} must be finite, got nan" if math.isnan(value) else \
+                f"{name} range must be positive and ordered" if is_range else \
+                f"{name} must be strictly positive"
+            yield Case(f"run-{name}-{value}",
+                       {"scenario": {name: [value] * 2 if is_range else value}},
+                       f"run --config {CONFIG} --seed 1", 2, f"config error: {message}",
+                       writes_nothing=True)
+
+
 CASES = [
-    Case("verify-bounds", None, "verify-bounds --v-grid 1",
-         stdout="V=1 lhs=-0.0243063 lookahead=-0.0243063 rhs=0.397569 cost_bound=True"
-                " energy_bound=True [ok]\n"),
+    Case("verify-bounds", None, "verify-bounds --v-grid 1", stdout=_VERIFY_V1),
+    *(Case(f"verify-bounds-grid-{step}", None, f"verify-bounds --v-grid 1 --grid-step {step}",
+           stdout=_VERIFY_V1) for step in ("0.5", "0.7")),
     Case("verify-bounds-seed-2-fine-grid", None, "verify-bounds --seed 2 --grid-step 0.02",
          stdout="V=0.1 lhs=0 lookahead=0 rhs=4.21875 cost_bound=True energy_bound=True [ok]\n"
                 "V=1 lhs=0 lookahead=0 rhs=0.421875 cost_bound=True energy_bound=True [ok]\n"
@@ -101,7 +136,38 @@ CASES = [
          f"config error: cannot read {CONFIG}: No such file or directory"),
     Case("run-smoke-out-is-a-directory", SMOKE, f"run --config {CONFIG} --out .", 2,
          "config error: cannot write .: Is a directory"),
-    Case("run-edge", EDGE, f"run --config {CONFIG} --seed 1"),
+    Case("run-smoke-output-dir-under-a-file", {**SMOKE, "output": {"dir": f"{CONFIG}/out"}},
+         f"run --config {CONFIG}", 2,
+         f"config error: cannot write {CONFIG}/out/PEDPC_0_0.5.csv: Not a directory",
+         writes_nothing=True),
+    # é in latin-1: a lone 0xe9 byte, which is not UTF-8
+    Case("run-latin-1-config", b'{"system": {}} \xe9', f"run --config {CONFIG}",
+         2, f"config error: invalid JSON in {CONFIG}: 'utf-8' codec can't decode byte 0xe9 in"
+            " position 15: unexpected end of data", writes_nothing=True),
+    Case("run-smoke-nan-bandwidth", {**SMOKE, "system": {**_SMOKE_SYSTEM, "bandwidth": math.nan}},
+         f"run --config {CONFIG}", 2, "config error: bandwidth must be finite, got nan",
+         writes_nothing=True),
+    *_bad_per_client_cases(),
+    Case("run-data_size_choices-0", {"scenario": {"mode": "NONIID",
+                                                  "data_size_choices": [2.4e6, 0.0]}},
+         f"run --config {CONFIG} --seed 1", 2,
+         "config error: data_size_choices entries must be positive", writes_nothing=True),
+    Case("run-local_iters-2.5", {"scenario": {"local_iters": 2.5}},
+         f"run --config {CONFIG} --seed 1", 2,
+         "config error: local_iters must be an integer, got 2.5", writes_nothing=True),
+    # a bound that only some draws would hit fails before any draw, on every seed
+    *(Case(f"run-drawn-{name}-seed-{seed}", doc, f"run --config {CONFIG} --seed {seed}", 2,
+           f"config error: {message}", writes_nothing=True)
+      for name, doc, message in (
+          ("cpu_freq", {"scenario": {"cpu_freq": [0, 1e9]}},
+           "cpu_freq range must be positive and ordered"),
+          ("data_size_choices", {"system": {"num_clients": 1, "num_rounds": 2},
+                                 "scenario": {"mode": "NONIID", "data_size_choices": [-1, 3.6e6]}},
+           "data_size_choices entries must be positive"))
+      for seed in range(1, 6)),
+    # at most two clients fit: a third would fail the allocator or the share check
+    *(Case(f"run-edge{suffix}", EDGE, f"run --config {CONFIG} --seed {seed}")
+      for suffix, seed in (("", 1), ("-seed-2", 2))),
     Case("run-scenario", _SCENARIO, f"run --config {CONFIG} --seed 1"),
     Case("run-full", FULL, f"run --config {CONFIG} --seed 1"),
     Case("calibrate-full-FedCS", FULL,
@@ -133,12 +199,21 @@ CASES = [
          f"run --config {CONFIG}", 3, "infeasible: drift constant overflows the float range"),
     Case("run-subnormal-floor", {"system": {"min_ratio": 1e-310}}, f"run --config {CONFIG}", 3,
          "infeasible: worst-case round energy is unbounded"),
-    Case("run-tiny-floor", {"system": {**FLOAT_EDGE_SYSTEM, "min_ratio": 1e-309},
-                            "scenario": {"model_size": 1e-300}}, f"run --config {CONFIG}"),
+    *(Case(f"run-tiny-floor{suffix}", _TINY_FLOOR, f"run --config {CONFIG}{args}")
+      for suffix, args in (("", ""), ("-Greedy", " --policy Greedy"),
+                           ("-SelectAll", " --policy SelectAll"))),
     Case("run-tiny-noise", {"system": {**FLOAT_EDGE_SYSTEM, "noise_power": 5e-324}},
          f"run --config {CONFIG}", 3, "infeasible: rate coefficient overflows the float range"),
     Case("run-huge-data", {"scenario": {"data_size": 1e308}, "system": FLOAT_EDGE_SYSTEM},
          f"run --config {CONFIG}", 3, "infeasible: drift constant overflows the float range"),
+    Case("run-huge-bandwidth", {"system": {**FLOAT_EDGE_SYSTEM, "bandwidth": 1e308}},
+         f"run --config {CONFIG}", 3, "infeasible: rate coefficient overflows the float range"),
+    Case("run-huge-cpu", {"scenario": {"cpu_freq": [1e300, 1e300]}, "system": FLOAT_EDGE_SYSTEM},
+         f"run --config {CONFIG}", 3, "infeasible: worst-case round energy is unbounded"),
+    # a gain range reaching 1e-300 leaves a zero worst-case rate: no finite drift
+    # constant exists, which is an infeasible instance, not a malformed config
+    Case("run-tiny-gain", {"scenario": {"gain_sq": [1e-300, 1e-9]}}, f"run --config {CONFIG}", 3,
+         "infeasible: worst-case round energy is unbounded"),
     # accuracy_coeff * data_size passes the float range when the scenario is built,
     # before any run or calibration
     *(Case(f"{name}-utility-overflow", {"system": {**FLOAT_EDGE_SYSTEM, "accuracy_coeff": 1e303}},
@@ -150,7 +225,13 @@ CASES = [
     *(Case(f"run-penalty-{v}", {"system": PENALTY_EDGE_SYSTEM, "policy": {"penalty": float(v)}},
            f"run --config {CONFIG} --seed 1", 3, f"solver did not converge: {message}")
       for v, message in (("1e308", "allocator objective leaves the float range"),
-                         ("1e-308", "Newton system leaves the float range"))),
+                         ("1e-308", "Newton system leaves the float range"),
+                         ("1e-315", "Newton system leaves the float range"))),
+    # the smallest weight selects nobody
+    Case("run-penalty-5e-324", {"system": PENALTY_EDGE_SYSTEM, "policy": {"penalty": 5e-324}},
+         f"run --config {CONFIG} --seed 1",
+         stdout='{"avg_cost": 0.0, "avg_selected": 0.0, "energy_overflow_j": 0.0,'
+                ' "policy": "PEDPC", "seed": 1, "total_latency_s": 0.0, "total_phi": 0.0}\n'),
     Case("run-unknown-key", {"system": {"nope": 1}}, f"run --config {CONFIG}", 2,
          "config error: unknown keys in section 'system': ['nope']"),
     Case("run-negative-client-count", {"system": {"num_clients": -1}}, f"run --config {CONFIG}",
@@ -165,6 +246,11 @@ CASES = [
     Case("run-horizon-too-large", {"system": {"num_clients": 1, "num_rounds": 2 ** 62}},
          f"run --config {CONFIG}", 3,
          "infeasible: horizon of 4611686018427387904 rounds for 1 clients is too large to allocate",
+         writes_nothing=True),
+    # 2**62 clients: numpy refuses the population's per-client arrays before allocating any
+    Case("run-population-too-large", {"system": {"num_clients": 2 ** 62, "num_rounds": 1}},
+         f"run --config {CONFIG}", 3,
+         "infeasible: population of 4611686018427387904 clients is too large to allocate",
          writes_nothing=True),
     Case("run-SelectAll-floor-0.2", {"system": {**_SMOKE_SYSTEM, "min_ratio": 0.2},
                                      "policy": {"kind": "SelectAll"}},
@@ -221,8 +307,22 @@ def problems(case: Case, directory: Path, code: int, out: str, err: str) -> list
     return found
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(case: Case, directory: Path, code: int, out: str, err: str) -> str:
+    """One line: the case's id, its exit code and the sha256 of its stdout, its stderr
+    and each file it wrote, by relative path."""
+    written = sorted(p for p in directory.rglob("*") if p.is_file() and p != directory / CONFIG)
+    files = (f" {p.relative_to(directory).as_posix()}={_sha256(p.read_bytes())}" for p in written)
+    return f"{case.id} {code} stdout={_sha256(out.encode())} stderr={_sha256(err.encode())}" + \
+        "".join(files)
+
+
 def main() -> int:
-    """Run every case through the installed `flsched` console script; report each failure."""
+    """Run every case through the installed `flsched` console script; print each one's
+    digest and report each failure."""
     failed = 0
     for case in CASES:
         with tempfile.TemporaryDirectory() as name:
@@ -230,6 +330,7 @@ def main() -> int:
             proc = subprocess.run(["flsched", *case.argv], cwd=name, capture_output=True,
                                   text=True)
             found = problems(case, Path(name), proc.returncode, proc.stdout, proc.stderr)
+            print(digest(case, Path(name), proc.returncode, proc.stdout, proc.stderr))
         for problem in found:
             print(f"{case.id}: {problem}")
         failed += bool(found)

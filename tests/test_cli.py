@@ -17,7 +17,9 @@ def test_cli_case(case, tmp_path, monkeypatch, capsys):
 
 
 def test_cli_cases_cover_the_contract():
-    # exit 4 is reached only by fault injection, which tests/test_harness.py keeps
+    # a case that needs only a config, an argv and the outputs is a row; a case that
+    # patches the program stays in tests/test_harness.py, as does exit 4, which only
+    # fault injection reaches
     assert len({case.id for case in CASES}) == len(CASES)
     assert {case.argv[0] for case in CASES} == {"run", "sweep-v", "compare", "calibrate",
                                                 "verify-bounds"}
