@@ -20,7 +20,7 @@ from flsched.model import Population, SystemConfig
 from flsched.scheduler import POLICY_KINDS, PolicySpec, run_policy
 from flsched.simenv import DEFAULTS, IID, NONIID, Range, Scenario
 
-from cli_cases import PEDPC_FLOOR, SMOKE
+from cli_cases import CASES, PEDPC_FLOOR, SMOKE, write_config
 from oracles import lookahead_oracle
 
 
@@ -428,6 +428,81 @@ def test_cli_verify_bounds_too_fine_grid_exits_3(monkeypatch, capsys, step):
         cli.EXIT_INFEASIBLE
     err = capsys.readouterr().err
     assert err.startswith("infeasible: share grid for ") and "exceeds 5000000 points" in err
+
+
+_ROWS = {case.id: case for case in CASES}
+
+
+def _run_row(row_id, tmp_path, monkeypatch, capsys):
+    """Run a row of `cli_cases` in process with RuntimeWarning as an error; return its
+    exit code, stdout and stderr."""
+    case = _ROWS[row_id]
+    write_config(case, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(case.argv)
+    return (code, *capsys.readouterr())
+
+
+# The tests below hold the rows of cli_cases that they run to what each test
+# checked before those rows existed: no RuntimeWarning, and the summary's values.
+
+@pytest.mark.parametrize("row,message", [
+    ("run-huge-budget", "drift constant overflows the float range"),
+    ("run-subnormal-floor", "worst-case round energy is unbounded"),
+    ("run-tiny-noise", "rate coefficient overflows the float range"),
+    ("run-huge-data", "drift constant overflows the float range"),
+], ids=["budget-1e160", "floor-1e-310", "noise-5e-324", "data-1e308"])
+def test_cli_run_overflowing_drift_constant_exits_3(tmp_path, monkeypatch, capsys, row, message):
+    code, _, err = _run_row(row, tmp_path, monkeypatch, capsys)
+    assert code == cli.EXIT_INFEASIBLE and err == f"infeasible: {message}\n"
+
+
+@pytest.mark.parametrize("penalty,message", [
+    ("1e308", "allocator objective leaves the float range"),
+    ("1e-308", "Newton system leaves the float range"),
+], ids=["1e308", "1e-308"])
+def test_cli_run_penalty_at_the_float_edges(tmp_path, monkeypatch, capsys, penalty, message):
+    code, _, err = _run_row(f"run-penalty-{penalty}", tmp_path, monkeypatch, capsys)
+    assert code == cli.EXIT_INFEASIBLE and err == f"solver did not converge: {message}\n"
+
+
+@pytest.mark.parametrize("policy", ["PEDPC"])
+def test_cli_run_subnormal_floor_with_finite_drift_runs(tmp_path, monkeypatch, capsys, policy):
+    code, out, _ = _run_row("run-tiny-floor", tmp_path, monkeypatch, capsys)
+    assert code == cli.EXIT_OK and json.loads(out)["policy"] == policy
+
+
+@pytest.mark.parametrize("row,named", [("run-missing-config", "config.json"),
+                                       ("run-smoke-out-is-a-directory", ".")],
+                         ids=["missing_config", "out_is_a_directory"])
+def test_cli_unreadable_config_or_unwritable_output_exits_2(tmp_path, monkeypatch, capsys,
+                                                            row, named):
+    code, _, err = _run_row(row, tmp_path, monkeypatch, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("config error:") and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", ["1"])
+def test_cli_run_at_the_floor_capacity_edge(tmp_path, monkeypatch, capsys, seed):
+    # at most two clients fit, and selection must not offer the allocator a third
+    case = _ROWS["run-edge"]
+    assert case.argv[-2:] == ["--seed", seed]
+    code, out, _ = _run_row(case.id, tmp_path, monkeypatch, capsys)
+    assert code == cli.EXIT_OK and json.loads(out)["avg_selected"] <= 2
+
+
+def test_cli_run_deficit_bound_at_large_energies_exits_0(tmp_path, monkeypatch, capsys):
+    code, out, err = _run_row("run-deficit-rounding", tmp_path, monkeypatch, capsys)
+    assert code == cli.EXIT_OK and err == "" and json.loads(out)["avg_selected"] == 20.0
+
+
+@pytest.mark.parametrize("step", ["0.05"])
+def test_cli_verify_bounds_runs_grid_with_choice(capsys, step):
+    # 0.05 is the default step, which the row verify-bounds runs without the flag
+    assert cli.main(["verify-bounds", "--v-grid", "1", "--grid-step", step]) == cli.EXIT_OK
+    assert capsys.readouterr().out == _ROWS["verify-bounds"].stdout
 
 
 @pytest.mark.parametrize("argv,written", [
