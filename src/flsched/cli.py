@@ -60,33 +60,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flsched",
                                      description="Federated scheduling experiments")
     sub = parser.add_subparsers(dest="command", required=True)
+    # --config and --seed, each defined once; a subcommand lists them before its own flags
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    both = [configured, seeded]
 
-    run = sub.add_parser("run", help="run one policy, write per-round CSV + summary")
-    run.add_argument("--config", required=True)
-    run.add_argument("--seed", type=int, default=0)
+    run = sub.add_parser("run", parents=both, help="run one policy, write per-round CSV + summary")
     run.add_argument("--policy", choices=POLICY_KINDS)
     run.add_argument("--out", help="CSV output path (default: from config)")
 
-    sweep = sub.add_parser("sweep-v", help="one PEDPC run per penalty weight")
-    sweep.add_argument("--config", required=True)
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep = sub.add_parser("sweep-v", parents=both, help="one PEDPC run per penalty weight")
     sweep.add_argument("--v-grid", required=True,
                        help="comma-separated penalty weights, e.g. 0.001,0.01,0.1,1,10")
 
-    comp = sub.add_parser("compare", help="calibrate and compare all five policies")
-    comp.add_argument("--config", required=True)
-    comp.add_argument("--seed", type=int, default=0)
+    comp = sub.add_parser("compare", parents=both, help="calibrate and compare all five policies")
     comp.add_argument("--target-avg", type=float, default=40.0)
 
-    cal = sub.add_parser("calibrate", help="bisect a policy knob to a target avg selection")
-    cal.add_argument("--config", required=True)
-    cal.add_argument("--seed", type=int, default=0)
+    cal = sub.add_parser("calibrate", parents=both,
+                         help="bisect a policy knob to a target avg selection")
     cal.add_argument("--policy", required=True, choices=("PEDPC", "Random", "FedCS"))
     cal.add_argument("--target-avg", type=float, required=True)
 
-    ver = sub.add_parser("verify-bounds",
+    ver = sub.add_parser("verify-bounds", parents=[seeded],
                          help="check the cost and energy bounds at tiny scale")
-    ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--v-grid", default="0.1,1,10")
     ver.add_argument("--grid-step", type=float, default=0.05)
     return parser

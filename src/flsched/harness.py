@@ -24,7 +24,8 @@ import numpy as np
 from . import bandwidth as bw
 from . import model
 from .errors import ConfigError, Infeasible
-from .scheduler import PolicySpec, RunTrace, random_sample_size, run_policy
+from .scheduler import (PolicySpec, RunTrace, baseline_select_all, random_sample_size,
+                        run_policy)
 from .simenv import DEFAULTS, IID, NONIID, Scenario, ScenarioSpec, checked, number
 
 CSV_HEADER = ("round,policy,seed,n_selected,latency_s,phi,cost,queue_l2,"
@@ -332,11 +333,13 @@ def compare_policies(config_path: str | Path, seed: int, target_avg: float
 
     One (knob, summary) pair per policy, the knob None for SelectAll and Greedy.
     PEDPC and FedCS reuse their accepted calibration runs: no pair runs twice.
+    SelectAll's split and Random's sample, which run nothing, are checked first.
     """
     cfg = load_config(config_path)
     scenario = build_scenario(cfg, seed)
-    v_star, pedpc_run = _calibrate(scenario, "PEDPC", target_avg)
+    baseline_select_all(scenario.config)
     fraction, _ = _calibrate(scenario, "Random", target_avg)
+    v_star, pedpc_run = _calibrate(scenario, "PEDPC", target_avg)
     t_max, fedcs_run = _calibrate(scenario, "FedCS", target_avg)
     rows = [
         (v_star, pedpc_run),

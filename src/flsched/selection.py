@@ -68,8 +68,8 @@ def itmcs(instance: SelectionInstance) -> SelectionResult:
     phases. The first cap-1 ceilings keep every predecessor, so their pool
     sum is the plain prefix sum. From there a min-heap of the negated scores
     keeps the cap-1 most negative predecessors, and each client pushes its
-    score in and pops the least negative one out. A NaN W (an overflowing
-    v*t next to a -inf score) is never chosen.
+    score in and pops the least negative one out, its own under a cap of 1.
+    A NaN W (an overflowing v*t next to a -inf score) is never chosen.
     """
     q = instance.scores
     t = instance.latencies
@@ -94,25 +94,19 @@ def itmcs(instance: SelectionInstance) -> SelectionResult:
             pool_sum += qi
             pool.append(-qi)
         # phase two: a full pool drops its least negative score per client
-        if cap > 1:
-            heapq.heapify(pool)
-            for pos, (vt, qi) in enumerate(clients, len(pool)):
-                w = vt + qi + pool_sum
-                if w < best_w:
-                    best_w, best_pos = w, pos
-                pool_sum += qi
-                pool_sum += heapq.heappushpop(pool, -qi)
-        else:  # no companions: W is the ceiling's own
-            for pos, (vt, qi) in enumerate(clients):
-                w = vt + qi
-                if w < best_w:
-                    best_w, best_pos = w, pos
+        heapq.heapify(pool)
+        for pos, (vt, qi) in enumerate(clients, len(pool)):
+            w = vt + qi + pool_sum
+            if w < best_w:
+                best_w, best_pos = w, pos
+            pool_sum += qi
+            pool_sum += heapq.heappushpop(pool, -qi)
     selected = np.zeros(k, dtype=bool)
     if best_pos >= 0:
         preds = order[:best_pos]
         selected[order[best_pos]] = True
         if cap - 1 >= len(preds):  # the cap does not bind
             selected[preds] = True
-        elif cap > 1:
+        else:
             selected[preds[np.lexsort((preds, q[preds]))[:cap - 1]]] = True
     return SelectionResult(selected, best_w)

@@ -4,7 +4,8 @@ A case runs in a fresh directory of its own. Its config, when it has one, is
 written there as `config.json`, and its argv names that file and every output
 path relative to the directory, so outputs and messages do not depend on where
 the directory is. Tier-1 runs each case in process through `cli.main`
-(`tests/test_cli.py`); CI runs each through the installed console script:
+(`run_in_process`, from `tests/test_cli.py`); CI runs each through the installed
+console script:
 
     python tests/cli_cases.py
 
@@ -27,11 +28,15 @@ path. Two trees' runs, each with a `flsched` on PATH that imports that tree's
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,6 +47,8 @@ _PREFIXES = {2: ("config error: ",), 3: ("infeasible: ", "solver did not converg
 SMOKE = {"system": {"num_clients": 8, "num_rounds": 12, "min_ratio": 0.05},
          "policy": {"penalty": 0.5, "random_fraction": 0.5, "latency_cap": 20}}
 _SMOKE_SYSTEM = SMOKE["system"]
+# the smoke system on a budget small enough that backlogs build, so V changes decisions
+TIGHT_BUDGET = {"system": _SMOKE_SYSTEM, "scenario": {"energy_budget": 0.05}}
 # the built-in setting: 100 clients, 300 rounds, IID
 FULL = {}
 # the benchmark's floored NONIID setting: a 5% floor admits 20 of the 100 clients
@@ -127,6 +134,19 @@ CASES = [
     *(Case(f"run-smoke-{kind}", SMOKE, f"run --config {CONFIG} --seed 1 --policy {kind}")
       for kind in ("Greedy", "SelectAll", "Random", "FedCS")),
     Case("sweep-v-smoke", SMOKE, f"sweep-v --config {CONFIG} --v-grid 0.5,1"),
+    Case("sweep-v-tight-budget", TIGHT_BUDGET,
+         f"sweep-v --config {CONFIG} --seed 1 --v-grid 0.001,0.5,1,1000",
+         stdout="V=0.001 avg_selected=4.33 total_latency_s=2.2945 energy_overflow_j=0.00606424\n"
+                "V=0.5 avg_selected=6.00 total_latency_s=2.99439 energy_overflow_j=0.100197\n"
+                "V=1 avg_selected=6.00 total_latency_s=2.99411 energy_overflow_j=0.100238\n"
+                "V=1000 avg_selected=6.00 total_latency_s=2.99384 energy_overflow_j=0.100281\n"),
+    *(Case(f"sweep-v-smoke-grid-{name}", SMOKE, f"sweep-v --config {CONFIG} --v-grid {grid}", 2,
+           f"config error: {message}", writes_nothing=True)
+      for name, grid, message in (("letters", "a,b", "bad --v-grid value: 'a,b'"),
+                                  ("empty", ",", "--v-grid must list at least one value"))),
+    Case("calibrate-smoke-PEDPC-20", SMOKE,
+         f"calibrate --config {CONFIG} --policy PEDPC --target-avg 20", 3,
+         "infeasible: target outside the achievable bracket", writes_nothing=True),
     Case("calibrate-smoke-PEDPC", SMOKE,
          f"calibrate --config {CONFIG} --policy PEDPC --target-avg 5"),
     Case("compare-smoke", SMOKE, f"compare --config {CONFIG} --seed 1 --target-avg 4"),
@@ -173,6 +193,13 @@ CASES = [
     Case("calibrate-full-FedCS", FULL,
          f"calibrate --config {CONFIG} --policy FedCS --target-avg 40 --seed 1"),
     Case("compare-full", FULL, f"compare --config {CONFIG} --seed 1"),
+    Case("compare-full-200", FULL, f"compare --config {CONFIG} --seed 1 --target-avg 200", 3,
+         "infeasible: target outside [1, K]", writes_nothing=True),
+    # SelectAll's split, which runs nothing, fails before any calibration at any target
+    *(Case(f"compare-floor-{target}", PEDPC_FLOOR,
+           f"compare --config {CONFIG} --seed 1 --target-avg {target}", 3,
+           "infeasible: equal split over all clients falls below the floor", writes_nothing=True)
+      for target in (10, 20, 40)),
     Case("run-floor", PEDPC_FLOOR, f"run --config {CONFIG} --seed 1"),
     Case("run-floor-Greedy", PEDPC_FLOOR, f"run --config {CONFIG} --seed 1 --policy Greedy"),
     Case("run-floor-SelectAll", PEDPC_FLOOR,
@@ -234,6 +261,21 @@ CASES = [
                 ' "policy": "PEDPC", "seed": 1, "total_latency_s": 0.0, "total_phi": 0.0}\n'),
     Case("run-unknown-key", {"system": {"nope": 1}}, f"run --config {CONFIG}", 2,
          "config error: unknown keys in section 'system': ['nope']"),
+    Case("run-root-not-an-object", b"[]", f"run --config {CONFIG}", 2,
+         "config error: config root must be an object", writes_nothing=True),
+    Case("run-system-not-an-object", {"system": []}, f"run --config {CONFIG}", 2,
+         "config error: section 'system' must be an object", writes_nothing=True),
+    *(Case(f"run-min_ratio-{ratio}", {"system": {"min_ratio": ratio}}, f"run --config {CONFIG}",
+           2, "config error: min_ratio must lie in (0, 1]", writes_nothing=True)
+      for ratio in (0, 1.5)),
+    *(Case(f"run-{key}-{value}", {"system": {key: value}}, f"run --config {CONFIG}", 2,
+           "config error: bandwidth, noise_power, accuracy_coeff must be positive",
+           writes_nothing=True)
+      for key, value in (("bandwidth", 0), ("noise_power", -1))),
+    # a 401-digit integer, past any float
+    Case("run-bandwidth-1e400", b'{"system": {"bandwidth": 1' + b"0" * 400 + b"}}",
+         f"run --config {CONFIG}", 2, "config error: bandwidth is out of range",
+         writes_nothing=True),
     Case("run-negative-client-count", {"system": {"num_clients": -1}}, f"run --config {CONFIG}",
          2, "config error: need at least one client", writes_nothing=True),
     Case("run-no-rounds", {"system": {"num_rounds": 0}}, f"run --config {CONFIG}", 2,
@@ -285,6 +327,24 @@ def write_config(case: Case, directory: Path) -> None:
         (directory / CONFIG).write_bytes(case.config)
     elif case.config is not None:
         (directory / CONFIG).write_text(json.dumps(case.config))
+
+
+def run_in_process(case: Case, directory: Path) -> tuple[int, str, str]:
+    """Run the case in the directory through `cli.main`, with RuntimeWarning as an
+    error; return its exit code, stdout and stderr."""
+    from flsched import cli  # imported here: the console-script run needs no package
+
+    write_config(case, directory)
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(case.argv)
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
 
 
 def problems(case: Case, directory: Path, code: int, out: str, err: str) -> list[str]:

@@ -2,17 +2,12 @@
 
 import pytest
 
-from flsched import cli
-
-from cli_cases import CASES, problems, write_config
+from cli_cases import CASES, problems, run_in_process
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.id)
-def test_cli_case(case, tmp_path, monkeypatch, capsys):
-    write_config(case, tmp_path)
-    monkeypatch.chdir(tmp_path)
-    code = cli.main(case.argv)
-    out, err = capsys.readouterr()
+def test_cli_case(case, tmp_path):
+    code, out, err = run_in_process(case, tmp_path)
     assert problems(case, tmp_path, code, out, err) == []
 
 

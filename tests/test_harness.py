@@ -20,7 +20,7 @@ from flsched.model import Population, SystemConfig
 from flsched.scheduler import POLICY_KINDS, PolicySpec, run_policy
 from flsched.simenv import DEFAULTS, IID, NONIID, Range, Scenario
 
-from cli_cases import CASES, PEDPC_FLOOR, SMOKE, write_config
+from cli_cases import CASES, PEDPC_FLOOR, SMOKE, run_in_process
 from oracles import lookahead_oracle
 
 
@@ -433,18 +433,6 @@ def test_cli_verify_bounds_too_fine_grid_exits_3(monkeypatch, capsys, step):
 _ROWS = {case.id: case for case in CASES}
 
 
-def _run_row(row_id, tmp_path, monkeypatch, capsys):
-    """Run a row of `cli_cases` in process with RuntimeWarning as an error; return its
-    exit code, stdout and stderr."""
-    case = _ROWS[row_id]
-    write_config(case, tmp_path)
-    monkeypatch.chdir(tmp_path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = cli.main(case.argv)
-    return (code, *capsys.readouterr())
-
-
 # The tests below hold the rows of cli_cases that they run to what each test
 # checked before those rows existed: no RuntimeWarning, and the summary's values.
 
@@ -454,8 +442,8 @@ def _run_row(row_id, tmp_path, monkeypatch, capsys):
     ("run-tiny-noise", "rate coefficient overflows the float range"),
     ("run-huge-data", "drift constant overflows the float range"),
 ], ids=["budget-1e160", "floor-1e-310", "noise-5e-324", "data-1e308"])
-def test_cli_run_overflowing_drift_constant_exits_3(tmp_path, monkeypatch, capsys, row, message):
-    code, _, err = _run_row(row, tmp_path, monkeypatch, capsys)
+def test_cli_run_overflowing_drift_constant_exits_3(tmp_path, row, message):
+    code, _, err = run_in_process(_ROWS[row], tmp_path)
     assert code == cli.EXIT_INFEASIBLE and err == f"infeasible: {message}\n"
 
 
@@ -463,39 +451,45 @@ def test_cli_run_overflowing_drift_constant_exits_3(tmp_path, monkeypatch, capsy
     ("1e308", "allocator objective leaves the float range"),
     ("1e-308", "Newton system leaves the float range"),
 ], ids=["1e308", "1e-308"])
-def test_cli_run_penalty_at_the_float_edges(tmp_path, monkeypatch, capsys, penalty, message):
-    code, _, err = _run_row(f"run-penalty-{penalty}", tmp_path, monkeypatch, capsys)
+def test_cli_run_penalty_at_the_float_edges(tmp_path, penalty, message):
+    code, _, err = run_in_process(_ROWS[f"run-penalty-{penalty}"], tmp_path)
     assert code == cli.EXIT_INFEASIBLE and err == f"solver did not converge: {message}\n"
 
 
 @pytest.mark.parametrize("policy", ["PEDPC"])
-def test_cli_run_subnormal_floor_with_finite_drift_runs(tmp_path, monkeypatch, capsys, policy):
-    code, out, _ = _run_row("run-tiny-floor", tmp_path, monkeypatch, capsys)
+def test_cli_run_subnormal_floor_with_finite_drift_runs(tmp_path, policy):
+    code, out, _ = run_in_process(_ROWS["run-tiny-floor"], tmp_path)
     assert code == cli.EXIT_OK and json.loads(out)["policy"] == policy
 
 
 @pytest.mark.parametrize("row,named", [("run-missing-config", "config.json"),
                                        ("run-smoke-out-is-a-directory", ".")],
                          ids=["missing_config", "out_is_a_directory"])
-def test_cli_unreadable_config_or_unwritable_output_exits_2(tmp_path, monkeypatch, capsys,
-                                                            row, named):
-    code, _, err = _run_row(row, tmp_path, monkeypatch, capsys)
+def test_cli_unreadable_config_or_unwritable_output_exits_2(tmp_path, row, named):
+    code, _, err = run_in_process(_ROWS[row], tmp_path)
     assert code == cli.EXIT_CONFIG
     assert err.startswith("config error:") and named in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("seed", ["1"])
-def test_cli_run_at_the_floor_capacity_edge(tmp_path, monkeypatch, capsys, seed):
+def test_cli_run_at_the_floor_capacity_edge(tmp_path, seed):
     # at most two clients fit, and selection must not offer the allocator a third
     case = _ROWS["run-edge"]
     assert case.argv[-2:] == ["--seed", seed]
-    code, out, _ = _run_row(case.id, tmp_path, monkeypatch, capsys)
+    code, out, _ = run_in_process(case, tmp_path)
     assert code == cli.EXIT_OK and json.loads(out)["avg_selected"] <= 2
 
 
-def test_cli_run_deficit_bound_at_large_energies_exits_0(tmp_path, monkeypatch, capsys):
-    code, out, err = _run_row("run-deficit-rounding", tmp_path, monkeypatch, capsys)
+def test_cli_run_deficit_bound_at_large_energies_exits_0(tmp_path):
+    code, out, err = run_in_process(_ROWS["run-deficit-rounding"], tmp_path)
     assert code == cli.EXIT_OK and err == "" and json.loads(out)["avg_selected"] == 20.0
+
+
+def test_sweep_v_row_where_v_matters_writes_four_different_runs(tmp_path):
+    # backlogs build on this row's budget, so each penalty weight decides differently
+    code, _, _ = run_in_process(_ROWS["sweep-v-tight-budget"], tmp_path)
+    runs = [path.read_bytes() for path in (tmp_path / "out").glob("PEDPC_1_*.csv")]
+    assert code == cli.EXIT_OK and len(runs) == 4 and len(set(runs)) == 4
 
 
 @pytest.mark.parametrize("step", ["0.05"])

@@ -193,13 +193,25 @@ def test_itmcs_matches_the_heap_scan_bit_for_bit():
         assert_matches_heap_scan(SelectionInstance(np.array([-np.inf, -1.0, -0.5]),
                                                    np.array([1e10, 0.0, 2e10]), 1e300,
                                                    max_selected=cap))
+    # a cap of 1 runs the heap phase on an empty pool: after a -inf score with a
+    # finite V*t the pool sum is -inf + inf = NaN, and every later W must lose
+    q, t = np.array([-1.0, -np.inf, -3.0, -0.5, -np.inf]), np.arange(1.0, 6.0)
+    assert list(itmcs(SelectionInstance(q, t, 1.0, max_selected=1)).selected) == \
+        [False, True, False, False, False]
+    for v in (1e-3, 1.0, 1e3):
+        assert_matches_heap_scan(SelectionInstance(q, t, v, max_selected=1))
+        assert_matches_heap_scan(SelectionInstance(q[::-1], t, v, max_selected=1))
+    for q, t, v, n, drawn in _full_size_draws():
+        q[1::7] = -np.inf
+        assert_matches_heap_scan(SelectionInstance(q, t, v, max_selected=1))
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("config", [FULL, PEDPC_FLOOR], ids=["default", "pedpc_floor"])
+@pytest.mark.parametrize("config", [FULL, PEDPC_FLOOR, {"system": {"min_ratio": 0.6}}],
+                         ids=["default", "pedpc_floor", "cap-1"])
 def test_itmcs_matches_the_heap_scan_on_pedpc_runs(monkeypatch, config, seed):
     # every selection instance of a full-scale PEDPC run: the default 100-client
-    # cap never binds, the floor's 20-client cap does
+    # cap never binds, the floor's 20-client cap does, and a 60% floor admits one
     captured = []
 
     def capture(instance):
