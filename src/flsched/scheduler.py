@@ -17,14 +17,12 @@ value and change nothing. Nor does it run when the moved set's floored
 simplex is the single point 1/m that the candidate already holds (one
 client, or m floors of exactly 1/m filling the band): it could only return
 that split. `SolveResult` carries the outcome of the accepted shares, so
-`run_policy` does not evaluate them again. Nor is anything else priced twice
-in a round: the empty start is priced from its zero outcome, every client's
-score at the scoring share 1/K is priced once per round, and each later
-rescoring reprices only the held clients, from the outcome that accepted
-them, into a copy of those scores. The held set is one ascending index
-array: the selection half-step compares the proposal's indices with it, and
-the candidate's outcome, the allocator's instance and its outcome take it
-as given.
+`run_policy` does not evaluate them again. The round's objective, its
+selection scores and its allocator instance come from one `_RoundProblem`,
+built once per round. The held set is one ascending index array: the
+selection half-step compares the proposal's indices with it, and the
+candidate's outcome, the allocator's instance and its outcome take it as
+given.
 
 Every policy decides a round as one share vector, whose non-zero entries are
 the selected clients. `run_policy` decides round r from its
@@ -54,7 +52,7 @@ import numpy as np
 from . import bandwidth as bw
 from . import lyapunov as lyap
 from . import model
-from .errors import Infeasible, VerificationError
+from .errors import Infeasible, NoConverge, VerificationError
 from .model import Population, RoundContext, SystemConfig
 from .selection import SelectionInstance, itmcs
 from .simenv import Scenario, number, policy_rng
@@ -91,13 +89,50 @@ class PolicySpec:
                 raise ValueError("FedCS requires a positive latency_cap")
 
 
-def _p3_value(outcome: tuple[np.ndarray, float, float, np.ndarray], backlog: np.ndarray,
-              ctx: RoundContext, penalty_weight: float) -> float:
-    """Backlog-priced energy drift plus weighted round cost (constant term dropped)
-    of a decision, from its `RoundContext.outcome`."""
-    energy, t0, phi, _ = outcome
-    drift_term = float(np.dot(backlog, energy - ctx.credit))
-    return drift_term + penalty_weight * (t0 - phi)
+class _RoundProblem:
+    """One PEDPC round's objective, the backlog-priced energy drift plus V times
+    the round cost, and its half-steps' instances. Nothing is priced twice in
+    a round: every client's score and latency at the scoring share 1/K are
+    priced once, here, the empty start from its zero outcome, and each later
+    rescoring reprices only the held clients, from the outcome that accepted
+    them, into a copy of those scores."""
+
+    def __init__(self, backlog: np.ndarray, ctx: RoundContext, penalty_weight: float):
+        backlog = np.asarray(backlog, dtype=float)
+        if not model.finite_non_negative(backlog):
+            raise ValueError("backlogs must be finite and non-negative")
+        self.backlog, self.ctx, self.penalty_weight = backlog, ctx, penalty_weight
+        self.latencies, energy = model.client_round(ctx.population, ctx.rate_coeff,
+                                                    1.0 / len(ctx.population))
+        self.utility = penalty_weight * ctx.log_utility
+        self.scores = lyap.energy_prices(backlog, energy) - self.utility
+
+    def value(self, outcome: tuple[np.ndarray, float, float, np.ndarray]) -> float:
+        """The objective (constant term dropped) of a decision, from its `RoundContext.outcome`."""
+        energy, t0, phi, _ = outcome
+        drift_term = float(np.dot(self.backlog, energy - self.ctx.credit))
+        return drift_term + self.penalty_weight * (t0 - phi)
+
+    def rescored(self, held: np.ndarray, outcome: tuple[np.ndarray, float, float, np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Scores and latencies: the held clients at their shares in `outcome`, the rest at 1/K."""
+        scores, latencies = self.scores.copy(), self.latencies.copy()
+        scores[held] = (lyap.energy_prices(self.backlog[held], outcome[0][held])
+                        - self.utility[held])
+        latencies[held] = outcome[3][held]
+        return scores, latencies
+
+    def allocation(self, held: np.ndarray) -> bw.AllocationInstance:
+        """The allocator's instance over the held clients; NoConverge if a price overflows."""
+        pop, rate = self.ctx.population, self.ctx.rate_coeff[held]
+        lat_coeff = pop.model_size[held] / rate
+        with np.errstate(over="ignore"):  # tx_power * backlog * model_size, before the division
+            price_coeff = pop.tx_power[held] * self.backlog[held] * pop.model_size[held] / rate
+        if not np.isfinite(price_coeff).all():
+            raise NoConverge("allocator coefficients leave the float range")
+        return bw.AllocationInstance(comp_latency=pop.comp_latency[held], lat_coeff=lat_coeff,
+                                     price_coeff=price_coeff, penalty_weight=self.penalty_weight,
+                                     min_ratio=self.ctx.config.min_ratio)
 
 
 @dataclass(frozen=True)
@@ -118,30 +153,17 @@ def solve_round(backlog: np.ndarray, ctx: RoundContext, penalty_weight: float) -
     all-infeasible round yields the empty decision (its objective is the
     budget credit term alone).
     """
-    backlog = np.asarray(backlog, dtype=float)
-    if not model.finite_non_negative(backlog):
-        raise ValueError("backlogs must be finite and non-negative")
-    pop, config = ctx.population, ctx.config
-    k = len(pop)
-    cap = config.max_selectable
-    # every client's costs and score at the scoring share 1/K, which a client
-    # outside the held set is rescored at
-    hyp_latency, hyp_energy = model.client_round(pop, ctx.rate_coeff, 1.0 / k)
-    utility = penalty_weight * ctx.log_utility
-    hyp_scores = lyap.energy_prices(backlog, hyp_energy) - utility
+    problem = _RoundProblem(backlog, ctx, penalty_weight)
+    k, config, cap = len(ctx.population), ctx.config, ctx.config.max_selectable
     b = np.zeros(k)
     held = b.nonzero()[0]  # the decision's selected clients, ascending
     outcome = (np.zeros(k), 0.0, 0.0, np.zeros(k))  # the empty decision's, without a pass
-    value = _p3_value(outcome, backlog, ctx, penalty_weight)
+    value = problem.value(outcome)
     halves = [value]
-    scores, latencies = hyp_scores, hyp_latency
+    scores, latencies = problem.scores, problem.latencies
     for alternation in range(ITER_ROUNDS):
         if alternation:
-            # a later rescoring: the held clients at their shares, from the
-            # outcome that accepted them, the others at 1/K as priced above
-            scores, latencies = hyp_scores.copy(), hyp_latency.copy()
-            scores[held] = lyap.energy_prices(backlog[held], outcome[0][held]) - utility[held]
-            latencies[held] = outcome[3][held]
+            scores, latencies = problem.rescored(held, outcome)
         start_value = value
         # selection half-step: keep the proposed set only if it helps
         chosen = itmcs(SelectionInstance(scores, latencies, penalty_weight,
@@ -153,7 +175,7 @@ def solve_round(backlog: np.ndarray, ctx: RoundContext, penalty_weight: float) -
             b_cand = np.zeros(k)
             b_cand[chosen] = equal
             cand_out = ctx.outcome(b_cand, chosen)
-            cand_val = _p3_value(cand_out, backlog, ctx, penalty_weight)
+            cand_val = problem.value(cand_out)
             if cand_val <= value:
                 b, value, outcome, held = b_cand, cand_val, cand_out, chosen
                 # the allocator's answer is the equal split just evaluated when
@@ -163,19 +185,11 @@ def solve_round(backlog: np.ndarray, ctx: RoundContext, penalty_weight: float) -
         # bandwidth half-step: allocator solve, kept only if the true value improves;
         # an unmoved set was solved by the previous half-step, whose outcome stands
         if solve:
-            instance = bw.AllocationInstance(
-                comp_latency=pop.comp_latency[held],
-                lat_coeff=pop.model_size[held] / ctx.rate_coeff[held],
-                price_coeff=(pop.tx_power[held] * backlog[held] * pop.model_size[held]
-                             / ctx.rate_coeff[held]),
-                penalty_weight=penalty_weight,
-                min_ratio=config.min_ratio,
-            )
-            alloc = bw.barrier_solve(instance)
+            alloc = bw.barrier_solve(problem.allocation(held))
             b_new = np.zeros(k)
             b_new[held] = alloc.ratios
             new_out = ctx.outcome(b_new, held)
-            new_val = _p3_value(new_out, backlog, ctx, penalty_weight)
+            new_val = problem.value(new_out)
             if new_val <= value:
                 b, value, outcome = b_new, new_val, new_out
         halves.append(value)

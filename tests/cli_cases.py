@@ -60,6 +60,12 @@ EDGE = {"system": {"num_clients": 10, "num_rounds": 12, "min_ratio": 0.333333333
 FLOAT_EDGE_SYSTEM = {"num_clients": 3, "num_rounds": 2}
 # 20 clients over 4 rounds, for penalty weights at the float edges
 PENALTY_EDGE_SYSTEM = {"num_clients": 20, "num_rounds": 4}
+# at seed 1, round 5's tx_power * backlog * model_size passes the float range before
+# its division by the rate, though every true price coefficient is at most 2.24
+PRICE_OVERFLOW = {"system": {"bandwidth": 1e307, "num_rounds": 6, "num_clients": 10,
+                             "accuracy_coeff": 1e-5},
+                  "scenario": {"model_size": 1e307, "energy_budget": 0.01, "tx_power": [1, 2]},
+                  "policy": {"penalty": 1e3}}
 # SelectAll at seed 299: every backlog and both sides of the deficit bound reach
 # about 2.3e7 J, where the two sides differ by one ulp (3.7e-9 J)
 DEFICIT_ROUNDING_CASE = {
@@ -249,11 +255,16 @@ CASES = [
       for name, args in (("run", ""), ("calibrate", " --policy Random --target-avg 1"))),
     Case("verify-bounds-grid-1e-300", None, "verify-bounds --grid-step 1e-300", 3,
          "infeasible: share grid for 2 clients at step 1e-300 exceeds 5000000 points"),
+    Case("verify-bounds-grid-0.01", None, "verify-bounds --grid-step 0.01", 3,
+         "infeasible: lookahead product too large (7856809 combinations)", writes_nothing=True),
     *(Case(f"run-penalty-{v}", {"system": PENALTY_EDGE_SYSTEM, "policy": {"penalty": float(v)}},
            f"run --config {CONFIG} --seed 1", 3, f"solver did not converge: {message}")
       for v, message in (("1e308", "allocator objective leaves the float range"),
                          ("1e-308", "Newton system leaves the float range"),
                          ("1e-315", "Newton system leaves the float range"))),
+    Case("run-price-overflow", PRICE_OVERFLOW, f"run --config {CONFIG} --seed 1", 3,
+         "solver did not converge: allocator coefficients leave the float range",
+         writes_nothing=True),
     # the smallest weight selects nobody
     Case("run-penalty-5e-324", {"system": PENALTY_EDGE_SYSTEM, "policy": {"penalty": 5e-324}},
          f"run --config {CONFIG} --seed 1",
@@ -265,6 +276,8 @@ CASES = [
          "config error: config root must be an object", writes_nothing=True),
     Case("run-system-not-an-object", {"system": []}, f"run --config {CONFIG}", 2,
          "config error: section 'system' must be an object", writes_nothing=True),
+    Case("run-mode-iid", {"scenario": {"mode": "iid"}}, f"run --config {CONFIG}", 2,
+         "config error: scenario mode must be 'IID' or 'NONIID'", writes_nothing=True),
     *(Case(f"run-min_ratio-{ratio}", {"system": {"min_ratio": ratio}}, f"run --config {CONFIG}",
            2, "config error: min_ratio must lie in (0, 1]", writes_nothing=True)
       for ratio in (0, 1.5)),

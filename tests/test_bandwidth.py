@@ -494,6 +494,26 @@ def test_allocation_instance_rejects_non_finite_or_negative(name, bad):
         AllocationInstance(**arrays, penalty_weight=1.0, min_ratio=0.1)
 
 
+@pytest.mark.parametrize("size,weight,floor,message", [
+    (0, 1.0, 0.1, "coefficient arrays must be 1-d, non-empty, equal length"),
+    (3, 0.0, 0.1, "penalty_weight must be positive"),
+    (3, 1.0, 0.0, r"min_ratio must lie in \(0, 1\]"),
+], ids=["empty", "zero-weight", "zero-floor"])
+def test_allocation_instance_rejects_a_malformed_instance(size, weight, floor, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AllocationInstance(np.zeros(size), np.ones(size), np.ones(size), weight, floor)
+
+
+def test_public_helpers_reject_an_empty_or_unpriced_point():
+    inst = AllocationInstance(np.zeros(2), np.ones(2), np.ones(2), 1.0, 0.1)
+    with pytest.raises(ValueError, match="^need at least one selected client$"):
+        lse_error_bound(0)
+    with pytest.raises(ValueError, match="^ratios must be strictly positive$"):
+        smoothed_objective(np.array([1.0, 0.0]), inst)
+    with pytest.raises(ValueError, match="^m must be >= 1$"):
+        simplex_grid(0, 0.1, 0.05)
+
+
 def test_barrier_infeasible():
     with pytest.raises(Infeasible):
         AllocationInstance(np.zeros(3), np.ones(3), np.ones(3), 1.0, 0.4)

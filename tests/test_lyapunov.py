@@ -85,6 +85,12 @@ def test_drift_bound_infinite():
         drift_bound(CREDIT, np.array([np.inf, 0.01]))
 
 
+@pytest.mark.parametrize("bad", [-1e-300, np.nan], ids=["negative", "nan"])
+def test_drift_bound_rejects_a_negative_or_nan_max_energy(bad):
+    with pytest.raises(ValueError, match="^max_energy must be non-negative$"):
+        drift_bound(CREDIT, np.array([0.02, bad]))
+
+
 def test_drift_bound_overflow_is_infeasible_without_a_warning():
     # finite credits and ceilings whose squares pass the float range
     with warnings.catch_warnings():

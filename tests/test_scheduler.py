@@ -9,16 +9,16 @@ from flsched import bandwidth as bw
 from flsched import harness
 from flsched import lyapunov as lyap
 from flsched import model, scheduler, simenv
-from flsched.errors import Infeasible, VerificationError
+from flsched.errors import Infeasible, NoConverge, VerificationError
 from flsched.model import (RoundContext, SystemConfig, check_shares, client_utility,
                            round_credit, selected_totals)
-from flsched.scheduler import (PolicySpec, SolveResult, _fill, _p3_value, baseline_random,
+from flsched.scheduler import (PolicySpec, SolveResult, _fill, _RoundProblem, baseline_random,
                                baseline_select_all, fedcs_terms, greedy_terms,
                                random_sample_size, run_policy, solve_round)
 from flsched.selection import SelectionInstance
 from flsched.simenv import Scenario, ScenarioSpec, policy_rng
 
-from cli_cases import FULL, PEDPC_FLOOR, SMOKE
+from cli_cases import FULL, PEDPC_FLOOR, PRICE_OVERFLOW, SMOKE
 from conftest import population
 from oracles import heap_selection, masked_baseline_run, masked_fill
 
@@ -39,14 +39,15 @@ def uniform_context(population, config, value=1e-10):
 def test_p3_objective_empty_zero_queue(twin_population, example_config):
     ctx = uniform_context(twin_population, example_config)
     empty = np.zeros(2)
-    assert _p3_value(ctx.outcome(empty, empty.nonzero()[0]), np.zeros(2), ctx, 1.0) == 0.0
+    problem = _RoundProblem(np.zeros(2), ctx, 1.0)
+    assert problem.value(ctx.outcome(empty, empty.nonzero()[0])) == 0.0
 
 
 def test_p3_objective_empty_with_backlog(twin_population, example_config):
     ctx = uniform_context(twin_population, example_config)
     z = np.array([0.01, 0.02])
     empty = np.zeros(2)
-    got = _p3_value(ctx.outcome(empty, empty.nonzero()[0]), z, ctx, 1.0)
+    got = _RoundProblem(z, ctx, 1.0).value(ctx.outcome(empty, empty.nonzero()[0]))
     assert got == pytest.approx(-(0.01 + 0.02) * 1.5 / 300, rel=1e-12)
     assert got < 0
 
@@ -56,9 +57,39 @@ def test_p3_objective_single_client_reference(twin_population, example_config):
     ctx = uniform_context(twin_population, example_config)
     z = np.array([1.0, 0.0])
     dec = np.array([0.1, 0.0])
-    got = _p3_value(ctx.outcome(dec, dec.nonzero()[0]), z, ctx, 1.0)
+    got = _RoundProblem(z, ctx, 1.0).value(ctx.outcome(dec, dec.nonzero()[0]))
     # the unselected client has zero backlog so only the credit of client 0 counts
     assert got == pytest.approx(0.0804555, rel=1e-5)
+
+
+def test_round_problem_allocation_is_the_populations_coefficients():
+    # the selected set of each sampled round and a random set within the cap,
+    # against the instance built from the population in its order of operations
+    rng = np.random.default_rng(7)
+    for z, ctx, v, iter_rounds in _skip_sample():
+        if iter_rounds != 1:
+            continue
+        pop, rate = ctx.population, ctx.rate_coeff
+        problem = _RoundProblem(z, ctx, v)
+        chosen = solve_round(z, ctx, v).shares.nonzero()[0]
+        drawn = np.sort(rng.choice(len(z), size=int(rng.integers(1, 21)), replace=False))
+        for held in (chosen, drawn):
+            got = problem.allocation(held)
+            want = (pop.comp_latency[held], pop.model_size[held] / rate[held],
+                    pop.tx_power[held] * z[held] * pop.model_size[held] / rate[held])
+            assert [a.tobytes() for a in (got.comp_latency, got.lat_coeff, got.price_coeff)] \
+                == [a.tobytes() for a in want]
+            assert (got.penalty_weight, got.min_ratio) == (v, ctx.config.min_ratio)
+
+
+def test_round_problem_allocation_raises_when_a_price_overflows():
+    # tx_power * backlog * model_size passes the float range before the division
+    # by the rate, though the coefficients themselves are finite
+    ctx = harness.build_scenario(harness.parse_config(PRICE_OVERFLOW), 1).observe(0)
+    pop, z = ctx.population, np.full(10, 100.0)
+    assert np.isfinite(pop.tx_power * (z * (pop.model_size / ctx.rate_coeff))).all()
+    with pytest.raises(NoConverge, match="^allocator coefficients leave the float range$"):
+        _RoundProblem(z, ctx, 1e3).allocation(np.arange(2))
 
 
 def test_solve_round_empty_when_everyone_expensive(example_config, twin_population):
@@ -367,8 +398,9 @@ def _always_solve_oracle(backlog, ctx, penalty_weight, iter_rounds, select=heap_
     k = len(pop)
     cap = config.max_selectable
     hyp_share = 1.0 / k
+    objective = _RoundProblem(backlog, ctx, penalty_weight).value
     b = np.zeros(k)
-    value = _p3_value(ctx.outcome(b, b.nonzero()[0]), backlog, ctx, penalty_weight)
+    value = objective(ctx.outcome(b, b.nonzero()[0]))
     halves = [value]
     for _ in range(iter_rounds):
         start_value = value
@@ -380,8 +412,7 @@ def _always_solve_oracle(backlog, ctx, penalty_weight, iter_rounds, select=heap_
         if not np.array_equal(proposal, b != 0):
             m = int(proposal.sum())
             b_cand = np.where(proposal, 1.0 / m if m else 0.0, 0.0)
-            cand_val = _p3_value(ctx.outcome(b_cand, b_cand.nonzero()[0]), backlog, ctx,
-                                 penalty_weight)
+            cand_val = objective(ctx.outcome(b_cand, b_cand.nonzero()[0]))
             if cand_val <= value:
                 b, value = b_cand, cand_val
         halves.append(value)
@@ -398,8 +429,7 @@ def _always_solve_oracle(backlog, ctx, penalty_weight, iter_rounds, select=heap_
             alloc = bw.barrier_solve(instance)
             b_new = np.zeros(k)
             b_new[idx] = alloc.ratios
-            new_val = _p3_value(ctx.outcome(b_new, b_new.nonzero()[0]), backlog, ctx,
-                                penalty_weight)
+            new_val = objective(ctx.outcome(b_new, b_new.nonzero()[0]))
             if new_val <= value:
                 b, value = b_new, new_val
         halves.append(value)
@@ -697,10 +727,10 @@ def test_run_policy_carries_each_backlogs_squared_norm(kind):
     assert np.float64(trace.drift_min_slack).tobytes() == np.float64(want).tobytes()
 
 
-def _p3_value_reference(z, ctx, v):
+def _empty_value_reference(z, ctx, v):
     """The value of the empty decision, priced from `RoundContext.outcome` of zero shares."""
     empty = np.zeros(len(z))
-    return _p3_value(ctx.outcome(empty, empty.nonzero()[0]), z, ctx, v)
+    return _RoundProblem(z, ctx, v).value(ctx.outcome(empty, empty.nonzero()[0]))
 
 
 @pytest.mark.parametrize("level", [0.0, 1e6])
@@ -719,7 +749,7 @@ def test_solve_round_prices_the_empty_start_without_a_pass(monkeypatch, example_
     energy, t0, phi, latency = result.outcome
     assert [energy.tobytes(), latency.tobytes()] == [want[0].tobytes(), want[3].tobytes()]
     assert np.array([t0, phi]).tobytes() == np.array(want[1:3]).tobytes()
-    value = _p3_value_reference(z, ctx, 1.0)
+    value = _empty_value_reference(z, ctx, 1.0)
     assert np.array(result.half_step_values).tobytes() == np.array([value] * 3).tobytes()
     if level == 0.0:
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
@@ -732,7 +762,7 @@ def test_solve_round_first_value_is_the_empty_decisions_value():
     for z, ctx, v, _ in _skip_sample():
         for backlog in (z, np.zeros_like(z)):
             first = solve_round(backlog, ctx, v).half_step_values[0]
-            want = _p3_value_reference(backlog, ctx, v)
+            want = _empty_value_reference(backlog, ctx, v)
             assert np.float64(first).tobytes() == np.float64(want).tobytes()
 
 

@@ -281,6 +281,16 @@ def test_selection_instance_rejects_nan_or_negative_latency(scores, latencies):
         SelectionInstance(np.array(scores), np.array(latencies), 1.0, max_selected=len(scores))
 
 
+@pytest.mark.parametrize("scores,latencies,weight,cap,message", [
+    ([-1.0, -1.0], [1.0], 1.0, 2, "scores and latencies must be 1-d and equal length"),
+    ([-1.0, -1.0], [1.0, 1.0], 0.0, 2, "penalty_weight must be positive"),
+    ([-1.0, -1.0], [1.0, 1.0], 1.0, -1, "max_selected must be non-negative"),
+], ids=["shape-mismatch", "zero-weight", "negative-cap"])
+def test_selection_instance_rejects_a_malformed_instance(scores, latencies, weight, cap, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SelectionInstance(np.array(scores), np.array(latencies), weight, max_selected=cap)
+
+
 def test_selection_instance_admits_infinite_latency_and_score():
     inst = SelectionInstance(np.array([-np.inf, -1.0, np.inf]), np.array([1.0, np.inf, 0.0]), 1.0,
                              max_selected=3)

@@ -192,3 +192,9 @@ def test_observe_rejects_a_round_outside_the_horizon(monkeypatch, round_index):
     with pytest.raises(ValueError, match=f"^round {round_index} is outside the horizon of 4 rounds$"):
         sc.observe(round_index)
     assert sc._contexts == {}
+
+
+def test_sample_round_rejects_a_negative_round():
+    spec = ScenarioSpec(seed=1, overrides={"num_clients": 3, "num_rounds": 4})
+    with pytest.raises(ValueError, match="^round_index must be non-negative$"):
+        sample_round(spec, -1, generate_population(spec)[0])
