@@ -278,8 +278,9 @@ def calibrate(config_path: str | Path, policy_kind: str, target_avg_selected: fl
     """Bisect the policy's knob until the average selected count is CALIBRATION_TOLERANCE close.
 
     Knobs: penalty weight for PEDPC, selection fraction for Random, latency
-    cap for FedCS. Raises Infeasible when the bracket cannot meet the target,
-    or when the floor cannot admit Random's sample at it.
+    cap for FedCS. Raises Infeasible when no run on the scenario can start,
+    when the bracket cannot meet the target (naming both ends' counts), or
+    when the floor cannot admit Random's sample at it.
     """
     scenario = build_scenario(load_config(config_path), seed)
     return _calibrate(scenario, policy_kind, target_avg_selected)[0]
@@ -314,7 +315,8 @@ def _calibrate(scenario: Scenario, policy_kind: str, target: float
     if abs(s_hi.avg_selected - target) <= CALIBRATION_TOLERANCE:
         return hi, s_hi
     if s_lo.avg_selected > target or s_hi.avg_selected < target:
-        raise Infeasible("target outside the achievable bracket")
+        raise Infeasible(f"target outside the achievable bracket: {s_lo.avg_selected:g} selected"
+                         f" at {knob} {lo:g}, {s_hi.avg_selected:g} at {hi:g}")
     for _ in range(60):
         mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
         s_mid = probe(mid)
@@ -333,7 +335,7 @@ def compare_policies(config_path: str | Path, seed: int, target_avg: float
 
     One (knob, summary) pair per policy, the knob None for SelectAll and Greedy.
     PEDPC and FedCS reuse their accepted calibration runs: no pair runs twice.
-    SelectAll's split and Random's sample, which run nothing, are checked first.
+    The scenario's checks, then SelectAll's split and Random's sample, come before any probe.
     """
     cfg = load_config(config_path)
     scenario = build_scenario(cfg, seed)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from numbers import Integral, Real
 from typing import Any, Mapping, NamedTuple
 
@@ -192,11 +191,15 @@ def policy_rng(seed: int, round_index: int) -> np.random.Generator:
 class Scenario:
     """Bundled population, configuration, per-round contexts and drift constant for one seed.
 
-    The energy credit and accuracy utility are computed once, here, and every
-    round's context shares them; a utility beyond the float range is
-    Infeasible. The contexts are built as the rounds are first
-    observed and kept for the scenario's lifetime, their arrays read-only, so
-    that every run on the scenario reads the same values.
+    The energy credit, the accuracy utility and the drift constant D every run
+    on the scenario is checked against are computed once, here, and every
+    round's context shares the first two. So a scenario that no run can start
+    is Infeasible when it is built, before any run, calibration or probe: a
+    utility beyond the float range, a full-band rate at the gain range's upper
+    edge beyond it, an unbounded worst-case round energy, or a D that
+    overflows it. The contexts are built as the rounds are first observed and
+    kept for the scenario's lifetime, their arrays read-only, so that every
+    run on the scenario reads the same values.
     """
 
     def __init__(self, spec: ScenarioSpec):
@@ -207,6 +210,7 @@ class Scenario:
             self.log_utility = model.client_utility(self.population, self.config)
         if not np.isfinite(self.log_utility).all():
             raise Infeasible("accuracy utility overflows the float range")
+        self.drift = lyap.drift_bound(self.credit, self.worst_case_energy())
         self.credit.flags.writeable = self.log_utility.flags.writeable = False
         self._contexts: dict[int, RoundContext] = {}
 
@@ -240,13 +244,3 @@ class Scenario:
                 raise Infeasible("rate coefficient overflows the float range")
             g_min = model.rate_coefficients(self.population, lo, self.config)
             return model.client_round(self.population, g_min, self.config.min_ratio)[1]
-
-    @cached_property
-    def drift(self) -> float:
-        """The drift constant D every run on this scenario is checked against, built on first use.
-
-        Lazy, so that only a run pays for it: an unbounded worst case raises
-        Infeasible when the first run starts, and a caller that builds the
-        scenario without running it (Random's calibration) still succeeds.
-        """
-        return lyap.drift_bound(self.credit, self.worst_case_energy())

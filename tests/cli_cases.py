@@ -86,6 +86,11 @@ _SCENARIO = {"system": {**_SMOKE_SYSTEM, "min_ratio": 0.01},
 # a floor of 1e-309 admits any population; a tiny upload keeps the drift finite
 _TINY_FLOOR = {"system": {**FLOAT_EDGE_SYSTEM, "min_ratio": 1e-309},
                "scenario": {"model_size": 1e-300}}
+# configs no run can start: a drift constant, a worst-case round energy and a
+# full-band rate past the float range
+_HUGE_DATA = {"scenario": {"data_size": 1e308}, "system": FLOAT_EDGE_SYSTEM}
+_TINY_GAIN = {"scenario": {"gain_sq": [1e-300, 1e-9]}}
+_HUGE_BANDWIDTH = {"system": {**FLOAT_EDGE_SYSTEM, "bandwidth": 1e308}}
 _VERIFY_V1 = ("V=1 lhs=-0.0243063 lookahead=-0.0243063 rhs=0.397569 cost_bound=True"
               " energy_bound=True [ok]\n")
 # Population's per-client fields, each with whether its key is a [low, high] range;
@@ -152,7 +157,8 @@ CASES = [
                                   ("empty", ",", "--v-grid must list at least one value"))),
     Case("calibrate-smoke-PEDPC-20", SMOKE,
          f"calibrate --config {CONFIG} --policy PEDPC --target-avg 20", 3,
-         "infeasible: target outside the achievable bracket", writes_nothing=True),
+         "infeasible: target outside the achievable bracket: 3.25 selected at penalty 1e-06,"
+         " 3.25 at 10000", writes_nothing=True),
     Case("calibrate-smoke-PEDPC", SMOKE,
          f"calibrate --config {CONFIG} --policy PEDPC --target-avg 5"),
     Case("compare-smoke", SMOKE, f"compare --config {CONFIG} --seed 1 --target-avg 4"),
@@ -214,6 +220,11 @@ CASES = [
     Case("calibrate-floor-Random", PEDPC_FLOOR,
          f"calibrate --config {CONFIG} --policy Random --target-avg 40 --seed 1", 3,
          "infeasible: equal split over the sample falls below the floor"),
+    # PEDPC's count on a binding floor does not move with V across its bracket
+    Case("calibrate-floor-PEDPC-10", PEDPC_FLOOR,
+         f"calibrate --config {CONFIG} --policy PEDPC --target-avg 10 --seed 1", 3,
+         "infeasible: target outside the achievable bracket: 19.99 selected at penalty 1e-06,"
+         " 20 at 10000", writes_nothing=True),
     Case("run-floor-Random-0.4", {**PEDPC_FLOOR, "policy": {"random_fraction": 0.4}},
          f"run --config {CONFIG} --seed 1 --policy Random", 3,
          "infeasible: equal split over the sample falls below the floor"),
@@ -237,15 +248,15 @@ CASES = [
                            ("-SelectAll", " --policy SelectAll"))),
     Case("run-tiny-noise", {"system": {**FLOAT_EDGE_SYSTEM, "noise_power": 5e-324}},
          f"run --config {CONFIG}", 3, "infeasible: rate coefficient overflows the float range"),
-    Case("run-huge-data", {"scenario": {"data_size": 1e308}, "system": FLOAT_EDGE_SYSTEM},
+    Case("run-huge-data", _HUGE_DATA,
          f"run --config {CONFIG}", 3, "infeasible: drift constant overflows the float range"),
-    Case("run-huge-bandwidth", {"system": {**FLOAT_EDGE_SYSTEM, "bandwidth": 1e308}},
+    Case("run-huge-bandwidth", _HUGE_BANDWIDTH,
          f"run --config {CONFIG}", 3, "infeasible: rate coefficient overflows the float range"),
     Case("run-huge-cpu", {"scenario": {"cpu_freq": [1e300, 1e300]}, "system": FLOAT_EDGE_SYSTEM},
          f"run --config {CONFIG}", 3, "infeasible: worst-case round energy is unbounded"),
     # a gain range reaching 1e-300 leaves a zero worst-case rate: no finite drift
     # constant exists, which is an infeasible instance, not a malformed config
-    Case("run-tiny-gain", {"scenario": {"gain_sq": [1e-300, 1e-9]}}, f"run --config {CONFIG}", 3,
+    Case("run-tiny-gain", _TINY_GAIN, f"run --config {CONFIG}", 3,
          "infeasible: worst-case round energy is unbounded"),
     # accuracy_coeff * data_size passes the float range when the scenario is built,
     # before any run or calibration
@@ -253,6 +264,19 @@ CASES = [
            f"{name} --config {CONFIG}{args}", 3,
            "infeasible: accuracy utility overflows the float range", writes_nothing=True)
       for name, args in (("run", ""), ("calibrate", " --policy Random --target-avg 1"))),
+    # so is each config above that no run can start, so Random's calibration, which
+    # runs nothing, reports it too
+    *(Case(f"calibrate-{name}", doc, f"calibrate --config {CONFIG} --policy Random --target-avg 1",
+           3, f"infeasible: {message}", writes_nothing=True)
+      for name, doc, message in (
+          ("huge-data", _HUGE_DATA, "drift constant overflows the float range"),
+          ("tiny-gain", _TINY_GAIN, "worst-case round energy is unbounded"),
+          ("huge-bandwidth", _HUGE_BANDWIDTH, "rate coefficient overflows the float range"))),
+    # compare reports such a config before SelectAll's split, which a 5% floor on 100
+    # clients breaks
+    Case("compare-floor-tiny-gain", {**_TINY_GAIN, "system": {"min_ratio": 0.05}},
+         f"compare --config {CONFIG} --target-avg 10", 3,
+         "infeasible: worst-case round energy is unbounded", writes_nothing=True),
     Case("verify-bounds-grid-1e-300", None, "verify-bounds --grid-step 1e-300", 3,
          "infeasible: share grid for 2 clients at step 1e-300 exceeds 5000000 points"),
     Case("verify-bounds-grid-0.01", None, "verify-bounds --grid-step 0.01", 3,

@@ -201,6 +201,17 @@ def test_newton_step_rejects_singular_system():
     assert step.tolist() == [0.1, -0.1]
 
 
+def test_newton_step_rejects_a_step_past_the_float_range():
+    # finite, positive curvature and a positive delta, but a gradient near 1e308 over
+    # a curvature near 1e-300 sends the step past the float range
+    curvature = np.full(2, 1e-300)
+    ev = bw._Factors(value=1.0, gradient=np.array([1e308, -1e308]), diag=curvature,
+                     rank_one=np.zeros(2), weights=np.full(2, 0.5), excess=curvature)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NoConverge, match="^singular KKT system$"):
+        bw._newton_step(ev, np.ones(2, dtype=bool), np.zeros(2))
+
+
 @pytest.mark.parametrize("penalty,message", [
     (1e308, "allocator objective leaves the float range"),  # the equal split's value
     (1e305, "allocator objective leaves the float range"),  # its curvature, the value finite

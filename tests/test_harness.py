@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -781,6 +782,28 @@ def test_calibrate_fedcs_saturation(tmp_path):
     summary = run_experiment(path, policy=PolicySpec("FedCS", latency_cap=t_max),
                              seed=1, output_path=tmp_path / "f.csv")
     assert abs(summary.avg_selected - 8) <= 2
+
+
+def test_calibrate_reports_a_bisection_that_never_lands(tmp_path, monkeypatch, capsys):
+    # a count that jumps across the tolerance band at V = 1 brackets the target, yet no
+    # probe lands in the band: the two bracket ends and 60 bisections, then Infeasible.
+    # A count not monotone in V can do this for real.
+    path = small_config(tmp_path)
+    probes = []
+
+    def summary(scenario, policy, csv_path=None):
+        probes.append(policy.penalty)
+        return SimpleNamespace(avg_selected=20 + (3 if policy.penalty >= 1 else -3))
+
+    monkeypatch.setattr(harness, "_summary", summary)
+    with pytest.raises(Infeasible, match="^bisection failed to reach the target$"):
+        calibrate(path, "PEDPC", 20, seed=1)
+    assert len(probes) == 62 and probes[:2] == [1e-6, 1e4]
+    probes.clear()
+    assert cli.main(["calibrate", "--config", str(path), "--policy", "PEDPC",
+                     "--target-avg", "20"]) == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr() == ("", "infeasible: bisection failed to reach the target\n")
+    assert len(probes) == 62
 
 
 def _tiny(**overrides) -> HarnessConfig:

@@ -4,7 +4,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from flsched import lyapunov as lyap
 from flsched import simenv
+from flsched.errors import Infeasible
 from flsched.model import Population
 from flsched.simenv import (DEFAULTS, IID, NONIID, Range, Scenario, ScenarioSpec, checked,
                             dbm_to_watts, generate_population, sample_round)
@@ -181,6 +183,25 @@ def test_worst_case_energy_dominates_samples():
                 / (sc.config.min_ratio * sc.observe(r).rate_coeff))
         energy = sc.population.comp_energy + comm
         assert np.all(energy <= cap + 1e-12)
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"num_clients": 3, "num_rounds": 2, "data_size": 1e308},
+     "drift constant overflows the float range"),
+    ({"gain_sq": (1e-300, 1e-9)}, "worst-case round energy is unbounded"),
+    ({"num_clients": 3, "num_rounds": 2, "bandwidth": 1e308},
+     "rate coefficient overflows the float range"),
+], ids=["drift", "worst-case-energy", "rate"])
+def test_a_scenario_no_run_can_start_is_infeasible_when_built(overrides, message):
+    with pytest.raises(Infeasible, match=f"^{message}$"):
+        Scenario(ScenarioSpec(seed=1, overrides=overrides))
+
+
+def test_drift_constant_is_computed_when_the_scenario_is_built():
+    sc = Scenario(ScenarioSpec(seed=1))
+    assert type(vars(sc).get("drift")) is float  # set when the scenario is built, not on first read
+    want = lyap.drift_bound(sc.credit, sc.worst_case_energy())
+    assert np.float64(sc.drift).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("round_index", [4, 10 ** 6, -1])
